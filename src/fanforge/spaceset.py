@@ -21,14 +21,30 @@ from .tiling import ConstructionState, pointwise_below, vertical_trace
 Point = tuple[Fraction, Fraction]
 
 
-def xi_map(point: tuple[Fraction | float, Fraction | float]) -> tuple[Fraction | float, float]:
-    """Compress the second coordinate into (0, 1) via arctan; floating.
+_XI_WEIGHT = Fraction(1, 2**80)
+
+
+def _xi_float(r: Fraction | float) -> float:
+    return math.atan(float(r)) / math.pi + 0.5
+
+
+def xi_map(point: tuple[Fraction | float, Fraction | float]) -> tuple[Fraction | float, Fraction | float]:
+    """Compress the second coordinate into (0, 1) via arctan.
 
     Strictly increasing in r; the first coordinate passes through unchanged.
+    A float r gives the float arctan/pi + 1/2. A Fraction r gives a Fraction:
+    that float value (non-decreasing in r, but equal for heights closer than
+    its rounding) mixed with weight 2^-80 into the strictly increasing
+    rational compression 1/2 + r / (2(1 + |r|)). The mixture stays inside
+    (0, 1), is strictly increasing, and is within 2^-80 of the float value.
     Rendering/sampling boundary only.
     """
     c, r = point
-    return (c, math.atan(float(r)) / math.pi + 0.5)
+    y = _xi_float(r)
+    if not isinstance(r, Fraction):
+        return (c, y)
+    rational = Fraction(1, 2) + r / (2 * (1 + abs(r)))
+    return (c, (1 - _XI_WEIGHT) * Fraction(y) + _XI_WEIGHT * rational)
 
 
 def nabla_map(point: tuple[Fraction | float, Fraction | float]) -> tuple[Fraction | float, Fraction | float]:
@@ -45,9 +61,9 @@ def nabla_map(point: tuple[Fraction | float, Fraction | float]) -> tuple[Fractio
 
 
 def fan_point(point: tuple[Fraction | float, Fraction | float]) -> tuple[float, float]:
-    """nabla after xi, as floats: the rendered/fan position of a model point."""
-    c, y = xi_map(point)
-    x, y = nabla_map((float(c), y))
+    """nabla after xi's float arctan value: the rendered/fan position of a model point."""
+    c, r = point
+    x, y = nabla_map((float(c), _xi_float(r)))
     return (float(x), float(y))
 
 VERTEX = (0.5, 0.0)

@@ -42,6 +42,7 @@ from .errors import (
     NotInCantor,
     StageOrderViolation,
     StateSchemaError,
+    TraceOutOfRange,
     TruncationTooCoarse,
 )
 
@@ -399,7 +400,7 @@ class Builder:
             for copy in self._spanning(sigma):
                 x, y = copy.band(left, right)
                 if not (-n + 1 <= x <= y <= n):
-                    raise AssertionError(
+                    raise TraceOutOfRange(
                         f"trace outside [-n+1, n] at stage {n}, column {sigma}: {x}, {y}"
                     )
                 bands.append((x, y, copy))
@@ -523,10 +524,18 @@ def save_state(state: ConstructionState, path: str) -> None:
         fh.write(state.to_json())
 
 
-def _require(obj: dict, key: str, location: str):
+def _require(obj: dict, key: str, location: str, kind: type):
+    """obj[key], which must exist and be of JSON type `kind` (bools are not ints)."""
+    if not isinstance(obj, dict):
+        raise StateSchemaError("expected an object", location)
     if key not in obj:
         raise StateSchemaError(f"missing key {key!r}", location)
-    return obj[key]
+    value = obj[key]
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise StateSchemaError(
+            f"{key!r} must be {kind.__name__}, got {type(value).__name__}", f"{location}.{key}"
+        )
+    return value
 
 
 def load_state(path: str) -> ConstructionState:
@@ -542,31 +551,35 @@ def load_state(path: str) -> ConstructionState:
 def state_from_json_obj(doc: dict, location: str = "<state>") -> ConstructionState:
     if not isinstance(doc, dict):
         raise StateSchemaError("state document must be an object", location)
-    schema = _require(doc, "schema", location)
+    schema = _require(doc, "schema", location, str)
     if schema != STATE_SCHEMA:
         raise StateSchemaError(f"unknown schema {schema!r}", f"{location}.schema")
-    depth = _require(doc, "depth", location)
-    n_jumps = _require(doc, "jumps", location)
-    strict = _require(doc, "strict", location)
-    stages_doc = _require(doc, "stages", location)
-    if not isinstance(stages_doc, list) or len(stages_doc) != depth + 1:
+    depth = _require(doc, "depth", location, int)
+    n_jumps = _require(doc, "jumps", location, int)
+    strict = _require(doc, "strict", location, bool)
+    stages_doc = _require(doc, "stages", location, list)
+    if depth < 0 or n_jumps < 1:
+        raise StateSchemaError(f"needs depth >= 0 and jumps >= 1, got {depth}, {n_jumps}", location)
+    if len(stages_doc) != depth + 1:
         raise StateSchemaError("stages must list exactly depth+1 entries", f"{location}.stages")
     dset = build_D(n_jumps)
     stages: list[TilingStage] = []
     for si, st in enumerate(stages_doc):
         loc = f"{location}.stages[{si}]"
-        n = _require(st, "n", loc)
+        n = _require(st, "n", loc, int)
         if n != si:
             raise StateSchemaError(f"stage {si} labeled {n}", loc)
         rects = []
-        for ri, rd in enumerate(_require(st, "rects", loc)):
+        for ri, rd in enumerate(_require(st, "rects", loc, list)):
             rloc = f"{loc}.rects[{ri}]"
+            address_text = _require(rd, "address", rloc, str)
+            a_text = _require(rd, "a", rloc, str)
+            b_text = _require(rd, "b", rloc, str)
             try:
-                address = Address.parse(_require(rd, "address", rloc))
-                a = rational_from_str(_require(rd, "a", rloc))
-                b = rational_from_str(_require(rd, "b", rloc))
+                address = Address.parse(address_text)
+                a, b = rational_from_str(a_text), rational_from_str(b_text)
                 rect = Rect(address, a, b)
-            except (ValueError, TypeError) as exc:
+            except ValueError as exc:
                 raise StateSchemaError(str(exc), rloc) from exc
             if len(address) != n:
                 raise StateSchemaError(f"address length {len(address)} at stage {n}", rloc)

@@ -20,6 +20,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
+from .errors import CrossingNotFound
 from .exact import Address, addresses_of_length, endpoint_one, endpoint_zero, rational_to_str
 from .spaceset import fan_point
 from .tiling import ConstructionState, PlacedCopy
@@ -355,19 +356,10 @@ class CellDecomposition:
             cross.append((h, cid))
         cross.sort()
         cells: list[Cell] = []
-
-        def report_all() -> None:
-            if on_gap is None:
-                return
-            if not cross:
-                on_gap(None, None)
-                return
-            on_gap(None, cross[0])
-            for lower, upper in zip(cross, cross[1:]):
+        if on_gap is not None:
+            bounded: list[Crossing | None] = [None, *cross, None]
+            for lower, upper in zip(bounded, bounded[1:]):
                 on_gap(lower, upper)
-            on_gap(cross[-1], None)
-
-        report_all()
         prev_c = self.left
         for c in self.breakpoints:
             if collect_cells:
@@ -375,10 +367,11 @@ class CellDecomposition:
             moved: list[Crossing] = []
             for cid, pos in self._events[c]:
                 copy = state.copies[cid]
-                old = heights[cid]
+                old = heights.get(cid)
                 new = copy.to_global_h(copy.dset.table.values[pos + 1])
-                idx = bisect.bisect_left(cross, (old, cid))
-                assert idx < len(cross) and cross[idx] == (old, cid)
+                idx = len(cross) if old is None else bisect.bisect_left(cross, (old, cid))
+                if idx == len(cross) or cross[idx] != (old, cid):
+                    raise CrossingNotFound(f"copy {copy.key} jumps at c={c} without a crossing")
                 cross.pop(idx)
                 bisect.insort(cross, (new, cid))
                 heights[cid] = new
@@ -504,25 +497,36 @@ def max_vertical_gap(state: ConstructionState, n: int) -> CheckRecord:
 
 
 def minimum_spanning_edges(points: Sequence[tuple[float, float]]) -> np.ndarray:
-    """Edge lengths of the Euclidean minimum spanning tree (dense Prim)."""
-    pts = np.asarray(points, dtype=float)
-    m = len(pts)
-    if m <= 1:
-        return np.zeros(0)
-    in_tree = np.zeros(m, dtype=bool)
-    best = np.full(m, np.inf)
-    in_tree[0] = True
-    cur = 0
-    edges = np.empty(m - 1)
-    for k in range(m - 1):
-        d2 = ((pts - pts[cur]) ** 2).sum(axis=1)
-        np.minimum(best, d2, out=best)
-        best[in_tree] = np.inf
-        nxt = int(np.argmin(best))
-        edges[k] = best[nxt]
-        in_tree[nxt] = True
-        cur = nxt
-    return np.sqrt(edges)
+    """Edge lengths of the Euclidean minimum spanning tree, m-1 of them.
+
+    The EMST is a subgraph of the Delaunay triangulation (Shamos & Hoey,
+    1975). Edges are weighted by the rank of their squared length: same
+    order, and a length that underflows to 0 is not read as a missing edge.
+    Duplicates add zero-length edges; a collinear or tiny cloud, which
+    Qhull refuses, is spanned by the path through its sorted points.
+    """
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import minimum_spanning_tree
+    from scipy.spatial import Delaunay, QhullError
+
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    uniq = np.unique(pts, axis=0)
+    duplicates = np.zeros(len(pts) - len(uniq))
+    try:
+        tri = Delaunay(uniq) if len(uniq) >= 3 else None
+    except QhullError:
+        tri = None
+    if tri is None:
+        d = uniq[1:] - uniq[:-1]
+        return np.concatenate([np.sqrt((d**2).sum(axis=1)), duplicates])
+    s = tri.simplices  # near-duplicates Qhull leaves out join their nearest vertex
+    pairs = np.concatenate([s[:, [0, 1]], s[:, [1, 2]], s[:, [0, 2]], tri.coplanar[:, [0, 2]]])
+    pairs = np.unique(np.sort(pairs, axis=1), axis=0)
+    d = uniq[pairs[:, 0]] - uniq[pairs[:, 1]]
+    lengths2, rank = np.unique((d**2).sum(axis=1), return_inverse=True)
+    graph = coo_matrix((rank + 1.0, (pairs[:, 0], pairs[:, 1])), shape=(len(uniq),) * 2)
+    tree = minimum_spanning_tree(graph)
+    return np.concatenate([np.sqrt(lengths2[tree.data.astype(np.intp) - 1]), duplicates])
 
 
 def mst_max_edge(points: Sequence[tuple[float, float]]) -> float:
@@ -531,24 +535,16 @@ def mst_max_edge(points: Sequence[tuple[float, float]]) -> float:
     return float(edges.max()) if len(edges) else 0.0
 
 
+def _components(mst_edges: np.ndarray, eps: float) -> int:
+    """Single linkage (Gower & Ross, 1969): each MST edge longer than eps splits once."""
+    return 1 + int(np.count_nonzero(mst_edges > eps))
+
+
 def epsilon_connectivity(points: Sequence[tuple[float, float]], eps: float) -> int:
     """Number of epsilon-chain components (pairs within eps are linked)."""
-    pts = np.asarray(points, dtype=float)
-    m = len(pts)
-    if m == 0:
+    if len(points) == 0:
         raise ValueError("epsilon_connectivity needs a nonempty cloud")
-    from scipy import sparse
-    from scipy.sparse.csgraph import connected_components
-    from scipy.spatial import cKDTree
-
-    pairs = cKDTree(pts).query_pairs(r=eps, output_type="ndarray")
-    if len(pairs) == 0:
-        return m
-    graph = sparse.coo_matrix(
-        (np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(m, m)
-    )
-    ncomp, _ = connected_components(graph, directed=False)
-    return int(ncomp)
+    return _components(minimum_spanning_edges(points), eps)
 
 
 def copy_fan_diameter(copy: PlacedCopy) -> float:
@@ -598,17 +594,22 @@ def check_epsilon_connectivity(
     fiber_count: int = 3,
     epsilons: Sequence[float] = (),
 ) -> list[CheckRecord]:
-    """Connectivity analogue: one component at the MST threshold, more below."""
+    """Connectivity analogue: one component at the MST threshold, more below.
+
+    One MST serves every count. By the single-linkage identity
+    `components_at_star` is always 1, so the independent cross-check against
+    all-pairs union-find lives in the oracle tests.
+    """
     from .spaceset import assemble, sample_points
 
     model = assemble(state)
     gd = state.depth if grid_depth is None else grid_depth
     cloud = sample_points(model, gd, fiber_count)
     coords = cloud.coordinates()
-    eps_star = mst_max_edge(coords)
-    records = []
+    mst = minimum_spanning_edges(coords)
+    eps_star = float(mst.max()) if len(mst) else 0.0
     if eps_star == 0.0:
-        records.append(
+        return [
             CheckRecord(
                 "epsilon-connectivity",
                 f"grid_depth={gd}",
@@ -616,12 +617,11 @@ def check_epsilon_connectivity(
                 None,
                 {"reason": "degenerate cloud", "cloud_size": len(coords)},
             )
-        )
-        return records
-    at_star = epsilon_connectivity(coords, eps_star)
-    at_half = epsilon_connectivity(coords, eps_star / 2)
+        ]
+    at_star = _components(mst, eps_star)
+    at_half = _components(mst, eps_star / 2)
     ok = at_star == 1 and at_half >= 2
-    records.append(
+    records = [
         CheckRecord(
             "epsilon-connectivity",
             f"grid_depth={gd}",
@@ -634,7 +634,7 @@ def check_epsilon_connectivity(
                 "components_at_half": at_half,
             },
         )
-    )
+    ]
     for eps in epsilons:
         records.append(
             CheckRecord(
@@ -642,7 +642,7 @@ def check_epsilon_connectivity(
                 f"grid_depth={gd} eps={eps:g}",
                 "pass",
                 None,
-                {"components": epsilon_connectivity(coords, eps)},
+                {"components": _components(mst, eps)},
             )
         )
     return records

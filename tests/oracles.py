@@ -2,14 +2,17 @@
 
 These deliberately avoid the package's internal representations: jump
 sequences come from a list-scan enumeration, fibers from materializing every
-piece of every copy, unions from sorting, the MST from a quadratic Prim, and
-connectivity from a plain disjoint-set union. They exist to compute and to
-cross-check expected values, not to be fast.
+piece of every copy, unions from sorting, the MST from a quadratic Prim
+(plain Python and vectorised), and connectivity from a plain disjoint-set
+union. They exist to compute and to cross-check expected values, not to be
+fast.
 """
 
 import itertools
 import math
 from fractions import Fraction
+
+import numpy as np
 
 
 def ternary_digits(q: Fraction, count: int) -> list[int]:
@@ -136,6 +139,32 @@ def band_union_gap_oracle(bands, lo: Fraction, hi: Fraction) -> Fraction:
     return (hi - lo) - covered
 
 
+def dense_prim_edges_oracle(points) -> np.ndarray:
+    """Vectorised dense Prim over the complete graph, lengths in Prim order.
+
+    The same length expression, sqrt(dx^2 + dy^2), as the package's MST, so
+    the two agree bit for bit wherever they pick the same edges.
+    """
+    pts = np.asarray(points, dtype=float)
+    m = len(pts)
+    if m <= 1:
+        return np.zeros(0)
+    in_tree = np.zeros(m, dtype=bool)
+    best = np.full(m, np.inf)
+    in_tree[0] = True
+    cur = 0
+    edges = np.empty(m - 1)
+    for k in range(m - 1):
+        d2 = ((pts - pts[cur]) ** 2).sum(axis=1)
+        np.minimum(best, d2, out=best)
+        best[in_tree] = np.inf
+        nxt = int(np.argmin(best))
+        edges[k] = best[nxt]
+        in_tree[nxt] = True
+        cur = nxt
+    return np.sqrt(edges)
+
+
 def mst_edges_oracle(points) -> list[float]:
     """Quadratic Prim over the full graph, plain Python floats."""
     m = len(points)
@@ -178,12 +207,18 @@ class DSU:
 
 
 def components_oracle(points, eps: float) -> int:
-    """Epsilon-chain components by all-pairs union-find."""
+    """Epsilon-chain components by all-pairs union-find.
+
+    Distances use the package's length expression, sqrt(dx^2 + dy^2), not
+    math.hypot: the two can differ in the last bit, which decides a link
+    when eps is exactly an MST edge length.
+    """
     m = len(points)
     dsu = DSU(m)
     for i in range(m):
         for j in range(i + 1, m):
-            if math.hypot(points[i][0] - points[j][0], points[i][1] - points[j][1]) <= eps:
+            dx, dy = points[i][0] - points[j][0], points[i][1] - points[j][1]
+            if math.sqrt(dx * dx + dy * dy) <= eps:
                 dsu.union(i, j)
     return len({dsu.find(i) for i in range(m)})
 

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import fanforge
 from fanforge.cli import main
 
 
@@ -87,6 +91,33 @@ class TestVerify:
         code, _, stderr = run(["verify", "--state", str(bad)], capsys)
         assert code == 2
         assert "StateSchemaError" in stderr
+
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda doc: doc.update(depth="1"),
+            lambda doc: doc.update(jumps="4"),
+            lambda doc: doc["stages"][0].update(rects=None),
+            lambda doc: doc["stages"][1]["rects"][0].update(a=0.5),
+        ],
+        ids=["depth-str", "jumps-str", "rects-null", "bound-float"],
+    )
+    def test_mistyped_state_exits_2_without_traceback(self, state_file, tmp_path, mutate):
+        doc = json.loads(state_file.read_text())
+        mutate(doc)
+        bad = tmp_path / "mistyped.json"
+        bad.write_text(json.dumps(doc))
+        src = str(Path(fanforge.__file__).parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "fanforge", "verify", "--state", str(bad)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 2
+        assert "StateSchemaError" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 class TestTrace:

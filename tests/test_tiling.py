@@ -233,7 +233,49 @@ class TestCopyGeometry:
             assert copy.max_height < copy.rect.top
 
 
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 40) | st.floats(allow_nan=False) | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+STATE_FIELDS = [
+    ("depth",),
+    ("jumps",),
+    ("strict",),
+    ("stages",),
+    ("stages", 1),
+    ("stages", 1, "n"),
+    ("stages", 1, "rects"),
+    ("stages", 1, "rects", 0),
+    ("stages", 1, "rects", 0, "address"),
+    ("stages", 1, "rects", 0, "a"),
+    ("stages", 1, "rects", 0, "b"),
+]
+
+
 class TestStateSerialization:
+    @given(st.sampled_from(STATE_FIELDS), json_values)
+    def test_any_corrupted_field_loads_or_raises_schema_error(self, st_1_4, path, value):
+        doc = json.loads(st_1_4.to_json())
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        try:
+            state_from_json_obj(doc)
+        except StateSchemaError:
+            pass
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("depth", "1"), ("jumps", "4"), ("strict", 1), ("depth", True), ("jumps", 0), ("depth", -1)],
+    )
+    def test_mistyped_top_level_field_rejected(self, st_1_4, field, value):
+        doc = json.loads(st_1_4.to_json())
+        doc[field] = value
+        with pytest.raises(StateSchemaError):
+            state_from_json_obj(doc)
+
     def test_round_trip_exact(self, st_2_16):
         doc = json.loads(st_2_16.to_json())
         again = state_from_json_obj(doc)

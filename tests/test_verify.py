@@ -3,7 +3,9 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from fanforge.errors import CrossingNotFound
 from fanforge.exact import Address, basic_interval_inside, endpoint_zero
 from fanforge.spaceset import fan_point, sample_points
 from fanforge.tiling import ConstructionState, Rect, TilingStage, PlacedCopy, vertical_trace
@@ -29,8 +31,26 @@ from .oracles import (
     band_union_gap_oracle,
     components_oracle,
     copy_pieces_oracle,
+    dense_prim_edges_oracle,
     diameter_oracle,
     mst_edges_oracle,
+)
+
+lattice_points = st.tuples(st.integers(0, 4), st.integers(0, 4)).map(
+    lambda p: (float(p[0]), float(p[1]))
+)
+grid_points = st.tuples(st.integers(-5000, 5000), st.integers(-5000, 5000)).map(
+    lambda p: (p[0] / 1000, p[1] / 1000)
+)
+line_points = st.integers(-50, 50).map(lambda t: (0.5 + 0.25 * t, 2.0 - 0.75 * t))
+# 0-2 points, duplicates, cocircular lattice points, collinear runs, mixtures
+clouds = st.one_of(
+    st.lists(grid_points, max_size=2),
+    st.lists(lattice_points, max_size=25),
+    st.lists(line_points, min_size=3, max_size=12),
+    st.lists(grid_points, min_size=3, max_size=25).flatmap(
+        lambda pts: st.lists(st.sampled_from(pts), max_size=5).map(lambda dup: pts + dup)
+    ),
 )
 
 
@@ -153,6 +173,13 @@ class TestCoverage:
 
 
 class TestCellDecomposition:
+    def test_jump_without_crossing_raises_typed_error(self, st_2_16):
+        decomp = CellDecomposition(st_2_16, Address.parse("10"), max_stage=2)
+        cid, _ = decomp._events[decomp.breakpoints[0]][0]
+        decomp.ids = [other for other in decomp.ids if other != cid]
+        with pytest.raises(CrossingNotFound):
+            decomp.sweep()
+
     def test_cells_match_vertical_trace_at_interior_points(self, st_2_16):
         decomp = CellDecomposition(st_2_16, Address.parse("10"), max_stage=2)
         cells = decomp.cells()
@@ -244,6 +271,50 @@ class TestEpsilonConnectivity:
         ours = sorted(minimum_spanning_edges(coords))
         brute = sorted(mst_edges_oracle(coords))
         assert ours == pytest.approx(brute)
+
+    @pytest.mark.parametrize("model_name", ["model_1_4", "model_2_16", "model_3_16"])
+    def test_mst_equals_dense_prim_oracle(self, model_name, request):
+        model = request.getfixturevalue(model_name)
+        coords = sample_points(model, model.state.depth, 3).coordinates()
+        ours = minimum_spanning_edges(coords)
+        assert len(ours) == len(coords) - 1
+        assert sorted(ours) == sorted(dense_prim_edges_oracle(coords))
+
+    @pytest.mark.parametrize("model_name", ["model_1_4", "model_2_16"])
+    def test_components_match_oracle_at_every_mst_edge(self, model_name, request):
+        # eps equal to an edge length is the `<=` boundary: that edge links
+        model = request.getfixturevalue(model_name)
+        coords = sample_points(model, model.state.depth, 1).coordinates()[:150]
+        for eps in sorted(set(minimum_spanning_edges(coords))):
+            assert epsilon_connectivity(coords, eps) == components_oracle(coords, eps)
+
+    @settings(max_examples=150, deadline=None)
+    @given(clouds)
+    def test_degenerate_clouds_match_oracles(self, coords):
+        ours = minimum_spanning_edges(coords)
+        assert sorted(ours) == sorted(dense_prim_edges_oracle(coords))
+        for eps in (sorted(set(ours)) + [0.0]) if coords else []:
+            assert epsilon_connectivity(coords, eps) == components_oracle(coords, eps)
+
+    def test_point_merged_by_qhull_stays_connected(self):
+        # Qhull leaves a point 1e-17 from a vertex out of the triangulation
+        coords = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1e-17, 0.0)]
+        edges = minimum_spanning_edges(coords)
+        assert len(edges) == 3
+        assert sorted(edges) == sorted(dense_prim_edges_oracle(coords))
+        assert epsilon_connectivity(coords, 1.0) == 1
+
+    def test_underflowing_length_is_an_edge(self):
+        # the squared length 1e-340 underflows to 0, a weight csgraph reads as no edge
+        coords = [(0.0, 0.0), (1e-170, 0.0), (1.0, 0.0), (0.0, 1.0)]
+        edges = minimum_spanning_edges(coords)
+        assert sorted(edges) == [0.0, 1.0, 1.0]
+        assert epsilon_connectivity(coords, 0.0) == 3
+
+    def test_empty_cloud_rejected(self):
+        assert len(minimum_spanning_edges([])) == 0
+        with pytest.raises(ValueError):
+            epsilon_connectivity([], 1.0)
 
     def test_mst_threshold_bounds_components(self, model_1_4):
         coords = sample_points(model_1_4, 2, 2).coordinates()
