@@ -11,7 +11,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 from . import decomp, render, tiling, verify
 from .errors import FanforgeError
@@ -21,7 +21,7 @@ from .spaceset import assemble
 
 @dataclass
 class Config:
-    """Everything that determines a run; printable for reproducibility."""
+    """Everything that determines a run."""
 
     command: str
     depth: int | None = None
@@ -38,10 +38,6 @@ class Config:
     epsilon: list[float] = field(default_factory=list)
     threads: int = 1
     as_json: bool = False
-
-    def describe(self) -> str:
-        items = {k: v for k, v in asdict(self).items() if v not in (None, [], {})}
-        return json.dumps(items, sort_keys=True)
 
 
 def _threads_from_env() -> int:

@@ -61,10 +61,6 @@ class DepthInsufficient(FanforgeError):
     """The construction depth is too small for the requested object."""
 
 
-class CrossingNotFound(FanforgeError):
-    """A cell sweep met a jump of a copy that has no crossing in its column."""
-
-
 class TraceOutOfRange(FanforgeError):
     """An inherited trace band left [-n+1, n] while stage n was built."""
 

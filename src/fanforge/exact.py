@@ -9,6 +9,7 @@ the two endpoint maps realize the usual base-3 coding.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
@@ -22,12 +23,17 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]*[1-9][0-9]*))?")
+
+
 def rational_from_str(text: str) -> Fraction:
-    """Parse a "p/q" (or bare integer) string into an exact rational."""
-    try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"not a rational: {text!r}") from exc
+    """Parse "p/q" or a bare integer: an optional "-", digits, and an
+    optional "/" with a positive denominator. Nothing else (no decimals,
+    exponents, signs on q, underscores or spaces) is a rational here."""
+    match = _RATIONAL.fullmatch(text)
+    if match is None:
+        raise ValueError(f"not a rational: {text!r}")
+    return Fraction(int(match[1]), int(match[2] or 1))
 
 
 def rational_to_str(q: Fraction) -> str:
@@ -63,14 +69,8 @@ class Address:
     def child(self, bit: int) -> "Address":
         return Address(self.bits + (bit,))
 
-    def prefix(self, length: int) -> "Address":
-        return Address(self.bits[:length])
-
     def is_prefix_of(self, other: "Address") -> bool:
         return self.bits == other.bits[: len(self.bits)]
-
-    def length_lex_key(self) -> tuple[int, tuple[int, ...]]:
-        return (len(self.bits), self.bits)
 
 
 def addresses_of_length(n: int) -> Iterator[Address]:

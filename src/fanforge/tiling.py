@@ -74,25 +74,6 @@ class Rect:
         return endpoint_one(self.address)
 
 
-@dataclass(frozen=True)
-class AffineMap:
-    """(c, r) -> (0(sigma) + c/3^n, a + r(b-a)); order preserving on both axes."""
-
-    address: Address
-    bottom: Fraction
-    top: Fraction
-
-    def apply(self, point: tuple[Fraction, Fraction]) -> tuple[Fraction, Fraction]:
-        c, r = point
-        return (self.apply_c(c), self.apply_h(r))
-
-    def apply_c(self, c: Fraction) -> Fraction:
-        return endpoint_zero(self.address) + c / 3 ** len(self.address)
-
-    def apply_h(self, r: Fraction) -> Fraction:
-        return self.bottom + r * (self.top - self.bottom)
-
-
 class PlacedCopy:
     """One scaled copy of the truncated Debski set, filling its rectangle.
 
@@ -120,10 +101,6 @@ class PlacedCopy:
     @property
     def key(self) -> str:
         return f"{self.stage}:{self.index}"
-
-    @property
-    def affine(self) -> AffineMap:
-        return AffineMap(self.rect.address, self.rect.bottom, self.rect.top)
 
     @property
     def max_height(self) -> Fraction:
@@ -540,11 +517,13 @@ def _require(obj: dict, key: str, location: str, kind: type):
 
 def load_state(path: str) -> ConstructionState:
     """Load a fanforge-state-v1 document; copy images are recomputed."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise StateSchemaError(f"not valid JSON: {exc}", path) from exc
+    except OSError as exc:
+        raise StateSchemaError(f"cannot read state file: {exc.strerror or exc}", path) from exc
+    except json.JSONDecodeError as exc:
+        raise StateSchemaError(f"not valid JSON: {exc}", path) from exc
     return state_from_json_obj(doc, location=path)
 
 

@@ -5,23 +5,26 @@ exhaustively through a cell decomposition: a truncated copy is a finite
 union of horizontal pieces and vertical segments, so each column of the
 construction splits into finitely many c-intervals on which the set of
 crossing copies, their crossing heights, and their order are all constant.
-Checks over cells are exact rational predicates; floating point appears
-only in the fan-metric diagnostics (null-sequence diameters, epsilon
-connectivity) which are explicitly approximate.
+One integer sweep per (level, column) serves coverage, condition (v),
+max-gap and, at level K, disjointness. Floating point appears only in the
+fan-metric diagnostics (null-sequence diameters, epsilon connectivity),
+which are explicitly approximate.
 """
 
 from __future__ import annotations
 
 import bisect
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence
+from functools import lru_cache
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import CrossingNotFound
-from .exact import Address, addresses_of_length, endpoint_one, endpoint_zero, rational_to_str
+from .debski import build_D
+from .exact import Address, addresses_of_length, rational_to_str
 from .spaceset import fan_point
 from .tiling import ConstructionState, PlacedCopy
 
@@ -37,13 +40,7 @@ class CheckRecord:
     metrics: dict = field(default_factory=dict)
 
     def to_json_obj(self) -> dict:
-        return {
-            "name": self.name,
-            "scope": self.scope,
-            "status": self.status,
-            "witness": self.witness,
-            "metrics": self.metrics,
-        }
+        return asdict(self)
 
 
 class VerificationReport:
@@ -101,13 +98,11 @@ def _state_params(state: ConstructionState) -> dict:
     return {"depth": state.depth, "jumps": state.n_jumps, "strict": state.strict}
 
 
-def _rect_witness(state: ConstructionState, copy: PlacedCopy) -> dict:
-    return {
-        "copy": copy.key,
-        "address": str(copy.rect.address),
-        "a": rational_to_str(copy.rect.bottom),
-        "b": rational_to_str(copy.rect.top),
-    }
+def _verdict(
+    name: str, scope: str, witness: dict | None, metrics: dict | None = None
+) -> CheckRecord:
+    """A failing record when there is a witness, else a passing one."""
+    return CheckRecord(name, scope, "fail" if witness else "pass", witness, metrics or {})
 
 
 # ---------------------------------------------------------------------------
@@ -131,15 +126,8 @@ def check_conditions_i_ii(state: ConstructionState) -> list[CheckRecord]:
                     "b": rational_to_str(rect.top),
                 }
                 break
-        records.append(
-            CheckRecord(
-                "conditions-i-ii",
-                f"stage {stage.n}",
-                "fail" if witness else "pass",
-                witness,
-                {"rects": len(stage.rects), "max_height": rational_to_str(max_height)},
-            )
-        )
+        metrics = {"rects": len(stage.rects), "max_height": rational_to_str(max_height)}
+        records.append(_verdict("conditions-i-ii", f"stage {stage.n}", witness, metrics))
     return records
 
 
@@ -163,19 +151,258 @@ def check_partial_tiling(state: ConstructionState) -> list[CheckRecord]:
                     break
             if witness:
                 break
-        records.append(
-            CheckRecord(
-                "partial-tiling",
-                f"stage {stage.n}",
-                "fail" if witness else "pass",
-                witness,
-            )
-        )
+        records.append(_verdict("partial-tiling", f"stage {stage.n}", witness))
     return records
 
 
 # ---------------------------------------------------------------------------
-# condition (iii): exhaustive pairwise copy disjointness
+# the column sweep: conditions (iii)-(v) from one pass per level
+
+Crossing = tuple[int, int]  # (height over the column denominator, place in ids)
+
+
+@lru_cache(maxsize=None)
+def _integer_table(n_jumps: int) -> tuple[int, list[int], list[int]]:
+    """(T, T * locations, 2^N * values) of the jump table, all ints."""
+    table = build_D(n_jumps).table
+    den = math.lcm(*(q.denominator for q in table.locations))
+    scale = 2**n_jumps
+    return (
+        den,
+        [q.numerator * (den // q.denominator) for q in table.locations],
+        [v.numerator * (scale // v.denominator) for v in table.values],
+    )
+
+
+class ColumnSweep:
+    """One depth-n column against the copies of stages <= n, in integers.
+
+    Every such copy spans the whole column, so it crosses each vertical in
+    one height, except at its own jumps strictly inside the column (the
+    column endpoints are Cantor endpoints, never jump locations). A copy
+    with bottom a and height h crosses at a + h*k/2^N on its plateau of
+    value k/2^N; over the column denominator `den`, the lcm of
+    lcm(den a, den h * 2^N) over the copies, that height is the int A + H*k.
+    Breakpoints are ints over T * 3^n, T the jump table's denominator.
+    A crossing is (height, i) with i the copy's place in `ids`; `ids` is
+    increasing (the length-s prefix holds the stage-s copies, numbered
+    stage by stage), so ties break as they would by copy id.
+    """
+
+    def __init__(self, state: ConstructionState, sigma: Address, n: int):
+        t_den, locations, values = _integer_table(state.n_jumps)
+        scale = 2**state.n_jumps
+        self.n = n
+        self.ids = state.chain_ids(sigma, max_stage=n)
+        copies = [state.copies[cid] for cid in self.ids]
+        self.den = den = math.lcm(
+            *(c.rect.bottom.denominator for c in copies),
+            *(c.rect.height.denominator * scale for c in copies),
+        )
+        prefix = [0]  # prefix[s] = 3^s * endpoint_zero(sigma[:s])
+        for bit in sigma.bits:
+            prefix.append(3 * prefix[-1] + 2 * bit)
+        self.stages: list[int] = []
+        self.bottoms: list[int] = []
+        self.tops: list[int] = []
+        self.first: list[int] = []  # crossing heights at the column's left end
+        self.last: list[int] = []  # and at its right end
+        events: dict[int, list[tuple[int, int]]] = {}
+        for i, copy in enumerate(copies):
+            a, h = copy.rect.bottom, copy.rect.height
+            base = a.numerator * (den // a.denominator)
+            step = h.numerator * (den // (h.denominator * scale))
+            p = 3 ** (n - copy.stage)
+            offset = prefix[n] - p * prefix[copy.stage]  # column = [offset, offset+1]/p locally
+            lo = bisect.bisect_right(locations, offset * t_den // p)
+            hi = bisect.bisect_left(locations, -(-(offset + 1) * t_den // p))
+            self.stages.append(copy.stage)
+            self.bottoms.append(base)
+            self.tops.append(base + step * scale)
+            self.first.append(base + step * values[lo])
+            self.last.append(base + step * values[hi])
+            origin = prefix[copy.stage] * t_den
+            for pos in range(lo, hi):
+                events.setdefault(p * (origin + locations[pos]), []).append(
+                    (i, base + step * values[pos + 1])
+                )
+        self.breakpoints = sorted(events)
+        self._events = events
+        self.separated = True
+
+    def coverage_gap(self) -> Fraction:
+        """Measure of [-n, n+1] missed by the bands [first, last] of the copies."""
+        covered, reach = 0, None
+        for x, y in sorted(zip(self.first, self.last)):
+            start = x if reach is None else max(x, reach)
+            if y > start:
+                covered += y - start
+                reach = y
+        return Fraction((2 * self.n + 1) * self.den - covered, self.den)
+
+    def gaps(self) -> Iterator[tuple[Crossing | None, Crossing | None]]:
+        """Each maximal vertical gap once, left to right, as (lower, upper).
+
+        None stands for the range boundary. Gaps are reported when they
+        first appear, in the initial cell or beside a crossing that has just
+        jumped; a gap spanning several cells is the same in all of them.
+
+        On the way it decides whether the copies' fibers are pairwise
+        disjoint at every Cantor point of the column, and leaves the answer
+        in `separated`. Heights are constant between breakpoints, so the
+        fibers are disjoint there iff the crossing order is strict, and two
+        fibers can first meet only where they are adjacent in that order
+        (Bentley & Ottmann, 1979). At a breakpoint a jumping copy's fiber
+        is [old, new]; if each jumper's `new` stays below the next
+        crossing's bottom, the fibers are disjoint and the order after the
+        breakpoint is strict again.
+        """
+        heights = list(self.first)
+        cross = sorted(zip(heights, range(len(heights))))
+        self.separated = all(x[0] < y[0] for x, y in zip(cross, cross[1:]))
+        bounded: list[Crossing | None] = [None, *cross, None]
+        yield from zip(bounded, bounded[1:])
+        for c in self.breakpoints:
+            batch = self._events[c]
+            if self.separated:
+                for i, new in batch:
+                    j = bisect.bisect_left(cross, (heights[i], i)) + 1
+                    if j < len(cross) and cross[j][0] <= new:
+                        self.separated = False
+            for i, new in batch:
+                del cross[bisect.bisect_left(cross, (heights[i], i))]
+                bisect.insort(cross, (new, i))
+                heights[i] = new
+            seen: set[tuple[Crossing | None, Crossing | None]] = set()
+            for i, new in batch:
+                j = bisect.bisect_left(cross, (new, i))
+                lower = cross[j - 1] if j > 0 else None
+                upper = cross[j + 1] if j + 1 < len(cross) else None
+                for pair in ((lower, cross[j]), (cross[j], upper)):
+                    if pair not in seen:
+                        seen.add(pair)
+                        yield pair
+
+    def problems(self, lower: Crossing | None, upper: Crossing | None, length: int) -> list[str]:
+        """What condition (v) finds wrong with one gap of positive length."""
+        n = self.n
+        if lower is None and upper is None:
+            return ["no crossings in column"]
+        out = []
+        if lower is None or upper is None:
+            i = (upper if lower is None else lower)[1]
+            if self.stages[i] != n:
+                out.append(f"edge gap bounded by stage {self.stages[i]}")
+            if lower is None and self.bottoms[i] > -n * self.den:
+                out.append("rect does not reach range bottom")
+            if upper is None and self.tops[i] < (n + 1) * self.den:
+                out.append("rect does not reach range top")
+            # length/den < 1/(n+1) + 3^-n, cross-multiplied
+            if not length * (n + 1) * 3**n < self.den * (3**n + n + 1):
+                out.append("edge gap exceeds distance bound")
+        else:
+            low, up = lower[1], upper[1]
+            if self.stages[low] != n and self.stages[up] != n:
+                out.append("no stage-n copy bounds the gap")
+            if self.tops[low] < self.bottoms[up]:
+                out.append("two rects do not cover the gap")
+        return out
+
+
+@dataclass
+class LevelSweep:
+    """The finished per-level records of one pass, keyed by check name."""
+
+    records: dict[str, CheckRecord]
+    separated: bool  # fibers pairwise disjoint in every column of the level
+
+
+def sweep_level(state: ConstructionState, n: int) -> LevelSweep:
+    """Coverage, condition (v) and max-gap at level n <= depth, one sweep per column.
+
+    Condition (iv), truncated: each column's uncovered measure is at most
+    copies * 2^-N. Condition (v): every maximal vertical gap between
+    consecutive crossings, or between a crossing and the range boundary
+    [-n, n+1], must fit inside the union of its bounding copies' rectangles,
+    at least one of which sits at stage n, and an edge gap must be shorter
+    than 1/(n+1) + 3^-n. A gap between two crossings needs no distance
+    test: the closed gap contains both bounding crossings, so its distance
+    to either bounding copy is zero.
+    """
+    budget = Fraction(1, 2**state.n_jumps)
+    worst = max_gap = Fraction(0)
+    coverage_witness = v_witness = None
+    gaps_seen = 0
+    separated = True
+    for sigma in addresses_of_length(n):
+        col = ColumnSweep(state, sigma, n)
+        if coverage_witness is None:
+            gap = col.coverage_gap()
+            worst = max(worst, gap)
+            if gap > len(col.ids) * budget:
+                coverage_witness = {
+                    "column": str(sigma),
+                    "gap": rational_to_str(gap),
+                    "budget": rational_to_str(len(col.ids) * budget),
+                }
+        lo, hi = -n * col.den, (n + 1) * col.den
+        best = 0
+        for lower, upper in col.gaps():
+            lo_h = lo if lower is None else lower[0]
+            hi_h = hi if upper is None else upper[0]
+            length = hi_h - lo_h
+            if length <= 0:
+                continue
+            gaps_seen += 1
+            best = max(best, length)
+            if v_witness is None and (problems := col.problems(lower, upper, length)):
+                v_witness = {
+                    "column": str(sigma),
+                    "gap": [rational_to_str(Fraction(x, col.den)) for x in (lo_h, hi_h)],
+                    "lower": None if lower is None else state.copies[col.ids[lower[1]]].key,
+                    "upper": None if upper is None else state.copies[col.ids[upper[1]]].key,
+                    "problems": problems,
+                }
+        max_gap = max(max_gap, Fraction(best, col.den))
+        separated = separated and col.separated
+    scope, gap_metric = f"n={n}", {"max_gap": rational_to_str(max_gap)}
+    records = [
+        _verdict("coverage", scope, coverage_witness, {"max_column_gap": rational_to_str(worst)}),
+        _verdict("condition-v", scope, v_witness, {"gaps_checked": gaps_seen, **gap_metric}),
+        _verdict("max-gap", scope, None, gap_metric),
+    ]
+    return LevelSweep({r.name: r for r in records}, separated)
+
+
+def _level_check(state: ConstructionState, n: int, name: str) -> CheckRecord:
+    if n > state.depth:
+        return CheckRecord(name, f"n={n}", "skipped", None, {"reason": "n exceeds depth"})
+    return sweep_level(state, n).records[name]
+
+
+def check_coverage(state: ConstructionState, n: int) -> CheckRecord:
+    """Condition (iv), truncated: per-column gap at most copies * 2^-N."""
+    return _level_check(state, n, "coverage")
+
+
+def check_condition_v(state: ConstructionState, n: int) -> CheckRecord:
+    """Condition (v), exhaustively over the gaps at depth n (see sweep_level)."""
+    return _level_check(state, n, "condition-v")
+
+
+def max_vertical_gap(state: ConstructionState, n: int) -> CheckRecord:
+    """Exact maximum vertical gap over all cells at depth n inside [-n, n+1]."""
+    return _level_check(state, n, "max-gap")
+
+
+def coverage_gap_for_column(state: ConstructionState, n: int, sigma: Address) -> tuple[Fraction, int]:
+    """(uncovered measure within [-n, n+1], number of contributing copies)."""
+    col = ColumnSweep(state, sigma, n)
+    return col.coverage_gap(), len(col.ids)
+
+
+# ---------------------------------------------------------------------------
+# condition (iii): copy disjointness
 
 
 def copies_intersect(a: PlacedCopy, b: PlacedCopy) -> dict | None:
@@ -226,270 +453,38 @@ def _candidate_pairs(state: ConstructionState) -> Iterator[tuple[int, int]]:
                 yield (other, cid)
 
 
-def check_disjointness(state: ConstructionState) -> CheckRecord:
-    """Condition (iii): all copy images pairwise disjoint, exactly."""
+def _disjointness(state: ConstructionState, separated: bool) -> CheckRecord:
+    """The record for the level-K sweep's verdict.
+
+    When the sweep found the fibers separated, every candidate pair is
+    decided at once and counted. Otherwise the pairs are scanned in
+    candidate order for the first witness.
+    """
     pairs = 0
-    for i, j in _candidate_pairs(state):
-        pairs += 1
-        witness = copies_intersect(state.copies[i], state.copies[j])
-        if witness:
-            witness["copies"] = [state.copies[i].key, state.copies[j].key]
-            return CheckRecord(
-                "disjointness", "all stages", "fail", witness, {"pairs_checked": pairs}
-            )
-    return CheckRecord(
-        "disjointness",
-        "all stages",
-        "pass",
-        None,
-        {"pairs_checked": pairs, "copies": len(state.copies)},
-    )
+    if separated:
+        pairs = sum(1 for _ in _candidate_pairs(state))
+    else:
+        for i, j in _candidate_pairs(state):
+            pairs += 1
+            witness = copies_intersect(state.copies[i], state.copies[j])
+            if witness:
+                witness["copies"] = [state.copies[i].key, state.copies[j].key]
+                return _verdict("disjointness", "all stages", witness, {"pairs_checked": pairs})
+    metrics = {"pairs_checked": pairs, "copies": len(state.copies)}
+    return _verdict("disjointness", "all stages", None, metrics)
 
 
-# ---------------------------------------------------------------------------
-# condition (iv): truncated coverage per column
+def check_disjointness(state: ConstructionState) -> CheckRecord:
+    """Condition (iii): all copy images pairwise disjoint, exactly.
 
-
-def coverage_gap_for_column(state: ConstructionState, n: int, sigma: Address) -> tuple[Fraction, int]:
-    """(uncovered measure within [-n, n+1], number of contributing copies)."""
-    left, right = endpoint_zero(sigma), endpoint_one(sigma)
-    ids = state.chain_ids(sigma, max_stage=n)
-    bands = sorted(state.copies[cid].band(left, right) for cid in ids)
-    lo_bound, hi_bound = Fraction(-n), Fraction(n + 1)
-    covered = Fraction(0)
-    cur_lo: Fraction | None = None
-    cur_hi: Fraction | None = None
-    for x, y in bands:
-        if cur_lo is None:
-            cur_lo, cur_hi = x, y
-        elif x > cur_hi:
-            covered += cur_hi - cur_lo
-            cur_lo, cur_hi = x, y
-        else:
-            cur_hi = max(cur_hi, y)
-    if cur_lo is not None:
-        covered += cur_hi - cur_lo
-    return (hi_bound - lo_bound) - covered, len(ids)
-
-
-def check_coverage(state: ConstructionState, n: int) -> CheckRecord:
-    """Condition (iv), truncated: per-column gap at most copies * 2^-N."""
-    if n > state.depth:
-        return CheckRecord("coverage", f"n={n}", "skipped", None, {"reason": "n exceeds depth"})
-    budget_unit = Fraction(1, 2 ** state.n_jumps)
-    worst = Fraction(0)
-    witness = None
-    for sigma in addresses_of_length(n):
-        gap, count = coverage_gap_for_column(state, n, sigma)
-        worst = max(worst, gap)
-        if gap > count * budget_unit:
-            witness = {
-                "column": str(sigma),
-                "gap": rational_to_str(gap),
-                "budget": rational_to_str(count * budget_unit),
-            }
-            break
-    return CheckRecord(
-        "coverage",
-        f"n={n}",
-        "fail" if witness else "pass",
-        witness,
-        {"max_column_gap": rational_to_str(worst)},
-    )
-
-
-# ---------------------------------------------------------------------------
-# cell decomposition and condition (v)
-
-Crossing = tuple[Fraction, int]  # (height, copy id)
-GapHandler = Callable[
-    [Crossing | None, Crossing | None], None
-]  # lower, upper; None marks the range boundary
-
-
-@dataclass(frozen=True)
-class Cell:
-    """One maximal c-interval of constant crossing pattern inside a column."""
-
-    c_left: Fraction
-    c_right: Fraction
-    crossings: tuple[Crossing, ...]
-
-
-class CellDecomposition:
-    """Cells of a single column against copies of stages <= max_stage.
-
-    Every relevant copy spans the whole column (copy columns at stages up to
-    the column depth are prefix columns), so the only breakpoints are scaled
-    jump locations; they are never column endpoints.
+    Two copies can meet only inside the deeper one's column: its depth-K
+    columns and the Cantor gaps between and inside them. Every copy spans
+    each depth-K column it meets, so the level-K sweep decides the Cantor
+    points (ColumnSweep.gaps). A gap needs no test of its own: no jump lies
+    in it, so each copy is constant there and equal to its value at the
+    gap's endpoints, which are Cantor points of depth-K columns.
     """
-
-    def __init__(self, state: ConstructionState, sigma: Address, max_stage: int | None = None):
-        self.state = state
-        self.sigma = sigma
-        self.max_stage = state.depth if max_stage is None else max_stage
-        self.left = endpoint_zero(sigma)
-        self.right = endpoint_one(sigma)
-        self.ids = state.chain_ids(sigma, max_stage=self.max_stage)
-        events: dict[Fraction, list[tuple[int, int]]] = {}
-        for cid in self.ids:
-            copy = state.copies[cid]
-            for pos in copy.jump_positions_between(self.left, self.right):
-                c = copy.to_global_c(copy.dset.table.locations[pos])
-                events.setdefault(c, []).append((cid, pos))
-        self.breakpoints: list[Fraction] = sorted(events)
-        self._events = events
-
-    def sweep(self, on_gap: GapHandler | None = None, collect_cells: bool = False) -> list[Cell]:
-        """Walk cells left to right, reporting each maximal vertical gap once.
-
-        Gaps are reported when they first appear (at the initial cell or
-        right after a jump changes a crossing); a gap spanning several cells
-        is identical across all of them, so a single report is exhaustive.
-        """
-        state = self.state
-        heights: dict[int, Fraction] = {}
-        cross: list[Crossing] = []
-        for cid in self.ids:
-            h = state.copies[cid].trace_at(self.left)
-            heights[cid] = h
-            cross.append((h, cid))
-        cross.sort()
-        cells: list[Cell] = []
-        if on_gap is not None:
-            bounded: list[Crossing | None] = [None, *cross, None]
-            for lower, upper in zip(bounded, bounded[1:]):
-                on_gap(lower, upper)
-        prev_c = self.left
-        for c in self.breakpoints:
-            if collect_cells:
-                cells.append(Cell(prev_c, c, tuple(cross)))
-            moved: list[Crossing] = []
-            for cid, pos in self._events[c]:
-                copy = state.copies[cid]
-                old = heights.get(cid)
-                new = copy.to_global_h(copy.dset.table.values[pos + 1])
-                idx = len(cross) if old is None else bisect.bisect_left(cross, (old, cid))
-                if idx == len(cross) or cross[idx] != (old, cid):
-                    raise CrossingNotFound(f"copy {copy.key} jumps at c={c} without a crossing")
-                cross.pop(idx)
-                bisect.insort(cross, (new, cid))
-                heights[cid] = new
-                moved.append((new, cid))
-            if on_gap is not None:
-                seen: set[tuple[Crossing | None, Crossing | None]] = set()
-                for entry in moved:
-                    idx = bisect.bisect_left(cross, entry)
-                    lower = cross[idx - 1] if idx > 0 else None
-                    upper = cross[idx + 1] if idx + 1 < len(cross) else None
-                    for pair in ((lower, entry), (entry, upper)):
-                        if pair not in seen:
-                            seen.add(pair)
-                            on_gap(*pair)
-            prev_c = c
-        if collect_cells:
-            cells.append(Cell(prev_c, self.right, tuple(cross)))
-        return cells
-
-    def cells(self) -> list[Cell]:
-        return self.sweep(collect_cells=True)
-
-
-def check_condition_v(state: ConstructionState, n: int) -> CheckRecord:
-    """Condition (v), exhaustively over cells at depth n.
-
-    Every maximal vertical gap between consecutive crossings (or between a
-    crossing and the range boundary) must fit inside the union of its
-    bounding copies' rectangles, at least one of which sits at stage n, and
-    the gap's distance to a bounding copy (zero: the closed gap touches its
-    bounding crossing, certified by same-column vertical distance) must beat
-    1/(n+1) + 3^-n.
-    """
-    if n > state.depth:
-        return CheckRecord("condition-v", f"n={n}", "skipped", None, {"reason": "n exceeds depth"})
-    lo_bound, hi_bound = Fraction(-n), Fraction(n + 1)
-    bound = Fraction(1, n + 1) + Fraction(1, 3**n)
-    failures: list[dict] = []
-    gaps_seen = 0
-    max_gap = Fraction(0)
-
-    for sigma in addresses_of_length(n):
-        decomp = CellDecomposition(state, sigma, max_stage=n)
-
-        def on_gap(lower: Crossing | None, upper: Crossing | None, _sigma=sigma) -> None:
-            nonlocal gaps_seen, max_gap
-            lo_h = lo_bound if lower is None else lower[0]
-            hi_h = hi_bound if upper is None else upper[0]
-            length = hi_h - lo_h
-            if length <= 0:
-                return
-            gaps_seen += 1
-            max_gap = max(max_gap, length)
-            problems = []
-            if lower is None and upper is None:
-                problems.append("no crossings in column")
-            elif lower is None or upper is None:
-                crossing = upper if lower is None else lower
-                copy = state.copies[crossing[1]]
-                if copy.stage != n:
-                    problems.append(f"edge gap bounded by stage {copy.stage}")
-                if lower is None and copy.rect.bottom > lo_bound:
-                    problems.append("rect does not reach range bottom")
-                if upper is None and copy.rect.top < hi_bound:
-                    problems.append("rect does not reach range top")
-                if not length < bound:
-                    problems.append("edge gap exceeds distance bound")
-            else:
-                low_copy = state.copies[lower[1]]
-                up_copy = state.copies[upper[1]]
-                if low_copy.stage != n and up_copy.stage != n:
-                    problems.append("no stage-n copy bounds the gap")
-                if low_copy.rect.top < up_copy.rect.bottom:
-                    problems.append("two rects do not cover the gap")
-                # distance certificate: the closed gap touches both bounding
-                # crossings, so its distance to either copy is zero < bound
-                if not Fraction(0) < bound:
-                    problems.append("distance bound not positive")
-            if problems:
-                failures.append(
-                    {
-                        "column": str(_sigma),
-                        "gap": [rational_to_str(lo_h), rational_to_str(hi_h)],
-                        "lower": None if lower is None else state.copies[lower[1]].key,
-                        "upper": None if upper is None else state.copies[upper[1]].key,
-                        "problems": problems,
-                    }
-                )
-
-        decomp.sweep(on_gap=on_gap)
-
-    status = "fail" if failures else "pass"
-    return CheckRecord(
-        "condition-v",
-        f"n={n}",
-        status,
-        failures[0] if failures else None,
-        {"gaps_checked": gaps_seen, "max_gap": rational_to_str(max_gap)},
-    )
-
-
-def max_vertical_gap(state: ConstructionState, n: int) -> CheckRecord:
-    """Exact maximum vertical gap over all cells at depth n inside [-n, n+1]."""
-    if n > state.depth:
-        return CheckRecord("max-gap", f"n={n}", "skipped", None, {"reason": "n exceeds depth"})
-    lo_bound, hi_bound = Fraction(-n), Fraction(n + 1)
-    best = Fraction(0)
-
-    for sigma in addresses_of_length(n):
-        def on_gap(lower: Crossing | None, upper: Crossing | None) -> None:
-            nonlocal best
-            lo_h = lo_bound if lower is None else lower[0]
-            hi_h = hi_bound if upper is None else upper[0]
-            if hi_h - lo_h > best:
-                best = hi_h - lo_h
-
-        CellDecomposition(state, sigma, max_stage=n).sweep(on_gap=on_gap)
-    return CheckRecord("max-gap", f"n={n}", "pass", None, {"max_gap": rational_to_str(best)})
+    return _disjointness(state, sweep_level(state, state.depth).separated)
 
 
 # ---------------------------------------------------------------------------
@@ -674,7 +669,8 @@ def run_all(
 
     A selector is either a check name or "name=<n>" to pin the stage level
     of the per-level checks (coverage, condition-v, max-gap); levels above
-    the built depth produce skipped records.
+    the built depth produce skipped records. Each level is swept once, for
+    all of its checks and, at level K, for disjointness too.
     """
     report = VerificationReport(_state_params(state))
     selected: list[tuple[str, int | None]] = []
@@ -683,6 +679,13 @@ def run_all(
         if name not in KNOWN_CHECKS:
             raise ValueError(f"unknown check {name!r} (known: {', '.join(KNOWN_CHECKS)})")
         selected.append((name, int(level) if level else None))
+    sweeps: dict[int, LevelSweep] = {}
+
+    def swept(n: int) -> LevelSweep:
+        if n not in sweeps:
+            sweeps[n] = sweep_level(state, n)
+        return sweeps[n]
+
     for name, level in selected:
         levels = [level] if level is not None else list(range(state.depth + 1))
         if name == "conditions-i-ii":
@@ -690,16 +693,11 @@ def run_all(
         elif name == "partial-tiling":
             report.extend(check_partial_tiling(state))
         elif name == "disjointness":
-            report.add(check_disjointness(state))
-        elif name == "coverage":
+            report.add(_disjointness(state, swept(state.depth).separated))
+        elif name in ("coverage", "condition-v", "max-gap"):
             for n in levels:
-                report.add(check_coverage(state, n))
-        elif name == "condition-v":
-            for n in levels:
-                report.add(check_condition_v(state, n))
-        elif name == "max-gap":
-            for n in levels:
-                report.add(max_vertical_gap(state, n))
+                in_range = n <= state.depth
+                report.add(swept(n).records[name] if in_range else _level_check(state, n, name))
         elif name == "null-sequence":
             report.add(check_null_sequence(state))
         elif name == "epsilon-connectivity":

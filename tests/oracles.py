@@ -2,17 +2,20 @@
 
 These deliberately avoid the package's internal representations: jump
 sequences come from a list-scan enumeration, fibers from materializing every
-piece of every copy, unions from sorting, the MST from a quadratic Prim
-(plain Python and vectorised), and connectivity from a plain disjoint-set
-union. They exist to compute and to cross-check expected values, not to be
+piece of every copy, unions from sorting, column gaps from a Fraction cell
+sweep, the MST from a quadratic Prim (plain Python and vectorised), and
+connectivity from a plain disjoint-set union. They exist to compute and to cross-check expected values, not to be
 fast.
 """
 
+import bisect
 import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
+
+from fanforge.exact import endpoint_one, endpoint_zero
 
 
 def ternary_digits(q: Fraction, count: int) -> list[int]:
@@ -137,6 +140,58 @@ def band_union_gap_oracle(bands, lo: Fraction, hi: Fraction) -> Fraction:
     if cur is not None:
         covered += cur[1] - cur[0]
     return (hi - lo) - covered
+
+
+class CellDecomposition:
+    """Cells of one depth-n column against the copies of stages <= n, in Fractions.
+
+    The reference for `verify.ColumnSweep`: crossings are (height, copy id),
+    breakpoints the scaled jump locations strictly inside the column.
+    """
+
+    def __init__(self, state, sigma, max_stage: int):
+        self.state = state
+        left, right = endpoint_zero(sigma), endpoint_one(sigma)
+        self.left = left
+        self.ids = state.chain_ids(sigma, max_stage=max_stage)
+        self.events: dict[Fraction, list[tuple[int, int]]] = {}
+        for cid in self.ids:
+            copy = state.copies[cid]
+            for pos in copy.jump_positions_between(left, right):
+                c = copy.to_global_c(copy.dset.table.locations[pos])
+                self.events.setdefault(c, []).append((cid, pos))
+        self.breakpoints = sorted(self.events)
+
+    def sweep(self, on_gap) -> None:
+        """Walk cells left to right, reporting each maximal vertical gap once.
+
+        Gaps are reported when they first appear (at the initial cell or
+        right after a jump changes a crossing); None marks the range boundary.
+        """
+        state = self.state
+        heights = {cid: state.copies[cid].trace_at(self.left) for cid in self.ids}
+        cross = sorted((h, cid) for cid, h in heights.items())
+        bounded = [None, *cross, None]
+        for lower, upper in zip(bounded, bounded[1:]):
+            on_gap(lower, upper)
+        for c in self.breakpoints:
+            moved = []
+            for cid, pos in self.events[c]:
+                copy = state.copies[cid]
+                new = copy.to_global_h(copy.dset.table.values[pos + 1])
+                cross.remove((heights[cid], cid))
+                bisect.insort(cross, (new, cid))
+                heights[cid] = new
+                moved.append((new, cid))
+            seen = set()
+            for entry in moved:
+                idx = bisect.bisect_left(cross, entry)
+                lower = cross[idx - 1] if idx > 0 else None
+                upper = cross[idx + 1] if idx + 1 < len(cross) else None
+                for pair in ((lower, entry), (entry, upper)):
+                    if pair not in seen:
+                        seen.add(pair)
+                        on_gap(*pair)
 
 
 def dense_prim_edges_oracle(points) -> np.ndarray:

@@ -16,6 +16,17 @@ def run(argv, capsys):
     return code, captured.out, captured.err
 
 
+def verify_in_subprocess(state_path):
+    """`python -m fanforge verify --state PATH` in a fresh interpreter."""
+    src = str(Path(fanforge.__file__).parents[1])
+    return subprocess.run(
+        [sys.executable, "-m", "fanforge", "verify", "--state", str(state_path)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+
+
 class TestBuild:
     def test_build_reports_counts(self, tmp_path, capsys):
         out = tmp_path / "state.json"
@@ -100,23 +111,27 @@ class TestVerify:
             lambda doc: doc.update(jumps="4"),
             lambda doc: doc["stages"][0].update(rects=None),
             lambda doc: doc["stages"][1]["rects"][0].update(a=0.5),
+            lambda doc: doc["stages"][1]["rects"][0].update(a="-1e0"),
         ],
-        ids=["depth-str", "jumps-str", "rects-null", "bound-float"],
+        ids=["depth-str", "jumps-str", "rects-null", "bound-float", "bound-exponent"],
     )
     def test_mistyped_state_exits_2_without_traceback(self, state_file, tmp_path, mutate):
         doc = json.loads(state_file.read_text())
         mutate(doc)
         bad = tmp_path / "mistyped.json"
         bad.write_text(json.dumps(doc))
-        src = str(Path(fanforge.__file__).parents[1])
-        proc = subprocess.run(
-            [sys.executable, "-m", "fanforge", "verify", "--state", str(bad)],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": src},
-        )
+        proc = verify_in_subprocess(bad)
         assert proc.returncode == 2
         assert "StateSchemaError" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_unreadable_state_exits_2_without_traceback(self, tmp_path, kind):
+        path = tmp_path / "absent.json" if kind == "missing" else tmp_path
+        proc = verify_in_subprocess(path)
+        assert proc.returncode == 2
+        assert "StateSchemaError" in proc.stderr
+        assert str(path) in proc.stderr
         assert "Traceback" not in proc.stderr
 
 
@@ -144,6 +159,12 @@ class TestTrace:
         code, _, stderr = run(["trace", "--state", str(state_file), "--c", "1/2"], capsys)
         assert code == 2
         assert "NotInCantor" in stderr
+
+    @pytest.mark.parametrize("text", ["1e0", "0.25", "1_000", "1/0"])
+    def test_non_pq_column_rejected(self, state_file, capsys, text):
+        code, _, stderr = run(["trace", "--state", str(state_file), "--c", text], capsys)
+        assert code == 2
+        assert "not a rational" in stderr
 
     def test_jump_column(self, state_file, capsys):
         code, _, stderr = run(["trace", "--state", str(state_file), "--c", "1/4"], capsys)

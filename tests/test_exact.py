@@ -123,6 +123,22 @@ class TestSerialization:
         with pytest.raises(ValueError):
             rational_from_str("one half")
 
+    @pytest.mark.parametrize(
+        "text, value",
+        [("7", F(7)), ("-3/4", F(-3, 4)), ("6/8", F(3, 4)), ("-0", F(0)), ("0/01", F(0))],
+    )
+    def test_rational_parse_accepts_p_over_q(self, text, value):
+        assert rational_from_str(text) == value
+
+    @pytest.mark.parametrize(
+        "text",
+        ["-1e0", "0.25", "1_000", "1e999999999", "+1", " 1/2", "1/2 ", "1/0", "1/00", "1/-2",
+         "1/", "/2", "", "-", "1/2/3", "\uff11", "0x10", "nan", "inf"],
+    )
+    def test_rational_parse_rejects_other_forms(self, text):
+        with pytest.raises(ValueError, match="not a rational"):
+            rational_from_str(text)
+
     def test_address_round_trip(self):
         assert str(Address()) == ""
         assert Address.parse("") == Address()

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
-from fanforge import build
+from fanforge import build, build_D
 from fanforge.errors import (
     JumpHit,
     NotInCantor,
@@ -14,8 +14,9 @@ from fanforge.errors import (
 )
 from fanforge.exact import Address, addresses_of_length, endpoint_one, endpoint_zero
 from fanforge.tiling import (
-    AffineMap,
     Builder,
+    PlacedCopy,
+    Rect,
     pointwise_below,
     stage_one,
     stage_zero,
@@ -192,6 +193,8 @@ class TestPointwiseBelow:
 
 
 class TestAffineMap:
+    """A copy's placement (c, r) -> (0(sigma) + c/3^n, a + r(b-a)): to_global_c, to_global_h."""
+
     @given(
         st.lists(st.integers(0, 1), max_size=6),
         st.tuples(st.fractions(), st.fractions()).map(lambda t: (min(t), max(t))),
@@ -204,15 +207,14 @@ class TestAffineMap:
         a, b = ab
         if a == b:
             b = a + 1
-        mapping = AffineMap(Address(tuple(bits)), a, b)
-        p = mapping.apply((min(c1, c2), min(r1, r2)))
-        q = mapping.apply((max(c1, c2), max(r1, r2)))
-        assert p[0] <= q[0] and p[1] <= q[1]
+        copy = PlacedCopy(len(bits), 0, Rect(Address(tuple(bits)), a, b), build_D(2))
+        assert copy.to_global_c(min(c1, c2)) <= copy.to_global_c(max(c1, c2))
+        assert copy.to_global_h(min(r1, r2)) <= copy.to_global_h(max(r1, r2))
 
     def test_maps_unit_square_onto_footprint(self):
-        mapping = AffineMap(Address.parse("01"), F(1, 4), F(3, 4))
-        assert mapping.apply((F(0), F(0))) == (F(2, 9), F(1, 4))
-        assert mapping.apply((F(1), F(1))) == (F(1, 3), F(3, 4))
+        copy = PlacedCopy(2, 0, Rect(Address.parse("01"), F(1, 4), F(3, 4)), build_D(2))
+        assert (copy.to_global_c(F(0)), copy.to_global_h(F(0))) == (F(2, 9), F(1, 4))
+        assert (copy.to_global_c(F(1)), copy.to_global_h(F(1))) == (F(1, 3), F(3, 4))
 
 
 class TestCopyGeometry:
@@ -274,6 +276,13 @@ class TestStateSerialization:
         doc = json.loads(st_1_4.to_json())
         doc[field] = value
         with pytest.raises(StateSchemaError):
+            state_from_json_obj(doc)
+
+    @pytest.mark.parametrize("bound", ["-1e0", "0.25", "1_000", "1/0"])
+    def test_non_pq_bound_rejected(self, st_1_4, bound):
+        doc = json.loads(st_1_4.to_json())
+        doc["stages"][1]["rects"][0]["a"] = bound
+        with pytest.raises(StateSchemaError, match="not a rational"):
             state_from_json_obj(doc)
 
     def test_round_trip_exact(self, st_2_16):

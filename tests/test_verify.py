@@ -1,16 +1,23 @@
 import json
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from fanforge.errors import CrossingNotFound
-from fanforge.exact import Address, basic_interval_inside, endpoint_zero
+from fanforge.exact import (
+    Address,
+    addresses_of_length,
+    basic_interval_inside,
+    endpoint_one,
+    endpoint_zero,
+)
 from fanforge.spaceset import fan_point, sample_points
 from fanforge.tiling import ConstructionState, Rect, TilingStage, PlacedCopy, vertical_trace
 from fanforge.verify import (
-    CellDecomposition,
+    ColumnSweep,
+    _disjointness,
     check_conditions_i_ii,
     check_condition_v,
     check_coverage,
@@ -25,9 +32,11 @@ from fanforge.verify import (
     mst_max_edge,
     run_all,
     stage_fan_diameters,
+    sweep_level,
 )
 
 from .oracles import (
+    CellDecomposition,
     band_union_gap_oracle,
     components_oracle,
     copy_pieces_oracle,
@@ -54,18 +63,24 @@ clouds = st.one_of(
 )
 
 
+def _with_rects(state, stage_n, rects):
+    """Rebuild a state with the rectangles of one stage replaced."""
+    stages = list(state.stages)
+    copies = [PlacedCopy(stage_n, i, r, state.dset) for i, r in enumerate(rects)]
+    stages[stage_n] = TilingStage(stage_n, rects, copies)
+    return ConstructionState(state.depth, state.n_jumps, state.strict, stages)
+
+
 def _with_mutated_rect(state, stage_n, index, new_rect):
     """Rebuild a state with one rectangle replaced (negative-path helper)."""
-    stages = []
-    for st in state.stages:
-        if st.n != stage_n:
-            stages.append(st)
-            continue
-        rects = list(st.rects)
-        rects[index] = new_rect
-        copies = [PlacedCopy(st.n, i, r, state.dset) for i, r in enumerate(rects)]
-        stages.append(TilingStage(st.n, rects, copies))
-    return ConstructionState(state.depth, state.n_jumps, state.strict, stages)
+    rects = list(state.stages[stage_n].rects)
+    rects[index] = new_rect
+    return _with_rects(state, stage_n, rects)
+
+
+def _fraction_crossing(col, crossing):
+    """An integer sweep crossing as the oracle's (height, copy id)."""
+    return None if crossing is None else (F(crossing[0], col.den), col.ids[crossing[1]])
 
 
 class TestConditionsIandII:
@@ -138,6 +153,67 @@ class TestDisjointness:
         bad = _with_mutated_rect(state, 2, index, Rect(sigma, x0, rect.top))
         assert check_disjointness(bad).status == "fail"
 
+    @pytest.mark.parametrize(
+        "name", ["st_0_4", "st_1_4", "st_2_16", "st_3_16", "st_4_16t", "st_4_32", "st_5_32t"]
+    )
+    def test_sweep_verdict_matches_pairwise_oracle(self, name, request):
+        # a failing check runs this same scan, so only a pass needs comparing
+        state = request.getfixturevalue(name)
+        pairwise = _disjointness(state, separated=False)
+        separated = sweep_level(state, state.depth).separated
+        assert separated == (pairwise.status == "pass")
+        if separated:
+            assert check_disjointness(state).to_json_obj() == pairwise.to_json_obj()
+
+    # touching: a strip copy's bottom plateau laid on the stage-0 plateau at 0;
+    # corner touch: the split copy 1:1 unchanged, level with stage 0 at 1/3 only
+    @example(cid=18, pick=0, j_other=0, j_own=0, delta=F(0), scale=F(1))
+    @example(cid=2, pick=0, j_other=10, j_own=0, delta=F(0), scale=F(1))
+    @settings(max_examples=60, deadline=None)
+    @given(
+        cid=st.integers(1, 77),
+        pick=st.integers(0, 200),
+        j_other=st.integers(0, 16),
+        j_own=st.integers(0, 16),
+        delta=st.sampled_from([F(0), F(0), F(1, 2**20), F(-1, 2**20)]),
+        scale=st.sampled_from([F(1), F(1, 2), F(2)]),
+    )
+    def test_single_rect_mutations_match_pairwise_oracle(
+        self, st_2_16, cid, pick, j_other, j_own, delta, scale
+    ):
+        # move one rect so that its plateau j_own lies level with plateau
+        # j_other of a copy whose column meets it (plus delta)
+        state = st_2_16
+        copy = state.copies[cid]
+        sigma = copy.rect.address
+        related = [
+            o
+            for o, other in enumerate(state.copies)
+            if o != cid
+            and (other.rect.address.is_prefix_of(sigma) or sigma.is_prefix_of(other.rect.address))
+        ]
+        other = state.copies[related[pick % len(related)]]
+        values = state.dset.table.values
+        height = copy.rect.height * scale
+        bottom = other.to_global_h(values[j_other]) - height * values[j_own] + delta
+        bad = _with_mutated_rect(state, copy.stage, copy.index, Rect(sigma, bottom, bottom + height))
+        pairwise = _disjointness(bad, separated=False)
+        separated = sweep_level(bad, bad.depth).separated
+        assert separated == (pairwise.status == "pass")
+        if separated:
+            assert check_disjointness(bad).to_json_obj() == pairwise.to_json_obj()
+
+    def test_jumps_meeting_end_to_end_at_a_breakpoint_detected(self, st_1_4):
+        # stage 0 jumps over [5/16, 13/16] at c = 1/4, where a stage-1 copy
+        # over [13/32, 29/32] jumps up from 13/32 + 13/64 = 13/16: the two
+        # meet in the one point (1/4, 13/16) and are strictly ordered elsewhere
+        bare = ConstructionState(1, 4, True, [st_1_4.stages[0], TilingStage(1, [], [])])
+        state = _with_rects(bare, 1, [Rect(Address.parse("0"), F(13, 32), F(29, 32))])
+        assert not sweep_level(state, 1).separated
+        record = check_disjointness(state)
+        assert (record.witness["c"], record.witness["value"]) == ("1/4", "13/16")
+        assert record.to_json_obj() == _disjointness(state, separated=False).to_json_obj()
+
     def test_no_sampled_point_lies_on_two_copies(self, st_2_16):
         rng = random.Random(7)
         copies = st_2_16.copies
@@ -171,36 +247,52 @@ class TestCoverage:
     def test_skipped_beyond_depth(self, st_1_4):
         assert check_coverage(st_1_4, 2).status == "skipped"
 
+    def test_overlapping_bands_counted_once(self, st_2_16):
+        # stretch one stage-2 rect so its copy's band overlaps the one above
+        rect = st_2_16.stages[2].rects[0]
+        bad = _with_mutated_rect(st_2_16, 2, 0, Rect(rect.address, rect.bottom, rect.top + rect.height))
+        left, right = endpoint_zero(rect.address), endpoint_one(rect.address)
+        bands = [bad.copies[cid].band(left, right) for cid in bad.chain_ids(rect.address)]
+        assert any(x < prev_y for (_, prev_y), (x, _) in zip(sorted(bands), sorted(bands)[1:]))
+        oracle_gap = band_union_gap_oracle(bands, F(-2), F(3))
+        assert coverage_gap_for_column(bad, 2, rect.address) == (oracle_gap, len(bands))
+
 
 class TestCellDecomposition:
-    def test_jump_without_crossing_raises_typed_error(self, st_2_16):
-        decomp = CellDecomposition(st_2_16, Address.parse("10"), max_stage=2)
-        cid, _ = decomp._events[decomp.breakpoints[0]][0]
-        decomp.ids = [other for other in decomp.ids if other != cid]
-        with pytest.raises(CrossingNotFound):
-            decomp.sweep()
+    @pytest.mark.parametrize("name", ["st_1_4", "st_2_16", "st_3_16", "st_4_16t"])
+    def test_gaps_match_fraction_oracle(self, name, request):
+        state = request.getfixturevalue(name)
+        for n in range(state.depth + 1):
+            for sigma in addresses_of_length(n):
+                col = ColumnSweep(state, sigma, n)
+                ours = [tuple(_fraction_crossing(col, x) for x in pair) for pair in col.gaps()]
+                oracle = []
+                CellDecomposition(state, sigma, n).sweep(lambda *pair: oracle.append(pair))
+                assert ours == oracle, (n, str(sigma))
 
     def test_cells_match_vertical_trace_at_interior_points(self, st_2_16):
-        decomp = CellDecomposition(st_2_16, Address.parse("10"), max_stage=2)
-        cells = decomp.cells()
-        assert len(cells) == len(decomp.breakpoints) + 1
+        # every gap of the trace inside a cell was reported: the sweep is exhaustive
+        sigma = Address.parse("10")
+        col = ColumnSweep(st_2_16, sigma, 2)
+        reported = {tuple(_fraction_crossing(col, x) for x in pair) for pair in col.gaps()}
+        c_den = math.lcm(*(q.denominator for q in st_2_16.dset.table.locations)) * 9
+        cuts = [endpoint_zero(sigma), *(F(b, c_den) for b in col.breakpoints), endpoint_one(sigma)]
         rng = random.Random(3)
-        for cell in rng.sample(cells, min(12, len(cells))):
-            inner = basic_interval_inside(cell.c_left, cell.c_right)
-            c = endpoint_zero(inner)
-            assert (
-                vertical_trace(st_2_16, c, F(-2), F(3), max_stage=2)
-                == list(cell.crossings)
-            )
+        for k in rng.sample(range(len(cuts) - 1), 12):
+            c = endpoint_zero(basic_interval_inside(cuts[k], cuts[k + 1]))
+            trace = [None, *vertical_trace(st_2_16, c, F(-2), F(3), max_stage=2), None]
+            assert len(trace) == len(col.ids) + 2
+            assert set(zip(trace, trace[1:])) <= reported
 
     def test_breakpoints_are_spanning_jump_locations(self, st_1_4):
-        decomp = CellDecomposition(st_1_4, Address.parse("0"), max_stage=1)
+        col = ColumnSweep(st_1_4, Address.parse("0"), 1)
         jump_locs = set()
         for cid in st_1_4.chain_ids(Address.parse("0"), max_stage=1):
             for c, _, _ in st_1_4.copies[cid].jumps_global():
                 if F(0) < c < F(1, 3):
                     jump_locs.add(c)
-        assert set(decomp.breakpoints) == jump_locs
+        c_den = math.lcm(*(q.denominator for q in st_1_4.dset.table.locations)) * 3
+        assert [F(b, c_den) for b in col.breakpoints] == sorted(jump_locs)
 
 
 class TestConditionV:
@@ -224,6 +316,22 @@ class TestConditionV:
         assert record.status == "fail"
         assert record.witness["problems"]
         assert record.witness["column"]  # the offending cell is identified
+
+    def test_edge_gap_exceeds_distance_bound(self, st_2_16):
+        # merge the top two stage-2 rects of column 00: the merged copy still
+        # reaches the range top, but at the column's left end its crossing
+        # sits at its bottom, more than 1/3 + 1/9 below the top
+        rects = list(st_2_16.stages[2].rects)
+        k = max(i for i, r in enumerate(rects) if str(r.address) == "00")
+        assert rects[k].top == 3 and rects[k - 1].top == rects[k].bottom
+        merged = Rect(rects[k].address, rects[k - 1].bottom, F(3))
+        assert F(3) - merged.bottom >= F(1, 3) + F(1, 9)
+        bad = _with_rects(st_2_16, 2, rects[: k - 1] + [merged] + rects[k + 1 :])
+        record = check_condition_v(bad, 2)
+        assert record.status == "fail"
+        assert record.witness["problems"] == ["edge gap exceeds distance bound"]
+        assert record.witness["gap"] == [f"{merged.bottom.numerator}/{merged.bottom.denominator}", "3/1"]
+        assert record.witness["upper"] is None
 
     def test_gap_fits_in_bounding_rect_pair(self, st_2_16):
         # internal consistency: a passing condition-v bounds every gap by two
