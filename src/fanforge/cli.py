@@ -9,14 +9,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass, field
 
-from . import decomp, render, tiling, verify
+from . import render, tiling, verify
 from .errors import FanforgeError
 from .exact import rational_from_str, rational_to_str
-from .spaceset import assemble
 
 
 @dataclass
@@ -36,19 +34,7 @@ class Config:
     grid_depth: int | None = None
     fibers: int = 3
     epsilon: list[float] = field(default_factory=list)
-    threads: int = 1
     as_json: bool = False
-
-
-def _threads_from_env() -> int:
-    raw = os.environ.get("FANFORGE_THREADS", "1")
-    try:
-        value = int(raw)
-    except ValueError:
-        raise SystemExit(f"error: FANFORGE_THREADS must be an integer, got {raw!r}")
-    if value < 1:
-        raise SystemExit("error: FANFORGE_THREADS must be >= 1")
-    return value
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -148,11 +134,7 @@ def cmd_trace(cfg: Config) -> int:
 
 def cmd_render(cfg: Config) -> int:
     state = tiling.load_state(cfg.state)
-    if cfg.figure == "earring":
-        earring = decomp.collapse_E(assemble(state), 0)
-        doc = render.render_earring(earring)
-    else:
-        doc = render.render_figure(state, cfg.figure)
+    doc = render.render_figure(state, cfg.figure)
     out = cfg.out or render.figure_filename(cfg.figure, state.depth, state.n_jumps)
     with open(out, "w", encoding="utf-8") as fh:
         fh.write(doc)
@@ -176,7 +158,6 @@ def main(argv: list[str] | None = None) -> int:
         grid_depth=getattr(args, "grid_depth", None),
         fibers=getattr(args, "fibers", 3),
         epsilon=list(getattr(args, "epsilon", []) or []),
-        threads=_threads_from_env(),
         as_json=bool(getattr(args, "json", False)),
     )
     try:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -216,6 +217,19 @@ def build_D(n_jumps: int) -> DebskiSet:
     if n_jumps < 1:
         raise ValueError("n_jumps must be >= 1")
     return DebskiSet(n_jumps)
+
+
+@lru_cache(maxsize=None)
+def integer_table(n_jumps: int) -> tuple[int, list[int], list[int]]:
+    """(T, T * locations, 2^N * values) of the jump table, all ints."""
+    table = build_D(n_jumps).table
+    den = math.lcm(*(q.denominator for q in table.locations))
+    scale = 2**n_jumps
+    return (
+        den,
+        [q.numerator * (den // q.denominator) for q in table.locations],
+        [v.numerator * (scale // v.denominator) for v in table.values],
+    )
 
 
 def f_value(c: Fraction, n_jumps: int) -> Fraction:

@@ -1,9 +1,11 @@
 """Deterministic SVG emission of the construction's figures.
 
-Exact rational geometry is converted to decimal only at emission, at a
-fixed precision of twelve digits, and elements are written in a fixed order
-(stage, then index, then piece position), so equal inputs produce byte
-identical documents.
+Exact rational geometry becomes floats only at the float boundary
+(`spaceset.piece_floats`, `xi_float`, `fan_x`): each coordinate is the
+correctly rounded value of its exact rational, and arctan is `math.atan`.
+Floats are written at a fixed precision of twelve digits and elements in a
+fixed order (stage, then index, then piece position), so equal inputs
+produce byte identical documents.
 """
 
 from __future__ import annotations
@@ -12,11 +14,11 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .decomp import Earring
+from .decomp import Earring, collapse_E
 from .errors import UnknownFigure
 from .exact import addresses_of_length, endpoint_one, endpoint_zero
-from .spaceset import fan_point
-from .tiling import ConstructionState, PlacedCopy
+from .spaceset import assemble, fan_point, fan_x, piece_floats, xi_float
+from .tiling import ConstructionState
 from .verify import stage_fan_diameters
 
 PRECISION = 12
@@ -94,17 +96,6 @@ def _document(opts: RenderOptions, body: list[str]) -> str:
     return head + "\n".join(body) + "\n</svg>\n"
 
 
-def _cantor_segments(lo: Fraction, hi: Fraction, depth: int) -> list[tuple[Fraction, Fraction]]:
-    """Depth-`depth` basic intervals clipped to [lo, hi], left to right."""
-    out = []
-    for sigma in addresses_of_length(depth):
-        left, right = endpoint_zero(sigma), endpoint_one(sigma)
-        a, b = max(left, lo), min(right, hi)
-        if a <= b:
-            out.append((a, b))
-    return out
-
-
 def _stage_range(state: ConstructionState, opts: RenderOptions) -> range:
     hi = state.depth if opts.stage_high is None else min(opts.stage_high, state.depth)
     return range(max(opts.stage_low, 0), hi + 1)
@@ -143,33 +134,18 @@ def render_tiling(state: ConstructionState, options: RenderOptions | None = None
                 continue
             for copy in stage.copies:
                 body.append(f'<g class="copy" id="copy-{copy.stage}-{copy.index}">')
-                depth = max(opts.cantor_depth - copy.stage, 0)
-                for lo, hi, v in copy.plateaus_global():
-                    for a, b in _plateau_segments(copy, lo, hi, depth):
-                        body.append(
-                            canvas.line(float(a), float(v), float(b), float(v), "copy", opts.stroke_copy)
-                        )
-                for c, lo, hi in copy.jumps_global():
-                    body.append(
-                        canvas.line(float(c), float(lo), float(c), float(hi), "copy", opts.stroke_copy)
-                    )
+                pieces = piece_floats(copy, max(opts.cantor_depth - copy.stage, 0))
+                hs = pieces.heights
+                for v, segments in zip(hs, pieces.segments):
+                    for a, b in segments:
+                        body.append(canvas.line(a, v, b, v, "copy", opts.stroke_copy))
+                for c, lo, hi in zip(pieces.jumps, hs, hs[1:]):
+                    body.append(canvas.line(c, lo, c, hi, "copy", opts.stroke_copy))
                 body.append("</g>")
                 if opts.draw_midpoints:
                     for c, mid in copy.midpoints_global():
                         body.append(canvas.circle(float(c), float(mid), 1.6, "midpoint"))
     return _document(opts, body)
-
-
-def _plateau_segments(copy: PlacedCopy, lo: Fraction, hi: Fraction, depth: int):
-    """Visible sub-segments of one plateau at the configured drawing depth."""
-    if lo == hi:
-        return [(lo, hi)]
-    local_lo, local_hi = copy.to_local_c(lo), copy.to_local_c(hi)
-    return [
-        (copy.to_global_c(a), copy.to_global_c(b))
-        for a, b in _cantor_segments(local_lo, local_hi, depth)
-        if a < b
-    ]
 
 
 def render_fan(state: ConstructionState, options: RenderOptions | None = None) -> str:
@@ -190,14 +166,13 @@ def render_fan(state: ConstructionState, options: RenderOptions | None = None) -
             continue
         for copy in stage.copies:
             body.append(f'<g class="copy" id="copy-{copy.stage}-{copy.index}">')
-            depth = max(opts.cantor_depth - copy.stage, 0)
-            for lo, hi, v in copy.plateaus_global():
-                for a, b in _plateau_segments(copy, lo, hi, depth):
-                    pa, pb = fan_point((a, v)), fan_point((b, v))
-                    body.append(canvas.line(pa[0], pa[1], pb[0], pb[1], "copy", opts.stroke_copy))
-            for c, lo, hi in copy.jumps_global():
-                pa, pb = fan_point((c, lo)), fan_point((c, hi))
-                body.append(canvas.line(pa[0], pa[1], pb[0], pb[1], "copy", opts.stroke_copy))
+            pieces = piece_floats(copy, max(opts.cantor_depth - copy.stage, 0))
+            ys = [xi_float(v) for v in pieces.heights]
+            for y, segments in zip(ys, pieces.segments):
+                for a, b in segments:
+                    body.append(canvas.line(fan_x(a, y), y, fan_x(b, y), y, "copy", opts.stroke_copy))
+            for c, lo, hi in zip(pieces.jumps, ys, ys[1:]):
+                body.append(canvas.line(fan_x(c, lo), lo, fan_x(c, hi), hi, "copy", opts.stroke_copy))
             body.append("</g>")
             if opts.draw_midpoints:
                 for c, mid in copy.midpoints_global():
@@ -230,16 +205,14 @@ def render_earring(earring: Earring, options: RenderOptions | None = None) -> st
     return _document(opts, body)
 
 
-def render_figure(state: ConstructionState, kind: str, options: RenderOptions | None = None,
-                  earring: Earring | None = None) -> str:
+def render_figure(state: ConstructionState, kind: str, options: RenderOptions | None = None) -> str:
+    """The `kind` figure of the state; the earring is the first copy's (copy 0)."""
     if kind == "tiling":
         return render_tiling(state, options)
     if kind == "fan":
         return render_fan(state, options)
     if kind == "earring":
-        if earring is None:
-            raise ValueError("earring figure needs an earring")
-        return render_earring(earring, options)
+        return render_earring(collapse_E(assemble(state), 0), options)
     raise UnknownFigure(f"unknown figure kind {kind!r} (known: {', '.join(FIGURE_KINDS)})")
 
 

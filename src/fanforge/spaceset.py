@@ -2,9 +2,11 @@
 
 The countable class Q is the set of all jump-segment midpoints of all placed
 copies; the co-countable class P is kept symbolic, as the complement of all
-copy images, and queried through exact membership predicates. The arctan
-compression and the fan map are the only places floating point appears, and
-nothing computed there flows back into exact set definitions.
+copy images, and queried through exact membership predicates. The float
+boundary is here: piece endpoints as floats (`piece_floats`), the arctan
+compression and the fan map. Each float is the correctly rounded value of an
+exact rational, arctan is always `math.atan`, and nothing computed here
+flows back into exact set definitions.
 """
 
 from __future__ import annotations
@@ -13,10 +15,13 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property, lru_cache
+from typing import NamedTuple
 
+from .debski import integer_table
 from .errors import DepthInsufficient, NotInCantor, NotOrdered, NotSpanning, UnknownCopy
 from .exact import Address, cantor_member, endpoint_one, endpoint_zero, rational_to_str
-from .tiling import ConstructionState, pointwise_below, vertical_trace
+from .tiling import ConstructionState, PlacedCopy, pointwise_below, vertical_trace
 
 Point = tuple[Fraction, Fraction]
 
@@ -24,7 +29,8 @@ Point = tuple[Fraction, Fraction]
 _XI_WEIGHT = Fraction(1, 2**80)
 
 
-def _xi_float(r: Fraction | float) -> float:
+def xi_float(r: Fraction | float) -> float:
+    """xi's float value atan(r)/pi + 1/2; every float caller goes through this math.atan."""
     return math.atan(float(r)) / math.pi + 0.5
 
 
@@ -40,7 +46,7 @@ def xi_map(point: tuple[Fraction | float, Fraction | float]) -> tuple[Fraction |
     Rendering/sampling boundary only.
     """
     c, r = point
-    y = _xi_float(r)
+    y = xi_float(r)
     if not isinstance(r, Fraction):
         return (c, y)
     rational = Fraction(1, 2) + r / (2 * (1 + abs(r)))
@@ -56,15 +62,84 @@ def nabla_map(point: tuple[Fraction | float, Fraction | float]) -> tuple[Fractio
     c, y = point
     if isinstance(c, Fraction) and isinstance(y, Fraction):
         return ((y * (2 * c - 1) + 1) / 2, y)
-    cf, yf = float(c), float(y)
-    return ((yf * (2 * cf - 1) + 1) / 2, yf)
+    yf = float(y)
+    return (fan_x(float(c), yf), yf)
+
+
+def fan_x(c: float, y: float) -> float:
+    """nabla's first coordinate of the float point (c, y)."""
+    return (y * (2 * c - 1) + 1) / 2
 
 
 def fan_point(point: tuple[Fraction | float, Fraction | float]) -> tuple[float, float]:
     """nabla after xi's float arctan value: the rendered/fan position of a model point."""
     c, r = point
-    x, y = nabla_map((float(c), _xi_float(r)))
+    x, y = nabla_map((float(c), xi_float(r)))
     return (float(x), float(y))
+
+
+class PieceFloats(NamedTuple):
+    """One copy's piece endpoints at the float boundary.
+
+    Plateau j lies at height heights[j] and is drawn as the c-segments
+    segments[j]; the jump at sorted position j is the vertical at jumps[j]
+    from heights[j] to heights[j + 1].
+    """
+
+    heights: list[float]
+    jumps: list[float]
+    segments: list[list[tuple[float, float]]]
+
+
+@lru_cache(maxsize=None)
+def _cantor_segments(n_jumps: int, depth: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Each local plateau clipped to the depth-`depth` basic intervals of C.
+
+    Per plateau, the nonempty clipped intervals left to right, as int pairs
+    over T * 3^depth (T the jump table's denominator). Every copy shares the
+    jump table, so these are the same for every copy.
+    """
+    t_den, locations, _ = integer_table(n_jumps)
+    bounds = [b * 3**depth for b in (0, *locations, t_den)]
+    lefts = [0]  # left ends of the basic intervals over 3^depth, in order
+    for _ in range(depth):
+        lefts = [3 * x + b for x in lefts for b in (0, 2)]
+    out = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        clipped = ((max(x * t_den, lo), min((x + 1) * t_den, hi)) for x in lefts)
+        out.append(tuple((a, b) for a, b in clipped if a < b))
+    return tuple(out)
+
+
+def piece_floats(copy: PlacedCopy, depth: int) -> PieceFloats:
+    """The copy's plateau heights, jump locations and depth-`depth` plateau
+    segments as floats, each the correctly rounded value of its exact
+    coordinate.
+
+    They are made from ints, never from Fractions. The column's left end is
+    P / 3^s, so a local u = x / d lands at (P*d + x) / (d * 3^s). A height
+    a + h*k/2^N is (A + H*k) / L over one denominator L per copy. CPython's
+    int / int true division rounds correctly, and float(Fraction) is that
+    division too, so every value equals float() of the Fraction it stands for.
+    """
+    n = copy.dset.n_jumps
+    t_den, locations, values = integer_table(n)
+    a, h = copy.rect.bottom, copy.rect.height
+    den = math.lcm(a.denominator, h.denominator << n)
+    base = a.numerator * (den // a.denominator)
+    step = h.numerator * (den // (h.denominator << n))
+    pow3, left = 3**copy.stage, copy.col_left
+    p = left.numerator * (pow3 // left.denominator)  # the column's left end is P / 3^s
+    jump_origin, jump_unit = p * t_den, t_den * pow3  # locations are over T
+    seg_den = t_den * 3**depth  # segment ends are over T * 3^depth
+    seg_origin, seg_unit = p * seg_den, seg_den * pow3
+    return PieceFloats(
+        [(base + step * k) / den for k in values],
+        [(jump_origin + x) / jump_unit for x in locations],
+        [[((seg_origin + x) / seg_unit, (seg_origin + y) / seg_unit) for x, y in segs]
+         for segs in _cantor_segments(n, depth)],
+    )
+
 
 VERTEX = (0.5, 0.0)
 
@@ -81,11 +156,19 @@ class SpaceModel:
 
     def __init__(self, state: ConstructionState):
         self.state = state
-        self.q_points: list[QPoint] = []
-        for cid, copy in enumerate(state.copies):
-            for m in range(state.n_jumps):
-                self.q_points.append(QPoint(cid, m, copy.midpoint_global(m)))
-        self._q_index: dict[Point, QPoint] = {qp.point: qp for qp in self.q_points}
+
+    @cached_property
+    def q_points(self) -> list[QPoint]:
+        """Every copy's jump midpoints, copy by copy, by jump index; built on first use."""
+        return [
+            QPoint(cid, m, copy.midpoint_global(m))
+            for cid, copy in enumerate(self.state.copies)
+            for m in range(self.state.n_jumps)
+        ]
+
+    @cached_property
+    def _q_index(self) -> dict[Point, QPoint]:
+        return {qp.point: qp for qp in self.q_points}
 
     def classify(self, point: Point) -> str:
         """'Q', 'P', or 'not-in-Y' (the point lies on a copy off its midpoint)."""

@@ -18,14 +18,13 @@ import json
 import math
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .debski import build_D
+from .debski import integer_table
 from .exact import Address, addresses_of_length, rational_to_str
-from .spaceset import fan_point
+from .spaceset import fan_x, piece_floats, xi_float
 from .tiling import ConstructionState, PlacedCopy
 
 REPORT_SCHEMA = "fanforge-report-v1"
@@ -161,19 +160,6 @@ def check_partial_tiling(state: ConstructionState) -> list[CheckRecord]:
 Crossing = tuple[int, int]  # (height over the column denominator, place in ids)
 
 
-@lru_cache(maxsize=None)
-def _integer_table(n_jumps: int) -> tuple[int, list[int], list[int]]:
-    """(T, T * locations, 2^N * values) of the jump table, all ints."""
-    table = build_D(n_jumps).table
-    den = math.lcm(*(q.denominator for q in table.locations))
-    scale = 2**n_jumps
-    return (
-        den,
-        [q.numerator * (den // q.denominator) for q in table.locations],
-        [v.numerator * (scale // v.denominator) for v in table.values],
-    )
-
-
 class ColumnSweep:
     """One depth-n column against the copies of stages <= n, in integers.
 
@@ -190,7 +176,7 @@ class ColumnSweep:
     """
 
     def __init__(self, state: ConstructionState, sigma: Address, n: int):
-        t_den, locations, values = _integer_table(state.n_jumps)
+        t_den, locations, values = integer_table(state.n_jumps)
         scale = 2**state.n_jumps
         self.n = n
         self.ids = state.chain_ids(sigma, max_stage=n)
@@ -543,14 +529,16 @@ def epsilon_connectivity(points: Sequence[tuple[float, float]], eps: float) -> i
 
 
 def copy_fan_diameter(copy: PlacedCopy) -> float:
-    """Euclidean diameter of the copy's fan image (piece endpoints suffice)."""
+    """Euclidean diameter of the copy's fan image.
+
+    Piece endpoints suffice, and the plateau ends are all of them: each
+    jump runs from one plateau's right end to the next one's left end.
+    """
+    pieces = piece_floats(copy, 0)
     pts = []
-    for lo, hi, v in copy.plateaus_global():
-        pts.append(fan_point((lo, v)))
-        pts.append(fan_point((hi, v)))
-    for c, lo, hi in copy.jumps_global():
-        pts.append(fan_point((c, lo)))
-        pts.append(fan_point((c, hi)))
+    for v, ((lo, hi),) in zip(pieces.heights, pieces.segments):
+        y = xi_float(v)
+        pts += [(fan_x(lo, y), y), (fan_x(hi, y), y)]
     arr = np.asarray(pts)
     diff = arr[:, None, :] - arr[None, :, :]
     return float(np.sqrt((diff**2).sum(axis=-1).max()))

@@ -3,19 +3,23 @@
 These deliberately avoid the package's internal representations: jump
 sequences come from a list-scan enumeration, fibers from materializing every
 piece of every copy, unions from sorting, column gaps from a Fraction cell
-sweep, the MST from a quadratic Prim (plain Python and vectorised), and
-connectivity from a plain disjoint-set union. They exist to compute and to cross-check expected values, not to be
-fast.
+sweep, the MST from a quadratic Prim (plain Python and vectorised),
+connectivity from a plain disjoint-set union, and the SVG copy images and
+fan diameters from a walk over every piece in Fractions. They exist to
+compute and to cross-check expected values, not to be fast.
 """
 
 import bisect
 import itertools
+import json
 import math
 from fractions import Fraction
 
 import numpy as np
 
-from fanforge.exact import endpoint_one, endpoint_zero
+from fanforge.exact import addresses_of_length, endpoint_one, endpoint_zero
+from fanforge.render import _Canvas, _document, _stage_range, default_options
+from fanforge.spaceset import fan_point
 
 
 def ternary_digits(q: Fraction, count: int) -> list[int]:
@@ -287,3 +291,121 @@ def diameter_oracle(points) -> float:
                 math.hypot(points[i][0] - points[j][0], points[i][1] - points[j][1]),
             )
     return best
+
+
+# ---------------------------------------------------------------------------
+# the float boundary, walked in Fractions: every coordinate is float() of an
+# exact piece endpoint. The renderers share the package's canvas and document
+# framing; the golden digests in test_render.py pin those.
+
+
+def copy_fan_diameter_oracle(copy) -> float:
+    """Diameter over the fan images of every plateau and jump endpoint."""
+    pts = []
+    for lo, hi, v in copy.plateaus_global():
+        pts.append(fan_point((lo, v)))
+        pts.append(fan_point((hi, v)))
+    for c, lo, hi in copy.jumps_global():
+        pts.append(fan_point((c, lo)))
+        pts.append(fan_point((c, hi)))
+    arr = np.asarray(pts)
+    diff = arr[:, None, :] - arr[None, :, :]
+    return float(np.sqrt((diff**2).sum(axis=-1).max()))
+
+
+def stage_fan_diameters_oracle(state) -> dict[int, float]:
+    out: dict[int, float] = {}
+    for copy in state.copies:
+        d = copy_fan_diameter_oracle(copy)
+        if d > out.get(copy.stage, 0.0):
+            out[copy.stage] = d
+    return out
+
+
+def plateau_segments_oracle(copy, lo: Fraction, hi: Fraction, depth: int):
+    """The plateau [lo, hi] clipped to every depth-`depth` basic interval of the
+    copy's local Cantor set, in global Fractions, left to right."""
+    local_lo, local_hi = copy.to_local_c(lo), copy.to_local_c(hi)
+    out = []
+    for sigma in addresses_of_length(depth):
+        a = max(endpoint_zero(sigma), local_lo)
+        b = min(endpoint_one(sigma), local_hi)
+        if a < b:
+            out.append((copy.to_global_c(a), copy.to_global_c(b)))
+    return out
+
+
+def render_tiling_oracle(state, options=None) -> str:
+    opts = options or default_options()
+    stages = _stage_range(state, opts)
+    y_lo = float(-max(stages.stop - 1, 0)) - 0.25 if stages else -0.25
+    y_hi = float(max(stages.stop - 1, 0) + 1) + 0.25 if stages else 1.25
+    canvas = _Canvas(opts, -0.05, 1.05, y_lo, y_hi)
+    body = [canvas.rect(0.0, 0.0, 1.0, 1.0, "frame", 0.6)]
+    if opts.draw_rects:
+        for stage in state.stages:
+            if stage.n not in stages or stage.n == 0:
+                continue
+            for r in stage.rects:
+                body.append(
+                    canvas.rect(float(r.left), float(r.bottom), float(r.right), float(r.top),
+                                "rect", opts.stroke_rect)
+                )
+    if opts.draw_copies:
+        for stage in state.stages:
+            if stage.n not in stages:
+                continue
+            for copy in stage.copies:
+                body.append(f'<g class="copy" id="copy-{copy.stage}-{copy.index}">')
+                depth = max(opts.cantor_depth - copy.stage, 0)
+                for lo, hi, v in copy.plateaus_global():
+                    for a, b in plateau_segments_oracle(copy, lo, hi, depth):
+                        body.append(
+                            canvas.line(float(a), float(v), float(b), float(v), "copy", opts.stroke_copy)
+                        )
+                for c, lo, hi in copy.jumps_global():
+                    body.append(
+                        canvas.line(float(c), float(lo), float(c), float(hi), "copy", opts.stroke_copy)
+                    )
+                body.append("</g>")
+                if opts.draw_midpoints:
+                    for c, mid in copy.midpoints_global():
+                        body.append(canvas.circle(float(c), float(mid), 1.6, "midpoint"))
+    return _document(opts, body)
+
+
+def render_fan_oracle(state, options=None) -> str:
+    opts = options or default_options()
+    canvas = _Canvas(opts, -0.05, 1.05, -0.05, 1.05)
+    body = ['<g class="spokes">']
+    spoke_cs = []
+    for sigma in addresses_of_length(min(opts.cantor_depth, 8)):
+        spoke_cs.extend((endpoint_zero(sigma), endpoint_one(sigma)))
+    for c in sorted(set(spoke_cs)):
+        body.append(canvas.line(0.5, 0.0, float(c), 1.0, "spoke", 0.5))
+    body.append("</g>")
+    stages = _stage_range(state, opts)
+    for stage in state.stages:
+        if stage.n not in stages:
+            continue
+        for copy in stage.copies:
+            body.append(f'<g class="copy" id="copy-{copy.stage}-{copy.index}">')
+            depth = max(opts.cantor_depth - copy.stage, 0)
+            for lo, hi, v in copy.plateaus_global():
+                for a, b in plateau_segments_oracle(copy, lo, hi, depth):
+                    pa, pb = fan_point((a, v)), fan_point((b, v))
+                    body.append(canvas.line(pa[0], pa[1], pb[0], pb[1], "copy", opts.stroke_copy))
+            for c, lo, hi in copy.jumps_global():
+                pa, pb = fan_point((c, lo)), fan_point((c, hi))
+                body.append(canvas.line(pa[0], pa[1], pb[0], pb[1], "copy", opts.stroke_copy))
+            body.append("</g>")
+            if opts.draw_midpoints:
+                for c, mid in copy.midpoints_global():
+                    p = fan_point((c, mid))
+                    body.append(canvas.circle(p[0], p[1], 1.4, "qpoint"))
+    diameters = {str(k): f"{v:.9f}" for k, v in sorted(stage_fan_diameters_oracle(state).items())}
+    body.append(
+        "<metadata>" + json.dumps({"stage_fan_diameters": diameters}, sort_keys=True) + "</metadata>"
+    )
+    body.append(canvas.circle(0.5, 0.0, 3.0, "vertex"))
+    return _document(opts, body)

@@ -204,10 +204,3 @@ class TestRender:
     def test_unknown_figure_rejected(self, state_file, capsys):
         with pytest.raises(SystemExit):
             main(["render", "--state", str(state_file), "--figure", "sphere"])
-
-
-class TestEnv:
-    def test_threads_env_validated(self, state_file, capsys, monkeypatch):
-        monkeypatch.setenv("FANFORGE_THREADS", "zero")
-        with pytest.raises(SystemExit):
-            main(["trace", "--state", str(state_file), "--c", "0/1"])

@@ -1,4 +1,6 @@
+import hashlib
 import xml.etree.ElementTree as ET
+
 import pytest
 
 from fanforge import build
@@ -13,6 +15,8 @@ from fanforge.render import (
     render_tiling,
 )
 from fanforge.spaceset import assemble
+
+from .oracles import render_fan_oracle, render_tiling_oracle
 
 SVG = "{http://www.w3.org/2000/svg}"
 
@@ -106,5 +110,52 @@ class TestDispatch:
         with pytest.raises(UnknownFigure):
             render_figure(st_1_4, "heatmap")
 
+    def test_earring_kind_draws_copy_zero(self, st_1_4, model_1_4):
+        assert render_figure(st_1_4, "earring") == render_earring(collapse_E(model_1_4, 0))
+
     def test_filename_convention(self):
         assert figure_filename("fan", 2, 16) == "figure-fan-K2-N16.svg"
+
+
+# SHA-256 of the (2,16) figures as the Fraction renderers wrote them; the
+# fast path and the oracles must both keep producing these bytes.
+GOLDEN_2_16 = {
+    "tiling": "0a9b6e60a0c4fd88837e6a47848b249846a9a52a49c102085ee58009ee99ba65",
+    "fan": "dbc75b498198bf630b2017921f84f614c9bcbd8c424720349ed0ac4bcc289f66",
+    "earring": "99ef6129a83db73eb7e7e8c8667e252eb111442c397be222bab23751b5ce47fd",
+}
+
+
+class TestByteContract:
+    """The float-boundary renderers write the bytes of the Fraction walk."""
+
+    @pytest.mark.parametrize("kind", sorted(GOLDEN_2_16))
+    def test_golden_digests(self, st_2_16, kind):
+        doc = render_figure(st_2_16, kind)
+        assert hashlib.sha256(doc.encode()).hexdigest() == GOLDEN_2_16[kind]
+
+    @pytest.mark.parametrize("kind", ["tiling", "fan"])
+    def test_oracle_matches_golden(self, st_2_16, kind):
+        oracle = {"tiling": render_tiling_oracle, "fan": render_fan_oracle}[kind]
+        assert hashlib.sha256(oracle(st_2_16).encode()).hexdigest() == GOLDEN_2_16[kind]
+
+    @pytest.mark.parametrize("fixture", ["st_1_4", "st_2_16", "st_3_16", "st_4_16t"])
+    def test_default_options(self, request, fixture):
+        state = request.getfixturevalue(fixture)
+        assert render_tiling(state) == render_tiling_oracle(state)
+        assert render_fan(state) == render_fan_oracle(state)
+
+    @pytest.mark.parametrize(
+        "fixture, opts",
+        [
+            ("st_2_16", RenderOptions(draw_midpoints=True)),
+            ("st_2_16", RenderOptions(stage_low=1, stage_high=1)),
+            ("st_3_16", RenderOptions(stage_low=3, draw_rects=False)),
+            ("st_2_16", RenderOptions(cantor_depth=0)),
+            ("st_1_4", RenderOptions(cantor_depth=8, draw_midpoints=True)),
+        ],
+    )
+    def test_other_options(self, request, fixture, opts):
+        state = request.getfixturevalue(fixture)
+        assert render_tiling(state, opts) == render_tiling_oracle(state, opts)
+        assert render_fan(state, opts) == render_fan_oracle(state, opts)

@@ -2,8 +2,10 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+from fanforge.debski import build_D
+from fanforge.decomp import collapse_E
 from fanforge.errors import DepthInsufficient, NotOrdered, NotSpanning
 from fanforge.exact import Address, basic_interval_inside, endpoint_zero
 from fanforge.spaceset import (
@@ -11,11 +13,15 @@ from fanforge.spaceset import (
     fiber_isolation_witnesses,
     fset_columns,
     nabla_map,
+    piece_floats,
     region_between,
     sample_points,
     vertex_neighborhood,
     xi_map,
 )
+from fanforge.tiling import PlacedCopy, Rect
+
+from .oracles import plateau_segments_oracle
 
 cantor_endpoints = st.tuples(st.lists(st.integers(0, 1), max_size=8), st.booleans()).map(
     lambda t: endpoint_zero(Address(tuple(t[0]))) + (F(1, 3 ** len(t[0])) if t[1] else 0)
@@ -65,7 +71,51 @@ class TestNablaMap:
         assert x == pytest.approx(0.75)
 
 
+class TestPieceFloats:
+    """Floats made by int / int division are float() of the exact values."""
+
+    big = st.integers(-(2**80), 2**80)
+
+    @given(big, st.integers(1, 2**80))
+    @example(0, 3)
+    @example(-(2**60) - 1, 3**40)
+    @example(2**53 + 1, 1)
+    def test_int_division_is_float_of_fraction(self, num, den):
+        assert num / den == float(F(num, den))
+
+    @given(
+        bottom=st.builds(F, big, st.integers(1, 2**80)),
+        height=st.builds(F, st.integers(1, 2**80), st.integers(1, 2**80)),
+        bits=st.lists(st.integers(0, 1), max_size=5),
+        n_jumps=st.sampled_from([1, 2, 5, 16]),
+        depth=st.integers(0, 4),
+    )
+    @example(bottom=F(0), height=F(1), bits=[], n_jumps=4, depth=0)
+    @example(bottom=F(-(2**70) - 3, 2**61 + 7), height=F(3, 2**55 + 1), bits=[1, 0, 1],
+             n_jumps=16, depth=4)
+    def test_equal_float_of_each_exact_coordinate(self, bottom, height, bits, n_jumps, depth):
+        copy = PlacedCopy(len(bits), 0, Rect(Address(tuple(bits)), bottom, bottom + height),
+                          build_D(n_jumps))
+        pieces = piece_floats(copy, depth)
+        table = copy.dset.table
+        assert pieces.heights == [float(copy.to_global_h(v)) for v in table.values]
+        assert pieces.jumps == [float(copy.to_global_c(x)) for x in table.locations]
+        assert pieces.segments == [
+            [(float(a), float(b)) for a, b in plateau_segments_oracle(copy, lo, hi, depth)]
+            for lo, hi, _ in copy.plateaus_global()
+        ]
+
+
 class TestAssemble:
+    def test_q_index_built_on_first_use(self, st_1_4):
+        from fanforge import assemble
+
+        model = assemble(st_1_4)
+        collapse_E(model, 0)
+        assert "q_points" not in vars(model) and "_q_index" not in vars(model)
+        qp = model.q_points[5]
+        assert model.classify(qp.point) == "Q" and model.owner_of(qp.point) == qp
+
     def test_single_copy_single_jump(self):
         from fanforge import assemble, build
 

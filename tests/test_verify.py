@@ -25,6 +25,7 @@ from fanforge.verify import (
     check_null_sequence,
     check_partial_tiling,
     copies_intersect,
+    copy_fan_diameter,
     coverage_gap_for_column,
     epsilon_connectivity,
     max_vertical_gap,
@@ -39,10 +40,12 @@ from .oracles import (
     CellDecomposition,
     band_union_gap_oracle,
     components_oracle,
+    copy_fan_diameter_oracle,
     copy_pieces_oracle,
     dense_prim_edges_oracle,
     diameter_oracle,
     mst_edges_oracle,
+    stage_fan_diameters_oracle,
 )
 
 lattice_points = st.tuples(st.integers(0, 4), st.integers(0, 4)).map(
@@ -451,6 +454,15 @@ class TestNullSequence:
 
     def test_skipped_at_depth_zero(self, st_0_4):
         assert check_null_sequence(st_0_4).status == "skipped"
+
+    @pytest.mark.parametrize("fixture", ["st_1_4", "st_2_16", "st_3_16", "st_4_16t"])
+    def test_diameters_equal_fraction_walk(self, request, fixture):
+        state = request.getfixturevalue(fixture)
+        assert stage_fan_diameters(state) == stage_fan_diameters_oracle(state)
+
+    def test_every_copy_diameter_equals_fraction_walk(self, st_2_16):
+        for copy in st_2_16.copies:
+            assert copy_fan_diameter(copy) == copy_fan_diameter_oracle(copy)
 
 
 class TestRunAll:
