@@ -10,31 +10,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
 
 from . import render, tiling, verify
 from .errors import FanforgeError
 from .exact import rational_from_str, rational_to_str
-
-
-@dataclass
-class Config:
-    """Everything that determines a run."""
-
-    command: str
-    depth: int | None = None
-    jumps: int | None = None
-    out: str | None = None
-    state: str | None = None
-    checks: list[str] | None = None
-    figure: str | None = None
-    c: str | None = None
-    lo: str | None = None
-    hi: str | None = None
-    grid_depth: int | None = None
-    fibers: int = 3
-    epsilon: list[float] = field(default_factory=list)
-    as_json: bool = False
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -77,37 +56,36 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-def cmd_build(cfg: Config) -> int:
-    state = tiling.build(cfg.depth, cfg.jumps)
-    tiling.save_state(state, cfg.out)
+def cmd_build(args: argparse.Namespace) -> int:
+    state = tiling.build(args.depth, args.jumps)
+    tiling.save_state(state, args.out)
     print(f"stages: {len(state.stages)}, copies: {len(state.copies)}")
-    print(f"wrote {cfg.out}")
+    print(f"wrote {args.out}")
     return 0
 
 
-def cmd_verify(cfg: Config) -> int:
-    state = tiling.load_state(cfg.state)
-    checks = cfg.checks
+def cmd_verify(args: argparse.Namespace) -> int:
+    state = tiling.load_state(args.state)
     report = verify.run_all(
         state,
-        checks=checks,
-        grid_depth=cfg.grid_depth,
-        fiber_count=cfg.fibers,
-        epsilons=cfg.epsilon,
+        checks=args.checks.split(",") if args.checks else None,
+        grid_depth=args.grid_depth,
+        fiber_count=args.fibers,
+        epsilons=args.epsilon,
     )
     sys.stdout.write(report.to_text())
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(report.to_json())
-        print(f"wrote {cfg.out}")
+        print(f"wrote {args.out}")
     return 0 if report.passed else 1
 
 
-def cmd_trace(cfg: Config) -> int:
-    state = tiling.load_state(cfg.state)
-    c = rational_from_str(cfg.c)
-    lo = rational_from_str(cfg.lo) if cfg.lo else None
-    hi = rational_from_str(cfg.hi) if cfg.hi else None
+def cmd_trace(args: argparse.Namespace) -> int:
+    state = tiling.load_state(args.state)
+    c = rational_from_str(args.c)
+    lo = rational_from_str(args.lo) if args.lo else None
+    hi = rational_from_str(args.hi) if args.hi else None
     crossings = tiling.vertical_trace(state, c, lo, hi)
     lo = state.range_low if lo is None else lo
     hi = state.range_high if hi is None else hi
@@ -122,7 +100,7 @@ def cmd_trace(cfg: Config) -> int:
             }
         )
         cursor = h
-    if cfg.as_json:
+    if args.json:
         print(json.dumps({"c": rational_to_str(c), "crossings": rows}, sort_keys=True))
         return 0
     print(f"trace of column c = {rational_to_str(c)} over [{rational_to_str(lo)}, {rational_to_str(hi)}]")
@@ -132,10 +110,10 @@ def cmd_trace(cfg: Config) -> int:
     return 0
 
 
-def cmd_render(cfg: Config) -> int:
-    state = tiling.load_state(cfg.state)
-    doc = render.render_figure(state, cfg.figure)
-    out = cfg.out or render.figure_filename(cfg.figure, state.depth, state.n_jumps)
+def cmd_render(args: argparse.Namespace) -> int:
+    state = tiling.load_state(args.state)
+    doc = render.render_figure(state, args.figure)
+    out = args.out or render.figure_filename(args.figure, state.depth, state.n_jumps)
     with open(out, "w", encoding="utf-8") as fh:
         fh.write(doc)
     print(f"wrote {out}")
@@ -144,38 +122,15 @@ def cmd_render(cfg: Config) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
-    cfg = Config(
-        command=args.command,
-        depth=getattr(args, "depth", None),
-        jumps=getattr(args, "jumps", None),
-        out=getattr(args, "out", None),
-        state=getattr(args, "state", None),
-        checks=args.checks.split(",") if getattr(args, "checks", None) else None,
-        figure=getattr(args, "figure", None),
-        c=getattr(args, "c", None),
-        lo=getattr(args, "lo", None),
-        hi=getattr(args, "hi", None),
-        grid_depth=getattr(args, "grid_depth", None),
-        fibers=getattr(args, "fibers", 3),
-        epsilon=list(getattr(args, "epsilon", []) or []),
-        as_json=bool(getattr(args, "json", False)),
-    )
+    commands = {"build": cmd_build, "verify": cmd_verify, "trace": cmd_trace, "render": cmd_render}
     try:
-        if cfg.command == "build":
-            return cmd_build(cfg)
-        if cfg.command == "verify":
-            return cmd_verify(cfg)
-        if cfg.command == "trace":
-            return cmd_trace(cfg)
-        if cfg.command == "render":
-            return cmd_render(cfg)
+        return commands[args.command](args)
     except FanforgeError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

@@ -47,10 +47,6 @@ class RenderOptions:
     stroke_copy: float = 1.2
 
 
-def default_options() -> RenderOptions:
-    return RenderOptions()
-
-
 class _Canvas:
     """Maps model coordinates into the SVG viewport (y grows downward)."""
 
@@ -107,7 +103,7 @@ def render_tiling(state: ConstructionState, options: RenderOptions | None = None
     The stage-0 rectangle is the ambient frame of the picture and is drawn
     as the background border rather than as a tiling outline.
     """
-    opts = options or default_options()
+    opts = options or RenderOptions()
     stages = _stage_range(state, opts)
     y_lo = float(-max(stages.stop - 1, 0)) - 0.25 if stages else -0.25
     y_hi = float(max(stages.stop - 1, 0) + 1) + 0.25 if stages else 1.25
@@ -150,7 +146,7 @@ def render_tiling(state: ConstructionState, options: RenderOptions | None = None
 
 def render_fan(state: ConstructionState, options: RenderOptions | None = None) -> str:
     """Fan view: spokes, the vertex, copy images and midpoints through the fan map."""
-    opts = options or default_options()
+    opts = options or RenderOptions()
     canvas = _Canvas(opts, -0.05, 1.05, -0.05, 1.05)
     body = ['<g class="spokes">']
     spoke_cs: list[Fraction] = []
@@ -188,7 +184,7 @@ def render_fan(state: ConstructionState, options: RenderOptions | None = None) -
 
 def render_earring(earring: Earring, options: RenderOptions | None = None) -> str:
     """Loops as tangent circles through one base point, scaled by exact height."""
-    opts = options or default_options()
+    opts = options or RenderOptions()
     if not earring.loops:
         return _document(opts, [])
     scale = max(float(loop.height) for loop in earring.loops)

@@ -20,8 +20,15 @@ from typing import NamedTuple
 
 from .debski import integer_table
 from .errors import DepthInsufficient, NotInCantor, NotOrdered, NotSpanning, UnknownCopy
-from .exact import Address, cantor_member, endpoint_one, endpoint_zero, rational_to_str
-from .tiling import ConstructionState, PlacedCopy, pointwise_below, vertical_trace
+from .exact import (
+    Address,
+    addresses_of_length,
+    cantor_member,
+    endpoint_one,
+    endpoint_zero,
+    rational_to_str,
+)
+from .tiling import ColumnSweep, ConstructionState, PlacedCopy, pointwise_below
 
 Point = tuple[Fraction, Fraction]
 
@@ -116,23 +123,20 @@ def piece_floats(copy: PlacedCopy, depth: int) -> PieceFloats:
     segments as floats, each the correctly rounded value of its exact
     coordinate.
 
-    They are made from ints, never from Fractions. The column's left end is
-    P / 3^s, so a local u = x / d lands at (P*d + x) / (d * 3^s). A height
-    a + h*k/2^N is (A + H*k) / L over one denominator L per copy. CPython's
-    int / int true division rounds correctly, and float(Fraction) is that
-    division too, so every value equals float() of the Fraction it stands for.
+    They are made from ints, never from Fractions, through the copy's
+    integer form (PlacedCopy): a local u = x / d lands at
+    (origin*d + x) / (d * 3^s), and a height is (base + step*k) / den.
+    CPython's int / int true division rounds correctly, and float(Fraction)
+    is that division too, so every value equals float() of the Fraction it
+    stands for.
     """
     n = copy.dset.n_jumps
     t_den, locations, values = integer_table(n)
-    a, h = copy.rect.bottom, copy.rect.height
-    den = math.lcm(a.denominator, h.denominator << n)
-    base = a.numerator * (den // a.denominator)
-    step = h.numerator * (den // (h.denominator << n))
-    pow3, left = 3**copy.stage, copy.col_left
-    p = left.numerator * (pow3 // left.denominator)  # the column's left end is P / 3^s
-    jump_origin, jump_unit = p * t_den, t_den * pow3  # locations are over T
+    den, base, step = copy.den, copy.base, copy.step
+    pow3, origin = 3**copy.stage, copy.origin
+    jump_origin, jump_unit = origin * t_den, t_den * pow3  # locations are over T
     seg_den = t_den * 3**depth  # segment ends are over T * 3^depth
-    seg_origin, seg_unit = p * seg_den, seg_den * pow3
+    seg_origin, seg_unit = origin * seg_den, seg_den * pow3
     return PieceFloats(
         [(base + step * k) / den for k in values],
         [(jump_origin + x) / jump_unit for x in locations],
@@ -367,9 +371,11 @@ class PointCloud:
 def sample_points(model: SpaceModel, grid_depth: int, fiber_count: int) -> PointCloud:
     """The vertex, every Q-point, and per-fiber P-samples, in fan coordinates.
 
-    Fibers are the Cantor endpoints at `grid_depth`; each contributes the
-    midpoints of its `fiber_count` longest trace gaps (ties broken low
-    first). All choices are exact, so the cloud is deterministic.
+    Fibers are the Cantor endpoints at `grid_depth`, left to right; each
+    contributes the midpoints of its `fiber_count` longest gaps between
+    crossings inside [-K, K+1] (ties broken low first). A depth-`grid_depth`
+    column's sweep holds the crossings at its left end in `first` and at its
+    right end in `last`. All choices are exact, so the cloud is deterministic.
     """
     state = model.state
     if grid_depth < state.depth:
@@ -377,37 +383,16 @@ def sample_points(model: SpaceModel, grid_depth: int, fiber_count: int) -> Point
     points: list[CloudPoint] = [CloudPoint("vertex", VERTEX, None)]
     for qp in model.q_points:
         points.append(CloudPoint("q", fan_point(qp.point), qp.point))
-    fibers: list[Fraction] = []
-    for bits in _all_bits(grid_depth):
-        sigma = Address(bits)
-        fibers.append(endpoint_zero(sigma))
-        fibers.append(endpoint_one(sigma))
-    fibers = sorted(set(fibers))
-    lo, hi = state.range_low, state.range_high
-    for c in fibers:
-        if any(state.copies[cid].dset.table.pos_if_jump(state.copies[cid].to_local_c(c)) is not None
-               for cid in state.spanning_ids(c)):
-            continue  # jump column; cannot happen for endpoints, kept as a guard
-        crossings = [h for h, _ in vertical_trace(state, c, lo, hi)]
-        gaps: list[tuple[Fraction, Fraction, Fraction]] = []
-        cursor = lo
-        for h in crossings:
-            if h > cursor:
-                gaps.append((h - cursor, cursor, h))
-            cursor = h
-        if hi > cursor:
-            gaps.append((hi - cursor, cursor, hi))
-        gaps.sort(key=lambda g: (-g[0], g[1]))
-        for length, g_lo, g_hi in gaps[:fiber_count]:
-            mid = (g_lo + g_hi) / 2
-            points.append(CloudPoint("p-sample", fan_point((c, mid)), (c, mid)))
+    for sigma in addresses_of_length(grid_depth):
+        col = ColumnSweep(state, sigma, grid_depth)
+        lo, hi = -state.depth * col.den, (state.depth + 1) * col.den
+        for c, crossings in ((endpoint_zero(sigma), col.first), (endpoint_one(sigma), col.last)):
+            ends = sorted({lo, hi, *(h for h in crossings if lo <= h <= hi)})
+            gaps = sorted(zip(ends, ends[1:]), key=lambda g: (g[0] - g[1], g[0]))
+            for g_lo, g_hi in gaps[:fiber_count]:
+                mid = Fraction(g_lo + g_hi, 2 * col.den)
+                points.append(CloudPoint("p-sample", fan_point((c, mid)), (c, mid)))
     return PointCloud(points)
-
-
-def _all_bits(length: int):
-    import itertools
-
-    return itertools.product((0, 1), repeat=length)
 
 
 def fiber_isolation_witnesses(model: SpaceModel) -> list[tuple[QPoint, str]]:

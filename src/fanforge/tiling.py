@@ -22,9 +22,10 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterator
 
-from .debski import DebskiSet, build_D, min_jumps_for_depth
+from .debski import DebskiSet, build_D, integer_table, min_jumps_for_depth
 from .exact import (
     Address,
     ZERO,
@@ -82,9 +83,17 @@ class PlacedCopy:
     meets its rectangle's bottom edge exactly along the image of the
     leftmost (zero-value) plateau and stays strictly below the top edge by
     (b - a) * 2^-N, the truncation defect.
+
+    The copy's integer form: on a plateau of value k / 2^N (k as in
+    `integer_table`) its height a + h*k/2^N is (base + step*k) / den, over
+    the copy's own den = lcm(den a, den h * 2^N), and its column's left end
+    is origin / 3^stage.
     """
 
-    __slots__ = ("stage", "index", "rect", "dset", "_x0", "_x1", "_pow3", "_a", "_h", "_top")
+    __slots__ = (
+        "stage", "index", "rect", "dset", "den", "base", "step", "origin",
+        "_x0", "_x1", "_pow3", "_a", "_h", "_top",
+    )
 
     def __init__(self, stage: int, index: int, rect: Rect, dset: DebskiSet):
         self.stage = stage
@@ -94,9 +103,14 @@ class PlacedCopy:
         self._x0 = rect.left
         self._x1 = rect.right
         self._pow3 = 3 ** stage
-        self._a = rect.bottom
-        self._h = rect.top - rect.bottom
-        self._top = self._a + self._h * dset.max_value
+        self._a = a = rect.bottom
+        self._h = h = rect.top - rect.bottom
+        self._top = a + h * dset.max_value
+        scale = 2**dset.n_jumps
+        self.den = den = math.lcm(a.denominator, h.denominator * scale)
+        self.base = a.numerator * (den // a.denominator)
+        self.step = h.numerator * (den // (h.denominator * scale))
+        self.origin = self._x0.numerator * (self._pow3 // self._x0.denominator)
 
     @property
     def key(self) -> str:
@@ -140,10 +154,6 @@ class PlacedCopy:
         if kind == "segment":
             raise JumpHit(f"column {c} is a jump location of copy {self.key}")
         return lo
-
-    def band(self, left: Fraction, right: Fraction) -> tuple[Fraction, Fraction]:
-        """Height extent of the copy over the column [left, right]."""
-        return (self.trace_at(left), self.trace_at(right))
 
     def classify(self, point: tuple[Fraction, Fraction]) -> str:
         c, h = point
@@ -236,18 +246,29 @@ class TilingStage:
 
 
 class ConstructionState:
-    """Stages 0..K with all placed copies; a pure function of (K, N, strict)."""
+    """Stages 0..K with all placed copies; a pure function of (K, N, strict).
+
+    Copy ids number the copies stage by stage. The builder grows one state
+    a stage at a time through `add_stage`.
+    """
 
     def __init__(self, depth: int, n_jumps: int, strict: bool, stages: list[TilingStage]):
         self.depth = depth
         self.n_jumps = n_jumps
         self.strict = strict
-        self.stages = stages
         self.dset = build_D(n_jumps)
-        self.copies: list[PlacedCopy] = [c for st in stages for c in st.copies]
+        self.stages: list[TilingStage] = []
+        self.copies: list[PlacedCopy] = []
         self._by_address: dict[tuple[int, ...], list[int]] = {}
-        for cid, copy in enumerate(self.copies):
-            self._by_address.setdefault(copy.rect.address.bits, []).append(cid)
+        for stage in stages:
+            self.add_stage(stage)
+
+    def add_stage(self, stage: TilingStage) -> None:
+        """Append the next stage, numbering and indexing its copies."""
+        self.stages.append(stage)
+        for copy in stage.copies:
+            self._by_address.setdefault(copy.rect.address.bits, []).append(len(self.copies))
+            self.copies.append(copy)
 
     @property
     def range_low(self) -> Fraction:
@@ -256,9 +277,6 @@ class ConstructionState:
     @property
     def range_high(self) -> Fraction:
         return Fraction(self.depth + 1)
-
-    def copy(self, copy_id: int) -> PlacedCopy:
-        return self.copies[copy_id]
 
     def ids_at_address(self, bits: tuple[int, ...]) -> list[int]:
         return self._by_address.get(bits, [])
@@ -305,6 +323,152 @@ class ConstructionState:
         return json.dumps(self.to_json_obj(), sort_keys=True, separators=(",", ":")) + "\n"
 
 
+Crossing = tuple[int, int]  # (height over the column denominator, place in ids)
+
+
+class ColumnSweep:
+    """One depth-n column against the copies of stages <= n, in integers.
+
+    Every such copy spans the whole column, so it crosses each vertical in
+    one height, except at its own jumps strictly inside the column (the
+    column endpoints are Cantor endpoints, never jump locations). Over the
+    column denominator `den`, the lcm of the copies' own denominators
+    (PlacedCopy's integer form), a copy's height on its plateau of value
+    k/2^N is the int A + H*k. `first` and `last` hold the crossings at the
+    column's left and right ends. Breakpoints are ints over T * 3^n, T the
+    jump table's denominator, and are found only when first asked for.
+    A crossing is (height, i) with i the copy's place in `ids`; `ids` is
+    increasing (the length-s prefix holds the stage-s copies, numbered
+    stage by stage), so ties break as they would by copy id.
+    """
+
+    def __init__(self, state: ConstructionState, sigma: Address, n: int):
+        t_den, locations, values = integer_table(state.n_jumps)
+        scale = 2**state.n_jumps
+        self.n = n
+        self.n_jumps = state.n_jumps
+        self.ids = state.chain_ids(sigma, max_stage=n)
+        copies = [state.copies[cid] for cid in self.ids]
+        self.den = den = math.lcm(*(c.den for c in copies))
+        origin = 0  # the column's left end is origin / 3^n
+        for bit in sigma.bits:
+            origin = 3 * origin + 2 * bit
+        self.stages: list[int] = []
+        self.bottoms: list[int] = []
+        self.tops: list[int] = []
+        self.first: list[int] = []  # crossing heights at the column's left end
+        self.last: list[int] = []  # and at its right end
+        # per copy: its jump positions inside the column, p, origin * T, base, step
+        self._inside: list[tuple[range, int, int, int, int]] = []
+        for copy in copies:
+            unit = den // copy.den
+            base, step = copy.base * unit, copy.step * unit
+            p = 3 ** (n - copy.stage)
+            offset = origin - p * copy.origin  # column = [offset, offset+1]/p locally
+            lo = bisect.bisect_right(locations, offset * t_den // p)
+            hi = bisect.bisect_left(locations, -(-(offset + 1) * t_den // p))
+            self.stages.append(copy.stage)
+            self.bottoms.append(base)
+            self.tops.append(base + step * scale)
+            self.first.append(base + step * values[lo])
+            self.last.append(base + step * values[hi])
+            self._inside.append((range(lo, hi), p, copy.origin * t_den, base, step))
+
+    @cached_property
+    def _events(self) -> dict[int, list[tuple[int, int]]]:
+        """Breakpoint -> (place in ids, crossing just after it) per jumping copy."""
+        _, locations, values = integer_table(self.n_jumps)
+        events: dict[int, list[tuple[int, int]]] = {}
+        for i, (positions, p, origin, base, step) in enumerate(self._inside):
+            for pos in positions:
+                events.setdefault(p * (origin + locations[pos]), []).append(
+                    (i, base + step * values[pos + 1])
+                )
+        return events
+
+    @cached_property
+    def breakpoints(self) -> list[int]:
+        return sorted(self._events)
+
+    def coverage_gap(self) -> Fraction:
+        """Measure of [-n, n+1] missed by the bands [first, last] of the copies."""
+        covered, reach = 0, None
+        for x, y in sorted(zip(self.first, self.last)):
+            start = x if reach is None else max(x, reach)
+            if y > start:
+                covered += y - start
+                reach = y
+        return Fraction((2 * self.n + 1) * self.den - covered, self.den)
+
+    def gaps(self) -> Iterator[tuple[Crossing | None, Crossing | None]]:
+        """Each maximal vertical gap once, left to right, as (lower, upper).
+
+        None stands for the range boundary. Gaps are reported when they
+        first appear, in the initial cell or beside a crossing that has just
+        jumped; a gap spanning several cells is the same in all of them.
+
+        On the way it decides whether the copies' fibers are pairwise
+        disjoint at every Cantor point of the column, and leaves the answer
+        in `separated`. Heights are constant between breakpoints, so the
+        fibers are disjoint there iff the crossing order is strict, and two
+        fibers can first meet only where they are adjacent in that order
+        (Bentley & Ottmann, 1979). At a breakpoint a jumping copy's fiber
+        is [old, new]; if each jumper's `new` stays below the next
+        crossing's bottom, the fibers are disjoint and the order after the
+        breakpoint is strict again.
+        """
+        heights = list(self.first)
+        cross = sorted(zip(heights, range(len(heights))))
+        self.separated = all(x[0] < y[0] for x, y in zip(cross, cross[1:]))
+        bounded: list[Crossing | None] = [None, *cross, None]
+        yield from zip(bounded, bounded[1:])
+        for c in self.breakpoints:
+            batch = self._events[c]
+            if self.separated:
+                for i, new in batch:
+                    j = bisect.bisect_left(cross, (heights[i], i)) + 1
+                    if j < len(cross) and cross[j][0] <= new:
+                        self.separated = False
+            for i, new in batch:
+                del cross[bisect.bisect_left(cross, (heights[i], i))]
+                bisect.insort(cross, (new, i))
+                heights[i] = new
+            seen: set[tuple[Crossing | None, Crossing | None]] = set()
+            for i, new in batch:
+                j = bisect.bisect_left(cross, (new, i))
+                lower = cross[j - 1] if j > 0 else None
+                upper = cross[j + 1] if j + 1 < len(cross) else None
+                for pair in ((lower, cross[j]), (cross[j], upper)):
+                    if pair not in seen:
+                        seen.add(pair)
+                        yield pair
+
+    def problems(self, lower: Crossing | None, upper: Crossing | None, length: int) -> list[str]:
+        """What condition (v) finds wrong with one gap of positive length."""
+        n = self.n
+        if lower is None and upper is None:
+            return ["no crossings in column"]
+        out = []
+        if lower is None or upper is None:
+            i = (upper if lower is None else lower)[1]
+            if self.stages[i] != n:
+                out.append(f"edge gap bounded by stage {self.stages[i]}")
+            if lower is None and self.bottoms[i] > -n * self.den:
+                out.append("rect does not reach range bottom")
+            if upper is None and self.tops[i] < (n + 1) * self.den:
+                out.append("rect does not reach range top")
+            # length/den < 1/(n+1) + 3^-n, cross-multiplied
+            if not length * (n + 1) * 3**n < self.den * (3**n + n + 1):
+                out.append("edge gap exceeds distance bound")
+        else:
+            low, up = lower[1], upper[1]
+            if self.stages[low] != n and self.stages[up] != n:
+                out.append("no stage-n copy bounds the gap")
+            if self.tops[low] < self.bottoms[up]:
+                out.append("two rects do not cover the gap")
+        return out
+
+
 def stage_zero(n_jumps: int) -> TilingStage:
     """The single rectangle C x [0, 1] carrying the identity copy."""
     rect = Rect(Address(), ZERO, ONE)
@@ -333,7 +497,7 @@ def stage_one(n_jumps: int) -> TilingStage:
 
 
 class Builder:
-    """Stage-by-stage construction; stages must be added in order."""
+    """Stage-by-stage construction into one growing state; stages must be added in order."""
 
     def __init__(self, depth: int, n_jumps: int, strict: bool = True):
         if depth < 0:
@@ -341,89 +505,72 @@ class Builder:
         floor = 2 if depth >= 1 else 1
         if n_jumps < floor:
             raise ValueError(f"depth {depth} needs at least {floor} jumps")
-        self.depth = depth
-        self.n_jumps = n_jumps
-        self.strict = strict
-        self.dset = build_D(n_jumps)
-        self.stages: list[TilingStage] = []
-        self._by_address: dict[tuple[int, ...], list[PlacedCopy]] = {}
-
-    def _register(self, stage: TilingStage) -> None:
-        self.stages.append(stage)
-        for copy in stage.copies:
-            self._by_address.setdefault(copy.rect.address.bits, []).append(copy)
-
-    def _spanning(self, sigma: Address) -> list[PlacedCopy]:
-        out: list[PlacedCopy] = []
-        for length in range(len(sigma) + 1):
-            out.extend(self._by_address.get(sigma.bits[:length], []))
-        return out
+        self.state = ConstructionState(depth, n_jumps, strict, [])
 
     def stage_n(self, n: int) -> TilingStage:
-        """Trace, pair, and tile every depth-n column; n >= 2.
+        """Sweep, pair, and tile every depth-n column; n >= 2.
 
-        Strips are subdivided uniformly into ceil(length * (n+1)) pieces,
-        which pins every new height at most 1/(n+1).
+        Each earlier copy spans the column as the band from its left-end
+        crossing to its right-end crossing (ColumnSweep's `first` and
+        `last`, ints over the column denominator). Strips are subdivided
+        uniformly into ceil(length * (n+1)) pieces, which pins every new
+        height at most 1/(n+1).
         """
-        if n != len(self.stages):
-            raise StageOrderViolation(f"stage {n} requested but {len(self.stages)} stages built")
+        state = self.state
+        if n != len(state.stages):
+            raise StageOrderViolation(f"stage {n} requested but {len(state.stages)} stages built")
         if n < 2:
             raise StageOrderViolation("stage_n handles n >= 2 only")
         rects: list[Rect] = []
-        lo_bound, hi_bound = Fraction(-n), Fraction(n + 1)
         for sigma in addresses_of_length(n):
-            left, right = endpoint_zero(sigma), endpoint_one(sigma)
-            bands: list[tuple[Fraction, Fraction, PlacedCopy]] = []
-            for copy in self._spanning(sigma):
-                x, y = copy.band(left, right)
-                if not (-n + 1 <= x <= y <= n):
+            col = ColumnSweep(state, sigma, n)
+            den = col.den
+            for x, y in zip(col.first, col.last):
+                if not ((1 - n) * den <= x <= y <= n * den):
                     raise TraceOutOfRange(
-                        f"trace outside [-n+1, n] at stage {n}, column {sigma}: {x}, {y}"
+                        f"trace outside [-n+1, n] at stage {n}, column {sigma}: "
+                        f"{Fraction(x, den)}, {Fraction(y, den)}"
                     )
-                bands.append((x, y, copy))
-            bands.sort(key=lambda t: (t[0], t[1], t[2].stage, t[2].index))
-            prev_y: Fraction | None = None
-            for x, y, copy in bands:
-                if self.strict and not (x < y and (prev_y is None or prev_y < x)):
+            bands = sorted(zip(col.first, col.last, col.ids))
+            prev_y: int | None = None
+            for x, y, cid in bands:
+                if state.strict and not (x < y and (prev_y is None or prev_y < x)):
                     raise TruncationTooCoarse(
                         str(sigma),
                         n,
-                        min_jumps_for_depth(self.depth),
-                        f"trace band [{x}, {y}] of copy {copy.key} breaks strict interleaving",
+                        min_jumps_for_depth(state.depth),
+                        f"trace band [{Fraction(x, den)}, {Fraction(y, den)}] of copy "
+                        f"{state.copies[cid].key} breaks strict interleaving",
                     )
                 if prev_y is not None and prev_y > x:
                     raise TruncationTooCoarse(
                         str(sigma),
                         n,
-                        min_jumps_for_depth(self.depth),
-                        f"trace bands overlap at copy {copy.key}",
+                        min_jumps_for_depth(state.depth),
+                        f"trace bands overlap at copy {state.copies[cid].key}",
                     )
                 prev_y = y
-            cursor = lo_bound
-            strips: list[tuple[Fraction, Fraction]] = []
-            for x, y, _ in bands:
-                strips.append((cursor, x))
-                cursor = y
-            strips.append((cursor, hi_bound))
-            for s_lo, s_hi in strips:
+            lows = [-n * den, *(y for _, y, _ in bands)]
+            highs = [*(x for x, _, _ in bands), (n + 1) * den]
+            for s_lo, s_hi in zip(lows, highs):
                 length = s_hi - s_lo
                 if length <= 0:
                     continue  # tolerant mode: touching bands leave empty strips
-                count = math.ceil(length * (n + 1))
-                piece = length / count
-                for k in range(count):
-                    rects.append(Rect(sigma, s_lo + k * piece, s_lo + (k + 1) * piece))
-        stage = TilingStage(n, rects, [PlacedCopy(n, i, r, self.dset) for i, r in enumerate(rects)])
-        self._register(stage)
+                count = -(-length * (n + 1) // den)
+                ends = [Fraction(s_lo * count + k * length, den * count) for k in range(count + 1)]
+                rects.extend(Rect(sigma, lo, hi) for lo, hi in zip(ends, ends[1:]))
+        stage = TilingStage(n, rects, [PlacedCopy(n, i, r, state.dset) for i, r in enumerate(rects)])
+        state.add_stage(stage)
         return stage
 
     def run(self) -> ConstructionState:
-        self._register(stage_zero(self.n_jumps))
-        if self.depth >= 1:
-            self._register(stage_one(self.n_jumps))
-        for n in range(2, self.depth + 1):
+        state = self.state
+        state.add_stage(stage_zero(state.n_jumps))
+        if state.depth >= 1:
+            state.add_stage(stage_one(state.n_jumps))
+        for n in range(2, state.depth + 1):
             self.stage_n(n)
-        return ConstructionState(self.depth, self.n_jumps, self.strict, self.stages)
+        return state
 
 
 def build(depth: int, n_jumps: int, strict: bool = True) -> ConstructionState:

@@ -13,19 +13,16 @@ which are explicitly approximate.
 
 from __future__ import annotations
 
-import bisect
 import json
-import math
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .debski import integer_table
 from .exact import Address, addresses_of_length, rational_to_str
 from .spaceset import fan_x, piece_floats, xi_float
-from .tiling import ConstructionState, PlacedCopy
+from .tiling import ColumnSweep, ConstructionState, PlacedCopy
 
 REPORT_SCHEMA = "fanforge-report-v1"
 
@@ -155,144 +152,7 @@ def check_partial_tiling(state: ConstructionState) -> list[CheckRecord]:
 
 
 # ---------------------------------------------------------------------------
-# the column sweep: conditions (iii)-(v) from one pass per level
-
-Crossing = tuple[int, int]  # (height over the column denominator, place in ids)
-
-
-class ColumnSweep:
-    """One depth-n column against the copies of stages <= n, in integers.
-
-    Every such copy spans the whole column, so it crosses each vertical in
-    one height, except at its own jumps strictly inside the column (the
-    column endpoints are Cantor endpoints, never jump locations). A copy
-    with bottom a and height h crosses at a + h*k/2^N on its plateau of
-    value k/2^N; over the column denominator `den`, the lcm of
-    lcm(den a, den h * 2^N) over the copies, that height is the int A + H*k.
-    Breakpoints are ints over T * 3^n, T the jump table's denominator.
-    A crossing is (height, i) with i the copy's place in `ids`; `ids` is
-    increasing (the length-s prefix holds the stage-s copies, numbered
-    stage by stage), so ties break as they would by copy id.
-    """
-
-    def __init__(self, state: ConstructionState, sigma: Address, n: int):
-        t_den, locations, values = integer_table(state.n_jumps)
-        scale = 2**state.n_jumps
-        self.n = n
-        self.ids = state.chain_ids(sigma, max_stage=n)
-        copies = [state.copies[cid] for cid in self.ids]
-        self.den = den = math.lcm(
-            *(c.rect.bottom.denominator for c in copies),
-            *(c.rect.height.denominator * scale for c in copies),
-        )
-        prefix = [0]  # prefix[s] = 3^s * endpoint_zero(sigma[:s])
-        for bit in sigma.bits:
-            prefix.append(3 * prefix[-1] + 2 * bit)
-        self.stages: list[int] = []
-        self.bottoms: list[int] = []
-        self.tops: list[int] = []
-        self.first: list[int] = []  # crossing heights at the column's left end
-        self.last: list[int] = []  # and at its right end
-        events: dict[int, list[tuple[int, int]]] = {}
-        for i, copy in enumerate(copies):
-            a, h = copy.rect.bottom, copy.rect.height
-            base = a.numerator * (den // a.denominator)
-            step = h.numerator * (den // (h.denominator * scale))
-            p = 3 ** (n - copy.stage)
-            offset = prefix[n] - p * prefix[copy.stage]  # column = [offset, offset+1]/p locally
-            lo = bisect.bisect_right(locations, offset * t_den // p)
-            hi = bisect.bisect_left(locations, -(-(offset + 1) * t_den // p))
-            self.stages.append(copy.stage)
-            self.bottoms.append(base)
-            self.tops.append(base + step * scale)
-            self.first.append(base + step * values[lo])
-            self.last.append(base + step * values[hi])
-            origin = prefix[copy.stage] * t_den
-            for pos in range(lo, hi):
-                events.setdefault(p * (origin + locations[pos]), []).append(
-                    (i, base + step * values[pos + 1])
-                )
-        self.breakpoints = sorted(events)
-        self._events = events
-        self.separated = True
-
-    def coverage_gap(self) -> Fraction:
-        """Measure of [-n, n+1] missed by the bands [first, last] of the copies."""
-        covered, reach = 0, None
-        for x, y in sorted(zip(self.first, self.last)):
-            start = x if reach is None else max(x, reach)
-            if y > start:
-                covered += y - start
-                reach = y
-        return Fraction((2 * self.n + 1) * self.den - covered, self.den)
-
-    def gaps(self) -> Iterator[tuple[Crossing | None, Crossing | None]]:
-        """Each maximal vertical gap once, left to right, as (lower, upper).
-
-        None stands for the range boundary. Gaps are reported when they
-        first appear, in the initial cell or beside a crossing that has just
-        jumped; a gap spanning several cells is the same in all of them.
-
-        On the way it decides whether the copies' fibers are pairwise
-        disjoint at every Cantor point of the column, and leaves the answer
-        in `separated`. Heights are constant between breakpoints, so the
-        fibers are disjoint there iff the crossing order is strict, and two
-        fibers can first meet only where they are adjacent in that order
-        (Bentley & Ottmann, 1979). At a breakpoint a jumping copy's fiber
-        is [old, new]; if each jumper's `new` stays below the next
-        crossing's bottom, the fibers are disjoint and the order after the
-        breakpoint is strict again.
-        """
-        heights = list(self.first)
-        cross = sorted(zip(heights, range(len(heights))))
-        self.separated = all(x[0] < y[0] for x, y in zip(cross, cross[1:]))
-        bounded: list[Crossing | None] = [None, *cross, None]
-        yield from zip(bounded, bounded[1:])
-        for c in self.breakpoints:
-            batch = self._events[c]
-            if self.separated:
-                for i, new in batch:
-                    j = bisect.bisect_left(cross, (heights[i], i)) + 1
-                    if j < len(cross) and cross[j][0] <= new:
-                        self.separated = False
-            for i, new in batch:
-                del cross[bisect.bisect_left(cross, (heights[i], i))]
-                bisect.insort(cross, (new, i))
-                heights[i] = new
-            seen: set[tuple[Crossing | None, Crossing | None]] = set()
-            for i, new in batch:
-                j = bisect.bisect_left(cross, (new, i))
-                lower = cross[j - 1] if j > 0 else None
-                upper = cross[j + 1] if j + 1 < len(cross) else None
-                for pair in ((lower, cross[j]), (cross[j], upper)):
-                    if pair not in seen:
-                        seen.add(pair)
-                        yield pair
-
-    def problems(self, lower: Crossing | None, upper: Crossing | None, length: int) -> list[str]:
-        """What condition (v) finds wrong with one gap of positive length."""
-        n = self.n
-        if lower is None and upper is None:
-            return ["no crossings in column"]
-        out = []
-        if lower is None or upper is None:
-            i = (upper if lower is None else lower)[1]
-            if self.stages[i] != n:
-                out.append(f"edge gap bounded by stage {self.stages[i]}")
-            if lower is None and self.bottoms[i] > -n * self.den:
-                out.append("rect does not reach range bottom")
-            if upper is None and self.tops[i] < (n + 1) * self.den:
-                out.append("rect does not reach range top")
-            # length/den < 1/(n+1) + 3^-n, cross-multiplied
-            if not length * (n + 1) * 3**n < self.den * (3**n + n + 1):
-                out.append("edge gap exceeds distance bound")
-        else:
-            low, up = lower[1], upper[1]
-            if self.stages[low] != n and self.stages[up] != n:
-                out.append("no stage-n copy bounds the gap")
-            if self.tops[low] < self.bottoms[up]:
-                out.append("two rects do not cover the gap")
-        return out
+# the column sweep (tiling.ColumnSweep): conditions (iii)-(v) from one pass per level
 
 
 @dataclass

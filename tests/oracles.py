@@ -4,8 +4,9 @@ These deliberately avoid the package's internal representations: jump
 sequences come from a list-scan enumeration, fibers from materializing every
 piece of every copy, unions from sorting, column gaps from a Fraction cell
 sweep, the MST from a quadratic Prim (plain Python and vectorised),
-connectivity from a plain disjoint-set union, and the SVG copy images and
-fan diameters from a walk over every piece in Fractions. They exist to
+connectivity from a plain disjoint-set union, the SVG copy images and
+fan diameters from a walk over every piece in Fractions, and the stage
+builder and the cloud's fiber gaps from per-copy Fraction traces. They exist to
 compute and to cross-check expected values, not to be fast.
 """
 
@@ -17,9 +18,20 @@ from fractions import Fraction
 
 import numpy as np
 
-from fanforge.exact import addresses_of_length, endpoint_one, endpoint_zero
-from fanforge.render import _Canvas, _document, _stage_range, default_options
-from fanforge.spaceset import fan_point
+from fanforge.debski import build_D, min_jumps_for_depth
+from fanforge.errors import TraceOutOfRange, TruncationTooCoarse
+from fanforge.exact import Address, addresses_of_length, endpoint_one, endpoint_zero
+from fanforge.render import RenderOptions, _Canvas, _document, _stage_range
+from fanforge.spaceset import CloudPoint, PointCloud, VERTEX, fan_point
+from fanforge.tiling import (
+    ConstructionState,
+    PlacedCopy,
+    Rect,
+    TilingStage,
+    stage_one,
+    stage_zero,
+    vertical_trace,
+)
 
 
 def ternary_digits(q: Fraction, count: int) -> list[int]:
@@ -149,7 +161,7 @@ def band_union_gap_oracle(bands, lo: Fraction, hi: Fraction) -> Fraction:
 class CellDecomposition:
     """Cells of one depth-n column against the copies of stages <= n, in Fractions.
 
-    The reference for `verify.ColumnSweep`: crossings are (height, copy id),
+    The reference for `tiling.ColumnSweep`: crossings are (height, copy id),
     breakpoints the scaled jump locations strictly inside the column.
     """
 
@@ -336,7 +348,7 @@ def plateau_segments_oracle(copy, lo: Fraction, hi: Fraction, depth: int):
 
 
 def render_tiling_oracle(state, options=None) -> str:
-    opts = options or default_options()
+    opts = options or RenderOptions()
     stages = _stage_range(state, opts)
     y_lo = float(-max(stages.stop - 1, 0)) - 0.25 if stages else -0.25
     y_hi = float(max(stages.stop - 1, 0) + 1) + 0.25 if stages else 1.25
@@ -375,7 +387,7 @@ def render_tiling_oracle(state, options=None) -> str:
 
 
 def render_fan_oracle(state, options=None) -> str:
-    opts = options or default_options()
+    opts = options or RenderOptions()
     canvas = _Canvas(opts, -0.05, 1.05, -0.05, 1.05)
     body = ['<g class="spokes">']
     spoke_cs = []
@@ -409,3 +421,95 @@ def render_fan_oracle(state, options=None) -> str:
     )
     body.append(canvas.circle(0.5, 0.0, 3.0, "vertex"))
     return _document(opts, body)
+
+
+# ---------------------------------------------------------------------------
+# the stage builder and the cloud's fibers, walked in Fractions through
+# per-copy traces and an address index of their own
+
+
+def band_oracle(copy, left: Fraction, right: Fraction) -> tuple[Fraction, Fraction]:
+    """Height extent of a copy over the column [left, right]: its two end traces."""
+    return (copy.trace_at(left), copy.trace_at(right))
+
+
+def build_oracle(depth: int, n_jumps: int, strict: bool = True):
+    """The stage construction with Fraction bands, the reference for `tiling.build`."""
+    dset = build_D(n_jumps)
+    stages = [stage_zero(n_jumps)] + ([stage_one(n_jumps)] if depth >= 1 else [])
+    by_address: dict[tuple[int, ...], list] = {}
+    for stage in stages:
+        for copy in stage.copies:
+            by_address.setdefault(copy.rect.address.bits, []).append(copy)
+    for n in range(2, depth + 1):
+        rects = []
+        for sigma in addresses_of_length(n):
+            left, right = endpoint_zero(sigma), endpoint_one(sigma)
+            bands = []
+            for length in range(n + 1):
+                for copy in by_address.get(sigma.bits[:length], []):
+                    x, y = band_oracle(copy, left, right)
+                    if not (-n + 1 <= x <= y <= n):
+                        raise TraceOutOfRange(
+                            f"trace outside [-n+1, n] at stage {n}, column {sigma}: {x}, {y}"
+                        )
+                    bands.append((x, y, copy))
+            bands.sort(key=lambda t: (t[0], t[1], t[2].stage, t[2].index))
+            prev_y = None
+            for x, y, copy in bands:
+                if strict and not (x < y and (prev_y is None or prev_y < x)):
+                    raise TruncationTooCoarse(
+                        str(sigma), n, min_jumps_for_depth(depth),
+                        f"trace band [{x}, {y}] of copy {copy.key} breaks strict interleaving",
+                    )
+                if prev_y is not None and prev_y > x:
+                    raise TruncationTooCoarse(
+                        str(sigma), n, min_jumps_for_depth(depth),
+                        f"trace bands overlap at copy {copy.key}",
+                    )
+                prev_y = y
+            cursor = Fraction(-n)
+            strips = []
+            for x, y, _ in bands:
+                strips.append((cursor, x))
+                cursor = y
+            strips.append((cursor, Fraction(n + 1)))
+            for s_lo, s_hi in strips:
+                length = s_hi - s_lo
+                if length <= 0:
+                    continue
+                count = math.ceil(length * (n + 1))
+                piece = length / count
+                for k in range(count):
+                    rects.append(Rect(sigma, s_lo + k * piece, s_lo + (k + 1) * piece))
+        copies = [PlacedCopy(n, i, r, dset) for i, r in enumerate(rects)]
+        stages.append(TilingStage(n, rects, copies))
+        for copy in copies:
+            by_address.setdefault(copy.rect.address.bits, []).append(copy)
+    return ConstructionState(depth, n_jumps, strict, stages)
+
+
+def sample_points_oracle(model, grid_depth: int, fiber_count: int):
+    """The cloud with each fiber's gaps taken from `vertical_trace` in Fractions."""
+    state = model.state
+    points = [CloudPoint("vertex", VERTEX, None)]
+    for qp in model.q_points:
+        points.append(CloudPoint("q", fan_point(qp.point), qp.point))
+    fibers = set()
+    for bits in itertools.product((0, 1), repeat=grid_depth):
+        fibers.add(endpoint_zero(Address(bits)))
+        fibers.add(endpoint_one(Address(bits)))
+    lo, hi = state.range_low, state.range_high
+    for c in sorted(fibers):
+        cursor, gaps = lo, []
+        for h, _ in vertical_trace(state, c, lo, hi):
+            if h > cursor:
+                gaps.append((h - cursor, cursor, h))
+            cursor = h
+        if hi > cursor:
+            gaps.append((hi - cursor, cursor, hi))
+        gaps.sort(key=lambda g: (-g[0], g[1]))
+        for _, g_lo, g_hi in gaps[:fiber_count]:
+            mid = (g_lo + g_hi) / 2
+            points.append(CloudPoint("p-sample", fan_point((c, mid)), (c, mid)))
+    return PointCloud(points)

@@ -30,6 +30,8 @@ from fanforge.verify import (
 )
 from fanforge.decomp import claim5_regions, collapse_E, earring_check
 
+from .oracles import band_oracle
+
 
 def report(number: int, ok: bool, detail: str) -> bool:
     print(f"[criterion {number:02d}] {'PASS' if ok else 'FAIL'} - {detail}")
@@ -111,7 +113,7 @@ def test_criterion_08_region_boundaries(model_3_16):
         left, right = endpoint_zero(sigma), endpoint_one(sigma)
         ids = sorted(
             state.chain_ids(sigma),
-            key=lambda cid: state.copies[cid].band(left, right),
+            key=lambda cid: band_oracle(state.copies[cid], left, right),
         )
         for low, up in zip(ids, ids[1:]):
             if pointwise_below(state.copies[low], state.copies[up], left, right):

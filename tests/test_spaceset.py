@@ -9,6 +9,7 @@ from fanforge.decomp import collapse_E
 from fanforge.errors import DepthInsufficient, NotOrdered, NotSpanning
 from fanforge.exact import Address, basic_interval_inside, endpoint_zero
 from fanforge.spaceset import (
+    assemble,
     fan_point,
     fiber_isolation_witnesses,
     fset_columns,
@@ -19,9 +20,9 @@ from fanforge.spaceset import (
     vertex_neighborhood,
     xi_map,
 )
-from fanforge.tiling import PlacedCopy, Rect
+from fanforge.tiling import ConstructionState, PlacedCopy, Rect, TilingStage, stage_zero
 
-from .oracles import plateau_segments_oracle
+from .oracles import plateau_segments_oracle, sample_points_oracle
 
 cantor_endpoints = st.tuples(st.lists(st.integers(0, 1), max_size=8), st.booleans()).map(
     lambda t: endpoint_zero(Address(tuple(t[0]))) + (F(1, 3 ** len(t[0])) if t[1] else 0)
@@ -248,6 +249,19 @@ class TestSamplePoints:
         a = sample_points(model_1_4, 2, 2).to_json()
         b = sample_points(model_1_4, 2, 2).to_json()
         assert a == b
+
+    @pytest.mark.parametrize("name,grid_depth", [("model_2_16", 2), ("model_2_16", 4), ("model_4_16t", 4)])
+    def test_matches_vertical_trace_oracle(self, name, grid_depth, request):
+        model = request.getfixturevalue(name)
+        ours = sample_points(model, grid_depth, 3).to_json()
+        assert ours == sample_points_oracle(model, grid_depth, 3).to_json()
+
+    def test_crossings_outside_the_range_are_ignored(self):
+        # a hand-made stage-1 rect above the range [-1, 2] of a depth-1 state
+        high = Rect(Address((0,)), F(5, 2), F(3))
+        stage1 = TilingStage(1, [high], [PlacedCopy(1, 0, high, build_D(4))])
+        model = assemble(ConstructionState(1, 4, True, [stage_zero(4), stage1]))
+        assert sample_points(model, 1, 3).to_json() == sample_points_oracle(model, 1, 3).to_json()
 
     def test_grid_depth_must_cover_state(self, model_2_16):
         with pytest.raises(ValueError):

@@ -10,6 +10,7 @@ from fanforge.errors import (
     NotInCantor,
     StageOrderViolation,
     StateSchemaError,
+    TraceOutOfRange,
     TruncationTooCoarse,
 )
 from fanforge.exact import Address, addresses_of_length, endpoint_one, endpoint_zero
@@ -17,6 +18,7 @@ from fanforge.tiling import (
     Builder,
     PlacedCopy,
     Rect,
+    TilingStage,
     pointwise_below,
     stage_one,
     stage_zero,
@@ -24,7 +26,7 @@ from fanforge.tiling import (
     vertical_trace,
 )
 
-from .oracles import trace_oracle
+from .oracles import band_oracle, build_oracle, trace_oracle
 
 
 class TestStageZero:
@@ -134,6 +136,41 @@ class TestBuild:
         with pytest.raises(StageOrderViolation):
             builder.stage_n(2)
 
+    @pytest.mark.parametrize(
+        "args", [(1, 4, True), (2, 16, True), (3, 16, True), (4, 24, True), (4, 16, False), (5, 32, False)]
+    )
+    def test_matches_fraction_oracle(self, args):
+        assert build(*args).to_json() == build_oracle(*args).to_json()
+
+    @pytest.mark.parametrize("args", [(2, 4), (3, 5), (3, 8)])
+    def test_too_coarse_matches_fraction_oracle(self, args):
+        with pytest.raises(TruncationTooCoarse) as ours:
+            build(*args)
+        with pytest.raises(TruncationTooCoarse) as oracle:
+            build_oracle(*args)
+        got, want = ours.value, oracle.value
+        assert (got.column, got.stage, str(got)) == (want.column, want.stage, str(want))
+
+    def test_trace_out_of_range(self):
+        # a hand-made stage 1 whose only rect lies above height 2 = n at stage 2
+        builder = Builder(2, 16)
+        high = Rect(Address((0,)), F(5, 2), F(3))
+        builder.state.add_stage(stage_zero(16))
+        builder.state.add_stage(TilingStage(1, [high], [PlacedCopy(1, 0, high, build_D(16))]))
+        with pytest.raises(TraceOutOfRange, match="at stage 2, column 00: 5/2, "):
+            builder.stage_n(2)
+
+    def test_equal_bands_overlap_at_the_later_copy(self):
+        # two equal stage-1 rects above the stage-0 copy: a tolerant build
+        # refuses their coinciding bands and names the later copy
+        builder = Builder(2, 16, strict=False)
+        rect = Rect(Address((0,)), F(3, 2), F(2))
+        builder.state.add_stage(stage_zero(16))
+        copies = [PlacedCopy(1, i, rect, build_D(16)) for i in range(2)]
+        builder.state.add_stage(TilingStage(1, [rect, rect], copies))
+        with pytest.raises(TruncationTooCoarse, match="column '00'.*overlap at copy 1:1"):
+            builder.stage_n(2)
+
     def test_stage_addresses_and_heights(self, st_2_16):
         for stage in st_2_16.stages:
             for rect in stage.rects:
@@ -169,7 +206,7 @@ class TestBuild:
             left, right = endpoint_zero(sigma), endpoint_one(sigma)
             inherited = sorted(
                 (st_2_16.copies[cid] for cid in st_2_16.chain_ids(sigma, max_stage=1)),
-                key=lambda c: c.band(left, right),
+                key=lambda c: band_oracle(c, left, right),
             )
             new_copies = [
                 c for c in st_2_16.stages[2].copies if c.rect.address == sigma
@@ -233,6 +270,22 @@ class TestCopyGeometry:
             assert plats[0][2] == copy.rect.bottom
             assert all(v > copy.rect.bottom for _, _, v in plats[1:])
             assert copy.max_height < copy.rect.top
+
+    @given(
+        st.lists(st.integers(0, 1), max_size=6),
+        st.tuples(st.fractions(), st.fractions()).map(lambda t: (min(t), max(t))),
+        st.integers(2, 12),
+    )
+    def test_integer_form_is_exact(self, bits, ab, n_jumps):
+        a, b = ab
+        if a == b:
+            b = a + 1
+        copy = PlacedCopy(len(bits), 0, Rect(Address(tuple(bits)), a, b), build_D(n_jumps))
+        assert F(copy.origin, 3**copy.stage) == copy.col_left
+        for v in copy.dset.table.values:
+            k = v * 2**n_jumps
+            assert k.denominator == 1
+            assert F(copy.base + copy.step * k.numerator, copy.den) == copy.to_global_h(v)
 
 
 json_values = st.recursive(

@@ -14,9 +14,15 @@ from fanforge.exact import (
     endpoint_zero,
 )
 from fanforge.spaceset import fan_point, sample_points
-from fanforge.tiling import ConstructionState, Rect, TilingStage, PlacedCopy, vertical_trace
-from fanforge.verify import (
+from fanforge.tiling import (
     ColumnSweep,
+    ConstructionState,
+    PlacedCopy,
+    Rect,
+    TilingStage,
+    vertical_trace,
+)
+from fanforge.verify import (
     _disjointness,
     check_conditions_i_ii,
     check_condition_v,
@@ -38,6 +44,7 @@ from fanforge.verify import (
 
 from .oracles import (
     CellDecomposition,
+    band_oracle,
     band_union_gap_oracle,
     components_oracle,
     copy_fan_diameter_oracle,
@@ -146,7 +153,7 @@ class TestDisjointness:
         state = st_2_16
         sigma = Address.parse("00")
         left = endpoint_zero(sigma)
-        x0, y0 = state.copies[0].band(left, left + F(1, 9))
+        x0, y0 = band_oracle(state.copies[0], left, left + F(1, 9))
         index = next(
             i
             for i, r in enumerate(state.stages[2].rects)
@@ -243,7 +250,7 @@ class TestCoverage:
         ids = st_2_16.chain_ids(sigma, max_stage=2)
         left = endpoint_zero(sigma)
         right = left + F(1, 9)
-        bands = [st_2_16.copies[cid].band(left, right) for cid in ids]
+        bands = [band_oracle(st_2_16.copies[cid], left, right) for cid in ids]
         oracle_gap = band_union_gap_oracle(bands, F(-2), F(3))
         assert coverage_gap_for_column(st_2_16, 2, sigma)[0] == oracle_gap
 
@@ -255,7 +262,7 @@ class TestCoverage:
         rect = st_2_16.stages[2].rects[0]
         bad = _with_mutated_rect(st_2_16, 2, 0, Rect(rect.address, rect.bottom, rect.top + rect.height))
         left, right = endpoint_zero(rect.address), endpoint_one(rect.address)
-        bands = [bad.copies[cid].band(left, right) for cid in bad.chain_ids(rect.address)]
+        bands = [band_oracle(bad.copies[cid], left, right) for cid in bad.chain_ids(rect.address)]
         assert any(x < prev_y for (_, prev_y), (x, _) in zip(sorted(bands), sorted(bands)[1:]))
         oracle_gap = band_union_gap_oracle(bands, F(-2), F(3))
         assert coverage_gap_for_column(bad, 2, rect.address) == (oracle_gap, len(bands))
