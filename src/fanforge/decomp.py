@@ -8,6 +8,7 @@ geometry), never as a metric identification space.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -15,13 +16,13 @@ from .errors import DepthInsufficient, UnknownCopy
 from .exact import (
     Address,
     basic_interval_inside,
-    endpoint_one,
     endpoint_zero,
     locate,
     rational_to_str,
 )
+from .debski import integer_table
 from .spaceset import Region, SpaceModel, fan_point, region_between
-from .tiling import ConstructionState
+from .tiling import ColumnSweep, ConstructionState
 
 
 @dataclass(frozen=True)
@@ -126,6 +127,44 @@ class Claim5Result:
     distance_below: Fraction
 
 
+def _envelope_failures(state: ConstructionState, column: Address, trio: list[int]) -> list[str]:
+    """Where the trio (below, owner, above) is out of order over the column.
+
+    The column's sweep of the three gives their heights as ints at its left
+    end and after each breakpoint; each copy is constant between breakpoints.
+    Samples run left to right: the left end, each cell (with the heights
+    just right of its left cut) and the breakpoint closing it, the right
+    end. A cell's sample, a Cantor point inside it, is found only for a
+    failure message.
+    """
+    col = ColumnSweep(state, column, len(column), trio)
+    t_den = integer_table(state.n_jumps)[0]
+    unit = t_den * 3 ** len(column)  # breakpoints are ints over unit
+    failures: list[str] = []
+
+    def check(u: int, w: int, below_hi: int, owner_lo: int, owner_hi: int, above_lo: int) -> None:
+        # the sample is the column u over unit when w == u, else a Cantor point in (u, w)
+        if below_hi < owner_lo <= owner_hi < above_lo:
+            return
+        lo, hi = Fraction(u, unit), Fraction(w, unit)
+        at = lo if u == w else endpoint_zero(basic_interval_inside(lo, hi))
+        b, o_lo, o_hi, a = (Fraction(x, col.den) for x in (below_hi, owner_lo, owner_hi, above_lo))
+        failures.append(f"boundary envelopes out of order at c={at}: {b} < {o_lo} <= {o_hi} < {a}")
+
+    left = int(endpoint_zero(column) * unit)
+    below, owner, above = col.first
+    check(left, left, below, owner, owner, above)
+    cut = left
+    for x in [*col.breakpoints, left + t_den]:  # then the right end, where nothing jumps
+        check(cut, x, below, owner, owner, above)
+        after = [below, owner, above]
+        for i, new in col.events.get(x, ()):
+            after[i] = new
+        check(x, x, after[0], owner, after[1], above)
+        (below, owner, above), cut = after, x
+    return failures
+
+
 def claim5_regions(model: SpaceModel, copy_id: int, level: int, loop_index: int) -> Claim5Result:
     """Select the tightest deeper rectangles around a loop and verify them.
 
@@ -141,6 +180,8 @@ def claim5_regions(model: SpaceModel, copy_id: int, level: int, loop_index: int)
         owner = state.copies[copy_id]
     except IndexError as exc:
         raise UnknownCopy(f"no copy with id {copy_id}") from exc
+    if level < 0:
+        raise DepthInsufficient(f"level must be >= 0, got {level}")
     target = owner.stage + 1 + level
     if target > state.depth:
         raise DepthInsufficient(
@@ -151,51 +192,28 @@ def claim5_regions(model: SpaceModel, copy_id: int, level: int, loop_index: int)
     seg_lo = owner.to_global_h(jump.low)
     seg_hi = owner.to_global_h(jump.high)
     column = locate(c_j, target)
-    above: list[int] = []
-    below: list[int] = []
-    for cid in state.ids_at_address(column.bits):
+    # the stage-target rects over the column against the loop, as ints over den
+    rects = [cid for cid in state.ids_at_address(column.bits) if state.copies[cid].stage == target]
+    den = math.lcm(owner.den, *(state.copies[cid].den for cid in rects))
+    pos = owner.dset.table.pos_of_index[loop_index]
+    seg_bottom, seg_top = (owner.height(k) * (den // owner.den) for k in (pos, pos + 1))
+    above, below = [], []  # (rect bottom, id) and (minus rect top, id)
+    for cid in rects:
         copy = state.copies[cid]
-        if copy.stage != target:
-            continue
-        if copy.rect.bottom >= seg_hi:
-            above.append(cid)
-        elif copy.rect.top <= seg_lo:
-            below.append(cid)
+        bottom, top = (x * (den // copy.den) for x in (copy.base, copy.base + copy.step * 2**state.n_jumps))
+        if bottom >= seg_top:
+            above.append((bottom, cid))
+        elif top <= seg_bottom:
+            below.append((-top, cid))
     if not above or not below:
         raise DepthInsufficient(
             f"loop {loop_index} of copy {owner.key} lacks stage-{target} rects "
             f"{'above' if not above else 'below'} it over column {column}"
         )
-    above.sort(key=lambda cid: (state.copies[cid].rect.bottom, cid))
-    below.sort(key=lambda cid: (-state.copies[cid].rect.top, cid))
-    above_id, below_id = above[0], below[0]
+    above_id, below_id = min(above)[1], min(below)[1]
     upper = region_between(model, copy_id, above_id, column)
     lower = region_between(model, below_id, copy_id, column)
-
-    failures: list[str] = []
-    breakpoints: set[Fraction] = set()
-    left, right = endpoint_zero(column), endpoint_one(column)
-    trio = (below_id, copy_id, above_id)
-    for cid in trio:
-        copy = state.copies[cid]
-        for pos in copy.jump_positions_between(left, right):
-            breakpoints.add(copy.to_global_c(copy.dset.table.locations[pos]))
-    cuts = [left] + sorted(breakpoints) + [right]
-    sample_columns: list[Fraction] = [left, right] + sorted(breakpoints)
-    for u, w in zip(cuts, cuts[1:]):
-        if w > u:
-            inner = basic_interval_inside(u, w)
-            sample_columns.append(endpoint_zero(inner))
-    for c in sorted(set(sample_columns)):
-        below_hi = state.copies[below_id].fiber(c)[2]
-        owner_lo = state.copies[copy_id].fiber(c)[1]
-        owner_hi = state.copies[copy_id].fiber(c)[2]
-        above_lo = state.copies[above_id].fiber(c)[1]
-        if not (below_hi < owner_lo <= owner_hi < above_lo):
-            failures.append(
-                f"boundary envelopes out of order at c={c}: "
-                f"{below_hi} < {owner_lo} <= {owner_hi} < {above_lo}"
-            )
+    failures = _envelope_failures(state, column, [below_id, copy_id, above_id])
     return Claim5Result(
         copy_key=owner.key,
         level=level,

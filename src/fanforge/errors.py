@@ -61,6 +61,10 @@ class DepthInsufficient(FanforgeError):
     """The construction depth is too small for the requested object."""
 
 
+class InvertedWindow(FanforgeError):
+    """A height window's lower bound lies above its upper bound."""
+
+
 class TraceOutOfRange(FanforgeError):
     """An inherited trace band left [-n+1, n] while stage n was built."""
 

@@ -122,20 +122,21 @@ def cantor_member(q: Fraction) -> bool:
     Walks the greedy ternary expansion; a rational's expansion is eventually
     periodic, so the walk is finite. A digit 1 is tolerated only when the
     remaining tail is exactly zero, i.e. when the alternative expansion
-    ending in repeating 2s avoids the digit 1.
+    ending in repeating 2s avoids the digit 1. The remainder x is kept as
+    the int x * den over q's denominator.
     """
     if q < 0 or q > 1:
         raise OutOfRange(f"cantor_member expects 0 <= q <= 1, got {q}")
-    x = q
-    seen: set[Fraction] = set()
+    x, den = q.numerator, q.denominator
+    seen: set[int] = set()
     while True:
-        if x == 0 or x == 1:
+        if x == 0 or x == den:
             return True
         x3 = 3 * x
-        digit = int(x3)  # floor; x in (0, 1) so digit in {0, 1, 2}
+        digit = x3 // den  # x in (0, 1) so digit in {0, 1, 2}
         if digit == 1:
-            return x3 == 1
-        x = x3 - digit
+            return x3 == den
+        x = x3 - digit * den
         if x in seen:
             return True
         seen.add(x)
@@ -151,16 +152,16 @@ def locate(q: Fraction, depth: int) -> Address:
     if not cantor_member(q):
         raise NotInCantor(f"{q} is not in the Cantor set")
     bits = []
-    lo = ZERO
+    x, den = 3 * q.numerator, q.denominator  # (q - 0(bits)) * 3^(k+1) = x / den
     for k in range(depth):
-        third = Fraction(1, 3 ** (k + 1))
-        if q >= lo + 2 * third:
+        if x >= 2 * den:
             bits.append(1)
-            lo = lo + 2 * third
-        elif q <= lo + third:
+            x -= 2 * den
+        elif x <= den:
             bits.append(0)
         else:  # unreachable for members of C
             raise NotInCantor(f"{q} fell into a middle gap at depth {k + 1}")
+        x *= 3
     return Address(tuple(bits))
 
 

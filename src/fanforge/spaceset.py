@@ -170,27 +170,27 @@ class SpaceModel:
             for m in range(self.state.n_jumps)
         ]
 
-    @cached_property
-    def _q_index(self) -> dict[Point, QPoint]:
-        return {qp.point: qp for qp in self.q_points}
-
     def classify(self, point: Point) -> str:
-        """'Q', 'P', or 'not-in-Y' (the point lies on a copy off its midpoint)."""
-        c, _ = point
+        """'Q', 'P', or 'not-in-Y' (the point lies on a copy off its midpoint).
+
+        Decided from the integer fibers (ConstructionState.fibers_at): a
+        point is in Q when some copy jumps at c and h is that jump's
+        midpoint, even when it lies on another copy too."""
+        c, h = point
         if not (0 <= c <= 1) or not cantor_member(c):
             raise NotInCantor(f"{c} is not in the Cantor set")
-        if point in self._q_index:
-            return "Q"
-        for cid in self.state.spanning_ids(c):
-            if self.state.copies[cid].classify(point) == "on":
-                return "not-in-Y"
-        return "P"
+        on = False
+        for cid, k, k_hi in self.state.fibers_at(c):
+            copy = self.state.copies[cid]
+            lo, hi = copy.height(k) * h.denominator, copy.height(k_hi) * h.denominator
+            scaled = h.numerator * copy.den  # h = scaled / (den * h.denominator)
+            if k_hi > k and 2 * scaled == lo + hi:
+                return "Q"
+            on = on or lo <= scaled <= hi
+        return "not-in-Y" if on else "P"
 
     def in_y(self, point: Point) -> bool:
         return self.classify(point) != "not-in-Y"
-
-    def owner_of(self, point: Point) -> QPoint | None:
-        return self._q_index.get(point)
 
 
 def assemble(state: ConstructionState) -> SpaceModel:
@@ -250,20 +250,20 @@ def region_between(model: SpaceModel, lower_id: int, upper_id: int, column: Addr
         lower, upper = state.copies[lower_id], state.copies[upper_id]
     except IndexError as exc:
         raise UnknownCopy(str(exc)) from exc
-    left, right = endpoint_zero(column), endpoint_one(column)
     for copy in (lower, upper):
         if not copy.rect.address.is_prefix_of(column):
             raise NotSpanning(f"copy {copy.key} does not span column {column}")
-    if not pointwise_below(lower, upper, left, right):
+    if not pointwise_below(state, lower_id, upper_id, column):
         raise NotOrdered(
             f"copy {lower.key} is not strictly below copy {upper.key} over {column}"
         )
-    boundary: list[Point] = []
-    for cid in (lower_id, upper_id):
-        copy = state.copies[cid]
-        for c, mid in copy.midpoints_global():
-            if left <= c <= right:
-                boundary.append((c, mid))
+    n, index_at = len(column), state.dset.table.index_at
+    origin = int(endpoint_zero(column) * 3**n)
+    boundary = [
+        copy.midpoint_global(m)
+        for copy in (lower, upper)
+        for m in sorted(index_at[pos] for pos in copy.jumps_inside(origin, n))
+    ]
     return Region("betweenCopies", column, (lower_id, upper_id), tuple(boundary), model)
 
 
@@ -343,12 +343,6 @@ class PointCloud:
     def coordinates(self) -> list[tuple[float, float]]:
         return [p.xy for p in self.points]
 
-    def to_csv(self) -> str:
-        lines = ["x,y,tag"]
-        for p in self.points:
-            lines.append(f"{p.xy[0]:.17g},{p.xy[1]:.17g},{p.tag}")
-        return "\n".join(lines) + "\n"
-
     def to_json_obj(self) -> dict:
         return {
             "points": [
@@ -410,28 +404,10 @@ def fiber_isolation_witnesses(model: SpaceModel) -> list[tuple[QPoint, str]]:
         c = qp.point[0]
         jump = owner.dset.table.jump_by_index(qp.jump_index)
         seg_lo, seg_hi = owner.to_global_h(jump.low), owner.to_global_h(jump.high)
-        for cid in state.spanning_ids(c):
+        for cid, _, _ in state.fibers_at(c):
             if cid == qp.copy_id:
                 continue
             kind, lo, hi = state.copies[cid].fiber(c)
             if hi >= seg_lo and lo <= seg_hi:
                 bad.append((qp, f"copy {state.copies[cid].key} meets segment on {c}"))
     return bad
-
-
-def fset_columns(model: SpaceModel, band_lo: Fraction, band_hi: Fraction) -> list[Fraction]:
-    """Columns whose whole fiber across the band is covered by one jump segment.
-
-    These are the only columns where the band meets Y in Q-points alone
-    (single points cannot cover an interval, and distinct copies' segments
-    do not overlap), so the set is finite: one candidate per jump segment
-    containing the band.
-    """
-    if not band_lo < band_hi:
-        raise ValueError("need band_lo < band_hi")
-    out: list[Fraction] = []
-    for copy in model.state.copies:
-        for c, lo, hi in copy.jumps_global():
-            if lo <= band_lo and band_hi <= hi:
-                out.append(c)
-    return sorted(set(out))

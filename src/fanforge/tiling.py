@@ -39,6 +39,8 @@ from .exact import (
     rational_to_str,
 )
 from .errors import (
+    IndexOutOfRange,
+    InvertedWindow,
     JumpHit,
     NotInCantor,
     StageOrderViolation,
@@ -92,7 +94,7 @@ class PlacedCopy:
 
     __slots__ = (
         "stage", "index", "rect", "dset", "den", "base", "step", "origin",
-        "_x0", "_x1", "_pow3", "_a", "_h", "_top",
+        "_x0", "_x1", "_pow3", "_ints", "_a", "_h", "_top",
     )
 
     def __init__(self, stage: int, index: int, rect: Rect, dset: DebskiSet):
@@ -103,6 +105,7 @@ class PlacedCopy:
         self._x0 = rect.left
         self._x1 = rect.right
         self._pow3 = 3 ** stage
+        self._ints = integer_table(dset.n_jumps)
         self._a = a = rect.bottom
         self._h = h = rect.top - rect.bottom
         self._top = a + h * dset.max_value
@@ -121,46 +124,51 @@ class PlacedCopy:
         """Largest second coordinate on the copy: a + (b-a)(1 - 2^-N) < b."""
         return self._top
 
-    @property
-    def col_left(self) -> Fraction:
-        return self._x0
-
-    @property
-    def col_right(self) -> Fraction:
-        return self._x1
-
     def spans(self, c: Fraction) -> bool:
         return self._x0 <= c <= self._x1
-
-    def to_local_c(self, c: Fraction) -> Fraction:
-        return (c - self._x0) * self._pow3
 
     def to_global_c(self, local: Fraction) -> Fraction:
         return self._x0 + local / self._pow3
 
-    def to_local_h(self, h: Fraction) -> Fraction:
-        return (h - self._a) / self._h
-
     def to_global_h(self, local: Fraction) -> Fraction:
         return self._a + self._h * local
 
+    def fiber_span(self, c: Fraction) -> tuple[int, int]:
+        """The value indices of the fiber over the vertical at c, in ints.
+
+        (k, k) when c meets the plateau of value index k, (k, k+1) when c is
+        the jump at sorted position k; the heights are `height(k)`. For
+        c = p/q the local position over T, the jump table's denominator, is
+        Y/q with Y = (p*3^s - origin*q) * T. The plateau is the number of
+        jump locations below Y/q, bisect_left(locations, ceil(Y/q)), and c
+        is the jump there exactly when locations[k] = Y/q.
+        """
+        t_den, locations, _ = self._ints
+        q = c.denominator
+        y = (c.numerator * self._pow3 - self.origin * q) * t_den
+        k = bisect.bisect_left(locations, -(-y // q))
+        if k < len(locations) and locations[k] * q == y:
+            return (k, k + 1)
+        return (k, k)
+
+    def jumps_inside(self, origin: int, n: int) -> range:
+        """Sorted positions of the jumps strictly inside the depth-n column
+        [origin, origin + 1] / 3^n, which the copy spans."""
+        t_den, locations, _ = self._ints
+        p = 3 ** (n - self.stage)
+        offset = origin - p * self.origin  # the column is [offset, offset + 1] / p locally
+        lo = bisect.bisect_right(locations, offset * t_den // p)
+        return range(lo, bisect.bisect_left(locations, -(-(offset + 1) * t_den // p)))
+
+    def height(self, k: int) -> int:
+        """The height over `den` of the plateau with value index k."""
+        return self.base + self.step * self._ints[2][k]
+
     def fiber(self, c: Fraction) -> tuple[str, Fraction, Fraction]:
         """('point', v, v) or ('segment', low, high) over the vertical at c."""
-        kind, lo, hi = self.dset.fiber(self.to_local_c(c))
-        return (kind, self.to_global_h(lo), self.to_global_h(hi))
-
-    def trace_at(self, c: Fraction) -> Fraction:
-        kind, lo, hi = self.fiber(c)
-        if kind == "segment":
-            raise JumpHit(f"column {c} is a jump location of copy {self.key}")
-        return lo
-
-    def classify(self, point: tuple[Fraction, Fraction]) -> str:
-        c, h = point
-        kind, lo, hi = self.fiber(c)
-        if lo <= h <= hi:
-            return "on"
-        return "below" if h < lo else "above"
+        lo, hi = self.fiber_span(c)
+        kind = "segment" if hi > lo else "point"
+        return (kind, Fraction(self.height(lo), self.den), Fraction(self.height(hi), self.den))
 
     def jump_global(self, pos: int) -> tuple[Fraction, Fraction, Fraction]:
         """Jump at sorted position pos as global (location, low, high)."""
@@ -171,69 +179,19 @@ class PlacedCopy:
             self.to_global_h(t.values[pos + 1]),
         )
 
-    def jumps_global(self) -> Iterator[tuple[Fraction, Fraction, Fraction]]:
-        for pos in range(self.dset.n_jumps):
-            yield self.jump_global(pos)
-
-    def plateau_global(self, j: int) -> tuple[Fraction, Fraction, Fraction]:
-        """Plateau j as global (left, right, value)."""
-        p = self.dset.plateaus[j]
-        return (self.to_global_c(p.left), self.to_global_c(p.right), self.to_global_h(p.value))
-
-    def plateaus_global(self) -> Iterator[tuple[Fraction, Fraction, Fraction]]:
-        for j in range(self.dset.n_jumps + 1):
-            yield self.plateau_global(j)
-
-    def jump_positions_between(self, c_lo: Fraction, c_hi: Fraction) -> range:
-        """Sorted positions of jumps with location strictly inside (c_lo, c_hi)."""
-        t = self.dset.table
-        lo = bisect.bisect_right(t.locations, self.to_local_c(c_lo))
-        hi = bisect.bisect_left(t.locations, self.to_local_c(c_hi))
-        return range(lo, hi)
-
     def midpoint_global(self, index: int) -> tuple[Fraction, Fraction]:
-        j = self.dset.table.jump_by_index(index)
-        return (self.to_global_c(j.location), self.to_global_h(j.midpoint))
+        """The midpoint of jump `index` as global (location, height), from ints."""
+        if not 0 <= index < self.dset.n_jumps:
+            raise IndexOutOfRange(f"jump index {index} not in [0, {self.dset.n_jumps})")
+        t_den, locations, values = self._ints
+        pos = self.dset.table.pos_of_index[index]
+        return (
+            Fraction(self.origin * t_den + locations[pos], t_den * self._pow3),
+            Fraction(2 * self.base + self.step * (values[pos] + values[pos + 1]), 2 * self.den),
+        )
 
     def midpoints_global(self) -> list[tuple[Fraction, Fraction]]:
         return [self.midpoint_global(m) for m in range(self.dset.n_jumps)]
-
-    def pieces_in_window(
-        self,
-        c_lo: Fraction,
-        c_hi: Fraction,
-        h_lo: Fraction,
-        h_hi: Fraction,
-    ) -> tuple[list[tuple[Fraction, Fraction, Fraction]], list[tuple[Fraction, Fraction, Fraction]]]:
-        """(plateaus, jumps) of this copy meeting the closed window.
-
-        Filtering happens in the copy's local coordinates against the shared
-        table, so only the few relevant pieces are materialized globally.
-        """
-        t = self.dset.table
-        l_clo = self.to_local_c(max(c_lo, self._x0))
-        l_chi = self.to_local_c(min(c_hi, self._x1))
-        l_hlo = self.to_local_h(h_lo)
-        l_hhi = self.to_local_h(h_hi)
-        if l_clo > l_chi or l_hlo > l_hhi:
-            return ([], [])
-        plateaus = []
-        lo_j = bisect.bisect_left(t.values, l_hlo)
-        hi_j = bisect.bisect_right(t.values, l_hhi) - 1
-        for j in range(max(lo_j, 0), min(hi_j, self.dset.n_jumps) + 1):
-            p = self.dset.plateaus[j]
-            if p.right >= l_clo and p.left <= l_chi:
-                plateaus.append(self.plateau_global(j))
-        jumps = []
-        # jump at sorted pos j spans local values [values[j], values[j+1]]
-        first = max(bisect.bisect_left(t.values, l_hlo) - 1, 0)
-        last = min(bisect.bisect_right(t.values, l_hhi), self.dset.n_jumps) - 1
-        for pos in range(first, last + 1):
-            if t.values[pos + 1] < l_hlo or t.values[pos] > l_hhi:
-                continue
-            if l_clo <= t.locations[pos] <= l_chi:
-                jumps.append(self.jump_global(pos))
-        return (plateaus, jumps)
 
 
 @dataclass
@@ -291,11 +249,17 @@ class ConstructionState:
                     out.append(cid)
         return out
 
-    def spanning_ids(self, c: Fraction, max_stage: int | None = None) -> list[int]:
-        """Ids of copies whose column contains the Cantor point c."""
-        top = self.depth if max_stage is None else max_stage
-        sigma = locate(c, top)
-        return self.chain_ids(sigma, max_stage)
+    def fibers_at(self, c: Fraction, max_stage: int | None = None) -> Iterator[tuple[int, int, int]]:
+        """(copy id, k, k_hi) per copy spanning the Cantor point c, by
+        increasing id, with (k, k_hi) as in PlacedCopy.fiber_span. The
+        copies of one column share their local coordinates, so each
+        column's fiber is found once."""
+        bits = locate(c, self.depth if max_stage is None else max_stage).bits
+        for length in range(len(bits) + 1):
+            ids = self.ids_at_address(bits[:length])
+            if ids:
+                k, k_hi = self.copies[ids[0]].fiber_span(c)
+                yield from ((cid, k, k_hi) for cid in ids)
 
     def to_json_obj(self) -> dict:
         return {
@@ -337,17 +301,19 @@ class ColumnSweep:
     k/2^N is the int A + H*k. `first` and `last` hold the crossings at the
     column's left and right ends. Breakpoints are ints over T * 3^n, T the
     jump table's denominator, and are found only when first asked for.
-    A crossing is (height, i) with i the copy's place in `ids`; `ids` is
-    increasing (the length-s prefix holds the stage-s copies, numbered
-    stage by stage), so ties break as they would by copy id.
+    A crossing is (height, i) with i the copy's place in `ids`. By default
+    `ids` lists every copy of stages <= n spanning the column, increasing
+    (the length-s prefix holds the stage-s copies, numbered stage by
+    stage), so ties break as they would by copy id; a caller that asks
+    about a few copies passes their ids, each spanning the column.
     """
 
-    def __init__(self, state: ConstructionState, sigma: Address, n: int):
-        t_den, locations, values = integer_table(state.n_jumps)
+    def __init__(self, state: ConstructionState, sigma: Address, n: int, ids: list[int] | None = None):
+        t_den, _, values = integer_table(state.n_jumps)
         scale = 2**state.n_jumps
         self.n = n
         self.n_jumps = state.n_jumps
-        self.ids = state.chain_ids(sigma, max_stage=n)
+        self.ids = state.chain_ids(sigma, max_stage=n) if ids is None else ids
         copies = [state.copies[cid] for cid in self.ids]
         self.den = den = math.lcm(*(c.den for c in copies))
         origin = 0  # the column's left end is origin / 3^n
@@ -363,19 +329,16 @@ class ColumnSweep:
         for copy in copies:
             unit = den // copy.den
             base, step = copy.base * unit, copy.step * unit
-            p = 3 ** (n - copy.stage)
-            offset = origin - p * copy.origin  # column = [offset, offset+1]/p locally
-            lo = bisect.bisect_right(locations, offset * t_den // p)
-            hi = bisect.bisect_left(locations, -(-(offset + 1) * t_den // p))
+            inside = copy.jumps_inside(origin, n)
             self.stages.append(copy.stage)
             self.bottoms.append(base)
             self.tops.append(base + step * scale)
-            self.first.append(base + step * values[lo])
-            self.last.append(base + step * values[hi])
-            self._inside.append((range(lo, hi), p, copy.origin * t_den, base, step))
+            self.first.append(base + step * values[inside.start])
+            self.last.append(base + step * values[inside.stop])
+            self._inside.append((inside, 3 ** (n - copy.stage), copy.origin * t_den, base, step))
 
     @cached_property
-    def _events(self) -> dict[int, list[tuple[int, int]]]:
+    def events(self) -> dict[int, list[tuple[int, int]]]:
         """Breakpoint -> (place in ids, crossing just after it) per jumping copy."""
         _, locations, values = integer_table(self.n_jumps)
         events: dict[int, list[tuple[int, int]]] = {}
@@ -388,7 +351,7 @@ class ColumnSweep:
 
     @cached_property
     def breakpoints(self) -> list[int]:
-        return sorted(self._events)
+        return sorted(self.events)
 
     def coverage_gap(self) -> Fraction:
         """Measure of [-n, n+1] missed by the bands [first, last] of the copies."""
@@ -423,7 +386,7 @@ class ColumnSweep:
         bounded: list[Crossing | None] = [None, *cross, None]
         yield from zip(bounded, bounded[1:])
         for c in self.breakpoints:
-            batch = self._events[c]
+            batch = self.events[c]
             if self.separated:
                 for i, new in batch:
                     j = bisect.bisect_left(cross, (heights[i], i)) + 1
@@ -589,57 +552,50 @@ def vertical_trace(
 
     Each spanning copy meets the line in one point as long as c is not one
     of its scaled jump locations (JumpHit otherwise; Cantor endpoints are
-    always safe because jump images are never endpoints).
+    always safe because jump images are never endpoints). The heights are
+    compared and sorted as ints over the lcm of the copies' `den`; a
+    `Fraction` is made only for each crossing returned.
     """
-    if not (0 <= c <= 1) or not cantor_member(c):
-        raise NotInCantor(f"{c} is not in the Cantor set")
     lo = state.range_low if lo is None else lo
     hi = state.range_high if hi is None else hi
-    out: list[tuple[Fraction, int]] = []
-    for cid in state.spanning_ids(c, max_stage):
-        h = state.copies[cid].trace_at(c)
-        if lo <= h <= hi:
+    if lo > hi:
+        raise InvertedWindow(f"height window [{lo}, {hi}] has lo > hi")
+    if not (0 <= c <= 1) or not cantor_member(c):
+        raise NotInCantor(f"{c} is not in the Cantor set")
+    fibers = list(state.fibers_at(c, max_stage))
+    den = math.lcm(*(state.copies[cid].den for cid, _, _ in fibers))
+    floor = -(-lo.numerator * den // lo.denominator)  # lo <= h/den iff floor <= h
+    ceiling = hi.numerator * den // hi.denominator
+    out: list[tuple[int, int]] = []
+    for cid, k, k_hi in fibers:
+        copy = state.copies[cid]
+        if k_hi != k:
+            raise JumpHit(f"column {c} is a jump location of copy {copy.key}")
+        h = copy.height(k) * (den // copy.den)
+        if floor <= h <= ceiling:
             out.append((h, cid))
-    out.sort(key=lambda t: (t[0], t[1]))
-    return out
+    out.sort()
+    return [(Fraction(h, den), cid) for h, cid in out]
 
 
-def pointwise_below(
-    a: PlacedCopy, b: PlacedCopy, left: Fraction, right: Fraction
-) -> bool:
-    """True when a's upper envelope stays strictly below b's lower envelope
-    at every Cantor point of [left, right].
+def pointwise_below(state: ConstructionState, lower_id: int, upper_id: int, column: Address) -> bool:
+    """True when the lower copy's upper envelope stays strictly below the
+    upper copy's lower envelope at every Cantor point of the column.
 
-    Decided exactly by walking the jump breakpoints of both copies: between
-    breakpoints both envelopes are constant; at a breakpoint the upper
-    envelope of the jumping copy is its jump top and the lower envelope its
-    jump bottom.
+    Both copies must span the column. Decided on the column's sweep of the
+    two: between breakpoints both envelopes are constant; at a breakpoint a
+    jumping copy's upper envelope is its jump top, its lower one the bottom.
     """
-    events: dict[Fraction, list[tuple[str, int]]] = {}
-    for tag, copy in (("a", a), ("b", b)):
-        for pos in copy.jump_positions_between(left, right):
-            c = copy.to_global_c(copy.dset.table.locations[pos])
-            events.setdefault(c, []).append((tag, pos))
-    cur_a = a.trace_at(left)
-    cur_b = b.trace_at(left)
-    if not cur_a < cur_b:
+    col = ColumnSweep(state, column, len(column), [lower_id, upper_id])
+    low, up = col.first
+    if not low < up:
         return False
-    for c in sorted(events):
-        a_hi, b_lo = cur_a, cur_b
-        nxt_a, nxt_b = cur_a, cur_b
-        for tag, pos in events[c]:
-            copy = a if tag == "a" else b
-            top = copy.to_global_h(copy.dset.table.values[pos + 1])
-            if tag == "a":
-                a_hi = top  # upper envelope at a jump column is the jump top
-                nxt_a = top
-            else:
-                nxt_b = top  # lower envelope at a jump column is the jump bottom
-        if not a_hi < b_lo:
+    for c in col.breakpoints:
+        moved = dict(col.events[c])
+        low = moved.get(0, low)  # the lower copy's jump top against the upper's bottom
+        if not low < up:
             return False
-        cur_a, cur_b = nxt_a, nxt_b
-        if not cur_a < cur_b:
-            return False
+        up = moved.get(1, up)
     return True
 
 

@@ -13,14 +13,17 @@ which are explicitly approximate.
 
 from __future__ import annotations
 
+import bisect
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .exact import Address, addresses_of_length, rational_to_str
+from .debski import integer_table
+from .exact import addresses_of_length, rational_to_str
 from .spaceset import fan_x, piece_floats, xi_float
 from .tiling import ColumnSweep, ConstructionState, PlacedCopy
 
@@ -241,14 +244,43 @@ def max_vertical_gap(state: ConstructionState, n: int) -> CheckRecord:
     return _level_check(state, n, "max-gap")
 
 
-def coverage_gap_for_column(state: ConstructionState, n: int, sigma: Address) -> tuple[Fraction, int]:
-    """(uncovered measure within [-n, n+1], number of contributing copies)."""
-    col = ColumnSweep(state, sigma, n)
-    return col.coverage_gap(), len(col.ids)
-
-
 # ---------------------------------------------------------------------------
 # condition (iii): copy disjointness
+
+
+def _pieces_in_window(
+    copy: PlacedCopy, c_lo: int, c_hi: int, stage: int, h_lo: int, h_hi: int, unit: int
+) -> tuple[list[tuple[int, int, int]], list[tuple[int, int, int]]]:
+    """(plateaus, jumps) of the copy meeting the closed window, in ints.
+
+    Columns are over T * 3^stage (T the jump table's denominator), heights
+    over `copy.den * unit`. A plateau is (left, right, height), a jump
+    (location, low, high). Value indices are filtered first by bisection
+    against the height window, so only the few relevant pieces are made.
+    """
+    t_den, locations, values = integer_table(copy.dset.n_jumps)
+    base, step = copy.base * unit, copy.step * unit
+
+    def at(x: int) -> int:  # a local column coordinate over T, globally
+        return (copy.origin * t_den + x) * 3 ** (stage - copy.stage)
+
+    # plateaus j_lo <= j < j_hi have h_lo <= base + step * values[j] <= h_hi
+    j_lo = bisect.bisect_left(values, -(-(h_lo - base) // step))
+    j_hi = bisect.bisect_right(values, (h_hi - base) // step)
+    bounds = [0, *locations, t_den]
+    plateaus = []
+    for j in range(j_lo, j_hi):
+        left, right = at(bounds[j]), at(bounds[j + 1])
+        if right >= c_lo and left <= c_hi:
+            plateaus.append((left, right, base + step * values[j]))
+    jumps = []
+    # the jump at sorted pos spans values[pos] to values[pos + 1]: it meets the
+    # height window exactly when j_lo - 1 <= pos < j_hi
+    for pos in range(max(j_lo - 1, 0), min(j_hi, len(locations))):
+        c = at(locations[pos])
+        if c_lo <= c <= c_hi:
+            jumps.append((c, base + step * values[pos], base + step * values[pos + 1]))
+    return (plateaus, jumps)
 
 
 def copies_intersect(a: PlacedCopy, b: PlacedCopy) -> dict | None:
@@ -256,35 +288,47 @@ def copies_intersect(a: PlacedCopy, b: PlacedCopy) -> dict | None:
 
     Only pieces inside the shared column and the overlap of the two height
     extents can meet, so both copies are filtered down to those pieces
-    before the pairwise rational predicates run.
+    before the pairwise predicates run. Everything is compared as ints:
+    columns over T * 3^s (s the deeper stage), heights over the lcm of the
+    two copies' `den`; `Fraction`s are made only for the witness.
     """
-    deep = a if a.stage >= b.stage else b
-    c_lo, c_hi = deep.col_left, deep.col_right
-    h_lo = max(a.rect.bottom, b.rect.bottom)
-    h_hi = min(a.max_height, b.max_height)
+    t_den, _, values = integer_table(a.dset.n_jumps)
+    stage = max(a.stage, b.stage)
+    den = math.lcm(a.den, b.den)
+    top = values[-1]
+    h_lo = max(a.base * (den // a.den), b.base * (den // b.den))
+    h_hi = min((a.base + a.step * top) * (den // a.den), (b.base + b.step * top) * (den // b.den))
     if h_lo > h_hi:
         return None
-    plats_a, jumps_a = a.pieces_in_window(c_lo, c_hi, h_lo, h_hi)
-    plats_b, jumps_b = b.pieces_in_window(c_lo, c_hi, h_lo, h_hi)
+    scales = [t_den * 3 ** (stage - copy.stage) for copy in (a, b)]  # columns over T * 3^stage
+    c_lo = max(copy.origin * w for copy, w in zip((a, b), scales))
+    c_hi = min((copy.origin + 1) * w for copy, w in zip((a, b), scales))
+    if c_lo > c_hi:
+        return None
+    plats_a, jumps_a = _pieces_in_window(a, c_lo, c_hi, stage, h_lo, h_hi, den // a.den)
+    plats_b, jumps_b = _pieces_in_window(b, c_lo, c_hi, stage, h_lo, h_hi, den // b.den)
+
+    def c_str(x: int) -> str:
+        return rational_to_str(Fraction(x, t_den * 3**stage))
+
+    def h_str(x: int) -> str:
+        return rational_to_str(Fraction(x, den))
+
     for alo, ahi, av in plats_a:
         for blo, bhi, bv in plats_b:
             if av == bv and max(alo, blo) <= min(ahi, bhi):
-                return {
-                    "kind": "plateau-plateau",
-                    "value": rational_to_str(av),
-                    "c": rational_to_str(max(alo, blo)),
-                }
+                return {"kind": "plateau-plateau", "value": h_str(av), "c": c_str(max(alo, blo))}
     for alo, ahi, av in plats_a:
         for jc, jlo, jhi in jumps_b:
             if alo <= jc <= ahi and jlo <= av <= jhi:
-                return {"kind": "plateau-jump", "c": rational_to_str(jc), "value": rational_to_str(av)}
+                return {"kind": "plateau-jump", "c": c_str(jc), "value": h_str(av)}
     for jc, jlo, jhi in jumps_a:
         for blo, bhi, bv in plats_b:
             if blo <= jc <= bhi and jlo <= bv <= jhi:
-                return {"kind": "jump-plateau", "c": rational_to_str(jc), "value": rational_to_str(bv)}
+                return {"kind": "jump-plateau", "c": c_str(jc), "value": h_str(bv)}
         for kc, klo, khi in jumps_b:
             if jc == kc and max(jlo, klo) <= min(jhi, khi):
-                return {"kind": "jump-jump", "c": rational_to_str(jc)}
+                return {"kind": "jump-jump", "c": c_str(jc)}
     return None
 
 

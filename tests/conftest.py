@@ -24,6 +24,11 @@ def st_3_16():
 
 
 @pytest.fixture(scope="session")
+def st_3_16t():
+    return build(3, 16, strict=False)
+
+
+@pytest.fixture(scope="session")
 def st_4_16t():
     # below the strict interleaving threshold for depth 4; tolerant build
     return build(4, 16, strict=False)

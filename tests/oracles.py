@@ -19,11 +19,30 @@ from fractions import Fraction
 import numpy as np
 
 from fanforge.debski import build_D, min_jumps_for_depth
-from fanforge.errors import TraceOutOfRange, TruncationTooCoarse
-from fanforge.exact import Address, addresses_of_length, endpoint_one, endpoint_zero
+from fanforge.decomp import Claim5Result
+from fanforge.errors import (
+    DepthInsufficient,
+    JumpHit,
+    NotInCantor,
+    NotOrdered,
+    NotSpanning,
+    TraceOutOfRange,
+    TruncationTooCoarse,
+)
+from fanforge.exact import (
+    Address,
+    addresses_of_length,
+    basic_interval_inside,
+    cantor_member,
+    endpoint_one,
+    endpoint_zero,
+    locate,
+    rational_to_str,
+)
 from fanforge.render import RenderOptions, _Canvas, _document, _stage_range
-from fanforge.spaceset import CloudPoint, PointCloud, VERTEX, fan_point
+from fanforge.spaceset import CloudPoint, PointCloud, Region, VERTEX, fan_point
 from fanforge.tiling import (
+    ColumnSweep,
     ConstructionState,
     PlacedCopy,
     Rect,
@@ -62,6 +81,22 @@ def cantor_member_oracle(q: Fraction, depth: int = 300) -> bool:
         else:
             return False
     return True
+
+
+def locate_oracle(q: Fraction, depth: int) -> Address:
+    """The length-`depth` address of q by nested thirds in Fractions."""
+    bits = []
+    lo = Fraction(0)
+    for k in range(depth):
+        third = Fraction(1, 3 ** (k + 1))
+        if q >= lo + 2 * third:
+            bits.append(1)
+            lo = lo + 2 * third
+        elif q <= lo + third:
+            bits.append(0)
+        else:
+            raise NotInCantor(f"{q} fell into a middle gap at depth {k + 1}")
+    return Address(tuple(bits))
 
 
 def endpoint_zero_oracle(bits) -> Fraction:
@@ -116,11 +151,299 @@ def copy_pieces_oracle(copy, count: int):
     return plateaus, jumps
 
 
-def trace_oracle(state, c: Fraction, lo: Fraction, hi: Fraction):
-    """Fiber crossings by materializing and scanning every piece of every copy."""
-    out = []
+# ---------------------------------------------------------------------------
+# a placed copy's pieces and fibers in Fractions, through its local
+# coordinates: the reference for PlacedCopy's integer fiber
+
+
+def local_c(copy, c: Fraction) -> Fraction:
+    return (c - copy.rect.left) * 3**copy.stage
+
+
+def local_h(copy, h: Fraction) -> Fraction:
+    return (h - copy.rect.bottom) / copy.rect.height
+
+
+def fiber_oracle(copy, c: Fraction) -> tuple[str, Fraction, Fraction]:
+    """('point', v, v) or ('segment', low, high) from the local Fraction fiber."""
+    kind, lo, hi = copy.dset.fiber(local_c(copy, c))
+    return (kind, copy.to_global_h(lo), copy.to_global_h(hi))
+
+
+def trace_at_oracle(copy, c: Fraction) -> Fraction:
+    kind, lo, _ = fiber_oracle(copy, c)
+    if kind == "segment":
+        raise JumpHit(f"column {c} is a jump location of copy {copy.key}")
+    return lo
+
+
+def classify_on_copy_oracle(copy, point) -> str:
+    """'below' / 'on' / 'above' relative to one copy's fiber."""
+    c, h = point
+    _, lo, hi = fiber_oracle(copy, c)
+    if lo <= h <= hi:
+        return "on"
+    return "below" if h < lo else "above"
+
+
+def plateau_global_oracle(copy, j: int) -> tuple[Fraction, Fraction, Fraction]:
+    """Plateau j as global (left, right, value)."""
+    p = copy.dset.plateaus[j]
+    return (copy.to_global_c(p.left), copy.to_global_c(p.right), copy.to_global_h(p.value))
+
+
+def plateaus_global_oracle(copy) -> list[tuple[Fraction, Fraction, Fraction]]:
+    return [plateau_global_oracle(copy, j) for j in range(copy.dset.n_jumps + 1)]
+
+
+def jumps_global_oracle(copy) -> list[tuple[Fraction, Fraction, Fraction]]:
+    return [copy.jump_global(pos) for pos in range(copy.dset.n_jumps)]
+
+
+def jump_positions_between_oracle(copy, c_lo: Fraction, c_hi: Fraction) -> range:
+    """Sorted positions of jumps with location strictly inside (c_lo, c_hi)."""
+    t = copy.dset.table
+    lo = bisect.bisect_right(t.locations, local_c(copy, c_lo))
+    hi = bisect.bisect_left(t.locations, local_c(copy, c_hi))
+    return range(lo, hi)
+
+
+def pieces_in_window_oracle(copy, c_lo, c_hi, h_lo, h_hi):
+    """(plateaus, jumps) of the copy meeting the closed window, in Fractions."""
+    t = copy.dset.table
+    n = copy.dset.n_jumps
+    l_clo = local_c(copy, max(c_lo, copy.rect.left))
+    l_chi = local_c(copy, min(c_hi, copy.rect.right))
+    l_hlo, l_hhi = local_h(copy, h_lo), local_h(copy, h_hi)
+    if l_clo > l_chi or l_hlo > l_hhi:
+        return ([], [])
+    plateaus = []
+    lo_j = bisect.bisect_left(t.values, l_hlo)
+    hi_j = bisect.bisect_right(t.values, l_hhi) - 1
+    for j in range(max(lo_j, 0), min(hi_j, n) + 1):
+        p = copy.dset.plateaus[j]
+        if p.right >= l_clo and p.left <= l_chi:
+            plateaus.append(plateau_global_oracle(copy, j))
+    jumps = []
+    first = max(bisect.bisect_left(t.values, l_hlo) - 1, 0)
+    last = min(bisect.bisect_right(t.values, l_hhi), n) - 1
+    for pos in range(first, last + 1):
+        if t.values[pos + 1] < l_hlo or t.values[pos] > l_hhi:
+            continue
+        if l_clo <= t.locations[pos] <= l_chi:
+            jumps.append(copy.jump_global(pos))
+    return (plateaus, jumps)
+
+
+def copies_intersect_oracle(a, b) -> dict | None:
+    """The pairwise disjointness test in Fractions; witness or None."""
+    deep = a if a.stage >= b.stage else b
+    c_lo, c_hi = deep.rect.left, deep.rect.right
+    h_lo = max(a.rect.bottom, b.rect.bottom)
+    h_hi = min(a.max_height, b.max_height)
+    if h_lo > h_hi:
+        return None
+    plats_a, jumps_a = pieces_in_window_oracle(a, c_lo, c_hi, h_lo, h_hi)
+    plats_b, jumps_b = pieces_in_window_oracle(b, c_lo, c_hi, h_lo, h_hi)
+    for alo, ahi, av in plats_a:
+        for blo, bhi, bv in plats_b:
+            if av == bv and max(alo, blo) <= min(ahi, bhi):
+                return {
+                    "kind": "plateau-plateau",
+                    "value": rational_to_str(av),
+                    "c": rational_to_str(max(alo, blo)),
+                }
+    for alo, ahi, av in plats_a:
+        for jc, jlo, jhi in jumps_b:
+            if alo <= jc <= ahi and jlo <= av <= jhi:
+                return {"kind": "plateau-jump", "c": rational_to_str(jc), "value": rational_to_str(av)}
+    for jc, jlo, jhi in jumps_a:
+        for blo, bhi, bv in plats_b:
+            if blo <= jc <= bhi and jlo <= bv <= jhi:
+                return {"kind": "jump-plateau", "c": rational_to_str(jc), "value": rational_to_str(bv)}
+        for kc, klo, khi in jumps_b:
+            if jc == kc and max(jlo, klo) <= min(jhi, khi):
+                return {"kind": "jump-jump", "c": rational_to_str(jc)}
+    return None
+
+
+def pointwise_below_oracle(a, b, left: Fraction, right: Fraction) -> bool:
+    """a's upper envelope strictly below b's lower envelope on [left, right],
+    by a walk over both copies' jump breakpoints in Fractions."""
+    events: dict[Fraction, list[tuple[str, int]]] = {}
+    for tag, copy in (("a", a), ("b", b)):
+        for pos in jump_positions_between_oracle(copy, left, right):
+            c = copy.to_global_c(copy.dset.table.locations[pos])
+            events.setdefault(c, []).append((tag, pos))
+    cur_a = trace_at_oracle(a, left)
+    cur_b = trace_at_oracle(b, left)
+    if not cur_a < cur_b:
+        return False
+    for c in sorted(events):
+        a_hi, b_lo = cur_a, cur_b
+        nxt_a, nxt_b = cur_a, cur_b
+        for tag, pos in events[c]:
+            copy = a if tag == "a" else b
+            top = copy.to_global_h(copy.dset.table.values[pos + 1])
+            if tag == "a":
+                a_hi = top
+                nxt_a = top
+            else:
+                nxt_b = top
+        if not a_hi < b_lo:
+            return False
+        cur_a, cur_b = nxt_a, nxt_b
+        if not cur_a < cur_b:
+            return False
+    return True
+
+
+def q_set_oracle(state) -> dict:
+    """Every copy's jump midpoints in Fractions, each mapped to its (copy id, jump index)."""
+    out = {}
     for cid, copy in enumerate(state.copies):
-        plateaus, jumps = copy_pieces_oracle(copy, state.n_jumps)
+        for m in range(state.n_jumps):
+            j = copy.dset.table.jump_by_index(m)
+            out.setdefault((copy.to_global_c(j.location), copy.to_global_h(j.midpoint)), (cid, m))
+    return out
+
+
+def classify_oracle(state, point, q_set=None) -> str:
+    """'Q' when the point is a midpoint, else 'not-in-Y' when on a copy, else 'P'."""
+    c, _ = point
+    if not (0 <= c <= 1) or not cantor_member(c):
+        raise NotInCantor(f"{c} is not in the Cantor set")
+    if point in (q_set_oracle(state) if q_set is None else q_set):
+        return "Q"
+    for copy in state.copies:
+        if copy.rect.left <= c <= copy.rect.right and classify_on_copy_oracle(copy, point) == "on":
+            return "not-in-Y"
+    return "P"
+
+
+def fset_columns(model, band_lo: Fraction, band_hi: Fraction) -> list[Fraction]:
+    """Columns whose whole fiber across the band is covered by one jump segment."""
+    if not band_lo < band_hi:
+        raise ValueError("need band_lo < band_hi")
+    out: list[Fraction] = []
+    for copy in model.state.copies:
+        for c, lo, hi in jumps_global_oracle(copy):
+            if lo <= band_lo and band_hi <= hi:
+                out.append(c)
+    return sorted(set(out))
+
+
+def coverage_gap_for_column(state, n: int, sigma) -> tuple[Fraction, int]:
+    """(uncovered measure within [-n, n+1], number of contributing copies)."""
+    col = ColumnSweep(state, sigma, n)
+    return col.coverage_gap(), len(col.ids)
+
+
+def region_between_oracle(model, lower_id: int, upper_id: int, column) -> Region:
+    """region_between with the order decided by the Fraction walk."""
+    state = model.state
+    lower, upper = state.copies[lower_id], state.copies[upper_id]
+    left, right = endpoint_zero(column), endpoint_one(column)
+    for copy in (lower, upper):
+        if not copy.rect.address.is_prefix_of(column):
+            raise NotSpanning(f"copy {copy.key} does not span column {column}")
+    if not pointwise_below_oracle(lower, upper, left, right):
+        raise NotOrdered(f"copy {lower.key} is not strictly below copy {upper.key} over {column}")
+    boundary = []
+    for copy in (lower, upper):
+        for m in range(copy.dset.n_jumps):
+            j = copy.dset.table.jump_by_index(m)
+            c = copy.to_global_c(j.location)
+            if left <= c <= right:
+                boundary.append((c, copy.to_global_h(j.midpoint)))
+    return Region("betweenCopies", column, (lower_id, upper_id), tuple(boundary), model)
+
+
+def envelope_failures_oracle(state, column, trio) -> list[str]:
+    """claim 5's boundary check, sampled at every breakpoint, at the column's
+    ends and at one Cantor point inside every cell, in Fractions."""
+    below_id, copy_id, above_id = trio
+    left, right = endpoint_zero(column), endpoint_one(column)
+    breakpoints: set[Fraction] = set()
+    for cid in trio:
+        copy = state.copies[cid]
+        for pos in jump_positions_between_oracle(copy, left, right):
+            breakpoints.add(copy.to_global_c(copy.dset.table.locations[pos]))
+    cuts = [left] + sorted(breakpoints) + [right]
+    sample_columns = [left, right] + sorted(breakpoints)
+    for u, w in zip(cuts, cuts[1:]):
+        if w > u:
+            sample_columns.append(endpoint_zero(basic_interval_inside(u, w)))
+    failures = []
+    for c in sorted(set(sample_columns)):
+        below_hi = fiber_oracle(state.copies[below_id], c)[2]
+        owner_lo = fiber_oracle(state.copies[copy_id], c)[1]
+        owner_hi = fiber_oracle(state.copies[copy_id], c)[2]
+        above_lo = fiber_oracle(state.copies[above_id], c)[1]
+        if not (below_hi < owner_lo <= owner_hi < above_lo):
+            failures.append(
+                f"boundary envelopes out of order at c={c}: "
+                f"{below_hi} < {owner_lo} <= {owner_hi} < {above_lo}"
+            )
+    return failures
+
+
+def claim5_oracle(model, copy_id: int, level: int, loop_index: int) -> Claim5Result:
+    """claim5_regions walked in Fractions."""
+    state = model.state
+    owner = state.copies[copy_id]
+    target = owner.stage + 1 + level
+    if level < 0 or target > state.depth:
+        raise DepthInsufficient(f"level {level} is not in [0, {state.depth - owner.stage - 1}]")
+    jump = owner.dset.table.jump_by_index(loop_index)
+    c_j = owner.to_global_c(jump.location)
+    seg_lo, seg_hi = owner.to_global_h(jump.low), owner.to_global_h(jump.high)
+    column = locate(c_j, target)
+    above, below = [], []
+    for cid, copy in enumerate(state.copies):
+        if copy.stage != target or copy.rect.address != column:
+            continue
+        if copy.rect.bottom >= seg_hi:
+            above.append(cid)
+        elif copy.rect.top <= seg_lo:
+            below.append(cid)
+    if not above or not below:
+        raise DepthInsufficient(f"loop {loop_index} of copy {owner.key} lacks rects around it")
+    above_id = min(above, key=lambda cid: (state.copies[cid].rect.bottom, cid))
+    below_id = min(below, key=lambda cid: (-state.copies[cid].rect.top, cid))
+    failures = envelope_failures_oracle(state, column, (below_id, copy_id, above_id))
+    return Claim5Result(
+        copy_key=owner.key,
+        level=level,
+        loop_index=loop_index,
+        column=column,
+        above_copy_id=above_id,
+        below_copy_id=below_id,
+        upper_region=region_between_oracle(model, copy_id, above_id, column),
+        lower_region=region_between_oracle(model, below_id, copy_id, column),
+        loop_interior=(c_j, seg_lo, seg_hi),
+        boundary_ok=not failures,
+        boundary_failures=tuple(failures),
+        distance_above=fiber_oracle(state.copies[above_id], c_j)[1] - seg_hi,
+        distance_below=seg_lo - fiber_oracle(state.copies[below_id], c_j)[2],
+    )
+
+
+def state_pieces_oracle(state):
+    """copy_pieces_oracle of every copy, in copy id order."""
+    return [copy_pieces_oracle(copy, state.n_jumps) for copy in state.copies]
+
+
+def trace_oracle(state, c: Fraction, lo: Fraction, hi: Fraction, pieces=None):
+    """Fiber crossings by materializing and scanning every piece of every copy.
+
+    `pieces`, from state_pieces_oracle, saves rebuilding them per column.
+    """
+    out = []
+    pieces = state_pieces_oracle(state) if pieces is None else pieces
+    for cid, (plateaus, jumps) in enumerate(pieces):
+        if not plateaus[0][0] <= c <= plateaus[-1][1]:
+            continue
         hit = None
         for jc, jlo, jhi in jumps:
             if jc == c:
@@ -173,7 +496,7 @@ class CellDecomposition:
         self.events: dict[Fraction, list[tuple[int, int]]] = {}
         for cid in self.ids:
             copy = state.copies[cid]
-            for pos in copy.jump_positions_between(left, right):
+            for pos in jump_positions_between_oracle(copy, left, right):
                 c = copy.to_global_c(copy.dset.table.locations[pos])
                 self.events.setdefault(c, []).append((cid, pos))
         self.breakpoints = sorted(self.events)
@@ -185,7 +508,7 @@ class CellDecomposition:
         right after a jump changes a crossing); None marks the range boundary.
         """
         state = self.state
-        heights = {cid: state.copies[cid].trace_at(self.left) for cid in self.ids}
+        heights = {cid: trace_at_oracle(state.copies[cid], self.left) for cid in self.ids}
         cross = sorted((h, cid) for cid, h in heights.items())
         bounded = [None, *cross, None]
         for lower, upper in zip(bounded, bounded[1:]):
@@ -314,10 +637,10 @@ def diameter_oracle(points) -> float:
 def copy_fan_diameter_oracle(copy) -> float:
     """Diameter over the fan images of every plateau and jump endpoint."""
     pts = []
-    for lo, hi, v in copy.plateaus_global():
+    for lo, hi, v in plateaus_global_oracle(copy):
         pts.append(fan_point((lo, v)))
         pts.append(fan_point((hi, v)))
-    for c, lo, hi in copy.jumps_global():
+    for c, lo, hi in jumps_global_oracle(copy):
         pts.append(fan_point((c, lo)))
         pts.append(fan_point((c, hi)))
     arr = np.asarray(pts)
@@ -337,7 +660,7 @@ def stage_fan_diameters_oracle(state) -> dict[int, float]:
 def plateau_segments_oracle(copy, lo: Fraction, hi: Fraction, depth: int):
     """The plateau [lo, hi] clipped to every depth-`depth` basic interval of the
     copy's local Cantor set, in global Fractions, left to right."""
-    local_lo, local_hi = copy.to_local_c(lo), copy.to_local_c(hi)
+    local_lo, local_hi = local_c(copy, lo), local_c(copy, hi)
     out = []
     for sigma in addresses_of_length(depth):
         a = max(endpoint_zero(sigma), local_lo)
@@ -370,12 +693,12 @@ def render_tiling_oracle(state, options=None) -> str:
             for copy in stage.copies:
                 body.append(f'<g class="copy" id="copy-{copy.stage}-{copy.index}">')
                 depth = max(opts.cantor_depth - copy.stage, 0)
-                for lo, hi, v in copy.plateaus_global():
+                for lo, hi, v in plateaus_global_oracle(copy):
                     for a, b in plateau_segments_oracle(copy, lo, hi, depth):
                         body.append(
                             canvas.line(float(a), float(v), float(b), float(v), "copy", opts.stroke_copy)
                         )
-                for c, lo, hi in copy.jumps_global():
+                for c, lo, hi in jumps_global_oracle(copy):
                     body.append(
                         canvas.line(float(c), float(lo), float(c), float(hi), "copy", opts.stroke_copy)
                     )
@@ -403,11 +726,11 @@ def render_fan_oracle(state, options=None) -> str:
         for copy in stage.copies:
             body.append(f'<g class="copy" id="copy-{copy.stage}-{copy.index}">')
             depth = max(opts.cantor_depth - copy.stage, 0)
-            for lo, hi, v in copy.plateaus_global():
+            for lo, hi, v in plateaus_global_oracle(copy):
                 for a, b in plateau_segments_oracle(copy, lo, hi, depth):
                     pa, pb = fan_point((a, v)), fan_point((b, v))
                     body.append(canvas.line(pa[0], pa[1], pb[0], pb[1], "copy", opts.stroke_copy))
-            for c, lo, hi in copy.jumps_global():
+            for c, lo, hi in jumps_global_oracle(copy):
                 pa, pb = fan_point((c, lo)), fan_point((c, hi))
                 body.append(canvas.line(pa[0], pa[1], pb[0], pb[1], "copy", opts.stroke_copy))
             body.append("</g>")
@@ -430,7 +753,7 @@ def render_fan_oracle(state, options=None) -> str:
 
 def band_oracle(copy, left: Fraction, right: Fraction) -> tuple[Fraction, Fraction]:
     """Height extent of a copy over the column [left, right]: its two end traces."""
-    return (copy.trace_at(left), copy.trace_at(right))
+    return (trace_at_oracle(copy, left), trace_at_oracle(copy, right))
 
 
 def build_oracle(depth: int, n_jumps: int, strict: bool = True):

@@ -23,14 +23,13 @@ from fanforge.verify import (
     check_disjointness,
     check_null_sequence,
     copies_intersect,
-    coverage_gap_for_column,
     epsilon_connectivity,
     mst_max_edge,
     stage_fan_diameters,
 )
 from fanforge.decomp import claim5_regions, collapse_E, earring_check
 
-from .oracles import band_oracle
+from .oracles import band_oracle, coverage_gap_for_column
 
 
 def report(number: int, ok: bool, detail: str) -> bool:
@@ -116,7 +115,7 @@ def test_criterion_08_region_boundaries(model_3_16):
             key=lambda cid: band_oracle(state.copies[cid], left, right),
         )
         for low, up in zip(ids, ids[1:]):
-            if pointwise_below(state.copies[low], state.copies[up], left, right):
+            if pointwise_below(state, low, up, sigma):
                 pairs.append((low, up, sigma))
         if len(pairs) >= 20:
             break

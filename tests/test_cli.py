@@ -171,6 +171,14 @@ class TestTrace:
         assert code == 2
         assert "JumpHit" in stderr
 
+    def test_inverted_window_exits_2(self, state_file, capsys):
+        code, stdout, stderr = run(
+            ["trace", "--state", str(state_file), "--c", "0/1", "--lo", "1", "--hi", "0"], capsys
+        )
+        assert code == 2
+        assert "InvertedWindow" in stderr and "Traceback" not in stderr
+        assert stdout == ""
+
     def test_json_output(self, state_file, capsys):
         code, stdout, _ = run(
             ["trace", "--state", str(state_file), "--c", "0/1", "--json"], capsys

@@ -3,15 +3,31 @@ from fractions import Fraction as F
 import pytest
 
 from fanforge import build
+from fanforge.debski import build_D
 from fanforge.decomp import (
+    Claim5Result,
     Earring,
     Loop,
+    _envelope_failures,
     claim5_regions,
     collapse_E,
     earring_check,
     suslinian_report,
 )
-from fanforge.errors import DepthInsufficient, UnknownCopy
+from fanforge.errors import DepthInsufficient, FanforgeError, NotOrdered, UnknownCopy
+from fanforge.exact import Address
+from fanforge.spaceset import assemble
+from fanforge.tiling import ConstructionState, PlacedCopy, Rect, TilingStage, stage_zero
+
+from .oracles import claim5_oracle, envelope_failures_oracle, plateaus_global_oracle
+
+
+def _outcome(query, *args):
+    """The query's result, or the type of the package error it raised."""
+    try:
+        return query(*args)
+    except FanforgeError as exc:
+        return type(exc)
 
 
 class TestCollapse:
@@ -68,9 +84,9 @@ class TestEarringCheck:
         state = model_1_4.state
         for qp in model_1_4.q_points:
             c, h = qp.point
-            for cid in state.spanning_ids(c):
+            for cid, _, _ in state.fibers_at(c):
                 copy = state.copies[cid]
-                for lo, hi, v in copy.plateaus_global():
+                for lo, hi, v in plateaus_global_oracle(copy):
                     assert not (lo <= c <= hi and v == h)
 
 
@@ -103,6 +119,38 @@ class TestClaim5:
     def test_depth_insufficient(self, model_2_16):
         with pytest.raises(DepthInsufficient):
             claim5_regions(model_2_16, 0, 5, 0)
+
+    @pytest.mark.parametrize("level", [-1, -5])
+    def test_negative_level_refused(self, model_2_16, level):
+        with pytest.raises(DepthInsufficient, match="level must be >= 0"):
+            claim5_regions(model_2_16, 1, level, 0)
+
+    def test_every_query_matches_fraction_walk(self, model_2_16):
+        state = model_2_16.state
+        results = []
+        for cid, copy in enumerate(state.copies):
+            for level in range(state.depth - copy.stage):
+                for loop in range(state.n_jumps):
+                    ours = _outcome(claim5_regions, model_2_16, cid, level, loop)
+                    assert ours == _outcome(claim5_oracle, model_2_16, cid, level, loop)
+                    results.append(ours)
+        defined = [r for r in results if isinstance(r, Claim5Result)]
+        assert len(results) == 224 and len(defined) > 100
+        assert all(r.boundary_ok for r in defined)
+
+    def test_boundary_failures_match_fraction_walk(self):
+        # the owner (stage 0) jumps over the rect above its loop 1 further
+        # right in the column, so the trio is out of order there
+        rects = [Rect(Address.parse("0"), F(5, 16), F(1, 2)), Rect(Address.parse("0"), F(-1), F(-1, 2))]
+        stage1 = TilingStage(1, rects, [PlacedCopy(1, i, r, build_D(4)) for i, r in enumerate(rects)])
+        state = ConstructionState(1, 4, False, [stage_zero(4), stage1])
+        with pytest.raises(NotOrdered):
+            claim5_regions(assemble(state), 0, 0, 1)
+        column, trio = Address.parse("0"), [2, 0, 1]
+        failures = _envelope_failures(state, column, trio)
+        assert failures == envelope_failures_oracle(state, column, trio)
+        assert len(failures) >= 3
+        assert failures[0].startswith("boundary envelopes out of order at c=1/4: ")
 
 
 class TestSerialization:

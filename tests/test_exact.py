@@ -18,7 +18,7 @@ from fanforge.exact import (
 )
 from fanforge.errors import NotInCantor, OutOfRange
 
-from .oracles import cantor_member_oracle, endpoint_zero_oracle
+from .oracles import cantor_member_oracle, endpoint_zero_oracle, locate_oracle
 
 addresses = st.lists(st.integers(0, 1), max_size=10).map(lambda bits: Address(tuple(bits)))
 
@@ -105,6 +105,15 @@ class TestLocate:
         shallow = locate(q, depth)
         deeper = locate(q, depth + 1)
         assert shallow.is_prefix_of(deeper)
+
+    @given(
+        addresses,
+        st.sampled_from([F(0), F(1, 4), F(3, 4), F(1, 10), F(9, 10), F(1)]),
+        st.integers(0, 14),
+    )
+    def test_matches_fraction_walk(self, sigma, u, depth):
+        q = endpoint_zero(sigma) + u / 3 ** len(sigma)  # u in C, so q in C
+        assert locate(q, depth) == locate_oracle(q, depth)
 
     @given(addresses)
     def test_locate_recovers_address_of_interior_points(self, sigma):

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -7,12 +8,11 @@ from hypothesis import example, given, strategies as st
 from fanforge.debski import build_D
 from fanforge.decomp import collapse_E
 from fanforge.errors import DepthInsufficient, NotOrdered, NotSpanning
-from fanforge.exact import Address, basic_interval_inside, endpoint_zero
+from fanforge.exact import Address, addresses_of_length, basic_interval_inside, endpoint_zero
 from fanforge.spaceset import (
     assemble,
     fan_point,
     fiber_isolation_witnesses,
-    fset_columns,
     nabla_map,
     piece_floats,
     region_between,
@@ -20,9 +20,17 @@ from fanforge.spaceset import (
     vertex_neighborhood,
     xi_map,
 )
-from fanforge.tiling import ConstructionState, PlacedCopy, Rect, TilingStage, stage_zero
+from fanforge.tiling import ConstructionState, PlacedCopy, Rect, TilingStage, stage_zero, vertical_trace
 
-from .oracles import plateau_segments_oracle, sample_points_oracle
+from .oracles import (
+    classify_oracle,
+    fset_columns,
+    jumps_global_oracle,
+    plateau_segments_oracle,
+    plateaus_global_oracle,
+    q_set_oracle,
+    sample_points_oracle,
+)
 
 cantor_endpoints = st.tuples(st.lists(st.integers(0, 1), max_size=8), st.booleans()).map(
     lambda t: endpoint_zero(Address(tuple(t[0]))) + (F(1, 3 ** len(t[0])) if t[1] else 0)
@@ -103,19 +111,20 @@ class TestPieceFloats:
         assert pieces.jumps == [float(copy.to_global_c(x)) for x in table.locations]
         assert pieces.segments == [
             [(float(a), float(b)) for a, b in plateau_segments_oracle(copy, lo, hi, depth)]
-            for lo, hi, _ in copy.plateaus_global()
+            for lo, hi, _ in plateaus_global_oracle(copy)
         ]
 
 
 class TestAssemble:
-    def test_q_index_built_on_first_use(self, st_1_4):
+    def test_classify_builds_no_q_points(self, st_1_4):
         from fanforge import assemble
 
         model = assemble(st_1_4)
         collapse_E(model, 0)
-        assert "q_points" not in vars(model) and "_q_index" not in vars(model)
-        qp = model.q_points[5]
-        assert model.classify(qp.point) == "Q" and model.owner_of(qp.point) == qp
+        point = st_1_4.copies[1].midpoint_global(1)
+        assert model.classify(point) == "Q"
+        assert "q_points" not in vars(model)
+        assert model.q_points[5].point == point
 
     def test_single_copy_single_jump(self):
         from fanforge import assemble, build
@@ -137,6 +146,48 @@ class TestAssemble:
 
     def test_plain_complement_point_is_p(self, model_1_4):
         assert model_1_4.classify((F(0), F(-3, 7))) == "P"
+
+
+class TestClassifyOracle:
+    """classify from the integer fibers against the Q set and per-copy
+    Fraction fibers."""
+
+    @pytest.mark.parametrize("name", ["model_2_16", "model_4_16t"])
+    def test_q_p_and_on_copy_points(self, name, request):
+        model = request.getfixturevalue(name)
+        state = model.state
+        q_set = q_set_oracle(state)
+        rng = random.Random(11)
+        columns = [endpoint_zero(s) for s in addresses_of_length(state.depth + 3)]
+        points = []
+        for _ in range(30):
+            copy = state.copies[rng.randrange(len(state.copies))]
+            m = rng.randrange(state.n_jumps)
+            points.append(copy.midpoint_global(m))  # Q
+            c, lo, hi = copy.jump_global(rng.randrange(state.n_jumps))
+            points.append((c, lo + (hi - lo) / 4))  # on a jump segment, off its midpoint
+            c = rng.choice(columns)
+            heights = [state.range_low, *(h for h, _ in vertical_trace(state, c)), state.range_high]
+            k = rng.randrange(len(heights) - 1)
+            points.append((c, heights[k]))  # a crossing, or the range's bottom
+            points.append((c, (heights[k] + heights[k + 1]) / 2))  # between crossings
+        labels = [model.classify(p) for p in points]
+        assert labels == [classify_oracle(state, p, q_set) for p in points]
+        assert set(labels) == {"Q", "P", "not-in-Y"}
+
+    def test_q_wins_on_a_touching_copy(self):
+        # a tolerant stage-1 copy whose jump at c = 1/4 overlaps the stage-0
+        # jump there: each jump's midpoint lies on the other copy's segment
+        rect = Rect(Address.parse("0"), F(0), F(2, 3))
+        stage1 = TilingStage(1, [rect], [PlacedCopy(1, 0, rect, build_D(4))])
+        state = ConstructionState(1, 4, False, [stage_zero(4), stage1])
+        model = assemble(state)
+        stage0_mid, stage1_mid = state.copies[0].midpoint_global(0), state.copies[1].midpoint_global(2)
+        assert stage0_mid == (F(1, 4), F(9, 16)) and stage1_mid == (F(1, 4), F(7, 12))
+        points = [stage0_mid, stage1_mid, (F(1, 4), F(5, 8)), (F(1, 4), F(1, 16)), (F(1, 4), F(1))]
+        labels = [model.classify(p) for p in points]
+        assert labels == ["Q", "Q", "not-in-Y", "P", "P"]
+        assert labels == [classify_oracle(state, p) for p in points]
 
 
 class TestRegionBetween:
@@ -176,12 +227,13 @@ class TestRegionBetween:
         # each boundary midpoint is approached by region points on one side:
         # from the left for the lower copy, from the right for the upper one
         region = region_between(model_1_4, 0, 1, Address.parse("0"))
+        owners = q_set_oracle(model_1_4.state)
         eps = F(1, 3**12)
         for point in region.boundary[:6]:
-            owner = model_1_4.owner_of(point)
-            assert owner is not None and owner.copy_id in (0, 1)
+            owner_id, _ = owners[point]
+            assert owner_id in (0, 1)
             c, mid = point
-            if owner.copy_id == 0:
+            if owner_id == 0:
                 side = basic_interval_inside(c - eps, c)
             else:
                 side = basic_interval_inside(c, c + eps)
@@ -267,12 +319,10 @@ class TestSamplePoints:
         with pytest.raises(ValueError):
             sample_points(model_2_16, 1, 1)
 
-    def test_csv_and_json_exports(self, model_1_4):
+    def test_json_export(self, model_1_4):
         cloud = sample_points(model_1_4, 1, 1)
-        csv = cloud.to_csv()
-        assert csv.splitlines()[0] == "x,y,tag"
-        assert len(csv.splitlines()) == len(cloud) + 1
         doc = cloud.to_json_obj()
+        assert len(doc["points"]) == len(cloud)
         tags = {p["tag"] for p in doc["points"]}
         assert tags == {"vertex", "q", "p-sample"}
 
@@ -305,7 +355,7 @@ class TestFSets:
         got = fset_columns(model_1_4, *band)
         brute = set()
         for copy in state.copies:
-            for c, lo, hi in copy.jumps_global():
+            for c, lo, hi in jumps_global_oracle(copy):
                 if lo <= band[0] and band[1] <= hi:
                     brute.add(c)
         assert set(got) == brute

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from fanforge import build, build_D
 from fanforge.errors import (
+    InvertedWindow,
     JumpHit,
     NotInCantor,
     StageOrderViolation,
@@ -16,6 +17,7 @@ from fanforge.errors import (
 from fanforge.exact import Address, addresses_of_length, endpoint_one, endpoint_zero
 from fanforge.tiling import (
     Builder,
+    ConstructionState,
     PlacedCopy,
     Rect,
     TilingStage,
@@ -26,7 +28,16 @@ from fanforge.tiling import (
     vertical_trace,
 )
 
-from .oracles import band_oracle, build_oracle, trace_oracle
+from .oracles import (
+    band_oracle,
+    build_oracle,
+    fiber_oracle,
+    jumps_global_oracle,
+    plateaus_global_oracle,
+    pointwise_below_oracle,
+    state_pieces_oracle,
+    trace_oracle,
+)
 
 
 class TestStageZero:
@@ -108,6 +119,51 @@ class TestVerticalTrace:
     def test_jump_column_raises(self, st_1_4):
         with pytest.raises(JumpHit):
             vertical_trace(st_1_4, F(1, 4))
+
+    def test_inverted_window_refused_before_any_work(self, st_1_4):
+        with pytest.raises(InvertedWindow):
+            vertical_trace(st_1_4, F(1, 2), F(1), F(0))  # 1/2 is not even in C
+        with pytest.raises(InvertedWindow):
+            vertical_trace(st_1_4, F(0), lo=F(3))  # above the default top, 2
+        assert vertical_trace(st_1_4, F(1, 3), F(13, 16), F(13, 16)) == [(F(13, 16), 0)]
+
+    @pytest.mark.parametrize("name", ["st_2_16", "st_4_16t"])
+    def test_matches_piece_scan_oracle_at_every_endpoint(self, name, request):
+        state = request.getfixturevalue(name)
+        pieces = state_pieces_oracle(state)
+        lo, hi = state.range_low, state.range_high
+        for sigma in addresses_of_length(state.depth + 2):
+            for c in (endpoint_zero(sigma), endpoint_one(sigma)):
+                assert vertical_trace(state, c) == trace_oracle(state, c, lo, hi, pieces), c
+
+
+class TestIntegerFiber:
+    """PlacedCopy.fiber_span and midpoint_global against the Fraction walk of
+    the local jump table."""
+
+    @given(
+        st.lists(st.integers(0, 1), max_size=5),
+        st.tuples(st.fractions(), st.fractions()).map(lambda t: (min(t), max(t))),
+        st.integers(1, 12),
+        st.lists(st.integers(0, 1), max_size=4),
+    )
+    def test_equals_fraction_fiber(self, bits, ab, n_jumps, tail):
+        a, b = ab
+        if a == b:
+            b = a + 1
+        copy = PlacedCopy(len(bits), 0, Rect(Address(tuple(bits)), a, b), build_D(n_jumps))
+        inner = Address(tuple(bits + tail))  # a basic interval inside the column
+        columns = [endpoint_zero(inner), endpoint_one(inner)]  # Cantor endpoints
+        columns += [c for c, _, _ in jumps_global_oracle(copy)]  # jump locations
+        # non-endpoint members of C (1/4, 3/4, 1/10, 9/10) and a non-member (1/2)
+        columns += [copy.to_global_c(u) for u in (F(1, 4), F(3, 4), F(1, 10), F(9, 10), F(1, 2))]
+        for c in columns:
+            assert copy.fiber(c) == fiber_oracle(copy, c), c
+        table = copy.dset.table
+        for m in range(n_jumps):
+            jump = table.jump_by_index(m)
+            expected = (copy.to_global_c(jump.location), copy.to_global_h(jump.midpoint))
+            assert copy.midpoint_global(m) == expected
 
 
 class TestBuild:
@@ -192,10 +248,10 @@ class TestBuild:
         for rect in st_2_16.stages[2].rects:
             left, right = rect.left, rect.right
             for copy in inherited:
-                for lo, hi, v in copy.plateaus_global():
+                for lo, hi, v in plateaus_global_oracle(copy):
                     if max(lo, left) <= min(hi, right):
                         assert not rect.bottom < v < rect.top, (rect, copy.key)
-                for c, lo, hi in copy.jumps_global():
+                for c, lo, hi in jumps_global_oracle(copy):
                     if left <= c <= right:
                         assert not max(lo, rect.bottom) < min(hi, rect.top), (rect, copy.key)
 
@@ -205,28 +261,49 @@ class TestBuild:
         for sigma in addresses_of_length(2):
             left, right = endpoint_zero(sigma), endpoint_one(sigma)
             inherited = sorted(
-                (st_2_16.copies[cid] for cid in st_2_16.chain_ids(sigma, max_stage=1)),
-                key=lambda c: band_oracle(c, left, right),
+                st_2_16.chain_ids(sigma, max_stage=1),
+                key=lambda cid: band_oracle(st_2_16.copies[cid], left, right),
             )
-            new_copies = [
-                c for c in st_2_16.stages[2].copies if c.rect.address == sigma
-            ]
+            new_ids = [cid for cid in st_2_16.ids_at_address(sigma.bits) if st_2_16.copies[cid].stage == 2]
             for low, up in zip(inherited, inherited[1:]):
                 assert any(
-                    pointwise_below(low, mid, left, right)
-                    and pointwise_below(mid, up, left, right)
-                    for mid in new_copies
-                ), (sigma, low.key, up.key)
+                    pointwise_below(st_2_16, low, mid, sigma)
+                    and pointwise_below(st_2_16, mid, up, sigma)
+                    for mid in new_ids
+                ), (sigma, low, up)
 
 
 class TestPointwiseBelow:
     def test_stage_zero_below_first_split_copy(self, st_1_4):
         # their trace bands touch at f(1/3) but the copies never meet pointwise
-        lower, upper = st_1_4.copies[0], st_1_4.copies[2]
-        assert pointwise_below(lower, upper, F(0), F(1, 3))
+        assert pointwise_below(st_1_4, 0, 2, Address.parse("0"))
 
     def test_not_below_in_reverse(self, st_1_4):
-        assert not pointwise_below(st_1_4.copies[2], st_1_4.copies[0], F(0), F(1, 3))
+        assert not pointwise_below(st_1_4, 2, 0, Address.parse("0"))
+
+    def test_simultaneous_jumps_compare_the_old_heights(self):
+        # both copies jump at c = 1/4: the lower one's jump top 13/16 passes the
+        # upper one's jump bottom 251/320, though not its new height 53/64
+        rect = Rect(Address.parse("0"), F(1, 2), F(17, 20))
+        stage1 = TilingStage(1, [rect], [PlacedCopy(1, 0, rect, build_D(4))])
+        state = ConstructionState(1, 4, False, [stage_zero(4), stage1])
+        assert not pointwise_below(state, 0, 1, Address.parse("0"))
+        assert not pointwise_below_oracle(state.copies[0], state.copies[1], F(0), F(1, 3))
+
+    @pytest.mark.parametrize("name", ["st_2_16", "st_4_16t"])
+    def test_matches_fraction_walk(self, name, request):
+        state = request.getfixturevalue(name)
+        verdicts = set()
+        for sigma in addresses_of_length(2):
+            left, right = endpoint_zero(sigma), endpoint_one(sigma)
+            ids = state.chain_ids(sigma, max_stage=2)
+            for low in ids:
+                for up in ids:
+                    ours = pointwise_below(state, low, up, sigma)
+                    oracle = pointwise_below_oracle(state.copies[low], state.copies[up], left, right)
+                    assert ours == oracle, (str(sigma), low, up)
+                    verdicts.add(ours)
+        assert verdicts == {True, False}
 
 
 class TestAffineMap:
@@ -266,7 +343,7 @@ class TestCopyGeometry:
 
     def test_image_touches_bottom_only_on_leftmost_plateau(self, st_1_4):
         for copy in st_1_4.copies:
-            plats = list(copy.plateaus_global())
+            plats = plateaus_global_oracle(copy)
             assert plats[0][2] == copy.rect.bottom
             assert all(v > copy.rect.bottom for _, _, v in plats[1:])
             assert copy.max_height < copy.rect.top
@@ -281,7 +358,7 @@ class TestCopyGeometry:
         if a == b:
             b = a + 1
         copy = PlacedCopy(len(bits), 0, Rect(Address(tuple(bits)), a, b), build_D(n_jumps))
-        assert F(copy.origin, 3**copy.stage) == copy.col_left
+        assert F(copy.origin, 3**copy.stage) == copy.rect.left
         for v in copy.dset.table.values:
             k = v * 2**n_jumps
             assert k.denominator == 1

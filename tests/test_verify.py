@@ -23,6 +23,7 @@ from fanforge.tiling import (
     vertical_trace,
 )
 from fanforge.verify import (
+    _candidate_pairs,
     _disjointness,
     check_conditions_i_ii,
     check_condition_v,
@@ -32,7 +33,6 @@ from fanforge.verify import (
     check_partial_tiling,
     copies_intersect,
     copy_fan_diameter,
-    coverage_gap_for_column,
     epsilon_connectivity,
     max_vertical_gap,
     minimum_spanning_edges,
@@ -46,12 +46,18 @@ from .oracles import (
     CellDecomposition,
     band_oracle,
     band_union_gap_oracle,
+    classify_on_copy_oracle,
     components_oracle,
+    copies_intersect_oracle,
     copy_fan_diameter_oracle,
     copy_pieces_oracle,
+    coverage_gap_for_column,
     dense_prim_edges_oracle,
     diameter_oracle,
+    jumps_global_oracle,
     mst_edges_oracle,
+    plateau_global_oracle,
+    plateaus_global_oracle,
     stage_fan_diameters_oracle,
 )
 
@@ -137,11 +143,35 @@ class TestDisjointness:
         # c-ranges, which the exact predicate must separate
         stage0, split_lower = st_1_4.copies[0], st_1_4.copies[2]
         assert split_lower.rect.bottom == F(13, 16)
-        plateau_heights = {v: (lo, hi) for lo, hi, v in stage0.plateaus_global()}
+        plateau_heights = {v: (lo, hi) for lo, hi, v in plateaus_global_oracle(stage0)}
         assert plateau_heights[F(13, 16)] == (F(1, 4), F(3, 4))
-        lo, hi, v = split_lower.plateau_global(0)
+        lo, hi, v = plateau_global_oracle(split_lower, 0)
         assert (lo, hi, v) == (F(0), F(1, 108), F(13, 16))
         assert copies_intersect(stage0, split_lower) is None
+
+    @pytest.mark.parametrize("name,touching", [("st_3_16t", False), ("st_4_16t", True)])
+    def test_matches_fraction_scan_on_height_overlapping_pairs(self, name, touching, request):
+        state = request.getfixturevalue(name)
+        overlapping, witnesses = 0, 0
+        for i, j in _candidate_pairs(state):
+            a, b = state.copies[i], state.copies[j]
+            if max(a.rect.bottom, b.rect.bottom) > min(a.max_height, b.max_height):
+                assert copies_intersect(a, b) is None
+                continue
+            ours = copies_intersect(a, b)
+            assert ours == copies_intersect_oracle(a, b), (i, j)
+            overlapping += 1
+            witnesses += ours is not None
+        assert overlapping > 100 and (witnesses > 0) == touching
+
+    def test_jump_across_the_whole_height_window(self, st_1_4):
+        # the stage-0 jump at c = 1/4 spans [5/16, 13/16]; no stage-0 plateau
+        # lies in the thin copy's heights [1/2, 9/16), only that jump does
+        rect = Rect(Address.parse("0"), F(1, 2), F(9, 16))
+        thin = PlacedCopy(1, 0, rect, st_1_4.dset)
+        witness = copies_intersect(st_1_4.copies[0], thin)
+        assert witness == copies_intersect_oracle(st_1_4.copies[0], thin)
+        assert (witness["kind"], witness["c"]) == ("jump-plateau", "1/4")
 
     def test_self_intersection_detected(self, st_1_4):
         witness = copies_intersect(st_1_4.copies[0], st_1_4.copies[0])
@@ -231,7 +261,9 @@ class TestDisjointness:
             copy = copies[rng.randrange(len(copies))]
             plats, jumps = copy_pieces_oracle(copy, st_2_16.n_jumps)
             lo, hi, v = plats[rng.randrange(len(plats))]
-            on_count = sum(1 for c in copies if c.spans(lo) and c.classify((lo, v)) == "on")
+            on_count = sum(
+                1 for c in copies if c.spans(lo) and classify_on_copy_oracle(c, (lo, v)) == "on"
+            )
             assert on_count == 1
 
 
@@ -298,7 +330,7 @@ class TestCellDecomposition:
         col = ColumnSweep(st_1_4, Address.parse("0"), 1)
         jump_locs = set()
         for cid in st_1_4.chain_ids(Address.parse("0"), max_stage=1):
-            for c, _, _ in st_1_4.copies[cid].jumps_global():
+            for c, _, _ in jumps_global_oracle(st_1_4.copies[cid]):
                 if F(0) < c < F(1, 3):
                     jump_locs.add(c)
         c_den = math.lcm(*(q.denominator for q in st_1_4.dset.table.locations)) * 3
@@ -450,10 +482,10 @@ class TestNullSequence:
     def test_diameter_matches_brute_force(self, st_1_4):
         copy = st_1_4.copies[3]
         pts = []
-        for lo, hi, v in copy.plateaus_global():
+        for lo, hi, v in plateaus_global_oracle(copy):
             pts.append(fan_point((lo, v)))
             pts.append(fan_point((hi, v)))
-        for c, lo, hi in copy.jumps_global():
+        for c, lo, hi in jumps_global_oracle(copy):
             pts.append(fan_point((c, lo)))
             pts.append(fan_point((c, hi)))
         profile = stage_fan_diameters(st_1_4)
