@@ -1,8 +1,9 @@
 """Deterministic SVG emission of the construction's figures.
 
 Exact rational geometry becomes floats only at the float boundary
-(`spaceset.piece_floats`, `xi_float`, `fan_x`): each coordinate is the
-correctly rounded value of its exact rational, and arctan is `math.atan`.
+(`spaceset.piece_floats`, `fan_midpoints`, `xi_float`, `fan_x`): each
+coordinate is the correctly rounded value of its exact rational, and arctan
+is `math.atan`.
 Floats are written at a fixed precision of twelve digits and elements in a
 fixed order (stage, then index, then piece position), so equal inputs
 produce byte identical documents.
@@ -17,17 +18,15 @@ from fractions import Fraction
 from .decomp import Earring, collapse_E
 from .errors import UnknownFigure
 from .exact import addresses_of_length, endpoint_one, endpoint_zero
-from .spaceset import assemble, fan_point, fan_x, piece_floats, xi_float
+from .spaceset import assemble, fan_midpoints, fan_x, piece_floats, stage_fan_diameters, xi_float
 from .tiling import ConstructionState
-from .verify import stage_fan_diameters
 
 PRECISION = 12
 FIGURE_KINDS = ("tiling", "fan", "earring")
 
 
 def _fmt(x: float) -> str:
-    s = f"{x:.{PRECISION}f}"
-    return s
+    return f"{x:.{PRECISION}f}"
 
 
 @dataclass(frozen=True)
@@ -114,16 +113,8 @@ def render_tiling(state: ConstructionState, options: RenderOptions | None = None
             if stage.n not in stages or stage.n == 0:
                 continue
             for rect in stage.rects:
-                body.append(
-                    canvas.rect(
-                        float(rect.left),
-                        float(rect.bottom),
-                        float(rect.right),
-                        float(rect.top),
-                        "rect",
-                        opts.stroke_rect,
-                    )
-                )
+                corners = (float(rect.left), float(rect.bottom), float(rect.right), float(rect.top))
+                body.append(canvas.rect(*corners, "rect", opts.stroke_rect))
     if opts.draw_copies:
         for stage in state.stages:
             if stage.n not in stages:
@@ -171,9 +162,8 @@ def render_fan(state: ConstructionState, options: RenderOptions | None = None) -
                 body.append(canvas.line(fan_x(c, lo), lo, fan_x(c, hi), hi, "copy", opts.stroke_copy))
             body.append("</g>")
             if opts.draw_midpoints:
-                for c, mid in copy.midpoints_global():
-                    p = fan_point((c, mid))
-                    body.append(canvas.circle(p[0], p[1], 1.4, "qpoint"))
+                for x, y in fan_midpoints(copy):
+                    body.append(canvas.circle(x, y, 1.4, "qpoint"))
     diameters = {str(k): f"{v:.9f}" for k, v in sorted(stage_fan_diameters(state).items())}
     body.append(
         "<metadata>" + json.dumps({"stage_fan_diameters": diameters}, sort_keys=True) + "</metadata>"

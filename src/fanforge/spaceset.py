@@ -3,8 +3,9 @@
 The countable class Q is the set of all jump-segment midpoints of all placed
 copies; the co-countable class P is kept symbolic, as the complement of all
 copy images, and queried through exact membership predicates. The float
-boundary is here: piece endpoints as floats (`piece_floats`), the arctan
-compression and the fan map. Each float is the correctly rounded value of an
+boundary is here: piece endpoints and jump midpoints as floats
+(`piece_floats`, `fan_midpoints`), the arctan compression, the fan map and
+the copies' fan diameters. Each float is the correctly rounded value of an
 exact rational, arctan is always `math.atan`, and nothing computed here
 flows back into exact set definitions.
 """
@@ -15,7 +16,8 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
+from itertools import combinations
 from typing import NamedTuple
 
 from .debski import integer_table
@@ -145,14 +147,91 @@ def piece_floats(copy: PlacedCopy, depth: int) -> PieceFloats:
     )
 
 
+def fan_midpoints(copy: PlacedCopy) -> list[tuple[float, float]]:
+    """The fan images of the copy's jump midpoints, by jump index.
+
+    As in `piece_floats`, they come from ints: the jump at sorted position
+    j lies at column (origin*T + loc_j) / (T * 3^s) and its midpoint at
+    height (2*base + step*(k_j + k_{j+1})) / (2*den), so each image is
+    fan_point of the exact midpoint (PlacedCopy.midpoint_global).
+    """
+    n = copy.dset.n_jumps
+    t_den, locations, values = integer_table(n)
+    origin, unit = copy.origin * t_den, t_den * 3**copy.stage
+    out = []
+    for pos in (copy.dset.table.pos_of_index[m] for m in range(n)):
+        y = xi_float((2 * copy.base + copy.step * (values[pos] + values[pos + 1])) / (2 * copy.den))
+        out.append((fan_x((origin + locations[pos]) / unit, y), y))
+    return out
+
+
+def _diameter(points: list[tuple[float, float]]) -> float:
+    """The largest distance sqrt(dx*dx + dy*dy) between two of the points."""
+    best = 0.0
+    for (x0, y0), (x1, y1) in combinations(points, 2):
+        dx, dy = x0 - x1, y0 - y1
+        best = max(best, dx * dx + dy * dy)
+    return math.sqrt(best)
+
+
+def copy_fan_diameter(copy: PlacedCopy) -> float:
+    """Euclidean diameter of the copy's fan image.
+
+    Piece endpoints suffice, and the plateau ends are all of them: each
+    jump runs from one plateau's right end to the next one's left end.
+    """
+    pieces = piece_floats(copy, 0)
+    ys = [xi_float(v) for v in pieces.heights]
+    ends = [(fan_x(c, y), y) for y, ((lo, hi),) in zip(ys, pieces.segments) for c in (lo, hi)]
+    return _diameter(ends)
+
+
+def fan_diameter_bound(copy: PlacedCopy) -> float:
+    """An upper bound on `copy_fan_diameter`, padded for rounding.
+
+    At a fixed height the fan map is affine in c, so the image of the box
+    [origin, origin + 1] / 3^s x [y0, y1], y0 and y1 the fan heights of the
+    lowest and highest plateaus, is the convex trapezoid on the four mapped
+    corners, and it holds every plateau end.
+
+    The pad. With u = 2^-53, the corners and the plateau ends share the
+    column ends, y0 and y1 bit for bit (the same int / int divisions and
+    xi_float calls). A plateau end's column lies between the column ends,
+    since rounding is monotone, and its fan height leaves [y0, y1] by under
+    2^-51, twice xi_float's error if math.atan is within an ulp. fan_x errs
+    by at most 3u/2. So each computed plateau end lies within 2^-49 of the
+    exact trapezoid on the computed corners, each corner within 2^-52 of its
+    place, and each length is computed to within a factor 1 + 3u. Hence the
+    computed diameter is at most bound * (1 + 7u) + 2^-47 < bound + 2^-46,
+    fan points lying in the unit square. A pad of 2^-40 covers that.
+    """
+    ys = [xi_float(copy.height(k) / copy.den) for k in (0, copy.dset.n_jumps)]
+    pow3 = 3**copy.stage
+    corners = [(fan_x(c / pow3, y), y) for c in (copy.origin, copy.origin + 1) for y in ys]
+    return _diameter(corners) + 2.0**-40
+
+
+def stage_fan_diameters(state: ConstructionState) -> dict[int, float]:
+    """Max fan-coordinate copy diameter per stage, by branch and bound.
+
+    Each stage's copies are visited by `fan_diameter_bound`, largest first.
+    A copy's diameter is computed only while its bound exceeds the stage's
+    best so far; once it does not, neither does any later copy's.
+    """
+    out: dict[int, float] = {}
+    for stage in state.stages:
+        best = 0.0
+        bounded = sorted(((fan_diameter_bound(c), c) for c in stage.copies), key=lambda t: -t[0])
+        for bound, copy in bounded:
+            if bound <= best:
+                break
+            best = max(best, copy_fan_diameter(copy))
+        if best > 0.0:
+            out[stage.n] = best
+    return out
+
+
 VERTEX = (0.5, 0.0)
-
-
-@dataclass(frozen=True)
-class QPoint:
-    copy_id: int
-    jump_index: int
-    point: Point
 
 
 class SpaceModel:
@@ -160,15 +239,6 @@ class SpaceModel:
 
     def __init__(self, state: ConstructionState):
         self.state = state
-
-    @cached_property
-    def q_points(self) -> list[QPoint]:
-        """Every copy's jump midpoints, copy by copy, by jump index; built on first use."""
-        return [
-            QPoint(cid, m, copy.midpoint_global(m))
-            for cid, copy in enumerate(self.state.copies)
-            for m in range(self.state.n_jumps)
-        ]
 
     def classify(self, point: Point) -> str:
         """'Q', 'P', or 'not-in-Y' (the point lies on a copy off its midpoint).
@@ -332,16 +402,27 @@ class CloudPoint:
 
 
 class PointCloud:
-    """Deterministic floating sample of the fan image of the model."""
+    """Deterministic floating sample of the fan image of the model.
 
-    def __init__(self, points: list[CloudPoint]):
-        self.points = points
+    `xy` holds the vertex, the Q-points of `copies` (copy by copy, by jump
+    index) and the `samples`, in fan coordinates. The Q-points' exact
+    sources are made only when `points` (and so `to_json_obj`) is read.
+    """
+
+    def __init__(self, xy: list[tuple[float, float]], copies: list[PlacedCopy], samples: list[CloudPoint]):
+        self.xy, self.copies, self.samples = xy, copies, samples
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.xy)
 
     def coordinates(self) -> list[tuple[float, float]]:
-        return [p.xy for p in self.points]
+        return self.xy
+
+    @property
+    def points(self) -> list[CloudPoint]:
+        sources = [copy.midpoint_global(m) for copy in self.copies for m in range(copy.dset.n_jumps)]
+        q_points = [CloudPoint("q", xy, source) for xy, source in zip(self.xy[1:], sources)]
+        return [CloudPoint("vertex", self.xy[0], None), *q_points, *self.samples]
 
     def to_json_obj(self) -> dict:
         return {
@@ -374,9 +455,10 @@ def sample_points(model: SpaceModel, grid_depth: int, fiber_count: int) -> Point
     state = model.state
     if grid_depth < state.depth:
         raise ValueError("grid_depth must be at least the construction depth")
-    points: list[CloudPoint] = [CloudPoint("vertex", VERTEX, None)]
-    for qp in model.q_points:
-        points.append(CloudPoint("q", fan_point(qp.point), qp.point))
+    xy = [VERTEX]
+    for copy in state.copies:
+        xy += fan_midpoints(copy)
+    samples: list[CloudPoint] = []
     for sigma in addresses_of_length(grid_depth):
         col = ColumnSweep(state, sigma, grid_depth)
         lo, hi = -state.depth * col.den, (state.depth + 1) * col.den
@@ -385,29 +467,6 @@ def sample_points(model: SpaceModel, grid_depth: int, fiber_count: int) -> Point
             gaps = sorted(zip(ends, ends[1:]), key=lambda g: (g[0] - g[1], g[0]))
             for g_lo, g_hi in gaps[:fiber_count]:
                 mid = Fraction(g_lo + g_hi, 2 * col.den)
-                points.append(CloudPoint("p-sample", fan_point((c, mid)), (c, mid)))
-    return PointCloud(points)
-
-
-def fiber_isolation_witnesses(model: SpaceModel) -> list[tuple[QPoint, str]]:
-    """Violations of Q-point fiber isolation; empty on a sound strict build.
-
-    For each Q-point the owning jump segment minus its midpoint must carry
-    no Y-point: the owner's segment points are excluded from Y by
-    construction, so the check is that no *other* copy meets the closed
-    segment.
-    """
-    state = model.state
-    bad: list[tuple[QPoint, str]] = []
-    for qp in model.q_points:
-        owner = state.copies[qp.copy_id]
-        c = qp.point[0]
-        jump = owner.dset.table.jump_by_index(qp.jump_index)
-        seg_lo, seg_hi = owner.to_global_h(jump.low), owner.to_global_h(jump.high)
-        for cid, _, _ in state.fibers_at(c):
-            if cid == qp.copy_id:
-                continue
-            kind, lo, hi = state.copies[cid].fiber(c)
-            if hi >= seg_lo and lo <= seg_hi:
-                bad.append((qp, f"copy {state.copies[cid].key} meets segment on {c}"))
-    return bad
+                samples.append(CloudPoint("p-sample", fan_point((c, mid)), (c, mid)))
+    xy += [p.xy for p in samples]
+    return PointCloud(xy, state.copies, samples)

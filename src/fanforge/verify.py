@@ -8,7 +8,8 @@ crossing copies, their crossing heights, and their order are all constant.
 One integer sweep per (level, column) serves coverage, condition (v),
 max-gap and, at level K, disjointness. Floating point appears only in the
 fan-metric diagnostics (null-sequence diameters, epsilon connectivity),
-which are explicitly approximate.
+which are explicitly approximate. numpy and scipy are imported only by the
+Euclidean MST and the component count built on it.
 """
 
 from __future__ import annotations
@@ -18,14 +19,15 @@ import json
 import math
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from typing import Iterator, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .debski import integer_table
 from .exact import addresses_of_length, rational_to_str
-from .spaceset import fan_x, piece_floats, xi_float
+from .spaceset import assemble, sample_points, stage_fan_diameters
 from .tiling import ColumnSweep, ConstructionState, PlacedCopy
+
+if TYPE_CHECKING:
+    import numpy as np
 
 REPORT_SCHEMA = "fanforge-report-v1"
 
@@ -50,9 +52,6 @@ class VerificationReport:
     def add(self, record: CheckRecord) -> CheckRecord:
         self.records.append(record)
         return record
-
-    def extend(self, records: Sequence[CheckRecord]) -> None:
-        self.records.extend(records)
 
     @property
     def passed(self) -> bool:
@@ -91,10 +90,6 @@ class VerificationReport:
         verdict = "PASS" if self.passed else "FAIL"
         lines.append(f"result: {verdict} ({ok} passed, {bad} failed, {skipped} skipped)")
         return "\n".join(lines) + "\n"
-
-
-def _state_params(state: ConstructionState) -> dict:
-    return {"depth": state.depth, "jumps": state.n_jumps, "strict": state.strict}
 
 
 def _verdict(
@@ -223,27 +218,6 @@ def sweep_level(state: ConstructionState, n: int) -> LevelSweep:
     return LevelSweep({r.name: r for r in records}, separated)
 
 
-def _level_check(state: ConstructionState, n: int, name: str) -> CheckRecord:
-    if n > state.depth:
-        return CheckRecord(name, f"n={n}", "skipped", None, {"reason": "n exceeds depth"})
-    return sweep_level(state, n).records[name]
-
-
-def check_coverage(state: ConstructionState, n: int) -> CheckRecord:
-    """Condition (iv), truncated: per-column gap at most copies * 2^-N."""
-    return _level_check(state, n, "coverage")
-
-
-def check_condition_v(state: ConstructionState, n: int) -> CheckRecord:
-    """Condition (v), exhaustively over the gaps at depth n (see sweep_level)."""
-    return _level_check(state, n, "condition-v")
-
-
-def max_vertical_gap(state: ConstructionState, n: int) -> CheckRecord:
-    """Exact maximum vertical gap over all cells at depth n inside [-n, n+1]."""
-    return _level_check(state, n, "max-gap")
-
-
 # ---------------------------------------------------------------------------
 # condition (iii): copy disjointness
 
@@ -344,7 +318,15 @@ def _candidate_pairs(state: ConstructionState) -> Iterator[tuple[int, int]]:
 
 
 def _disjointness(state: ConstructionState, separated: bool) -> CheckRecord:
-    """The record for the level-K sweep's verdict.
+    """Condition (iii), all copy images pairwise disjoint, exactly, from the
+    level-K sweep's verdict.
+
+    Two copies can meet only inside the deeper one's column: its depth-K
+    columns and the Cantor gaps between and inside them. Every copy spans
+    each depth-K column it meets, so the level-K sweep decides the Cantor
+    points (ColumnSweep.gaps). A gap needs no test of its own: no jump lies
+    in it, so each copy is constant there and equal to its value at the
+    gap's endpoints, which are Cantor points of depth-K columns.
 
     When the sweep found the fibers separated, every candidate pair is
     decided at once and counted. Otherwise the pairs are scanned in
@@ -364,19 +346,6 @@ def _disjointness(state: ConstructionState, separated: bool) -> CheckRecord:
     return _verdict("disjointness", "all stages", None, metrics)
 
 
-def check_disjointness(state: ConstructionState) -> CheckRecord:
-    """Condition (iii): all copy images pairwise disjoint, exactly.
-
-    Two copies can meet only inside the deeper one's column: its depth-K
-    columns and the Cantor gaps between and inside them. Every copy spans
-    each depth-K column it meets, so the level-K sweep decides the Cantor
-    points (ColumnSweep.gaps). A gap needs no test of its own: no jump lies
-    in it, so each copy is constant there and equal to its value at the
-    gap's endpoints, which are Cantor points of depth-K columns.
-    """
-    return _disjointness(state, sweep_level(state, state.depth).separated)
-
-
 # ---------------------------------------------------------------------------
 # fan-metric diagnostics (floating)
 
@@ -390,6 +359,7 @@ def minimum_spanning_edges(points: Sequence[tuple[float, float]]) -> np.ndarray:
     Duplicates add zero-length edges; a collinear or tiny cloud, which
     Qhull refuses, is spanned by the path through its sorted points.
     """
+    import numpy as np
     from scipy.sparse import coo_matrix
     from scipy.sparse.csgraph import minimum_spanning_tree
     from scipy.spatial import Delaunay, QhullError
@@ -406,10 +376,16 @@ def minimum_spanning_edges(points: Sequence[tuple[float, float]]) -> np.ndarray:
         return np.concatenate([np.sqrt((d**2).sum(axis=1)), duplicates])
     s = tri.simplices  # near-duplicates Qhull leaves out join their nearest vertex
     pairs = np.concatenate([s[:, [0, 1]], s[:, [1, 2]], s[:, [0, 2]], tri.coplanar[:, [0, 2]]])
-    pairs = np.unique(np.sort(pairs, axis=1), axis=0)
+    # keyed i*m + j (i < j) in int64, the edges dedup in one 1-D sort, in
+    # row order; np.unique took 30 times as long on these keys (numpy 2.4)
+    pairs = np.sort(pairs, axis=1).astype(np.int64)
+    m = len(uniq)
+    keys = np.sort(pairs[:, 0] * m + pairs[:, 1])
+    keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+    pairs = np.stack([keys // m, keys % m], axis=1)
     d = uniq[pairs[:, 0]] - uniq[pairs[:, 1]]
     lengths2, rank = np.unique((d**2).sum(axis=1), return_inverse=True)
-    graph = coo_matrix((rank + 1.0, (pairs[:, 0], pairs[:, 1])), shape=(len(uniq),) * 2)
+    graph = coo_matrix((rank + 1.0, (pairs[:, 0], pairs[:, 1])), shape=(m, m))
     tree = minimum_spanning_tree(graph)
     return np.concatenate([np.sqrt(lengths2[tree.data.astype(np.intp) - 1]), duplicates])
 
@@ -422,6 +398,8 @@ def mst_max_edge(points: Sequence[tuple[float, float]]) -> float:
 
 def _components(mst_edges: np.ndarray, eps: float) -> int:
     """Single linkage (Gower & Ross, 1969): each MST edge longer than eps splits once."""
+    import numpy as np
+
     return 1 + int(np.count_nonzero(mst_edges > eps))
 
 
@@ -430,32 +408,6 @@ def epsilon_connectivity(points: Sequence[tuple[float, float]], eps: float) -> i
     if len(points) == 0:
         raise ValueError("epsilon_connectivity needs a nonempty cloud")
     return _components(minimum_spanning_edges(points), eps)
-
-
-def copy_fan_diameter(copy: PlacedCopy) -> float:
-    """Euclidean diameter of the copy's fan image.
-
-    Piece endpoints suffice, and the plateau ends are all of them: each
-    jump runs from one plateau's right end to the next one's left end.
-    """
-    pieces = piece_floats(copy, 0)
-    pts = []
-    for v, ((lo, hi),) in zip(pieces.heights, pieces.segments):
-        y = xi_float(v)
-        pts += [(fan_x(lo, y), y), (fan_x(hi, y), y)]
-    arr = np.asarray(pts)
-    diff = arr[:, None, :] - arr[None, :, :]
-    return float(np.sqrt((diff**2).sum(axis=-1).max()))
-
-
-def stage_fan_diameters(state: ConstructionState) -> dict[int, float]:
-    """Max fan-coordinate copy diameter per stage."""
-    out: dict[int, float] = {}
-    for copy in state.copies:
-        d = copy_fan_diameter(copy)
-        if d > out.get(copy.stage, 0.0):
-            out[copy.stage] = d
-    return out
 
 
 def check_null_sequence(state: ConstructionState) -> CheckRecord:
@@ -487,8 +439,6 @@ def check_epsilon_connectivity(
     `components_at_star` is always 1, so the independent cross-check against
     all-pairs union-find lives in the oracle tests.
     """
-    from .spaceset import assemble, sample_points
-
     model = assemble(state)
     gd = state.depth if grid_depth is None else grid_depth
     cloud = sample_points(model, gd, fiber_count)
@@ -564,7 +514,7 @@ def run_all(
     the built depth produce skipped records. Each level is swept once, for
     all of its checks and, at level K, for disjointness too.
     """
-    report = VerificationReport(_state_params(state))
+    report = VerificationReport({"depth": state.depth, "jumps": state.n_jumps, "strict": state.strict})
     selected: list[tuple[str, int | None]] = []
     for item in checks if checks is not None else KNOWN_CHECKS:
         name, _, level = item.partition("=")
@@ -581,19 +531,19 @@ def run_all(
     for name, level in selected:
         levels = [level] if level is not None else list(range(state.depth + 1))
         if name == "conditions-i-ii":
-            report.extend(check_conditions_i_ii(state))
+            report.records.extend(check_conditions_i_ii(state))
         elif name == "partial-tiling":
-            report.extend(check_partial_tiling(state))
+            report.records.extend(check_partial_tiling(state))
         elif name == "disjointness":
             report.add(_disjointness(state, swept(state.depth).separated))
         elif name in ("coverage", "condition-v", "max-gap"):
             for n in levels:
-                in_range = n <= state.depth
-                report.add(swept(n).records[name] if in_range else _level_check(state, n, name))
+                if n > state.depth:
+                    report.add(CheckRecord(name, f"n={n}", "skipped", None, {"reason": "n exceeds depth"}))
+                else:
+                    report.add(swept(n).records[name])
         elif name == "null-sequence":
             report.add(check_null_sequence(state))
         elif name == "epsilon-connectivity":
-            report.extend(
-                check_epsilon_connectivity(state, grid_depth, fiber_count, epsilons)
-            )
+            report.records.extend(check_epsilon_connectivity(state, grid_depth, fiber_count, epsilons))
     return report

@@ -24,6 +24,11 @@ def st_3_16():
 
 
 @pytest.fixture(scope="session")
+def st_3_32():
+    return build(3, 32)
+
+
+@pytest.fixture(scope="session")
 def st_3_16t():
     return build(3, 16, strict=False)
 

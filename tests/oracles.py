@@ -6,14 +6,16 @@ piece of every copy, unions from sorting, column gaps from a Fraction cell
 sweep, the MST from a quadratic Prim (plain Python and vectorised),
 connectivity from a plain disjoint-set union, the SVG copy images and
 fan diameters from a walk over every piece in Fractions, and the stage
-builder and the cloud's fiber gaps from per-copy Fraction traces. They exist to
-compute and to cross-check expected values, not to be fast.
+builder and the cloud's fiber gaps from per-copy Fraction traces, and the
+Q-points and their fiber isolation from each copy's Fraction midpoints. They
+exist to compute and to cross-check expected values, not to be fast.
 """
 
 import bisect
 import itertools
 import json
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -296,6 +298,46 @@ def pointwise_below_oracle(a, b, left: Fraction, right: Fraction) -> bool:
         if not cur_a < cur_b:
             return False
     return True
+
+
+@dataclass(frozen=True)
+class QPoint:
+    copy_id: int
+    jump_index: int
+    point: tuple[Fraction, Fraction]
+
+
+def q_points(model) -> list[QPoint]:
+    """Every copy's jump midpoints, copy by copy, by jump index."""
+    return [
+        QPoint(cid, m, copy.midpoint_global(m))
+        for cid, copy in enumerate(model.state.copies)
+        for m in range(model.state.n_jumps)
+    ]
+
+
+def fiber_isolation_witnesses(model) -> list[tuple[QPoint, str]]:
+    """Violations of Q-point fiber isolation; empty on a sound strict build.
+
+    For each Q-point the owning jump segment minus its midpoint must carry
+    no Y-point: the owner's segment points are excluded from Y by
+    construction, so the check is that no *other* copy meets the closed
+    segment.
+    """
+    state = model.state
+    bad: list[tuple[QPoint, str]] = []
+    for qp in q_points(model):
+        owner = state.copies[qp.copy_id]
+        c = qp.point[0]
+        jump = owner.dset.table.jump_by_index(qp.jump_index)
+        seg_lo, seg_hi = owner.to_global_h(jump.low), owner.to_global_h(jump.high)
+        for cid, _, _ in state.fibers_at(c):
+            if cid == qp.copy_id:
+                continue
+            kind, lo, hi = state.copies[cid].fiber(c)
+            if hi >= seg_lo and lo <= seg_hi:
+                bad.append((qp, f"copy {state.copies[cid].key} meets segment on {c}"))
+    return bad
 
 
 def q_set_oracle(state) -> dict:
@@ -648,10 +690,13 @@ def copy_fan_diameter_oracle(copy) -> float:
     return float(np.sqrt((diff**2).sum(axis=-1).max()))
 
 
-def stage_fan_diameters_oracle(state) -> dict[int, float]:
+def stage_fan_diameters_oracle(state, diameters=None) -> dict[int, float]:
+    """Each stage's largest copy diameter, from every copy's diameter (walked
+    here unless `diameters` lists them by copy id)."""
+    if diameters is None:
+        diameters = [copy_fan_diameter_oracle(copy) for copy in state.copies]
     out: dict[int, float] = {}
-    for copy in state.copies:
-        d = copy_fan_diameter_oracle(copy)
+    for copy, d in zip(state.copies, diameters):
         if d > out.get(copy.stage, 0.0):
             out[copy.stage] = d
     return out
@@ -813,11 +858,11 @@ def build_oracle(depth: int, n_jumps: int, strict: bool = True):
 
 
 def sample_points_oracle(model, grid_depth: int, fiber_count: int):
-    """The cloud with each fiber's gaps taken from `vertical_trace` in Fractions."""
+    """The cloud with each Q-point mapped through `fan_point` on Fractions and
+    each fiber's gaps taken from `vertical_trace` in Fractions. Every point
+    but the vertex is passed as a sample, with its own exact source."""
     state = model.state
-    points = [CloudPoint("vertex", VERTEX, None)]
-    for qp in model.q_points:
-        points.append(CloudPoint("q", fan_point(qp.point), qp.point))
+    points = [CloudPoint("q", fan_point(qp.point), qp.point) for qp in q_points(model)]
     fibers = set()
     for bits in itertools.product((0, 1), repeat=grid_depth):
         fibers.add(endpoint_zero(Address(bits)))
@@ -835,4 +880,4 @@ def sample_points_oracle(model, grid_depth: int, fiber_count: int):
         for _, g_lo, g_hi in gaps[:fiber_count]:
             mid = (g_lo + g_hi) / 2
             points.append(CloudPoint("p-sample", fan_point((c, mid)), (c, mid)))
-    return PointCloud(points)
+    return PointCloud([VERTEX, *(p.xy for p in points)], [], points)

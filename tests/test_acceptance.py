@@ -10,26 +10,20 @@ from fractions import Fraction as F
 from fanforge import assemble, build
 from fanforge.debski import jump_interval, midpoints
 from fanforge.exact import Address, addresses_of_length, endpoint_one, endpoint_zero
-from fanforge.spaceset import (
-    fiber_isolation_witnesses,
-    region_between,
-    sample_points,
-)
+from fanforge.spaceset import region_between, sample_points, stage_fan_diameters
 from fanforge.tiling import pointwise_below
 from fanforge.verify import (
-    check_condition_v,
     check_conditions_i_ii,
-    check_coverage,
-    check_disjointness,
     check_null_sequence,
     copies_intersect,
     epsilon_connectivity,
     mst_max_edge,
-    stage_fan_diameters,
+    run_all,
+    sweep_level,
 )
 from fanforge.decomp import claim5_regions, collapse_E, earring_check
 
-from .oracles import band_oracle, coverage_gap_for_column
+from .oracles import band_oracle, coverage_gap_for_column, fiber_isolation_witnesses, q_points
 
 
 def report(number: int, ok: bool, detail: str) -> bool:
@@ -54,7 +48,7 @@ def test_criterion_02_conditions_i_ii_depth_five(st_5_32t):
 
 
 def test_criterion_03_disjointness(st_4_32):
-    record = check_disjointness(st_4_32)
+    (record,) = run_all(st_4_32, checks=["disjointness"]).records
     # the sharp corner-touch pair is adjudicated inside the same predicate
     sharp = copies_intersect(st_4_32.copies[0], st_4_32.copies[2])
     ok = record.status == "pass" and sharp is None
@@ -66,7 +60,7 @@ def test_criterion_03_disjointness(st_4_32):
 
 
 def test_criterion_04_coverage(st_4_32, st_0_4):
-    ok = all(check_coverage(st_4_32, n).status == "pass" for n in range(5))
+    ok = all(sweep_level(st_4_32, n).records["coverage"].status == "pass" for n in range(5))
     gap0, count0 = coverage_gap_for_column(st_0_4, 0, Address())
     ok = ok and gap0 == F(1, 16) and count0 == 1
     detail = f"(K=4, N=32) gaps within budget for n<=4; (n=0, N=4) gap = {gap0}"
@@ -74,7 +68,7 @@ def test_criterion_04_coverage(st_4_32, st_0_4):
 
 
 def test_criterion_05_condition_v(st_4_32):
-    records = [check_condition_v(st_4_32, n) for n in range(5)]
+    records = [sweep_level(st_4_32, n).records["condition-v"] for n in range(5)]
     ok = all(r.status == "pass" for r in records)
     checked = sum(r.metrics["gaps_checked"] for r in records)
     assert report(5, ok, f"(K=4, N=32) every maximal gap verified; {checked} gaps")
@@ -101,7 +95,7 @@ def test_criterion_06_debski_identities():
 def test_criterion_07_fiber_isolation(model_2_16):
     witnesses = fiber_isolation_witnesses(model_2_16)
     ok = witnesses == []
-    detail = f"(K=2, N=16) all {len(model_2_16.q_points)} q points isolated in their segments"
+    detail = f"(K=2, N=16) all {len(q_points(model_2_16))} q points isolated in their segments"
     assert report(7, ok, detail)
 
 

@@ -212,3 +212,44 @@ class TestRender:
     def test_unknown_figure_rejected(self, state_file, capsys):
         with pytest.raises(SystemExit):
             main(["render", "--state", str(state_file), "--figure", "sphere"])
+
+
+ARRAY_MODULES = ("numpy", "scipy")
+EXACT_CHECKS = "conditions-i-ii,partial-tiling,disjointness,coverage,condition-v,max-gap"
+
+
+def array_modules_loaded(commands):
+    """The array modules loaded after running `commands` through `cli.main`
+    in a fresh interpreter, in order; each must exit 0."""
+    script = (
+        "import json, sys\n"
+        "from fanforge.cli import main\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    if main(argv) != 0:\n"
+        "        sys.exit(f'nonzero exit: {argv}')\n"
+        f"print(json.dumps([m for m in {ARRAY_MODULES!r} if m in sys.modules]))\n"
+    )
+    src = str(Path(fanforge.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(commands)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+class TestArrayImports:
+    def test_only_the_mst_loads_numpy_and_scipy(self, tmp_path):
+        state = str(tmp_path / "state.json")
+        quiet = [
+            ["build", "--depth", "2", "--jumps", "16", "--out", state],
+            ["verify", "--state", state, "--checks", EXACT_CHECKS],
+            *(
+                ["render", "--state", state, "--figure", kind, "--out", str(tmp_path / f"{kind}.svg")]
+                for kind in ("tiling", "fan", "earring")
+            ),
+        ]
+        assert array_modules_loaded(quiet) == []
+        assert array_modules_loaded([["verify", "--state", state]]) == list(ARRAY_MODULES)

@@ -19,7 +19,7 @@ from fanforge.exact import Address
 from fanforge.spaceset import assemble
 from fanforge.tiling import ConstructionState, PlacedCopy, Rect, TilingStage, stage_zero
 
-from .oracles import claim5_oracle, envelope_failures_oracle, plateaus_global_oracle
+from .oracles import claim5_oracle, envelope_failures_oracle, plateaus_global_oracle, q_points
 
 
 def _outcome(query, *args):
@@ -82,7 +82,7 @@ class TestEarringCheck:
         # closure parts carry only plateau heights; midpoints sit strictly
         # inside open jump segments, so no q point lies on any copy's closure
         state = model_1_4.state
-        for qp in model_1_4.q_points:
+        for qp in q_points(model_1_4):
             c, h = qp.point
             for cid, _, _ in state.fibers_at(c):
                 copy = state.copies[cid]

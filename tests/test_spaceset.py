@@ -11,8 +11,8 @@ from fanforge.errors import DepthInsufficient, NotOrdered, NotSpanning
 from fanforge.exact import Address, addresses_of_length, basic_interval_inside, endpoint_zero
 from fanforge.spaceset import (
     assemble,
+    fan_midpoints,
     fan_point,
-    fiber_isolation_witnesses,
     nabla_map,
     piece_floats,
     region_between,
@@ -24,10 +24,12 @@ from fanforge.tiling import ConstructionState, PlacedCopy, Rect, TilingStage, st
 
 from .oracles import (
     classify_oracle,
+    fiber_isolation_witnesses,
     fset_columns,
     jumps_global_oracle,
     plateau_segments_oracle,
     plateaus_global_oracle,
+    q_points,
     q_set_oracle,
     sample_points_oracle,
 )
@@ -114,6 +116,18 @@ class TestPieceFloats:
             for lo, hi, _ in plateaus_global_oracle(copy)
         ]
 
+    @given(
+        bottom=st.builds(F, big, st.integers(1, 2**80)),
+        height=st.builds(F, st.integers(1, 2**80), st.integers(1, 2**80)),
+        bits=st.lists(st.integers(0, 1), max_size=5),
+        n_jumps=st.sampled_from([1, 2, 5, 16]),
+    )
+    @example(bottom=F(-(2**70) - 3, 2**61 + 7), height=F(3, 2**55 + 1), bits=[1, 0, 1], n_jumps=16)
+    def test_fan_midpoints_are_fan_point_of_each_exact_midpoint(self, bottom, height, bits, n_jumps):
+        copy = PlacedCopy(len(bits), 0, Rect(Address(tuple(bits)), bottom, bottom + height),
+                          build_D(n_jumps))
+        assert fan_midpoints(copy) == [fan_point(p) for p in copy.midpoints_global()]
+
 
 class TestAssemble:
     def test_classify_builds_no_q_points(self, st_1_4):
@@ -123,21 +137,21 @@ class TestAssemble:
         collapse_E(model, 0)
         point = st_1_4.copies[1].midpoint_global(1)
         assert model.classify(point) == "Q"
-        assert "q_points" not in vars(model)
-        assert model.q_points[5].point == point
+        assert vars(model) == {"state": st_1_4}
+        assert q_points(model)[5].point == point
 
     def test_single_copy_single_jump(self):
         from fanforge import assemble, build
 
         model = assemble(build(0, 1))
-        assert [qp.point for qp in model.q_points] == [(F(1, 4), F(1, 4))]
+        assert [qp.point for qp in q_points(model)] == [(F(1, 4), F(1, 4))]
 
     def test_q_point_count(self, model_1_4):
-        assert len(model_1_4.q_points) == 13 * 4
-        assert len({qp.point for qp in model_1_4.q_points}) == 52
+        assert len(q_points(model_1_4)) == 13 * 4
+        assert len({qp.point for qp in q_points(model_1_4)}) == 52
 
     def test_q_points_classify_as_q(self, model_1_4):
-        for qp in model_1_4.q_points[:10]:
+        for qp in q_points(model_1_4)[:10]:
             assert model_1_4.classify(qp.point) == "Q"
 
     def test_on_copy_point_not_in_y(self, model_1_4):
@@ -315,6 +329,16 @@ class TestSamplePoints:
         model = assemble(ConstructionState(1, 4, True, [stage_zero(4), stage1]))
         assert sample_points(model, 1, 3).to_json() == sample_points_oracle(model, 1, 3).to_json()
 
+    def test_q_sources_made_only_on_export(self, model_2_16, monkeypatch):
+        def refuse(copy, index):
+            raise AssertionError("a Q source was made")
+
+        monkeypatch.setattr(PlacedCopy, "midpoint_global", refuse)
+        cloud = sample_points(model_2_16, 2, 3)
+        assert len(cloud.coordinates()) == len(cloud) == 1 + 78 * 16 + 8 * 3
+        with pytest.raises(AssertionError, match="Q source"):
+            cloud.to_json_obj()
+
     def test_grid_depth_must_cover_state(self, model_2_16):
         with pytest.raises(ValueError):
             sample_points(model_2_16, 1, 1)
@@ -334,7 +358,7 @@ class TestFiberIsolation:
     def test_owning_segment_isolates(self, model_1_4):
         # explicit form: around each q point the owning segment carries no other Y point
         state = model_1_4.state
-        for qp in model_1_4.q_points:
+        for qp in q_points(model_1_4):
             copy = state.copies[qp.copy_id]
             jump = copy.dset.table.jump_by_index(qp.jump_index)
             lo, hi = copy.to_global_h(jump.low), copy.to_global_h(jump.high)

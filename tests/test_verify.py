@@ -13,7 +13,14 @@ from fanforge.exact import (
     endpoint_one,
     endpoint_zero,
 )
-from fanforge.spaceset import fan_point, sample_points
+from fanforge import spaceset
+from fanforge.spaceset import (
+    copy_fan_diameter,
+    fan_diameter_bound,
+    fan_point,
+    sample_points,
+    stage_fan_diameters,
+)
 from fanforge.tiling import (
     ColumnSweep,
     ConstructionState,
@@ -26,19 +33,13 @@ from fanforge.verify import (
     _candidate_pairs,
     _disjointness,
     check_conditions_i_ii,
-    check_condition_v,
-    check_coverage,
-    check_disjointness,
     check_null_sequence,
     check_partial_tiling,
     copies_intersect,
-    copy_fan_diameter,
     epsilon_connectivity,
-    max_vertical_gap,
     minimum_spanning_edges,
     mst_max_edge,
     run_all,
-    stage_fan_diameters,
     sweep_level,
 )
 
@@ -77,6 +78,19 @@ clouds = st.one_of(
         lambda pts: st.lists(st.sampled_from(pts), max_size=5).map(lambda dup: pts + dup)
     ),
 )
+
+
+@pytest.fixture(scope="module")
+def oracle_diameters():
+    """Each copy's oracle fan diameter, walked once per state fixture."""
+    cache: dict[str, list[float]] = {}
+
+    def diameters(name: str, state) -> list[float]:
+        if name not in cache:
+            cache[name] = [copy_fan_diameter_oracle(copy) for copy in state.copies]
+        return cache[name]
+
+    return diameters
 
 
 def _with_rects(state, stage_n, rects):
@@ -133,7 +147,7 @@ class TestPartialTiling:
 
 class TestDisjointness:
     def test_small_build_passes(self, st_2_16):
-        record = check_disjointness(st_2_16)
+        (record,) = run_all(st_2_16, checks=["disjointness"]).records
         assert record.status == "pass"
         assert record.metrics["pairs_checked"] > 0
 
@@ -191,7 +205,7 @@ class TestDisjointness:
         )
         rect = state.stages[2].rects[index]
         bad = _with_mutated_rect(state, 2, index, Rect(sigma, x0, rect.top))
-        assert check_disjointness(bad).status == "fail"
+        assert run_all(bad, checks=["disjointness"]).records[0].status == "fail"
 
     @pytest.mark.parametrize(
         "name", ["st_0_4", "st_1_4", "st_2_16", "st_3_16", "st_4_16t", "st_4_32", "st_5_32t"]
@@ -203,7 +217,7 @@ class TestDisjointness:
         separated = sweep_level(state, state.depth).separated
         assert separated == (pairwise.status == "pass")
         if separated:
-            assert check_disjointness(state).to_json_obj() == pairwise.to_json_obj()
+            assert _disjointness(state, separated).to_json_obj() == pairwise.to_json_obj()
 
     # touching: a strip copy's bottom plateau laid on the stage-0 plateau at 0;
     # corner touch: the split copy 1:1 unchanged, level with stage 0 at 1/3 only
@@ -241,7 +255,7 @@ class TestDisjointness:
         separated = sweep_level(bad, bad.depth).separated
         assert separated == (pairwise.status == "pass")
         if separated:
-            assert check_disjointness(bad).to_json_obj() == pairwise.to_json_obj()
+            assert _disjointness(bad, separated).to_json_obj() == pairwise.to_json_obj()
 
     def test_jumps_meeting_end_to_end_at_a_breakpoint_detected(self, st_1_4):
         # stage 0 jumps over [5/16, 13/16] at c = 1/4, where a stage-1 copy
@@ -250,7 +264,7 @@ class TestDisjointness:
         bare = ConstructionState(1, 4, True, [st_1_4.stages[0], TilingStage(1, [], [])])
         state = _with_rects(bare, 1, [Rect(Address.parse("0"), F(13, 32), F(29, 32))])
         assert not sweep_level(state, 1).separated
-        record = check_disjointness(state)
+        (record,) = run_all(state, checks=["disjointness"]).records
         assert (record.witness["c"], record.witness["value"]) == ("1/4", "13/16")
         assert record.to_json_obj() == _disjointness(state, separated=False).to_json_obj()
 
@@ -271,11 +285,11 @@ class TestCoverage:
     def test_gap_at_depth_zero_is_exactly_the_truncation_defect(self, st_0_4):
         gap, count = coverage_gap_for_column(st_0_4, 0, Address())
         assert (gap, count) == (F(1, 16), 1)
-        assert check_coverage(st_0_4, 0).status == "pass"
+        assert sweep_level(st_0_4, 0).records["coverage"].status == "pass"
 
     def test_small_build_all_levels(self, st_2_16):
         for n in range(3):
-            assert check_coverage(st_2_16, n).status == "pass"
+            assert sweep_level(st_2_16, n).records["coverage"].status == "pass"
 
     def test_gap_matches_band_union_oracle(self, st_2_16):
         sigma = Address.parse("01")
@@ -287,7 +301,7 @@ class TestCoverage:
         assert coverage_gap_for_column(st_2_16, 2, sigma)[0] == oracle_gap
 
     def test_skipped_beyond_depth(self, st_1_4):
-        assert check_coverage(st_1_4, 2).status == "skipped"
+        assert run_all(st_1_4, checks=["coverage=2"]).records[0].status == "skipped"
 
     def test_overlapping_bands_counted_once(self, st_2_16):
         # stretch one stage-2 rect so its copy's band overlaps the one above
@@ -340,12 +354,12 @@ class TestCellDecomposition:
 class TestConditionV:
     def test_small_build_all_levels(self, st_2_16):
         for n in range(3):
-            record = check_condition_v(st_2_16, n)
+            record = sweep_level(st_2_16, n).records["condition-v"]
             assert record.status == "pass", record.witness
             assert record.metrics["gaps_checked"] > 0
 
     def test_skipped_beyond_depth(self, st_1_4):
-        assert check_condition_v(st_1_4, 3).status == "skipped"
+        assert run_all(st_1_4, checks=["condition-v=3"]).records[0].status == "skipped"
 
     def test_stage_rects_deleted_fails(self, st_2_16):
         stages = list(st_2_16.stages[:2])
@@ -354,7 +368,7 @@ class TestConditionV:
         # state whose stage-2 rectangles were dropped must produce failures
         stages2 = stages + [TilingStage(2, [], [])]
         broken = ConstructionState(2, st_2_16.n_jumps, st_2_16.strict, stages2)
-        record = check_condition_v(broken, 2)
+        record = sweep_level(broken, 2).records["condition-v"]
         assert record.status == "fail"
         assert record.witness["problems"]
         assert record.witness["column"]  # the offending cell is identified
@@ -369,7 +383,7 @@ class TestConditionV:
         merged = Rect(rects[k].address, rects[k - 1].bottom, F(3))
         assert F(3) - merged.bottom >= F(1, 3) + F(1, 9)
         bad = _with_rects(st_2_16, 2, rects[: k - 1] + [merged] + rects[k + 1 :])
-        record = check_condition_v(bad, 2)
+        record = sweep_level(bad, 2).records["condition-v"]
         assert record.status == "fail"
         assert record.witness["problems"] == ["edge gap exceeds distance bound"]
         assert record.witness["gap"] == [f"{merged.bottom.numerator}/{merged.bottom.denominator}", "3/1"]
@@ -380,7 +394,7 @@ class TestConditionV:
         # stacked rect footprints, so the max gap is at most twice the
         # tallest rectangle of stages up to n
         for n in range(3):
-            record = check_condition_v(st_2_16, n)
+            record = sweep_level(st_2_16, n).records["condition-v"]
             max_gap = F(record.metrics["max_gap"])
             tallest = max(
                 r.height for stage in st_2_16.stages[: n + 1] for r in stage.rects
@@ -390,14 +404,14 @@ class TestConditionV:
 
 class TestMaxGap:
     def test_depth_one_metrics(self, st_1_4):
-        assert max_vertical_gap(st_1_4, 0).metrics["max_gap"] == "1/1"
+        assert sweep_level(st_1_4, 0).records["max-gap"].metrics["max_gap"] == "1/1"
         # widest hole at level 1: from the outer copy crossing near -1/32 up
         # to the stage-0 plateau at 13/16 (oracle-derived frozen value)
-        assert max_vertical_gap(st_1_4, 1).metrics["max_gap"] == "27/32"
+        assert sweep_level(st_1_4, 1).records["max-gap"].metrics["max_gap"] == "27/32"
 
     def test_trend_logged_not_fatal(self, st_3_16):
         values = [
-            F(max_vertical_gap(st_3_16, n).metrics["max_gap"]) for n in range(4)
+            F(sweep_level(st_3_16, n).records["max-gap"].metrics["max_gap"]) for n in range(4)
         ]
         # observed on the canonical build: non-increasing from level 2 on
         assert values[2] >= values[3]
@@ -494,14 +508,35 @@ class TestNullSequence:
     def test_skipped_at_depth_zero(self, st_0_4):
         assert check_null_sequence(st_0_4).status == "skipped"
 
-    @pytest.mark.parametrize("fixture", ["st_1_4", "st_2_16", "st_3_16", "st_4_16t"])
-    def test_diameters_equal_fraction_walk(self, request, fixture):
+    @pytest.mark.parametrize(
+        "fixture", ["st_1_4", "st_2_16", "st_3_16", "st_4_16t", "st_4_32", "st_3_32"]
+    )
+    def test_diameters_equal_fraction_walk(self, request, fixture, oracle_diameters):
         state = request.getfixturevalue(fixture)
-        assert stage_fan_diameters(state) == stage_fan_diameters_oracle(state)
+        profile = stage_fan_diameters(state)
+        oracle = stage_fan_diameters_oracle(state, oracle_diameters(fixture, state))
+        assert list(profile.items()) == list(oracle.items())
 
     def test_every_copy_diameter_equals_fraction_walk(self, st_2_16):
         for copy in st_2_16.copies:
             assert copy_fan_diameter(copy) == copy_fan_diameter_oracle(copy)
+
+    @pytest.mark.parametrize("fixture", ["st_2_16", "st_3_16", "st_4_16t", "st_4_32"])
+    def test_padded_bound_covers_every_copy(self, request, fixture, oracle_diameters):
+        state = request.getfixturevalue(fixture)
+        for copy, diameter in zip(state.copies, oracle_diameters(fixture, state)):
+            assert fan_diameter_bound(copy) >= diameter, copy.key
+
+    def test_few_exact_diameters_at_four_thirty_two(self, st_4_32, monkeypatch):
+        measured = []
+
+        def counted(copy):
+            measured.append(copy.key)
+            return copy_fan_diameter(copy)
+
+        monkeypatch.setattr(spaceset, "copy_fan_diameter", counted)
+        stage_fan_diameters(st_4_32)
+        assert 5 <= len(measured) <= 20  # at least one per stage, of 1,473 copies
 
 
 class TestRunAll:
