@@ -1,4 +1,4 @@
-"""Quotient bookkeeping: earring collapse, nested regions, and the P/Q split.
+"""Quotient bookkeeping: earring collapse and nested regions.
 
 Collapsing a copy's graph-closure part to a point turns each jump segment
 into a loop through the collapsed base class; the loop family is kept
@@ -13,16 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DepthInsufficient, UnknownCopy
-from .exact import (
-    Address,
-    basic_interval_inside,
-    endpoint_zero,
-    locate,
-    rational_to_str,
-)
-from .debski import integer_table
+from .exact import Address, locate, rational_to_str
 from .spaceset import Region, SpaceModel, fan_point, region_between
-from .tiling import ColumnSweep, ConstructionState
 
 
 @dataclass(frozen=True)
@@ -110,7 +102,14 @@ def earring_check(earring: Earring) -> tuple[bool, dict]:
 
 @dataclass(frozen=True)
 class Claim5Result:
-    """The nested diagnostic region around one loop of one copy."""
+    """The nested diagnostic region around one loop of one copy.
+
+    `boundary_ok` is always True. Its condition, below's top < owner's
+    bottom <= owner's top < above's bottom at every Cantor point of the
+    column, is what the two `region_between` calls check on the pairs
+    (below, owner) and (owner, above); they raise NotOrdered before a
+    result exists when it fails. The field stays for callers that read it.
+    """
 
     copy_key: str
     level: int
@@ -122,47 +121,8 @@ class Claim5Result:
     lower_region: Region
     loop_interior: tuple[Fraction, Fraction, Fraction]  # (c, low, high) without endpoints
     boundary_ok: bool
-    boundary_failures: tuple[str, ...]
     distance_above: Fraction
     distance_below: Fraction
-
-
-def _envelope_failures(state: ConstructionState, column: Address, trio: list[int]) -> list[str]:
-    """Where the trio (below, owner, above) is out of order over the column.
-
-    The column's sweep of the three gives their heights as ints at its left
-    end and after each breakpoint; each copy is constant between breakpoints.
-    Samples run left to right: the left end, each cell (with the heights
-    just right of its left cut) and the breakpoint closing it, the right
-    end. A cell's sample, a Cantor point inside it, is found only for a
-    failure message.
-    """
-    col = ColumnSweep(state, column, len(column), trio)
-    t_den = integer_table(state.n_jumps)[0]
-    unit = t_den * 3 ** len(column)  # breakpoints are ints over unit
-    failures: list[str] = []
-
-    def check(u: int, w: int, below_hi: int, owner_lo: int, owner_hi: int, above_lo: int) -> None:
-        # the sample is the column u over unit when w == u, else a Cantor point in (u, w)
-        if below_hi < owner_lo <= owner_hi < above_lo:
-            return
-        lo, hi = Fraction(u, unit), Fraction(w, unit)
-        at = lo if u == w else endpoint_zero(basic_interval_inside(lo, hi))
-        b, o_lo, o_hi, a = (Fraction(x, col.den) for x in (below_hi, owner_lo, owner_hi, above_lo))
-        failures.append(f"boundary envelopes out of order at c={at}: {b} < {o_lo} <= {o_hi} < {a}")
-
-    left = int(endpoint_zero(column) * unit)
-    below, owner, above = col.first
-    check(left, left, below, owner, owner, above)
-    cut = left
-    for x in [*col.breakpoints, left + t_den]:  # then the right end, where nothing jumps
-        check(cut, x, below, owner, owner, above)
-        after = [below, owner, above]
-        for i, new in col.events.get(x, ()):
-            after[i] = new
-        check(x, x, after[0], owner, after[1], above)
-        (below, owner, above), cut = after, x
-    return failures
 
 
 def claim5_regions(model: SpaceModel, copy_id: int, level: int, loop_index: int) -> Claim5Result:
@@ -171,9 +131,10 @@ def claim5_regions(model: SpaceModel, copy_id: int, level: int, loop_index: int)
     For a copy from stage k and a level n, stage k+1+n must exist; among its
     rectangles over the loop's column the lowest one above the loop and the
     highest one below it are chosen (both unique by the partial tiling), and
-    the region between each and the owning copy is formed. The boundary of
-    the combined open set is confirmed cell by cell to lie on the two chosen
-    copies and the owner.
+    the region between each and the owning copy is formed. Forming them
+    confirms that the owner lies strictly between the two chosen copies
+    over the whole column (NotOrdered otherwise), so the boundary of the
+    combined open set lies on the two chosen copies and the owner.
     """
     state = model.state
     try:
@@ -213,7 +174,6 @@ def claim5_regions(model: SpaceModel, copy_id: int, level: int, loop_index: int)
     above_id, below_id = min(above)[1], min(below)[1]
     upper = region_between(model, copy_id, above_id, column)
     lower = region_between(model, below_id, copy_id, column)
-    failures = _envelope_failures(state, column, [below_id, copy_id, above_id])
     return Claim5Result(
         copy_key=owner.key,
         level=level,
@@ -224,44 +184,7 @@ def claim5_regions(model: SpaceModel, copy_id: int, level: int, loop_index: int)
         upper_region=upper,
         lower_region=lower,
         loop_interior=(c_j, seg_lo, seg_hi),
-        boundary_ok=not failures,
-        boundary_failures=tuple(failures),
+        boundary_ok=True,
         distance_above=state.copies[above_id].fiber(c_j)[1] - seg_hi,
         distance_below=seg_lo - state.copies[below_id].fiber(c_j)[2],
-    )
-
-
-@dataclass(frozen=True)
-class DecompositionSummary:
-    earring_count: int
-    loops_per_earring: int
-    countable_part_size: int
-    punctiform_note: str
-
-    def to_json_obj(self) -> dict:
-        return {
-            "earrings": self.earring_count,
-            "loops_per_earring": self.loops_per_earring,
-            "countable_part_size": self.countable_part_size,
-            "punctiform_note": self.punctiform_note,
-        }
-
-
-def suslinian_report(state: ConstructionState) -> DecompositionSummary:
-    """Counts for the punctiform-plus-countable split at this truncation.
-
-    The countable part is represented by the collapsed base classes plus all
-    jump midpoints; the punctiform part stays symbolic (the complement of
-    the copy images). Representatives are finite here; density of the
-    countable part inside each earring is a limit statement.
-    """
-    copies = len(state.copies)
-    return DecompositionSummary(
-        earring_count=copies,
-        loops_per_earring=state.n_jumps,
-        countable_part_size=copies + copies * state.n_jumps,
-        punctiform_note=(
-            "punctiform part is the complement of all copy images; "
-            "countable part listed by finitely many representatives"
-        ),
     )

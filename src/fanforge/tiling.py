@@ -18,6 +18,7 @@ images may touch.
 from __future__ import annotations
 
 import bisect
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -370,41 +371,52 @@ class ColumnSweep:
         first appear, in the initial cell or beside a crossing that has just
         jumped; a gap spanning several cells is the same in all of them.
 
-        On the way it decides whether the copies' fibers are pairwise
-        disjoint at every Cantor point of the column, and leaves the answer
-        in `separated`. Heights are constant between breakpoints, so the
-        fibers are disjoint there iff the crossing order is strict, and two
-        fibers can first meet only where they are adjacent in that order
-        (Bentley & Ottmann, 1979). At a breakpoint a jumping copy's fiber
-        is [old, new]; if each jumper's `new` stays below the next
-        crossing's bottom, the fibers are disjoint and the order after the
-        breakpoint is strict again.
+        On the way it collects in `meeting` every pair of copy ids whose
+        fibers share a Cantor point of the column. Heights are constant
+        between breakpoints, so there the fibers meet exactly in groups of
+        equal crossings. At a breakpoint a jumping copy's fiber is
+        [old, new]; it meets every crossing whose height lies in that range,
+        found by walking up `cross` from the jumper, which still holds the
+        batch's other jumpers at their old heights, so two overlapping jumps
+        are caught from the lower one. Any pair level after the breakpoint
+        meets at it too, so the initial cell and the breakpoints find all
+        pairs (Bentley & Ottmann, 1979). While the order stays strict this
+        is one comparison per jump.
         """
         heights = list(self.first)
         cross = sorted(zip(heights, range(len(heights))))
-        self.separated = all(x[0] < y[0] for x, y in zip(cross, cross[1:]))
+        ids = self.ids
+        meeting: set[tuple[int, int]] = set()
+        self.meeting = meeting
+        if not all(x[0] < y[0] for x, y in zip(cross, cross[1:])):
+            for _, level in itertools.groupby(cross, key=lambda x: x[0]):
+                meeting.update(itertools.combinations([ids[i] for _, i in level], 2))
         bounded: list[Crossing | None] = [None, *cross, None]
         yield from zip(bounded, bounded[1:])
         for c in self.breakpoints:
             batch = self.events[c]
-            if self.separated:
-                for i, new in batch:
-                    j = bisect.bisect_left(cross, (heights[i], i)) + 1
-                    if j < len(cross) and cross[j][0] <= new:
-                        self.separated = False
+            slots, moves = [], []  # a jumper that meets nothing keeps its place in cross
             for i, new in batch:
+                j = k = bisect.bisect_left(cross, (heights[i], i))
+                while k + 1 < len(cross) and cross[k + 1][0] <= new:
+                    k += 1
+                    other = ids[cross[k][1]]
+                    meeting.add((min(ids[i], other), max(ids[i], other)))
+                (moves if k > j else slots).append((j, i, new))
+            for j, i, new in slots:
+                cross[j] = (new, i)
+                heights[i] = new
+            for _, i, new in moves:
                 del cross[bisect.bisect_left(cross, (heights[i], i))]
                 bisect.insort(cross, (new, i))
                 heights[i] = new
-            seen: set[tuple[Crossing | None, Crossing | None]] = set()
+            seen: set[int] = set()  # gap g lies between cross[g - 1] and cross[g]
             for i, new in batch:
                 j = bisect.bisect_left(cross, (new, i))
-                lower = cross[j - 1] if j > 0 else None
-                upper = cross[j + 1] if j + 1 < len(cross) else None
-                for pair in ((lower, cross[j]), (cross[j], upper)):
-                    if pair not in seen:
-                        seen.add(pair)
-                        yield pair
+                for g in (j, j + 1):
+                    if g not in seen:
+                        seen.add(g)
+                        yield (cross[g - 1] if g else None, cross[g] if g < len(cross) else None)
 
     def problems(self, lower: Crossing | None, upper: Crossing | None, length: int) -> list[str]:
         """What condition (v) finds wrong with one gap of positive length."""

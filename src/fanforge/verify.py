@@ -15,11 +15,12 @@ Euclidean MST and the component count built on it.
 from __future__ import annotations
 
 import bisect
+import itertools
 import json
 import math
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .debski import integer_table
 from .exact import addresses_of_length, rational_to_str
@@ -158,11 +159,12 @@ class LevelSweep:
     """The finished per-level records of one pass, keyed by check name."""
 
     records: dict[str, CheckRecord]
-    separated: bool  # fibers pairwise disjoint in every column of the level
+    meeting: set[tuple[int, int]]  # copy id pairs (i < j) whose fibers share a point
 
 
 def sweep_level(state: ConstructionState, n: int) -> LevelSweep:
-    """Coverage, condition (v) and max-gap at level n <= depth, one sweep per column.
+    """Coverage, condition (v), max-gap and the pairs of copies that meet
+    at level n <= depth, one sweep per column.
 
     Condition (iv), truncated: each column's uncovered measure is at most
     copies * 2^-N. Condition (v): every maximal vertical gap between
@@ -177,7 +179,7 @@ def sweep_level(state: ConstructionState, n: int) -> LevelSweep:
     worst = max_gap = Fraction(0)
     coverage_witness = v_witness = None
     gaps_seen = 0
-    separated = True
+    meeting: set[tuple[int, int]] = set()
     for sigma in addresses_of_length(n):
         col = ColumnSweep(state, sigma, n)
         if coverage_witness is None:
@@ -208,14 +210,14 @@ def sweep_level(state: ConstructionState, n: int) -> LevelSweep:
                     "problems": problems,
                 }
         max_gap = max(max_gap, Fraction(best, col.den))
-        separated = separated and col.separated
+        meeting |= col.meeting
     scope, gap_metric = f"n={n}", {"max_gap": rational_to_str(max_gap)}
     records = [
         _verdict("coverage", scope, coverage_witness, {"max_column_gap": rational_to_str(worst)}),
         _verdict("condition-v", scope, v_witness, {"gaps_checked": gaps_seen, **gap_metric}),
         _verdict("max-gap", scope, None, gap_metric),
     ]
-    return LevelSweep({r.name: r for r in records}, separated)
+    return LevelSweep({r.name: r for r in records}, meeting)
 
 
 # ---------------------------------------------------------------------------
@@ -306,20 +308,32 @@ def copies_intersect(a: PlacedCopy, b: PlacedCopy) -> dict | None:
     return None
 
 
-def _candidate_pairs(state: ConstructionState) -> Iterator[tuple[int, int]]:
-    for cid, copy in enumerate(state.copies):
+def _candidate_ranks(state: ConstructionState) -> tuple[list[int], list[int]]:
+    """(counts, starts): where each candidate pair falls in candidate order.
+
+    The candidate pairs, the pairs whose columns nest, are enumerated copy
+    by copy: for each copy the ids at each proper prefix of its address,
+    shortest first, then the smaller ids at its own address. So copy c
+    closes counts[c] = sum(len(ids_at_address(bits[:l])) for l < len(bits))
+    pairs plus its index at its own address, and that same number is c's
+    place in the list of every copy below it. The pair (i, j), j the deeper
+    copy or on a tie the later id, has the 0-based rank starts[j] + counts[i],
+    with starts the running sums of counts; starts[-1] counts every pair.
+    """
+    below: dict[tuple[int, ...], int] = {}  # per address, the next copy's count
+    counts = []
+    for copy in state.copies:
         bits = copy.rect.address.bits
-        for length in range(len(bits)):
-            for other in state.ids_at_address(bits[:length]):
-                yield (other, cid)
-        for other in state.ids_at_address(bits):
-            if other < cid:
-                yield (other, cid)
+        if bits not in below:
+            below[bits] = sum(len(state.ids_at_address(bits[:length])) for length in range(len(bits)))
+        counts.append(below[bits])
+        below[bits] += 1
+    return counts, [0, *itertools.accumulate(counts)]
 
 
-def _disjointness(state: ConstructionState, separated: bool) -> CheckRecord:
+def _disjointness(state: ConstructionState, meeting: set[tuple[int, int]]) -> CheckRecord:
     """Condition (iii), all copy images pairwise disjoint, exactly, from the
-    level-K sweep's verdict.
+    level-K sweep's meeting pairs.
 
     Two copies can meet only inside the deeper one's column: its depth-K
     columns and the Cantor gaps between and inside them. Every copy spans
@@ -328,26 +342,38 @@ def _disjointness(state: ConstructionState, separated: bool) -> CheckRecord:
     in it, so each copy is constant there and equal to its value at the
     gap's endpoints, which are Cantor points of depth-K columns.
 
-    When the sweep found the fibers separated, every candidate pair is
-    decided at once and counted. Otherwise the pairs are scanned in
-    candidate order for the first witness.
+    `pairs_checked` counts the candidate pairs on a pass. On a failure it
+    is the 1-based rank of the first meeting pair in candidate order
+    (_candidate_ranks), and the exact test `copies_intersect` makes that
+    pair's witness. Copy ids number the copies stage by stage, so the
+    deeper copy of a pair is its later id.
     """
-    pairs = 0
-    if separated:
-        pairs = sum(1 for _ in _candidate_pairs(state))
-    else:
-        for i, j in _candidate_pairs(state):
-            pairs += 1
-            witness = copies_intersect(state.copies[i], state.copies[j])
-            if witness:
-                witness["copies"] = [state.copies[i].key, state.copies[j].key]
-                return _verdict("disjointness", "all stages", witness, {"pairs_checked": pairs})
-    metrics = {"pairs_checked": pairs, "copies": len(state.copies)}
-    return _verdict("disjointness", "all stages", None, metrics)
+    counts, starts = _candidate_ranks(state)
+    if not meeting:
+        metrics = {"pairs_checked": starts[-1], "copies": len(state.copies)}
+        return _verdict("disjointness", "all stages", None, metrics)
+    rank, i, j = min((starts[j] + counts[i], i, j) for i, j in meeting)
+    witness = copies_intersect(state.copies[i], state.copies[j])
+    if witness is None:
+        raise RuntimeError(f"the sweep saw copies {i} and {j} meet, copies_intersect did not")
+    witness["copies"] = [state.copies[i].key, state.copies[j].key]
+    return _verdict("disjointness", "all stages", witness, {"pairs_checked": rank + 1})
 
 
 # ---------------------------------------------------------------------------
 # fan-metric diagnostics (floating)
+
+
+def _distinct_rows(pts: np.ndarray) -> np.ndarray:
+    """The rows of np.unique(pts, axis=0), in its order, from one lexsort
+    and a mask over neighbouring rows; np.unique took about 4 times as long
+    on the (5,48) cloud."""
+    import numpy as np
+
+    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+    keep = np.ones(len(pts), dtype=bool)
+    keep[1:] = (pts[1:] != pts[:-1]).any(axis=1)
+    return pts[keep]
 
 
 def minimum_spanning_edges(points: Sequence[tuple[float, float]]) -> np.ndarray:
@@ -365,7 +391,7 @@ def minimum_spanning_edges(points: Sequence[tuple[float, float]]) -> np.ndarray:
     from scipy.spatial import Delaunay, QhullError
 
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    uniq = np.unique(pts, axis=0)
+    uniq = _distinct_rows(pts)
     duplicates = np.zeros(len(pts) - len(uniq))
     try:
         tri = Delaunay(uniq) if len(uniq) >= 3 else None
@@ -535,7 +561,7 @@ def run_all(
         elif name == "partial-tiling":
             report.records.extend(check_partial_tiling(state))
         elif name == "disjointness":
-            report.add(_disjointness(state, swept(state.depth).separated))
+            report.add(_disjointness(state, swept(state.depth).meeting))
         elif name in ("coverage", "condition-v", "max-gap"):
             for n in levels:
                 if n > state.depth:

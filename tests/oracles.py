@@ -6,9 +6,10 @@ piece of every copy, unions from sorting, column gaps from a Fraction cell
 sweep, the MST from a quadratic Prim (plain Python and vectorised),
 connectivity from a plain disjoint-set union, the SVG copy images and
 fan diameters from a walk over every piece in Fractions, and the stage
-builder and the cloud's fiber gaps from per-copy Fraction traces, and the
-Q-points and their fiber isolation from each copy's Fraction midpoints. They
-exist to compute and to cross-check expected values, not to be fast.
+builder and the cloud's fiber gaps from per-copy Fraction traces, the
+Q-points and their fiber isolation from each copy's Fraction midpoints, and
+the disjointness record from the pairwise scan over every candidate pair.
+They exist to compute and to cross-check expected values, not to be fast.
 """
 
 import bisect
@@ -53,6 +54,7 @@ from fanforge.tiling import (
     stage_zero,
     vertical_trace,
 )
+from fanforge.verify import CheckRecord, copies_intersect
 
 
 def ternary_digits(q: Fraction, count: int) -> list[int]:
@@ -269,6 +271,34 @@ def copies_intersect_oracle(a, b) -> dict | None:
     return None
 
 
+def candidate_pairs(state):
+    """The pairs (other, cid) whose columns nest, copy by copy: for each cid
+    the ids at each proper prefix of its address, shortest first, then the
+    smaller ids at its own address."""
+    for cid, copy in enumerate(state.copies):
+        bits = copy.rect.address.bits
+        for length in range(len(bits)):
+            for other in state.ids_at_address(bits[:length]):
+                yield (other, cid)
+        for other in state.ids_at_address(bits):
+            if other < cid:
+                yield (other, cid)
+
+
+def disjointness_oracle(state) -> CheckRecord:
+    """The disjointness record from the pairwise scan: copies_intersect on
+    every candidate pair, in candidate order, up to the first witness."""
+    pairs = 0
+    for i, j in candidate_pairs(state):
+        pairs += 1
+        witness = copies_intersect(state.copies[i], state.copies[j])
+        if witness:
+            witness["copies"] = [state.copies[i].key, state.copies[j].key]
+            return CheckRecord("disjointness", "all stages", "fail", witness, {"pairs_checked": pairs})
+    metrics = {"pairs_checked": pairs, "copies": len(state.copies)}
+    return CheckRecord("disjointness", "all stages", "pass", None, metrics)
+
+
 def pointwise_below_oracle(a, b, left: Fraction, right: Fraction) -> bool:
     """a's upper envelope strictly below b's lower envelope on [left, right],
     by a walk over both copies' jump breakpoints in Fractions."""
@@ -465,7 +495,6 @@ def claim5_oracle(model, copy_id: int, level: int, loop_index: int) -> Claim5Res
         lower_region=region_between_oracle(model, below_id, copy_id, column),
         loop_interior=(c_j, seg_lo, seg_hi),
         boundary_ok=not failures,
-        boundary_failures=tuple(failures),
         distance_above=fiber_oracle(state.copies[above_id], c_j)[1] - seg_hi,
         distance_below=seg_lo - fiber_oracle(state.copies[below_id], c_j)[2],
     )

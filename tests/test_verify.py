@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -29,9 +30,11 @@ from fanforge.tiling import (
     TilingStage,
     vertical_trace,
 )
+from fanforge import verify
 from fanforge.verify import (
-    _candidate_pairs,
+    _candidate_ranks,
     _disjointness,
+    _distinct_rows,
     check_conditions_i_ii,
     check_null_sequence,
     check_partial_tiling,
@@ -47,6 +50,7 @@ from .oracles import (
     CellDecomposition,
     band_oracle,
     band_union_gap_oracle,
+    candidate_pairs,
     classify_on_copy_oracle,
     components_oracle,
     copies_intersect_oracle,
@@ -55,6 +59,7 @@ from .oracles import (
     coverage_gap_for_column,
     dense_prim_edges_oracle,
     diameter_oracle,
+    disjointness_oracle,
     jumps_global_oracle,
     mst_edges_oracle,
     plateau_global_oracle,
@@ -106,6 +111,13 @@ def _with_mutated_rect(state, stage_n, index, new_rect):
     rects = list(state.stages[stage_n].rects)
     rects[index] = new_rect
     return _with_rects(state, stage_n, rects)
+
+
+def _accepted_pairs(state):
+    """The candidate pairs that the exact pairwise test finds meeting."""
+    return {
+        (i, j) for i, j in candidate_pairs(state) if copies_intersect(state.copies[i], state.copies[j])
+    }
 
 
 def _fraction_crossing(col, crossing):
@@ -167,7 +179,7 @@ class TestDisjointness:
     def test_matches_fraction_scan_on_height_overlapping_pairs(self, name, touching, request):
         state = request.getfixturevalue(name)
         overlapping, witnesses = 0, 0
-        for i, j in _candidate_pairs(state):
+        for i, j in candidate_pairs(state):
             a, b = state.copies[i], state.copies[j]
             if max(a.rect.bottom, b.rect.bottom) > min(a.max_height, b.max_height):
                 assert copies_intersect(a, b) is None
@@ -211,13 +223,42 @@ class TestDisjointness:
         "name", ["st_0_4", "st_1_4", "st_2_16", "st_3_16", "st_4_16t", "st_4_32", "st_5_32t"]
     )
     def test_sweep_verdict_matches_pairwise_oracle(self, name, request):
-        # a failing check runs this same scan, so only a pass needs comparing
+        # passing and failing records alike, witness and pairs_checked included
         state = request.getfixturevalue(name)
-        pairwise = _disjointness(state, separated=False)
-        separated = sweep_level(state, state.depth).separated
-        assert separated == (pairwise.status == "pass")
-        if separated:
-            assert _disjointness(state, separated).to_json_obj() == pairwise.to_json_obj()
+        record = _disjointness(state, sweep_level(state, state.depth).meeting)
+        assert record.to_json_obj() == disjointness_oracle(state).to_json_obj()
+
+    @pytest.mark.parametrize("name", ["st_3_16t", "st_4_16t"])
+    def test_meeting_pairs_are_the_pairs_copies_intersect_accepts(self, name, request):
+        state = request.getfixturevalue(name)
+        meeting = sweep_level(state, state.depth).meeting
+        assert meeting == _accepted_pairs(state)
+        assert bool(meeting) == (name == "st_4_16t")
+
+    @pytest.mark.parametrize("name", ["st_3_16", "st_4_16t"])
+    def test_rank_arithmetic_is_the_enumeration_position(self, name, request):
+        state = request.getfixturevalue(name)
+        counts, starts = _candidate_ranks(state)
+        ranks = [starts[j] + counts[i] for i, j in candidate_pairs(state)]
+        assert ranks == list(range(starts[-1]))
+
+    def test_copies_intersect_runs_at_most_once_per_meeting_pair(self, st_4_16t, monkeypatch):
+        calls = []
+
+        def counted(a, b):
+            calls.append((a.key, b.key))
+            return copies_intersect(a, b)
+
+        monkeypatch.setattr(verify, "copies_intersect", counted)
+        meeting = sweep_level(st_4_16t, st_4_16t.depth).meeting
+        (record,) = run_all(st_4_16t, checks=["disjointness"]).records
+        assert record.status == "fail" and len(meeting) == 3
+        assert len(calls) <= len(meeting) and len(set(calls)) == len(calls)
+        assert calls[-1] == tuple(record.witness["copies"])
+
+    def test_a_meeting_pair_the_exact_test_rejects_is_an_error(self, st_2_16):
+        with pytest.raises(RuntimeError, match="copies_intersect did not"):
+            _disjointness(st_2_16, {(0, len(st_2_16.copies) - 1)})
 
     # touching: a strip copy's bottom plateau laid on the stage-0 plateau at 0;
     # corner touch: the split copy 1:1 unchanged, level with stage 0 at 1/3 only
@@ -251,11 +292,9 @@ class TestDisjointness:
         height = copy.rect.height * scale
         bottom = other.to_global_h(values[j_other]) - height * values[j_own] + delta
         bad = _with_mutated_rect(state, copy.stage, copy.index, Rect(sigma, bottom, bottom + height))
-        pairwise = _disjointness(bad, separated=False)
-        separated = sweep_level(bad, bad.depth).separated
-        assert separated == (pairwise.status == "pass")
-        if separated:
-            assert _disjointness(bad, separated).to_json_obj() == pairwise.to_json_obj()
+        meeting = sweep_level(bad, bad.depth).meeting
+        assert meeting == _accepted_pairs(bad)
+        assert _disjointness(bad, meeting).to_json_obj() == disjointness_oracle(bad).to_json_obj()
 
     def test_jumps_meeting_end_to_end_at_a_breakpoint_detected(self, st_1_4):
         # stage 0 jumps over [5/16, 13/16] at c = 1/4, where a stage-1 copy
@@ -263,10 +302,44 @@ class TestDisjointness:
         # meet in the one point (1/4, 13/16) and are strictly ordered elsewhere
         bare = ConstructionState(1, 4, True, [st_1_4.stages[0], TilingStage(1, [], [])])
         state = _with_rects(bare, 1, [Rect(Address.parse("0"), F(13, 32), F(29, 32))])
-        assert not sweep_level(state, 1).separated
+        assert sweep_level(state, 1).meeting == _accepted_pairs(state) == {(0, 1)}
         (record,) = run_all(state, checks=["disjointness"]).records
         assert (record.witness["c"], record.witness["value"]) == ("1/4", "13/16")
-        assert record.to_json_obj() == _disjointness(state, separated=False).to_json_obj()
+        assert record.to_json_obj() == disjointness_oracle(state).to_json_obj()
+
+    def test_three_copies_level_at_one_point_give_all_three_pairs(self, st_1_4):
+        # at c = 1/4 stage 0 jumps over [5/16, 13/16] and the stage-1 copy
+        # over [13/32, 29/32] up from 13/16, as above; a stage-2 copy over
+        # column 01 = [2/9, 1/3], between the two elsewhere, jumps there over
+        # [261/448, 365/448], which holds 13/16: the three fibers share the
+        # point (1/4, 13/16), and elsewhere the copies are strictly ordered
+        stage1 = [Rect(Address.parse("0"), F(13, 32), F(29, 32))]
+        stage2 = [Rect(Address.parse("01"), F(7, 16), F(7, 16) + F(13, 28))]
+        stages = [st_1_4.stages[0]] + [
+            TilingStage(n, rects, [PlacedCopy(n, i, r, st_1_4.dset) for i, r in enumerate(rects)])
+            for n, rects in ((1, stage1), (2, stage2))
+        ]
+        state = ConstructionState(2, 4, False, stages)
+        assert state.copies[2].fiber(F(1, 4)) == ("segment", F(261, 448), F(365, 448))
+        meeting = sweep_level(state, 2).meeting
+        assert meeting == _accepted_pairs(state) == {(0, 1), (0, 2), (1, 2)}
+        (record,) = run_all(state, checks=["disjointness"]).records
+        assert record.to_json_obj() == disjointness_oracle(state).to_json_obj()
+        assert record.metrics == {"pairs_checked": 1}
+
+    def test_three_copies_level_in_the_initial_cell_give_all_three_pairs(self, st_1_4):
+        # two stage-1 copies over column 1 = [2/3, 1] start on stage 0's
+        # plateau at 13/16 and pass above its jump at 3/4: the initial cell
+        # holds three equal crossings, and the outer two meet nowhere else
+        rects = [Rect(Address.parse("1"), F(13, 16), F(21, 16)), Rect(Address.parse("1"), F(13, 16), F(29, 16))]
+        bare = ConstructionState(1, 4, False, [st_1_4.stages[0], TilingStage(1, [], [])])
+        state = _with_rects(bare, 1, rects)
+        col = ColumnSweep(state, Address.parse("1"), 1)
+        assert len(set(col.first)) == 1
+        meeting = sweep_level(state, 1).meeting
+        assert meeting == _accepted_pairs(state) == {(0, 1), (0, 2), (1, 2)}
+        (record,) = run_all(state, checks=["disjointness"]).records
+        assert record.to_json_obj() == disjointness_oracle(state).to_json_obj()
 
     def test_no_sampled_point_lies_on_two_copies(self, st_2_16):
         rng = random.Random(7)
@@ -459,6 +532,19 @@ class TestEpsilonConnectivity:
         assert sorted(ours) == sorted(dense_prim_edges_oracle(coords))
         for eps in (sorted(set(ours)) + [0.0]) if coords else []:
             assert epsilon_connectivity(coords, eps) == components_oracle(coords, eps)
+
+    @settings(max_examples=100, deadline=None)
+    @given(clouds, st.randoms(use_true_random=False))
+    def test_distinct_rows_equal_np_unique_bytes(self, coords, rng):
+        doubled = coords + [rng.choice(coords) for _ in coords] if coords else []
+        pts = np.asarray(doubled, dtype=float).reshape(-1, 2)
+        assert _distinct_rows(pts).tobytes() == np.unique(pts, axis=0).tobytes()
+
+    def test_distinct_rows_of_a_sampled_cloud_with_duplicates(self, model_2_16):
+        coords = sample_points(model_2_16, 2, 3).coordinates()
+        pts = np.asarray(coords + coords[::7] + coords[:50], dtype=float)
+        assert len(_distinct_rows(pts)) == len(set(coords)) < len(pts)
+        assert _distinct_rows(pts).tobytes() == np.unique(pts, axis=0).tobytes()
 
     def test_point_merged_by_qhull_stays_connected(self):
         # Qhull leaves a point 1e-17 from a vertex out of the triangulation
