@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Iterator
 
 from .exact import (
     ZERO,
@@ -33,19 +34,20 @@ from .exact import (
 from .errors import AtJumpLocation, IndexOutOfRange, NotInCantor
 
 
-@lru_cache(maxsize=None)
-def _jump_points_cached(n_jumps: int) -> tuple[Fraction, ...]:
-    out: list[Fraction] = []
+def _quarter_points() -> Iterator[Fraction]:
+    """The canonical sequence, without end: 0(sigma) + (1/4) 3^-|sigma| over
+    the addresses in length-lex order, each value at its first proposal."""
     seen: set[Fraction] = set()
     for sigma in addresses_length_lex():
         v = endpoint_zero(sigma) + Fraction(1, 4 * 3 ** len(sigma))
-        if v in seen:
-            continue
-        seen.add(v)
-        out.append(v)
-        if len(out) == n_jumps:
-            return tuple(out)
-    raise RuntimeError("unreachable")
+        if v not in seen:
+            seen.add(v)
+            yield v
+
+
+@lru_cache(maxsize=None)
+def _jump_points_cached(n_jumps: int) -> tuple[Fraction, ...]:
+    return tuple(itertools.islice(_quarter_points(), n_jumps))
 
 
 def jump_points(n_jumps: int) -> list[Fraction]:
@@ -73,16 +75,10 @@ def min_jumps_for_depth(depth: int) -> int:
     if depth == 1:
         return 2
     missing = set(itertools.product((0, 1), repeat=depth))
-    accepted: set[Fraction] = set()
-    for sigma in addresses_length_lex():
-        v = endpoint_zero(sigma) + Fraction(1, 4 * 3 ** len(sigma))
-        if v in accepted:
-            continue
-        accepted.add(v)
+    for count, v in enumerate(_quarter_points(), 1):
         missing.discard(locate(v, depth).bits)
         if not missing:
-            return len(accepted)
-    raise RuntimeError("unreachable")
+            return count
 
 
 @dataclass(frozen=True)

@@ -70,11 +70,9 @@ def collapse_E(model: SpaceModel, copy_id: int) -> Earring:
     except IndexError as exc:
         raise UnknownCopy(f"no copy with id {copy_id}") from exc
     loops = []
+    pos_of_index = copy.dset.table.pos_of_index
     for m in range(copy.dset.n_jumps):
-        jump = copy.dset.table.jump_by_index(m)
-        c = copy.to_global_c(jump.location)
-        lo = copy.to_global_h(jump.low)
-        hi = copy.to_global_h(jump.high)
+        c, lo, hi = copy.jump_global(pos_of_index[m])
         p, q = fan_point((c, lo)), fan_point((c, hi))
         loops.append(Loop(m, c, lo, hi, ((p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2) ** 0.5))
     return Earring(copy.key, f"e[{copy.key}]", tuple(loops))
@@ -148,15 +146,12 @@ def claim5_regions(model: SpaceModel, copy_id: int, level: int, loop_index: int)
         raise DepthInsufficient(
             f"level {level} needs stage {target}, but depth is {state.depth}"
         )
-    jump = owner.dset.table.jump_by_index(loop_index)
-    c_j = owner.to_global_c(jump.location)
-    seg_lo = owner.to_global_h(jump.low)
-    seg_hi = owner.to_global_h(jump.high)
+    pos = owner.jump_pos(loop_index)
+    c_j, seg_lo, seg_hi = owner.jump_global(pos)
     column = locate(c_j, target)
     # the stage-target rects over the column against the loop, as ints over den
     rects = [cid for cid in state.ids_at_address(column.bits) if state.copies[cid].stage == target]
     den = math.lcm(owner.den, *(state.copies[cid].den for cid in rects))
-    pos = owner.dset.table.pos_of_index[loop_index]
     seg_bottom, seg_top = (owner.height(k) * (den // owner.den) for k in (pos, pos + 1))
     above, below = [], []  # (rect bottom, id) and (minus rect top, id)
     for cid in rects:

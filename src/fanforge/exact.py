@@ -66,8 +66,13 @@ class Address:
             raise ValueError(f"address string must be bits: {text!r}")
         return cls(tuple(int(ch) for ch in text))
 
-    def child(self, bit: int) -> "Address":
-        return Address(self.bits + (bit,))
+    @property
+    def origin(self) -> int:
+        """The left end of B(sigma) over 3^len(sigma), an int: 3^len * 0(sigma)."""
+        num = 0
+        for b in self.bits:
+            num = num * 3 + 2 * b
+        return num
 
     def is_prefix_of(self, other: "Address") -> bool:
         return self.bits == other.bits[: len(self.bits)]
@@ -89,10 +94,7 @@ def addresses_length_lex(max_length: int | None = None) -> Iterator[Address]:
 
 def endpoint_zero(sigma: Address) -> Fraction:
     """Left endpoint of B(sigma): sum of 2*sigma(k) / 3^(k+1)."""
-    num = 0
-    for b in sigma.bits:
-        num = num * 3 + 2 * b
-    return Fraction(num, 3 ** len(sigma))
+    return Fraction(sigma.origin, 3 ** len(sigma))
 
 
 def endpoint_one(sigma: Address) -> Fraction:
@@ -163,28 +165,3 @@ def locate(q: Fraction, depth: int) -> Address:
             raise NotInCantor(f"{q} fell into a middle gap at depth {k + 1}")
         x *= 3
     return Address(tuple(bits))
-
-
-def basic_interval_inside(lo: Fraction, hi: Fraction, max_depth: int = 400) -> Address:
-    """An address whose basic interval lies strictly inside the open (lo, hi).
-
-    Breadth-first, so the result is the shallowest (then leftmost) such
-    interval; used to produce concrete Cantor points inside open cells.
-    Raises ValueError when (lo, hi) contains no Cantor point.
-    """
-    if not lo < hi:
-        raise ValueError("need lo < hi")
-    frontier: list[Address] = [Address()]
-    for _ in range(max_depth + 1):
-        nxt: list[Address] = []
-        for sigma in frontier:
-            left, right = endpoint_zero(sigma), endpoint_one(sigma)
-            if right <= lo or left >= hi:
-                continue
-            if left > lo and right < hi:
-                return sigma
-            nxt.extend((sigma.child(0), sigma.child(1)))
-        if not nxt:
-            raise ValueError(f"no Cantor point strictly inside ({lo}, {hi})")
-        frontier = nxt
-    raise ValueError("basic_interval_inside exceeded depth limit")

@@ -300,7 +300,7 @@ class Region:
         if self.kind == "belowCopies":
             for cid in self.supports:
                 copy = self.model.state.copies[cid]
-                if copy.spans(c):
+                if copy.rect.left <= c <= copy.rect.right:
                     if not h < copy.fiber(c)[1]:
                         return False
                     return self.model.in_y(point)
@@ -328,11 +328,10 @@ def region_between(model: SpaceModel, lower_id: int, upper_id: int, column: Addr
             f"copy {lower.key} is not strictly below copy {upper.key} over {column}"
         )
     n, index_at = len(column), state.dset.table.index_at
-    origin = int(endpoint_zero(column) * 3**n)
     boundary = [
         copy.midpoint_global(m)
         for copy in (lower, upper)
-        for m in sorted(index_at[pos] for pos in copy.jumps_inside(origin, n))
+        for m in sorted(index_at[pos] for pos in copy.jumps_inside(column.origin, n))
     ]
     return Region("betweenCopies", column, (lower_id, upper_id), tuple(boundary), model)
 
@@ -365,19 +364,19 @@ def vertex_neighborhood(model: SpaceModel, eps: Fraction) -> Region:
         raise ValueError("eps must lie in (0, 1)")
     state = model.state
     r_bound = _rational_at_most_tan(eps)
-    best: dict[tuple[int, ...], int] = {}
+    best: dict[tuple[int, ...], tuple[Fraction, int]] = {}  # column -> (copy top, copy id)
     for cid, copy in enumerate(state.copies):
-        if copy.max_height < r_bound:
+        top = Fraction(copy.height(state.n_jumps), copy.den)
+        if top < r_bound:
             bits = copy.rect.address.bits
-            cur = best.get(bits)
-            if cur is None or copy.max_height > state.copies[cur].max_height:
-                best[bits] = cid
+            if bits not in best or top > best[bits][0]:
+                best[bits] = (top, cid)
 
     chosen: list[int] = []
 
     def cover(bits: tuple[int, ...]) -> None:
         if bits in best:
-            chosen.append(best[bits])
+            chosen.append(best[bits][1])
             return
         if len(bits) >= state.depth:
             raise DepthInsufficient(

@@ -87,52 +87,33 @@ class PlacedCopy:
     leftmost (zero-value) plateau and stays strictly below the top edge by
     (b - a) * 2^-N, the truncation defect.
 
-    The copy's integer form: on a plateau of value k / 2^N (k as in
-    `integer_table`) its height a + h*k/2^N is (base + step*k) / den, over
-    the copy's own den = lcm(den a, den h * 2^N), and its column's left end
-    is origin / 3^stage.
+    The copy's integer form is its only placement: on a plateau of value
+    k / 2^N (k as in `integer_table`) its height a + h*k/2^N is
+    (base + step*k) / den, over the copy's own den = lcm(den a, den h * 2^N),
+    and its column's left end is origin / 3^stage (`Address.origin`).
+    `fiber`, `jump_global` and `midpoint_global` make a Fraction only for
+    each value they return.
     """
 
-    __slots__ = (
-        "stage", "index", "rect", "dset", "den", "base", "step", "origin",
-        "_x0", "_x1", "_pow3", "_ints", "_a", "_h", "_top",
-    )
+    __slots__ = ("stage", "index", "rect", "dset", "den", "base", "step", "origin", "_pow3", "_ints")
 
     def __init__(self, stage: int, index: int, rect: Rect, dset: DebskiSet):
         self.stage = stage
         self.index = index
         self.rect = rect
         self.dset = dset
-        self._x0 = rect.left
-        self._x1 = rect.right
         self._pow3 = 3 ** stage
         self._ints = integer_table(dset.n_jumps)
-        self._a = a = rect.bottom
-        self._h = h = rect.top - rect.bottom
-        self._top = a + h * dset.max_value
+        a, h = rect.bottom, rect.height
         scale = 2**dset.n_jumps
         self.den = den = math.lcm(a.denominator, h.denominator * scale)
         self.base = a.numerator * (den // a.denominator)
         self.step = h.numerator * (den // (h.denominator * scale))
-        self.origin = self._x0.numerator * (self._pow3 // self._x0.denominator)
+        self.origin = rect.address.origin
 
     @property
     def key(self) -> str:
         return f"{self.stage}:{self.index}"
-
-    @property
-    def max_height(self) -> Fraction:
-        """Largest second coordinate on the copy: a + (b-a)(1 - 2^-N) < b."""
-        return self._top
-
-    def spans(self, c: Fraction) -> bool:
-        return self._x0 <= c <= self._x1
-
-    def to_global_c(self, local: Fraction) -> Fraction:
-        return self._x0 + local / self._pow3
-
-    def to_global_h(self, local: Fraction) -> Fraction:
-        return self._a + self._h * local
 
     def fiber_span(self, c: Fraction) -> tuple[int, int]:
         """The value indices of the fiber over the vertical at c, in ints.
@@ -171,21 +152,25 @@ class PlacedCopy:
         kind = "segment" if hi > lo else "point"
         return (kind, Fraction(self.height(lo), self.den), Fraction(self.height(hi), self.den))
 
+    def jump_pos(self, index: int) -> int:
+        """The sorted position of jump `index`; IndexOutOfRange outside [0, N)."""
+        if not 0 <= index < self.dset.n_jumps:
+            raise IndexOutOfRange(f"jump index {index} not in [0, {self.dset.n_jumps})")
+        return self.dset.table.pos_of_index[index]
+
     def jump_global(self, pos: int) -> tuple[Fraction, Fraction, Fraction]:
-        """Jump at sorted position pos as global (location, low, high)."""
-        t = self.dset.table
+        """Jump at sorted position pos as global (location, low, high), from ints."""
+        t_den, locations, _ = self._ints
         return (
-            self.to_global_c(t.locations[pos]),
-            self.to_global_h(t.values[pos]),
-            self.to_global_h(t.values[pos + 1]),
+            Fraction(self.origin * t_den + locations[pos], t_den * self._pow3),
+            Fraction(self.height(pos), self.den),
+            Fraction(self.height(pos + 1), self.den),
         )
 
     def midpoint_global(self, index: int) -> tuple[Fraction, Fraction]:
         """The midpoint of jump `index` as global (location, height), from ints."""
-        if not 0 <= index < self.dset.n_jumps:
-            raise IndexOutOfRange(f"jump index {index} not in [0, {self.dset.n_jumps})")
         t_den, locations, values = self._ints
-        pos = self.dset.table.pos_of_index[index]
+        pos = self.jump_pos(index)
         return (
             Fraction(self.origin * t_den + locations[pos], t_den * self._pow3),
             Fraction(2 * self.base + self.step * (values[pos] + values[pos + 1]), 2 * self.den),
@@ -317,9 +302,7 @@ class ColumnSweep:
         self.ids = state.chain_ids(sigma, max_stage=n) if ids is None else ids
         copies = [state.copies[cid] for cid in self.ids]
         self.den = den = math.lcm(*(c.den for c in copies))
-        origin = 0  # the column's left end is origin / 3^n
-        for bit in sigma.bits:
-            origin = 3 * origin + 2 * bit
+        origin = sigma.origin  # the column's left end is origin / 3^n
         self.stages: list[int] = []
         self.bottoms: list[int] = []
         self.tops: list[int] = []

@@ -110,9 +110,9 @@ def check_conditions_i_ii(state: ConstructionState) -> list[CheckRecord]:
     for stage in state.stages:
         bound = Fraction(1, stage.n + 1)
         witness = None
-        max_height = Fraction(0)
+        tallest = Fraction(0)
         for i, rect in enumerate(stage.rects):
-            max_height = max(max_height, rect.height)
+            tallest = max(tallest, rect.height)
             if len(rect.address) != stage.n or not (0 < rect.height <= bound):
                 witness = {
                     "index": i,
@@ -121,7 +121,7 @@ def check_conditions_i_ii(state: ConstructionState) -> list[CheckRecord]:
                     "b": rational_to_str(rect.top),
                 }
                 break
-        metrics = {"rects": len(stage.rects), "max_height": rational_to_str(max_height)}
+        metrics = {"rects": len(stage.rects), "max_height": rational_to_str(tallest)}
         records.append(_verdict("conditions-i-ii", f"stage {stage.n}", witness, metrics))
     return records
 

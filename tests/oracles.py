@@ -8,7 +8,9 @@ connectivity from a plain disjoint-set union, the SVG copy images and
 fan diameters from a walk over every piece in Fractions, and the stage
 builder and the cloud's fiber gaps from per-copy Fraction traces, the
 Q-points and their fiber isolation from each copy's Fraction midpoints, and
-the disjointness record from the pairwise scan over every candidate pair.
+the disjointness record from the pairwise scan over every candidate pair,
+a copy's placement and its earring from its rectangle in Fractions, and a
+Cantor point inside an open interval from a breadth-first search.
 They exist to compute and to cross-check expected values, not to be fast.
 """
 
@@ -22,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from fanforge.debski import build_D, min_jumps_for_depth
-from fanforge.decomp import Claim5Result
+from fanforge.decomp import Claim5Result, Earring, Loop
 from fanforge.errors import (
     DepthInsufficient,
     JumpHit,
@@ -35,14 +37,13 @@ from fanforge.errors import (
 from fanforge.exact import (
     Address,
     addresses_of_length,
-    basic_interval_inside,
     cantor_member,
     endpoint_one,
     endpoint_zero,
     locate,
     rational_to_str,
 )
-from fanforge.render import RenderOptions, _Canvas, _document, _stage_range
+from fanforge.render import CANTOR_DEPTH, STROKE_COPY, STROKE_RECT, _Canvas, _document
 from fanforge.spaceset import CloudPoint, PointCloud, Region, VERTEX, fan_point
 from fanforge.tiling import (
     ColumnSweep,
@@ -107,6 +108,35 @@ def endpoint_zero_oracle(bits) -> Fraction:
     return sum((Fraction(2 * b, 3 ** (k + 1)) for k, b in enumerate(bits)), Fraction(0))
 
 
+def child(sigma: Address, bit: int) -> Address:
+    return Address(sigma.bits + (bit,))
+
+
+def basic_interval_inside(lo: Fraction, hi: Fraction, max_depth: int = 400) -> Address:
+    """An address whose basic interval lies strictly inside the open (lo, hi).
+
+    Breadth-first, so the result is the shallowest (then leftmost) such
+    interval; used to produce concrete Cantor points inside open cells.
+    Raises ValueError when (lo, hi) contains no Cantor point.
+    """
+    if not lo < hi:
+        raise ValueError("need lo < hi")
+    frontier: list[Address] = [Address()]
+    for _ in range(max_depth + 1):
+        nxt: list[Address] = []
+        for sigma in frontier:
+            left, right = endpoint_zero(sigma), endpoint_one(sigma)
+            if right <= lo or left >= hi:
+                continue
+            if left > lo and right < hi:
+                return sigma
+            nxt.extend((child(sigma, 0), child(sigma, 1)))
+        if not nxt:
+            raise ValueError(f"no Cantor point strictly inside ({lo}, {hi})")
+        frontier = nxt
+    raise ValueError("basic_interval_inside exceeded depth limit")
+
+
 def words_length_lex(max_len):
     for n in range(max_len + 1):
         for bits in itertools.product((0, 1), repeat=n):
@@ -157,7 +187,22 @@ def copy_pieces_oracle(copy, count: int):
 
 # ---------------------------------------------------------------------------
 # a placed copy's pieces and fibers in Fractions, through its local
-# coordinates: the reference for PlacedCopy's integer fiber
+# coordinates: the reference for PlacedCopy's integer form
+
+
+def to_global_c(copy, u: Fraction) -> Fraction:
+    """The copy's placement of the local column u: 0(sigma) + u / 3^stage."""
+    return copy.rect.left + u / 3**copy.stage
+
+
+def to_global_h(copy, r: Fraction) -> Fraction:
+    """The copy's placement of the local height r: a + r (b - a)."""
+    return copy.rect.bottom + copy.rect.height * r
+
+
+def max_height_oracle(copy) -> Fraction:
+    """Largest second coordinate on the copy: a + (b-a)(1 - 2^-N) < b."""
+    return to_global_h(copy, copy.dset.max_value)
 
 
 def local_c(copy, c: Fraction) -> Fraction:
@@ -171,7 +216,7 @@ def local_h(copy, h: Fraction) -> Fraction:
 def fiber_oracle(copy, c: Fraction) -> tuple[str, Fraction, Fraction]:
     """('point', v, v) or ('segment', low, high) from the local Fraction fiber."""
     kind, lo, hi = copy.dset.fiber(local_c(copy, c))
-    return (kind, copy.to_global_h(lo), copy.to_global_h(hi))
+    return (kind, to_global_h(copy, lo), to_global_h(copy, hi))
 
 
 def trace_at_oracle(copy, c: Fraction) -> Fraction:
@@ -193,15 +238,25 @@ def classify_on_copy_oracle(copy, point) -> str:
 def plateau_global_oracle(copy, j: int) -> tuple[Fraction, Fraction, Fraction]:
     """Plateau j as global (left, right, value)."""
     p = copy.dset.plateaus[j]
-    return (copy.to_global_c(p.left), copy.to_global_c(p.right), copy.to_global_h(p.value))
+    return (to_global_c(copy, p.left), to_global_c(copy, p.right), to_global_h(copy, p.value))
 
 
 def plateaus_global_oracle(copy) -> list[tuple[Fraction, Fraction, Fraction]]:
     return [plateau_global_oracle(copy, j) for j in range(copy.dset.n_jumps + 1)]
 
 
+def jump_global_oracle(copy, pos: int) -> tuple[Fraction, Fraction, Fraction]:
+    """The jump at sorted position pos as global (location, low, high)."""
+    t = copy.dset.table
+    return (
+        to_global_c(copy, t.locations[pos]),
+        to_global_h(copy, t.values[pos]),
+        to_global_h(copy, t.values[pos + 1]),
+    )
+
+
 def jumps_global_oracle(copy) -> list[tuple[Fraction, Fraction, Fraction]]:
-    return [copy.jump_global(pos) for pos in range(copy.dset.n_jumps)]
+    return [jump_global_oracle(copy, pos) for pos in range(copy.dset.n_jumps)]
 
 
 def jump_positions_between_oracle(copy, c_lo: Fraction, c_hi: Fraction) -> range:
@@ -235,7 +290,7 @@ def pieces_in_window_oracle(copy, c_lo, c_hi, h_lo, h_hi):
         if t.values[pos + 1] < l_hlo or t.values[pos] > l_hhi:
             continue
         if l_clo <= t.locations[pos] <= l_chi:
-            jumps.append(copy.jump_global(pos))
+            jumps.append(jump_global_oracle(copy, pos))
     return (plateaus, jumps)
 
 
@@ -244,7 +299,7 @@ def copies_intersect_oracle(a, b) -> dict | None:
     deep = a if a.stage >= b.stage else b
     c_lo, c_hi = deep.rect.left, deep.rect.right
     h_lo = max(a.rect.bottom, b.rect.bottom)
-    h_hi = min(a.max_height, b.max_height)
+    h_hi = min(max_height_oracle(a), max_height_oracle(b))
     if h_lo > h_hi:
         return None
     plats_a, jumps_a = pieces_in_window_oracle(a, c_lo, c_hi, h_lo, h_hi)
@@ -305,7 +360,7 @@ def pointwise_below_oracle(a, b, left: Fraction, right: Fraction) -> bool:
     events: dict[Fraction, list[tuple[str, int]]] = {}
     for tag, copy in (("a", a), ("b", b)):
         for pos in jump_positions_between_oracle(copy, left, right):
-            c = copy.to_global_c(copy.dset.table.locations[pos])
+            c = to_global_c(copy, copy.dset.table.locations[pos])
             events.setdefault(c, []).append((tag, pos))
     cur_a = trace_at_oracle(a, left)
     cur_b = trace_at_oracle(b, left)
@@ -316,7 +371,7 @@ def pointwise_below_oracle(a, b, left: Fraction, right: Fraction) -> bool:
         nxt_a, nxt_b = cur_a, cur_b
         for tag, pos in events[c]:
             copy = a if tag == "a" else b
-            top = copy.to_global_h(copy.dset.table.values[pos + 1])
+            top = to_global_h(copy, copy.dset.table.values[pos + 1])
             if tag == "a":
                 a_hi = top
                 nxt_a = top
@@ -360,7 +415,7 @@ def fiber_isolation_witnesses(model) -> list[tuple[QPoint, str]]:
         owner = state.copies[qp.copy_id]
         c = qp.point[0]
         jump = owner.dset.table.jump_by_index(qp.jump_index)
-        seg_lo, seg_hi = owner.to_global_h(jump.low), owner.to_global_h(jump.high)
+        seg_lo, seg_hi = to_global_h(owner, jump.low), to_global_h(owner, jump.high)
         for cid, _, _ in state.fibers_at(c):
             if cid == qp.copy_id:
                 continue
@@ -376,7 +431,7 @@ def q_set_oracle(state) -> dict:
     for cid, copy in enumerate(state.copies):
         for m in range(state.n_jumps):
             j = copy.dset.table.jump_by_index(m)
-            out.setdefault((copy.to_global_c(j.location), copy.to_global_h(j.midpoint)), (cid, m))
+            out.setdefault((to_global_c(copy, j.location), to_global_h(copy, j.midpoint)), (cid, m))
     return out
 
 
@@ -425,9 +480,9 @@ def region_between_oracle(model, lower_id: int, upper_id: int, column) -> Region
     for copy in (lower, upper):
         for m in range(copy.dset.n_jumps):
             j = copy.dset.table.jump_by_index(m)
-            c = copy.to_global_c(j.location)
+            c = to_global_c(copy, j.location)
             if left <= c <= right:
-                boundary.append((c, copy.to_global_h(j.midpoint)))
+                boundary.append((c, to_global_h(copy, j.midpoint)))
     return Region("betweenCopies", column, (lower_id, upper_id), tuple(boundary), model)
 
 
@@ -440,7 +495,7 @@ def envelope_failures_oracle(state, column, trio) -> list[str]:
     for cid in trio:
         copy = state.copies[cid]
         for pos in jump_positions_between_oracle(copy, left, right):
-            breakpoints.add(copy.to_global_c(copy.dset.table.locations[pos]))
+            breakpoints.add(to_global_c(copy, copy.dset.table.locations[pos]))
     cuts = [left] + sorted(breakpoints) + [right]
     sample_columns = [left, right] + sorted(breakpoints)
     for u, w in zip(cuts, cuts[1:]):
@@ -460,6 +515,19 @@ def envelope_failures_oracle(state, column, trio) -> list[str]:
     return failures
 
 
+def collapse_oracle(model, copy_id: int) -> Earring:
+    """collapse_E with each loop placed by to_global_c and to_global_h."""
+    copy = model.state.copies[copy_id]
+    loops = []
+    for m in range(copy.dset.n_jumps):
+        jump = copy.dset.table.jump_by_index(m)
+        c = to_global_c(copy, jump.location)
+        lo, hi = to_global_h(copy, jump.low), to_global_h(copy, jump.high)
+        p, q = fan_point((c, lo)), fan_point((c, hi))
+        loops.append(Loop(m, c, lo, hi, ((p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2) ** 0.5))
+    return Earring(copy.key, f"e[{copy.key}]", tuple(loops))
+
+
 def claim5_oracle(model, copy_id: int, level: int, loop_index: int) -> Claim5Result:
     """claim5_regions walked in Fractions."""
     state = model.state
@@ -468,8 +536,8 @@ def claim5_oracle(model, copy_id: int, level: int, loop_index: int) -> Claim5Res
     if level < 0 or target > state.depth:
         raise DepthInsufficient(f"level {level} is not in [0, {state.depth - owner.stage - 1}]")
     jump = owner.dset.table.jump_by_index(loop_index)
-    c_j = owner.to_global_c(jump.location)
-    seg_lo, seg_hi = owner.to_global_h(jump.low), owner.to_global_h(jump.high)
+    c_j = to_global_c(owner, jump.location)
+    seg_lo, seg_hi = to_global_h(owner, jump.low), to_global_h(owner, jump.high)
     column = locate(c_j, target)
     above, below = [], []
     for cid, copy in enumerate(state.copies):
@@ -568,7 +636,7 @@ class CellDecomposition:
         for cid in self.ids:
             copy = state.copies[cid]
             for pos in jump_positions_between_oracle(copy, left, right):
-                c = copy.to_global_c(copy.dset.table.locations[pos])
+                c = to_global_c(copy, copy.dset.table.locations[pos])
                 self.events.setdefault(c, []).append((cid, pos))
         self.breakpoints = sorted(self.events)
 
@@ -588,7 +656,7 @@ class CellDecomposition:
             moved = []
             for cid, pos in self.events[c]:
                 copy = state.copies[cid]
-                new = copy.to_global_h(copy.dset.table.values[pos + 1])
+                new = to_global_h(copy, copy.dset.table.values[pos + 1])
                 cross.remove((heights[cid], cid))
                 bisect.insort(cross, (new, cid))
                 heights[cid] = new
@@ -740,84 +808,57 @@ def plateau_segments_oracle(copy, lo: Fraction, hi: Fraction, depth: int):
         a = max(endpoint_zero(sigma), local_lo)
         b = min(endpoint_one(sigma), local_hi)
         if a < b:
-            out.append((copy.to_global_c(a), copy.to_global_c(b)))
+            out.append((to_global_c(copy, a), to_global_c(copy, b)))
     return out
 
 
-def render_tiling_oracle(state, options=None) -> str:
-    opts = options or RenderOptions()
-    stages = _stage_range(state, opts)
-    y_lo = float(-max(stages.stop - 1, 0)) - 0.25 if stages else -0.25
-    y_hi = float(max(stages.stop - 1, 0) + 1) + 0.25 if stages else 1.25
-    canvas = _Canvas(opts, -0.05, 1.05, y_lo, y_hi)
+def render_tiling_oracle(state) -> str:
+    canvas = _Canvas(-0.05, 1.05, -state.depth - 0.25, state.depth + 1.25)
     body = [canvas.rect(0.0, 0.0, 1.0, 1.0, "frame", 0.6)]
-    if opts.draw_rects:
-        for stage in state.stages:
-            if stage.n not in stages or stage.n == 0:
-                continue
-            for r in stage.rects:
-                body.append(
-                    canvas.rect(float(r.left), float(r.bottom), float(r.right), float(r.top),
-                                "rect", opts.stroke_rect)
-                )
-    if opts.draw_copies:
-        for stage in state.stages:
-            if stage.n not in stages:
-                continue
-            for copy in stage.copies:
-                body.append(f'<g class="copy" id="copy-{copy.stage}-{copy.index}">')
-                depth = max(opts.cantor_depth - copy.stage, 0)
-                for lo, hi, v in plateaus_global_oracle(copy):
-                    for a, b in plateau_segments_oracle(copy, lo, hi, depth):
-                        body.append(
-                            canvas.line(float(a), float(v), float(b), float(v), "copy", opts.stroke_copy)
-                        )
-                for c, lo, hi in jumps_global_oracle(copy):
-                    body.append(
-                        canvas.line(float(c), float(lo), float(c), float(hi), "copy", opts.stroke_copy)
-                    )
-                body.append("</g>")
-                if opts.draw_midpoints:
-                    for c, mid in copy.midpoints_global():
-                        body.append(canvas.circle(float(c), float(mid), 1.6, "midpoint"))
-    return _document(opts, body)
+    for stage in state.stages[1:]:
+        for r in stage.rects:
+            body.append(
+                canvas.rect(float(r.left), float(r.bottom), float(r.right), float(r.top),
+                            "rect", STROKE_RECT)
+            )
+    for copy in state.copies:
+        body.append(f'<g class="copy" id="copy-{copy.stage}-{copy.index}">')
+        depth = max(CANTOR_DEPTH - copy.stage, 0)
+        for lo, hi, v in plateaus_global_oracle(copy):
+            for a, b in plateau_segments_oracle(copy, lo, hi, depth):
+                body.append(canvas.line(float(a), float(v), float(b), float(v), "copy", STROKE_COPY))
+        for c, lo, hi in jumps_global_oracle(copy):
+            body.append(canvas.line(float(c), float(lo), float(c), float(hi), "copy", STROKE_COPY))
+        body.append("</g>")
+    return _document(body)
 
 
-def render_fan_oracle(state, options=None) -> str:
-    opts = options or RenderOptions()
-    canvas = _Canvas(opts, -0.05, 1.05, -0.05, 1.05)
+def render_fan_oracle(state) -> str:
+    canvas = _Canvas(-0.05, 1.05, -0.05, 1.05)
     body = ['<g class="spokes">']
     spoke_cs = []
-    for sigma in addresses_of_length(min(opts.cantor_depth, 8)):
+    for sigma in addresses_of_length(CANTOR_DEPTH):
         spoke_cs.extend((endpoint_zero(sigma), endpoint_one(sigma)))
     for c in sorted(set(spoke_cs)):
         body.append(canvas.line(0.5, 0.0, float(c), 1.0, "spoke", 0.5))
     body.append("</g>")
-    stages = _stage_range(state, opts)
-    for stage in state.stages:
-        if stage.n not in stages:
-            continue
-        for copy in stage.copies:
-            body.append(f'<g class="copy" id="copy-{copy.stage}-{copy.index}">')
-            depth = max(opts.cantor_depth - copy.stage, 0)
-            for lo, hi, v in plateaus_global_oracle(copy):
-                for a, b in plateau_segments_oracle(copy, lo, hi, depth):
-                    pa, pb = fan_point((a, v)), fan_point((b, v))
-                    body.append(canvas.line(pa[0], pa[1], pb[0], pb[1], "copy", opts.stroke_copy))
-            for c, lo, hi in jumps_global_oracle(copy):
-                pa, pb = fan_point((c, lo)), fan_point((c, hi))
-                body.append(canvas.line(pa[0], pa[1], pb[0], pb[1], "copy", opts.stroke_copy))
-            body.append("</g>")
-            if opts.draw_midpoints:
-                for c, mid in copy.midpoints_global():
-                    p = fan_point((c, mid))
-                    body.append(canvas.circle(p[0], p[1], 1.4, "qpoint"))
+    for copy in state.copies:
+        body.append(f'<g class="copy" id="copy-{copy.stage}-{copy.index}">')
+        depth = max(CANTOR_DEPTH - copy.stage, 0)
+        for lo, hi, v in plateaus_global_oracle(copy):
+            for a, b in plateau_segments_oracle(copy, lo, hi, depth):
+                pa, pb = fan_point((a, v)), fan_point((b, v))
+                body.append(canvas.line(pa[0], pa[1], pb[0], pb[1], "copy", STROKE_COPY))
+        for c, lo, hi in jumps_global_oracle(copy):
+            pa, pb = fan_point((c, lo)), fan_point((c, hi))
+            body.append(canvas.line(pa[0], pa[1], pb[0], pb[1], "copy", STROKE_COPY))
+        body.append("</g>")
     diameters = {str(k): f"{v:.9f}" for k, v in sorted(stage_fan_diameters_oracle(state).items())}
     body.append(
         "<metadata>" + json.dumps({"stage_fan_diameters": diameters}, sort_keys=True) + "</metadata>"
     )
     body.append(canvas.circle(0.5, 0.0, 3.0, "vertex"))
-    return _document(opts, body)
+    return _document(body)
 
 
 # ---------------------------------------------------------------------------

@@ -11,12 +11,18 @@ from fanforge.decomp import (
     collapse_E,
     earring_check,
 )
-from fanforge.errors import DepthInsufficient, FanforgeError, NotOrdered, UnknownCopy
+from fanforge.errors import DepthInsufficient, FanforgeError, IndexOutOfRange, NotOrdered, UnknownCopy
 from fanforge.exact import Address
 from fanforge.spaceset import assemble
 from fanforge.tiling import ConstructionState, PlacedCopy, Rect, TilingStage, stage_zero
 
-from .oracles import claim5_oracle, envelope_failures_oracle, plateaus_global_oracle, q_points
+from .oracles import (
+    claim5_oracle,
+    collapse_oracle,
+    envelope_failures_oracle,
+    plateaus_global_oracle,
+    q_points,
+)
 
 
 def _outcome(query, *args):
@@ -51,6 +57,11 @@ class TestCollapse:
     def test_unknown_copy(self, model_1_4):
         with pytest.raises(UnknownCopy):
             collapse_E(model_1_4, 999)
+
+    def test_every_earring_matches_fraction_placement(self, model_2_16):
+        for cid in range(len(model_2_16.state.copies)):
+            ours = collapse_E(model_2_16, cid).to_json_obj()
+            assert ours == collapse_oracle(model_2_16, cid).to_json_obj(), cid
 
 
 class TestEarringCheck:
@@ -121,6 +132,11 @@ class TestClaim5:
     def test_negative_level_refused(self, model_2_16, level):
         with pytest.raises(DepthInsufficient, match="level must be >= 0"):
             claim5_regions(model_2_16, 1, level, 0)
+
+    @pytest.mark.parametrize("loop", [-1, 16])
+    def test_loop_index_outside_range_refused(self, model_2_16, loop):
+        assert _outcome(claim5_regions, model_2_16, 0, 0, loop) is IndexOutOfRange
+        assert _outcome(claim5_oracle, model_2_16, 0, 0, loop) is IndexOutOfRange
 
     def test_every_query_matches_fraction_walk(self, model_2_16):
         state = model_2_16.state

@@ -8,7 +8,6 @@ from fanforge.exact import (
     BasicInterval,
     addresses_length_lex,
     addresses_of_length,
-    basic_interval_inside,
     cantor_member,
     endpoint_one,
     endpoint_zero,
@@ -18,7 +17,13 @@ from fanforge.exact import (
 )
 from fanforge.errors import NotInCantor, OutOfRange
 
-from .oracles import cantor_member_oracle, endpoint_zero_oracle, locate_oracle
+from .oracles import (
+    basic_interval_inside,
+    cantor_member_oracle,
+    child,
+    endpoint_zero_oracle,
+    locate_oracle,
+)
 
 addresses = st.lists(st.integers(0, 1), max_size=10).map(lambda bits: Address(tuple(bits)))
 
@@ -46,10 +51,10 @@ class TestEndpoints:
 
     @given(addresses, st.integers(0, 1))
     def test_children_nest_and_split(self, sigma, bit):
-        child = sigma.child(bit)
-        assert endpoint_zero(sigma) <= endpoint_zero(child)
-        assert endpoint_one(child) <= endpoint_one(sigma)
-        left, right = sigma.child(0), sigma.child(1)
+        tau = child(sigma, bit)
+        assert endpoint_zero(sigma) <= endpoint_zero(tau)
+        assert endpoint_one(tau) <= endpoint_one(sigma)
+        left, right = child(sigma, 0), child(sigma, 1)
         # disjoint children: the left child ends strictly before the right begins
         assert endpoint_one(left) < endpoint_zero(right)
 

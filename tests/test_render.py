@@ -7,7 +7,9 @@ from fanforge import build
 from fanforge.decomp import collapse_E
 from fanforge.errors import UnknownFigure
 from fanforge.render import (
-    RenderOptions,
+    HEIGHT,
+    MARGIN,
+    WIDTH,
     figure_filename,
     render_earring,
     render_fan,
@@ -37,20 +39,6 @@ class TestTiling:
     def test_byte_determinism(self, st_1_4):
         assert render_tiling(st_1_4) == render_tiling(st_1_4)
 
-    def test_empty_stage_range_is_background_only(self, st_1_4):
-        opts = RenderOptions(stage_low=2, stage_high=1)
-        doc = render_tiling(st_1_4, opts)
-        assert len(_classes(doc, "rect", "frame")) == 1
-        assert len(_classes(doc, "rect", "rect")) == 0
-        root = ET.fromstring(doc)
-        assert not [g for g in root.iter(f"{SVG}g") if g.get("class") == "copy"]
-
-    def test_midpoint_markers_optional(self, st_1_4):
-        plain = render_tiling(st_1_4)
-        marked = render_tiling(st_1_4, RenderOptions(draw_midpoints=True))
-        assert len(_classes(plain, "circle", "midpoint")) == 0
-        assert len(_classes(marked, "circle", "midpoint")) == 13 * 4
-
     def test_no_nan_coordinates(self, st_1_4):
         assert "nan" not in render_tiling(st_1_4).lower()
 
@@ -63,14 +51,13 @@ class TestFan:
 
     def test_spoke_through_column_one(self, st_1_4):
         # the spoke to c = 1 runs from the vertex to the top-right corner
-        opts = RenderOptions(cantor_depth=1, width=1000, height=1000, margin=0)
-        doc = render_fan(st_1_4, opts)
-        root = ET.fromstring(doc)
+        root = ET.fromstring(render_fan(st_1_4))
         spokes = [l for l in root.iter(f"{SVG}line") if l.get("class") == "spoke"]
-        assert len(spokes) == 4  # endpoints of depth-1 intervals: 0, 1/3, 2/3, 1
-        ends = {(l.get("x2"), l.get("y2")) for l in spokes}
-        top_right = (f"{1000 * (1 + 0.05) / 1.1:.12f}", f"{1000 * 0.05 / 1.1:.12f}")
-        assert top_right in ends
+        assert len(spokes) == 2 * 2**6  # both endpoints of every depth-6 interval
+        ends = {(float(l.get("x2")), float(l.get("y2"))) for l in spokes}
+        # the canvas spans [-0.05, 1.05] both ways: c = 1 sits 1.05/1.1 across, 0.05/1.1 down
+        top_right = (MARGIN + (WIDTH - 2 * MARGIN) * 1.05 / 1.1, MARGIN + (HEIGHT - 2 * MARGIN) * 0.05 / 1.1)
+        assert any(end == pytest.approx(top_right) for end in ends)
 
     def test_diameter_metadata_embedded(self, st_1_4):
         doc = render_fan(st_1_4)
@@ -144,18 +131,3 @@ class TestByteContract:
         state = request.getfixturevalue(fixture)
         assert render_tiling(state) == render_tiling_oracle(state)
         assert render_fan(state) == render_fan_oracle(state)
-
-    @pytest.mark.parametrize(
-        "fixture, opts",
-        [
-            ("st_2_16", RenderOptions(draw_midpoints=True)),
-            ("st_2_16", RenderOptions(stage_low=1, stage_high=1)),
-            ("st_3_16", RenderOptions(stage_low=3, draw_rects=False)),
-            ("st_2_16", RenderOptions(cantor_depth=0)),
-            ("st_1_4", RenderOptions(cantor_depth=8, draw_midpoints=True)),
-        ],
-    )
-    def test_other_options(self, request, fixture, opts):
-        state = request.getfixturevalue(fixture)
-        assert render_tiling(state, opts) == render_tiling_oracle(state, opts)
-        assert render_fan(state, opts) == render_fan_oracle(state, opts)

@@ -8,7 +8,7 @@ from hypothesis import example, given, strategies as st
 from fanforge.debski import build_D
 from fanforge.decomp import collapse_E
 from fanforge.errors import DepthInsufficient, NotOrdered, NotSpanning
-from fanforge.exact import Address, addresses_of_length, basic_interval_inside, endpoint_zero
+from fanforge.exact import Address, addresses_of_length, endpoint_zero
 from fanforge.spaceset import (
     assemble,
     fan_midpoints,
@@ -23,6 +23,7 @@ from fanforge.spaceset import (
 from fanforge.tiling import ConstructionState, PlacedCopy, Rect, TilingStage, stage_zero, vertical_trace
 
 from .oracles import (
+    basic_interval_inside,
     classify_oracle,
     fiber_isolation_witnesses,
     fset_columns,
@@ -32,6 +33,8 @@ from .oracles import (
     q_points,
     q_set_oracle,
     sample_points_oracle,
+    to_global_c,
+    to_global_h,
 )
 
 cantor_endpoints = st.tuples(st.lists(st.integers(0, 1), max_size=8), st.booleans()).map(
@@ -109,8 +112,8 @@ class TestPieceFloats:
                           build_D(n_jumps))
         pieces = piece_floats(copy, depth)
         table = copy.dset.table
-        assert pieces.heights == [float(copy.to_global_h(v)) for v in table.values]
-        assert pieces.jumps == [float(copy.to_global_c(x)) for x in table.locations]
+        assert pieces.heights == [float(to_global_h(copy, v)) for v in table.values]
+        assert pieces.jumps == [float(to_global_c(copy, x)) for x in table.locations]
         assert pieces.segments == [
             [(float(a), float(b)) for a, b in plateau_segments_oracle(copy, lo, hi, depth)]
             for lo, hi, _ in plateaus_global_oracle(copy)
@@ -361,7 +364,7 @@ class TestFiberIsolation:
         for qp in q_points(model_1_4):
             copy = state.copies[qp.copy_id]
             jump = copy.dset.table.jump_by_index(qp.jump_index)
-            lo, hi = copy.to_global_h(jump.low), copy.to_global_h(jump.high)
+            lo, hi = to_global_h(copy, jump.low), to_global_h(copy, jump.high)
             assert lo < qp.point[1] < hi
 
 

@@ -33,9 +33,12 @@ from .oracles import (
     build_oracle,
     fiber_oracle,
     jumps_global_oracle,
+    max_height_oracle,
     plateaus_global_oracle,
     pointwise_below_oracle,
     state_pieces_oracle,
+    to_global_c,
+    to_global_h,
     trace_oracle,
 )
 
@@ -53,7 +56,7 @@ class TestStageZero:
         assert copy.fiber(F(0)) == ("point", F(0), F(0))
         # truncated maximum: the image tops out at 1 - 2^-N below the rect top
         assert copy.fiber(F(1)) == ("point", F(15, 16), F(15, 16))
-        assert copy.max_height == F(15, 16)
+        assert max_height_oracle(copy) == F(15, 16)
 
 
 class TestStageOne:
@@ -156,13 +159,13 @@ class TestIntegerFiber:
         columns = [endpoint_zero(inner), endpoint_one(inner)]  # Cantor endpoints
         columns += [c for c, _, _ in jumps_global_oracle(copy)]  # jump locations
         # non-endpoint members of C (1/4, 3/4, 1/10, 9/10) and a non-member (1/2)
-        columns += [copy.to_global_c(u) for u in (F(1, 4), F(3, 4), F(1, 10), F(9, 10), F(1, 2))]
+        columns += [to_global_c(copy, u) for u in (F(1, 4), F(3, 4), F(1, 10), F(9, 10), F(1, 2))]
         for c in columns:
             assert copy.fiber(c) == fiber_oracle(copy, c), c
         table = copy.dset.table
         for m in range(n_jumps):
             jump = table.jump_by_index(m)
-            expected = (copy.to_global_c(jump.location), copy.to_global_h(jump.midpoint))
+            expected = (to_global_c(copy, jump.location), to_global_h(copy, jump.midpoint))
             assert copy.midpoint_global(m) == expected
 
 
@@ -307,7 +310,8 @@ class TestPointwiseBelow:
 
 
 class TestAffineMap:
-    """A copy's placement (c, r) -> (0(sigma) + c/3^n, a + r(b-a)): to_global_c, to_global_h."""
+    """A copy's placement (c, r) -> (0(sigma) + c/3^n, a + r(b-a)), the oracles'
+    to_global_c and to_global_h."""
 
     @given(
         st.lists(st.integers(0, 1), max_size=6),
@@ -322,13 +326,13 @@ class TestAffineMap:
         if a == b:
             b = a + 1
         copy = PlacedCopy(len(bits), 0, Rect(Address(tuple(bits)), a, b), build_D(2))
-        assert copy.to_global_c(min(c1, c2)) <= copy.to_global_c(max(c1, c2))
-        assert copy.to_global_h(min(r1, r2)) <= copy.to_global_h(max(r1, r2))
+        assert to_global_c(copy, min(c1, c2)) <= to_global_c(copy, max(c1, c2))
+        assert to_global_h(copy, min(r1, r2)) <= to_global_h(copy, max(r1, r2))
 
     def test_maps_unit_square_onto_footprint(self):
         copy = PlacedCopy(2, 0, Rect(Address.parse("01"), F(1, 4), F(3, 4)), build_D(2))
-        assert (copy.to_global_c(F(0)), copy.to_global_h(F(0))) == (F(2, 9), F(1, 4))
-        assert (copy.to_global_c(F(1)), copy.to_global_h(F(1))) == (F(1, 3), F(3, 4))
+        assert (to_global_c(copy, F(0)), to_global_h(copy, F(0))) == (F(2, 9), F(1, 4))
+        assert (to_global_c(copy, F(1)), to_global_h(copy, F(1))) == (F(1, 3), F(3, 4))
 
 
 class TestCopyGeometry:
@@ -337,16 +341,23 @@ class TestCopyGeometry:
         height = copy.rect.height
         for m in range(4):
             jump = copy.dset.table.jump_by_index(m)
-            lo = copy.to_global_h(jump.low)
-            hi = copy.to_global_h(jump.high)
+            lo = to_global_h(copy, jump.low)
+            hi = to_global_h(copy, jump.high)
             assert hi - lo == height * F(1, 2 ** (m + 1))
+
+    @pytest.mark.parametrize("name", ["st_2_16", "st_4_16t"])
+    def test_jump_global_matches_fraction_placement(self, name, request):
+        state = request.getfixturevalue(name)
+        for copy in state.copies:
+            ours = [copy.jump_global(pos) for pos in range(state.n_jumps)]
+            assert ours == jumps_global_oracle(copy), copy.key
 
     def test_image_touches_bottom_only_on_leftmost_plateau(self, st_1_4):
         for copy in st_1_4.copies:
             plats = plateaus_global_oracle(copy)
             assert plats[0][2] == copy.rect.bottom
             assert all(v > copy.rect.bottom for _, _, v in plats[1:])
-            assert copy.max_height < copy.rect.top
+            assert max_height_oracle(copy) < copy.rect.top
 
     @given(
         st.lists(st.integers(0, 1), max_size=6),
@@ -362,7 +373,7 @@ class TestCopyGeometry:
         for v in copy.dset.table.values:
             k = v * 2**n_jumps
             assert k.denominator == 1
-            assert F(copy.base + copy.step * k.numerator, copy.den) == copy.to_global_h(v)
+            assert F(copy.base + copy.step * k.numerator, copy.den) == to_global_h(copy, v)
 
 
 json_values = st.recursive(

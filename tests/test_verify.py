@@ -10,7 +10,6 @@ from hypothesis import example, given, settings, strategies as st
 from fanforge.exact import (
     Address,
     addresses_of_length,
-    basic_interval_inside,
     endpoint_one,
     endpoint_zero,
 )
@@ -50,6 +49,7 @@ from .oracles import (
     CellDecomposition,
     band_oracle,
     band_union_gap_oracle,
+    basic_interval_inside,
     candidate_pairs,
     classify_on_copy_oracle,
     components_oracle,
@@ -61,10 +61,12 @@ from .oracles import (
     diameter_oracle,
     disjointness_oracle,
     jumps_global_oracle,
+    max_height_oracle,
     mst_edges_oracle,
     plateau_global_oracle,
     plateaus_global_oracle,
     stage_fan_diameters_oracle,
+    to_global_h,
 )
 
 lattice_points = st.tuples(st.integers(0, 4), st.integers(0, 4)).map(
@@ -181,7 +183,7 @@ class TestDisjointness:
         overlapping, witnesses = 0, 0
         for i, j in candidate_pairs(state):
             a, b = state.copies[i], state.copies[j]
-            if max(a.rect.bottom, b.rect.bottom) > min(a.max_height, b.max_height):
+            if max(a.rect.bottom, b.rect.bottom) > min(max_height_oracle(a), max_height_oracle(b)):
                 assert copies_intersect(a, b) is None
                 continue
             ours = copies_intersect(a, b)
@@ -290,7 +292,7 @@ class TestDisjointness:
         other = state.copies[related[pick % len(related)]]
         values = state.dset.table.values
         height = copy.rect.height * scale
-        bottom = other.to_global_h(values[j_other]) - height * values[j_own] + delta
+        bottom = to_global_h(other, values[j_other]) - height * values[j_own] + delta
         bad = _with_mutated_rect(state, copy.stage, copy.index, Rect(sigma, bottom, bottom + height))
         meeting = sweep_level(bad, bad.depth).meeting
         assert meeting == _accepted_pairs(bad)
@@ -349,7 +351,9 @@ class TestDisjointness:
             plats, jumps = copy_pieces_oracle(copy, st_2_16.n_jumps)
             lo, hi, v = plats[rng.randrange(len(plats))]
             on_count = sum(
-                1 for c in copies if c.spans(lo) and classify_on_copy_oracle(c, (lo, v)) == "on"
+                1
+                for c in copies
+                if c.rect.left <= lo <= c.rect.right and classify_on_copy_oracle(c, (lo, v)) == "on"
             )
             assert on_count == 1
 
