@@ -65,10 +65,11 @@ def jump_points(n_jumps: int) -> list[Fraction]:
 
 @lru_cache(maxsize=None)
 def min_jumps_for_depth(depth: int) -> int:
-    """Smallest N such that every depth-`depth` basic interval holds a jump.
-
-    This is the truncation needed for strict trace interleaving in a
-    depth-`depth` build (it comes to 3 * 2^(depth-1) for depth >= 2).
+    """The jump count a depth-`depth` build needs. From depth 2 on it is the
+    smallest N such that every depth-`depth` basic interval holds one of the
+    first N jumps, 3 * 2^(depth-1), which strict trace interleaving needs.
+    Depth 1 gives stage one's floor, 2, not that count: the jumps 1/4 and
+    1/12 leave [2/3, 1] empty, and covering takes 3. Depth <= 0 gives 1.
     """
     if depth <= 0:
         return 1

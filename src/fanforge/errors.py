@@ -61,6 +61,10 @@ class DepthInsufficient(FanforgeError):
     """The construction depth is too small for the requested object."""
 
 
+class InvalidParameter(FanforgeError):
+    """A numeric run parameter is NaN, infinite or negative."""
+
+
 class InvertedWindow(FanforgeError):
     """A height window's lower bound lies above its upper bound."""
 

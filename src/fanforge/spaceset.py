@@ -21,7 +21,7 @@ from itertools import combinations
 from typing import NamedTuple
 
 from .debski import integer_table
-from .errors import DepthInsufficient, NotInCantor, NotOrdered, NotSpanning, UnknownCopy
+from .errors import DepthInsufficient, InvalidParameter, NotInCantor, NotOrdered, NotSpanning, UnknownCopy
 from .exact import (
     Address,
     addresses_of_length,
@@ -450,10 +450,13 @@ def sample_points(model: SpaceModel, grid_depth: int, fiber_count: int) -> Point
     crossings inside [-K, K+1] (ties broken low first). A depth-`grid_depth`
     column's sweep holds the crossings at its left end in `first` and at its
     right end in `last`. All choices are exact, so the cloud is deterministic.
+    A negative `fiber_count` raises InvalidParameter.
     """
     state = model.state
     if grid_depth < state.depth:
         raise ValueError("grid_depth must be at least the construction depth")
+    if fiber_count < 0:
+        raise InvalidParameter(f"fiber count must be >= 0, got {fiber_count}")
     xy = [VERTEX]
     for copy in state.copies:
         xy += fan_midpoints(copy)

@@ -273,9 +273,6 @@ class ConstructionState:
         return json.dumps(self.to_json_obj(), sort_keys=True, separators=(",", ":")) + "\n"
 
 
-Crossing = tuple[int, int]  # (height over the column denominator, place in ids)
-
-
 class ColumnSweep:
     """One depth-n column against the copies of stages <= n, in integers.
 
@@ -287,7 +284,7 @@ class ColumnSweep:
     k/2^N is the int A + H*k. `first` and `last` hold the crossings at the
     column's left and right ends. Breakpoints are ints over T * 3^n, T the
     jump table's denominator, and are found only when first asked for.
-    A crossing is (height, i) with i the copy's place in `ids`. By default
+    Per-copy lists are indexed by the copy's place in `ids`. By default
     `ids` lists every copy of stages <= n spanning the column, increasing
     (the length-s prefix holds the stage-s copies, numbered stage by
     stage), so ties break as they would by copy id; a caller that asks
@@ -347,79 +344,86 @@ class ColumnSweep:
                 reach = y
         return Fraction((2 * self.n + 1) * self.den - covered, self.den)
 
-    def gaps(self) -> Iterator[tuple[Crossing | None, Crossing | None]]:
-        """Each maximal vertical gap once, left to right, as (lower, upper).
+    def gaps(self) -> Iterator[int]:
+        """Each maximal vertical gap once, left to right, as its place g.
 
-        None stands for the range boundary. Gaps are reported when they
-        first appear, in the initial cell or beside a crossing that has just
-        jumped; a gap spanning several cells is the same in all of them.
+        The place index holds the cell's crossings in increasing order:
+        `hs[p]` is the height at place p, `order[p]` the copy's place in
+        `ids` (ties break by it). Gap g lies between places g - 1 and g, -1
+        and len(ids) standing for the range boundary; read `hs` and `order`
+        when g is yielded. A gap is reported when it first appears, in the
+        initial cell or beside a crossing that has just jumped.
 
         On the way it collects in `meeting` every pair of copy ids whose
-        fibers share a Cantor point of the column. Heights are constant
-        between breakpoints, so there the fibers meet exactly in groups of
-        equal crossings. At a breakpoint a jumping copy's fiber is
-        [old, new]; it meets every crossing whose height lies in that range,
-        found by walking up `cross` from the jumper, which still holds the
-        batch's other jumpers at their old heights, so two overlapping jumps
-        are caught from the lower one. Any pair level after the breakpoint
-        meets at it too, so the initial cell and the breakpoints find all
-        pairs (Bentley & Ottmann, 1979). While the order stays strict this
-        is one comparison per jump.
+        fibers share a Cantor point of the column. Between breakpoints the
+        fibers meet exactly in groups of equal crossings. At a breakpoint a
+        jumper's fiber [old, new] meets every crossing whose height lies in
+        it, found by walking up `hs` from the jumper's place (`pos`) while
+        the batch's other jumpers still sit at their old heights, so two
+        overlapping jumps are caught from the lower one. A pair level after
+        a breakpoint meets at it too, so no pair is missed (Bentley &
+        Ottmann, 1979). A jumper that meets nothing lands below the next
+        place's old height, so only a batch with a meeting is re-sorted.
         """
-        heights = list(self.first)
-        cross = sorted(zip(heights, range(len(heights))))
-        ids = self.ids
-        meeting: set[tuple[int, int]] = set()
-        self.meeting = meeting
-        if not all(x[0] < y[0] for x, y in zip(cross, cross[1:])):
-            for _, level in itertools.groupby(cross, key=lambda x: x[0]):
-                meeting.update(itertools.combinations([ids[i] for _, i in level], 2))
-        bounded: list[Crossing | None] = [None, *cross, None]
-        yield from zip(bounded, bounded[1:])
-        for c in self.breakpoints:
-            batch = self.events[c]
-            slots, moves = [], []  # a jumper that meets nothing keeps its place in cross
-            for i, new in batch:
-                j = k = bisect.bisect_left(cross, (heights[i], i))
-                while k + 1 < len(cross) and cross[k + 1][0] <= new:
-                    k += 1
-                    other = ids[cross[k][1]]
-                    meeting.add((min(ids[i], other), max(ids[i], other)))
-                (moves if k > j else slots).append((j, i, new))
-            for j, i, new in slots:
-                cross[j] = (new, i)
-                heights[i] = new
-            for _, i, new in moves:
-                del cross[bisect.bisect_left(cross, (heights[i], i))]
-                bisect.insort(cross, (new, i))
-                heights[i] = new
-            seen: set[int] = set()  # gap g lies between cross[g - 1] and cross[g]
-            for i, new in batch:
-                j = bisect.bisect_left(cross, (new, i))
-                for g in (j, j + 1):
-                    if g not in seen:
-                        seen.add(g)
-                        yield (cross[g - 1] if g else None, cross[g] if g < len(cross) else None)
+        self.order = sorted(range(len(self.ids)), key=self.first.__getitem__)
+        self.hs = [self.first[i] for i in self.order]
+        self.meeting: set[tuple[int, int]] = set()
+        return self._walk(self.hs, self.order, self.meeting)
 
-    def problems(self, lower: Crossing | None, upper: Crossing | None, length: int) -> list[str]:
-        """What condition (v) finds wrong with one gap of positive length."""
+    def _walk(self, hs: list[int], order: list[int], meeting: set[tuple[int, int]]) -> Iterator[int]:
+        ids, events = self.ids, self.events
+        m = len(hs)
+        pos = sorted(range(m), key=order.__getitem__)  # the inverse of order
+        for _, level in itertools.groupby(order, key=self.first.__getitem__):
+            meeting.update(itertools.combinations([ids[i] for i in level], 2))
+        yield from range(m + 1)
+        reported = [-1] * (m + 1)  # per gap, the last batch that reported it
+        for b, c in enumerate(self.breakpoints):
+            batch = events[c]
+            met = False
+            for i, new in batch:
+                k = pos[i]
+                while k + 1 < m and hs[k + 1] <= new:
+                    k += 1
+                    a, o = ids[i], ids[order[k]]
+                    meeting.add((a, o) if a < o else (o, a))
+                    met = True
+            for i, new in batch:
+                hs[pos[i]] = new
+            if met:
+                hs[:], order[:] = zip(*sorted(zip(hs, order)))
+                pos = sorted(range(m), key=order.__getitem__)
+            if len(batch) == 1:
+                p = pos[batch[0][0]]
+                yield p
+                yield p + 1
+                continue
+            for i, _ in batch:
+                p = pos[i]
+                for g in (p, p + 1):
+                    if reported[g] != b:
+                        reported[g] = b
+                        yield g
+
+    def problems(self, low: int | None, up: int | None, length: int) -> list[str]:
+        """What condition (v) finds wrong with the gap of positive length
+        between the copies at places low and up in `ids` (None: the boundary)."""
         n = self.n
-        if lower is None and upper is None:
+        if low is None and up is None:
             return ["no crossings in column"]
         out = []
-        if lower is None or upper is None:
-            i = (upper if lower is None else lower)[1]
+        if low is None or up is None:
+            i = up if low is None else low
             if self.stages[i] != n:
                 out.append(f"edge gap bounded by stage {self.stages[i]}")
-            if lower is None and self.bottoms[i] > -n * self.den:
+            if low is None and self.bottoms[i] > -n * self.den:
                 out.append("rect does not reach range bottom")
-            if upper is None and self.tops[i] < (n + 1) * self.den:
+            if up is None and self.tops[i] < (n + 1) * self.den:
                 out.append("rect does not reach range top")
             # length/den < 1/(n+1) + 3^-n, cross-multiplied
             if not length * (n + 1) * 3**n < self.den * (3**n + n + 1):
                 out.append("edge gap exceeds distance bound")
         else:
-            low, up = lower[1], upper[1]
             if self.stages[low] != n and self.stages[up] != n:
                 out.append("no stage-n copy bounds the gap")
             if self.tops[low] < self.bottoms[up]:

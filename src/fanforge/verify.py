@@ -23,6 +23,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
 from .debski import integer_table
+from .errors import InvalidParameter
 from .exact import addresses_of_length, rational_to_str
 from .spaceset import assemble, sample_points, stage_fan_diameters
 from .tiling import ColumnSweep, ConstructionState, PlacedCopy
@@ -105,15 +106,19 @@ def _verdict(
 
 
 def check_conditions_i_ii(state: ConstructionState) -> list[CheckRecord]:
-    """Addresses of length n and heights in (0, 1/(n+1)], exactly, per stage."""
+    """Addresses of length n and heights in (0, 1/(n+1)], exactly, per stage,
+    on the copies' integer forms (a height is step * 2^N / den); a Fraction
+    is made only for `max_height`."""
+    scale = 2**state.n_jumps
     records = []
     for stage in state.stages:
-        bound = Fraction(1, stage.n + 1)
         witness = None
-        tallest = Fraction(0)
-        for i, rect in enumerate(stage.rects):
-            tallest = max(tallest, rect.height)
-            if len(rect.address) != stage.n or not (0 < rect.height <= bound):
+        tallest = (0, 1)  # (step, den) of the tallest copy so far
+        for i, copy in enumerate(stage.copies):
+            if copy.step * tallest[1] > tallest[0] * copy.den:
+                tallest = (copy.step, copy.den)
+            if len(copy.rect.address) != stage.n or not 0 < copy.step * scale * (stage.n + 1) <= copy.den:
+                rect = copy.rect
                 witness = {
                     "index": i,
                     "address": str(rect.address),
@@ -121,23 +126,29 @@ def check_conditions_i_ii(state: ConstructionState) -> list[CheckRecord]:
                     "b": rational_to_str(rect.top),
                 }
                 break
-        metrics = {"rects": len(stage.rects), "max_height": rational_to_str(tallest)}
+        max_height = Fraction(tallest[0] * scale, tallest[1])
+        metrics = {"rects": len(stage.rects), "max_height": rational_to_str(max_height)}
         records.append(_verdict("conditions-i-ii", f"stage {stage.n}", witness, metrics))
     return records
 
 
 def check_partial_tiling(state: ConstructionState) -> list[CheckRecord]:
-    """Within a stage, same-column rectangles may share at most one height."""
+    """Within a stage, same-column rectangles may share at most one height;
+    a copy's rectangle, [base, base + step * 2^N] / den, is compared in ints."""
+    scale = 2**state.n_jumps
     records = []
     for stage in state.stages:
-        by_addr: dict[tuple[int, ...], list] = {}
-        for rect in stage.rects:
-            by_addr.setdefault(rect.address.bits, []).append(rect)
+        by_addr: dict[tuple[int, ...], list[PlacedCopy]] = {}
+        for copy in stage.copies:
+            by_addr.setdefault(copy.rect.address.bits, []).append(copy)
         witness = None
-        for bits, rects in by_addr.items():
-            rects = sorted(rects, key=lambda r: (r.bottom, r.top))
-            for a, b in zip(rects, rects[1:]):
-                if min(a.top, b.top) > max(a.bottom, b.bottom):
+        for bits, copies in by_addr.items():
+            den = math.lcm(*(c.den for c in copies))
+            spans = [(c.base * (u := den // c.den), (c.base + c.step * scale) * u) for c in copies]
+            order = sorted(range(len(copies)), key=spans.__getitem__)
+            for j, k in zip(order, order[1:]):
+                if min(spans[j][1], spans[k][1]) > max(spans[j][0], spans[k][0]):
+                    a, b = copies[j].rect, copies[k].rect
                     witness = {
                         "address": "".join(map(str, bits)),
                         "first": [rational_to_str(a.bottom), rational_to_str(a.top)],
@@ -192,21 +203,30 @@ def sweep_level(state: ConstructionState, n: int) -> LevelSweep:
                     "budget": rational_to_str(len(col.ids) * budget),
                 }
         lo, hi = -n * col.den, (n + 1) * col.den
+        is_n = [s == n for s in col.stages]
+        tops, bottoms = col.tops, col.bottoms
         best = 0
-        for lower, upper in col.gaps():
-            lo_h = lo if lower is None else lower[0]
-            hi_h = hi if upper is None else upper[0]
+        walk = col.gaps()
+        hs, order, m = col.hs, col.order, len(col.ids)
+        for g in walk:
+            lo_h = hs[g - 1] if g else lo
+            hi_h = hs[g] if g < m else hi
             length = hi_h - lo_h
             if length <= 0:
                 continue
             gaps_seen += 1
-            best = max(best, length)
-            if v_witness is None and (problems := col.problems(lower, upper, length)):
+            if length > best:
+                best = length
+            low = order[g - 1] if g else None
+            up = order[g] if g < m else None
+            if 0 < g < m and (is_n[low] or is_n[up]) and tops[low] >= bottoms[up]:
+                continue  # an interior gap that condition (v) passes; problems() diagnoses the rest
+            if v_witness is None and (problems := col.problems(low, up, length)):
                 v_witness = {
                     "column": str(sigma),
                     "gap": [rational_to_str(Fraction(x, col.den)) for x in (lo_h, hi_h)],
-                    "lower": None if lower is None else state.copies[col.ids[lower[1]]].key,
-                    "upper": None if upper is None else state.copies[col.ids[upper[1]]].key,
+                    "lower": None if low is None else state.copies[col.ids[low]].key,
+                    "upper": None if up is None else state.copies[col.ids[up]].key,
                     "problems": problems,
                 }
         max_gap = max(max_gap, Fraction(best, col.den))
@@ -538,7 +558,9 @@ def run_all(
     A selector is either a check name or "name=<n>" to pin the stage level
     of the per-level checks (coverage, condition-v, max-gap); levels above
     the built depth produce skipped records. Each level is swept once, for
-    all of its checks and, at level K, for disjointness too.
+    all of its checks and, at level K, for disjointness too. An epsilon
+    that is NaN, infinite or negative raises InvalidParameter before any
+    check runs.
     """
     report = VerificationReport({"depth": state.depth, "jumps": state.n_jumps, "strict": state.strict})
     selected: list[tuple[str, int | None]] = []
@@ -547,6 +569,9 @@ def run_all(
         if name not in KNOWN_CHECKS:
             raise ValueError(f"unknown check {name!r} (known: {', '.join(KNOWN_CHECKS)})")
         selected.append((name, int(level) if level else None))
+    for eps in epsilons:
+        if not (math.isfinite(eps) and eps >= 0):
+            raise InvalidParameter(f"epsilon must be finite and >= 0, got {eps}")
     sweeps: dict[int, LevelSweep] = {}
 
     def swept(n: int) -> LevelSweep:

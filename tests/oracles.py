@@ -3,8 +3,10 @@
 These deliberately avoid the package's internal representations: jump
 sequences come from a list-scan enumeration, fibers from materializing every
 piece of every copy, unions from sorting, column gaps from a Fraction cell
-sweep, the MST from a quadratic Prim (plain Python and vectorised),
-connectivity from a plain disjoint-set union, the SVG copy images and
+sweep and from a walk that re-finds each crossing by bisection, the
+per-rectangle checks from Fraction bounds, the MST from a quadratic Prim
+(plain Python and vectorised), connectivity from a plain disjoint-set
+union, the SVG copy images and
 fan diameters from a walk over every piece in Fractions, and the stage
 builder and the cloud's fiber gaps from per-copy Fraction traces, the
 Q-points and their fiber isolation from each copy's Fraction midpoints, and
@@ -20,6 +22,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 import numpy as np
 
@@ -324,6 +327,54 @@ def copies_intersect_oracle(a, b) -> dict | None:
             if jc == kc and max(jlo, klo) <= min(jhi, khi):
                 return {"kind": "jump-jump", "c": rational_to_str(jc)}
     return None
+
+
+def conditions_i_ii_oracle(state) -> list[CheckRecord]:
+    """`verify.check_conditions_i_ii` on the rectangles' Fraction bounds."""
+    records = []
+    for stage in state.stages:
+        bound = Fraction(1, stage.n + 1)
+        witness = None
+        tallest = Fraction(0)
+        for i, rect in enumerate(stage.rects):
+            tallest = max(tallest, rect.height)
+            if len(rect.address) != stage.n or not (0 < rect.height <= bound):
+                witness = {
+                    "index": i,
+                    "address": str(rect.address),
+                    "a": rational_to_str(rect.bottom),
+                    "b": rational_to_str(rect.top),
+                }
+                break
+        metrics = {"rects": len(stage.rects), "max_height": rational_to_str(tallest)}
+        status = "fail" if witness else "pass"
+        records.append(CheckRecord("conditions-i-ii", f"stage {stage.n}", status, witness, metrics))
+    return records
+
+
+def partial_tiling_oracle(state) -> list[CheckRecord]:
+    """`verify.check_partial_tiling` on the rectangles' Fraction bounds."""
+    records = []
+    for stage in state.stages:
+        by_addr: dict = {}
+        for rect in stage.rects:
+            by_addr.setdefault(rect.address.bits, []).append(rect)
+        witness = None
+        for bits, rects in by_addr.items():
+            rects = sorted(rects, key=lambda r: (r.bottom, r.top))
+            for a, b in zip(rects, rects[1:]):
+                if min(a.top, b.top) > max(a.bottom, b.bottom):
+                    witness = {
+                        "address": "".join(map(str, bits)),
+                        "first": [rational_to_str(a.bottom), rational_to_str(a.top)],
+                        "second": [rational_to_str(b.bottom), rational_to_str(b.top)],
+                    }
+                    break
+            if witness:
+                break
+        status = "fail" if witness else "pass"
+        records.append(CheckRecord("partial-tiling", f"stage {stage.n}", status, witness, {}))
+    return records
 
 
 def candidate_pairs(state):
@@ -670,6 +721,99 @@ class CellDecomposition:
                     if pair not in seen:
                         seen.add(pair)
                         on_gap(*pair)
+
+
+def column_gaps_oracle(col, meeting: set) -> Iterator:
+    """`ColumnSweep.gaps` as a list of (height, place) crossings re-found by
+    bisection at every jump, each gap as (lower, upper) with None for the
+    range boundary; the pairs of copy ids that meet go into `meeting`.
+
+    A jumper that meets nothing is rewritten in place, one that meets
+    something is deleted and re-inserted after the whole batch has been
+    walked, and a batch's gaps are deduplicated with a set.
+    """
+    heights = list(col.first)
+    cross = sorted(zip(heights, range(len(heights))))
+    ids = col.ids
+    for _, level in itertools.groupby(cross, key=lambda x: x[0]):
+        meeting.update(itertools.combinations([ids[i] for _, i in level], 2))
+    bounded = [None, *cross, None]
+    yield from zip(bounded, bounded[1:])
+    for c in col.breakpoints:
+        batch = col.events[c]
+        slots, moves = [], []
+        for i, new in batch:
+            j = k = bisect.bisect_left(cross, (heights[i], i))
+            while k + 1 < len(cross) and cross[k + 1][0] <= new:
+                k += 1
+                other = ids[cross[k][1]]
+                meeting.add((min(ids[i], other), max(ids[i], other)))
+            (moves if k > j else slots).append((j, i, new))
+        for j, i, new in slots:
+            cross[j] = (new, i)
+            heights[i] = new
+        for _, i, new in moves:
+            del cross[bisect.bisect_left(cross, (heights[i], i))]
+            bisect.insort(cross, (new, i))
+            heights[i] = new
+        seen = set()  # gap g lies between cross[g - 1] and cross[g]
+        for i, new in batch:
+            j = bisect.bisect_left(cross, (new, i))
+            for g in (j, j + 1):
+                if g not in seen:
+                    seen.add(g)
+                    yield (cross[g - 1] if g else None, cross[g] if g < len(cross) else None)
+
+
+def sweep_level_oracle(state, n: int) -> tuple[dict, set]:
+    """(records by check name, meeting pairs) of `verify.sweep_level`, from
+    the bisecting gap walk, with `problems()` asked about every gap."""
+    budget = Fraction(1, 2**state.n_jumps)
+    worst = max_gap = Fraction(0)
+    coverage_witness = v_witness = None
+    gaps_seen = 0
+    meeting: set = set()
+    for sigma in addresses_of_length(n):
+        col = ColumnSweep(state, sigma, n)
+        if coverage_witness is None:
+            gap = col.coverage_gap()
+            worst = max(worst, gap)
+            if gap > len(col.ids) * budget:
+                coverage_witness = {
+                    "column": str(sigma),
+                    "gap": rational_to_str(gap),
+                    "budget": rational_to_str(len(col.ids) * budget),
+                }
+        lo, hi = -n * col.den, (n + 1) * col.den
+        best = 0
+        for lower, upper in column_gaps_oracle(col, meeting):
+            lo_h = lo if lower is None else lower[0]
+            hi_h = hi if upper is None else upper[0]
+            length = hi_h - lo_h
+            if length <= 0:
+                continue
+            gaps_seen += 1
+            best = max(best, length)
+            low = None if lower is None else lower[1]
+            up = None if upper is None else upper[1]
+            if v_witness is None and (problems := col.problems(low, up, length)):
+                v_witness = {
+                    "column": str(sigma),
+                    "gap": [rational_to_str(Fraction(x, col.den)) for x in (lo_h, hi_h)],
+                    "lower": None if low is None else state.copies[col.ids[low]].key,
+                    "upper": None if up is None else state.copies[col.ids[up]].key,
+                    "problems": problems,
+                }
+        max_gap = max(max_gap, Fraction(best, col.den))
+    scope, gap_metric = f"n={n}", {"max_gap": rational_to_str(max_gap)}
+    coverage_metric = {"max_column_gap": rational_to_str(worst)}
+    v_metrics = {"gaps_checked": gaps_seen, **gap_metric}
+    records = [
+        CheckRecord("coverage", scope, "fail" if coverage_witness else "pass", coverage_witness, coverage_metric),
+        CheckRecord("condition-v", scope, "fail" if v_witness else "pass", v_witness, v_metrics),
+        CheckRecord("max-gap", scope, "pass", None, gap_metric),
+    ]
+    return {r.name: r for r in records}, meeting
 
 
 def dense_prim_edges_oracle(points) -> np.ndarray:

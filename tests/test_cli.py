@@ -96,6 +96,19 @@ class TestVerify:
         assert code == 0
         assert "SKIPPED" in stdout
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_meaningless_epsilon_exits_2_before_any_check(self, state_file, capsys, value):
+        code, stdout, stderr = run(["verify", "--state", str(state_file), "--epsilon", value], capsys)
+        assert code == 2
+        assert "InvalidParameter" in stderr and "epsilon" in stderr
+        assert stdout == ""
+
+    def test_negative_fibers_exits_2(self, state_file, capsys):
+        argv = ["verify", "--state", str(state_file), "--checks", "epsilon-connectivity", "--fibers", "-2"]
+        code, _, stderr = run(argv, capsys)
+        assert code == 2
+        assert "InvalidParameter" in stderr and "-2" in stderr
+
     def test_corrupt_state_schema_error(self, tmp_path, capsys):
         bad = tmp_path / "corrupt.json"
         bad.write_text('{"schema": "fanforge-state-v1", "depth": 1}')

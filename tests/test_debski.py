@@ -60,6 +60,25 @@ class TestJumpPoints:
     def test_min_jumps_for_depth_matches_closed_form(self):
         assert [min_jumps_for_depth(k) for k in range(7)] == [1, 2, 6, 12, 24, 48, 96]
 
+    @staticmethod
+    def _covers(depth, count):
+        """Every depth-`depth` basic interval holds one of the first `count` jumps."""
+        pts = jump_points_oracle(count)
+        width = F(1, 3**depth)
+        return all(
+            any(lo < d < lo + width for d in pts)
+            for lo in map(endpoint_zero, addresses_of_length(depth))
+        )
+
+    @pytest.mark.parametrize("depth", [2, 3, 4, 5])
+    def test_min_jumps_for_depth_is_the_least_covering_count(self, depth):
+        n = min_jumps_for_depth(depth)
+        assert self._covers(depth, n) and not self._covers(depth, n - 1)
+
+    def test_min_jumps_at_depth_one_is_the_stage_one_floor_not_the_cover(self):
+        assert min_jumps_for_depth(1) == 2
+        assert not self._covers(1, 2) and self._covers(1, 3)
+
 
 class TestFValue:
     def test_at_zero(self):

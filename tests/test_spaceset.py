@@ -7,7 +7,7 @@ from hypothesis import example, given, strategies as st
 
 from fanforge.debski import build_D
 from fanforge.decomp import collapse_E
-from fanforge.errors import DepthInsufficient, NotOrdered, NotSpanning
+from fanforge.errors import DepthInsufficient, InvalidParameter, NotOrdered, NotSpanning
 from fanforge.exact import Address, addresses_of_length, endpoint_zero
 from fanforge.spaceset import (
     assemble,
@@ -345,6 +345,13 @@ class TestSamplePoints:
     def test_grid_depth_must_cover_state(self, model_2_16):
         with pytest.raises(ValueError):
             sample_points(model_2_16, 1, 1)
+
+    def test_negative_fiber_count_refused(self, model_1_4):
+        # a slice gaps[:-2] would silently keep all but two gaps per fiber
+        with pytest.raises(InvalidParameter, match="-2"):
+            sample_points(model_1_4, 1, -2)
+        q_only = sample_points(model_1_4, 1, 0)
+        assert q_only.samples == [] and len(q_only) == 1 + 13 * 4
 
     def test_json_export(self, model_1_4):
         cloud = sample_points(model_1_4, 1, 1)

@@ -2,6 +2,7 @@ import json
 import math
 import random
 from fractions import Fraction as F
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -52,7 +53,9 @@ from .oracles import (
     basic_interval_inside,
     candidate_pairs,
     classify_on_copy_oracle,
+    column_gaps_oracle,
     components_oracle,
+    conditions_i_ii_oracle,
     copies_intersect_oracle,
     copy_fan_diameter_oracle,
     copy_pieces_oracle,
@@ -63,11 +66,17 @@ from .oracles import (
     jumps_global_oracle,
     max_height_oracle,
     mst_edges_oracle,
+    partial_tiling_oracle,
     plateau_global_oracle,
     plateaus_global_oracle,
     stage_fan_diameters_oracle,
+    sweep_level_oracle,
     to_global_h,
 )
+
+ALL_STATES = [
+    "st_0_4", "st_1_4", "st_2_16", "st_3_16", "st_3_32", "st_3_16t", "st_4_16t", "st_4_32", "st_5_32t"
+]
 
 lattice_points = st.tuples(st.integers(0, 4), st.integers(0, 4)).map(
     lambda p: (float(p[0]), float(p[1]))
@@ -122,9 +131,71 @@ def _accepted_pairs(state):
     }
 
 
+def _gap_pairs(col):
+    """col.gaps() as (lower, upper) pairs of (height, place in ids)
+    crossings, None for the range boundary, read from the place index as
+    each gap is yielded."""
+    walk, m = col.gaps(), len(col.ids)
+    return [
+        (
+            (col.hs[g - 1], col.order[g - 1]) if g else None,
+            (col.hs[g], col.order[g]) if g < m else None,
+        )
+        for g in walk
+    ]
+
+
 def _fraction_crossing(col, crossing):
     """An integer sweep crossing as the oracle's (height, copy id)."""
     return None if crossing is None else (F(crossing[0], col.den), col.ids[crossing[1]])
+
+
+def _assert_sweeps_match_oracle(state):
+    """Every level's records and meeting pairs equal the bisecting oracle's."""
+    for n in range(state.depth + 1):
+        level = sweep_level(state, n)
+        records, meeting = sweep_level_oracle(state, n)
+        assert {k: r.to_json_obj() for k, r in level.records.items()} == {
+            k: r.to_json_obj() for k, r in records.items()
+        }, n
+        assert level.meeting == meeting, n
+
+
+def _assert_precheck_is_problem_free(state):
+    """At every level: on every gap of positive length the interior
+    precheck passes exactly when problems() returns [], and sweep_level asks
+    problems() about exactly the edge gaps and the gaps that fail the
+    precheck, up to its first witness."""
+    diagnose = ColumnSweep.problems
+    for n in range(state.depth + 1):
+        asked = []
+
+        def recorded(col, low, up, length):
+            asked.append((tuple(col.ids), low, up))
+            return diagnose(col, low, up, length)
+
+        with mock.patch.object(ColumnSweep, "problems", recorded):
+            sweep_level(state, n)
+        expected, witnessed = [], False
+        for sigma in addresses_of_length(n):
+            col = ColumnSweep(state, sigma, n)
+            is_n = [s == n for s in col.stages]
+            lo, hi = -n * col.den, (n + 1) * col.den
+            for lower, upper in _gap_pairs(col):
+                length = (hi if upper is None else upper[0]) - (lo if lower is None else lower[0])
+                if length <= 0:
+                    continue
+                low, up = (None if x is None else x[1] for x in (lower, upper))
+                problems = diagnose(col, low, up, length)
+                if lower is not None and upper is not None:
+                    passes = (is_n[low] or is_n[up]) and col.tops[low] >= col.bottoms[up]
+                    assert passes == (problems == []), (n, str(sigma), low, up)
+                    if passes:
+                        continue
+                if not witnessed:
+                    expected.append((tuple(col.ids), low, up))
+                    witnessed = bool(problems)
+        assert asked == expected, n
 
 
 class TestConditionsIandII:
@@ -143,6 +214,34 @@ class TestConditionsIandII:
         stage2 = next(r for r in records if r.scope == "stage 2")
         assert stage2.status == "fail"
         assert stage2.witness["index"] == 0
+
+
+class TestPerRectChecksOnIntegers:
+    @staticmethod
+    def _assert_match_fraction_checks(state):
+        for check, oracle in (
+            (check_conditions_i_ii, conditions_i_ii_oracle),
+            (check_partial_tiling, partial_tiling_oracle),
+        ):
+            assert [r.to_json_obj() for r in check(state)] == [r.to_json_obj() for r in oracle(state)]
+
+    @pytest.mark.parametrize("name", ALL_STATES)
+    def test_records_match_fraction_checks(self, name, request):
+        self._assert_match_fraction_checks(request.getfixturevalue(name))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        stage_n=st.integers(0, 2),
+        pick=st.integers(0, 500),
+        lift=st.sampled_from([F(0), F(1, 7), F(-1, 3), F(1)]),
+        stretch=st.sampled_from([F(1), F(3, 2), F(5), F(1, 3), F(2, 3) * 2**16]),
+    )
+    def test_moved_or_stretched_rect_matches_fraction_checks(self, st_2_16, stage_n, pick, lift, stretch):
+        rects = st_2_16.stages[stage_n].rects
+        rect = rects[pick % len(rects)]
+        bottom = rect.bottom + lift * rect.height
+        moved = Rect(rect.address, bottom, bottom + rect.height * stretch)
+        self._assert_match_fraction_checks(_with_mutated_rect(st_2_16, stage_n, pick % len(rects), moved))
 
 
 class TestPartialTiling:
@@ -266,6 +365,9 @@ class TestDisjointness:
     # corner touch: the split copy 1:1 unchanged, level with stage 0 at 1/3 only
     @example(cid=18, pick=0, j_other=0, j_own=0, delta=F(0), scale=F(1))
     @example(cid=2, pick=0, j_other=10, j_own=0, delta=F(0), scale=F(1))
+    # a jumper that meets nothing must not take its new height before the
+    # rest of its batch has been walked, or this mutation loses a pair
+    @example(cid=1, pick=0, j_other=0, j_own=2, delta=F(0), scale=F(1))
     @settings(max_examples=60, deadline=None)
     @given(
         cid=st.integers(1, 77),
@@ -297,6 +399,8 @@ class TestDisjointness:
         meeting = sweep_level(bad, bad.depth).meeting
         assert meeting == _accepted_pairs(bad)
         assert _disjointness(bad, meeting).to_json_obj() == disjointness_oracle(bad).to_json_obj()
+        _assert_sweeps_match_oracle(bad)
+        _assert_precheck_is_problem_free(bad)
 
     def test_jumps_meeting_end_to_end_at_a_breakpoint_detected(self, st_1_4):
         # stage 0 jumps over [5/16, 13/16] at c = 1/4, where a stage-1 copy
@@ -398,16 +502,34 @@ class TestCellDecomposition:
         for n in range(state.depth + 1):
             for sigma in addresses_of_length(n):
                 col = ColumnSweep(state, sigma, n)
-                ours = [tuple(_fraction_crossing(col, x) for x in pair) for pair in col.gaps()]
+                ours = [tuple(_fraction_crossing(col, x) for x in pair) for pair in _gap_pairs(col)]
                 oracle = []
                 CellDecomposition(state, sigma, n).sweep(lambda *pair: oracle.append(pair))
                 assert ours == oracle, (n, str(sigma))
+
+    @pytest.mark.parametrize("name", ALL_STATES)
+    def test_gaps_and_meetings_match_bisecting_walk(self, name, request):
+        state = request.getfixturevalue(name)
+        for n in range(state.depth + 1):
+            for sigma in addresses_of_length(n):
+                col = ColumnSweep(state, sigma, n)
+                meeting = set()
+                assert _gap_pairs(col) == list(column_gaps_oracle(col, meeting)), (n, str(sigma))
+                assert col.meeting == meeting, (n, str(sigma))
+
+    @pytest.mark.parametrize("name", ALL_STATES)
+    def test_sweep_level_matches_oracle(self, name, request):
+        _assert_sweeps_match_oracle(request.getfixturevalue(name))
+
+    @pytest.mark.parametrize("name", ALL_STATES)
+    def test_precheck_passes_exactly_when_problems_is_empty(self, name, request):
+        _assert_precheck_is_problem_free(request.getfixturevalue(name))
 
     def test_cells_match_vertical_trace_at_interior_points(self, st_2_16):
         # every gap of the trace inside a cell was reported: the sweep is exhaustive
         sigma = Address.parse("10")
         col = ColumnSweep(st_2_16, sigma, 2)
-        reported = {tuple(_fraction_crossing(col, x) for x in pair) for pair in col.gaps()}
+        reported = {tuple(_fraction_crossing(col, x) for x in pair) for pair in _gap_pairs(col)}
         c_den = math.lcm(*(q.denominator for q in st_2_16.dset.table.locations)) * 9
         cuts = [endpoint_zero(sigma), *(F(b, c_den) for b in col.breakpoints), endpoint_one(sigma)]
         rng = random.Random(3)
