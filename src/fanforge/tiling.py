@@ -393,11 +393,6 @@ class ColumnSweep:
             if met:
                 hs[:], order[:] = zip(*sorted(zip(hs, order)))
                 pos = sorted(range(m), key=order.__getitem__)
-            if len(batch) == 1:
-                p = pos[batch[0][0]]
-                yield p
-                yield p + 1
-                continue
             for i, _ in batch:
                 p = pos[i]
                 for g in (p, p + 1):
@@ -407,7 +402,11 @@ class ColumnSweep:
 
     def problems(self, low: int | None, up: int | None, length: int) -> list[str]:
         """What condition (v) finds wrong with the gap of positive length
-        between the copies at places low and up in `ids` (None: the boundary)."""
+        between the copies at places low and up in `ids` (None: the boundary).
+
+        `verify.sweep_level` inlines the interior branch as its precheck, so
+        that a passing gap costs no call; the two must change together.
+        """
         n = self.n
         if low is None and up is None:
             return ["no crossings in column"]

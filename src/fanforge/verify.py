@@ -220,7 +220,7 @@ def sweep_level(state: ConstructionState, n: int) -> LevelSweep:
             low = order[g - 1] if g else None
             up = order[g] if g < m else None
             if 0 < g < m and (is_n[low] or is_n[up]) and tops[low] >= bottoms[up]:
-                continue  # an interior gap that condition (v) passes; problems() diagnoses the rest
+                continue  # the interior branch of problems(), inlined; it diagnoses the rest
             if v_witness is None and (problems := col.problems(low, up, length)):
                 v_witness = {
                     "column": str(sigma),

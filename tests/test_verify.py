@@ -162,39 +162,32 @@ def _assert_sweeps_match_oracle(state):
 
 
 def _assert_precheck_is_problem_free(state):
-    """At every level: on every gap of positive length the interior
-    precheck passes exactly when problems() returns [], and sweep_level asks
-    problems() about exactly the edge gaps and the gaps that fail the
-    precheck, up to its first witness."""
+    """sweep_level's inlined precheck passes an interior gap exactly when
+    problems() returns []. With problems() stubbed to find nothing, no
+    witness stops the asking, so at every level sweep_level asks about
+    exactly the edge gaps of positive length and the interior gaps that the
+    real problems() finds something wrong with."""
     diagnose = ColumnSweep.problems
     for n in range(state.depth + 1):
         asked = []
 
         def recorded(col, low, up, length):
             asked.append((tuple(col.ids), low, up))
-            return diagnose(col, low, up, length)
+            return []
 
         with mock.patch.object(ColumnSweep, "problems", recorded):
             sweep_level(state, n)
-        expected, witnessed = [], False
+        expected = []
         for sigma in addresses_of_length(n):
             col = ColumnSweep(state, sigma, n)
-            is_n = [s == n for s in col.stages]
             lo, hi = -n * col.den, (n + 1) * col.den
             for lower, upper in _gap_pairs(col):
                 length = (hi if upper is None else upper[0]) - (lo if lower is None else lower[0])
                 if length <= 0:
                     continue
                 low, up = (None if x is None else x[1] for x in (lower, upper))
-                problems = diagnose(col, low, up, length)
-                if lower is not None and upper is not None:
-                    passes = (is_n[low] or is_n[up]) and col.tops[low] >= col.bottoms[up]
-                    assert passes == (problems == []), (n, str(sigma), low, up)
-                    if passes:
-                        continue
-                if not witnessed:
+                if lower is None or upper is None or diagnose(col, low, up, length):
                     expected.append((tuple(col.ids), low, up))
-                    witnessed = bool(problems)
         assert asked == expected, n
 
 

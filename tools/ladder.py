@@ -4,11 +4,10 @@ The ladder is (2,16), (3,16), (4,32), tolerant (4,16) and (5,48). Each
 measurement runs in a fresh interpreter that imports fanforge from one
 source tree, builds the state and runs every check of `verify.KNOWN_CHECKS`
 on its own `run_all` call, so a per-level check includes its own sweeps.
-Trees alternate within each repeat, and the output holds the median of
-each time per tree.
+Each rung is timed REPEATS times per tree, the trees alternating, and the
+JSON on stdout holds the median of each time per tree.
 
-    python tools/ladder.py --tree parent=../parent/src --tree change=src \\
-        --repeats 5 --out BENCH.json
+    python tools/ladder.py --tree parent=../parent/src --tree change=src > BENCH.json
 
 With no --tree the tree is this checkout's src/, named "change".
 """
@@ -26,6 +25,7 @@ import time
 from pathlib import Path
 
 LADDER = [(2, 16, True), (3, 16, True), (4, 32, True), (4, 16, False), (5, 48, True)]
+REPEATS = 5
 
 
 def time_rung(depth: int, jumps: int, strict: bool) -> dict:
@@ -52,8 +52,6 @@ def measure(src: str, rung: tuple[int, int, bool]) -> dict:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--tree", action="append", default=[], help="NAME=SRC_DIR, repeatable")
-    parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument("--out", help="write the JSON here instead of stdout")
     parser.add_argument("--rung", nargs=3, type=int, help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.rung:
@@ -64,7 +62,7 @@ def main() -> int:
     rungs = []
     for rung in LADDER:
         runs: dict[str, list[dict]] = {name: [] for name in trees}
-        for r in range(args.repeats):
+        for r in range(REPEATS):
             names = list(trees) if r % 2 == 0 else list(trees)[::-1]
             for name in names:
                 runs[name].append(measure(trees[name], rung))
@@ -86,15 +84,11 @@ def main() -> int:
         "tool": "tools/ladder.py",
         "python": platform.python_version(),
         "machine": f"{platform.machine()}, {os.cpu_count()} CPUs",
-        "repeats": args.repeats,
+        "repeats": REPEATS,
         "trees": list(trees),
         "rungs": rungs,
     }
-    text = json.dumps(doc, indent=1) + "\n"
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    sys.stdout.write(json.dumps(doc, indent=1) + "\n")
     return 0
 
 
