@@ -6,27 +6,9 @@ rational arithmetic, derives the countable/co-countable point classes and
 quotient earrings, and renders deterministic SVG figures.
 """
 
-from .debski import (
-    DebskiSet,
-    build_D,
-    classify_point,
-    f_value,
-    graph_closure_E,
-    jump_interval,
-    jump_points,
-    midpoints,
-    min_jumps_for_depth,
-)
-from .exact import (
-    Address,
-    BasicInterval,
-    Rational,
-    cantor_member,
-    endpoint_one,
-    endpoint_zero,
-    locate,
-)
-from .spaceset import assemble, fan_point, nabla_map, region_between, sample_points, vertex_neighborhood, xi_map
+from .debski import jump_points, min_jumps_for_depth
+from .exact import Address, cantor_member, endpoint_one, endpoint_zero, locate
+from .spaceset import assemble, fan_point, region_between, sample_points, vertex_neighborhood
 from .tiling import ConstructionState, build, load_state, save_state, stage_one, stage_zero, vertical_trace
 from .verify import epsilon_connectivity, mst_max_edge, run_all
 
@@ -34,29 +16,19 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Address",
-    "BasicInterval",
     "ConstructionState",
-    "DebskiSet",
-    "Rational",
     "assemble",
     "build",
-    "build_D",
     "cantor_member",
-    "classify_point",
     "endpoint_one",
     "endpoint_zero",
     "epsilon_connectivity",
-    "f_value",
     "fan_point",
-    "graph_closure_E",
-    "jump_interval",
     "jump_points",
     "load_state",
     "locate",
-    "midpoints",
     "min_jumps_for_depth",
     "mst_max_edge",
-    "nabla_map",
     "region_between",
     "run_all",
     "sample_points",
@@ -65,5 +37,4 @@ __all__ = [
     "stage_zero",
     "vertex_neighborhood",
     "vertical_trace",
-    "xi_map",
 ]

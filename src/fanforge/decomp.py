@@ -70,9 +70,8 @@ def collapse_E(model: SpaceModel, copy_id: int) -> Earring:
     except IndexError as exc:
         raise UnknownCopy(f"no copy with id {copy_id}") from exc
     loops = []
-    pos_of_index = copy.dset.table.pos_of_index
-    for m in range(copy.dset.n_jumps):
-        c, lo, hi = copy.jump_global(pos_of_index[m])
+    for m, pos in enumerate(copy.table.pos_of_index):
+        c, lo, hi = copy.jump_global(pos)
         p, q = fan_point((c, lo)), fan_point((c, hi))
         loops.append(Loop(m, c, lo, hi, ((p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2) ** 0.5))
     return Earring(copy.key, f"e[{copy.key}]", tuple(loops))

@@ -15,10 +15,6 @@ class NotInCantor(FanforgeError):
     """A first coordinate is not a member of the middle-thirds Cantor set."""
 
 
-class AtJumpLocation(FanforgeError):
-    """The step function was evaluated exactly at a jump location."""
-
-
 class IndexOutOfRange(FanforgeError):
     """A jump index is outside [0, truncation)."""
 
@@ -62,7 +58,8 @@ class DepthInsufficient(FanforgeError):
 
 
 class InvalidParameter(FanforgeError):
-    """A numeric run parameter is NaN, infinite or negative."""
+    """A run parameter is outside its domain: a number that is NaN, infinite
+    or negative, or a check selector whose level is misplaced or malformed."""
 
 
 class InvertedWindow(FanforgeError):

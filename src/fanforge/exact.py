@@ -16,9 +16,6 @@ from typing import Iterator
 
 from .errors import NotInCantor, OutOfRange
 
-# The one numeric type of the core.
-Rational = Fraction
-
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
@@ -84,12 +81,10 @@ def addresses_of_length(n: int) -> Iterator[Address]:
         yield Address(bits)
 
 
-def addresses_length_lex(max_length: int | None = None) -> Iterator[Address]:
+def addresses_length_lex() -> Iterator[Address]:
     """All addresses in length-then-lexicographic order (the canonical order)."""
-    n = 0
-    while max_length is None or n <= max_length:
+    for n in itertools.count():
         yield from addresses_of_length(n)
-        n += 1
 
 
 def endpoint_zero(sigma: Address) -> Fraction:
@@ -100,22 +95,6 @@ def endpoint_zero(sigma: Address) -> Fraction:
 def endpoint_one(sigma: Address) -> Fraction:
     """Right endpoint of B(sigma): endpoint_zero(sigma) + 3^-|sigma|."""
     return endpoint_zero(sigma) + Fraction(1, 3 ** len(sigma))
-
-
-@dataclass(frozen=True)
-class BasicInterval:
-    """[0(sigma), 1(sigma)], the footprint of a basic clopen piece of C."""
-
-    address: Address
-    left: Fraction
-    right: Fraction
-
-    @classmethod
-    def from_address(cls, sigma: Address) -> "BasicInterval":
-        return cls(sigma, endpoint_zero(sigma), endpoint_one(sigma))
-
-    def contains(self, q: Fraction) -> bool:
-        return self.left <= q <= self.right
 
 
 def cantor_member(q: Fraction) -> bool:

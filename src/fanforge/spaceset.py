@@ -20,7 +20,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import NamedTuple
 
-from .debski import integer_table
+from .debski import jump_table
 from .errors import DepthInsufficient, InvalidParameter, NotInCantor, NotOrdered, NotSpanning, UnknownCopy
 from .exact import (
     Address,
@@ -35,56 +35,23 @@ from .tiling import ColumnSweep, ConstructionState, PlacedCopy, pointwise_below
 Point = tuple[Fraction, Fraction]
 
 
-_XI_WEIGHT = Fraction(1, 2**80)
-
-
 def xi_float(r: Fraction | float) -> float:
-    """xi's float value atan(r)/pi + 1/2; every float caller goes through this math.atan."""
+    """The arctan compression xi(r) = atan(r)/pi + 1/2 of a height into (0, 1),
+    as a float; every float caller goes through this math.atan."""
     return math.atan(float(r)) / math.pi + 0.5
 
 
-def xi_map(point: tuple[Fraction | float, Fraction | float]) -> tuple[Fraction | float, Fraction | float]:
-    """Compress the second coordinate into (0, 1) via arctan.
-
-    Strictly increasing in r; the first coordinate passes through unchanged.
-    A float r gives the float arctan/pi + 1/2. A Fraction r gives a Fraction:
-    that float value (non-decreasing in r, but equal for heights closer than
-    its rounding) mixed with weight 2^-80 into the strictly increasing
-    rational compression 1/2 + r / (2(1 + |r|)). The mixture stays inside
-    (0, 1), is strictly increasing, and is within 2^-80 of the float value.
-    Rendering/sampling boundary only.
-    """
-    c, r = point
-    y = xi_float(r)
-    if not isinstance(r, Fraction):
-        return (c, y)
-    rational = Fraction(1, 2) + r / (2 * (1 + abs(r)))
-    return (c, (1 - _XI_WEIGHT) * Fraction(y) + _XI_WEIGHT * rational)
-
-
-def nabla_map(point: tuple[Fraction | float, Fraction | float]) -> tuple[Fraction | float, Fraction | float]:
-    """The fan map (c, y) -> ((y(2c - 1) + 1) / 2, y); exact on exact inputs.
-
-    Collapses the whole y = 0 slice to the vertex (1/2, 0) and is injective
-    above it.
-    """
-    c, y = point
-    if isinstance(c, Fraction) and isinstance(y, Fraction):
-        return ((y * (2 * c - 1) + 1) / 2, y)
-    yf = float(y)
-    return (fan_x(float(c), yf), yf)
-
-
 def fan_x(c: float, y: float) -> float:
-    """nabla's first coordinate of the float point (c, y)."""
+    """The fan map's first coordinate (y(2c - 1) + 1) / 2 of the float point
+    (c, y); the map keeps y and collapses the slice y = 0 to the vertex."""
     return (y * (2 * c - 1) + 1) / 2
 
 
 def fan_point(point: tuple[Fraction | float, Fraction | float]) -> tuple[float, float]:
-    """nabla after xi's float arctan value: the rendered/fan position of a model point."""
+    """The fan map after xi: the rendered/fan position of a model point."""
     c, r = point
-    x, y = nabla_map((float(c), xi_float(r)))
-    return (float(x), float(y))
+    y = xi_float(r)
+    return (fan_x(float(c), y), y)
 
 
 class PieceFloats(NamedTuple):
@@ -108,7 +75,8 @@ def _cantor_segments(n_jumps: int, depth: int) -> tuple[tuple[tuple[int, int], .
     over T * 3^depth (T the jump table's denominator). Every copy shares the
     jump table, so these are the same for every copy.
     """
-    t_den, locations, _ = integer_table(n_jumps)
+    table = jump_table(n_jumps)
+    t_den, locations = table.den, table.locations
     bounds = [b * 3**depth for b in (0, *locations, t_den)]
     lefts = [0]  # left ends of the basic intervals over 3^depth, in order
     for _ in range(depth):
@@ -132,8 +100,8 @@ def piece_floats(copy: PlacedCopy, depth: int) -> PieceFloats:
     is that division too, so every value equals float() of the Fraction it
     stands for.
     """
-    n = copy.dset.n_jumps
-    t_den, locations, values = integer_table(n)
+    table = copy.table
+    t_den, locations, values = table.den, table.locations, table.values
     den, base, step = copy.den, copy.base, copy.step
     pow3, origin = 3**copy.stage, copy.origin
     jump_origin, jump_unit = origin * t_den, t_den * pow3  # locations are over T
@@ -143,7 +111,7 @@ def piece_floats(copy: PlacedCopy, depth: int) -> PieceFloats:
         [(base + step * k) / den for k in values],
         [(jump_origin + x) / jump_unit for x in locations],
         [[((seg_origin + x) / seg_unit, (seg_origin + y) / seg_unit) for x, y in segs]
-         for segs in _cantor_segments(n, depth)],
+         for segs in _cantor_segments(table.n_jumps, depth)],
     )
 
 
@@ -155,11 +123,11 @@ def fan_midpoints(copy: PlacedCopy) -> list[tuple[float, float]]:
     height (2*base + step*(k_j + k_{j+1})) / (2*den), so each image is
     fan_point of the exact midpoint (PlacedCopy.midpoint_global).
     """
-    n = copy.dset.n_jumps
-    t_den, locations, values = integer_table(n)
+    table = copy.table
+    t_den, locations, values = table.den, table.locations, table.values
     origin, unit = copy.origin * t_den, t_den * 3**copy.stage
     out = []
-    for pos in (copy.dset.table.pos_of_index[m] for m in range(n)):
+    for pos in table.pos_of_index:
         y = xi_float((2 * copy.base + copy.step * (values[pos] + values[pos + 1])) / (2 * copy.den))
         out.append((fan_x((origin + locations[pos]) / unit, y), y))
     return out
@@ -205,7 +173,7 @@ def fan_diameter_bound(copy: PlacedCopy) -> float:
     computed diameter is at most bound * (1 + 7u) + 2^-47 < bound + 2^-46,
     fan points lying in the unit square. A pad of 2^-40 covers that.
     """
-    ys = [xi_float(copy.height(k) / copy.den) for k in (0, copy.dset.n_jumps)]
+    ys = [xi_float(copy.height(k) / copy.den) for k in (0, copy.table.n_jumps)]
     pow3 = 3**copy.stage
     corners = [(fan_x(c / pow3, y), y) for c in (copy.origin, copy.origin + 1) for y in ys]
     return _diameter(corners) + 2.0**-40
@@ -327,7 +295,7 @@ def region_between(model: SpaceModel, lower_id: int, upper_id: int, column: Addr
         raise NotOrdered(
             f"copy {lower.key} is not strictly below copy {upper.key} over {column}"
         )
-    n, index_at = len(column), state.dset.table.index_at
+    n, index_at = len(column), state.table.index_at
     boundary = [
         copy.midpoint_global(m)
         for copy in (lower, upper)
@@ -419,7 +387,7 @@ class PointCloud:
 
     @property
     def points(self) -> list[CloudPoint]:
-        sources = [copy.midpoint_global(m) for copy in self.copies for m in range(copy.dset.n_jumps)]
+        sources = [copy.midpoint_global(m) for copy in self.copies for m in range(copy.table.n_jumps)]
         q_points = [CloudPoint("q", xy, source) for xy, source in zip(self.xy[1:], sources)]
         return [CloudPoint("vertex", self.xy[0], None), *q_points, *self.samples]
 

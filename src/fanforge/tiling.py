@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterator
 
-from .debski import DebskiSet, build_D, integer_table, min_jumps_for_depth
+from .debski import JumpTable, jump_table, min_jumps_for_depth
 from .exact import (
     Address,
     ZERO,
@@ -88,24 +88,23 @@ class PlacedCopy:
     (b - a) * 2^-N, the truncation defect.
 
     The copy's integer form is its only placement: on a plateau of value
-    k / 2^N (k as in `integer_table`) its height a + h*k/2^N is
+    k / 2^N (k as in `JumpTable.values`) its height a + h*k/2^N is
     (base + step*k) / den, over the copy's own den = lcm(den a, den h * 2^N),
     and its column's left end is origin / 3^stage (`Address.origin`).
     `fiber`, `jump_global` and `midpoint_global` make a Fraction only for
     each value they return.
     """
 
-    __slots__ = ("stage", "index", "rect", "dset", "den", "base", "step", "origin", "_pow3", "_ints")
+    __slots__ = ("stage", "index", "rect", "table", "den", "base", "step", "origin", "_pow3")
 
-    def __init__(self, stage: int, index: int, rect: Rect, dset: DebskiSet):
+    def __init__(self, stage: int, index: int, rect: Rect, table: JumpTable):
         self.stage = stage
         self.index = index
         self.rect = rect
-        self.dset = dset
+        self.table = table
         self._pow3 = 3 ** stage
-        self._ints = integer_table(dset.n_jumps)
         a, h = rect.bottom, rect.height
-        scale = 2**dset.n_jumps
+        scale = 2**table.n_jumps
         self.den = den = math.lcm(a.denominator, h.denominator * scale)
         self.base = a.numerator * (den // a.denominator)
         self.step = h.numerator * (den // (h.denominator * scale))
@@ -125,9 +124,9 @@ class PlacedCopy:
         jump locations below Y/q, bisect_left(locations, ceil(Y/q)), and c
         is the jump there exactly when locations[k] = Y/q.
         """
-        t_den, locations, _ = self._ints
+        locations = self.table.locations
         q = c.denominator
-        y = (c.numerator * self._pow3 - self.origin * q) * t_den
+        y = (c.numerator * self._pow3 - self.origin * q) * self.table.den
         k = bisect.bisect_left(locations, -(-y // q))
         if k < len(locations) and locations[k] * q == y:
             return (k, k + 1)
@@ -136,7 +135,7 @@ class PlacedCopy:
     def jumps_inside(self, origin: int, n: int) -> range:
         """Sorted positions of the jumps strictly inside the depth-n column
         [origin, origin + 1] / 3^n, which the copy spans."""
-        t_den, locations, _ = self._ints
+        t_den, locations = self.table.den, self.table.locations
         p = 3 ** (n - self.stage)
         offset = origin - p * self.origin  # the column is [offset, offset + 1] / p locally
         lo = bisect.bisect_right(locations, offset * t_den // p)
@@ -144,7 +143,7 @@ class PlacedCopy:
 
     def height(self, k: int) -> int:
         """The height over `den` of the plateau with value index k."""
-        return self.base + self.step * self._ints[2][k]
+        return self.base + self.step * self.table.values[k]
 
     def fiber(self, c: Fraction) -> tuple[str, Fraction, Fraction]:
         """('point', v, v) or ('segment', low, high) over the vertical at c."""
@@ -154,30 +153,30 @@ class PlacedCopy:
 
     def jump_pos(self, index: int) -> int:
         """The sorted position of jump `index`; IndexOutOfRange outside [0, N)."""
-        if not 0 <= index < self.dset.n_jumps:
-            raise IndexOutOfRange(f"jump index {index} not in [0, {self.dset.n_jumps})")
-        return self.dset.table.pos_of_index[index]
+        if not 0 <= index < self.table.n_jumps:
+            raise IndexOutOfRange(f"jump index {index} not in [0, {self.table.n_jumps})")
+        return self.table.pos_of_index[index]
 
     def jump_global(self, pos: int) -> tuple[Fraction, Fraction, Fraction]:
         """Jump at sorted position pos as global (location, low, high), from ints."""
-        t_den, locations, _ = self._ints
+        t_den = self.table.den
         return (
-            Fraction(self.origin * t_den + locations[pos], t_den * self._pow3),
+            Fraction(self.origin * t_den + self.table.locations[pos], t_den * self._pow3),
             Fraction(self.height(pos), self.den),
             Fraction(self.height(pos + 1), self.den),
         )
 
     def midpoint_global(self, index: int) -> tuple[Fraction, Fraction]:
         """The midpoint of jump `index` as global (location, height), from ints."""
-        t_den, locations, values = self._ints
+        t_den, values = self.table.den, self.table.values
         pos = self.jump_pos(index)
         return (
-            Fraction(self.origin * t_den + locations[pos], t_den * self._pow3),
+            Fraction(self.origin * t_den + self.table.locations[pos], t_den * self._pow3),
             Fraction(2 * self.base + self.step * (values[pos] + values[pos + 1]), 2 * self.den),
         )
 
     def midpoints_global(self) -> list[tuple[Fraction, Fraction]]:
-        return [self.midpoint_global(m) for m in range(self.dset.n_jumps)]
+        return [self.midpoint_global(m) for m in range(self.table.n_jumps)]
 
 
 @dataclass
@@ -200,7 +199,7 @@ class ConstructionState:
         self.depth = depth
         self.n_jumps = n_jumps
         self.strict = strict
-        self.dset = build_D(n_jumps)
+        self.table = jump_table(n_jumps)
         self.stages: list[TilingStage] = []
         self.copies: list[PlacedCopy] = []
         self._by_address: dict[tuple[int, ...], list[int]] = {}
@@ -292,10 +291,10 @@ class ColumnSweep:
     """
 
     def __init__(self, state: ConstructionState, sigma: Address, n: int, ids: list[int] | None = None):
-        t_den, _, values = integer_table(state.n_jumps)
+        t_den, values = state.table.den, state.table.values
         scale = 2**state.n_jumps
         self.n = n
-        self.n_jumps = state.n_jumps
+        self.table = state.table
         self.ids = state.chain_ids(sigma, max_stage=n) if ids is None else ids
         copies = [state.copies[cid] for cid in self.ids]
         self.den = den = math.lcm(*(c.den for c in copies))
@@ -321,7 +320,7 @@ class ColumnSweep:
     @cached_property
     def events(self) -> dict[int, list[tuple[int, int]]]:
         """Breakpoint -> (place in ids, crossing just after it) per jumping copy."""
-        _, locations, values = integer_table(self.n_jumps)
+        locations, values = self.table.locations, self.table.values
         events: dict[int, list[tuple[int, int]]] = {}
         for i, (positions, p, origin, base, step) in enumerate(self._inside):
             for pos in positions:
@@ -433,16 +432,17 @@ class ColumnSweep:
 def stage_zero(n_jumps: int) -> TilingStage:
     """The single rectangle C x [0, 1] carrying the identity copy."""
     rect = Rect(Address(), ZERO, ONE)
-    return TilingStage(0, [rect], [PlacedCopy(0, 0, rect, build_D(n_jumps))])
+    return TilingStage(0, [rect], [PlacedCopy(0, 0, rect, jump_table(n_jumps))])
 
 
 def stage_one(n_jumps: int) -> TilingStage:
     """Four split rectangles over the two halves plus the eight outer ones."""
     if n_jumps < 2:
         raise ValueError("stage one needs at least two jumps")
-    dset = build_D(n_jumps)
-    f13 = dset.table.value_left_of(Fraction(1, 3))
-    f23 = dset.table.value_left_of(Fraction(2, 3))
+    table = jump_table(n_jumps)
+    t_den, locations, values = table.den, table.locations, table.values
+    # f(k/3) sums the jumps at the locations x / T < k/3, the ints x < ceil(kT/3)
+    f13, f23 = (Fraction(values[bisect.bisect_left(locations, -(-k * t_den // 3))], 2**n_jumps) for k in (1, 2))
     a0, a1 = Address((0,)), Address((1,))
     rects = [
         Rect(a0, (f13 + 1) / 2, ONE),
@@ -453,7 +453,7 @@ def stage_one(n_jumps: int) -> TilingStage:
     for sigma in (a0, a1):
         for a in (Fraction(-1), Fraction(-1, 2), Fraction(1), Fraction(3, 2)):
             rects.append(Rect(sigma, a, a + Fraction(1, 2)))
-    copies = [PlacedCopy(1, i, r, dset) for i, r in enumerate(rects)]
+    copies = [PlacedCopy(1, i, r, table) for i, r in enumerate(rects)]
     return TilingStage(1, rects, copies)
 
 
@@ -520,7 +520,7 @@ class Builder:
                 count = -(-length * (n + 1) // den)
                 ends = [Fraction(s_lo * count + k * length, den * count) for k in range(count + 1)]
                 rects.extend(Rect(sigma, lo, hi) for lo, hi in zip(ends, ends[1:]))
-        stage = TilingStage(n, rects, [PlacedCopy(n, i, r, state.dset) for i, r in enumerate(rects)])
+        stage = TilingStage(n, rects, [PlacedCopy(n, i, r, state.table) for i, r in enumerate(rects)])
         state.add_stage(stage)
         return stage
 
@@ -642,7 +642,7 @@ def state_from_json_obj(doc: dict, location: str = "<state>") -> ConstructionSta
         raise StateSchemaError(f"needs depth >= 0 and jumps >= 1, got {depth}, {n_jumps}", location)
     if len(stages_doc) != depth + 1:
         raise StateSchemaError("stages must list exactly depth+1 entries", f"{location}.stages")
-    dset = build_D(n_jumps)
+    table = jump_table(n_jumps)
     stages: list[TilingStage] = []
     for si, st in enumerate(stages_doc):
         loc = f"{location}.stages[{si}]"
@@ -665,6 +665,6 @@ def state_from_json_obj(doc: dict, location: str = "<state>") -> ConstructionSta
                 raise StateSchemaError(f"address length {len(address)} at stage {n}", rloc)
             rects.append(rect)
         stages.append(
-            TilingStage(n, rects, [PlacedCopy(n, i, r, dset) for i, r in enumerate(rects)])
+            TilingStage(n, rects, [PlacedCopy(n, i, r, table) for i, r in enumerate(rects)])
         )
     return ConstructionState(depth, n_jumps, strict, stages)

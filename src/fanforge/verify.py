@@ -22,7 +22,6 @@ from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
-from .debski import integer_table
 from .errors import InvalidParameter
 from .exact import addresses_of_length, rational_to_str
 from .spaceset import assemble, sample_points, stage_fan_diameters
@@ -254,7 +253,7 @@ def _pieces_in_window(
     (location, low, high). Value indices are filtered first by bisection
     against the height window, so only the few relevant pieces are made.
     """
-    t_den, locations, values = integer_table(copy.dset.n_jumps)
+    t_den, locations, values = copy.table.den, copy.table.locations, copy.table.values
     base, step = copy.base * unit, copy.step * unit
 
     def at(x: int) -> int:  # a local column coordinate over T, globally
@@ -288,7 +287,7 @@ def copies_intersect(a: PlacedCopy, b: PlacedCopy) -> dict | None:
     columns over T * 3^s (s the deeper stage), heights over the lcm of the
     two copies' `den`; `Fraction`s are made only for the witness.
     """
-    t_den, _, values = integer_table(a.dset.n_jumps)
+    t_den, values = a.table.den, a.table.values
     stage = max(a.stage, b.stage)
     den = math.lcm(a.den, b.den)
     top = values[-1]
@@ -544,6 +543,7 @@ KNOWN_CHECKS = (
     "null-sequence",
     "epsilon-connectivity",
 )
+LEVELLED_CHECKS = ("coverage", "condition-v", "max-gap")
 
 
 def run_all(
@@ -556,19 +556,24 @@ def run_all(
     """Run the selected checks (all by default) into one report.
 
     A selector is either a check name or "name=<n>" to pin the stage level
-    of the per-level checks (coverage, condition-v, max-gap); levels above
-    the built depth produce skipped records. Each level is swept once, for
-    all of its checks and, at level K, for disjointness too. An epsilon
-    that is NaN, infinite or negative raises InvalidParameter before any
-    check runs.
+    of the per-level checks (coverage, condition-v, max-gap), n a
+    non-negative integer; levels above the built depth produce skipped
+    records. Each level is swept once, for all of its checks and, at level
+    K, for disjointness too. A level on any other check, a level that is
+    not such an integer, and an epsilon that is NaN, infinite or negative
+    raise InvalidParameter before any check runs.
     """
     report = VerificationReport({"depth": state.depth, "jumps": state.n_jumps, "strict": state.strict})
     selected: list[tuple[str, int | None]] = []
     for item in checks if checks is not None else KNOWN_CHECKS:
-        name, _, level = item.partition("=")
+        name, eq, level = item.partition("=")
         if name not in KNOWN_CHECKS:
             raise ValueError(f"unknown check {name!r} (known: {', '.join(KNOWN_CHECKS)})")
-        selected.append((name, int(level) if level else None))
+        if eq and name not in LEVELLED_CHECKS:
+            raise InvalidParameter(f"check selector {item!r}: only {', '.join(LEVELLED_CHECKS)} take a level")
+        if eq and not (level.isascii() and level.isdigit()):
+            raise InvalidParameter(f"check selector {item!r}: the level must be an integer >= 0")
+        selected.append((name, int(level) if eq else None))
     for eps in epsilons:
         if not (math.isfinite(eps) and eps >= 0):
             raise InvalidParameter(f"epsilon must be finite and >= 0, got {eps}")
@@ -587,7 +592,7 @@ def run_all(
             report.records.extend(check_partial_tiling(state))
         elif name == "disjointness":
             report.add(_disjointness(state, swept(state.depth).meeting))
-        elif name in ("coverage", "condition-v", "max-gap"):
+        elif name in LEVELLED_CHECKS:
             for n in levels:
                 if n > state.depth:
                     report.add(CheckRecord(name, f"n={n}", "skipped", None, {"reason": "n exceeds depth"}))

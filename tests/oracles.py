@@ -1,7 +1,8 @@
 """Independent brute-force oracles for expected values.
 
 These deliberately avoid the package's internal representations: jump
-sequences come from a list-scan enumeration, fibers from materializing every
+sequences come from a list-scan enumeration, the truncated set's Fraction
+table from those jumps alone, fibers from materializing every
 piece of every copy, unions from sorting, column gaps from a Fraction cell
 sweep and from a walk that re-finds each crossing by bisection, the
 per-rectangle checks from Fraction bounds, the MST from a quadratic Prim
@@ -22,14 +23,16 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterator
 
 import numpy as np
 
-from fanforge.debski import build_D, min_jumps_for_depth
+from fanforge.debski import jump_table, min_jumps_for_depth
 from fanforge.decomp import Claim5Result, Earring, Loop
 from fanforge.errors import (
     DepthInsufficient,
+    IndexOutOfRange,
     JumpHit,
     NotInCantor,
     NotOrdered,
@@ -165,26 +168,52 @@ def f_value_oracle(c: Fraction, count: int) -> Fraction:
     )
 
 
+class FractionTable:
+    """The truncated set in Fractions, from `jump_points_oracle` alone: the
+    jump locations left to right, the value left of each (the last, 1 - 2^-N,
+    right of every jump), the closed plateaus as (left, right, value), and
+    the jumps by canonical index as (location, low, high)."""
+
+    def __init__(self, count: int):
+        pts = jump_points_oracle(count)
+        order = sorted(range(count), key=lambda m: pts[m])
+        self.n_jumps = count
+        self.locations = [pts[m] for m in order]
+        self.values = [Fraction(0)]
+        for m in order:
+            self.values.append(self.values[-1] + Fraction(1, 2 ** (m + 1)))
+        bounds = [Fraction(0), *self.locations, Fraction(1)]
+        self.plateaus = [(bounds[j], bounds[j + 1], self.values[j]) for j in range(count + 1)]
+        self.jumps = [None] * count
+        for j, m in enumerate(order):
+            self.jumps[m] = (pts[m], self.values[j], self.values[j + 1])
+
+    def fiber(self, u: Fraction) -> tuple[str, Fraction, Fraction]:
+        """('point', v, v) or ('segment', low, high) over the local column u."""
+        j = bisect.bisect_left(self.locations, u)
+        if j < self.n_jumps and self.locations[j] == u:
+            return ("segment", self.values[j], self.values[j + 1])
+        return ("point", self.values[j], self.values[j])
+
+
+@lru_cache(maxsize=None)
+def fraction_table(count: int) -> FractionTable:
+    return FractionTable(count)
+
+
+def table_of(copy) -> FractionTable:
+    """The Fraction table of the copy's truncation."""
+    return fraction_table(copy.table.n_jumps)
+
+
 def copy_pieces_oracle(copy, count: int):
     """(plateaus, jumps) of a placed copy, rebuilt from first principles."""
-    pts = jump_points_oracle(count)
-    order = sorted(range(count), key=lambda m: pts[m])
-    locations = [pts[m] for m in order]
-    values = [Fraction(0)]
-    for m in order:
-        values.append(values[-1] + Fraction(1, 2 ** (m + 1)))
+    t = fraction_table(count)
     x0 = endpoint_zero_oracle(copy.rect.address.bits)
     scale = Fraction(1, 3 ** copy.stage)
     a, h = copy.rect.bottom, copy.rect.top - copy.rect.bottom
-    bounds = [Fraction(0)] + locations + [Fraction(1)]
-    plateaus = [
-        (x0 + bounds[j] * scale, x0 + bounds[j + 1] * scale, a + h * values[j])
-        for j in range(count + 1)
-    ]
-    jumps = [
-        (x0 + locations[j] * scale, a + h * values[j], a + h * values[j + 1])
-        for j in range(count)
-    ]
+    plateaus = [(x0 + lo * scale, x0 + hi * scale, a + h * v) for lo, hi, v in t.plateaus]
+    jumps = [(x0 + c * scale, a + h * lo, a + h * hi) for c, lo, hi in sorted(t.jumps)]
     return plateaus, jumps
 
 
@@ -205,7 +234,7 @@ def to_global_h(copy, r: Fraction) -> Fraction:
 
 def max_height_oracle(copy) -> Fraction:
     """Largest second coordinate on the copy: a + (b-a)(1 - 2^-N) < b."""
-    return to_global_h(copy, copy.dset.max_value)
+    return to_global_h(copy, table_of(copy).values[-1])
 
 
 def local_c(copy, c: Fraction) -> Fraction:
@@ -218,7 +247,7 @@ def local_h(copy, h: Fraction) -> Fraction:
 
 def fiber_oracle(copy, c: Fraction) -> tuple[str, Fraction, Fraction]:
     """('point', v, v) or ('segment', low, high) from the local Fraction fiber."""
-    kind, lo, hi = copy.dset.fiber(local_c(copy, c))
+    kind, lo, hi = table_of(copy).fiber(local_c(copy, c))
     return (kind, to_global_h(copy, lo), to_global_h(copy, hi))
 
 
@@ -240,17 +269,17 @@ def classify_on_copy_oracle(copy, point) -> str:
 
 def plateau_global_oracle(copy, j: int) -> tuple[Fraction, Fraction, Fraction]:
     """Plateau j as global (left, right, value)."""
-    p = copy.dset.plateaus[j]
-    return (to_global_c(copy, p.left), to_global_c(copy, p.right), to_global_h(copy, p.value))
+    left, right, value = table_of(copy).plateaus[j]
+    return (to_global_c(copy, left), to_global_c(copy, right), to_global_h(copy, value))
 
 
 def plateaus_global_oracle(copy) -> list[tuple[Fraction, Fraction, Fraction]]:
-    return [plateau_global_oracle(copy, j) for j in range(copy.dset.n_jumps + 1)]
+    return [plateau_global_oracle(copy, j) for j in range(copy.table.n_jumps + 1)]
 
 
 def jump_global_oracle(copy, pos: int) -> tuple[Fraction, Fraction, Fraction]:
     """The jump at sorted position pos as global (location, low, high)."""
-    t = copy.dset.table
+    t = table_of(copy)
     return (
         to_global_c(copy, t.locations[pos]),
         to_global_h(copy, t.values[pos]),
@@ -259,12 +288,12 @@ def jump_global_oracle(copy, pos: int) -> tuple[Fraction, Fraction, Fraction]:
 
 
 def jumps_global_oracle(copy) -> list[tuple[Fraction, Fraction, Fraction]]:
-    return [jump_global_oracle(copy, pos) for pos in range(copy.dset.n_jumps)]
+    return [jump_global_oracle(copy, pos) for pos in range(copy.table.n_jumps)]
 
 
 def jump_positions_between_oracle(copy, c_lo: Fraction, c_hi: Fraction) -> range:
     """Sorted positions of jumps with location strictly inside (c_lo, c_hi)."""
-    t = copy.dset.table
+    t = table_of(copy)
     lo = bisect.bisect_right(t.locations, local_c(copy, c_lo))
     hi = bisect.bisect_left(t.locations, local_c(copy, c_hi))
     return range(lo, hi)
@@ -272,8 +301,8 @@ def jump_positions_between_oracle(copy, c_lo: Fraction, c_hi: Fraction) -> range
 
 def pieces_in_window_oracle(copy, c_lo, c_hi, h_lo, h_hi):
     """(plateaus, jumps) of the copy meeting the closed window, in Fractions."""
-    t = copy.dset.table
-    n = copy.dset.n_jumps
+    t = table_of(copy)
+    n = t.n_jumps
     l_clo = local_c(copy, max(c_lo, copy.rect.left))
     l_chi = local_c(copy, min(c_hi, copy.rect.right))
     l_hlo, l_hhi = local_h(copy, h_lo), local_h(copy, h_hi)
@@ -283,8 +312,8 @@ def pieces_in_window_oracle(copy, c_lo, c_hi, h_lo, h_hi):
     lo_j = bisect.bisect_left(t.values, l_hlo)
     hi_j = bisect.bisect_right(t.values, l_hhi) - 1
     for j in range(max(lo_j, 0), min(hi_j, n) + 1):
-        p = copy.dset.plateaus[j]
-        if p.right >= l_clo and p.left <= l_chi:
+        left, right, _ = t.plateaus[j]
+        if right >= l_clo and left <= l_chi:
             plateaus.append(plateau_global_oracle(copy, j))
     jumps = []
     first = max(bisect.bisect_left(t.values, l_hlo) - 1, 0)
@@ -411,7 +440,7 @@ def pointwise_below_oracle(a, b, left: Fraction, right: Fraction) -> bool:
     events: dict[Fraction, list[tuple[str, int]]] = {}
     for tag, copy in (("a", a), ("b", b)):
         for pos in jump_positions_between_oracle(copy, left, right):
-            c = to_global_c(copy, copy.dset.table.locations[pos])
+            c = to_global_c(copy, table_of(copy).locations[pos])
             events.setdefault(c, []).append((tag, pos))
     cur_a = trace_at_oracle(a, left)
     cur_b = trace_at_oracle(b, left)
@@ -422,7 +451,7 @@ def pointwise_below_oracle(a, b, left: Fraction, right: Fraction) -> bool:
         nxt_a, nxt_b = cur_a, cur_b
         for tag, pos in events[c]:
             copy = a if tag == "a" else b
-            top = to_global_h(copy, copy.dset.table.values[pos + 1])
+            top = to_global_h(copy, table_of(copy).values[pos + 1])
             if tag == "a":
                 a_hi = top
                 nxt_a = top
@@ -465,8 +494,8 @@ def fiber_isolation_witnesses(model) -> list[tuple[QPoint, str]]:
     for qp in q_points(model):
         owner = state.copies[qp.copy_id]
         c = qp.point[0]
-        jump = owner.dset.table.jump_by_index(qp.jump_index)
-        seg_lo, seg_hi = to_global_h(owner, jump.low), to_global_h(owner, jump.high)
+        _, low, high = table_of(owner).jumps[qp.jump_index]
+        seg_lo, seg_hi = to_global_h(owner, low), to_global_h(owner, high)
         for cid, _, _ in state.fibers_at(c):
             if cid == qp.copy_id:
                 continue
@@ -480,9 +509,8 @@ def q_set_oracle(state) -> dict:
     """Every copy's jump midpoints in Fractions, each mapped to its (copy id, jump index)."""
     out = {}
     for cid, copy in enumerate(state.copies):
-        for m in range(state.n_jumps):
-            j = copy.dset.table.jump_by_index(m)
-            out.setdefault((to_global_c(copy, j.location), to_global_h(copy, j.midpoint)), (cid, m))
+        for m, (c, low, high) in enumerate(table_of(copy).jumps):
+            out.setdefault((to_global_c(copy, c), to_global_h(copy, (low + high) / 2)), (cid, m))
     return out
 
 
@@ -529,11 +557,10 @@ def region_between_oracle(model, lower_id: int, upper_id: int, column) -> Region
         raise NotOrdered(f"copy {lower.key} is not strictly below copy {upper.key} over {column}")
     boundary = []
     for copy in (lower, upper):
-        for m in range(copy.dset.n_jumps):
-            j = copy.dset.table.jump_by_index(m)
-            c = to_global_c(copy, j.location)
+        for location, low, high in table_of(copy).jumps:
+            c = to_global_c(copy, location)
             if left <= c <= right:
-                boundary.append((c, to_global_h(copy, j.midpoint)))
+                boundary.append((c, to_global_h(copy, (low + high) / 2)))
     return Region("betweenCopies", column, (lower_id, upper_id), tuple(boundary), model)
 
 
@@ -546,7 +573,7 @@ def envelope_failures_oracle(state, column, trio) -> list[str]:
     for cid in trio:
         copy = state.copies[cid]
         for pos in jump_positions_between_oracle(copy, left, right):
-            breakpoints.add(to_global_c(copy, copy.dset.table.locations[pos]))
+            breakpoints.add(to_global_c(copy, table_of(copy).locations[pos]))
     cuts = [left] + sorted(breakpoints) + [right]
     sample_columns = [left, right] + sorted(breakpoints)
     for u, w in zip(cuts, cuts[1:]):
@@ -570,10 +597,9 @@ def collapse_oracle(model, copy_id: int) -> Earring:
     """collapse_E with each loop placed by to_global_c and to_global_h."""
     copy = model.state.copies[copy_id]
     loops = []
-    for m in range(copy.dset.n_jumps):
-        jump = copy.dset.table.jump_by_index(m)
-        c = to_global_c(copy, jump.location)
-        lo, hi = to_global_h(copy, jump.low), to_global_h(copy, jump.high)
+    for m, (location, low, high) in enumerate(table_of(copy).jumps):
+        c = to_global_c(copy, location)
+        lo, hi = to_global_h(copy, low), to_global_h(copy, high)
         p, q = fan_point((c, lo)), fan_point((c, hi))
         loops.append(Loop(m, c, lo, hi, ((p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2) ** 0.5))
     return Earring(copy.key, f"e[{copy.key}]", tuple(loops))
@@ -586,9 +612,11 @@ def claim5_oracle(model, copy_id: int, level: int, loop_index: int) -> Claim5Res
     target = owner.stage + 1 + level
     if level < 0 or target > state.depth:
         raise DepthInsufficient(f"level {level} is not in [0, {state.depth - owner.stage - 1}]")
-    jump = owner.dset.table.jump_by_index(loop_index)
-    c_j = to_global_c(owner, jump.location)
-    seg_lo, seg_hi = to_global_h(owner, jump.low), to_global_h(owner, jump.high)
+    if not 0 <= loop_index < owner.table.n_jumps:
+        raise IndexOutOfRange(f"jump index {loop_index} not in [0, {owner.table.n_jumps})")
+    location, low, high = table_of(owner).jumps[loop_index]
+    c_j = to_global_c(owner, location)
+    seg_lo, seg_hi = to_global_h(owner, low), to_global_h(owner, high)
     column = locate(c_j, target)
     above, below = [], []
     for cid, copy in enumerate(state.copies):
@@ -687,7 +715,7 @@ class CellDecomposition:
         for cid in self.ids:
             copy = state.copies[cid]
             for pos in jump_positions_between_oracle(copy, left, right):
-                c = to_global_c(copy, copy.dset.table.locations[pos])
+                c = to_global_c(copy, table_of(copy).locations[pos])
                 self.events.setdefault(c, []).append((cid, pos))
         self.breakpoints = sorted(self.events)
 
@@ -707,7 +735,7 @@ class CellDecomposition:
             moved = []
             for cid, pos in self.events[c]:
                 copy = state.copies[cid]
-                new = to_global_h(copy, copy.dset.table.values[pos + 1])
+                new = to_global_h(copy, table_of(copy).values[pos + 1])
                 cross.remove((heights[cid], cid))
                 bisect.insort(cross, (new, cid))
                 heights[cid] = new
@@ -1017,7 +1045,7 @@ def band_oracle(copy, left: Fraction, right: Fraction) -> tuple[Fraction, Fracti
 
 def build_oracle(depth: int, n_jumps: int, strict: bool = True):
     """The stage construction with Fraction bands, the reference for `tiling.build`."""
-    dset = build_D(n_jumps)
+    table = jump_table(n_jumps)
     stages = [stage_zero(n_jumps)] + ([stage_one(n_jumps)] if depth >= 1 else [])
     by_address: dict[tuple[int, ...], list] = {}
     for stage in stages:
@@ -1064,7 +1092,7 @@ def build_oracle(depth: int, n_jumps: int, strict: bool = True):
                 piece = length / count
                 for k in range(count):
                     rects.append(Rect(sigma, s_lo + k * piece, s_lo + (k + 1) * piece))
-        copies = [PlacedCopy(n, i, r, dset) for i, r in enumerate(rects)]
+        copies = [PlacedCopy(n, i, r, table) for i, r in enumerate(rects)]
         stages.append(TilingStage(n, rects, copies))
         for copy in copies:
             by_address.setdefault(copy.rect.address.bits, []).append(copy)

@@ -8,7 +8,7 @@ of rebuilding them.
 from fractions import Fraction as F
 
 from fanforge import assemble, build
-from fanforge.debski import jump_interval, midpoints
+from fanforge.debski import jump_table
 from fanforge.exact import Address, addresses_of_length, endpoint_one, endpoint_zero
 from fanforge.spaceset import region_between, sample_points, stage_fan_diameters
 from fanforge.tiling import pointwise_below
@@ -76,17 +76,18 @@ def test_criterion_05_condition_v(st_4_32):
 
 def test_criterion_06_debski_identities():
     n_jumps = 32
+    table = jump_table(n_jumps)
+    identity = build(0, n_jumps).copies[0]  # the unit-square copy: D itself
+    intervals = [identity.jump_global(identity.jump_pos(n))[1:] for n in range(n_jumps)]
     widths_ok = all(
-        jump_interval(n, n_jumps)[1] - jump_interval(n, n_jumps)[0] == F(1, 2 ** (n + 1))
-        for n in range(n_jumps)
+        hi - lo == F(1, 2 ** (n + 1)) == F(table.values[pos + 1] - table.values[pos], 2**n_jumps)
+        for n, ((lo, hi), pos) in enumerate(zip(intervals, table.pos_of_index))
     )
-    total = sum(
-        jump_interval(n, n_jumps)[1] - jump_interval(n, n_jumps)[0] for n in range(n_jumps)
-    )
-    mass_ok = total == 1 - F(1, 2**n_jumps)
+    total = sum(hi - lo for lo, hi in intervals)
+    mass_ok = total == 1 - F(1, 2**n_jumps) == F(table.values[-1], 2**n_jumps)
     mids_ok = all(
-        mid == jump_interval(n, n_jumps)[0] + F(1, 2 ** (n + 2))
-        for n, (_, mid) in enumerate(midpoints(n_jumps))
+        mid == lo + F(1, 2 ** (n + 2))
+        for n, ((_, mid), (lo, _)) in enumerate(zip(identity.midpoints_global(), intervals))
     )
     ok = widths_ok and mass_ok and mids_ok
     assert report(6, ok, f"N=32 jump widths, total mass {total}, midpoint heights exact")

@@ -96,6 +96,14 @@ class TestVerify:
         assert code == 0
         assert "SKIPPED" in stdout
 
+    @pytest.mark.parametrize("selector", ["disjointness=5", "null-sequence=0", "coverage=-1", "coverage=x"])
+    def test_bad_level_selector_exits_2_before_any_check(self, state_file, capsys, selector):
+        argv = ["verify", "--state", str(state_file), "--checks", f"conditions-i-ii,{selector}"]
+        code, stdout, stderr = run(argv, capsys)
+        assert code == 2
+        assert f"InvalidParameter: check selector {selector!r}" in stderr
+        assert "Traceback" not in stderr and stdout == ""
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
     def test_meaningless_epsilon_exits_2_before_any_check(self, state_file, capsys, value):
         code, stdout, stderr = run(["verify", "--state", str(state_file), "--epsilon", value], capsys)

@@ -1,22 +1,16 @@
+import bisect
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, strategies as st
 
-from fanforge.debski import (
-    build_D,
-    classify_point,
-    f_value,
-    graph_closure_E,
-    jump_interval,
-    jump_points,
-    midpoints,
-    min_jumps_for_depth,
-)
+from fanforge import assemble, build
+from fanforge.debski import jump_points, jump_table, min_jumps_for_depth
 from fanforge.exact import Address, addresses_of_length, cantor_member, endpoint_zero
-from fanforge.errors import AtJumpLocation, IndexOutOfRange, NotInCantor
+from fanforge.errors import IndexOutOfRange, JumpHit, NotInCantor
+from fanforge.tiling import stage_zero, vertical_trace
 
-from .oracles import f_value_oracle, jump_points_oracle
+from .oracles import classify_on_copy_oracle, f_value_oracle, fraction_table, jump_points_oracle
 
 
 def cantor_points(max_len=8):
@@ -25,6 +19,18 @@ def cantor_points(max_len=8):
         lambda t: endpoint_zero(Address(tuple(t[0])))
         + (F(1, 3 ** len(t[0])) if t[1] else 0)
     )
+
+
+def value_at(c, n_jumps):
+    """The truncated function at a Cantor point c that is no jump location,
+    from the jump table: the value of the plateau after the locations below c."""
+    t = jump_table(n_jumps)
+    return F(t.values[bisect.bisect_left(t.locations, c * t.den)], 2**n_jumps)
+
+
+def identity_copy(n_jumps):
+    """The stage-0 copy, whose rectangle is the unit square: it is D itself."""
+    return stage_zero(n_jumps).copies[0]
 
 
 class TestJumpPoints:
@@ -80,159 +86,195 @@ class TestJumpPoints:
         assert not self._covers(1, 2) and self._covers(1, 3)
 
 
+class TestJumpTable:
+    @pytest.mark.parametrize("n_jumps", range(1, 65))
+    def test_equals_fraction_oracle(self, n_jumps):
+        t, o = jump_table(n_jumps), fraction_table(n_jumps)
+        assert [F(x, t.den) for x in t.locations] == o.locations
+        assert [F(v, 2**n_jumps) for v in t.values] == o.values
+        for m, (location, low, high) in enumerate(o.jumps):
+            pos = t.pos_of_index[m]
+            assert t.index_at[pos] == m
+            assert (F(t.locations[pos], t.den), F(t.values[pos], 2**n_jumps)) == (location, low)
+            assert F(t.values[pos + 1], 2**n_jumps) == high
+
+    def test_jump_points_must_exist(self):
+        with pytest.raises(ValueError):
+            jump_table(0)
+
+
 class TestFValue:
+    """The truncated function on table values; at depth 0 the state is D
+    itself, and `vertical_trace` evaluates the function there."""
+
     def test_at_zero(self):
         for n in (1, 4, 16):
-            assert f_value(F(0), n) == 0
+            assert value_at(F(0), n) == 0
+            assert vertical_trace(build(0, n), F(0)) == [(F(0), 0)]
 
     def test_at_one_with_four_jumps(self):
         # all four jumps lie below 1: 1/2 + 1/4 + 1/8 + 1/16
-        assert f_value(F(1), 4) == F(15, 16)
+        assert value_at(F(1), 4) == F(15, 16)
+        assert vertical_trace(build(0, 4), F(1)) == [(F(15, 16), 0)]
 
     def test_at_one_third_with_four_jumps(self):
         # jumps 0, 1, 3 lie below 1/3: 1/2 + 1/4 + 1/16
-        assert f_value(F(1, 3), 4) == F(13, 16)
+        assert value_at(F(1, 3), 4) == F(13, 16)
+        assert vertical_trace(build(0, 4), F(1, 3)) == [(F(13, 16), 0)]
         assert f_value_oracle(F(1, 3), 4) == F(13, 16)
 
-    def test_jump_location_is_rejected(self):
-        with pytest.raises(AtJumpLocation):
-            f_value(F(1, 4), 4)
+    def test_jump_location_is_rejected(self, st_0_4):
+        with pytest.raises(JumpHit):
+            vertical_trace(st_0_4, F(1, 4))
 
-    def test_not_in_cantor(self):
+    def test_not_in_cantor(self, st_0_4):
         with pytest.raises(NotInCantor):
-            f_value(F(1, 2), 4)
+            vertical_trace(st_0_4, F(1, 2))
 
     @given(cantor_points(), cantor_points(), st.integers(1, 24))
     def test_monotone(self, c1, c2, n):
         lo, hi = min(c1, c2), max(c1, c2)
-        assert f_value(lo, n) <= f_value(hi, n)
+        assert value_at(lo, n) <= value_at(hi, n)
         if any(lo < d < hi for d in jump_points(n)):
-            assert f_value(lo, n) < f_value(hi, n)
+            assert value_at(lo, n) < value_at(hi, n)
+        assert value_at(c1, n) == f_value_oracle(c1, n) == identity_copy(n).fiber(c1)[1]
 
     @given(cantor_points(), st.integers(1, 24))
     def test_monotone_truncation(self, c, n):
-        delta = f_value(c, n + 1) - f_value(c, n)
+        delta = value_at(c, n + 1) - value_at(c, n)
         assert delta in (F(0), F(1, 2 ** (n + 1)))
 
 
 class TestJumpInterval:
+    """Jump m of D as the identity copy's (location, low, high)."""
+
+    @staticmethod
+    def interval(m, n_jumps):
+        copy = identity_copy(n_jumps)
+        return copy.jump_global(copy.jump_pos(m))[1:]
+
     def test_jump_zero_with_four_jumps(self):
         # jumps 1 and 3 lie below d0 = 1/4: r0 = 1/4 + 1/16
-        assert jump_interval(0, 4) == (F(5, 16), F(13, 16))
+        assert self.interval(0, 4) == (F(5, 16), F(13, 16))
 
     def test_jump_one_with_four_jumps(self):
         # only jump 3 = 1/36 lies below d1 = 1/12
-        assert jump_interval(1, 4) == (F(1, 16), F(5, 16))
+        assert self.interval(1, 4) == (F(1, 16), F(5, 16))
 
     @pytest.mark.parametrize("n_jumps", [1, 4, 16])
     def test_widths(self, n_jumps):
         for n in range(n_jumps):
-            lo, hi = jump_interval(n, n_jumps)
+            lo, hi = self.interval(n, n_jumps)
             assert hi - lo == F(1, 2 ** (n + 1))
 
     def test_index_out_of_range(self):
-        with pytest.raises(IndexOutOfRange):
-            jump_interval(4, 4)
+        copy = identity_copy(4)
+        for m in (4, -1):
+            with pytest.raises(IndexOutOfRange):
+                copy.jump_pos(m)
 
     def test_total_jump_mass(self):
         for n_jumps in (1, 4, 16, 32):
-            total = sum(
-                jump_interval(n, n_jumps)[1] - jump_interval(n, n_jumps)[0]
-                for n in range(n_jumps)
-            )
+            total = sum(hi - lo for lo, hi in (self.interval(n, n_jumps) for n in range(n_jumps)))
             assert total == 1 - F(1, 2**n_jumps)
 
 
 class TestDebskiSet:
+    """D's plateau values and coverage gap, on the jump table's ints."""
+
     def test_single_jump(self):
-        dset = build_D(1)
-        assert [(j.location, j.low, j.high) for j in dset.table.jumps()] == [
-            (F(1, 4), F(0), F(1, 2))
-        ]
-        assert [(p.value) for p in dset.plateaus] == [F(0), F(1, 2)]
-        assert dset.coverage_gap() == F(1, 2)
+        t = jump_table(1)
+        assert (F(t.locations[0], t.den), t.values) == (F(1, 4), [0, 1])
+        assert identity_copy(1).jump_global(0) == (F(1, 4), F(0), F(1, 2))
+        assert 1 - F(t.values[-1], 2) == F(1, 2)
 
     def test_coverage_gap_four_jumps(self):
-        assert build_D(4).coverage_gap() == F(1, 16)
+        assert 1 - F(jump_table(4).values[-1], 2**4) == F(1, 16)
 
     @pytest.mark.parametrize("n_jumps", [1, 2, 4, 16])
     def test_plateau_count_and_monotone_values(self, n_jumps):
-        dset = build_D(n_jumps)
-        assert len(dset.plateaus) == n_jumps + 1
-        values = [p.value for p in dset.plateaus]
+        values = jump_table(n_jumps).values
+        assert len(values) == n_jumps + 1
         assert values == sorted(values)
         assert values[0] == 0
-        assert values[-1] == 1 - F(1, 2**n_jumps)
+        assert values[-1] == 2**n_jumps - 1
 
     def test_plateau_steps_equal_jump_widths(self):
-        dset = build_D(8)
+        t = jump_table(8)
         for pos in range(8):
-            jump = dset.table.jump_at_pos(pos)
-            assert dset.plateaus[pos + 1].value - dset.plateaus[pos].value == jump.width
-
-    def test_json_shape(self):
-        doc = build_D(2).to_json_obj()
-        assert doc["N"] == 2
-        assert doc["jumps"][0] == {"n": 1, "d": "1/12", "r": "0/1", "s": "1/4"}
-        assert doc["plateaus"][0] == {"left": "0/1", "right": "1/12", "value": "0/1"}
+            assert t.values[pos + 1] - t.values[pos] == 2 ** (8 - 1 - t.index_at[pos])
 
 
 class TestClassify:
-    def test_below_everything(self):
-        assert classify_point(build_D(4), (F(0), F(-1))) == "below"
+    """A point against D: the depth-0 model, whose one copy is D, classifies
+    a point as off D ('P') exactly when the copy's Fraction fiber has it
+    below or above."""
 
-    def test_on_a_jump_segment(self):
-        assert classify_point(build_D(4), (F(1, 4), F(9, 16))) == "on"
+    def test_below_everything(self, st_0_4):
+        point = (F(0), F(-1))
+        assert classify_on_copy_oracle(st_0_4.copies[0], point) == "below"
+        assert assemble(st_0_4).classify(point) == "P"
 
-    def test_above(self):
-        assert classify_point(build_D(4), (F(1, 3), F(7, 8))) == "above"
+    def test_on_a_jump_segment(self, st_0_4):
+        # the midpoint of jump 0 over [5/16, 13/16]
+        point = (F(1, 4), F(9, 16))
+        assert classify_on_copy_oracle(st_0_4.copies[0], point) == "on"
+        assert assemble(st_0_4).classify(point) == "Q"
 
-    def test_partitions(self):
-        dset = build_D(4)
+    def test_above(self, st_0_4):
+        point = (F(1, 3), F(7, 8))
+        assert classify_on_copy_oracle(st_0_4.copies[0], point) == "above"
+        assert assemble(st_0_4).classify(point) == "P"
+
+    def test_partitions(self, st_0_4):
+        model = assemble(st_0_4)
         for c in (F(0), F(1, 36), F(1, 4), F(2, 3), F(1)):
             for h in (F(-1), F(0), F(1, 16), F(5, 16), F(13, 16), F(2)):
-                assert classify_point(dset, (c, h)) in {"below", "on", "above"}
+                on = classify_on_copy_oracle(st_0_4.copies[0], (c, h)) == "on"
+                assert (model.classify((c, h)) != "P") == on
 
-    def test_not_in_cantor(self):
+    def test_not_in_cantor(self, st_0_4):
         with pytest.raises(NotInCantor):
-            classify_point(build_D(4), (F(1, 2), F(0)))
+            assemble(st_0_4).classify((F(1, 2), F(0)))
 
 
 class TestMidpoints:
     def test_single(self):
-        assert midpoints(1) == [(F(1, 4), F(1, 4))]
+        assert identity_copy(1).midpoints_global() == [(F(1, 4), F(1, 4))]
 
     def test_four_jump_first_midpoint(self):
-        assert midpoints(4)[0] == (F(1, 4), F(9, 16))
+        assert identity_copy(4).midpoints_global()[0] == (F(1, 4), F(9, 16))
 
     def test_midpoint_heights_and_distinctness(self):
-        pts = midpoints(16)
+        copy = identity_copy(16)
+        pts = copy.midpoints_global()
         assert len(set(pts)) == 16
         for n, (d, mid) in enumerate(pts):
-            lo, hi = jump_interval(n, 16)
+            c, lo, hi = copy.jump_global(copy.jump_pos(n))
+            assert c == d
             assert mid == lo + F(1, 2 ** (n + 2))
             assert lo < mid < hi
 
 
 class TestGraphClosure:
+    """The closure of the graph is the closed plateaus: plateau j runs from
+    location j-1 to location j at value j, so the jump ends are plateau ends."""
+
     def test_single_jump(self):
-        e = graph_closure_E(1)
-        assert e.jump_bottoms == ((F(1, 4), F(0)),)
-        assert e.jump_tops == ((F(1, 4), F(1, 2)),)
-        assert [(p.left, p.right, p.value) for p in e.plateaus] == [
-            (F(0), F(1, 4), F(0)),
-            (F(1, 4), F(1), F(1, 2)),
-        ]
+        t = jump_table(1)
+        bounds = [0, *t.locations, t.den]
+        plateaus = [(F(bounds[j], t.den), F(bounds[j + 1], t.den), F(t.values[j], 2)) for j in range(2)]
+        assert plateaus == [(F(0), F(1, 4), F(0)), (F(1, 4), F(1), F(1, 2))]
 
     def test_disjoint_from_open_jump_interiors_and_midpoints(self):
-        e = graph_closure_E(8)
-        dset = build_D(8)
+        t, copy = jump_table(8), identity_copy(8)
         closure_points_at = {}
-        for p in e.plateaus:
-            closure_points_at.setdefault(p.left, set()).add(p.value)
-            closure_points_at.setdefault(p.right, set()).add(p.value)
-        for n, (d, mid) in enumerate(midpoints(8)):
-            lo, hi = jump_interval(n, 8)
+        bounds = [0, *t.locations, t.den]
+        for j, value in enumerate(t.values):
+            for x in (bounds[j], bounds[j + 1]):
+                closure_points_at.setdefault(F(x, t.den), set()).add(F(value, 2**8))
+        for n, (d, mid) in enumerate(copy.midpoints_global()):
+            _, lo, hi = copy.jump_global(copy.jump_pos(n))
             # plateau heights at the jump column are exactly the segment ends
             assert closure_points_at[d] == {lo, hi}
             assert mid not in closure_points_at[d]

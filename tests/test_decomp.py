@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from fanforge.debski import build_D
+from fanforge.debski import jump_table
 from fanforge.decomp import (
     Claim5Result,
     Earring,
@@ -156,7 +156,7 @@ class TestClaim5:
         # right in the column, so the trio is out of order there: the
         # public call refuses it, and the Fraction walk says where
         rects = [Rect(Address.parse("0"), F(5, 16), F(1, 2)), Rect(Address.parse("0"), F(-1), F(-1, 2))]
-        stage1 = TilingStage(1, rects, [PlacedCopy(1, i, r, build_D(4)) for i, r in enumerate(rects)])
+        stage1 = TilingStage(1, rects, [PlacedCopy(1, i, r, jump_table(4)) for i, r in enumerate(rects)])
         state = ConstructionState(1, 4, False, [stage_zero(4), stage1])
         with pytest.raises(NotOrdered):
             claim5_regions(assemble(state), 0, 0, 1)

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction as F
 
 import pytest
@@ -5,7 +6,6 @@ from hypothesis import given, strategies as st
 
 from fanforge.exact import (
     Address,
-    BasicInterval,
     addresses_length_lex,
     addresses_of_length,
     cantor_member,
@@ -161,17 +161,9 @@ class TestSerialization:
             Address.parse("012")
 
 
-class TestBasicInterval:
-    def test_from_address(self):
-        bi = BasicInterval.from_address(Address.parse("01"))
-        assert (bi.left, bi.right) == (F(2, 9), F(1, 3))
-        assert bi.contains(F(1, 4))
-        assert not bi.contains(F(1, 5))
-
-
 class TestHelpers:
     def test_length_lex_enumeration(self):
-        got = [str(a) for a in list(addresses_length_lex(2))]
+        got = [str(a) for a in itertools.islice(addresses_length_lex(), 7)]
         assert got == ["", "0", "1", "00", "01", "10", "11"]
 
     def test_basic_interval_inside(self):

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import example, given, strategies as st
 
-from fanforge.debski import build_D
+from fanforge.debski import jump_table
 from fanforge.decomp import collapse_E
 from fanforge.errors import DepthInsufficient, InvalidParameter, NotOrdered, NotSpanning
 from fanforge.exact import Address, addresses_of_length, endpoint_zero
@@ -13,12 +13,12 @@ from fanforge.spaceset import (
     assemble,
     fan_midpoints,
     fan_point,
-    nabla_map,
+    fan_x,
     piece_floats,
     region_between,
     sample_points,
     vertex_neighborhood,
-    xi_map,
+    xi_float,
 )
 from fanforge.tiling import ConstructionState, PlacedCopy, Rect, TilingStage, stage_zero, vertical_trace
 
@@ -26,6 +26,7 @@ from .oracles import (
     basic_interval_inside,
     classify_oracle,
     fiber_isolation_witnesses,
+    fraction_table,
     fset_columns,
     jumps_global_oracle,
     plateau_segments_oracle,
@@ -44,38 +45,42 @@ cantor_endpoints = st.tuples(st.lists(st.integers(0, 1), max_size=8), st.boolean
 
 class TestXiMap:
     def test_zero(self):
-        assert xi_map((F(1, 4), F(0)))[1] == pytest.approx(0.5)
+        assert xi_float(F(0)) == 0.5
 
     def test_one_and_minus_one(self):
-        assert xi_map((F(0), F(1)))[1] == pytest.approx(0.75)
-        assert xi_map((F(0), F(-1)))[1] == pytest.approx(0.25)
+        assert xi_float(F(1)) == pytest.approx(0.75)
+        assert xi_float(F(-1)) == pytest.approx(0.25)
 
     @given(st.fractions(min_value=-50, max_value=50), st.fractions(min_value=-50, max_value=50))
     def test_strictly_increasing_and_bounded(self, r1, r2):
-        y1 = xi_map((F(0), r1))[1]
-        y2 = xi_map((F(0), r2))[1]
+        y1, y2 = xi_float(r1), xi_float(r2)
         assert 0 < y1 < 1
         if r1 < r2:
-            assert y1 < y2
+            # the float value is non-decreasing. On [-50, 50] xi's slope is
+            # over 2^-14, so heights 2^-30 apart differ by over 2^-44 in xi,
+            # far above the few ulps (under 2^-50) of its float error
+            assert y1 <= y2
+            if r2 - r1 >= F(1, 2**30):
+                assert y1 < y2
 
 
 class TestNablaMap:
     def test_collapses_bottom_edge(self):
-        for c in (F(0), F(1, 4), F(2, 3), F(1)):
-            assert nabla_map((c, F(0))) == (F(1, 2), F(0))
+        for c in (0.0, 0.25, 2 / 3, 1.0):
+            assert fan_x(c, 0.0) == 0.5
 
     def test_fixes_top_edge(self):
-        assert nabla_map((F(1, 4), F(1))) == (F(1, 4), F(1))
+        assert fan_x(0.25, 1.0) == 0.25
 
     def test_midheight_example(self):
-        assert nabla_map((F(1, 4), F(1, 2))) == (F(3, 8), F(1, 2))
+        assert fan_x(0.25, 0.5) == 0.375
 
     @given(cantor_endpoints, cantor_endpoints,
            st.fractions(min_value=F(1, 100), max_value=1),
            st.fractions(min_value=F(1, 100), max_value=1))
     def test_injective_above_the_vertex(self, c1, c2, y1, y2):
-        p1, p2 = nabla_map((c1, y1)), nabla_map((c2, y2))
-        if (c1, y1) != (c2, y2):
+        p1, p2 = (fan_x(float(c1), float(y1)), float(y1)), (fan_x(float(c2), float(y2)), float(y2))
+        if (float(c1), float(y1)) != (float(c2), float(y2)):
             assert p1 != p2
 
     def test_fan_point_of_vertex_slice(self):
@@ -109,9 +114,9 @@ class TestPieceFloats:
              n_jumps=16, depth=4)
     def test_equal_float_of_each_exact_coordinate(self, bottom, height, bits, n_jumps, depth):
         copy = PlacedCopy(len(bits), 0, Rect(Address(tuple(bits)), bottom, bottom + height),
-                          build_D(n_jumps))
+                          jump_table(n_jumps))
         pieces = piece_floats(copy, depth)
-        table = copy.dset.table
+        table = fraction_table(n_jumps)
         assert pieces.heights == [float(to_global_h(copy, v)) for v in table.values]
         assert pieces.jumps == [float(to_global_c(copy, x)) for x in table.locations]
         assert pieces.segments == [
@@ -128,7 +133,7 @@ class TestPieceFloats:
     @example(bottom=F(-(2**70) - 3, 2**61 + 7), height=F(3, 2**55 + 1), bits=[1, 0, 1], n_jumps=16)
     def test_fan_midpoints_are_fan_point_of_each_exact_midpoint(self, bottom, height, bits, n_jumps):
         copy = PlacedCopy(len(bits), 0, Rect(Address(tuple(bits)), bottom, bottom + height),
-                          build_D(n_jumps))
+                          jump_table(n_jumps))
         assert fan_midpoints(copy) == [fan_point(p) for p in copy.midpoints_global()]
 
 
@@ -196,7 +201,7 @@ class TestClassifyOracle:
         # a tolerant stage-1 copy whose jump at c = 1/4 overlaps the stage-0
         # jump there: each jump's midpoint lies on the other copy's segment
         rect = Rect(Address.parse("0"), F(0), F(2, 3))
-        stage1 = TilingStage(1, [rect], [PlacedCopy(1, 0, rect, build_D(4))])
+        stage1 = TilingStage(1, [rect], [PlacedCopy(1, 0, rect, jump_table(4))])
         state = ConstructionState(1, 4, False, [stage_zero(4), stage1])
         model = assemble(state)
         stage0_mid, stage1_mid = state.copies[0].midpoint_global(0), state.copies[1].midpoint_global(2)
@@ -328,7 +333,7 @@ class TestSamplePoints:
     def test_crossings_outside_the_range_are_ignored(self):
         # a hand-made stage-1 rect above the range [-1, 2] of a depth-1 state
         high = Rect(Address((0,)), F(5, 2), F(3))
-        stage1 = TilingStage(1, [high], [PlacedCopy(1, 0, high, build_D(4))])
+        stage1 = TilingStage(1, [high], [PlacedCopy(1, 0, high, jump_table(4))])
         model = assemble(ConstructionState(1, 4, True, [stage_zero(4), stage1]))
         assert sample_points(model, 1, 3).to_json() == sample_points_oracle(model, 1, 3).to_json()
 
@@ -370,17 +375,17 @@ class TestFiberIsolation:
         state = model_1_4.state
         for qp in q_points(model_1_4):
             copy = state.copies[qp.copy_id]
-            jump = copy.dset.table.jump_by_index(qp.jump_index)
-            lo, hi = to_global_h(copy, jump.low), to_global_h(copy, jump.high)
+            _, low, high = fraction_table(state.n_jumps).jumps[qp.jump_index]
+            lo, hi = to_global_h(copy, low), to_global_h(copy, high)
             assert lo < qp.point[1] < hi
 
 
 class TestFSets:
     def test_band_inside_a_jump_segment(self, model_2_16):
         state = model_2_16.state
-        jump = state.dset.table.jump_by_index(0)
-        lo = jump.low + jump.width / 4
-        hi = jump.high - jump.width / 4
+        _, low, high = fraction_table(state.n_jumps).jumps[0]
+        lo = low + (high - low) / 4
+        hi = high - (high - low) / 4
         assert fset_columns(model_2_16, lo, hi) == [F(1, 4)]
 
     def test_finite_and_correct_against_brute_candidates(self, model_1_4):

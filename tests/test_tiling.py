@@ -4,7 +4,8 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
-from fanforge import build, build_D
+from fanforge import build
+from fanforge.debski import jump_table
 from fanforge.errors import (
     InvertedWindow,
     JumpHit,
@@ -32,6 +33,7 @@ from .oracles import (
     band_oracle,
     build_oracle,
     fiber_oracle,
+    fraction_table,
     jumps_global_oracle,
     max_height_oracle,
     plateaus_global_oracle,
@@ -154,7 +156,7 @@ class TestIntegerFiber:
         a, b = ab
         if a == b:
             b = a + 1
-        copy = PlacedCopy(len(bits), 0, Rect(Address(tuple(bits)), a, b), build_D(n_jumps))
+        copy = PlacedCopy(len(bits), 0, Rect(Address(tuple(bits)), a, b), jump_table(n_jumps))
         inner = Address(tuple(bits + tail))  # a basic interval inside the column
         columns = [endpoint_zero(inner), endpoint_one(inner)]  # Cantor endpoints
         columns += [c for c, _, _ in jumps_global_oracle(copy)]  # jump locations
@@ -162,10 +164,8 @@ class TestIntegerFiber:
         columns += [to_global_c(copy, u) for u in (F(1, 4), F(3, 4), F(1, 10), F(9, 10), F(1, 2))]
         for c in columns:
             assert copy.fiber(c) == fiber_oracle(copy, c), c
-        table = copy.dset.table
-        for m in range(n_jumps):
-            jump = table.jump_by_index(m)
-            expected = (to_global_c(copy, jump.location), to_global_h(copy, jump.midpoint))
+        for m, (location, low, high) in enumerate(fraction_table(n_jumps).jumps):
+            expected = (to_global_c(copy, location), to_global_h(copy, (low + high) / 2))
             assert copy.midpoint_global(m) == expected
 
 
@@ -215,7 +215,7 @@ class TestBuild:
         builder = Builder(2, 16)
         high = Rect(Address((0,)), F(5, 2), F(3))
         builder.state.add_stage(stage_zero(16))
-        builder.state.add_stage(TilingStage(1, [high], [PlacedCopy(1, 0, high, build_D(16))]))
+        builder.state.add_stage(TilingStage(1, [high], [PlacedCopy(1, 0, high, jump_table(16))]))
         with pytest.raises(TraceOutOfRange, match="at stage 2, column 00: 5/2, "):
             builder.stage_n(2)
 
@@ -225,7 +225,7 @@ class TestBuild:
         builder = Builder(2, 16, strict=False)
         rect = Rect(Address((0,)), F(3, 2), F(2))
         builder.state.add_stage(stage_zero(16))
-        copies = [PlacedCopy(1, i, rect, build_D(16)) for i in range(2)]
+        copies = [PlacedCopy(1, i, rect, jump_table(16)) for i in range(2)]
         builder.state.add_stage(TilingStage(1, [rect, rect], copies))
         with pytest.raises(TruncationTooCoarse, match="column '00'.*overlap at copy 1:1"):
             builder.stage_n(2)
@@ -288,7 +288,7 @@ class TestPointwiseBelow:
         # both copies jump at c = 1/4: the lower one's jump top 13/16 passes the
         # upper one's jump bottom 251/320, though not its new height 53/64
         rect = Rect(Address.parse("0"), F(1, 2), F(17, 20))
-        stage1 = TilingStage(1, [rect], [PlacedCopy(1, 0, rect, build_D(4))])
+        stage1 = TilingStage(1, [rect], [PlacedCopy(1, 0, rect, jump_table(4))])
         state = ConstructionState(1, 4, False, [stage_zero(4), stage1])
         assert not pointwise_below(state, 0, 1, Address.parse("0"))
         assert not pointwise_below_oracle(state.copies[0], state.copies[1], F(0), F(1, 3))
@@ -325,12 +325,12 @@ class TestAffineMap:
         a, b = ab
         if a == b:
             b = a + 1
-        copy = PlacedCopy(len(bits), 0, Rect(Address(tuple(bits)), a, b), build_D(2))
+        copy = PlacedCopy(len(bits), 0, Rect(Address(tuple(bits)), a, b), jump_table(2))
         assert to_global_c(copy, min(c1, c2)) <= to_global_c(copy, max(c1, c2))
         assert to_global_h(copy, min(r1, r2)) <= to_global_h(copy, max(r1, r2))
 
     def test_maps_unit_square_onto_footprint(self):
-        copy = PlacedCopy(2, 0, Rect(Address.parse("01"), F(1, 4), F(3, 4)), build_D(2))
+        copy = PlacedCopy(2, 0, Rect(Address.parse("01"), F(1, 4), F(3, 4)), jump_table(2))
         assert (to_global_c(copy, F(0)), to_global_h(copy, F(0))) == (F(2, 9), F(1, 4))
         assert (to_global_c(copy, F(1)), to_global_h(copy, F(1))) == (F(1, 3), F(3, 4))
 
@@ -339,10 +339,9 @@ class TestCopyGeometry:
     def test_image_jump_heights_scale(self, st_1_4):
         copy = st_1_4.copies[1]  # rect [29/32, 1] over column 0
         height = copy.rect.height
-        for m in range(4):
-            jump = copy.dset.table.jump_by_index(m)
-            lo = to_global_h(copy, jump.low)
-            hi = to_global_h(copy, jump.high)
+        for m, (_, low, high) in enumerate(fraction_table(4).jumps):
+            lo = to_global_h(copy, low)
+            hi = to_global_h(copy, high)
             assert hi - lo == height * F(1, 2 ** (m + 1))
 
     @pytest.mark.parametrize("name", ["st_2_16", "st_4_16t"])
@@ -368,9 +367,9 @@ class TestCopyGeometry:
         a, b = ab
         if a == b:
             b = a + 1
-        copy = PlacedCopy(len(bits), 0, Rect(Address(tuple(bits)), a, b), build_D(n_jumps))
+        copy = PlacedCopy(len(bits), 0, Rect(Address(tuple(bits)), a, b), jump_table(n_jumps))
         assert F(copy.origin, 3**copy.stage) == copy.rect.left
-        for v in copy.dset.table.values:
+        for v in fraction_table(n_jumps).values:
             k = v * 2**n_jumps
             assert k.denominator == 1
             assert F(copy.base + copy.step * k.numerator, copy.den) == to_global_h(copy, v)

@@ -1,0 +1,22 @@
+"""tools/ladder.py, loaded in process: a rename in the package that the
+ladder calls fails here, not only when a BENCH_*.json is next written."""
+
+import importlib.util
+from pathlib import Path
+
+from fanforge.verify import KNOWN_CHECKS
+
+
+def load_tool(name: str):
+    path = Path(__file__).resolve().parents[1] / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_ladder_times_the_build_and_each_check_of_a_rung():
+    rung = load_tool("ladder").time_rung(2, 16, True)
+    assert rung["copies"] == 78
+    assert list(rung["seconds"]) == ["build", *KNOWN_CHECKS]
+    assert all(isinstance(t, float) and t >= 0 for t in rung["seconds"].values())

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 from fractions import Fraction as F
 from unittest import mock
 
@@ -15,6 +16,7 @@ from fanforge.exact import (
     endpoint_zero,
 )
 from fanforge import spaceset
+from fanforge.errors import InvalidParameter
 from fanforge.spaceset import (
     copy_fan_diameter,
     fan_diameter_bound,
@@ -63,6 +65,7 @@ from .oracles import (
     dense_prim_edges_oracle,
     diameter_oracle,
     disjointness_oracle,
+    fraction_table,
     jumps_global_oracle,
     max_height_oracle,
     mst_edges_oracle,
@@ -112,7 +115,7 @@ def oracle_diameters():
 def _with_rects(state, stage_n, rects):
     """Rebuild a state with the rectangles of one stage replaced."""
     stages = list(state.stages)
-    copies = [PlacedCopy(stage_n, i, r, state.dset) for i, r in enumerate(rects)]
+    copies = [PlacedCopy(stage_n, i, r, state.table) for i, r in enumerate(rects)]
     stages[stage_n] = TilingStage(stage_n, rects, copies)
     return ConstructionState(state.depth, state.n_jumps, state.strict, stages)
 
@@ -288,7 +291,7 @@ class TestDisjointness:
         # the stage-0 jump at c = 1/4 spans [5/16, 13/16]; no stage-0 plateau
         # lies in the thin copy's heights [1/2, 9/16), only that jump does
         rect = Rect(Address.parse("0"), F(1, 2), F(9, 16))
-        thin = PlacedCopy(1, 0, rect, st_1_4.dset)
+        thin = PlacedCopy(1, 0, rect, st_1_4.table)
         witness = copies_intersect(st_1_4.copies[0], thin)
         assert witness == copies_intersect_oracle(st_1_4.copies[0], thin)
         assert (witness["kind"], witness["c"]) == ("jump-plateau", "1/4")
@@ -385,7 +388,7 @@ class TestDisjointness:
             and (other.rect.address.is_prefix_of(sigma) or sigma.is_prefix_of(other.rect.address))
         ]
         other = state.copies[related[pick % len(related)]]
-        values = state.dset.table.values
+        values = fraction_table(state.n_jumps).values
         height = copy.rect.height * scale
         bottom = to_global_h(other, values[j_other]) - height * values[j_own] + delta
         bad = _with_mutated_rect(state, copy.stage, copy.index, Rect(sigma, bottom, bottom + height))
@@ -415,7 +418,7 @@ class TestDisjointness:
         stage1 = [Rect(Address.parse("0"), F(13, 32), F(29, 32))]
         stage2 = [Rect(Address.parse("01"), F(7, 16), F(7, 16) + F(13, 28))]
         stages = [st_1_4.stages[0]] + [
-            TilingStage(n, rects, [PlacedCopy(n, i, r, st_1_4.dset) for i, r in enumerate(rects)])
+            TilingStage(n, rects, [PlacedCopy(n, i, r, st_1_4.table) for i, r in enumerate(rects)])
             for n, rects in ((1, stage1), (2, stage2))
         ]
         state = ConstructionState(2, 4, False, stages)
@@ -523,7 +526,7 @@ class TestCellDecomposition:
         sigma = Address.parse("10")
         col = ColumnSweep(st_2_16, sigma, 2)
         reported = {tuple(_fraction_crossing(col, x) for x in pair) for pair in _gap_pairs(col)}
-        c_den = math.lcm(*(q.denominator for q in st_2_16.dset.table.locations)) * 9
+        c_den = math.lcm(*(q.denominator for q in fraction_table(16).locations)) * 9
         cuts = [endpoint_zero(sigma), *(F(b, c_den) for b in col.breakpoints), endpoint_one(sigma)]
         rng = random.Random(3)
         for k in rng.sample(range(len(cuts) - 1), 12):
@@ -539,7 +542,7 @@ class TestCellDecomposition:
             for c, _, _ in jumps_global_oracle(st_1_4.copies[cid]):
                 if F(0) < c < F(1, 3):
                     jump_locs.add(c)
-        c_den = math.lcm(*(q.denominator for q in st_1_4.dset.table.locations)) * 3
+        c_den = math.lcm(*(q.denominator for q in fraction_table(4).locations)) * 3
         assert [F(b, c_den) for b in col.breakpoints] == sorted(jump_locs)
 
 
@@ -769,3 +772,23 @@ class TestRunAll:
     def test_unknown_check_rejected(self, st_1_4):
         with pytest.raises(ValueError):
             run_all(st_1_4, checks=["coverage", "nonsense"])
+
+    @pytest.mark.parametrize(
+        "selector",
+        ["conditions-i-ii=0", "partial-tiling=1", "disjointness=5", "null-sequence=1",
+         "epsilon-connectivity=2", "coverage=-1", "coverage=x", "condition-v=", "max-gap=+1",
+         "max-gap=1.0", "coverage=\u0661"],
+    )
+    def test_bad_level_selector_refused_before_any_check(self, st_1_4, selector, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a check ran")
+
+        monkeypatch.setattr(verify, "check_conditions_i_ii", refuse)
+        with pytest.raises(InvalidParameter, match=re.escape(repr(selector))):
+            run_all(st_1_4, checks=["conditions-i-ii", selector])
+
+    def test_level_selector_on_each_levelled_check(self, st_1_4):
+        report = run_all(st_1_4, checks=["coverage=0", "condition-v=1", "max-gap=2"])
+        assert [(r.name, r.scope, r.status) for r in report.records] == [
+            ("coverage", "n=0", "pass"), ("condition-v", "n=1", "pass"), ("max-gap", "n=2", "skipped"),
+        ]
