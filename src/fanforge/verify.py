@@ -8,8 +8,8 @@ crossing copies, their crossing heights, and their order are all constant.
 One integer sweep per (level, column) serves coverage, condition (v),
 max-gap and, at level K, disjointness. Floating point appears only in the
 fan-metric diagnostics (null-sequence diameters, epsilon connectivity),
-which are explicitly approximate. numpy and scipy are imported only by the
-Euclidean MST and the component count built on it.
+which are explicitly approximate. numpy is imported only by the Euclidean
+MST, an exact grid algorithm, and the component count built on it.
 """
 
 from __future__ import annotations
@@ -395,44 +395,275 @@ def _distinct_rows(pts: np.ndarray) -> np.ndarray:
     return pts[keep]
 
 
+# The grid EMST. A round at radius r puts the points on cells of side
+# r*(1 + 2**-10); cell indices are computed once, at the first radius r0,
+# and round k's cells, of side r0*2**k*(1 + 2**-10), are those indices
+# shifted right by k. The points stay in the Morton order of their first
+# cells, so each round's cells are runs of that order. A computed squared
+# length at most r*r means the points are at most r*(1 + 2**-50) apart, and
+# an index computed for fewer than 2**30 cells per axis is within 2**-21 of
+# the true quotient, so such a pair lies in the same or adjacent cells. r*r
+# stays a normal float while r >= 2**-500, and no length overflows while
+# coordinates stay within 2**500.
+_CELL_PAD = 1 + 2.0**-10
+_MAX_CELLS = 2**30
+_MIN_RADIUS = 2.0**-500
+_MAX_COORD = 2.0**500
+_CHUNK = 32
+_SLICE = 1 << 16
+_HALF_STENCIL = ((0, 0), (0, 1), (1, -1), (1, 0), (1, 1))
+
+
+def _starts(keys: np.ndarray) -> np.ndarray:
+    """Where each run of equal values of a sorted array begins."""
+    import numpy as np
+
+    new = np.ones(len(keys), dtype=bool)
+    new[1:] = keys[1:] != keys[:-1]
+    return np.flatnonzero(new)
+
+
+def _spread_bits(v: np.ndarray) -> np.ndarray:
+    """Each value below 2**31 with its bits moved to the even places: half
+    of a Morton code."""
+    for shift, mask in (
+        (16, 0x0000FFFF0000FFFF),
+        (8, 0x00FF00FF00FF00FF),
+        (4, 0x0F0F0F0F0F0F0F0F),
+        (2, 0x3333333333333333),
+        (1, 0x5555555555555555),
+    ):
+        v = (v | (v << shift)) & mask
+    return v
+
+
+def _morton(cell: np.ndarray) -> np.ndarray:
+    """Morton codes of (column, row) cells, each index below 2**31."""
+    return _spread_bits(cell[:, 0]) | (_spread_bits(cell[:, 1]) << 1)
+
+
+def _first_grid(pts: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """The first round's radius r0, each point's cell at r0, and the order of
+    the points along the Morton curve of those cells.
+
+    r0 starts at span/m**0.75 and halves while the squared cell counts sum
+    above 8m, since before the first round every point is its own component
+    and that sum bounds the round's pairs. r0 stays at least span/2**30 and
+    2**-500 (see above), so points closer than that share cells, and the
+    first round compares all pairs among them.
+    """
+    import numpy as np
+
+    m = len(pts)
+    low = pts.min(axis=0)
+    span = float((pts.max(axis=0) - low).max())
+    finest = max(span / _MAX_CELLS, _MIN_RADIUS)
+    r = max(span / m**0.75, finest)
+    while True:
+        cell = np.floor((pts - low) / (r * _CELL_PAD)).astype(np.int64)
+        code = _morton(cell)
+        order = np.argsort(code, kind="stable")
+        counts = np.diff(np.append(_starts(code[order]), m))
+        if r <= finest or int((counts * counts).sum()) <= 8 * m:
+            return r, cell[order], order
+        r = max(r / 2, finest)
+
+
+def _pair_slices(len_a: np.ndarray, len_b: np.ndarray):
+    """Every (k, i, j) with i < len_a[k] and j < len_b[k], as index arrays
+    of at most _SLICE entries at a time."""
+    import numpy as np
+
+    counts = len_a * len_b
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if len(ends) else 0
+    for first in range(0, total, _SLICE):
+        t = np.arange(first, min(first + _SLICE, total))
+        k = np.searchsorted(ends, t, side="right")
+        offset = t - (ends[k] - counts[k])
+        yield k, offset // len_b[k], offset % len_b[k]
+
+
+def _closest(
+    p: np.ndarray, start: np.ndarray, size: np.ndarray, ka: np.ndarray, kb: np.ndarray
+) -> np.ndarray:
+    """The least squared length between chunks ka[i] and kb[i], for each i.
+
+    Chunks are padded to a power-of-two width by repeating their last
+    point, which leaves each minimum as it is, and compared block by block.
+    """
+    import numpy as np
+
+    out = np.empty(len(ka))
+    widest = np.maximum(size[ka], size[kb])
+    width = 1
+    while width // 2 < _CHUNK:
+        group = np.flatnonzero((widest <= width) & (widest > width // 2))
+        step = max(1, _SLICE // (width * width))
+        cols = np.arange(width)
+        for first in range(0, len(group), step):
+            g = group[first : first + step]
+            a = p[start[ka[g], None] + np.minimum(cols, size[ka[g], None] - 1)]
+            b = p[start[kb[g], None] + np.minimum(cols, size[kb[g], None] - 1)]
+            dx = a[:, :, None, 0] - b[:, None, :, 0]
+            dy = a[:, :, None, 1] - b[:, None, :, 1]
+            out[g] = (dx * dx + dy * dy).reshape(len(g), -1).min(axis=1)
+        width *= 2
+    return out
+
+
+def _lightest_links(
+    pts: np.ndarray, label: np.ndarray, cell: np.ndarray, k: int, r: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Links (d2, a, b) between the components labelled a < b whose points
+    come within r of each other, holding each such pair's least squared
+    length d2.
+
+    The points, in Morton order, fall into round k's cells; a bucket is the
+    run of one component's points in one cell, cut into chunks of at most
+    _CHUNK points. Buckets of different components in the same or adjacent
+    cells are paired. Per pair of components, each slice of chunk pairs
+    first measures the chunk pairs whose bounding-box gap is least, then
+    only the chunk pairs whose gap is below the lightest pair found so far.
+    Slices of bucket pairs may repeat a pair of components with a heavier
+    link, which the forest drops. Once the links outnumber the points twice,
+    they are cut to a minimum spanning forest of themselves, which keeps
+    every link the tree can use.
+    """
+    import numpy as np
+
+    m = len(pts)
+    rr = r * r
+    code = _morton(cell >> k)
+    cells = _starts(code)
+    cell_of = np.repeat(np.arange(len(cells)), np.diff(np.append(cells, m)))
+    key = cell_of * m + label
+    order = np.argsort(key, kind="stable")
+    p = pts[order]
+    bucket = _starts(key[order])
+    bucket_label = label[order[bucket]]
+    bucket_size = np.diff(np.append(bucket, m))
+    first_bucket = _starts(cell_of[order[bucket]])
+    cell_buckets = np.diff(np.append(first_bucket, len(bucket)))
+    chunks = (bucket_size + _CHUNK - 1) // _CHUNK
+    first_chunk = np.cumsum(chunks) - chunks
+    start = np.repeat(bucket, chunks) + _CHUNK * (np.arange(chunks.sum()) - np.repeat(first_chunk, chunks))
+    size = np.diff(np.append(start, m))
+    box_lo = np.minimum.reduceat(p, start)
+    box_hi = np.maximum.reduceat(p, start)
+
+    col, row = (cell[cells] >> k).T
+    ucode = code[cells]
+    found = [(np.zeros(0), np.zeros(0, np.int64), np.zeros(0, np.int64))]
+    for dx, dy in _HALF_STENCIL:
+        target = _spread_bits(col + dx) | (_spread_bits(np.maximum(row + dy, 0)) << 1)
+        at = np.minimum(np.searchsorted(ucode, target), len(ucode) - 1)
+        ca = np.flatnonzero((ucode[at] == target) & (row + dy >= 0))
+        cb = at[ca]
+        for kk, i, j in _pair_slices(cell_buckets[ca], cell_buckets[cb]):
+            ba = first_bucket[ca[kk]] + i
+            bb = first_bucket[cb[kk]] + j
+            keep = bucket_label[ba] != bucket_label[bb]
+            if (dx, dy) == (0, 0):
+                keep &= ba < bb
+            ba, bb = ba[keep], bb[keep]
+            la, lb = bucket_label[ba], bucket_label[bb]
+            pair_keys, pair_of = np.unique(np.minimum(la, lb) * m + np.maximum(la, lb), return_inverse=True)
+            best = np.full(len(pair_keys), np.nextafter(rr, np.inf))
+            for kc, ic, jc in _pair_slices(chunks[ba], chunks[bb]):
+                ka = first_chunk[ba[kc]] + ic
+                kb = first_chunk[bb[kc]] + jc
+                gap = np.maximum(0.0, np.maximum(box_lo[ka] - box_hi[kb], box_lo[kb] - box_hi[ka]))
+                gap2 = gap[:, 0] * gap[:, 0] + gap[:, 1] * gap[:, 1]
+                pair = pair_of[kc]
+                least = np.full(len(pair_keys), np.inf)
+                np.minimum.at(least, pair, gap2)
+                seed = gap2 == least[pair]
+                for stage in (seed, ~seed):
+                    live = np.flatnonzero(stage & (gap2 < best[pair]))
+                    np.minimum.at(best, pair[live], _closest(p, start, size, ka[live], kb[live]))
+            hit = best <= rr
+            found.append((best[hit], pair_keys[hit] // m, pair_keys[hit] % m))
+            if sum(len(f[0]) for f in found) > 2 * m:
+                d2, a, b = (np.concatenate(f) for f in zip(*found))
+                kept = _forest(d2, a, b, label.copy())
+                found = [(d2[kept], a[kept], b[kept])]
+    return tuple(np.concatenate(f) for f in zip(*found))
+
+
+def _forest(d2: np.ndarray, a: np.ndarray, b: np.ndarray, label: np.ndarray) -> np.ndarray:
+    """Indices of the links of a minimum spanning forest over the components
+    that label names; label maps each point to its component's root point
+    and is updated in place to the joined components.
+
+    Borůvka (1926): each component joins along its lightest link until no
+    link joins two components. Links are ranked by d2, ties in one fixed
+    order, a strict total order, so the joins form a forest.
+    """
+    import numpy as np
+
+    link = np.argsort(d2)
+    a, b = a[link], b[link]
+    chosen = [np.zeros(0, np.int64)]
+    while True:
+        a, b = label[a], label[b]
+        keep = a != b
+        link, a, b = link[keep], a[keep], b[keep]
+        if not len(link):
+            break
+        lightest = np.full(len(label), len(link))
+        np.minimum.at(lightest, a, np.arange(len(link)))
+        np.minimum.at(lightest, b, np.arange(len(link)))
+        comp = np.flatnonzero(lightest < len(link))
+        pick = lightest[comp]
+        partner = a[pick] + b[pick] - comp
+        label[comp] = partner
+        mutual = comp[(label[partner] == comp) & (comp < partner)]
+        label[mutual] = mutual
+        while True:  # pointer jumping: each pass halves every chain
+            up = label[label[comp]]
+            if (up == label[comp]).all():
+                break
+            label[comp] = up
+        chosen.append(link[np.unique(pick)])
+    while not (label[label] == label).all():
+        label[:] = label[label]
+    return np.concatenate(chosen)
+
+
 def minimum_spanning_edges(points: Sequence[tuple[float, float]]) -> np.ndarray:
     """Edge lengths of the Euclidean minimum spanning tree, m-1 of them.
 
-    The EMST is a subgraph of the Delaunay triangulation (Shamos & Hoey,
-    1975). Edges are weighted by the rank of their squared length: same
-    order, and a length that underflows to 0 is not read as a missing edge.
-    Duplicates add zero-length edges; a collinear or tiny cloud, which
-    Qhull refuses, is spanned by the path through its sorted points.
+    Exact on a uniform grid, numpy only. Round k links the components whose
+    points come within r0*2**k, so the rounds follow Kruskal's (1956)
+    threshold order; each round keeps only the lightest pair between two
+    components and merges along those links by Borůvka (1926). Lengths are
+    sqrt(dx*dx + dy*dy) of a pair's coordinates, and a length that
+    underflows to 0 still links. Duplicates add zero-length edges.
+    Coordinates must be finite and at most 2**500 in size.
     """
     import numpy as np
-    from scipy.sparse import coo_matrix
-    from scipy.sparse.csgraph import minimum_spanning_tree
-    from scipy.spatial import Delaunay, QhullError
 
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    if not (np.abs(pts) <= _MAX_COORD).all():
+        raise ValueError("MST coordinates must be finite and at most 2**500 in size")
     uniq = _distinct_rows(pts)
     duplicates = np.zeros(len(pts) - len(uniq))
-    try:
-        tri = Delaunay(uniq) if len(uniq) >= 3 else None
-    except QhullError:
-        tri = None
-    if tri is None:
-        d = uniq[1:] - uniq[:-1]
-        return np.concatenate([np.sqrt((d**2).sum(axis=1)), duplicates])
-    s = tri.simplices  # near-duplicates Qhull leaves out join their nearest vertex
-    pairs = np.concatenate([s[:, [0, 1]], s[:, [1, 2]], s[:, [0, 2]], tri.coplanar[:, [0, 2]]])
-    # keyed i*m + j (i < j) in int64, the edges dedup in one 1-D sort, in
-    # row order; np.unique took 30 times as long on these keys (numpy 2.4)
-    pairs = np.sort(pairs, axis=1).astype(np.int64)
     m = len(uniq)
-    keys = np.sort(pairs[:, 0] * m + pairs[:, 1])
-    keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
-    pairs = np.stack([keys // m, keys % m], axis=1)
-    d = uniq[pairs[:, 0]] - uniq[pairs[:, 1]]
-    lengths2, rank = np.unique((d**2).sum(axis=1), return_inverse=True)
-    graph = coo_matrix((rank + 1.0, (pairs[:, 0], pairs[:, 1])), shape=(m, m))
-    tree = minimum_spanning_tree(graph)
-    return np.concatenate([np.sqrt(lengths2[tree.data.astype(np.intp) - 1]), duplicates])
+    if m < 2:
+        return duplicates
+    r, cell, order = _first_grid(uniq)
+    uniq = uniq[order]
+    label = np.arange(m)
+    tree: list[np.ndarray] = []
+    joined = k = 0
+    while joined < m - 1:
+        d2, a, b = _lightest_links(uniq, label, cell, k, r * 2**k)
+        chosen = _forest(d2, a, b, label)
+        tree.append(np.sqrt(d2[chosen]))
+        joined += len(chosen)
+        k += 1
+    return np.concatenate(tree + [duplicates])
 
 
 def mst_max_edge(points: Sequence[tuple[float, float]]) -> float:

@@ -235,20 +235,23 @@ class TestRender:
             main(["render", "--state", str(state_file), "--figure", "sphere"])
 
 
-ARRAY_MODULES = ("numpy", "scipy")
 EXACT_CHECKS = "conditions-i-ii,partial-tiling,disjointness,coverage,condition-v,max-gap"
 
 
-def array_modules_loaded(commands):
-    """The array modules loaded after running `commands` through `cli.main`
-    in a fresh interpreter, in order; each must exit 0."""
+def packages_loaded(commands):
+    """The top-level packages outside the standard library that running
+    `commands` through `cli.main` loads in a fresh interpreter, sorted;
+    each command must exit 0."""
     script = (
         "import json, sys\n"
         "from fanforge.cli import main\n"
+        "def packages():\n"
+        "    return {name.partition('.')[0] for name in sys.modules} - set(sys.stdlib_module_names)\n"
+        "before = packages()\n"
         "for argv in json.loads(sys.argv[1]):\n"
         "    if main(argv) != 0:\n"
         "        sys.exit(f'nonzero exit: {argv}')\n"
-        f"print(json.dumps([m for m in {ARRAY_MODULES!r} if m in sys.modules]))\n"
+        "print(json.dumps(sorted(packages() - before)))\n"
     )
     src = str(Path(fanforge.__file__).parents[1])
     proc = subprocess.run(
@@ -262,7 +265,7 @@ def array_modules_loaded(commands):
 
 
 class TestArrayImports:
-    def test_only_the_mst_loads_numpy_and_scipy(self, tmp_path):
+    def test_only_the_mst_loads_numpy_and_no_command_loads_another_package(self, tmp_path):
         state = str(tmp_path / "state.json")
         quiet = [
             ["build", "--depth", "2", "--jumps", "16", "--out", state],
@@ -272,5 +275,5 @@ class TestArrayImports:
                 for kind in ("tiling", "fan", "earring")
             ),
         ]
-        assert array_modules_loaded(quiet) == []
-        assert array_modules_loaded([["verify", "--state", state]]) == list(ARRAY_MODULES)
+        assert packages_loaded(quiet) == []
+        assert packages_loaded([["verify", "--state", state]]) == ["numpy"]

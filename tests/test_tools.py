@@ -20,3 +20,11 @@ def test_ladder_times_the_build_and_each_check_of_a_rung():
     assert rung["copies"] == 78
     assert list(rung["seconds"]) == ["build", *KNOWN_CHECKS]
     assert all(isinstance(t, float) and t >= 0 for t in rung["seconds"].values())
+
+
+def test_spread_writes_the_quartiles_next_to_each_median():
+    runs = [{"seconds": {"build": t, "coverage": 2 * t}} for t in (0.5, 0.1, 0.4, 0.2, 0.3)]
+    assert load_tool("ladder").spread(runs) == {
+        "build": {"q1": 0.2, "median": 0.3, "q3": 0.4},
+        "coverage": {"q1": 0.4, "median": 0.6, "q3": 0.8},
+    }

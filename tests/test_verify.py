@@ -88,13 +88,28 @@ grid_points = st.tuples(st.integers(-5000, 5000), st.integers(-5000, 5000)).map(
     lambda p: (p[0] / 1000, p[1] / 1000)
 )
 line_points = st.integers(-50, 50).map(lambda t: (0.5 + 0.25 * t, 2.0 - 0.75 * t))
+# points 1e-12 to 1e-6 apart around one grid point, and a few far ones
+near_coincident = st.tuples(
+    grid_points,
+    st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(6, 12)), min_size=2, max_size=25),
+    st.lists(grid_points, max_size=3),
+).map(lambda c: [(c[0][0] + i * 10.0**-e, c[0][1] + j * 10.0**-e) for i, j, e in c[1]] + c[2])
 # 0-2 points, duplicates, cocircular lattice points, collinear runs, mixtures
-clouds = st.one_of(
+unscaled_clouds = st.one_of(
     st.lists(grid_points, max_size=2),
     st.lists(lattice_points, max_size=25),
     st.lists(line_points, min_size=3, max_size=12),
     st.lists(grid_points, min_size=3, max_size=25).flatmap(
         lambda pts: st.lists(st.sampled_from(pts), max_size=5).map(lambda dup: pts + dup)
+    ),
+    near_coincident,
+)
+NEAR_COINCIDENT = [(0.25, 0.5), (0.25 + 1e-12, 0.5), (0.25, 0.5 + 1e-6), (0.25 + 3e-12, 0.5 + 2e-12), (3.0, -2.0)]
+# and each of them scaled by 2**k, exactly
+clouds = st.one_of(
+    unscaled_clouds,
+    st.tuples(unscaled_clouds, st.integers(-400, 400)).map(
+        lambda c: [(x * 2.0 ** c[1], y * 2.0 ** c[1]) for x, y in c[0]]
     ),
 )
 
@@ -649,6 +664,8 @@ class TestEpsilonConnectivity:
 
     @settings(max_examples=150, deadline=None)
     @given(clouds)
+    @example([(x * 2.0**400, y * 2.0**400) for x, y in NEAR_COINCIDENT])
+    @example([(x * 2.0**-400, y * 2.0**-400) for x, y in NEAR_COINCIDENT])
     def test_degenerate_clouds_match_oracles(self, coords):
         ours = minimum_spanning_edges(coords)
         assert sorted(ours) == sorted(dense_prim_edges_oracle(coords))
@@ -668,20 +685,58 @@ class TestEpsilonConnectivity:
         assert len(_distinct_rows(pts)) == len(set(coords)) < len(pts)
         assert _distinct_rows(pts).tobytes() == np.unique(pts, axis=0).tobytes()
 
-    def test_point_merged_by_qhull_stays_connected(self):
-        # Qhull leaves a point 1e-17 from a vertex out of the triangulation
+    def test_point_far_below_the_first_radius_stays_connected(self):
+        # 1e-17 from another point: the two share a cell in every round
         coords = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1e-17, 0.0)]
         edges = minimum_spanning_edges(coords)
         assert len(edges) == 3
         assert sorted(edges) == sorted(dense_prim_edges_oracle(coords))
         assert epsilon_connectivity(coords, 1.0) == 1
 
-    def test_underflowing_length_is_an_edge(self):
-        # the squared length 1e-340 underflows to 0, a weight csgraph reads as no edge
+    def test_squared_length_underflowing_to_zero_links(self):
+        # the squared length 1e-340 underflows to 0, which is still at most r*r
         coords = [(0.0, 0.0), (1e-170, 0.0), (1.0, 0.0), (0.0, 1.0)]
         edges = minimum_spanning_edges(coords)
         assert sorted(edges) == [0.0, 1.0, 1.0]
         assert epsilon_connectivity(coords, 0.0) == 3
+
+    def test_near_coincident_points_of_the_five_forty_eight_cloud(self):
+        # cut from the (5,48) cloud: Qhull merged one of these points and
+        # joined it to a facet vertex that is not its nearest point, which
+        # gave a middle edge of 3.433883e-06
+        coords = [
+            (0.8726788313428189, 0.7499999935914562),
+            (0.8726836571035077, 0.7499969248542638),
+            (0.87268518317917, 0.7499999959630501),
+            (0.8726851851851847, 0.7499999999999991),
+        ]
+        edges = sorted(minimum_spanning_edges(coords))
+        assert edges == sorted(dense_prim_edges_oracle(coords))
+        assert f"{edges[1]:.6e}" == "3.429375e-06"
+
+    @pytest.mark.parametrize("slice_size, chunk", [(1, 1), (7, 3)])
+    def test_tiny_slices_and_chunks_give_the_same_tree(self, model_2_16, monkeypatch, slice_size, chunk):
+        # every candidate expansion runs over many slices, and buckets over many chunks
+        monkeypatch.setattr(verify, "_SLICE", slice_size)
+        monkeypatch.setattr(verify, "_CHUNK", chunk)
+        coords = sample_points(model_2_16, 2, 3).coordinates()
+        assert sorted(minimum_spanning_edges(coords)) == sorted(dense_prim_edges_oracle(coords))
+
+    def test_dense_cluster_links_are_cut_to_a_forest(self):
+        # 400 points within 1e-12 share one first-round cell, whose 79,800
+        # links exceed twice the points and are cut to a spanning forest
+        rng = random.Random(5)
+        coords = [(0.5 + rng.random() * 1e-12, 0.5 + rng.random() * 1e-12) for _ in range(400)]
+        coords.append((1.0, 1.0))
+        with mock.patch.object(verify, "_forest", wraps=verify._forest) as forest:
+            edges = minimum_spanning_edges(coords)
+        assert any(len(call.args[0]) > 2 * len(coords) for call in forest.call_args_list)
+        assert sorted(edges) == sorted(dense_prim_edges_oracle(coords))
+
+    def test_coordinates_beyond_two_to_the_five_hundred_refused(self):
+        for bad in (math.inf, math.nan, 2.0**501):
+            with pytest.raises(ValueError):
+                minimum_spanning_edges([(0.0, 0.0), (bad, 1.0)])
 
     def test_empty_cloud_rejected(self):
         assert len(minimum_spanning_edges([])) == 0

@@ -5,7 +5,8 @@ measurement runs in a fresh interpreter that imports fanforge from one
 source tree, builds the state and runs every check of `verify.KNOWN_CHECKS`
 on its own `run_all` call, so a per-level check includes its own sweeps.
 Each rung is timed REPEATS times per tree, the trees alternating, and the
-JSON on stdout holds the median of each time per tree.
+JSON on stdout holds the first quartile, median and third quartile of each
+time per tree, so that a noisy rung shows its spread.
 
     python tools/ladder.py --tree parent=../parent/src --tree change=src > BENCH.json
 
@@ -42,6 +43,16 @@ def time_rung(depth: int, jumps: int, strict: bool) -> dict:
     return {"copies": len(state.copies), "seconds": times}
 
 
+def spread(runs: list[dict]) -> dict:
+    """Each time's first quartile, median and third quartile over the runs."""
+    out = {}
+    for key in runs[0]["seconds"]:
+        times = [run["seconds"][key] for run in runs]
+        q1, median, q3 = statistics.quantiles(times, n=4, method="inclusive")
+        out[key] = {"q1": round(q1, 6), "median": round(median, 6), "q3": round(q3, 6)}
+    return out
+
+
 def measure(src: str, rung: tuple[int, int, bool]) -> dict:
     env = {**os.environ, "PYTHONPATH": src, "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1"}
     args = [sys.executable, __file__, "--rung", *(str(int(x)) for x in rung)]
@@ -69,15 +80,14 @@ def main() -> int:
         copies = {run["copies"] for name in trees for run in runs[name]}
         if len(copies) != 1:
             raise SystemExit(f"trees disagree on the copy count at {rung}: {sorted(copies)}")
-        medians = {
-            name: {
-                key: round(statistics.median(run["seconds"][key] for run in runs[name]), 6)
-                for key in runs[name][0]["seconds"]
-            }
-            for name in trees
-        }
         rungs.append(
-            {"depth": rung[0], "jumps": rung[1], "strict": rung[2], "copies": copies.pop(), "median_s": medians}
+            {
+                "depth": rung[0],
+                "jumps": rung[1],
+                "strict": rung[2],
+                "copies": copies.pop(),
+                "seconds": {name: spread(runs[name]) for name in trees},
+            }
         )
         print(f"({rung[0]},{rung[1]}{'' if rung[2] else ' tolerant'}) done", file=sys.stderr)
     doc = {
