@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DepthInsufficient, UnknownCopy
-from .exact import Address, locate, rational_to_str
-from .spaceset import Region, SpaceModel, fan_point, region_between
+from .exact import Address, locate
+from .spaceset import Region, SpaceModel, region_between
 
 
 @dataclass(frozen=True)
@@ -25,7 +25,6 @@ class Loop:
     location: Fraction
     low: Fraction
     high: Fraction
-    fan_diameter: float
 
     @property
     def height(self) -> Fraction:
@@ -37,24 +36,7 @@ class Earring:
     """A copy with its graph closure collapsed to the single base class."""
 
     copy_key: str
-    base_label: str
     loops: tuple[Loop, ...]
-
-    def to_json_obj(self) -> dict:
-        return {
-            "copy": self.copy_key,
-            "base": self.base_label,
-            "loops": [
-                {
-                    "jump": loop.jump_index,
-                    "c": rational_to_str(loop.location),
-                    "low": rational_to_str(loop.low),
-                    "high": rational_to_str(loop.high),
-                    "fan_diameter": f"{loop.fan_diameter:.12f}",
-                }
-                for loop in self.loops
-            ],
-        }
 
 
 def collapse_E(model: SpaceModel, copy_id: int) -> Earring:
@@ -69,32 +51,8 @@ def collapse_E(model: SpaceModel, copy_id: int) -> Earring:
         copy = model.state.copies[copy_id]
     except IndexError as exc:
         raise UnknownCopy(f"no copy with id {copy_id}") from exc
-    loops = []
-    for m, pos in enumerate(copy.table.pos_of_index):
-        c, lo, hi = copy.jump_global(pos)
-        p, q = fan_point((c, lo)), fan_point((c, hi))
-        loops.append(Loop(m, c, lo, hi, ((p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2) ** 0.5))
-    return Earring(copy.key, f"e[{copy.key}]", tuple(loops))
-
-
-def earring_check(earring: Earring) -> tuple[bool, dict]:
-    """Null-sequence and single-base-point predicates for one earring.
-
-    True when loop heights strictly decrease along the index order and the
-    loops meet pairwise only through the base class, i.e. their pre-collapse
-    segments are pairwise disjoint.
-    """
-    heights = [loop.height for loop in earring.loops]
-    strictly_decreasing = all(a > b for a, b in zip(heights, heights[1:]))
-    locations_distinct = len({loop.location for loop in earring.loops}) == len(earring.loops)
-    ratios = {str(b / a) for a, b in zip(heights, heights[1:])}
-    metrics = {
-        "loops": len(earring.loops),
-        "strictly_decreasing": strictly_decreasing,
-        "pairwise_base_only": locations_distinct,
-        "height_ratios": sorted(ratios),
-    }
-    return strictly_decreasing and locations_distinct, metrics
+    loops = (Loop(m, *copy.jump_global(pos)) for m, pos in enumerate(copy.table.pos_of_index))
+    return Earring(copy.key, tuple(loops))
 
 
 @dataclass(frozen=True)

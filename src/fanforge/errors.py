@@ -41,10 +41,6 @@ class TruncationTooCoarse(FanforgeError):
         super().__init__(msg)
 
 
-class StageOrderViolation(FanforgeError):
-    """Stages must be constructed in order 0, 1, 2, ..."""
-
-
 class NotSpanning(FanforgeError):
     """A copy does not span the requested column."""
 

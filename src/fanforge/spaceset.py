@@ -3,16 +3,15 @@
 The countable class Q is the set of all jump-segment midpoints of all placed
 copies; the co-countable class P is kept symbolic, as the complement of all
 copy images, and queried through exact membership predicates. The float
-boundary is here: piece endpoints and jump midpoints as floats
-(`piece_floats`, `fan_midpoints`), the arctan compression, the fan map and
-the copies' fan diameters. Each float is the correctly rounded value of an
+boundary is here: piece endpoints, jump midpoints and P-samples as floats
+(`piece_floats`, `fan_midpoints`, `sample_points`), the arctan
+compression, the fan map and the copies' fan diameters. Each float is the correctly rounded value of an
 exact rational, arctan is always `math.atan`, and nothing computed here
 flows back into exact set definitions.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -28,7 +27,6 @@ from .exact import (
     cantor_member,
     endpoint_one,
     endpoint_zero,
-    rational_to_str,
 )
 from .tiling import ColumnSweep, ConstructionState, PlacedCopy, pointwise_below
 
@@ -361,53 +359,21 @@ def vertex_neighborhood(model: SpaceModel, eps: Fraction) -> Region:
     return Region("belowCopies", None, tuple(chosen), tuple(boundary), model)
 
 
-@dataclass
-class CloudPoint:
-    tag: str  # vertex | q | p-sample
-    xy: tuple[float, float]
-    source: Point | None
-
-
 class PointCloud:
     """Deterministic floating sample of the fan image of the model.
 
-    `xy` holds the vertex, the Q-points of `copies` (copy by copy, by jump
-    index) and the `samples`, in fan coordinates. The Q-points' exact
-    sources are made only when `points` (and so `to_json_obj`) is read.
+    `xy` holds the vertex, the Q-points copy by copy (by jump index) and
+    the P-samples, in fan coordinates.
     """
 
-    def __init__(self, xy: list[tuple[float, float]], copies: list[PlacedCopy], samples: list[CloudPoint]):
-        self.xy, self.copies, self.samples = xy, copies, samples
+    def __init__(self, xy: list[tuple[float, float]]):
+        self.xy = xy
 
     def __len__(self) -> int:
         return len(self.xy)
 
     def coordinates(self) -> list[tuple[float, float]]:
         return self.xy
-
-    @property
-    def points(self) -> list[CloudPoint]:
-        sources = [copy.midpoint_global(m) for copy in self.copies for m in range(copy.table.n_jumps)]
-        q_points = [CloudPoint("q", xy, source) for xy, source in zip(self.xy[1:], sources)]
-        return [CloudPoint("vertex", self.xy[0], None), *q_points, *self.samples]
-
-    def to_json_obj(self) -> dict:
-        return {
-            "points": [
-                {
-                    "tag": p.tag,
-                    "x": f"{p.xy[0]:.17g}",
-                    "y": f"{p.xy[1]:.17g}",
-                    "source": None
-                    if p.source is None
-                    else [rational_to_str(p.source[0]), rational_to_str(p.source[1])],
-                }
-                for p in self.points
-            ]
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def sample_points(model: SpaceModel, grid_depth: int, fiber_count: int) -> PointCloud:
@@ -418,7 +384,10 @@ def sample_points(model: SpaceModel, grid_depth: int, fiber_count: int) -> Point
     crossings inside [-K, K+1] (ties broken low first). A depth-`grid_depth`
     column's sweep holds the crossings at its left end in `first` and at its
     right end in `last`. All choices are exact, so the cloud is deterministic.
-    A negative `fiber_count` raises InvalidParameter.
+    As in `fan_midpoints`, a sample's fiber (origin or origin + 1) / 3^depth
+    and its gap midpoint (lo + hi) / (2 * den) are int / int divisions,
+    float() of the exact point. A negative `fiber_count` raises
+    InvalidParameter.
     """
     state = model.state
     if grid_depth < state.depth:
@@ -428,15 +397,14 @@ def sample_points(model: SpaceModel, grid_depth: int, fiber_count: int) -> Point
     xy = [VERTEX]
     for copy in state.copies:
         xy += fan_midpoints(copy)
-    samples: list[CloudPoint] = []
+    unit = 3**grid_depth
     for sigma in addresses_of_length(grid_depth):
         col = ColumnSweep(state, sigma, grid_depth)
         lo, hi = -state.depth * col.den, (state.depth + 1) * col.den
-        for c, crossings in ((endpoint_zero(sigma), col.first), (endpoint_one(sigma), col.last)):
+        for c, crossings in ((sigma.origin / unit, col.first), ((sigma.origin + 1) / unit, col.last)):
             ends = sorted({lo, hi, *(h for h in crossings if lo <= h <= hi)})
             gaps = sorted(zip(ends, ends[1:]), key=lambda g: (g[0] - g[1], g[0]))
             for g_lo, g_hi in gaps[:fiber_count]:
-                mid = Fraction(g_lo + g_hi, 2 * col.den)
-                samples.append(CloudPoint("p-sample", fan_point((c, mid)), (c, mid)))
-    xy += [p.xy for p in samples]
-    return PointCloud(xy, state.copies, samples)
+                y = xi_float((g_lo + g_hi) / (2 * col.den))
+                xy.append((fan_x(c, y), y))
+    return PointCloud(xy)

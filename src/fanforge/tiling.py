@@ -44,7 +44,6 @@ from .errors import (
     InvertedWindow,
     JumpHit,
     NotInCantor,
-    StageOrderViolation,
     StateSchemaError,
     TraceOutOfRange,
     TruncationTooCoarse,
@@ -181,21 +180,25 @@ class PlacedCopy:
 
 @dataclass
 class TilingStage:
-    """One stage: the ordered rectangles and their placed copies."""
+    """One stage: its placed copies, in order."""
 
     n: int
-    rects: list[Rect]
     copies: list[PlacedCopy]
+
+    @property
+    def rects(self) -> list[Rect]:
+        return [copy.rect for copy in self.copies]
 
 
 class ConstructionState:
     """Stages 0..K with all placed copies; a pure function of (K, N, strict).
 
-    Copy ids number the copies stage by stage. The builder grows one state
-    a stage at a time through `add_stage`.
+    `stages` lists each stage's rects, stage 0 first. Copy ids number the
+    copies stage by stage. The builder grows one state a stage at a time
+    through `add_stage`, where a state's copies are placed.
     """
 
-    def __init__(self, depth: int, n_jumps: int, strict: bool, stages: list[TilingStage]):
+    def __init__(self, depth: int, n_jumps: int, strict: bool, stages: list[list[Rect]]):
         self.depth = depth
         self.n_jumps = n_jumps
         self.strict = strict
@@ -203,11 +206,13 @@ class ConstructionState:
         self.stages: list[TilingStage] = []
         self.copies: list[PlacedCopy] = []
         self._by_address: dict[tuple[int, ...], list[int]] = {}
-        for stage in stages:
-            self.add_stage(stage)
+        for rects in stages:
+            self.add_stage(rects)
 
-    def add_stage(self, stage: TilingStage) -> None:
-        """Append the next stage, numbering and indexing its copies."""
+    def add_stage(self, rects: list[Rect]) -> None:
+        """Append the next stage, placing, numbering and indexing its copies."""
+        n = len(self.stages)
+        stage = TilingStage(n, [PlacedCopy(n, i, r, self.table) for i, r in enumerate(rects)])
         self.stages.append(stage)
         for copy in stage.copies:
             self._by_address.setdefault(copy.rect.address.bits, []).append(len(self.copies))
@@ -429,13 +434,12 @@ class ColumnSweep:
         return out
 
 
-def stage_zero(n_jumps: int) -> TilingStage:
-    """The single rectangle C x [0, 1] carrying the identity copy."""
-    rect = Rect(Address(), ZERO, ONE)
-    return TilingStage(0, [rect], [PlacedCopy(0, 0, rect, jump_table(n_jumps))])
+def stage_zero() -> list[Rect]:
+    """The single rectangle C x [0, 1], which carries the identity copy."""
+    return [Rect(Address(), ZERO, ONE)]
 
 
-def stage_one(n_jumps: int) -> TilingStage:
+def stage_one(n_jumps: int) -> list[Rect]:
     """Four split rectangles over the two halves plus the eight outer ones."""
     if n_jumps < 2:
         raise ValueError("stage one needs at least two jumps")
@@ -453,90 +457,74 @@ def stage_one(n_jumps: int) -> TilingStage:
     for sigma in (a0, a1):
         for a in (Fraction(-1), Fraction(-1, 2), Fraction(1), Fraction(3, 2)):
             rects.append(Rect(sigma, a, a + Fraction(1, 2)))
-    copies = [PlacedCopy(1, i, r, table) for i, r in enumerate(rects)]
-    return TilingStage(1, rects, copies)
+    return rects
 
 
-class Builder:
-    """Stage-by-stage construction into one growing state; stages must be added in order."""
+def next_stage(state: ConstructionState) -> list[Rect]:
+    """The rects of stage n = len(state.stages) >= 2: sweep, pair, and tile
+    every depth-n column.
 
-    def __init__(self, depth: int, n_jumps: int, strict: bool = True):
-        if depth < 0:
-            raise ValueError("depth must be >= 0")
-        floor = 2 if depth >= 1 else 1
-        if n_jumps < floor:
-            raise ValueError(f"depth {depth} needs at least {floor} jumps")
-        self.state = ConstructionState(depth, n_jumps, strict, [])
-
-    def stage_n(self, n: int) -> TilingStage:
-        """Sweep, pair, and tile every depth-n column; n >= 2.
-
-        Each earlier copy spans the column as the band from its left-end
-        crossing to its right-end crossing (ColumnSweep's `first` and
-        `last`, ints over the column denominator). Strips are subdivided
-        uniformly into ceil(length * (n+1)) pieces, which pins every new
-        height at most 1/(n+1).
-        """
-        state = self.state
-        if n != len(state.stages):
-            raise StageOrderViolation(f"stage {n} requested but {len(state.stages)} stages built")
-        if n < 2:
-            raise StageOrderViolation("stage_n handles n >= 2 only")
-        rects: list[Rect] = []
-        for sigma in addresses_of_length(n):
-            col = ColumnSweep(state, sigma, n)
-            den = col.den
-            for x, y in zip(col.first, col.last):
-                if not ((1 - n) * den <= x <= y <= n * den):
-                    raise TraceOutOfRange(
-                        f"trace outside [-n+1, n] at stage {n}, column {sigma}: "
-                        f"{Fraction(x, den)}, {Fraction(y, den)}"
-                    )
-            bands = sorted(zip(col.first, col.last, col.ids))
-            prev_y: int | None = None
-            for x, y, cid in bands:
-                if state.strict and not (x < y and (prev_y is None or prev_y < x)):
-                    raise TruncationTooCoarse(
-                        str(sigma),
-                        n,
-                        min_jumps_for_depth(state.depth),
-                        f"trace band [{Fraction(x, den)}, {Fraction(y, den)}] of copy "
-                        f"{state.copies[cid].key} breaks strict interleaving",
-                    )
-                if prev_y is not None and prev_y > x:
-                    raise TruncationTooCoarse(
-                        str(sigma),
-                        n,
-                        min_jumps_for_depth(state.depth),
-                        f"trace bands overlap at copy {state.copies[cid].key}",
-                    )
-                prev_y = y
-            lows = [-n * den, *(y for _, y, _ in bands)]
-            highs = [*(x for x, _, _ in bands), (n + 1) * den]
-            for s_lo, s_hi in zip(lows, highs):
-                length = s_hi - s_lo
-                if length <= 0:
-                    continue  # tolerant mode: touching bands leave empty strips
-                count = -(-length * (n + 1) // den)
-                ends = [Fraction(s_lo * count + k * length, den * count) for k in range(count + 1)]
-                rects.extend(Rect(sigma, lo, hi) for lo, hi in zip(ends, ends[1:]))
-        stage = TilingStage(n, rects, [PlacedCopy(n, i, r, state.table) for i, r in enumerate(rects)])
-        state.add_stage(stage)
-        return stage
-
-    def run(self) -> ConstructionState:
-        state = self.state
-        state.add_stage(stage_zero(state.n_jumps))
-        if state.depth >= 1:
-            state.add_stage(stage_one(state.n_jumps))
-        for n in range(2, state.depth + 1):
-            self.stage_n(n)
-        return state
+    Each earlier copy spans the column as the band from its left-end
+    crossing to its right-end crossing (ColumnSweep's `first` and
+    `last`, ints over the column denominator). Strips are subdivided
+    uniformly into ceil(length * (n+1)) pieces, which pins every new
+    height at most 1/(n+1).
+    """
+    n = len(state.stages)
+    rects: list[Rect] = []
+    for sigma in addresses_of_length(n):
+        col = ColumnSweep(state, sigma, n)
+        den = col.den
+        for x, y in zip(col.first, col.last):
+            if not ((1 - n) * den <= x <= y <= n * den):
+                raise TraceOutOfRange(
+                    f"trace outside [-n+1, n] at stage {n}, column {sigma}: "
+                    f"{Fraction(x, den)}, {Fraction(y, den)}"
+                )
+        bands = sorted(zip(col.first, col.last, col.ids))
+        prev_y: int | None = None
+        for x, y, cid in bands:
+            if state.strict and not (x < y and (prev_y is None or prev_y < x)):
+                raise TruncationTooCoarse(
+                    str(sigma),
+                    n,
+                    min_jumps_for_depth(state.depth),
+                    f"trace band [{Fraction(x, den)}, {Fraction(y, den)}] of copy "
+                    f"{state.copies[cid].key} breaks strict interleaving",
+                )
+            if prev_y is not None and prev_y > x:
+                raise TruncationTooCoarse(
+                    str(sigma),
+                    n,
+                    min_jumps_for_depth(state.depth),
+                    f"trace bands overlap at copy {state.copies[cid].key}",
+                )
+            prev_y = y
+        lows = [-n * den, *(y for _, y, _ in bands)]
+        highs = [*(x for x, _, _ in bands), (n + 1) * den]
+        for s_lo, s_hi in zip(lows, highs):
+            length = s_hi - s_lo
+            if length <= 0:
+                continue  # tolerant mode: touching bands leave empty strips
+            count = -(-length * (n + 1) // den)
+            ends = [Fraction(s_lo * count + k * length, den * count) for k in range(count + 1)]
+            rects.extend(Rect(sigma, lo, hi) for lo, hi in zip(ends, ends[1:]))
+    return rects
 
 
 def build(depth: int, n_jumps: int, strict: bool = True) -> ConstructionState:
     """Build stages 0..depth; deterministic in (depth, n_jumps, strict)."""
-    return Builder(depth, n_jumps, strict).run()
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
+    floor = 2 if depth >= 1 else 1
+    if n_jumps < floor:
+        raise ValueError(f"depth {depth} needs at least {floor} jumps")
+    state = ConstructionState(depth, n_jumps, strict, [stage_zero()])
+    if depth >= 1:
+        state.add_stage(stage_one(n_jumps))
+    while len(state.stages) <= depth:
+        state.add_stage(next_stage(state))
+    return state
 
 
 def vertical_trace(
@@ -642,8 +630,7 @@ def state_from_json_obj(doc: dict, location: str = "<state>") -> ConstructionSta
         raise StateSchemaError(f"needs depth >= 0 and jumps >= 1, got {depth}, {n_jumps}", location)
     if len(stages_doc) != depth + 1:
         raise StateSchemaError("stages must list exactly depth+1 entries", f"{location}.stages")
-    table = jump_table(n_jumps)
-    stages: list[TilingStage] = []
+    stages: list[list[Rect]] = []
     for si, st in enumerate(stages_doc):
         loc = f"{location}.stages[{si}]"
         n = _require(st, "n", loc, int)
@@ -664,7 +651,5 @@ def state_from_json_obj(doc: dict, location: str = "<state>") -> ConstructionSta
             if len(address) != n:
                 raise StateSchemaError(f"address length {len(address)} at stage {n}", rloc)
             rects.append(rect)
-        stages.append(
-            TilingStage(n, rects, [PlacedCopy(n, i, r, table) for i, r in enumerate(rects)])
-        )
+        stages.append(rects)
     return ConstructionState(depth, n_jumps, strict, stages)

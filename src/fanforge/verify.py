@@ -126,7 +126,7 @@ def check_conditions_i_ii(state: ConstructionState) -> list[CheckRecord]:
                 }
                 break
         max_height = Fraction(tallest[0] * scale, tallest[1])
-        metrics = {"rects": len(stage.rects), "max_height": rational_to_str(max_height)}
+        metrics = {"rects": len(stage.copies), "max_height": rational_to_str(max_height)}
         records.append(_verdict("conditions-i-ii", f"stage {stage.n}", witness, metrics))
     return records
 
@@ -687,18 +687,23 @@ def epsilon_connectivity(points: Sequence[tuple[float, float]], eps: float) -> i
 
 
 def check_null_sequence(state: ConstructionState) -> CheckRecord:
-    """Null-sequence diagnostic: fan diameters must shrink from stage 1 to K."""
-    if state.depth < 1:
+    """Null-sequence diagnostic: fan diameters must shrink from stage 1 to K.
+
+    Below depth 2 there is no later stage to compare stage 1 with. A stage
+    without copies has largest diameter 0.0.
+    """
+    if state.depth < 2:
         return CheckRecord(
-            "null-sequence", "stages", "skipped", None, {"reason": "needs depth >= 1"}
+            "null-sequence", "stages", "skipped", None, {"reason": "needs depth >= 2"}
         )
     profile = stage_fan_diameters(state)
-    ok = profile[state.depth] < profile[1]
+    first, last = profile.get(1, 0.0), profile.get(state.depth, 0.0)
+    ok = last < first
     return CheckRecord(
         "null-sequence",
         "stages",
         "pass" if ok else "fail",
-        None if ok else {"stage_1": profile[1], "stage_K": profile[state.depth]},
+        None if ok else {"stage_1": first, "stage_K": last},
         {f"stage_{n}": f"{d:.6f}" for n, d in sorted(profile.items())},
     )
 

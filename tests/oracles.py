@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -50,13 +50,12 @@ from fanforge.exact import (
     rational_to_str,
 )
 from fanforge.render import CANTOR_DEPTH, STROKE_COPY, STROKE_RECT, _Canvas, _document
-from fanforge.spaceset import CloudPoint, PointCloud, Region, VERTEX, fan_point
+from fanforge.spaceset import Region, VERTEX, fan_point
 from fanforge.tiling import (
     ColumnSweep,
     ConstructionState,
     PlacedCopy,
     Rect,
-    TilingStage,
     stage_one,
     stage_zero,
     vertical_trace,
@@ -599,10 +598,8 @@ def collapse_oracle(model, copy_id: int) -> Earring:
     loops = []
     for m, (location, low, high) in enumerate(table_of(copy).jumps):
         c = to_global_c(copy, location)
-        lo, hi = to_global_h(copy, low), to_global_h(copy, high)
-        p, q = fan_point((c, lo)), fan_point((c, hi))
-        loops.append(Loop(m, c, lo, hi, ((p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2) ** 0.5))
-    return Earring(copy.key, f"e[{copy.key}]", tuple(loops))
+        loops.append(Loop(m, c, to_global_h(copy, low), to_global_h(copy, high)))
+    return Earring(copy.key, tuple(loops))
 
 
 def claim5_oracle(model, copy_id: int, level: int, loop_index: int) -> Claim5Result:
@@ -1046,11 +1043,11 @@ def band_oracle(copy, left: Fraction, right: Fraction) -> tuple[Fraction, Fracti
 def build_oracle(depth: int, n_jumps: int, strict: bool = True):
     """The stage construction with Fraction bands, the reference for `tiling.build`."""
     table = jump_table(n_jumps)
-    stages = [stage_zero(n_jumps)] + ([stage_one(n_jumps)] if depth >= 1 else [])
+    stages = [stage_zero()] + ([stage_one(n_jumps)] if depth >= 1 else [])
     by_address: dict[tuple[int, ...], list] = {}
-    for stage in stages:
-        for copy in stage.copies:
-            by_address.setdefault(copy.rect.address.bits, []).append(copy)
+    for n, rects in enumerate(stages):
+        for i, rect in enumerate(rects):
+            by_address.setdefault(rect.address.bits, []).append(PlacedCopy(n, i, rect, table))
     for n in range(2, depth + 1):
         rects = []
         for sigma in addresses_of_length(n):
@@ -1092,19 +1089,25 @@ def build_oracle(depth: int, n_jumps: int, strict: bool = True):
                 piece = length / count
                 for k in range(count):
                     rects.append(Rect(sigma, s_lo + k * piece, s_lo + (k + 1) * piece))
-        copies = [PlacedCopy(n, i, r, table) for i, r in enumerate(rects)]
-        stages.append(TilingStage(n, rects, copies))
-        for copy in copies:
-            by_address.setdefault(copy.rect.address.bits, []).append(copy)
+        stages.append(rects)
+        for i, rect in enumerate(rects):
+            by_address.setdefault(rect.address.bits, []).append(PlacedCopy(n, i, rect, table))
     return ConstructionState(depth, n_jumps, strict, stages)
 
 
-def sample_points_oracle(model, grid_depth: int, fiber_count: int):
+class SampledCloud(NamedTuple):
+    """The oracle cloud: its fan coordinates, and the exact P-samples."""
+
+    xy: list[tuple[float, float]]
+    p_samples: list[tuple[Fraction, Fraction]]
+
+
+def sample_points_oracle(model, grid_depth: int, fiber_count: int) -> SampledCloud:
     """The cloud with each Q-point mapped through `fan_point` on Fractions and
-    each fiber's gaps taken from `vertical_trace` in Fractions. Every point
-    but the vertex is passed as a sample, with its own exact source."""
+    each fiber's gaps taken from `vertical_trace` in Fractions."""
     state = model.state
-    points = [CloudPoint("q", fan_point(qp.point), qp.point) for qp in q_points(model)]
+    xy = [VERTEX, *(fan_point(qp.point) for qp in q_points(model))]
+    p_samples = []
     fibers = set()
     for bits in itertools.product((0, 1), repeat=grid_depth):
         fibers.add(endpoint_zero(Address(bits)))
@@ -1120,6 +1123,5 @@ def sample_points_oracle(model, grid_depth: int, fiber_count: int):
             gaps.append((hi - cursor, cursor, hi))
         gaps.sort(key=lambda g: (-g[0], g[1]))
         for _, g_lo, g_hi in gaps[:fiber_count]:
-            mid = (g_lo + g_hi) / 2
-            points.append(CloudPoint("p-sample", fan_point((c, mid)), (c, mid)))
-    return PointCloud([VERTEX, *(p.xy for p in points)], [], points)
+            p_samples.append((c, (g_lo + g_hi) / 2))
+    return SampledCloud(xy + [fan_point(p) for p in p_samples], p_samples)

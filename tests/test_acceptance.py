@@ -21,7 +21,7 @@ from fanforge.verify import (
     run_all,
     sweep_level,
 )
-from fanforge.decomp import claim5_regions, collapse_E, earring_check
+from fanforge.decomp import claim5_regions, collapse_E
 
 from .oracles import band_oracle, coverage_gap_for_column, fiber_isolation_witnesses, q_points
 
@@ -153,8 +153,8 @@ def test_criterion_10_null_sequence(st_4_16t, model_4_16t):
     profile = stage_fan_diameters(st_4_16t)
     ratios_ok = True
     for cid in range(0, len(st_4_16t.copies), 97):
-        good, metrics = earring_check(collapse_E(model_4_16t, cid))
-        ratios_ok = ratios_ok and good and metrics["height_ratios"] == ["1/2"]
+        heights = [loop.height for loop in collapse_E(model_4_16t, cid).loops]
+        ratios_ok = ratios_ok and {b / a for a, b in zip(heights, heights[1:])} == {F(1, 2)}
     ok = record.status == "pass" and ratios_ok
     detail = (
         f"(K=4, N=16) max fan diameter stage 4 = {profile[4]:.4f} < stage 1 = {profile[1]:.4f}; "

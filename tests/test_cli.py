@@ -56,6 +56,12 @@ class TestBuild:
         assert "TruncationTooCoarse" in stderr
         assert "suggested jump count: >= 12" in stderr
 
+    def test_out_in_missing_directory_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "s.json"
+        code, _, stderr = run(["build", "--depth", "1", "--jumps", "4", "--out", str(out)], capsys)
+        assert code == 2
+        assert stderr.startswith("error: ") and str(out) in stderr
+
 
 @pytest.fixture(scope="module")
 def state_file(tmp_path_factory):
@@ -124,6 +130,21 @@ class TestVerify:
         assert code == 2
         assert "StateSchemaError" in stderr
 
+    def test_out_in_missing_directory_exits_2(self, state_file, tmp_path, capsys):
+        # exit status 1 means the checks failed; a report that cannot be written is an error
+        out = tmp_path / "missing" / "report.json"
+        code, _, stderr = run(
+            ["verify", "--state", str(state_file), "--checks", "conditions-i-ii", "--out", str(out)], capsys
+        )
+        assert code == 2
+        assert stderr.startswith("error: ") and str(out) in stderr
+
+    def test_depth_one_passes(self, tmp_path, capsys):
+        path = tmp_path / "s.json"
+        run(["build", "--depth", "1", "--jumps", "4", "--out", str(path)], capsys)
+        code, stdout, _ = run(["verify", "--state", str(path)], capsys)
+        assert code == 0
+        assert "[SKIPPED] null-sequence (stages)  reason=needs depth >= 2" in stdout
 
     @pytest.mark.parametrize(
         "mutate",
@@ -229,6 +250,14 @@ class TestRender:
         )
         assert code == 0
         assert out.read_text().startswith("<?xml")
+
+    def test_out_in_missing_directory_exits_2(self, state_file, tmp_path, capsys):
+        out = tmp_path / "missing" / "e.svg"
+        code, _, stderr = run(
+            ["render", "--state", str(state_file), "--figure", "earring", "--out", str(out)], capsys
+        )
+        assert code == 2
+        assert stderr.startswith("error: ") and str(out) in stderr
 
     def test_unknown_figure_rejected(self, state_file, capsys):
         with pytest.raises(SystemExit):

@@ -8,7 +8,7 @@ from fanforge import assemble, build
 from fanforge.debski import jump_points, jump_table, min_jumps_for_depth
 from fanforge.exact import Address, addresses_of_length, cantor_member, endpoint_zero
 from fanforge.errors import IndexOutOfRange, JumpHit, NotInCantor
-from fanforge.tiling import stage_zero, vertical_trace
+from fanforge.tiling import ConstructionState, stage_zero, vertical_trace
 
 from .oracles import classify_on_copy_oracle, f_value_oracle, fraction_table, jump_points_oracle
 
@@ -30,7 +30,7 @@ def value_at(c, n_jumps):
 
 def identity_copy(n_jumps):
     """The stage-0 copy, whose rectangle is the unit square: it is D itself."""
-    return stage_zero(n_jumps).copies[0]
+    return ConstructionState(0, n_jumps, True, [stage_zero()]).copies[0]
 
 
 class TestJumpPoints:

@@ -2,19 +2,11 @@ from fractions import Fraction as F
 
 import pytest
 
-from fanforge.debski import jump_table
-from fanforge.decomp import (
-    Claim5Result,
-    Earring,
-    Loop,
-    claim5_regions,
-    collapse_E,
-    earring_check,
-)
+from fanforge.decomp import Claim5Result, claim5_regions, collapse_E
 from fanforge.errors import DepthInsufficient, FanforgeError, IndexOutOfRange, NotOrdered, UnknownCopy
 from fanforge.exact import Address
 from fanforge.spaceset import assemble
-from fanforge.tiling import ConstructionState, PlacedCopy, Rect, TilingStage, stage_zero
+from fanforge.tiling import ConstructionState, Rect, stage_zero
 
 from .oracles import (
     claim5_oracle,
@@ -36,8 +28,10 @@ def _outcome(query, *args):
 class TestCollapse:
     def test_stage_zero_copy_has_one_loop_per_jump(self, model_1_4):
         earring = collapse_E(model_1_4, 0)
-        assert len(earring.loops) == 4
-        assert earring.base_label == "e[0:0]"
+        assert earring.copy_key == "0:0" and len(earring.loops) == 4
+        assert (earring.loops[0].location, earring.loops[0].low, earring.loops[0].high) == (
+            F(1, 4), F(5, 16), F(13, 16)
+        )
 
     def test_loop_heights_before_compression(self, model_1_4):
         earring = collapse_E(model_1_4, 0)
@@ -60,31 +54,18 @@ class TestCollapse:
 
     def test_every_earring_matches_fraction_placement(self, model_2_16):
         for cid in range(len(model_2_16.state.copies)):
-            ours = collapse_E(model_2_16, cid).to_json_obj()
-            assert ours == collapse_oracle(model_2_16, cid).to_json_obj(), cid
+            assert collapse_E(model_2_16, cid) == collapse_oracle(model_2_16, cid), cid
 
 
 class TestEarringCheck:
     def test_canonical_earrings_pass(self, model_1_4):
+        # each loop is half as tall as the one before, and no two loops share
+        # a column, so the loops meet only in the base point
         for cid in range(len(model_1_4.state.copies)):
-            ok, metrics = earring_check(collapse_E(model_1_4, cid))
-            assert ok, metrics
-            assert metrics["height_ratios"] == ["1/2"]
-
-    def test_duplicate_location_fails(self, model_1_4):
-        earring = collapse_E(model_1_4, 0)
-        loops = list(earring.loops)
-        clone = Loop(99, loops[0].location, loops[0].low, loops[0].high, loops[0].fan_diameter)
-        corrupted = Earring(earring.copy_key, earring.base_label, tuple(loops + [clone]))
-        ok, metrics = earring_check(corrupted)
-        assert not ok
-        assert not metrics["pairwise_base_only"]
-
-    def test_non_decreasing_heights_fail(self, model_1_4):
-        earring = collapse_E(model_1_4, 0)
-        reversed_loops = tuple(reversed(earring.loops))
-        ok, _ = earring_check(Earring(earring.copy_key, earring.base_label, reversed_loops))
-        assert not ok
+            loops = collapse_E(model_1_4, cid).loops
+            heights = [loop.height for loop in loops]
+            assert {b / a for a, b in zip(heights, heights[1:])} == {F(1, 2)}
+            assert len({loop.location for loop in loops}) == len(loops)
 
     def test_q_points_avoid_every_closure_part(self, model_1_4):
         # closure parts carry only plateau heights; midpoints sit strictly
@@ -156,19 +137,9 @@ class TestClaim5:
         # right in the column, so the trio is out of order there: the
         # public call refuses it, and the Fraction walk says where
         rects = [Rect(Address.parse("0"), F(5, 16), F(1, 2)), Rect(Address.parse("0"), F(-1), F(-1, 2))]
-        stage1 = TilingStage(1, rects, [PlacedCopy(1, i, r, jump_table(4)) for i, r in enumerate(rects)])
-        state = ConstructionState(1, 4, False, [stage_zero(4), stage1])
+        state = ConstructionState(1, 4, False, [stage_zero(), rects])
         with pytest.raises(NotOrdered):
             claim5_regions(assemble(state), 0, 0, 1)
         failures = envelope_failures_oracle(state, Address.parse("0"), [2, 0, 1])
         assert len(failures) >= 3
         assert failures[0].startswith("boundary envelopes out of order at c=1/4: ")
-
-
-class TestSerialization:
-    def test_earring_json(self, model_1_4):
-        doc = collapse_E(model_1_4, 0).to_json_obj()
-        assert doc["copy"] == "0:0"
-        assert doc["loops"][0]["c"] == "1/4"
-        assert doc["loops"][0]["low"] == "5/16"
-        assert doc["loops"][0]["high"] == "13/16"

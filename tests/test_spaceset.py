@@ -20,7 +20,7 @@ from fanforge.spaceset import (
     vertex_neighborhood,
     xi_float,
 )
-from fanforge.tiling import ConstructionState, PlacedCopy, Rect, TilingStage, stage_zero, vertical_trace
+from fanforge.tiling import ConstructionState, PlacedCopy, Rect, stage_zero, vertical_trace
 
 from .oracles import (
     basic_interval_inside,
@@ -201,8 +201,7 @@ class TestClassifyOracle:
         # a tolerant stage-1 copy whose jump at c = 1/4 overlaps the stage-0
         # jump there: each jump's midpoint lies on the other copy's segment
         rect = Rect(Address.parse("0"), F(0), F(2, 3))
-        stage1 = TilingStage(1, [rect], [PlacedCopy(1, 0, rect, jump_table(4))])
-        state = ConstructionState(1, 4, False, [stage_zero(4), stage1])
+        state = ConstructionState(1, 4, False, [stage_zero(), [rect]])
         model = assemble(state)
         stage0_mid, stage1_mid = state.copies[0].midpoint_global(0), state.copies[1].midpoint_global(2)
         assert stage0_mid == (F(1, 4), F(9, 16)) and stage1_mid == (F(1, 4), F(7, 12))
@@ -297,8 +296,7 @@ class TestVertexNeighborhood:
 class TestSamplePoints:
     def test_contains_vertex(self, model_1_4):
         cloud = sample_points(model_1_4, 1, 1)
-        assert cloud.points[0].tag == "vertex"
-        assert cloud.points[0].xy == (0.5, 0.0)
+        assert cloud.coordinates()[0] == (0.5, 0.0)
 
     def test_cloud_size_formula(self, model_1_4):
         cloud = sample_points(model_1_4, 1, 1)
@@ -310,42 +308,39 @@ class TestSamplePoints:
     def test_largest_gap_midpoint_of_column_one_third(self, model_1_4):
         # the biggest trace gap at c = 1/3 runs from -1/32 up to 13/16
         cloud = sample_points(model_1_4, 1, 1)
-        sources = {p.source for p in cloud.points if p.tag == "p-sample"}
-        assert (F(1, 3), F(25, 64)) in sources
+        assert fan_point((F(1, 3), F(25, 64))) in cloud.coordinates()[1 + 52 :]
 
     def test_p_samples_are_p_points(self, model_1_4):
-        cloud = sample_points(model_1_4, 1, 2)
-        for p in cloud.points:
-            if p.tag == "p-sample":
-                assert model_1_4.classify(p.source) == "P"
+        oracle = sample_points_oracle(model_1_4, 1, 2)
+        assert sample_points(model_1_4, 1, 2).coordinates() == oracle.xy
+        assert len(oracle.p_samples) == 4 * 2
+        for p in oracle.p_samples:
+            assert model_1_4.classify(p) == "P"
 
     def test_deterministic(self, model_1_4):
-        a = sample_points(model_1_4, 2, 2).to_json()
-        b = sample_points(model_1_4, 2, 2).to_json()
+        a = sample_points(model_1_4, 2, 2).coordinates()
+        b = sample_points(model_1_4, 2, 2).coordinates()
         assert a == b
 
     @pytest.mark.parametrize("name,grid_depth", [("model_2_16", 2), ("model_2_16", 4), ("model_4_16t", 4)])
     def test_matches_vertical_trace_oracle(self, name, grid_depth, request):
         model = request.getfixturevalue(name)
-        ours = sample_points(model, grid_depth, 3).to_json()
-        assert ours == sample_points_oracle(model, grid_depth, 3).to_json()
+        ours = sample_points(model, grid_depth, 3).coordinates()
+        assert ours == sample_points_oracle(model, grid_depth, 3).xy
 
     def test_crossings_outside_the_range_are_ignored(self):
         # a hand-made stage-1 rect above the range [-1, 2] of a depth-1 state
         high = Rect(Address((0,)), F(5, 2), F(3))
-        stage1 = TilingStage(1, [high], [PlacedCopy(1, 0, high, jump_table(4))])
-        model = assemble(ConstructionState(1, 4, True, [stage_zero(4), stage1]))
-        assert sample_points(model, 1, 3).to_json() == sample_points_oracle(model, 1, 3).to_json()
+        model = assemble(ConstructionState(1, 4, True, [stage_zero(), [high]]))
+        assert sample_points(model, 1, 3).coordinates() == sample_points_oracle(model, 1, 3).xy
 
-    def test_q_sources_made_only_on_export(self, model_2_16, monkeypatch):
+    def test_q_points_made_without_sources(self, model_2_16, monkeypatch):
         def refuse(copy, index):
             raise AssertionError("a Q source was made")
 
         monkeypatch.setattr(PlacedCopy, "midpoint_global", refuse)
         cloud = sample_points(model_2_16, 2, 3)
         assert len(cloud.coordinates()) == len(cloud) == 1 + 78 * 16 + 8 * 3
-        with pytest.raises(AssertionError, match="Q source"):
-            cloud.to_json_obj()
 
     def test_grid_depth_must_cover_state(self, model_2_16):
         with pytest.raises(ValueError):
@@ -355,15 +350,7 @@ class TestSamplePoints:
         # a slice gaps[:-2] would silently keep all but two gaps per fiber
         with pytest.raises(InvalidParameter, match="-2"):
             sample_points(model_1_4, 1, -2)
-        q_only = sample_points(model_1_4, 1, 0)
-        assert q_only.samples == [] and len(q_only) == 1 + 13 * 4
-
-    def test_json_export(self, model_1_4):
-        cloud = sample_points(model_1_4, 1, 1)
-        doc = cloud.to_json_obj()
-        assert len(doc["points"]) == len(cloud)
-        tags = {p["tag"] for p in doc["points"]}
-        assert tags == {"vertex", "q", "p-sample"}
+        assert len(sample_points(model_1_4, 1, 0)) == 1 + 13 * 4
 
 
 class TestFiberIsolation:

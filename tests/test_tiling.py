@@ -10,18 +10,16 @@ from fanforge.errors import (
     InvertedWindow,
     JumpHit,
     NotInCantor,
-    StageOrderViolation,
     StateSchemaError,
     TraceOutOfRange,
     TruncationTooCoarse,
 )
 from fanforge.exact import Address, addresses_of_length, endpoint_one, endpoint_zero
 from fanforge.tiling import (
-    Builder,
     ConstructionState,
     PlacedCopy,
     Rect,
-    TilingStage,
+    next_stage,
     pointwise_below,
     stage_one,
     stage_zero,
@@ -47,13 +45,11 @@ from .oracles import (
 
 class TestStageZero:
     def test_single_rect(self):
-        stage = stage_zero(4)
-        assert len(stage.rects) == 1
-        rect = stage.rects[0]
+        (rect,) = stage_zero()
         assert (str(rect.address), rect.bottom, rect.top) == ("", F(0), F(1))
 
-    def test_copy_extremes(self):
-        copy = stage_zero(4).copies[0]
+    def test_copy_extremes(self, st_0_4):
+        copy = st_0_4.copies[0]
         # bottom-left corner of the image is (0, 0)
         assert copy.fiber(F(0)) == ("point", F(0), F(0))
         # truncated maximum: the image tops out at 1 - 2^-N below the rect top
@@ -63,9 +59,9 @@ class TestStageZero:
 
 class TestStageOne:
     def test_twelve_rects_with_four_jump_values(self):
-        stage = stage_one(4)
-        assert len(stage.rects) == 12
-        got = [(str(r.address), r.bottom, r.top) for r in stage.rects[:4]]
+        rects = stage_one(4)
+        assert len(rects) == 12
+        got = [(str(r.address), r.bottom, r.top) for r in rects[:4]]
         assert got == [
             ("0", F(29, 32), F(1)),
             ("0", F(13, 16), F(29, 32)),
@@ -74,8 +70,7 @@ class TestStageOne:
         ]
 
     def test_outer_rects_order(self):
-        stage = stage_one(4)
-        outer = [(str(r.address), r.bottom) for r in stage.rects[4:]]
+        outer = [(str(r.address), r.bottom) for r in stage_one(4)[4:]]
         assert outer == [
             ("0", F(-1)),
             ("0", F(-1, 2)),
@@ -89,7 +84,7 @@ class TestStageOne:
 
     @pytest.mark.parametrize("n_jumps", [2, 4, 16])
     def test_heights_bounded(self, n_jumps):
-        assert all(r.height <= F(1, 2) for r in stage_one(n_jumps).rects)
+        assert all(r.height <= F(1, 2) for r in stage_one(n_jumps))
 
     def test_needs_two_jumps(self):
         with pytest.raises(ValueError):
@@ -190,11 +185,6 @@ class TestBuild:
         state = build(2, 4, strict=False)
         assert state.depth == 2 and not state.strict
 
-    def test_stage_order_violation(self):
-        builder = Builder(3, 16)
-        with pytest.raises(StageOrderViolation):
-            builder.stage_n(2)
-
     @pytest.mark.parametrize(
         "args", [(1, 4, True), (2, 16, True), (3, 16, True), (4, 24, True), (4, 16, False), (5, 32, False)]
     )
@@ -212,23 +202,18 @@ class TestBuild:
 
     def test_trace_out_of_range(self):
         # a hand-made stage 1 whose only rect lies above height 2 = n at stage 2
-        builder = Builder(2, 16)
         high = Rect(Address((0,)), F(5, 2), F(3))
-        builder.state.add_stage(stage_zero(16))
-        builder.state.add_stage(TilingStage(1, [high], [PlacedCopy(1, 0, high, jump_table(16))]))
+        state = ConstructionState(2, 16, True, [stage_zero(), [high]])
         with pytest.raises(TraceOutOfRange, match="at stage 2, column 00: 5/2, "):
-            builder.stage_n(2)
+            next_stage(state)
 
     def test_equal_bands_overlap_at_the_later_copy(self):
         # two equal stage-1 rects above the stage-0 copy: a tolerant build
         # refuses their coinciding bands and names the later copy
-        builder = Builder(2, 16, strict=False)
         rect = Rect(Address((0,)), F(3, 2), F(2))
-        builder.state.add_stage(stage_zero(16))
-        copies = [PlacedCopy(1, i, rect, jump_table(16)) for i in range(2)]
-        builder.state.add_stage(TilingStage(1, [rect, rect], copies))
+        state = ConstructionState(2, 16, False, [stage_zero(), [rect, rect]])
         with pytest.raises(TruncationTooCoarse, match="column '00'.*overlap at copy 1:1"):
-            builder.stage_n(2)
+            next_stage(state)
 
     def test_stage_addresses_and_heights(self, st_2_16):
         for stage in st_2_16.stages:
@@ -288,8 +273,7 @@ class TestPointwiseBelow:
         # both copies jump at c = 1/4: the lower one's jump top 13/16 passes the
         # upper one's jump bottom 251/320, though not its new height 53/64
         rect = Rect(Address.parse("0"), F(1, 2), F(17, 20))
-        stage1 = TilingStage(1, [rect], [PlacedCopy(1, 0, rect, jump_table(4))])
-        state = ConstructionState(1, 4, False, [stage_zero(4), stage1])
+        state = ConstructionState(1, 4, False, [stage_zero(), [rect]])
         assert not pointwise_below(state, 0, 1, Address.parse("0"))
         assert not pointwise_below_oracle(state.copies[0], state.copies[1], F(0), F(1, 3))
 

@@ -29,7 +29,6 @@ from fanforge.tiling import (
     ConstructionState,
     PlacedCopy,
     Rect,
-    TilingStage,
     vertical_trace,
 )
 from fanforge import verify
@@ -129,9 +128,8 @@ def oracle_diameters():
 
 def _with_rects(state, stage_n, rects):
     """Rebuild a state with the rectangles of one stage replaced."""
-    stages = list(state.stages)
-    copies = [PlacedCopy(stage_n, i, r, state.table) for i, r in enumerate(rects)]
-    stages[stage_n] = TilingStage(stage_n, rects, copies)
+    stages = [stage.rects for stage in state.stages]
+    stages[stage_n] = rects
     return ConstructionState(state.depth, state.n_jumps, state.strict, stages)
 
 
@@ -417,7 +415,7 @@ class TestDisjointness:
         # stage 0 jumps over [5/16, 13/16] at c = 1/4, where a stage-1 copy
         # over [13/32, 29/32] jumps up from 13/32 + 13/64 = 13/16: the two
         # meet in the one point (1/4, 13/16) and are strictly ordered elsewhere
-        bare = ConstructionState(1, 4, True, [st_1_4.stages[0], TilingStage(1, [], [])])
+        bare = ConstructionState(1, 4, True, [st_1_4.stages[0].rects, []])
         state = _with_rects(bare, 1, [Rect(Address.parse("0"), F(13, 32), F(29, 32))])
         assert sweep_level(state, 1).meeting == _accepted_pairs(state) == {(0, 1)}
         (record,) = run_all(state, checks=["disjointness"]).records
@@ -432,11 +430,7 @@ class TestDisjointness:
         # point (1/4, 13/16), and elsewhere the copies are strictly ordered
         stage1 = [Rect(Address.parse("0"), F(13, 32), F(29, 32))]
         stage2 = [Rect(Address.parse("01"), F(7, 16), F(7, 16) + F(13, 28))]
-        stages = [st_1_4.stages[0]] + [
-            TilingStage(n, rects, [PlacedCopy(n, i, r, st_1_4.table) for i, r in enumerate(rects)])
-            for n, rects in ((1, stage1), (2, stage2))
-        ]
-        state = ConstructionState(2, 4, False, stages)
+        state = ConstructionState(2, 4, False, [st_1_4.stages[0].rects, stage1, stage2])
         assert state.copies[2].fiber(F(1, 4)) == ("segment", F(261, 448), F(365, 448))
         meeting = sweep_level(state, 2).meeting
         assert meeting == _accepted_pairs(state) == {(0, 1), (0, 2), (1, 2)}
@@ -449,7 +443,7 @@ class TestDisjointness:
         # plateau at 13/16 and pass above its jump at 3/4: the initial cell
         # holds three equal crossings, and the outer two meet nowhere else
         rects = [Rect(Address.parse("1"), F(13, 16), F(21, 16)), Rect(Address.parse("1"), F(13, 16), F(29, 16))]
-        bare = ConstructionState(1, 4, False, [st_1_4.stages[0], TilingStage(1, [], [])])
+        bare = ConstructionState(1, 4, False, [st_1_4.stages[0].rects, []])
         state = _with_rects(bare, 1, rects)
         col = ColumnSweep(state, Address.parse("1"), 1)
         assert len(set(col.first)) == 1
@@ -572,11 +566,11 @@ class TestConditionV:
         assert run_all(st_1_4, checks=["condition-v=3"]).records[0].status == "skipped"
 
     def test_stage_rects_deleted_fails(self, st_2_16):
-        stages = list(st_2_16.stages[:2])
+        stages = [stage.rects for stage in st_2_16.stages[:2]]
         hollow = ConstructionState(1, st_2_16.n_jumps, st_2_16.strict, stages)
         # rebuilt at depth 1 the tiling is fine; requesting level 2 on a
         # state whose stage-2 rectangles were dropped must produce failures
-        stages2 = stages + [TilingStage(2, [], [])]
+        stages2 = stages + [[]]
         broken = ConstructionState(2, st_2_16.n_jumps, st_2_16.strict, stages2)
         record = sweep_level(broken, 2).records["condition-v"]
         assert record.status == "fail"
@@ -770,6 +764,23 @@ class TestNullSequence:
 
     def test_skipped_at_depth_zero(self, st_0_4):
         assert check_null_sequence(st_0_4).status == "skipped"
+
+    def test_skipped_at_depth_one(self, st_1_4):
+        # stage 1 is stage K: there is no later stage to compare it with
+        record = check_null_sequence(st_1_4)
+        assert (record.status, record.metrics) == ("skipped", {"reason": "needs depth >= 2"})
+
+    @pytest.mark.parametrize("emptied", [1, 2])
+    def test_empty_stage_has_diameter_zero(self, st_2_16, emptied):
+        stages = [stage.rects for stage in st_2_16.stages]
+        stages[emptied] = []
+        record = check_null_sequence(ConstructionState(2, 16, True, stages))
+        kept = stage_fan_diameters(st_2_16)[3 - emptied]
+        if emptied == 1:
+            assert (record.status, record.witness) == ("fail", {"stage_1": 0.0, "stage_K": kept})
+        else:
+            assert (record.status, record.witness) == ("pass", None)
+        assert f"stage_{emptied}" not in record.metrics
 
     @pytest.mark.parametrize(
         "fixture", ["st_1_4", "st_2_16", "st_3_16", "st_4_16t", "st_4_32", "st_3_32"]
