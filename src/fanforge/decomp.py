@@ -8,7 +8,6 @@ geometry), never as a metric identification space.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -106,14 +105,13 @@ def claim5_regions(model: SpaceModel, copy_id: int, level: int, loop_index: int)
     pos = owner.jump_pos(loop_index)
     c_j, seg_lo, seg_hi = owner.jump_global(pos)
     column = locate(c_j, target)
-    # the stage-target rects over the column against the loop, as ints over den
+    # the stage-target rects over the column against the loop, as ints over the state's den
     rects = [cid for cid in state.ids_at_address(column.bits) if state.copies[cid].stage == target]
-    den = math.lcm(owner.den, *(state.copies[cid].den for cid in rects))
-    seg_bottom, seg_top = (owner.height(k) * (den // owner.den) for k in (pos, pos + 1))
+    seg_bottom, seg_top = owner.height(pos), owner.height(pos + 1)
     above, below = [], []  # (rect bottom, id) and (minus rect top, id)
     for cid in rects:
         copy = state.copies[cid]
-        bottom, top = (x * (den // copy.den) for x in (copy.base, copy.base + copy.step * 2**state.n_jumps))
+        bottom, top = copy.base, copy.base + copy.step * 2**state.n_jumps
         if bottom >= seg_top:
             above.append((bottom, cid))
         elif top <= seg_bottom:

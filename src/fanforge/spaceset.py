@@ -4,10 +4,10 @@ The countable class Q is the set of all jump-segment midpoints of all placed
 copies; the co-countable class P is kept symbolic, as the complement of all
 copy images, and queried through exact membership predicates. The float
 boundary is here: piece endpoints, jump midpoints and P-samples as floats
-(`piece_floats`, `fan_midpoints`, `sample_points`), the arctan
-compression, the fan map and the copies' fan diameters. Each float is the correctly rounded value of an
-exact rational, arctan is always `math.atan`, and nothing computed here
-flows back into exact set definitions.
+(`piece_floats`, `fan_midpoints`, `sample_points`), the arctan compression,
+the fan map and the copies' fan diameters. Each float is the correctly
+rounded value of an exact rational, arctan is always `math.atan`, and
+nothing computed here flows back into exact set definitions.
 """
 
 from __future__ import annotations
@@ -216,10 +216,10 @@ class SpaceModel:
         if not (0 <= c <= 1) or not cantor_member(c):
             raise NotInCantor(f"{c} is not in the Cantor set")
         on = False
+        scaled = h.numerator * self.state.den  # h = scaled / (den * h.denominator)
         for cid, k, k_hi in self.state.fibers_at(c):
             copy = self.state.copies[cid]
             lo, hi = copy.height(k) * h.denominator, copy.height(k_hi) * h.denominator
-            scaled = h.numerator * copy.den  # h = scaled / (den * h.denominator)
             if k_hi > k and 2 * scaled == lo + hi:
                 return "Q"
             on = on or lo <= scaled <= hi
@@ -330,10 +330,11 @@ def vertex_neighborhood(model: SpaceModel, eps: Fraction) -> Region:
         raise ValueError("eps must lie in (0, 1)")
     state = model.state
     r_bound = _rational_at_most_tan(eps)
-    best: dict[tuple[int, ...], tuple[Fraction, int]] = {}  # column -> (copy top, copy id)
+    bound = r_bound.numerator * state.den  # top / den < r_bound iff top * q < bound
+    best: dict[tuple[int, ...], tuple[int, int]] = {}  # column -> (copy top * q, copy id)
     for cid, copy in enumerate(state.copies):
-        top = Fraction(copy.height(state.n_jumps), copy.den)
-        if top < r_bound:
+        top = copy.height(state.n_jumps) * r_bound.denominator
+        if top < bound:
             bits = copy.rect.address.bits
             if bits not in best or top > best[bits][0]:
                 best[bits] = (top, cid)
@@ -376,6 +377,14 @@ class PointCloud:
         return self.xy
 
 
+def check_sampling(state: ConstructionState, grid_depth: int, fiber_count: int) -> None:
+    """InvalidParameter for a grid depth below the state's depth or a negative fiber count."""
+    if grid_depth < state.depth:
+        raise InvalidParameter(f"grid depth {grid_depth} is below the construction depth {state.depth}")
+    if fiber_count < 0:
+        raise InvalidParameter(f"fiber count must be >= 0, got {fiber_count}")
+
+
 def sample_points(model: SpaceModel, grid_depth: int, fiber_count: int) -> PointCloud:
     """The vertex, every Q-point, and per-fiber P-samples, in fan coordinates.
 
@@ -386,25 +395,21 @@ def sample_points(model: SpaceModel, grid_depth: int, fiber_count: int) -> Point
     right end in `last`. All choices are exact, so the cloud is deterministic.
     As in `fan_midpoints`, a sample's fiber (origin or origin + 1) / 3^depth
     and its gap midpoint (lo + hi) / (2 * den) are int / int divisions,
-    float() of the exact point. A negative `fiber_count` raises
-    InvalidParameter.
+    float() of the exact point. Parameters are refused as in `check_sampling`.
     """
     state = model.state
-    if grid_depth < state.depth:
-        raise ValueError("grid_depth must be at least the construction depth")
-    if fiber_count < 0:
-        raise InvalidParameter(f"fiber count must be >= 0, got {fiber_count}")
+    check_sampling(state, grid_depth, fiber_count)
     xy = [VERTEX]
     for copy in state.copies:
         xy += fan_midpoints(copy)
-    unit = 3**grid_depth
+    unit, den = 3**grid_depth, state.den
+    lo, hi = -state.depth * den, (state.depth + 1) * den
     for sigma in addresses_of_length(grid_depth):
         col = ColumnSweep(state, sigma, grid_depth)
-        lo, hi = -state.depth * col.den, (state.depth + 1) * col.den
         for c, crossings in ((sigma.origin / unit, col.first), ((sigma.origin + 1) / unit, col.last)):
             ends = sorted({lo, hi, *(h for h in crossings if lo <= h <= hi)})
             gaps = sorted(zip(ends, ends[1:]), key=lambda g: (g[0] - g[1], g[0]))
             for g_lo, g_hi in gaps[:fiber_count]:
-                y = xi_float((g_lo + g_hi) / (2 * col.den))
+                y = xi_float((g_lo + g_hi) / (2 * den))
                 xy.append((fan_x(c, y), y))
     return PointCloud(xy)

@@ -21,7 +21,7 @@ import bisect
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterator
@@ -54,19 +54,19 @@ STATE_SCHEMA = "fanforge-state-v1"
 
 @dataclass(frozen=True)
 class Rect:
-    """B(sigma) x [a, b] with address length equal to its stage."""
+    """B(sigma) x [a, b] with address length equal to its stage; its
+    height b - a is computed once, since both the state's scale and the
+    copy's integer form read it."""
 
     address: Address
     bottom: Fraction
     top: Fraction
+    height: Fraction = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.bottom < self.top:
             raise ValueError(f"rect needs bottom < top, got [{self.bottom}, {self.top}]")
-
-    @property
-    def height(self) -> Fraction:
-        return self.top - self.bottom
+        object.__setattr__(self, "height", self.top - self.bottom)
 
     @property
     def left(self) -> Fraction:
@@ -88,25 +88,24 @@ class PlacedCopy:
 
     The copy's integer form is its only placement: on a plateau of value
     k / 2^N (k as in `JumpTable.values`) its height a + h*k/2^N is
-    (base + step*k) / den, over the copy's own den = lcm(den a, den h * 2^N),
-    and its column's left end is origin / 3^stage (`Address.origin`).
-    `fiber`, `jump_global` and `midpoint_global` make a Fraction only for
-    each value they return.
+    (base + step*k) / den, over its state's `den` (ConstructionState), and
+    its column's left end is origin / 3^stage (`Address.origin`). `fiber`,
+    `jump_global` and `midpoint_global` make a Fraction only for each value
+    they return.
     """
 
     __slots__ = ("stage", "index", "rect", "table", "den", "base", "step", "origin", "_pow3")
 
-    def __init__(self, stage: int, index: int, rect: Rect, table: JumpTable):
+    def __init__(self, stage: int, index: int, rect: Rect, table: JumpTable, den: int):
         self.stage = stage
         self.index = index
         self.rect = rect
         self.table = table
         self._pow3 = 3 ** stage
         a, h = rect.bottom, rect.height
-        scale = 2**table.n_jumps
-        self.den = den = math.lcm(a.denominator, h.denominator * scale)
+        self.den = den
         self.base = a.numerator * (den // a.denominator)
-        self.step = h.numerator * (den // (h.denominator * scale))
+        self.step = h.numerator * (den // (h.denominator * 2**table.n_jumps))
         self.origin = rect.address.origin
 
     @property
@@ -193,9 +192,14 @@ class TilingStage:
 class ConstructionState:
     """Stages 0..K with all placed copies; a pure function of (K, N, strict).
 
-    `stages` lists each stage's rects, stage 0 first. Copy ids number the
+    `stages` lists each stage's `TilingStage` of placed copies, stage 0
+    first; the constructor takes each stage's rects. Copy ids number the
     copies stage by stage. The builder grows one state a stage at a time
     through `add_stage`, where a state's copies are placed.
+
+    `den`, the state's one height scale, is the lcm over its rects of
+    lcm(den a, den h * 2^N) (bottom a, height h). Every copy's integer form
+    is over it (PlacedCopy), so any two heights compare as ints.
     """
 
     def __init__(self, depth: int, n_jumps: int, strict: bool, stages: list[list[Rect]]):
@@ -203,6 +207,7 @@ class ConstructionState:
         self.n_jumps = n_jumps
         self.strict = strict
         self.table = jump_table(n_jumps)
+        self.den = 1
         self.stages: list[TilingStage] = []
         self.copies: list[PlacedCopy] = []
         self._by_address: dict[tuple[int, ...], list[int]] = {}
@@ -210,9 +215,17 @@ class ConstructionState:
             self.add_stage(rects)
 
     def add_stage(self, rects: list[Rect]) -> None:
-        """Append the next stage, placing, numbering and indexing its copies."""
+        """Append the next stage, placing, numbering and indexing its copies;
+        where its rects widen `den`, every placed copy is scaled to it."""
         n = len(self.stages)
-        stage = TilingStage(n, [PlacedCopy(n, i, r, self.table) for i, r in enumerate(rects)])
+        scale = 2**self.n_jumps
+        dens = (d for r in rects for d in (r.bottom.denominator, r.height.denominator * scale))
+        den = math.lcm(self.den, *set(dens))
+        unit = den // self.den
+        for copy in self.copies:
+            copy.den, copy.base, copy.step = den, copy.base * unit, copy.step * unit
+        self.den = den
+        stage = TilingStage(n, [PlacedCopy(n, i, r, self.table, den) for i, r in enumerate(rects)])
         self.stages.append(stage)
         for copy in stage.copies:
             self._by_address.setdefault(copy.rect.address.bits, []).append(len(self.copies))
@@ -282,10 +295,10 @@ class ColumnSweep:
 
     Every such copy spans the whole column, so it crosses each vertical in
     one height, except at its own jumps strictly inside the column (the
-    column endpoints are Cantor endpoints, never jump locations). Over the
-    column denominator `den`, the lcm of the copies' own denominators
-    (PlacedCopy's integer form), a copy's height on its plateau of value
-    k/2^N is the int A + H*k. `first` and `last` hold the crossings at the
+    column endpoints are Cantor endpoints, never jump locations). Heights
+    are read from the copies' integer forms as they are, ints over the
+    state's `den` (PlacedCopy): on its plateau of value k/2^N a copy
+    crosses at base + step*k. `first` and `last` hold the crossings at the
     column's left and right ends. Breakpoints are ints over T * 3^n, T the
     jump table's denominator, and are found only when first asked for.
     Per-copy lists are indexed by the copy's place in `ids`. By default
@@ -301,8 +314,6 @@ class ColumnSweep:
         self.n = n
         self.table = state.table
         self.ids = state.chain_ids(sigma, max_stage=n) if ids is None else ids
-        copies = [state.copies[cid] for cid in self.ids]
-        self.den = den = math.lcm(*(c.den for c in copies))
         origin = sigma.origin  # the column's left end is origin / 3^n
         self.stages: list[int] = []
         self.bottoms: list[int] = []
@@ -311,16 +322,15 @@ class ColumnSweep:
         self.last: list[int] = []  # and at its right end
         # per copy: its jump positions inside the column, p, origin * T, base, step
         self._inside: list[tuple[range, int, int, int, int]] = []
-        for copy in copies:
-            unit = den // copy.den
-            base, step = copy.base * unit, copy.step * unit
+        for cid in self.ids:
+            copy = state.copies[cid]
             inside = copy.jumps_inside(origin, n)
             self.stages.append(copy.stage)
-            self.bottoms.append(base)
-            self.tops.append(base + step * scale)
-            self.first.append(base + step * values[inside.start])
-            self.last.append(base + step * values[inside.stop])
-            self._inside.append((inside, 3 ** (n - copy.stage), copy.origin * t_den, base, step))
+            self.bottoms.append(copy.base)
+            self.tops.append(copy.base + copy.step * scale)
+            self.first.append(copy.base + copy.step * values[inside.start])
+            self.last.append(copy.base + copy.step * values[inside.stop])
+            self._inside.append((inside, 3 ** (n - copy.stage), copy.origin * t_den, copy.base, copy.step))
 
     @cached_property
     def events(self) -> dict[int, list[tuple[int, int]]]:
@@ -337,16 +347,6 @@ class ColumnSweep:
     @cached_property
     def breakpoints(self) -> list[int]:
         return sorted(self.events)
-
-    def coverage_gap(self) -> Fraction:
-        """Measure of [-n, n+1] missed by the bands [first, last] of the copies."""
-        covered, reach = 0, None
-        for x, y in sorted(zip(self.first, self.last)):
-            start = x if reach is None else max(x, reach)
-            if y > start:
-                covered += y - start
-                reach = y
-        return Fraction((2 * self.n + 1) * self.den - covered, self.den)
 
     def gaps(self) -> Iterator[int]:
         """Each maximal vertical gap once, left to right, as its place g.
@@ -404,36 +404,6 @@ class ColumnSweep:
                         reported[g] = b
                         yield g
 
-    def problems(self, low: int | None, up: int | None, length: int) -> list[str]:
-        """What condition (v) finds wrong with the gap of positive length
-        between the copies at places low and up in `ids` (None: the boundary).
-
-        `verify.sweep_level` inlines the interior branch as its precheck, so
-        that a passing gap costs no call; the two must change together.
-        """
-        n = self.n
-        if low is None and up is None:
-            return ["no crossings in column"]
-        out = []
-        if low is None or up is None:
-            i = up if low is None else low
-            if self.stages[i] != n:
-                out.append(f"edge gap bounded by stage {self.stages[i]}")
-            if low is None and self.bottoms[i] > -n * self.den:
-                out.append("rect does not reach range bottom")
-            if up is None and self.tops[i] < (n + 1) * self.den:
-                out.append("rect does not reach range top")
-            # length/den < 1/(n+1) + 3^-n, cross-multiplied
-            if not length * (n + 1) * 3**n < self.den * (3**n + n + 1):
-                out.append("edge gap exceeds distance bound")
-        else:
-            if self.stages[low] != n and self.stages[up] != n:
-                out.append("no stage-n copy bounds the gap")
-            if self.tops[low] < self.bottoms[up]:
-                out.append("two rects do not cover the gap")
-        return out
-
-
 def stage_zero() -> list[Rect]:
     """The single rectangle C x [0, 1], which carries the identity copy."""
     return [Rect(Address(), ZERO, ONE)]
@@ -466,15 +436,14 @@ def next_stage(state: ConstructionState) -> list[Rect]:
 
     Each earlier copy spans the column as the band from its left-end
     crossing to its right-end crossing (ColumnSweep's `first` and
-    `last`, ints over the column denominator). Strips are subdivided
+    `last`, ints over the state's `den`). Strips are subdivided
     uniformly into ceil(length * (n+1)) pieces, which pins every new
     height at most 1/(n+1).
     """
-    n = len(state.stages)
+    n, den = len(state.stages), state.den
     rects: list[Rect] = []
     for sigma in addresses_of_length(n):
         col = ColumnSweep(state, sigma, n)
-        den = col.den
         for x, y in zip(col.first, col.last):
             if not ((1 - n) * den <= x <= y <= n * den):
                 raise TraceOutOfRange(
@@ -484,21 +453,14 @@ def next_stage(state: ConstructionState) -> list[Rect]:
         bands = sorted(zip(col.first, col.last, col.ids))
         prev_y: int | None = None
         for x, y, cid in bands:
+            detail = None
             if state.strict and not (x < y and (prev_y is None or prev_y < x)):
-                raise TruncationTooCoarse(
-                    str(sigma),
-                    n,
-                    min_jumps_for_depth(state.depth),
-                    f"trace band [{Fraction(x, den)}, {Fraction(y, den)}] of copy "
-                    f"{state.copies[cid].key} breaks strict interleaving",
-                )
-            if prev_y is not None and prev_y > x:
-                raise TruncationTooCoarse(
-                    str(sigma),
-                    n,
-                    min_jumps_for_depth(state.depth),
-                    f"trace bands overlap at copy {state.copies[cid].key}",
-                )
+                band = f"[{Fraction(x, den)}, {Fraction(y, den)}]"
+                detail = f"trace band {band} of copy {state.copies[cid].key} breaks strict interleaving"
+            elif prev_y is not None and prev_y > x:
+                detail = f"trace bands overlap at copy {state.copies[cid].key}"
+            if detail:
+                raise TruncationTooCoarse(str(sigma), n, min_jumps_for_depth(state.depth), detail)
             prev_y = y
         lows = [-n * den, *(y for _, y, _ in bands)]
         highs = [*(x for x, _, _ in bands), (n + 1) * den]
@@ -539,8 +501,8 @@ def vertical_trace(
     Each spanning copy meets the line in one point as long as c is not one
     of its scaled jump locations (JumpHit otherwise; Cantor endpoints are
     always safe because jump images are never endpoints). The heights are
-    compared and sorted as ints over the lcm of the copies' `den`; a
-    `Fraction` is made only for each crossing returned.
+    compared and sorted as ints over the state's `den`; a `Fraction` is
+    made only for each crossing returned.
     """
     lo = state.range_low if lo is None else lo
     hi = state.range_high if hi is None else hi
@@ -548,20 +510,18 @@ def vertical_trace(
         raise InvertedWindow(f"height window [{lo}, {hi}] has lo > hi")
     if not (0 <= c <= 1) or not cantor_member(c):
         raise NotInCantor(f"{c} is not in the Cantor set")
-    fibers = list(state.fibers_at(c, max_stage))
-    den = math.lcm(*(state.copies[cid].den for cid, _, _ in fibers))
-    floor = -(-lo.numerator * den // lo.denominator)  # lo <= h/den iff floor <= h
-    ceiling = hi.numerator * den // hi.denominator
+    floor = -(-lo.numerator * state.den // lo.denominator)  # lo <= h/den iff floor <= h
+    ceiling = hi.numerator * state.den // hi.denominator
     out: list[tuple[int, int]] = []
-    for cid, k, k_hi in fibers:
+    for cid, k, k_hi in state.fibers_at(c, max_stage):
         copy = state.copies[cid]
         if k_hi != k:
             raise JumpHit(f"column {c} is a jump location of copy {copy.key}")
-        h = copy.height(k) * (den // copy.den)
+        h = copy.height(k)
         if floor <= h <= ceiling:
             out.append((h, cid))
     out.sort()
-    return [(Fraction(h, den), cid) for h, cid in out]
+    return [(Fraction(h, state.den), cid) for h, cid in out]
 
 
 def pointwise_below(state: ConstructionState, lower_id: int, upper_id: int, column: Address) -> bool:

@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from .errors import InvalidParameter
 from .exact import addresses_of_length, rational_to_str
-from .spaceset import assemble, sample_points, stage_fan_diameters
+from .spaceset import assemble, check_sampling, sample_points, stage_fan_diameters
 from .tiling import ColumnSweep, ConstructionState, PlacedCopy
 
 if TYPE_CHECKING:
@@ -107,16 +107,16 @@ def _verdict(
 def check_conditions_i_ii(state: ConstructionState) -> list[CheckRecord]:
     """Addresses of length n and heights in (0, 1/(n+1)], exactly, per stage,
     on the copies' integer forms (a height is step * 2^N / den); a Fraction
-    is made only for `max_height`."""
-    scale = 2**state.n_jumps
+    is made only for `max_height`, the tallest copy up to the witness."""
+    scale, den = 2**state.n_jumps, state.den
     records = []
     for stage in state.stages:
         witness = None
-        tallest = (0, 1)  # (step, den) of the tallest copy so far
+        tallest = 0  # the step of the tallest copy so far
+        limit = den // (scale * (stage.n + 1))  # step * 2^N / den <= 1/(n+1) iff step <= limit
         for i, copy in enumerate(stage.copies):
-            if copy.step * tallest[1] > tallest[0] * copy.den:
-                tallest = (copy.step, copy.den)
-            if len(copy.rect.address) != stage.n or not 0 < copy.step * scale * (stage.n + 1) <= copy.den:
+            tallest = max(tallest, copy.step)
+            if len(copy.rect.address) != stage.n or not 0 < copy.step <= limit:
                 rect = copy.rect
                 witness = {
                     "index": i,
@@ -125,7 +125,7 @@ def check_conditions_i_ii(state: ConstructionState) -> list[CheckRecord]:
                     "b": rational_to_str(rect.top),
                 }
                 break
-        max_height = Fraction(tallest[0] * scale, tallest[1])
+        max_height = Fraction(tallest * scale, den)
         metrics = {"rects": len(stage.copies), "max_height": rational_to_str(max_height)}
         records.append(_verdict("conditions-i-ii", f"stage {stage.n}", witness, metrics))
     return records
@@ -142,12 +142,10 @@ def check_partial_tiling(state: ConstructionState) -> list[CheckRecord]:
             by_addr.setdefault(copy.rect.address.bits, []).append(copy)
         witness = None
         for bits, copies in by_addr.items():
-            den = math.lcm(*(c.den for c in copies))
-            spans = [(c.base * (u := den // c.den), (c.base + c.step * scale) * u) for c in copies]
-            order = sorted(range(len(copies)), key=spans.__getitem__)
-            for j, k in zip(order, order[1:]):
-                if min(spans[j][1], spans[k][1]) > max(spans[j][0], spans[k][0]):
-                    a, b = copies[j].rect, copies[k].rect
+            copies.sort(key=lambda c: (c.base, c.step))  # by bottom, then by top
+            for lower, upper in zip(copies, copies[1:]):
+                if lower.base + lower.step * scale > upper.base:
+                    a, b = lower.rect, upper.rect
                     witness = {
                         "address": "".join(map(str, bits)),
                         "first": [rational_to_str(a.bottom), rational_to_str(a.top)],
@@ -162,6 +160,44 @@ def check_partial_tiling(state: ConstructionState) -> list[CheckRecord]:
 
 # ---------------------------------------------------------------------------
 # the column sweep (tiling.ColumnSweep): conditions (iii)-(v) from one pass per level
+
+
+def _coverage_gap(col: ColumnSweep, den: int) -> int:
+    """Measure of [-n, n+1] missed by the column's bands [first, last], over `den`."""
+    covered, reach = 0, None
+    for x, y in sorted(zip(col.first, col.last)):
+        start = x if reach is None else max(x, reach)
+        if y > start:
+            covered += y - start
+            reach = y
+    return (2 * col.n + 1) * den - covered
+
+
+def _problems(col: ColumnSweep, low: int | None, up: int | None, length: int, den: int) -> list[str]:
+    """What condition (v) finds wrong with a gap of positive length, over
+    `den`, between the copies at places low and up in `col.ids` (None: the
+    boundary); `sweep_level` inlines the interior branch as its precheck."""
+    n = col.n
+    if low is None and up is None:
+        return ["no crossings in column"]
+    out = []
+    if low is None or up is None:
+        i = up if low is None else low
+        if col.stages[i] != n:
+            out.append(f"edge gap bounded by stage {col.stages[i]}")
+        if low is None and col.bottoms[i] > -n * den:
+            out.append("rect does not reach range bottom")
+        if up is None and col.tops[i] < (n + 1) * den:
+            out.append("rect does not reach range top")
+        # length/den < 1/(n+1) + 3^-n, cross-multiplied
+        if not length * (n + 1) * 3**n < den * (3**n + n + 1):
+            out.append("edge gap exceeds distance bound")
+    else:
+        if col.stages[low] != n and col.stages[up] != n:
+            out.append("no stage-n copy bounds the gap")
+        if col.tops[low] < col.bottoms[up]:
+            out.append("two rects do not cover the gap")
+    return out
 
 
 @dataclass
@@ -183,28 +219,27 @@ def sweep_level(state: ConstructionState, n: int) -> LevelSweep:
     at least one of which sits at stage n, and an edge gap must be shorter
     than 1/(n+1) + 3^-n. A gap between two crossings needs no distance
     test: the closed gap contains both bounding crossings, so its distance
-    to either bounding copy is zero.
+    to either bounding copy is zero. Gaps are ints over the state's `den`
+    in every column; a Fraction is made only for a metric or a witness.
     """
-    budget = Fraction(1, 2**state.n_jumps)
-    worst = max_gap = Fraction(0)
+    scale, den = 2**state.n_jumps, state.den
+    lo, hi = -n * den, (n + 1) * den
+    worst = max_gap = gaps_seen = 0
     coverage_witness = v_witness = None
-    gaps_seen = 0
     meeting: set[tuple[int, int]] = set()
     for sigma in addresses_of_length(n):
         col = ColumnSweep(state, sigma, n)
         if coverage_witness is None:
-            gap = col.coverage_gap()
+            gap = _coverage_gap(col, den)
             worst = max(worst, gap)
-            if gap > len(col.ids) * budget:
+            if gap * scale > len(col.ids) * den:  # gap / den > copies * 2^-N
                 coverage_witness = {
                     "column": str(sigma),
-                    "gap": rational_to_str(gap),
-                    "budget": rational_to_str(len(col.ids) * budget),
+                    "gap": rational_to_str(Fraction(gap, den)),
+                    "budget": rational_to_str(Fraction(len(col.ids), scale)),
                 }
-        lo, hi = -n * col.den, (n + 1) * col.den
         is_n = [s == n for s in col.stages]
         tops, bottoms = col.tops, col.bottoms
-        best = 0
         walk = col.gaps()
         hs, order, m = col.hs, col.order, len(col.ids)
         for g in walk:
@@ -214,25 +249,25 @@ def sweep_level(state: ConstructionState, n: int) -> LevelSweep:
             if length <= 0:
                 continue
             gaps_seen += 1
-            if length > best:
-                best = length
+            if length > max_gap:
+                max_gap = length
             low = order[g - 1] if g else None
             up = order[g] if g < m else None
             if 0 < g < m and (is_n[low] or is_n[up]) and tops[low] >= bottoms[up]:
-                continue  # the interior branch of problems(), inlined; it diagnoses the rest
-            if v_witness is None and (problems := col.problems(low, up, length)):
+                continue  # the interior branch of _problems(), inlined; it diagnoses the rest
+            if v_witness is None and (problems := _problems(col, low, up, length, den)):
                 v_witness = {
                     "column": str(sigma),
-                    "gap": [rational_to_str(Fraction(x, col.den)) for x in (lo_h, hi_h)],
+                    "gap": [rational_to_str(Fraction(x, den)) for x in (lo_h, hi_h)],
                     "lower": None if low is None else state.copies[col.ids[low]].key,
                     "upper": None if up is None else state.copies[col.ids[up]].key,
                     "problems": problems,
                 }
-        max_gap = max(max_gap, Fraction(best, col.den))
         meeting |= col.meeting
-    scope, gap_metric = f"n={n}", {"max_gap": rational_to_str(max_gap)}
+    scope, gap_metric = f"n={n}", {"max_gap": rational_to_str(Fraction(max_gap, den))}
+    coverage_metric = {"max_column_gap": rational_to_str(Fraction(worst, den))}
     records = [
-        _verdict("coverage", scope, coverage_witness, {"max_column_gap": rational_to_str(worst)}),
+        _verdict("coverage", scope, coverage_witness, coverage_metric),
         _verdict("condition-v", scope, v_witness, {"gaps_checked": gaps_seen, **gap_metric}),
         _verdict("max-gap", scope, None, gap_metric),
     ]
@@ -244,17 +279,17 @@ def sweep_level(state: ConstructionState, n: int) -> LevelSweep:
 
 
 def _pieces_in_window(
-    copy: PlacedCopy, c_lo: int, c_hi: int, stage: int, h_lo: int, h_hi: int, unit: int
+    copy: PlacedCopy, c_lo: int, c_hi: int, stage: int, h_lo: int, h_hi: int
 ) -> tuple[list[tuple[int, int, int]], list[tuple[int, int, int]]]:
     """(plateaus, jumps) of the copy meeting the closed window, in ints.
 
     Columns are over T * 3^stage (T the jump table's denominator), heights
-    over `copy.den * unit`. A plateau is (left, right, height), a jump
+    over `copy.den`. A plateau is (left, right, height), a jump
     (location, low, high). Value indices are filtered first by bisection
     against the height window, so only the few relevant pieces are made.
     """
     t_den, locations, values = copy.table.den, copy.table.locations, copy.table.values
-    base, step = copy.base * unit, copy.step * unit
+    base, step = copy.base, copy.step
 
     def at(x: int) -> int:  # a local column coordinate over T, globally
         return (copy.origin * t_den + x) * 3 ** (stage - copy.stage)
@@ -284,15 +319,15 @@ def copies_intersect(a: PlacedCopy, b: PlacedCopy) -> dict | None:
     Only pieces inside the shared column and the overlap of the two height
     extents can meet, so both copies are filtered down to those pieces
     before the pairwise predicates run. Everything is compared as ints:
-    columns over T * 3^s (s the deeper stage), heights over the lcm of the
-    two copies' `den`; `Fraction`s are made only for the witness.
+    columns over T * 3^s (s the deeper stage), heights over the `den` the
+    two copies share, their state's; `Fraction`s are made only for the
+    witness.
     """
     t_den, values = a.table.den, a.table.values
     stage = max(a.stage, b.stage)
-    den = math.lcm(a.den, b.den)
     top = values[-1]
-    h_lo = max(a.base * (den // a.den), b.base * (den // b.den))
-    h_hi = min((a.base + a.step * top) * (den // a.den), (b.base + b.step * top) * (den // b.den))
+    h_lo = max(a.base, b.base)
+    h_hi = min(a.base + a.step * top, b.base + b.step * top)
     if h_lo > h_hi:
         return None
     scales = [t_den * 3 ** (stage - copy.stage) for copy in (a, b)]  # columns over T * 3^stage
@@ -300,14 +335,14 @@ def copies_intersect(a: PlacedCopy, b: PlacedCopy) -> dict | None:
     c_hi = min((copy.origin + 1) * w for copy, w in zip((a, b), scales))
     if c_lo > c_hi:
         return None
-    plats_a, jumps_a = _pieces_in_window(a, c_lo, c_hi, stage, h_lo, h_hi, den // a.den)
-    plats_b, jumps_b = _pieces_in_window(b, c_lo, c_hi, stage, h_lo, h_hi, den // b.den)
+    plats_a, jumps_a = _pieces_in_window(a, c_lo, c_hi, stage, h_lo, h_hi)
+    plats_b, jumps_b = _pieces_in_window(b, c_lo, c_hi, stage, h_lo, h_hi)
 
     def c_str(x: int) -> str:
         return rational_to_str(Fraction(x, t_den * 3**stage))
 
     def h_str(x: int) -> str:
-        return rational_to_str(Fraction(x, den))
+        return rational_to_str(Fraction(x, a.den))
 
     for alo, ahi, av in plats_a:
         for blo, bhi, bv in plats_b:
@@ -796,8 +831,9 @@ def run_all(
     non-negative integer; levels above the built depth produce skipped
     records. Each level is swept once, for all of its checks and, at level
     K, for disjointness too. A level on any other check, a level that is
-    not such an integer, and an epsilon that is NaN, infinite or negative
-    raise InvalidParameter before any check runs.
+    not such an integer, an epsilon that is NaN, infinite or negative, a
+    grid depth below the state's depth and a negative fiber count raise
+    InvalidParameter before any check runs.
     """
     report = VerificationReport({"depth": state.depth, "jumps": state.n_jumps, "strict": state.strict})
     selected: list[tuple[str, int | None]] = []
@@ -813,6 +849,7 @@ def run_all(
     for eps in epsilons:
         if not (math.isfinite(eps) and eps >= 0):
             raise InvalidParameter(f"epsilon must be finite and >= 0, got {eps}")
+    check_sampling(state, state.depth if grid_depth is None else grid_depth, fiber_count)
     sweeps: dict[int, LevelSweep] = {}
 
     def swept(n: int) -> LevelSweep:

@@ -60,7 +60,7 @@ from fanforge.tiling import (
     stage_zero,
     vertical_trace,
 )
-from fanforge.verify import CheckRecord, copies_intersect
+from fanforge.verify import CheckRecord, _coverage_gap, _problems, copies_intersect
 
 
 def ternary_digits(q: Fraction, count: int) -> list[int]:
@@ -224,6 +224,11 @@ def copy_pieces_oracle(copy, count: int):
 def to_global_c(copy, u: Fraction) -> Fraction:
     """The copy's placement of the local column u: 0(sigma) + u / 3^stage."""
     return copy.rect.left + u / 3**copy.stage
+
+
+def own_den(rect, n_jumps: int) -> int:
+    """The least den a copy in `rect` can be placed at: lcm(den a, den h * 2^N)."""
+    return math.lcm(rect.bottom.denominator, rect.height.denominator * 2**n_jumps)
 
 
 def to_global_h(copy, r: Fraction) -> Fraction:
@@ -541,7 +546,7 @@ def fset_columns(model, band_lo: Fraction, band_hi: Fraction) -> list[Fraction]:
 def coverage_gap_for_column(state, n: int, sigma) -> tuple[Fraction, int]:
     """(uncovered measure within [-n, n+1], number of contributing copies)."""
     col = ColumnSweep(state, sigma, n)
-    return col.coverage_gap(), len(col.ids)
+    return Fraction(_coverage_gap(col, state.den), state.den), len(col.ids)
 
 
 def region_between_oracle(model, lower_id: int, upper_id: int, column) -> Region:
@@ -792,16 +797,17 @@ def column_gaps_oracle(col, meeting: set) -> Iterator:
 
 def sweep_level_oracle(state, n: int) -> tuple[dict, set]:
     """(records by check name, meeting pairs) of `verify.sweep_level`, from
-    the bisecting gap walk, with `problems()` asked about every gap."""
+    the bisecting gap walk, with `_problems()` asked about every gap."""
     budget = Fraction(1, 2**state.n_jumps)
     worst = max_gap = Fraction(0)
     coverage_witness = v_witness = None
     gaps_seen = 0
     meeting: set = set()
+    den = state.den
     for sigma in addresses_of_length(n):
         col = ColumnSweep(state, sigma, n)
         if coverage_witness is None:
-            gap = col.coverage_gap()
+            gap = Fraction(_coverage_gap(col, den), den)
             worst = max(worst, gap)
             if gap > len(col.ids) * budget:
                 coverage_witness = {
@@ -809,7 +815,7 @@ def sweep_level_oracle(state, n: int) -> tuple[dict, set]:
                     "gap": rational_to_str(gap),
                     "budget": rational_to_str(len(col.ids) * budget),
                 }
-        lo, hi = -n * col.den, (n + 1) * col.den
+        lo, hi = -n * den, (n + 1) * den
         best = 0
         for lower, upper in column_gaps_oracle(col, meeting):
             lo_h = lo if lower is None else lower[0]
@@ -821,15 +827,15 @@ def sweep_level_oracle(state, n: int) -> tuple[dict, set]:
             best = max(best, length)
             low = None if lower is None else lower[1]
             up = None if upper is None else upper[1]
-            if v_witness is None and (problems := col.problems(low, up, length)):
+            if v_witness is None and (problems := _problems(col, low, up, length, den)):
                 v_witness = {
                     "column": str(sigma),
-                    "gap": [rational_to_str(Fraction(x, col.den)) for x in (lo_h, hi_h)],
+                    "gap": [rational_to_str(Fraction(x, den)) for x in (lo_h, hi_h)],
                     "lower": None if low is None else state.copies[col.ids[low]].key,
                     "upper": None if up is None else state.copies[col.ids[up]].key,
                     "problems": problems,
                 }
-        max_gap = max(max_gap, Fraction(best, col.den))
+        max_gap = max(max_gap, Fraction(best, den))
     scope, gap_metric = f"n={n}", {"max_gap": rational_to_str(max_gap)}
     coverage_metric = {"max_column_gap": rational_to_str(worst)}
     v_metrics = {"gaps_checked": gaps_seen, **gap_metric}
@@ -1047,7 +1053,9 @@ def build_oracle(depth: int, n_jumps: int, strict: bool = True):
     by_address: dict[tuple[int, ...], list] = {}
     for n, rects in enumerate(stages):
         for i, rect in enumerate(rects):
-            by_address.setdefault(rect.address.bits, []).append(PlacedCopy(n, i, rect, table))
+            by_address.setdefault(rect.address.bits, []).append(
+                PlacedCopy(n, i, rect, table, own_den(rect, n_jumps))
+            )
     for n in range(2, depth + 1):
         rects = []
         for sigma in addresses_of_length(n):
@@ -1091,7 +1099,9 @@ def build_oracle(depth: int, n_jumps: int, strict: bool = True):
                     rects.append(Rect(sigma, s_lo + k * piece, s_lo + (k + 1) * piece))
         stages.append(rects)
         for i, rect in enumerate(rects):
-            by_address.setdefault(rect.address.bits, []).append(PlacedCopy(n, i, rect, table))
+            by_address.setdefault(rect.address.bits, []).append(
+                PlacedCopy(n, i, rect, table, own_den(rect, n_jumps))
+            )
     return ConstructionState(depth, n_jumps, strict, stages)
 
 

@@ -123,6 +123,13 @@ class TestVerify:
         assert code == 2
         assert "InvalidParameter" in stderr and "-2" in stderr
 
+    def test_grid_depth_below_state_depth_exits_2(self, state_file, capsys):
+        argv = ["verify", "--state", str(state_file), "--grid-depth", "1"]
+        code, stdout, stderr = run(argv, capsys)
+        assert code == 2
+        assert "InvalidParameter: grid depth 1 is below the construction depth 2" in stderr
+        assert "Traceback" not in stderr and stdout == ""
+
     def test_corrupt_state_schema_error(self, tmp_path, capsys):
         bad = tmp_path / "corrupt.json"
         bad.write_text('{"schema": "fanforge-state-v1", "depth": 1}')

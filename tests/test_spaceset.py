@@ -29,6 +29,7 @@ from .oracles import (
     fraction_table,
     fset_columns,
     jumps_global_oracle,
+    own_den,
     plateau_segments_oracle,
     plateaus_global_oracle,
     q_points,
@@ -113,8 +114,8 @@ class TestPieceFloats:
     @example(bottom=F(-(2**70) - 3, 2**61 + 7), height=F(3, 2**55 + 1), bits=[1, 0, 1],
              n_jumps=16, depth=4)
     def test_equal_float_of_each_exact_coordinate(self, bottom, height, bits, n_jumps, depth):
-        copy = PlacedCopy(len(bits), 0, Rect(Address(tuple(bits)), bottom, bottom + height),
-                          jump_table(n_jumps))
+        rect = Rect(Address(tuple(bits)), bottom, bottom + height)
+        copy = PlacedCopy(len(bits), 0, rect, jump_table(n_jumps), own_den(rect, n_jumps))
         pieces = piece_floats(copy, depth)
         table = fraction_table(n_jumps)
         assert pieces.heights == [float(to_global_h(copy, v)) for v in table.values]
@@ -132,8 +133,8 @@ class TestPieceFloats:
     )
     @example(bottom=F(-(2**70) - 3, 2**61 + 7), height=F(3, 2**55 + 1), bits=[1, 0, 1], n_jumps=16)
     def test_fan_midpoints_are_fan_point_of_each_exact_midpoint(self, bottom, height, bits, n_jumps):
-        copy = PlacedCopy(len(bits), 0, Rect(Address(tuple(bits)), bottom, bottom + height),
-                          jump_table(n_jumps))
+        rect = Rect(Address(tuple(bits)), bottom, bottom + height)
+        copy = PlacedCopy(len(bits), 0, rect, jump_table(n_jumps), own_den(rect, n_jumps))
         assert fan_midpoints(copy) == [fan_point(p) for p in copy.midpoints_global()]
 
 
@@ -343,7 +344,7 @@ class TestSamplePoints:
         assert len(cloud.coordinates()) == len(cloud) == 1 + 78 * 16 + 8 * 3
 
     def test_grid_depth_must_cover_state(self, model_2_16):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidParameter, match="grid depth 1 is below the construction depth 2"):
             sample_points(model_2_16, 1, 1)
 
     def test_negative_fiber_count_refused(self, model_1_4):

@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -19,8 +20,10 @@ from fanforge.tiling import (
     ConstructionState,
     PlacedCopy,
     Rect,
+    load_state,
     next_stage,
     pointwise_below,
+    save_state,
     stage_one,
     stage_zero,
     state_from_json_obj,
@@ -34,6 +37,7 @@ from .oracles import (
     fraction_table,
     jumps_global_oracle,
     max_height_oracle,
+    own_den,
     plateaus_global_oracle,
     pointwise_below_oracle,
     state_pieces_oracle,
@@ -151,7 +155,8 @@ class TestIntegerFiber:
         a, b = ab
         if a == b:
             b = a + 1
-        copy = PlacedCopy(len(bits), 0, Rect(Address(tuple(bits)), a, b), jump_table(n_jumps))
+        rect = Rect(Address(tuple(bits)), a, b)
+        copy = PlacedCopy(len(bits), 0, rect, jump_table(n_jumps), own_den(rect, n_jumps))
         inner = Address(tuple(bits + tail))  # a basic interval inside the column
         columns = [endpoint_zero(inner), endpoint_one(inner)]  # Cantor endpoints
         columns += [c for c, _, _ in jumps_global_oracle(copy)]  # jump locations
@@ -309,12 +314,14 @@ class TestAffineMap:
         a, b = ab
         if a == b:
             b = a + 1
-        copy = PlacedCopy(len(bits), 0, Rect(Address(tuple(bits)), a, b), jump_table(2))
+        rect = Rect(Address(tuple(bits)), a, b)
+        copy = PlacedCopy(len(bits), 0, rect, jump_table(2), own_den(rect, 2))
         assert to_global_c(copy, min(c1, c2)) <= to_global_c(copy, max(c1, c2))
         assert to_global_h(copy, min(r1, r2)) <= to_global_h(copy, max(r1, r2))
 
     def test_maps_unit_square_onto_footprint(self):
-        copy = PlacedCopy(2, 0, Rect(Address.parse("01"), F(1, 4), F(3, 4)), jump_table(2))
+        rect = Rect(Address.parse("01"), F(1, 4), F(3, 4))
+        copy = PlacedCopy(2, 0, rect, jump_table(2), own_den(rect, 2))
         assert (to_global_c(copy, F(0)), to_global_h(copy, F(0))) == (F(2, 9), F(1, 4))
         assert (to_global_c(copy, F(1)), to_global_h(copy, F(1))) == (F(1, 3), F(3, 4))
 
@@ -346,12 +353,15 @@ class TestCopyGeometry:
         st.lists(st.integers(0, 1), max_size=6),
         st.tuples(st.fractions(), st.fractions()).map(lambda t: (min(t), max(t))),
         st.integers(2, 12),
+        st.integers(1, 6),
     )
-    def test_integer_form_is_exact(self, bits, ab, n_jumps):
+    def test_integer_form_is_exact(self, bits, ab, n_jumps, widen):
+        # a state's den is a multiple of each copy's own den
         a, b = ab
         if a == b:
             b = a + 1
-        copy = PlacedCopy(len(bits), 0, Rect(Address(tuple(bits)), a, b), jump_table(n_jumps))
+        rect = Rect(Address(tuple(bits)), a, b)
+        copy = PlacedCopy(len(bits), 0, rect, jump_table(n_jumps), own_den(rect, n_jumps) * widen)
         assert F(copy.origin, 3**copy.stage) == copy.rect.left
         for v in fraction_table(n_jumps).values:
             k = v * 2**n_jumps
@@ -377,6 +387,27 @@ STATE_FIELDS = [
     ("stages", 1, "rects", 0, "a"),
     ("stages", 1, "rects", 0, "b"),
 ]
+
+
+class TestStateScale:
+    @staticmethod
+    def _assert_one_scale(state):
+        scale = 2**state.n_jumps
+        assert {copy.den for copy in state.copies} == {state.den}
+        assert state.den == math.lcm(*(own_den(copy.rect, state.n_jumps) for copy in state.copies))
+        for copy in state.copies:
+            assert F(copy.base, state.den) == copy.rect.bottom
+            assert F(copy.base + copy.step * scale, state.den) == copy.rect.top
+
+    @pytest.mark.parametrize("name", ["st_2_16", "st_3_32", "st_4_16t"])
+    def test_every_copy_is_over_the_state_den(self, name, request, tmp_path):
+        state = request.getfixturevalue(name)
+        save_state(state, str(tmp_path / "s.json"))
+        loaded = load_state(str(tmp_path / "s.json"))
+        for each in (state, loaded):
+            self._assert_one_scale(each)
+        forms = [[(c.den, c.base, c.step) for c in each.copies] for each in (state, loaded)]
+        assert forms[0] == forms[1]
 
 
 class TestStateSerialization:

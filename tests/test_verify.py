@@ -36,6 +36,7 @@ from fanforge.verify import (
     _candidate_ranks,
     _disjointness,
     _distinct_rows,
+    _problems,
     check_conditions_i_ii,
     check_null_sequence,
     check_partial_tiling,
@@ -68,6 +69,7 @@ from .oracles import (
     jumps_global_oracle,
     max_height_oracle,
     mst_edges_oracle,
+    own_den,
     partial_tiling_oracle,
     plateau_global_oracle,
     plateaus_global_oracle,
@@ -161,9 +163,9 @@ def _gap_pairs(col):
     ]
 
 
-def _fraction_crossing(col, crossing):
+def _fraction_crossing(state, col, crossing):
     """An integer sweep crossing as the oracle's (height, copy id)."""
-    return None if crossing is None else (F(crossing[0], col.den), col.ids[crossing[1]])
+    return None if crossing is None else (F(crossing[0], state.den), col.ids[crossing[1]])
 
 
 def _assert_sweeps_match_oracle(state):
@@ -179,30 +181,29 @@ def _assert_sweeps_match_oracle(state):
 
 def _assert_precheck_is_problem_free(state):
     """sweep_level's inlined precheck passes an interior gap exactly when
-    problems() returns []. With problems() stubbed to find nothing, no
+    _problems() returns []. With _problems() stubbed to find nothing, no
     witness stops the asking, so at every level sweep_level asks about
     exactly the edge gaps of positive length and the interior gaps that the
-    real problems() finds something wrong with."""
-    diagnose = ColumnSweep.problems
+    real _problems() finds something wrong with."""
     for n in range(state.depth + 1):
         asked = []
 
-        def recorded(col, low, up, length):
+        def recorded(col, low, up, length, den):
             asked.append((tuple(col.ids), low, up))
             return []
 
-        with mock.patch.object(ColumnSweep, "problems", recorded):
+        with mock.patch.object(verify, "_problems", recorded):
             sweep_level(state, n)
         expected = []
+        lo, hi = -n * state.den, (n + 1) * state.den
         for sigma in addresses_of_length(n):
             col = ColumnSweep(state, sigma, n)
-            lo, hi = -n * col.den, (n + 1) * col.den
             for lower, upper in _gap_pairs(col):
                 length = (hi if upper is None else upper[0]) - (lo if lower is None else lower[0])
                 if length <= 0:
                     continue
                 low, up = (None if x is None else x[1] for x in (lower, upper))
-                if lower is None or upper is None or diagnose(col, low, up, length):
+                if lower is None or upper is None or _problems(col, low, up, length, state.den):
                     expected.append((tuple(col.ids), low, up))
         assert asked == expected, n
 
@@ -223,6 +224,18 @@ class TestConditionsIandII:
         stage2 = next(r for r in records if r.scope == "stage 2")
         assert stage2.status == "fail"
         assert stage2.witness["index"] == 0
+
+    def test_max_height_stops_at_the_witness(self, st_2_16):
+        # the failing copy, of height 1/2, comes before a copy of height 1:
+        # max_height is the tallest copy up to the witness, as in the oracle
+        rects = list(st_2_16.stages[2].rects)
+        for i, height in ((0, F(1, 2)), (1, F(1))):
+            rects[i] = Rect(rects[i].address, rects[i].bottom, rects[i].bottom + height)
+        bad = _with_rects(st_2_16, 2, rects)
+        records = check_conditions_i_ii(bad)
+        assert [r.to_json_obj() for r in records] == [r.to_json_obj() for r in conditions_i_ii_oracle(bad)]
+        stage2 = records[2]
+        assert (stage2.status, stage2.witness["index"], stage2.metrics["max_height"]) == ("fail", 0, "1/2")
 
 
 class TestPerRectChecksOnIntegers:
@@ -304,7 +317,8 @@ class TestDisjointness:
         # the stage-0 jump at c = 1/4 spans [5/16, 13/16]; no stage-0 plateau
         # lies in the thin copy's heights [1/2, 9/16), only that jump does
         rect = Rect(Address.parse("0"), F(1, 2), F(9, 16))
-        thin = PlacedCopy(1, 0, rect, st_1_4.table)
+        assert st_1_4.den % own_den(rect, 4) == 0
+        thin = PlacedCopy(1, 0, rect, st_1_4.table, st_1_4.den)
         witness = copies_intersect(st_1_4.copies[0], thin)
         assert witness == copies_intersect_oracle(st_1_4.copies[0], thin)
         assert (witness["kind"], witness["c"]) == ("jump-plateau", "1/4")
@@ -507,7 +521,7 @@ class TestCellDecomposition:
         for n in range(state.depth + 1):
             for sigma in addresses_of_length(n):
                 col = ColumnSweep(state, sigma, n)
-                ours = [tuple(_fraction_crossing(col, x) for x in pair) for pair in _gap_pairs(col)]
+                ours = [tuple(_fraction_crossing(state, col, x) for x in pair) for pair in _gap_pairs(col)]
                 oracle = []
                 CellDecomposition(state, sigma, n).sweep(lambda *pair: oracle.append(pair))
                 assert ours == oracle, (n, str(sigma))
@@ -534,7 +548,7 @@ class TestCellDecomposition:
         # every gap of the trace inside a cell was reported: the sweep is exhaustive
         sigma = Address.parse("10")
         col = ColumnSweep(st_2_16, sigma, 2)
-        reported = {tuple(_fraction_crossing(col, x) for x in pair) for pair in _gap_pairs(col)}
+        reported = {tuple(_fraction_crossing(st_2_16, col, x) for x in pair) for pair in _gap_pairs(col)}
         c_den = math.lcm(*(q.denominator for q in fraction_table(16).locations)) * 9
         cuts = [endpoint_zero(sigma), *(F(b, c_den) for b in col.breakpoints), endpoint_one(sigma)]
         rng = random.Random(3)
@@ -852,6 +866,20 @@ class TestRunAll:
         monkeypatch.setattr(verify, "check_conditions_i_ii", refuse)
         with pytest.raises(InvalidParameter, match=re.escape(repr(selector))):
             run_all(st_1_4, checks=["conditions-i-ii", selector])
+
+    @pytest.mark.parametrize(
+        "grid_depth,fibers,text",
+        [(0, 3, "grid depth 0"), (None, -1, "fiber count")],
+        ids=["grid-depth", "fibers"],
+    )
+    def test_bad_sampling_refused_before_any_check(self, st_1_4, grid_depth, fibers, text, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a check ran")
+
+        monkeypatch.setattr(verify, "check_conditions_i_ii", refuse)
+        with pytest.raises(InvalidParameter, match=text):
+            checks = ["conditions-i-ii", "epsilon-connectivity"]
+            run_all(st_1_4, checks=checks, grid_depth=grid_depth, fiber_count=fibers)
 
     def test_level_selector_on_each_levelled_check(self, st_1_4):
         report = run_all(st_1_4, checks=["coverage=0", "condition-v=1", "max-gap=2"])

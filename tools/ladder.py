@@ -1,9 +1,11 @@
 """Time `build` and each `run_all` check in-process over the fixed ladder.
 
-The ladder is (2,16), (3,16), (4,32), tolerant (4,16) and (5,48). Each
-measurement runs in a fresh interpreter that imports fanforge from one
+The ladder is (2,16), (3,16), (4,32), tolerant (4,16), (5,48) and (6,96).
+Each measurement runs in a fresh interpreter that imports fanforge from one
 source tree, builds the state and runs every check of `verify.KNOWN_CHECKS`
 on its own `run_all` call, so a per-level check includes its own sweeps.
+The (6,96) rung, where the state's height scale is widest, takes most of
+the time and memory: its epsilon-connectivity samples 2.3 M points.
 Each rung is timed REPEATS times per tree, the trees alternating, and the
 JSON on stdout holds the first quartile, median and third quartile of each
 time per tree, so that a noisy rung shows its spread.
@@ -25,7 +27,7 @@ import sys
 import time
 from pathlib import Path
 
-LADDER = [(2, 16, True), (3, 16, True), (4, 32, True), (4, 16, False), (5, 48, True)]
+LADDER = [(2, 16, True), (3, 16, True), (4, 32, True), (4, 16, False), (5, 48, True), (6, 96, True)]
 REPEATS = 5
 
 
