@@ -4,37 +4,50 @@ Builds truncated stage tilings of C x R with scaled copies of a monotone
 pure-jump set, verifies the construction's structural conditions with exact
 rational arithmetic, derives the countable/co-countable point classes and
 quotient earrings, and renders deterministic SVG figures.
+
+The names below load with their module on first use (PEP 562), so importing
+the package, or one command of it, compiles no module it does not run.
 """
 
-from .debski import jump_points, min_jumps_for_depth
-from .exact import Address, cantor_member, endpoint_one, endpoint_zero, locate
-from .spaceset import assemble, fan_point, region_between, sample_points, vertex_neighborhood
-from .tiling import ConstructionState, build, load_state, save_state, stage_one, stage_zero, vertical_trace
-from .verify import epsilon_connectivity, mst_max_edge, run_all
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Address",
-    "ConstructionState",
-    "assemble",
-    "build",
-    "cantor_member",
-    "endpoint_one",
-    "endpoint_zero",
-    "epsilon_connectivity",
-    "fan_point",
-    "jump_points",
-    "load_state",
-    "locate",
-    "min_jumps_for_depth",
-    "mst_max_edge",
-    "region_between",
-    "run_all",
-    "sample_points",
-    "save_state",
-    "stage_one",
-    "stage_zero",
-    "vertex_neighborhood",
-    "vertical_trace",
-]
+_HOMES = {
+    "jump_points": "debski",
+    "min_jumps_for_depth": "debski",
+    "Address": "exact",
+    "cantor_member": "exact",
+    "endpoint_one": "exact",
+    "endpoint_zero": "exact",
+    "locate": "exact",
+    "assemble": "spaceset",
+    "fan_point": "spaceset",
+    "region_between": "spaceset",
+    "sample_points": "spaceset",
+    "vertex_neighborhood": "spaceset",
+    "ConstructionState": "tiling",
+    "build": "tiling",
+    "load_state": "tiling",
+    "save_state": "tiling",
+    "stage_one": "tiling",
+    "stage_zero": "tiling",
+    "vertical_trace": "tiling",
+    "epsilon_connectivity": "verify",
+    "mst_max_edge": "verify",
+    "run_all": "verify",
+}
+
+__all__ = sorted(_HOMES)
+
+
+def __getattr__(name: str):
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_HOMES[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_HOMES})

@@ -2,7 +2,8 @@
 
 The single state file (fanforge-state-v1 JSON) is the only contract between
 commands. Rationals cross the boundary as "p/q" strings in both directions;
-no floating point is accepted as input anywhere.
+no floating point is accepted as input anywhere. Each command imports only
+what it runs: `verify` and `render` load inside their commands.
 """
 
 from __future__ import annotations
@@ -11,7 +12,8 @@ import argparse
 import json
 import sys
 
-from . import render, tiling, verify
+from . import tiling
+from .catalog import FIGURE_KINDS, KNOWN_CHECKS
 from .errors import FanforgeError
 from .exact import rational_from_str, rational_to_str
 
@@ -34,7 +36,7 @@ def _parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--checks",
         help="comma list of checks (name or name=<level>); default: all "
-        f"({', '.join(verify.KNOWN_CHECKS)})",
+        f"({', '.join(KNOWN_CHECKS)})",
     )
     p_verify.add_argument("--out", help="write the JSON report here")
     p_verify.add_argument("--grid-depth", type=int, dest="grid_depth")
@@ -50,7 +52,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p_render = sub.add_parser("render", help="emit deterministic SVG figures")
     p_render.add_argument("--state", required=True)
-    p_render.add_argument("--figure", required=True, choices=render.FIGURE_KINDS)
+    p_render.add_argument("--figure", required=True, choices=FIGURE_KINDS)
     p_render.add_argument("--out", help="output file; default: figure-<kind>-K<k>-N<n>.svg")
 
     return parser
@@ -65,6 +67,8 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from . import verify
+
     state = tiling.load_state(args.state)
     report = verify.run_all(
         state,
@@ -111,11 +115,13 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 
 def cmd_render(args: argparse.Namespace) -> int:
+    from . import render
+
     state = tiling.load_state(args.state)
-    doc = render.render_figure(state, args.figure)
+    lines = render.figure_lines(state, args.figure)
     out = args.out or render.figure_filename(args.figure, state.depth, state.n_jumps)
     with open(out, "w", encoding="utf-8") as fh:
-        fh.write(doc)
+        fh.writelines(lines)
     print(f"wrote {out}")
     return 0
 

@@ -55,7 +55,8 @@ class DepthInsufficient(FanforgeError):
 
 class InvalidParameter(FanforgeError):
     """A run parameter is outside its domain: a number that is NaN, infinite
-    or negative, or a check selector whose level is misplaced or malformed."""
+    or negative, a check selector whose level is misplaced or malformed, or
+    a copy's den that its rectangle's heights do not divide."""
 
 
 class InvertedWindow(FanforgeError):

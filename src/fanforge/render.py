@@ -7,158 +7,201 @@ is `math.atan`.
 Floats are written at a fixed precision of twelve digits and elements in a
 fixed order (stage, then index, then piece position), so equal inputs
 produce byte identical documents.
+
+A figure is a generator of newline-terminated lines (`figure_lines`), which
+the command line writes to its file as they come; `render_figure` joins
+them. Within a copy's group each distinct coordinate is formatted once.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from typing import Iterator
 
+from .catalog import FIGURE_KINDS
 from .decomp import Earring, collapse_E
 from .errors import UnknownFigure
 from .exact import addresses_of_length, endpoint_one, endpoint_zero
 from .spaceset import assemble, fan_x, piece_floats, stage_fan_diameters, xi_float
 from .tiling import ConstructionState
 
-PRECISION = 12
-FIGURE_KINDS = ("tiling", "fan", "earring")
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.{PRECISION}f}"
-
-
 WIDTH, HEIGHT, MARGIN = 900, 600, 20  # the canvas
 CANTOR_DEPTH = 6  # plateaus are drawn over, and spokes to, the depth-6 basic intervals
 STROKE_RECT, STROKE_COPY = 0.8, 1.2
 
+# the style also names .midpoint and .qpoint, which no figure draws: SVG bytes are a contract
+HEAD = (
+    '<?xml version="1.0" encoding="UTF-8"?>\n'
+    f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
+    f'viewBox="0 0 {WIDTH} {HEIGHT}" version="1.1">\n'
+    "<style>line,rect,circle,path{stroke:#1a1a1a}.frame{stroke:#888}"
+    ".rect{stroke:#b55}.copy{stroke:#137}.spoke{stroke:#bbb}"
+    ".vertex{fill:#d22}.midpoint{fill:#d22}.qpoint{fill:#d22}.loop{fill:none}</style>\n"
+)
+TAIL = "</svg>\n"
+
+
+def _fmt(x: float) -> str:
+    return f"{x:.12f}"
+
+
+class _Axis(dict):
+    """The x axis of the viewport: a model float v maps to the text of
+    MARGIN + (v - origin) * scale, formatted on its first lookup only.
+    0.0 and -0.0 share a key; both map to the same text, since MARGIN is
+    added last."""
+
+    def __init__(self, origin: float, scale: float):
+        super().__init__()
+        self.origin, self.scale = origin, scale
+
+    def __missing__(self, v: float) -> str:
+        text = self[v] = f"{MARGIN + (v - self.origin) * self.scale:.12f}"
+        return text
+
+
+class _DownAxis(_Axis):
+    """The y axis, which grows downward: MARGIN + (origin - v) * scale."""
+
+    def __missing__(self, v: float) -> str:
+        text = self[v] = f"{MARGIN + (self.origin - v) * self.scale:.12f}"
+        return text
+
 
 class _Canvas:
-    """Maps model coordinates into the SVG viewport (y grows downward)."""
+    """Maps model coordinates into the SVG viewport."""
 
     def __init__(self, x_lo: float, x_hi: float, y_lo: float, y_hi: float):
-        self.x_lo, self.x_hi = x_lo, x_hi
-        self.y_lo, self.y_hi = y_lo, y_hi
         self.sx = (WIDTH - 2 * MARGIN) / (x_hi - x_lo)
         self.sy = (HEIGHT - 2 * MARGIN) / (y_hi - y_lo)
+        self.x = _Axis(x_lo, self.sx)
+        self.y = _DownAxis(y_hi, self.sy)
 
-    def x(self, v: float) -> str:
-        return _fmt(MARGIN + (v - self.x_lo) * self.sx)
-
-    def y(self, v: float) -> str:
-        return _fmt(MARGIN + (self.y_hi - v) * self.sy)
-
-    def line(self, x1, y1, x2, y2, cls: str, width: float) -> str:
-        return (
-            f'<line class="{cls}" x1="{self.x(x1)}" y1="{self.y(y1)}" '
-            f'x2="{self.x(x2)}" y2="{self.y(y2)}" stroke-width="{width}" />'
-        )
+    def forget(self) -> None:
+        """Drop the formatted coordinates, so memory holds one group's."""
+        self.x.clear()
+        self.y.clear()
 
     def rect(self, x1, y1, x2, y2, cls: str, width: float) -> str:
         return (
-            f'<rect class="{cls}" x="{self.x(x1)}" y="{self.y(y2)}" '
+            f'<rect class="{cls}" x="{self.x[x1]}" y="{self.y[y2]}" '
             f'width="{_fmt((x2 - x1) * self.sx)}" height="{_fmt((y2 - y1) * self.sy)}" '
-            f'stroke-width="{width}" fill="none" />'
+            f'stroke-width="{width}" fill="none" />\n'
         )
 
     def circle(self, x, y, r: float, cls: str) -> str:
-        return f'<circle class="{cls}" cx="{self.x(x)}" cy="{self.y(y)}" r="{_fmt(r)}" />'
+        return f'<circle class="{cls}" cx="{self.x[x]}" cy="{self.y[y]}" r="{_fmt(r)}" />\n'
 
 
-def _document(body: list[str]) -> str:
-    # the style also names .midpoint and .qpoint, which no figure draws: SVG bytes are a contract
-    head = (
-        '<?xml version="1.0" encoding="UTF-8"?>\n'
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
-        f'viewBox="0 0 {WIDTH} {HEIGHT}" version="1.1">\n'
-        "<style>line,rect,circle,path{stroke:#1a1a1a}.frame{stroke:#888}"
-        ".rect{stroke:#b55}.copy{stroke:#137}.spoke{stroke:#bbb}"
-        ".vertex{fill:#d22}.midpoint{fill:#d22}.qpoint{fill:#d22}.loop{fill:none}</style>\n"
-    )
-    return head + "\n".join(body) + "\n</svg>\n"
+def _line(cls: str, width: float) -> str:
+    """The `%` template of a line element, filled with x1, y1, x2, y2 texts."""
+    return f'<line class="{cls}" x1="%s" y1="%s" x2="%s" y2="%s" stroke-width="{width}" />\n'
 
 
-def render_tiling(state: ConstructionState) -> str:
+def _tiling_lines(state: ConstructionState) -> Iterator[str]:
     """C x R view: rectangle outlines (stages >= 1) and the copy images.
 
     The stage-0 rectangle is the ambient frame of the picture and is drawn
     as the background border rather than as a tiling outline.
     """
     canvas = _Canvas(-0.05, 1.05, -state.depth - 0.25, state.depth + 1.25)
-    body = [canvas.rect(0.0, 0.0, 1.0, 1.0, "frame", 0.6)]
+    X, Y, line = canvas.x, canvas.y, _line("copy", STROKE_COPY)
+    yield HEAD
+    yield canvas.rect(0.0, 0.0, 1.0, 1.0, "frame", 0.6)
     for stage in state.stages[1:]:
         for rect in stage.rects:
             corners = (float(rect.left), float(rect.bottom), float(rect.right), float(rect.top))
-            body.append(canvas.rect(*corners, "rect", STROKE_RECT))
+            yield canvas.rect(*corners, "rect", STROKE_RECT)
     for copy in state.copies:
-        body.append(f'<g class="copy" id="copy-{copy.stage}-{copy.index}">')
+        canvas.forget()
+        yield f'<g class="copy" id="copy-{copy.stage}-{copy.index}">\n'
         pieces = piece_floats(copy, max(CANTOR_DEPTH - copy.stage, 0))
         hs = pieces.heights
         for v, segments in zip(hs, pieces.segments):
+            y = Y[v]
             for a, b in segments:
-                body.append(canvas.line(a, v, b, v, "copy", STROKE_COPY))
+                yield line % (X[a], y, X[b], y)
         for c, lo, hi in zip(pieces.jumps, hs, hs[1:]):
-            body.append(canvas.line(c, lo, c, hi, "copy", STROKE_COPY))
-        body.append("</g>")
-    return _document(body)
+            x = X[c]
+            yield line % (x, Y[lo], x, Y[hi])
+        yield "</g>\n"
+    yield TAIL
 
 
-def render_fan(state: ConstructionState) -> str:
+def _fan_lines(state: ConstructionState) -> Iterator[str]:
     """Fan view: spokes, the vertex and the copy images through the fan map."""
     canvas = _Canvas(-0.05, 1.05, -0.05, 1.05)
-    body = ['<g class="spokes">']
+    X, Y, line, spoke = canvas.x, canvas.y, _line("copy", STROKE_COPY), _line("spoke", 0.5)
+    yield HEAD
+    yield '<g class="spokes">\n'
     spoke_cs: list[Fraction] = []
     for sigma in addresses_of_length(CANTOR_DEPTH):
         spoke_cs.extend((endpoint_zero(sigma), endpoint_one(sigma)))
     for c in sorted(set(spoke_cs)):
         # nabla maps the top corner (c, 1) to (c, 1): spokes end at the top edge
-        body.append(canvas.line(0.5, 0.0, float(c), 1.0, "spoke", 0.5))
-    body.append("</g>")
+        yield spoke % (X[0.5], Y[0.0], X[float(c)], Y[1.0])
+    yield "</g>\n"
     for copy in state.copies:
-        body.append(f'<g class="copy" id="copy-{copy.stage}-{copy.index}">')
+        canvas.forget()
+        yield f'<g class="copy" id="copy-{copy.stage}-{copy.index}">\n'
         pieces = piece_floats(copy, max(CANTOR_DEPTH - copy.stage, 0))
         ys = [xi_float(v) for v in pieces.heights]
         for y, segments in zip(ys, pieces.segments):
+            y_text = Y[y]
             for a, b in segments:
-                body.append(canvas.line(fan_x(a, y), y, fan_x(b, y), y, "copy", STROKE_COPY))
+                yield line % (X[fan_x(a, y)], y_text, X[fan_x(b, y)], y_text)
         for c, lo, hi in zip(pieces.jumps, ys, ys[1:]):
-            body.append(canvas.line(fan_x(c, lo), lo, fan_x(c, hi), hi, "copy", STROKE_COPY))
-        body.append("</g>")
+            yield line % (X[fan_x(c, lo)], Y[lo], X[fan_x(c, hi)], Y[hi])
+        yield "</g>\n"
     diameters = {str(k): f"{v:.9f}" for k, v in sorted(stage_fan_diameters(state).items())}
-    body.append(
-        "<metadata>" + json.dumps({"stage_fan_diameters": diameters}, sort_keys=True) + "</metadata>"
-    )
-    body.append(canvas.circle(0.5, 0.0, 3.0, "vertex"))
-    return _document(body)
+    yield "<metadata>" + json.dumps({"stage_fan_diameters": diameters}, sort_keys=True) + "</metadata>\n"
+    yield canvas.circle(0.5, 0.0, 3.0, "vertex")
+    yield TAIL
+
+
+def _earring_lines(earring: Earring) -> Iterator[str]:
+    """Loops as tangent circles through one base point, scaled by exact height."""
+    yield HEAD
+    if not earring.loops:
+        yield "\n"  # the empty body
+        yield TAIL
+        return
+    scale = max(float(loop.height) for loop in earring.loops)
+    canvas = _Canvas(-0.1, 1.1, -0.65, 0.65)
+    yield f'<g class="earring" id="earring-{earring.copy_key.replace(":", "-")}">\n'
+    for loop in earring.loops:
+        radius = float(loop.height) / scale / 2
+        yield (
+            f'<circle class="loop" cx="{canvas.x[radius]}" cy="{canvas.y[0.0]}" '
+            f'r="{_fmt(radius * canvas.sx)}" stroke-width="1.0" />\n'
+        )
+    yield "</g>\n"
+    yield canvas.circle(0.0, 0.0, 2.5, "vertex")
+    yield TAIL
 
 
 def render_earring(earring: Earring) -> str:
-    """Loops as tangent circles through one base point, scaled by exact height."""
-    if not earring.loops:
-        return _document([])
-    scale = max(float(loop.height) for loop in earring.loops)
-    canvas = _Canvas(-0.1, 1.1, -0.65, 0.65)
-    body = [f'<g class="earring" id="earring-{earring.copy_key.replace(":", "-")}">']
-    for loop in earring.loops:
-        radius = float(loop.height) / scale / 2
-        body.append(
-            f'<circle class="loop" cx="{canvas.x(radius)}" cy="{canvas.y(0.0)}" '
-            f'r="{_fmt(radius * canvas.sx)}" stroke-width="1.0" />'
-        )
-    body.append("</g>")
-    body.append(canvas.circle(0.0, 0.0, 2.5, "vertex"))
-    return _document(body)
+    """The earring figure of one collapsed copy."""
+    return "".join(_earring_lines(earring))
+
+
+def figure_lines(state: ConstructionState, kind: str) -> Iterator[str]:
+    """The lines of the `kind` figure of the state, each ending in a newline;
+    the earring is the first copy's (copy 0). An unknown kind raises here,
+    before any line is made."""
+    if kind == "tiling":
+        return _tiling_lines(state)
+    if kind == "fan":
+        return _fan_lines(state)
+    if kind == "earring":
+        return _earring_lines(collapse_E(assemble(state), 0))
+    raise UnknownFigure(f"unknown figure kind {kind!r} (known: {', '.join(FIGURE_KINDS)})")
 
 
 def render_figure(state: ConstructionState, kind: str) -> str:
-    """The `kind` figure of the state; the earring is the first copy's (copy 0)."""
-    if kind == "tiling":
-        return render_tiling(state)
-    if kind == "fan":
-        return render_fan(state)
-    if kind == "earring":
-        return render_earring(collapse_E(assemble(state), 0))
-    raise UnknownFigure(f"unknown figure kind {kind!r} (known: {', '.join(FIGURE_KINDS)})")
+    """The `kind` figure of the state as one document."""
+    return "".join(figure_lines(state, kind))
 
 
 def figure_filename(kind: str, depth: int, n_jumps: int) -> str:

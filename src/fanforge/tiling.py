@@ -41,6 +41,7 @@ from .exact import (
 )
 from .errors import (
     IndexOutOfRange,
+    InvalidParameter,
     InvertedWindow,
     JumpHit,
     NotInCantor,
@@ -89,7 +90,8 @@ class PlacedCopy:
     The copy's integer form is its only placement: on a plateau of value
     k / 2^N (k as in `JumpTable.values`) its height a + h*k/2^N is
     (base + step*k) / den, over its state's `den` (ConstructionState), and
-    its column's left end is origin / 3^stage (`Address.origin`). `fiber`,
+    its column's left end is origin / 3^stage (`Address.origin`). A den
+    that is not a multiple of den(a) and of den(h) * 2^N is refused. `fiber`,
     `jump_global` and `midpoint_global` make a Fraction only for each value
     they return.
     """
@@ -103,9 +105,16 @@ class PlacedCopy:
         self.table = table
         self._pow3 = 3 ** stage
         a, h = rect.bottom, rect.height
+        a_unit, a_rest = divmod(den, a.denominator)
+        h_unit, h_rest = divmod(den, h.denominator * 2**table.n_jumps)
+        if a_rest or h_rest:
+            raise InvalidParameter(
+                f"copy {stage}:{index}: den {den} is not a multiple of both "
+                f"den({a}) and den({h}) * 2^{table.n_jumps}"
+            )
         self.den = den
-        self.base = a.numerator * (den // a.denominator)
-        self.step = h.numerator * (den // (h.denominator * 2**table.n_jumps))
+        self.base = a.numerator * a_unit
+        self.step = h.numerator * h_unit
         self.origin = rect.address.origin
 
     @property

@@ -22,6 +22,7 @@ from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
+from .catalog import KNOWN_CHECKS
 from .errors import InvalidParameter
 from .exact import addresses_of_length, rational_to_str
 from .spaceset import assemble, check_sampling, sample_points, stage_fan_diameters
@@ -804,16 +805,6 @@ def check_epsilon_connectivity(
 # ---------------------------------------------------------------------------
 # orchestration
 
-KNOWN_CHECKS = (
-    "conditions-i-ii",
-    "partial-tiling",
-    "disjointness",
-    "coverage",
-    "condition-v",
-    "max-gap",
-    "null-sequence",
-    "epsilon-connectivity",
-)
 LEVELLED_CHECKS = ("coverage", "condition-v", "max-gap")
 
 

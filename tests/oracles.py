@@ -8,7 +8,8 @@ sweep and from a walk that re-finds each crossing by bisection, the
 per-rectangle checks from Fraction bounds, the MST from a quadratic Prim
 (plain Python and vectorised), connectivity from a plain disjoint-set
 union, the SVG copy images and
-fan diameters from a walk over every piece in Fractions, and the stage
+fan diameters from a walk over every piece in Fractions (each SVG
+coordinate formatted where it is written), and the stage
 builder and the cloud's fiber gaps from per-copy Fraction traces, the
 Q-points and their fiber isolation from each copy's Fraction midpoints, and
 the disjointness record from the pairwise scan over every candidate pair,
@@ -49,7 +50,7 @@ from fanforge.exact import (
     locate,
     rational_to_str,
 )
-from fanforge.render import CANTOR_DEPTH, STROKE_COPY, STROKE_RECT, _Canvas, _document
+from fanforge.render import CANTOR_DEPTH, HEAD, HEIGHT, MARGIN, STROKE_COPY, STROKE_RECT, TAIL, WIDTH
 from fanforge.spaceset import Region, VERTEX, fan_point
 from fanforge.tiling import (
     ColumnSweep,
@@ -944,8 +945,49 @@ def diameter_oracle(points) -> float:
 
 # ---------------------------------------------------------------------------
 # the float boundary, walked in Fractions: every coordinate is float() of an
-# exact piece endpoint. The renderers share the package's canvas and document
-# framing; the golden digests in test_render.py pin those.
+# exact piece endpoint, formatted where it is written. The renderers share
+# the package's document head and tail; the golden digests in
+# test_render.py pin those.
+
+
+def _fmt(x: float) -> str:
+    return f"{x:.12f}"
+
+
+class CanvasOracle:
+    """The viewport map with one format call per coordinate written: the
+    slow path of the package canvas's memoized axes."""
+
+    def __init__(self, x_lo: float, x_hi: float, y_lo: float, y_hi: float):
+        self.x_lo, self.y_hi = x_lo, y_hi
+        self.sx = (WIDTH - 2 * MARGIN) / (x_hi - x_lo)
+        self.sy = (HEIGHT - 2 * MARGIN) / (y_hi - y_lo)
+
+    def x(self, v: float) -> str:
+        return _fmt(MARGIN + (v - self.x_lo) * self.sx)
+
+    def y(self, v: float) -> str:
+        return _fmt(MARGIN + (self.y_hi - v) * self.sy)
+
+    def line(self, x1, y1, x2, y2, cls: str, width: float) -> str:
+        return (
+            f'<line class="{cls}" x1="{self.x(x1)}" y1="{self.y(y1)}" '
+            f'x2="{self.x(x2)}" y2="{self.y(y2)}" stroke-width="{width}" />'
+        )
+
+    def rect(self, x1, y1, x2, y2, cls: str, width: float) -> str:
+        return (
+            f'<rect class="{cls}" x="{self.x(x1)}" y="{self.y(y2)}" '
+            f'width="{_fmt((x2 - x1) * self.sx)}" height="{_fmt((y2 - y1) * self.sy)}" '
+            f'stroke-width="{width}" fill="none" />'
+        )
+
+    def circle(self, x, y, r: float, cls: str) -> str:
+        return f'<circle class="{cls}" cx="{self.x(x)}" cy="{self.y(y)}" r="{_fmt(r)}" />'
+
+
+def _document(body: list[str]) -> str:
+    return HEAD + "\n".join(body) + "\n" + TAIL
 
 
 def copy_fan_diameter_oracle(copy) -> float:
@@ -988,7 +1030,7 @@ def plateau_segments_oracle(copy, lo: Fraction, hi: Fraction, depth: int):
 
 
 def render_tiling_oracle(state) -> str:
-    canvas = _Canvas(-0.05, 1.05, -state.depth - 0.25, state.depth + 1.25)
+    canvas = CanvasOracle(-0.05, 1.05, -state.depth - 0.25, state.depth + 1.25)
     body = [canvas.rect(0.0, 0.0, 1.0, 1.0, "frame", 0.6)]
     for stage in state.stages[1:]:
         for r in stage.rects:
@@ -1009,7 +1051,7 @@ def render_tiling_oracle(state) -> str:
 
 
 def render_fan_oracle(state) -> str:
-    canvas = _Canvas(-0.05, 1.05, -0.05, 1.05)
+    canvas = CanvasOracle(-0.05, 1.05, -0.05, 1.05)
     body = ['<g class="spokes">']
     spoke_cs = []
     for sigma in addresses_of_length(CANTOR_DEPTH):
@@ -1033,6 +1075,24 @@ def render_fan_oracle(state) -> str:
         "<metadata>" + json.dumps({"stage_fan_diameters": diameters}, sort_keys=True) + "</metadata>"
     )
     body.append(canvas.circle(0.5, 0.0, 3.0, "vertex"))
+    return _document(body)
+
+
+def render_earring_oracle(earring) -> str:
+    """The earring figure with every coordinate formatted where it is written."""
+    if not earring.loops:
+        return _document([])
+    scale = max(float(loop.height) for loop in earring.loops)
+    canvas = CanvasOracle(-0.1, 1.1, -0.65, 0.65)
+    body = [f'<g class="earring" id="earring-{earring.copy_key.replace(":", "-")}">']
+    for loop in earring.loops:
+        radius = float(loop.height) / scale / 2
+        body.append(
+            f'<circle class="loop" cx="{canvas.x(radius)}" cy="{canvas.y(0.0)}" '
+            f'r="{_fmt(radius * canvas.sx)}" stroke-width="1.0" />'
+        )
+    body.append("</g>")
+    body.append(canvas.circle(0.0, 0.0, 2.5, "vertex"))
     return _document(body)
 
 

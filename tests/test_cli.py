@@ -274,20 +274,17 @@ class TestRender:
 EXACT_CHECKS = "conditions-i-ii,partial-tiling,disjointness,coverage,condition-v,max-gap"
 
 
-def packages_loaded(commands):
-    """The top-level packages outside the standard library that running
-    `commands` through `cli.main` loads in a fresh interpreter, sorted;
-    each command must exit 0."""
+def modules_loaded(commands):
+    """The names in `sys.modules` of a fresh interpreter before and after
+    it runs `commands` through `cli.main`, each command exiting 0."""
     script = (
         "import json, sys\n"
         "from fanforge.cli import main\n"
-        "def packages():\n"
-        "    return {name.partition('.')[0] for name in sys.modules} - set(sys.stdlib_module_names)\n"
-        "before = packages()\n"
+        "before = sorted(sys.modules)\n"
         "for argv in json.loads(sys.argv[1]):\n"
         "    if main(argv) != 0:\n"
         "        sys.exit(f'nonzero exit: {argv}')\n"
-        "print(json.dumps(sorted(packages() - before)))\n"
+        "print(json.dumps([before, sorted(sys.modules)]))\n"
     )
     src = str(Path(fanforge.__file__).parents[1])
     proc = subprocess.run(
@@ -297,7 +294,19 @@ def packages_loaded(commands):
         env={**os.environ, "PYTHONPATH": src},
     )
     assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout.splitlines()[-1])
+    before, after = json.loads(proc.stdout.splitlines()[-1])
+    return set(before), set(after)
+
+
+def packages_loaded(commands):
+    """The top-level packages outside the standard library that running
+    `commands` loads, sorted."""
+    before, after = modules_loaded(commands)
+
+    def packages(names):
+        return {name.partition(".")[0] for name in names} - set(sys.stdlib_module_names)
+
+    return sorted(packages(after) - packages(before))
 
 
 class TestArrayImports:
@@ -313,3 +322,18 @@ class TestArrayImports:
         ]
         assert packages_loaded(quiet) == []
         assert packages_loaded([["verify", "--state", state]]) == ["numpy"]
+
+
+class TestCommandImports:
+    def test_build_and_render_load_only_what_they_run(self, tmp_path):
+        state = str(tmp_path / "state.json")
+        build = ["build", "--depth", "2", "--jumps", "16", "--out", state]
+        _, after = modules_loaded([build])
+        assert after.isdisjoint({"fanforge.verify", "fanforge.spaceset", "fanforge.render", "fanforge.decomp"})
+        renders = [
+            ["render", "--state", state, "--figure", kind, "--out", str(tmp_path / f"{kind}.svg")]
+            for kind in ("tiling", "fan", "earring")
+        ]
+        _, after = modules_loaded(renders)
+        assert "fanforge.render" in after
+        assert after.isdisjoint({"fanforge.verify", "numpy"})

@@ -1,24 +1,28 @@
 import hashlib
+import math
 import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from fanforge import build
-from fanforge.decomp import collapse_E
+from fanforge.cli import main
+from fanforge.decomp import Earring, collapse_E
 from fanforge.errors import UnknownFigure
 from fanforge.render import (
     HEIGHT,
     MARGIN,
     WIDTH,
+    _Canvas,
     figure_filename,
+    figure_lines,
     render_earring,
-    render_fan,
     render_figure,
-    render_tiling,
 )
 from fanforge.spaceset import assemble
+from fanforge.tiling import save_state
 
-from .oracles import render_fan_oracle, render_tiling_oracle
+from .oracles import CanvasOracle, render_earring_oracle, render_fan_oracle, render_tiling_oracle
 
 SVG = "{http://www.w3.org/2000/svg}"
 
@@ -30,28 +34,28 @@ def _classes(doc, tag, cls):
 
 class TestTiling:
     def test_counts_at_depth_one(self, st_1_4):
-        doc = render_tiling(st_1_4)
+        doc = render_figure(st_1_4, "tiling")
         assert len(_classes(doc, "rect", "rect")) == 12
         root = ET.fromstring(doc)
         groups = [g for g in root.iter(f"{SVG}g") if g.get("class") == "copy"]
         assert len(groups) == 13
 
     def test_byte_determinism(self, st_1_4):
-        assert render_tiling(st_1_4) == render_tiling(st_1_4)
+        assert render_figure(st_1_4, "tiling") == render_figure(st_1_4, "tiling")
 
     def test_no_nan_coordinates(self, st_1_4):
-        assert "nan" not in render_tiling(st_1_4).lower()
+        assert "nan" not in render_figure(st_1_4, "tiling").lower()
 
 
 class TestFan:
     def test_vertex_marker_present(self, st_1_4):
-        doc = render_fan(st_1_4)
+        doc = render_figure(st_1_4, "fan")
         vertices = _classes(doc, "circle", "vertex")
         assert len(vertices) == 1
 
     def test_spoke_through_column_one(self, st_1_4):
         # the spoke to c = 1 runs from the vertex to the top-right corner
-        root = ET.fromstring(render_fan(st_1_4))
+        root = ET.fromstring(render_figure(st_1_4, "fan"))
         spokes = [l for l in root.iter(f"{SVG}line") if l.get("class") == "spoke"]
         assert len(spokes) == 2 * 2**6  # both endpoints of every depth-6 interval
         ends = {(float(l.get("x2")), float(l.get("y2"))) for l in spokes}
@@ -60,9 +64,9 @@ class TestFan:
         assert any(end == pytest.approx(top_right) for end in ends)
 
     def test_diameter_metadata_embedded(self, st_1_4):
-        doc = render_fan(st_1_4)
+        doc = render_figure(st_1_4, "fan")
         assert "stage_fan_diameters" in doc
-        assert render_fan(st_1_4) == doc
+        assert render_figure(st_1_4, "fan") == doc
 
 
 class TestEarring:
@@ -79,6 +83,11 @@ class TestEarring:
         doc = render_earring(collapse_E(model, 0))
         assert len(_classes(doc, "circle", "loop")) == 1
 
+    def test_no_loops_no_group(self):
+        empty = Earring("0:0", ())
+        assert render_earring(empty) == render_earring_oracle(empty)
+        assert "<g" not in render_earring(empty)
+
     def test_determinism(self, model_1_4):
         e = collapse_E(model_1_4, 0)
         assert render_earring(e) == render_earring(e)
@@ -87,8 +96,8 @@ class TestEarring:
 class TestDispatch:
     def test_well_formed_documents(self, st_1_4, model_1_4):
         for doc in (
-            render_tiling(st_1_4),
-            render_fan(st_1_4),
+            render_figure(st_1_4, "tiling"),
+            render_figure(st_1_4, "fan"),
             render_earring(collapse_E(model_1_4, 0)),
         ):
             ET.fromstring(doc)  # raises on malformed XML
@@ -127,7 +136,48 @@ class TestByteContract:
         assert hashlib.sha256(oracle(st_2_16).encode()).hexdigest() == GOLDEN_2_16[kind]
 
     @pytest.mark.parametrize("fixture", ["st_1_4", "st_2_16", "st_3_16", "st_4_16t"])
-    def test_default_options(self, request, fixture):
+    def test_default_options(self, request, tmp_path, fixture):
+        # the file the CLI streams, the joined document and the oracle agree
         state = request.getfixturevalue(fixture)
-        assert render_tiling(state) == render_tiling_oracle(state)
-        assert render_fan(state) == render_fan_oracle(state)
+        save_state(state, tmp_path / "state.json")
+        oracles = {
+            "tiling": render_tiling_oracle,
+            "fan": render_fan_oracle,
+            "earring": lambda st: render_earring_oracle(collapse_E(assemble(st), 0)),
+        }
+        for kind, oracle in oracles.items():
+            out = tmp_path / f"{kind}.svg"
+            argv = ["render", "--state", str(tmp_path / "state.json"), "--figure", kind, "--out", str(out)]
+            assert main(argv) == 0
+            doc = render_figure(state, kind)
+            assert out.read_bytes() == doc.encode()
+            assert doc == oracle(state), kind
+
+    def test_every_line_ends_its_element(self, st_2_16):
+        for kind in GOLDEN_2_16:
+            lines = list(figure_lines(st_2_16, kind))
+            assert all(line.endswith("\n") for line in lines)
+            assert "".join(lines) == render_figure(st_2_16, kind)
+
+    def test_unknown_kind_raises_before_any_line(self, st_1_4):
+        with pytest.raises(UnknownFigure):
+            figure_lines(st_1_4, "heatmap")
+
+
+class TestAxisText:
+    """Each axis formats a float once and hands back the text the direct
+    format of the canvas map gives, for the first and every later lookup."""
+
+    FAN, TILING_3 = (-0.05, 1.05, -0.05, 1.05), (-0.05, 1.05, -3.25, 4.25)
+
+    @given(st.lists(st.floats(), max_size=8), st.sampled_from([FAN, TILING_3]))
+    @example([0.0, -0.0, 5e-324, -5e-324, 2.0**500, -(2.0**500), math.nextafter(2.0**500, 0)], FAN)
+    @example([-0.0, 0.0, 1.05, -0.05, 4.25, -3.25], TILING_3)
+    def test_memo_matches_direct_format(self, values, bounds):
+        canvas, direct = _Canvas(*bounds), CanvasOracle(*bounds)
+        for _ in range(2):  # uncached, then cached
+            for v in values:
+                assert canvas.x[v] == direct.x(v)
+                assert canvas.y[v] == direct.y(v)
+        canvas.forget()
+        assert [canvas.x[v] for v in values] == [direct.x(v) for v in values]

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from fanforge import build
 from fanforge.debski import jump_table
 from fanforge.errors import (
+    InvalidParameter,
     InvertedWindow,
     JumpHit,
     NotInCantor,
@@ -367,6 +368,16 @@ class TestCopyGeometry:
             k = v * 2**n_jumps
             assert k.denominator == 1
             assert F(copy.base + copy.step * k.numerator, copy.den) == to_global_h(copy, v)
+
+    @pytest.mark.parametrize("bottom, den", [(F(1, 3), 4), (F(1, 3), 6), (F(1, 4), 12)])
+    def test_den_that_misses_a_denominator_is_refused(self, bottom, den):
+        # den(a) and den(h) * 2^N must divide den: den 4 would place the bottom 1/3
+        # at (4 // 3) / 4 = 1/4; den(2/3) * 4 = 12 does not divide 6, nor den(3/4) * 4 = 16 12
+        rect = Rect(Address(), bottom, F(1))
+        assert den % own_den(rect, 2) != 0
+        with pytest.raises(InvalidParameter, match=f"den {den} "):
+            PlacedCopy(0, 0, rect, jump_table(2), den)
+        assert PlacedCopy(0, 0, rect, jump_table(2), own_den(rect, 2)).fiber(F(0)) == ("point", bottom, bottom)
 
 
 json_values = st.recursive(

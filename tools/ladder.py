@@ -1,9 +1,15 @@
-"""Time `build` and each `run_all` check in-process over the fixed ladder.
+"""Time `build`, the tiling and fan renders and each `run_all` check
+in-process over the fixed ladder.
 
 The ladder is (2,16), (3,16), (4,32), tolerant (4,16), (5,48) and (6,96).
 Each measurement runs in a fresh interpreter that imports fanforge from one
 source tree, builds the state and runs every check of `verify.KNOWN_CHECKS`
 on its own `run_all` call, so a per-level check includes its own sweeps.
+Then it saves the state to a temporary directory and runs the `render`
+command there through `cli.main` for the tiling and the fan figure, so a
+render time includes loading the state file and writing the SVG as the
+command does. The renders come last so that the memory they leave behind
+cannot move the check times.
 The (6,96) rung, where the state's height scale is widest, takes most of
 the time and memory: its epsilon-connectivity samples 2.3 M points.
 Each rung is timed REPEATS times per tree, the trees alternating, and the
@@ -18,22 +24,27 @@ With no --tree the tree is this checkout's src/, named "change".
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 LADDER = [(2, 16, True), (3, 16, True), (4, 32, True), (4, 16, False), (5, 48, True), (6, 96, True)]
 REPEATS = 5
+RENDERS = ("tiling", "fan")
 
 
 def time_rung(depth: int, jumps: int, strict: bool) -> dict:
-    """Seconds for the build and for each check, plus the copy count."""
-    from fanforge import tiling, verify
+    """Seconds for the build, for each check and for each render, plus the
+    copy count."""
+    from fanforge import cli, tiling, verify
 
     start = time.perf_counter()
     state = tiling.build(depth, jumps, strict)
@@ -42,6 +53,17 @@ def time_rung(depth: int, jumps: int, strict: bool) -> dict:
         start = time.perf_counter()
         verify.run_all(state, checks=[check])
         times[check] = time.perf_counter() - start
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "state.json")
+        tiling.save_state(state, path)
+        for kind in RENDERS:
+            argv = ["render", "--state", path, "--figure", kind, "--out", os.path.join(tmp, f"{kind}.svg")]
+            with contextlib.redirect_stdout(io.StringIO()):
+                start = time.perf_counter()
+                code = cli.main(argv)
+                times[f"render {kind}"] = time.perf_counter() - start
+            if code != 0:
+                raise SystemExit(f"render {kind} exited {code} at ({depth},{jumps})")
     return {"copies": len(state.copies), "seconds": times}
 
 
