@@ -20,7 +20,7 @@ from itertools import combinations
 from typing import NamedTuple
 
 from .debski import jump_table
-from .errors import DepthInsufficient, InvalidParameter, NotInCantor, NotOrdered, NotSpanning, UnknownCopy
+from .errors import DepthInsufficient, NotInCantor, NotOrdered, NotSpanning, UnknownCopy
 from .exact import (
     Address,
     addresses_of_length,
@@ -28,7 +28,7 @@ from .exact import (
     endpoint_one,
     endpoint_zero,
 )
-from .tiling import ColumnSweep, ConstructionState, PlacedCopy, pointwise_below
+from .tiling import ColumnSweep, ConstructionState, PlacedCopy, check_sampling, pointwise_below
 
 Point = tuple[Fraction, Fraction]
 
@@ -375,14 +375,6 @@ class PointCloud:
 
     def coordinates(self) -> list[tuple[float, float]]:
         return self.xy
-
-
-def check_sampling(state: ConstructionState, grid_depth: int, fiber_count: int) -> None:
-    """InvalidParameter for a grid depth below the state's depth or a negative fiber count."""
-    if grid_depth < state.depth:
-        raise InvalidParameter(f"grid depth {grid_depth} is below the construction depth {state.depth}")
-    if fiber_count < 0:
-        raise InvalidParameter(f"fiber count must be >= 0, got {fiber_count}")
 
 
 def sample_points(model: SpaceModel, grid_depth: int, fiber_count: int) -> PointCloud:

@@ -315,6 +315,13 @@ class ColumnSweep:
     (the length-s prefix holds the stage-s copies, numbered stage by
     stage), so ties break as they would by copy id; a caller that asks
     about a few copies passes their ids, each spanning the column.
+
+    Two ways through the column answer the same questions. `pair_gaps`
+    merges each adjacent pair of a strict initial order once, and
+    returns None when a pair meets: where no adjacent pair meets, no pair
+    does, and the order holds across the column. `gaps` walks every cell
+    and finds every meeting pair; it is the way through a column where
+    copies meet, and the cross-check of the other.
     """
 
     def __init__(self, state: ConstructionState, sigma: Address, n: int, ids: list[int] | None = None):
@@ -356,6 +363,78 @@ class ColumnSweep:
     @cached_property
     def breakpoints(self) -> list[int]:
         return sorted(self.events)
+
+    def breaks(self, i: int) -> int:
+        """How many breakpoints the copy at place i has in the column."""
+        return len(self._inside[i][0])
+
+    def adjacent_order(self) -> list[int] | None:
+        """The places in `ids`, bottom to top by their crossings at the
+        column's left end; None when the column is empty or two of those
+        crossings tie."""
+        first = self.first
+        order = sorted(range(len(first)), key=first.__getitem__)
+        if not order or any(first[a] == first[b] for a, b in zip(order, order[1:])):
+            return None
+        return order
+
+    def pair_gaps(self, order: list[int], widest: int) -> tuple[int, int] | None:
+        """(gaps, widest) between the adjacent copies of `order`, a strict
+        `adjacent_order()`, without the walk; None when an adjacent pair
+        meets, and the column needs `gaps()`.
+
+        A copy is a nondecreasing step function, so a lower copy l and the
+        copy u above it meet exactly where l's height just after a
+        breakpoint is >= u's height just before it. When no adjacent pair
+        meets, no pair does: for l below m below u, l's fiber at a
+        breakpoint ends below m's, which ends below where u's begins
+        (l1 < m0 <= m1 < u0), so the order never changes. Then each
+        adjacent pair bounds one gap that `gaps()` reports once at the
+        left end and once per distinct breakpoint of the two copies; that
+        count is `gaps`. The gap u - l is widest at the left end or just
+        after one of u's breakpoints, and `widest` is the largest such gap
+        or the given one. Only l's plateaus that reach first[u] can meet
+        u, and only u's plateaus above widest + first[l] can widen, so a
+        pair with last[l] < first[u] and last[u] - first[l] <= widest
+        needs no merge. In one column each stage's copies share one
+        address, so breakpoints and their union counts are kept per stage.
+        """
+        locations, values = self.table.locations, self.table.values
+        first, last, inside, stages = self.first, self.last, self._inside, self.stages
+        xs: dict[int, list[int]] = {}
+        unions: dict[tuple[int, int], int] = {}
+
+        def breakpoints(i: int) -> list[int]:
+            s = stages[i]
+            if s not in xs:
+                positions, p, origin, _, _ = inside[i]
+                xs[s] = [p * (origin + x) for x in locations[positions.start : positions.stop]]
+            return xs[s]
+
+        gaps = 0
+        for low, up in zip(order, order[1:]):
+            a, b = breakpoints(low), breakpoints(up)
+            key = (stages[low], stages[up])
+            if key not in unions:
+                unions[key] = len(a) if a is b else len(set(a).union(b))
+            gaps += 1 + unions[key]
+            span_l, _, _, base_l, step_l = inside[low]
+            span_u, _, _, base_u, step_u = inside[up]
+            start_l, start_u = span_l.start, span_u.start
+            if last[low] >= first[up]:
+                # l's plateau v follows its breakpoint a[v - start_l - 1]
+                k = bisect.bisect_left(values, -(-(first[up] - base_l) // step_l), start_l + 1, span_l.stop + 1)
+                for v in range(k, span_l.stop + 1):
+                    before = values[start_u + bisect.bisect_left(b, a[v - start_l - 1])]
+                    if base_l + step_l * values[v] >= base_u + step_u * before:
+                        return None
+            if last[up] - first[low] > widest:
+                widest = max(widest, first[up] - first[low])
+                k = bisect.bisect_right(values, (widest + first[low] - base_u) // step_u, start_u + 1, span_u.stop + 1)
+                for v in range(k, span_u.stop + 1):
+                    under = values[start_l + bisect.bisect_right(a, b[v - start_u - 1])]
+                    widest = max(widest, base_u + step_u * values[v] - base_l - step_l * under)
+        return gaps, widest
 
     def gaps(self) -> Iterator[int]:
         """Each maximal vertical gap once, left to right, as its place g.
@@ -552,6 +631,16 @@ def pointwise_below(state: ConstructionState, lower_id: int, upper_id: int, colu
             return False
         up = moved.get(1, up)
     return True
+
+
+def check_sampling(state: ConstructionState, grid_depth: int, fiber_count: int) -> None:
+    """InvalidParameter for a grid depth below the state's depth or a negative
+    fiber count: the cloud's parameters, refused by `verify` before any check
+    runs and by `spaceset.sample_points`."""
+    if grid_depth < state.depth:
+        raise InvalidParameter(f"grid depth {grid_depth} is below the construction depth {state.depth}")
+    if fiber_count < 0:
+        raise InvalidParameter(f"fiber count must be >= 0, got {fiber_count}")
 
 
 def save_state(state: ConstructionState, path: str) -> None:

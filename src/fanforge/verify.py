@@ -6,10 +6,15 @@ union of horizontal pieces and vertical segments, so each column of the
 construction splits into finitely many c-intervals on which the set of
 crossing copies, their crossing heights, and their order are all constant.
 One integer sweep per (level, column) serves coverage, condition (v),
-max-gap and, at level K, disjointness. Floating point appears only in the
-fan-metric diagnostics (null-sequence diameters, epsilon connectivity),
-which are explicitly approximate. numpy is imported only by the Euclidean
-MST, an exact grid algorithm, and the component count built on it.
+max-gap and, at level K, disjointness. Copies change their vertical order
+only where they meet, so a column where no adjacent pair meets is decided
+from its adjacent pairs alone (ColumnSweep.pair_gaps); the walk over its
+cells (ColumnSweep.gaps) is taken where copies meet or a check fails, and
+makes every witness. Floating point appears only in the fan-metric
+diagnostics (null-sequence diameters, epsilon connectivity), which are
+explicitly approximate; `spaceset` is imported by those two checks alone.
+numpy is imported only by the Euclidean MST, an exact grid algorithm, and
+the component count built on it.
 """
 
 from __future__ import annotations
@@ -25,8 +30,7 @@ from typing import TYPE_CHECKING, Sequence
 from .catalog import KNOWN_CHECKS
 from .errors import InvalidParameter
 from .exact import addresses_of_length, rational_to_str
-from .spaceset import assemble, check_sampling, sample_points, stage_fan_diameters
-from .tiling import ColumnSweep, ConstructionState, PlacedCopy
+from .tiling import ColumnSweep, ConstructionState, PlacedCopy, check_sampling
 
 if TYPE_CHECKING:
     import numpy as np
@@ -177,7 +181,8 @@ def _coverage_gap(col: ColumnSweep, den: int) -> int:
 def _problems(col: ColumnSweep, low: int | None, up: int | None, length: int, den: int) -> list[str]:
     """What condition (v) finds wrong with a gap of positive length, over
     `den`, between the copies at places low and up in `col.ids` (None: the
-    boundary); `sweep_level` inlines the interior branch as its precheck."""
+    boundary); `sweep_level` inlines the interior branch as its precheck,
+    and `_pair_path` as its test of each adjacent pair."""
     n = col.n
     if low is None and up is None:
         return ["no crossings in column"]
@@ -201,6 +206,45 @@ def _problems(col: ColumnSweep, low: int | None, up: int | None, length: int, de
     return out
 
 
+def _pair_path(col: ColumnSweep, den: int, widest: int) -> tuple[int, int] | None:
+    """(gaps checked, widest gap) of a column, as the walk counts and
+    measures them, from its adjacent pairs (ColumnSweep.pair_gaps);
+    `widest` is the level's widest gap so far. None when the column needs
+    the walk: it is empty, its initial order has a tie, its bottom
+    crossing starts below the range or its top crossing ends at or above
+    the range top (an edge gap could then have zero length after a
+    breakpoint), condition (v) finds a problem, or an adjacent pair meets.
+
+    With the order fixed, condition (v) is a question about each adjacent
+    pair and the two edge gaps. The copies only rise, so the bottom edge
+    gap is longest at the column's right end and the top one at its left
+    end, and asking `_problems` about those two lengths is asking about
+    every length the walk would see. Each edge gap is reported at the left
+    end, if it is positive there, and after each of its copy's breakpoints.
+    """
+    n = col.n
+    lo, hi = -n * den, (n + 1) * den
+    order = col.adjacent_order()
+    if order is None:
+        return None
+    bottom, top = order[0], order[-1]
+    if col.first[bottom] < lo or col.last[top] >= hi:
+        return None
+    stages, tops, bottoms = col.stages, col.tops, col.bottoms
+    for low, up in zip(order, order[1:]):
+        if not ((stages[low] == n or stages[up] == n) and tops[low] >= bottoms[up]):
+            return None
+    rise, drop = col.last[bottom] - lo, hi - col.first[top]
+    if (rise > 0 and _problems(col, None, bottom, rise, den)) or _problems(col, top, None, drop, den):
+        return None
+    pairs = col.pair_gaps(order, max(widest, rise, drop))
+    if pairs is None:
+        return None
+    gaps, widest = pairs
+    initial = (col.first[bottom] > lo) + 1  # the top edge gap is positive: first[top] < hi
+    return initial + gaps + col.breaks(bottom) + col.breaks(top), widest
+
+
 @dataclass
 class LevelSweep:
     """The finished per-level records of one pass, keyed by check name."""
@@ -222,6 +266,11 @@ def sweep_level(state: ConstructionState, n: int) -> LevelSweep:
     test: the closed gap contains both bounding crossings, so its distance
     to either bounding copy is zero. Gaps are ints over the state's `den`
     in every column; a Fraction is made only for a metric or a witness.
+
+    Each column first tries its adjacent pairs (`_pair_path`). A column
+    that needs the walk, where copies meet or condition (v) fails, gets
+    the per-gap loop below, which yields the same counts and maxima and
+    alone makes a witness or a meeting pair.
     """
     scale, den = 2**state.n_jumps, state.den
     lo, hi = -n * den, (n + 1) * den
@@ -239,6 +288,11 @@ def sweep_level(state: ConstructionState, n: int) -> LevelSweep:
                     "gap": rational_to_str(Fraction(gap, den)),
                     "budget": rational_to_str(Fraction(len(col.ids), scale)),
                 }
+        fast = _pair_path(col, den, max_gap)
+        if fast is not None:
+            checked, max_gap = fast
+            gaps_seen += checked
+            continue
         is_n = [s == n for s in col.stages]
         tops, bottoms = col.tops, col.bottoms
         walk = col.gaps()
@@ -732,6 +786,8 @@ def check_null_sequence(state: ConstructionState) -> CheckRecord:
         return CheckRecord(
             "null-sequence", "stages", "skipped", None, {"reason": "needs depth >= 2"}
         )
+    from .spaceset import stage_fan_diameters
+
     profile = stage_fan_diameters(state)
     first, last = profile.get(1, 0.0), profile.get(state.depth, 0.0)
     ok = last < first
@@ -756,6 +812,8 @@ def check_epsilon_connectivity(
     `components_at_star` is always 1, so the independent cross-check against
     all-pairs union-find lives in the oracle tests.
     """
+    from .spaceset import assemble, sample_points
+
     model = assemble(state)
     gd = state.depth if grid_depth is None else grid_depth
     cloud = sample_points(model, gd, fiber_count)

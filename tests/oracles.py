@@ -64,18 +64,6 @@ from fanforge.tiling import (
 from fanforge.verify import CheckRecord, _coverage_gap, _problems, copies_intersect
 
 
-def ternary_digits(q: Fraction, count: int) -> list[int]:
-    """First `count` greedy base-3 digits of q in [0, 1]."""
-    digits = []
-    num, den = q.numerator, q.denominator
-    for _ in range(count):
-        num *= 3
-        d = num // den
-        digits.append(d)
-        num -= d * den
-    return digits
-
-
 def cantor_member_oracle(q: Fraction, depth: int = 300) -> bool:
     """Membership by interval refinement: q must never fall in a middle gap.
 

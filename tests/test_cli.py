@@ -337,3 +337,10 @@ class TestCommandImports:
         _, after = modules_loaded(renders)
         assert "fanforge.render" in after
         assert after.isdisjoint({"fanforge.verify", "numpy"})
+
+    def test_exact_verify_loads_neither_spaceset_nor_numpy(self, tmp_path):
+        state = str(tmp_path / "state.json")
+        build = ["build", "--depth", "2", "--jumps", "16", "--out", state]
+        _, after = modules_loaded([build, ["verify", "--state", state, "--checks", EXACT_CHECKS]])
+        assert "fanforge.verify" in after
+        assert after.isdisjoint({"fanforge.spaceset", "numpy"})

@@ -69,3 +69,24 @@ def test_every_public_definition_is_reached():
 def test_allowed_names_exist_and_are_unreached():
     missing = set(ALLOWED) - set(unreached())
     assert not missing, f"reached or gone, drop from ALLOWED: {sorted(missing)}"
+
+
+def unreached_oracles() -> list[str]:
+    """Top-level names of tests/oracles.py that no test reaches, directly
+    or through an oracle that a test reaches."""
+    tests = Path(__file__).resolve().parent
+    tree = ast.parse((tests / "oracles.py").read_text(encoding="utf-8"))
+    defined = {node.name: node for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    reached: set[str] = set()
+    for path in sorted(tests.glob("test_*.py")):
+        reached |= {name for name, _ in _references(ast.parse(path.read_text(encoding="utf-8")))}
+    frontier = reached & set(defined)
+    while frontier:
+        inner = {name for node in (defined[n] for n in frontier) for name, _ in _references(node)}
+        frontier = (inner & set(defined)) - reached
+        reached |= frontier
+    return sorted(set(defined) - reached)
+
+
+def test_every_oracle_is_reached_from_a_test():
+    assert unreached_oracles() == []

@@ -179,12 +179,46 @@ def _assert_sweeps_match_oracle(state):
         assert level.meeting == meeting, n
 
 
+def _walk_only():
+    """sweep_level with every column on the walk, as if no column could
+    take the pair path."""
+    return mock.patch.object(verify, "_pair_path", lambda *args: None)
+
+
+def _walk_totals(col, den):
+    """(gaps checked, widest gap) of the walk's per-gap loop in one column:
+    its gaps of positive length, counted and measured."""
+    lo, hi = -col.n * den, (col.n + 1) * den
+    lengths = [
+        (hi if upper is None else upper[0]) - (lo if lower is None else lower[0]) for lower, upper in _gap_pairs(col)
+    ]
+    positive = [length for length in lengths if length > 0]
+    return len(positive), max(positive, default=0)
+
+
+def _assert_pair_path_matches_walk(state):
+    """In every column of every level the pair path, where it answers,
+    counts and measures the gaps as the walk does; returns the number of
+    columns that fall back to the walk."""
+    fallbacks = 0
+    for n in range(state.depth + 1):
+        for sigma in addresses_of_length(n):
+            fast = verify._pair_path(ColumnSweep(state, sigma, n), state.den, 0)
+            if fast is None:
+                fallbacks += 1
+            else:
+                assert fast == _walk_totals(ColumnSweep(state, sigma, n), state.den), (n, str(sigma))
+    return fallbacks
+
+
 def _assert_precheck_is_problem_free(state):
     """sweep_level's inlined precheck passes an interior gap exactly when
-    _problems() returns []. With _problems() stubbed to find nothing, no
-    witness stops the asking, so at every level sweep_level asks about
-    exactly the edge gaps of positive length and the interior gaps that the
-    real _problems() finds something wrong with."""
+    _problems() returns []. On the walk, with _problems() stubbed to find
+    nothing, no witness stops the asking, so at every level sweep_level
+    asks about exactly the edge gaps of positive length and the interior
+    gaps that the real _problems() finds something wrong with. The pair
+    path asks about a passing column's edge gaps once each, so it is
+    turned off here."""
     for n in range(state.depth + 1):
         asked = []
 
@@ -192,7 +226,7 @@ def _assert_precheck_is_problem_free(state):
             asked.append((tuple(col.ids), low, up))
             return []
 
-        with mock.patch.object(verify, "_problems", recorded):
+        with mock.patch.object(verify, "_problems", recorded), _walk_only():
             sweep_level(state, n)
         expected = []
         lo, hi = -n * state.den, (n + 1) * state.den
@@ -424,6 +458,7 @@ class TestDisjointness:
         assert _disjointness(bad, meeting).to_json_obj() == disjointness_oracle(bad).to_json_obj()
         _assert_sweeps_match_oracle(bad)
         _assert_precheck_is_problem_free(bad)
+        _assert_pair_path_matches_walk(bad)
 
     def test_jumps_meeting_end_to_end_at_a_breakpoint_detected(self, st_1_4):
         # stage 0 jumps over [5/16, 13/16] at c = 1/4, where a stage-1 copy
@@ -543,6 +578,119 @@ class TestCellDecomposition:
     @pytest.mark.parametrize("name", ALL_STATES)
     def test_precheck_passes_exactly_when_problems_is_empty(self, name, request):
         _assert_precheck_is_problem_free(request.getfixturevalue(name))
+
+    @pytest.mark.parametrize("name", ALL_STATES)
+    def test_pair_path_counts_and_measures_gaps_as_the_walk(self, name, request):
+        state = request.getfixturevalue(name)
+        fallbacks = _assert_pair_path_matches_walk(state)
+        if state.strict:
+            assert fallbacks == 0  # so every column of a strict fixture was compared
+        if name == "st_4_16t":
+            assert fallbacks > 0
+
+    def test_zero_length_bottom_edge_gap_is_not_counted(self, st_0_4):
+        # at n = 0 the range starts at 0, where stage 0 starts: the walk
+        # skips that empty gap, and counts the top one plus both edge gaps
+        # after each of the 4 jumps
+        col = ColumnSweep(st_0_4, Address(), 0)
+        assert col.first == [0] and col.breaks(0) == 4
+        assert verify._pair_path(col, st_0_4.den, 0) == _walk_totals(col, st_0_4.den) == (9, st_0_4.den)
+        assert sweep_level(st_0_4, 0).records["condition-v"].metrics["gaps_checked"] == 9
+
+    def test_a_tie_in_the_initial_order_falls_back(self, st_1_4):
+        rects = [Rect(Address.parse("1"), F(13, 16), F(21, 16)), Rect(Address.parse("1"), F(13, 16), F(29, 16))]
+        state = _with_rects(ConstructionState(1, 4, False, [st_1_4.stages[0].rects, []]), 1, rects)
+        col = ColumnSweep(state, Address.parse("1"), 1)
+        assert col.adjacent_order() is None
+        assert verify._pair_path(col, state.den, 0) is None
+        assert sweep_level(state, 1).meeting == {(0, 1), (0, 2), (1, 2)}
+        _assert_sweeps_match_oracle(state)
+
+    def test_adjacent_copies_meeting_at_a_breakpoint_fall_back(self, st_1_4):
+        # the stage-1 copy jumps up from 13/16 at c = 1/4, where stage 0,
+        # below it, jumps up to 13/16: strictly ordered at the left end
+        bare = ConstructionState(1, 4, True, [st_1_4.stages[0].rects, []])
+        state = _with_rects(bare, 1, [Rect(Address.parse("0"), F(13, 32), F(29, 32))])
+        col = ColumnSweep(state, Address.parse("0"), 1)
+        order = col.adjacent_order()
+        assert [col.ids[i] for i in order] == [0, 1]
+        assert col.pair_gaps(order, 0) is None
+        assert verify._pair_path(col, state.den, 0) is None
+        assert sweep_level(state, 1).meeting == {(0, 1)}
+        _assert_sweeps_match_oracle(state)
+
+    def test_adjacent_copies_level_on_a_plateau_fall_back(self, st_1_4):
+        # over column 11 stage 0 has no jump and stays at 15/16; a stage-2
+        # copy starting below it reaches 15/16 at its last jump and stays
+        # level with it: a meeting with no breakpoint of the upper copy
+        state = ConstructionState(2, 4, False, [st_1_4.stages[0].rects, [], [Rect(Address.parse("11"), F(0), F(1))]])
+        col = ColumnSweep(state, Address.parse("11"), 2)
+        order = col.adjacent_order()
+        assert [col.ids[i] for i in order] == [1, 0] and col.last[1] == col.first[0]
+        assert col.pair_gaps(order, 0) is None
+        assert sweep_level(state, 2).meeting == _accepted_pairs(state) == {(0, 1)}
+        _assert_sweeps_match_oracle(state)
+
+    def test_a_top_crossing_at_the_range_top_falls_back(self):
+        # stage 0 ends at 1 = the range top at n = 0: the top edge gap after
+        # its last jump has zero length, and the walk does not count it
+        state = ConstructionState(0, 4, True, [[Rect(Address(), F(0), F(16, 15))]])
+        col = ColumnSweep(state, Address(), 0)
+        assert col.last == [state.den]
+        assert verify._pair_path(col, state.den, 0) is None
+        assert _walk_totals(col, state.den)[0] == 8
+        _assert_sweeps_match_oracle(state)
+
+    @pytest.mark.parametrize("name", ["st_2_16", "st_3_16", "st_3_32", "st_4_32"])
+    def test_pair_gaps_widen_any_given_floor_as_the_walk(self, name, request):
+        # the floor prunes which plateaus are looked at; just below the
+        # widest interior gap it must still find that gap
+        state = request.getfixturevalue(name)
+        n = state.depth
+        for sigma in addresses_of_length(n):
+            col = ColumnSweep(state, sigma, n)
+            widest = max(upper[0] - lower[0] for lower, upper in _gap_pairs(col) if lower and upper)
+            order = col.adjacent_order()
+            gaps, _ = col.pair_gaps(order, 0)
+            for floor in (0, widest - 1, widest, widest + 1):
+                assert col.pair_gaps(order, floor) == (gaps, max(floor, widest)), (str(sigma), floor)
+
+    def test_pair_gaps_find_a_widest_gap_one_above_the_floor(self, st_1_4):
+        # over column 11 stage 0 stays at 15/16 and a stage-2 copy above it
+        # rises from 1 to 1 + 15/64: the gap is widest after its last jump
+        state = ConstructionState(2, 4, True, [st_1_4.stages[0].rects, [], [Rect(Address.parse("11"), F(1), F(5, 4))]])
+        col = ColumnSweep(state, Address.parse("11"), 2)
+        order = col.adjacent_order()
+        widest = col.last[1] - col.first[0]
+        assert max(upper[0] - lower[0] for lower, upper in _gap_pairs(col) if lower and upper) == widest
+        for floor in (0, widest - 1):
+            assert col.pair_gaps(order, floor) == (1 + 4, widest)
+
+    def test_a_condition_v_failure_falls_back_to_the_walk_witness(self, st_2_16):
+        # the merged top rect of column 00, as in TestConditionV: its pairs
+        # pass, its top edge gap is too long
+        rects = list(st_2_16.stages[2].rects)
+        k = max(i for i, r in enumerate(rects) if str(r.address) == "00")
+        merged = Rect(rects[k].address, rects[k - 1].bottom, F(3))
+        bad = _with_rects(st_2_16, 2, rects[: k - 1] + [merged] + rects[k + 1 :])
+        col = ColumnSweep(bad, Address.parse("00"), 2)
+        assert col.pair_gaps(col.adjacent_order(), 0) is not None
+        assert verify._pair_path(col, bad.den, 0) is None
+        record = sweep_level(bad, 2).records["condition-v"]
+        with _walk_only():
+            walked = sweep_level(bad, 2).records["condition-v"]
+        assert record.witness["problems"] == ["edge gap exceeds distance bound"]
+        assert json.dumps(record.to_json_obj()) == json.dumps(walked.to_json_obj())
+        _assert_sweeps_match_oracle(bad)
+
+    def test_an_empty_column_falls_back(self):
+        empty = ConstructionState(0, 4, True, [[]])
+        col = ColumnSweep(empty, Address(), 0)
+        assert col.ids == [] and verify._pair_path(col, empty.den, 0) is None
+        record = sweep_level(empty, 0).records["condition-v"]
+        assert record.witness["problems"] == ["no crossings in column"]
+        assert record.metrics["gaps_checked"] == 1
+        _assert_sweeps_match_oracle(empty)
 
     def test_cells_match_vertical_trace_at_interior_points(self, st_2_16):
         # every gap of the trace inside a cell was reported: the sweep is exhaustive
