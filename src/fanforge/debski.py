@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .exact import addresses_length_lex, endpoint_zero, locate
 
@@ -71,8 +70,7 @@ def min_jumps_for_depth(depth: int) -> int:
             return count
 
 
-@dataclass(frozen=True)
-class JumpTable:
+class JumpTable(NamedTuple):
     """The first N jumps sorted by location, in ints.
 
     `locations[j]` is the j-th jump location left to right over `den` (T,

@@ -8,16 +8,15 @@ geometry), never as a metric identification space.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import DepthInsufficient, UnknownCopy
 from .exact import Address, locate
 from .spaceset import Region, SpaceModel, region_between
 
 
-@dataclass(frozen=True)
-class Loop:
+class Loop(NamedTuple):
     """One pre-collapse jump segment of the owning copy."""
 
     jump_index: int
@@ -30,8 +29,7 @@ class Loop:
         return self.high - self.low
 
 
-@dataclass(frozen=True)
-class Earring:
+class Earring(NamedTuple):
     """A copy with its graph closure collapsed to the single base class."""
 
     copy_key: str
@@ -54,8 +52,7 @@ def collapse_E(model: SpaceModel, copy_id: int) -> Earring:
     return Earring(copy.key, tuple(loops))
 
 
-@dataclass(frozen=True)
-class Claim5Result:
+class Claim5Result(NamedTuple):
     """The nested diagnostic region around one loop of one copy.
 
     `boundary_ok` is always True. Its condition, below's top < owner's

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
@@ -38,18 +37,25 @@ def rational_to_str(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-@dataclass(frozen=True)
 class Address:
     """A finite binary word addressing the basic clopen set B(sigma).
 
-    The empty word addresses the whole Cantor set.
+    The empty word addresses the whole Cantor set. Addresses are equal, and
+    hash alike, when their bits are.
     """
 
-    bits: tuple[int, ...] = ()
+    __slots__ = ("bits",)
 
-    def __post_init__(self) -> None:
-        if any(b not in (0, 1) for b in self.bits):
-            raise ValueError(f"address bits must be 0/1: {self.bits!r}")
+    def __init__(self, bits: tuple[int, ...] = ()):
+        if any(b not in (0, 1) for b in bits):
+            raise ValueError(f"address bits must be 0/1: {bits!r}")
+        self.bits = bits
+
+    def __eq__(self, other: object) -> bool:
+        return self.bits == other.bits if isinstance(other, Address) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.bits)
 
     def __len__(self) -> int:
         return len(self.bits)

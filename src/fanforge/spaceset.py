@@ -13,7 +13,6 @@ nothing computed here flows back into exact set definitions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -234,20 +233,26 @@ def assemble(state: ConstructionState) -> SpaceModel:
     return SpaceModel(state)
 
 
-@dataclass(frozen=True)
-class Region:
+class Region(NamedTuple):
     """A basis region with its finite exact boundary point set.
 
     kind 'betweenCopies': the open set of Y-points strictly between two
     vertically ordered copies over one column. kind 'belowCopies': Y-points
-    below a finite family of copies whose columns cover C.
+    below a finite family of copies whose columns cover C. Equality ignores
+    the model.
     """
 
     kind: str
     column: Address | None
     supports: tuple[int, ...]
     boundary: tuple[Point, ...]
-    model: SpaceModel = field(repr=False, compare=False)
+    model: SpaceModel
+
+    def __eq__(self, other: object) -> bool:
+        return self[:4] == other[:4] if isinstance(other, Region) else NotImplemented
+
+    def __ne__(self, other: object) -> bool:
+        return not self == other
 
     def contains(self, point: Point) -> bool:
         c, h = point

@@ -21,9 +21,8 @@ import bisect
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Iterator
 
 from .debski import JumpTable, jump_table, min_jumps_for_depth
@@ -53,21 +52,25 @@ from .errors import (
 STATE_SCHEMA = "fanforge-state-v1"
 
 
-@dataclass(frozen=True)
 class Rect:
     """B(sigma) x [a, b] with address length equal to its stage; its
     height b - a is computed once, since both the state's scale and the
-    copy's integer form read it."""
+    copy's integer form read it. Equality and hashing ignore the height."""
 
-    address: Address
-    bottom: Fraction
-    top: Fraction
-    height: Fraction = field(init=False, repr=False, compare=False)
+    __slots__ = ("address", "bottom", "top", "height")
 
-    def __post_init__(self) -> None:
-        if not self.bottom < self.top:
-            raise ValueError(f"rect needs bottom < top, got [{self.bottom}, {self.top}]")
-        object.__setattr__(self, "height", self.top - self.bottom)
+    def __init__(self, address: Address, bottom: Fraction, top: Fraction):
+        if not bottom < top:
+            raise ValueError(f"rect needs bottom < top, got [{bottom}, {top}]")
+        self.address, self.bottom, self.top, self.height = address, bottom, top, top - bottom
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Rect):
+            return NotImplemented
+        return (self.address, self.bottom, self.top) == (other.address, other.bottom, other.top)
+
+    def __hash__(self) -> int:
+        return hash((self.address, self.bottom, self.top))
 
     @property
     def left(self) -> Fraction:
@@ -186,12 +189,13 @@ class PlacedCopy:
         return [self.midpoint_global(m) for m in range(self.table.n_jumps)]
 
 
-@dataclass
 class TilingStage:
     """One stage: its placed copies, in order."""
 
-    n: int
-    copies: list[PlacedCopy]
+    __slots__ = ("n", "copies")
+
+    def __init__(self, n: int, copies: list[PlacedCopy]):
+        self.n, self.copies = n, copies
 
     @property
     def rects(self) -> list[Rect]:
@@ -669,12 +673,21 @@ def load_state(path: str) -> ConstructionState:
             doc = json.load(fh)
     except OSError as exc:
         raise StateSchemaError(f"cannot read state file: {exc.strerror or exc}", path) from exc
+    except UnicodeDecodeError as exc:
+        raise StateSchemaError(f"not UTF-8: {exc}", path) from exc
     except json.JSONDecodeError as exc:
         raise StateSchemaError(f"not valid JSON: {exc}", path) from exc
+    except RecursionError as exc:
+        raise StateSchemaError(f"JSON nested too deeply: {exc}", path) from exc
     return state_from_json_obj(doc, location=path)
 
 
 def state_from_json_obj(doc: dict, location: str = "<state>") -> ConstructionState:
+    """The state of a fanforge-state-v1 document. The stacked rects share
+    most of their texts, so each distinct address and rational text is
+    parsed once per load, into caches dropped when it returns. A rect
+    object of three good texts takes one type test and three lookups; any
+    other rect is checked field by field, to say what is wrong."""
     if not isinstance(doc, dict):
         raise StateSchemaError("state document must be an object", location)
     schema = _require(doc, "schema", location, str)
@@ -688,6 +701,8 @@ def state_from_json_obj(doc: dict, location: str = "<state>") -> ConstructionSta
         raise StateSchemaError(f"needs depth >= 0 and jumps >= 1, got {depth}, {n_jumps}", location)
     if len(stages_doc) != depth + 1:
         raise StateSchemaError("stages must list exactly depth+1 entries", f"{location}.stages")
+    address_of = cache(Address.parse)  # a text that does not parse raises, uncached
+    rational_of = cache(rational_from_str)
     stages: list[list[Rect]] = []
     for si, st in enumerate(stages_doc):
         loc = f"{location}.stages[{si}]"
@@ -696,18 +711,21 @@ def state_from_json_obj(doc: dict, location: str = "<state>") -> ConstructionSta
             raise StateSchemaError(f"stage {si} labeled {n}", loc)
         rects = []
         for ri, rd in enumerate(_require(st, "rects", loc, list)):
-            rloc = f"{loc}.rects[{ri}]"
-            address_text = _require(rd, "address", rloc, str)
-            a_text = _require(rd, "a", rloc, str)
-            b_text = _require(rd, "b", rloc, str)
-            try:
-                address = Address.parse(address_text)
-                a, b = rational_from_str(a_text), rational_from_str(b_text)
-                rect = Rect(address, a, b)
-            except ValueError as exc:
-                raise StateSchemaError(str(exc), rloc) from exc
-            if len(address) != n:
-                raise StateSchemaError(f"address length {len(address)} at stage {n}", rloc)
+            rect = None
+            if type(rd) is dict:
+                try:
+                    rect = Rect(address_of(rd["address"]), rational_of(rd["a"]), rational_of(rd["b"]))
+                except (KeyError, TypeError, ValueError):
+                    pass
+            if rect is None:
+                rloc = f"{loc}.rects[{ri}]"
+                texts = [_require(rd, key, rloc, str) for key in ("address", "a", "b")]
+                try:
+                    rect = Rect(address_of(texts[0]), rational_of(texts[1]), rational_of(texts[2]))
+                except ValueError as exc:
+                    raise StateSchemaError(str(exc), rloc) from exc
+            if len(rect.address) != n:
+                raise StateSchemaError(f"address length {len(rect.address)} at stage {n}", f"{loc}.rects[{ri}]")
             rects.append(rect)
         stages.append(rects)
     return ConstructionState(depth, n_jumps, strict, stages)

@@ -23,9 +23,8 @@ import bisect
 import itertools
 import json
 import math
-from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .catalog import KNOWN_CHECKS
 from .errors import InvalidParameter
@@ -38,16 +37,19 @@ if TYPE_CHECKING:
 REPORT_SCHEMA = "fanforge-report-v1"
 
 
-@dataclass
 class CheckRecord:
-    name: str
-    scope: str
-    status: str  # pass | fail | skipped
-    witness: dict | None = None
-    metrics: dict = field(default_factory=dict)
+    """One check's verdict; its report object lists the slots in order."""
+
+    __slots__ = ("name", "scope", "status", "witness", "metrics")
+
+    def __init__(
+        self, name: str, scope: str, status: str, witness: dict | None = None, metrics: dict | None = None
+    ):
+        self.name, self.scope, self.status = name, scope, status  # status: pass | fail | skipped
+        self.witness, self.metrics = witness, {} if metrics is None else metrics
 
     def to_json_obj(self) -> dict:
-        return asdict(self)
+        return {key: getattr(self, key) for key in self.__slots__}
 
 
 class VerificationReport:
@@ -245,8 +247,7 @@ def _pair_path(col: ColumnSweep, den: int, widest: int) -> tuple[int, int] | Non
     return initial + gaps + col.breaks(bottom) + col.breaks(top), widest
 
 
-@dataclass
-class LevelSweep:
+class LevelSweep(NamedTuple):
     """The finished per-level records of one pass, keyed by check name."""
 
     records: dict[str, CheckRecord]

@@ -13,8 +13,9 @@ coordinate formatted where it is written), and the stage
 builder and the cloud's fiber gaps from per-copy Fraction traces, the
 Q-points and their fiber isolation from each copy's Fraction midpoints, and
 the disjointness record from the pairwise scan over every candidate pair,
-a copy's placement and its earring from its rectangle in Fractions, and a
-Cantor point inside an open interval from a breadth-first search.
+a copy's placement and its earring from its rectangle in Fractions, a
+Cantor point inside an open interval from a breadth-first search, and a
+state document's load from parsing every rect's texts afresh.
 They exist to compute and to cross-check expected values, not to be fast.
 """
 
@@ -38,6 +39,7 @@ from fanforge.errors import (
     NotInCantor,
     NotOrdered,
     NotSpanning,
+    StateSchemaError,
     TraceOutOfRange,
     TruncationTooCoarse,
 )
@@ -48,15 +50,18 @@ from fanforge.exact import (
     endpoint_one,
     endpoint_zero,
     locate,
+    rational_from_str,
     rational_to_str,
 )
 from fanforge.render import CANTOR_DEPTH, HEAD, HEIGHT, MARGIN, STROKE_COPY, STROKE_RECT, TAIL, WIDTH
 from fanforge.spaceset import Region, VERTEX, fan_point
 from fanforge.tiling import (
+    STATE_SCHEMA,
     ColumnSweep,
     ConstructionState,
     PlacedCopy,
     Rect,
+    _require,
     stage_one,
     stage_zero,
     vertical_trace,
@@ -1183,3 +1188,43 @@ def sample_points_oracle(model, grid_depth: int, fiber_count: int) -> SampledClo
         for _, g_lo, g_hi in gaps[:fiber_count]:
             p_samples.append((c, (g_lo + g_hi) / 2))
     return SampledCloud(xy + [fan_point(p) for p in p_samples], p_samples)
+
+
+def state_from_json_obj_oracle(doc: dict, location: str = "<state>") -> ConstructionState:
+    """state_from_json_obj with every rect's texts checked and parsed afresh."""
+    if not isinstance(doc, dict):
+        raise StateSchemaError("state document must be an object", location)
+    schema = _require(doc, "schema", location, str)
+    if schema != STATE_SCHEMA:
+        raise StateSchemaError(f"unknown schema {schema!r}", f"{location}.schema")
+    depth = _require(doc, "depth", location, int)
+    n_jumps = _require(doc, "jumps", location, int)
+    strict = _require(doc, "strict", location, bool)
+    stages_doc = _require(doc, "stages", location, list)
+    if depth < 0 or n_jumps < 1:
+        raise StateSchemaError(f"needs depth >= 0 and jumps >= 1, got {depth}, {n_jumps}", location)
+    if len(stages_doc) != depth + 1:
+        raise StateSchemaError("stages must list exactly depth+1 entries", f"{location}.stages")
+    stages: list[list[Rect]] = []
+    for si, st in enumerate(stages_doc):
+        loc = f"{location}.stages[{si}]"
+        n = _require(st, "n", loc, int)
+        if n != si:
+            raise StateSchemaError(f"stage {si} labeled {n}", loc)
+        rects = []
+        for ri, rd in enumerate(_require(st, "rects", loc, list)):
+            rloc = f"{loc}.rects[{ri}]"
+            address_text = _require(rd, "address", rloc, str)
+            a_text = _require(rd, "a", rloc, str)
+            b_text = _require(rd, "b", rloc, str)
+            try:
+                address = Address.parse(address_text)
+                a, b = rational_from_str(a_text), rational_from_str(b_text)
+                rect = Rect(address, a, b)
+            except ValueError as exc:
+                raise StateSchemaError(str(exc), rloc) from exc
+            if len(address) != n:
+                raise StateSchemaError(f"address length {len(address)} at stage {n}", rloc)
+            rects.append(rect)
+        stages.append(rects)
+    return ConstructionState(depth, n_jumps, strict, stages)

@@ -183,6 +183,20 @@ class TestVerify:
         assert str(path) in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize(
+        "content, message",
+        [(b"[" * 200_000 + b"]" * 200_000, "JSON nested too deeply"), (b"\xff\xfe", "not UTF-8")],
+        ids=["nested-200000-deep", "not-utf8"],
+    )
+    def test_unparseable_state_exits_2_with_a_schema_error(self, tmp_path, content, message):
+        path = tmp_path / "unparseable.json"
+        path.write_bytes(content)
+        proc = verify_in_subprocess(path)
+        assert proc.returncode == 2
+        assert f"StateSchemaError: {message}" in proc.stderr
+        assert str(path) in proc.stderr
+        assert "Traceback" not in proc.stderr
+
 
 class TestTrace:
     def test_known_column(self, tmp_path, capsys):
@@ -330,17 +344,18 @@ class TestCommandImports:
         build = ["build", "--depth", "2", "--jumps", "16", "--out", state]
         _, after = modules_loaded([build])
         assert after.isdisjoint({"fanforge.verify", "fanforge.spaceset", "fanforge.render", "fanforge.decomp"})
+        assert after.isdisjoint({"dataclasses", "inspect"})
         renders = [
             ["render", "--state", state, "--figure", kind, "--out", str(tmp_path / f"{kind}.svg")]
             for kind in ("tiling", "fan", "earring")
         ]
         _, after = modules_loaded(renders)
         assert "fanforge.render" in after
-        assert after.isdisjoint({"fanforge.verify", "numpy"})
+        assert after.isdisjoint({"fanforge.verify", "numpy", "dataclasses", "inspect"})
 
     def test_exact_verify_loads_neither_spaceset_nor_numpy(self, tmp_path):
         state = str(tmp_path / "state.json")
         build = ["build", "--depth", "2", "--jumps", "16", "--out", state]
         _, after = modules_loaded([build, ["verify", "--state", state, "--checks", EXACT_CHECKS]])
         assert "fanforge.verify" in after
-        assert after.isdisjoint({"fanforge.spaceset", "numpy"})
+        assert after.isdisjoint({"fanforge.spaceset", "numpy", "dataclasses", "inspect"})

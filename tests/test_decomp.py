@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction as F
 
 import pytest
@@ -6,7 +7,7 @@ from fanforge.decomp import Claim5Result, claim5_regions, collapse_E
 from fanforge.errors import DepthInsufficient, FanforgeError, IndexOutOfRange, NotOrdered, UnknownCopy
 from fanforge.exact import Address
 from fanforge.spaceset import assemble
-from fanforge.tiling import ConstructionState, Rect, stage_zero
+from fanforge.tiling import ConstructionState, Rect, stage_zero, state_from_json_obj
 
 from .oracles import (
     claim5_oracle,
@@ -47,6 +48,13 @@ class TestCollapse:
 
     def test_idempotent(self, model_1_4):
         assert collapse_E(model_1_4, 3) == collapse_E(model_1_4, 3)
+
+    def test_rebuilt_from_a_reloaded_state_equal_and_hash_alike(self, st_2_16, model_2_16):
+        again = assemble(state_from_json_obj(json.loads(st_2_16.to_json())))
+        for cid in (0, 1, 77):
+            ours, rebuilt = collapse_E(model_2_16, cid), collapse_E(again, cid)
+            assert ours == rebuilt and hash(ours) == hash(rebuilt)
+        assert collapse_E(model_2_16, 0) != collapse_E(model_2_16, 1)
 
     def test_unknown_copy(self, model_1_4):
         with pytest.raises(UnknownCopy):

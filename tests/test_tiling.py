@@ -41,6 +41,7 @@ from .oracles import (
     own_den,
     plateaus_global_oracle,
     pointwise_below_oracle,
+    state_from_json_obj_oracle,
     state_pieces_oracle,
     to_global_c,
     to_global_h,
@@ -421,6 +422,16 @@ class TestStateScale:
         assert forms[0] == forms[1]
 
 
+def load_outcome(loader, doc):
+    """What loading `doc` gives: the state's JSON with each copy's integer
+    form, or the message and location of the StateSchemaError raised."""
+    try:
+        state = loader(doc)
+    except StateSchemaError as exc:
+        return "error", str(exc), exc.location
+    return "state", state.to_json(), [(c.den, c.base, c.step, c.origin) for c in state.copies]
+
+
 class TestStateSerialization:
     @given(st.sampled_from(STATE_FIELDS), json_values)
     def test_any_corrupted_field_loads_or_raises_schema_error(self, st_1_4, path, value):
@@ -429,10 +440,7 @@ class TestStateSerialization:
         for key in path[:-1]:
             target = target[key]
         target[path[-1]] = value
-        try:
-            state_from_json_obj(doc)
-        except StateSchemaError:
-            pass
+        assert load_outcome(state_from_json_obj, doc) == load_outcome(state_from_json_obj_oracle, doc)
 
     @pytest.mark.parametrize(
         "field, value",
@@ -468,3 +476,95 @@ class TestStateSerialization:
                  "stages": [{"n": 0, "rects": [{"address": "", "a": "0/1"}]}]}
             )
         assert "rects[0]" in str(exc.value)
+
+
+class TestLoaderAgainstOracle:
+    """The loader parses each distinct text once; the oracle parses every
+    rect afresh. They load and refuse the same documents alike."""
+
+    @pytest.mark.parametrize(
+        "name", ["st_0_4", "st_1_4", "st_2_16", "st_3_16", "st_3_32", "st_3_16t", "st_4_16t", "st_4_32", "st_5_32t"]
+    )
+    def test_every_fixture_loads_as_the_oracle_loads_it(self, name, request):
+        state = request.getfixturevalue(name)
+        doc = json.loads(state.to_json())
+        ours = load_outcome(state_from_json_obj, doc)
+        assert ours == load_outcome(state_from_json_obj_oracle, doc)
+        assert ours[1] == state.to_json()
+
+    @given(st.data())
+    def test_texts_moved_between_rects_load_as_the_oracle_loads_them(self, st_2_16, data):
+        # a text copied from another rect is already parsed when the
+        # target rect is read, or is parsed there first
+        doc = json.loads(st_2_16.to_json())
+        rects = [rd for stage in doc["stages"] for rd in stage["rects"]]
+        source, target = data.draw(st.sampled_from(rects)), data.draw(st.sampled_from(rects))
+        for key in data.draw(st.lists(st.sampled_from(["address", "a", "b"]), min_size=1, max_size=3)):
+            target[key] = source[data.draw(st.sampled_from(["address", "a", "b"]))]
+        assert load_outcome(state_from_json_obj, doc) == load_outcome(state_from_json_obj_oracle, doc)
+
+    def test_non_canonical_rational_loads_equal_to_canonical(self, st_1_4):
+        # "-1/2" and "3/2" stay canonical in the rects next to these
+        doc = json.loads(st_1_4.to_json())
+        rects = doc["stages"][1]["rects"]
+        assert (rects[4]["b"], rects[7]["a"]) == ("-1/2", "3/2")
+        rects[4]["b"], rects[7]["a"] = "-2/4", "6/4"
+        assert load_outcome(state_from_json_obj, doc) == load_outcome(state_from_json_obj_oracle, doc)
+        assert state_from_json_obj(doc).to_json() == st_1_4.to_json()
+
+    @staticmethod
+    def _refusal(doc, stage, index):
+        outcome = load_outcome(state_from_json_obj, doc)
+        assert outcome == load_outcome(state_from_json_obj_oracle, doc)
+        assert outcome[0] == "error" and outcome[2] == f"<state>.stages[{stage}].rects[{index}]"
+        return outcome[1]
+
+    def test_address_seen_at_an_earlier_stage_is_refused_at_its_rect(self, st_2_16):
+        doc = json.loads(st_2_16.to_json())
+        doc["stages"][2]["rects"][5]["address"] = doc["stages"][1]["rects"][0]["address"]
+        assert self._refusal(doc, 2, 5).startswith("address length 1 at stage 2")
+
+    def test_inverted_bounds_of_seen_texts_are_refused_at_their_rect(self, st_2_16):
+        doc = json.loads(st_2_16.to_json())
+        rects = doc["stages"][2]["rects"]
+        seen: set[str] = set()
+        for index, rd in enumerate(rects):
+            if rd["a"] in seen and rd["b"] in seen:
+                break
+            seen |= {rd["a"], rd["b"]}
+        else:
+            pytest.fail("no rect of stage 2 reuses two earlier texts")
+        rd["a"], rd["b"] = rd["b"], rd["a"]
+        assert self._refusal(doc, 2, index).startswith("rect needs bottom < top")
+
+    @pytest.mark.parametrize(
+        "fields, first",
+        [
+            ({"address": "2", "a": "0.5"}, "address string must be bits: '2'"),
+            ({"a": "0.5", "b": "1e0"}, "not a rational: '0.5'"),
+            ({"a": "0.5", "b": 1}, "'b' must be str"),
+        ],
+    )
+    def test_the_first_bad_field_of_a_rect_is_named(self, st_2_16, fields, first):
+        # types are checked before any text is parsed, and texts in order
+        doc = json.loads(st_2_16.to_json())
+        doc["stages"][2]["rects"][4].update(fields)
+        outcome = load_outcome(state_from_json_obj, doc)
+        assert outcome == load_outcome(state_from_json_obj_oracle, doc)
+        assert outcome[1].startswith(first)
+
+    @pytest.mark.parametrize("rect", [["0", "1/2", "1/1"], "0", None, 7])
+    def test_non_object_rect_is_refused(self, st_2_16, rect):
+        doc = json.loads(st_2_16.to_json())
+        doc["stages"][1]["rects"][3] = rect
+        assert self._refusal(doc, 1, 3).startswith("expected an object")
+
+
+def test_address_and_rect_keep_their_equality_and_hashing():
+    assert Address((0, 1)) == Address.parse("01") and hash(Address((0, 1))) == hash(Address.parse("01"))
+    assert Address((0,)) != Address((1,)) and Address() != () and len({Address(), Address(())}) == 1
+    rect = Rect(Address.parse("0"), F(1, 2), F(1))
+    same = Rect(Address((0,)), F(2, 4), F(1))
+    assert rect == same and hash(rect) == hash(same) and len({rect, same}) == 1
+    assert rect != Rect(Address.parse("1"), F(1, 2), F(1)) and rect != Rect(Address.parse("0"), F(1, 2), F(3, 2))
+    assert same.height == F(1, 2)

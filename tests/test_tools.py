@@ -18,7 +18,7 @@ def load_tool(name: str):
 def test_ladder_times_the_build_and_each_check_of_a_rung():
     rung = load_tool("ladder").time_rung(2, 16, True)
     assert rung["copies"] == 78
-    assert list(rung["seconds"]) == ["build", *KNOWN_CHECKS, "render tiling", "render fan"]
+    assert list(rung["seconds"]) == ["import", "build", *KNOWN_CHECKS, "load_state", "render tiling", "render fan"]
     assert all(isinstance(t, float) and t >= 0 for t in rung["seconds"].values())
 
 

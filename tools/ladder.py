@@ -1,14 +1,16 @@
-"""Time `build`, the tiling and fan renders and each `run_all` check
-in-process over the fixed ladder.
+"""Time the package import, `build`, each `run_all` check, `load_state`
+and the tiling and fan renders in-process over the fixed ladder.
 
 The ladder is (2,16), (3,16), (4,32), tolerant (4,16), (5,48) and (6,96).
 Each measurement runs in a fresh interpreter that imports fanforge from one
 source tree, builds the state and runs every check of `verify.KNOWN_CHECKS`
 on its own `run_all` call, so a per-level check includes its own sweeps.
-Then it saves the state to a temporary directory and runs the `render`
-command there through `cli.main` for the tiling and the fan figure, so a
-render time includes loading the state file and writing the SVG as the
-command does. The renders come last so that the memory they leave behind
+Then it saves the state to a temporary directory, loads it back with
+`load_state`, and runs the `render` command there through `cli.main` for
+the tiling and the fan figure, so a render time includes loading the state
+file and writing the SVG as the command does. The `import` entry is the
+fixed cost every command pays first: `import fanforge.cli, fanforge.verify`
+timed inside one more fresh interpreter. The renders come last so that the memory they leave behind
 cannot move the check times.
 The (6,96) rung, where the state's height scale is widest, takes most of
 the time and memory: its epsilon-connectivity samples 2.3 M points.
@@ -39,16 +41,20 @@ from pathlib import Path
 LADDER = [(2, 16, True), (3, 16, True), (4, 32, True), (4, 16, False), (5, 48, True), (6, 96, True)]
 REPEATS = 5
 RENDERS = ("tiling", "fan")
+IMPORT = "import time; t = time.perf_counter(); import fanforge.cli, fanforge.verify; print(time.perf_counter() - t)"
 
 
 def time_rung(depth: int, jumps: int, strict: bool) -> dict:
-    """Seconds for the build, for each check and for each render, plus the
-    copy count."""
+    """Seconds for the import, the build, each check, the load and each
+    render, plus the copy count."""
     from fanforge import cli, tiling, verify
 
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    imported = subprocess.run([sys.executable, "-c", IMPORT], env=env, capture_output=True, text=True, check=True)
+    times = {"import": float(imported.stdout)}
     start = time.perf_counter()
     state = tiling.build(depth, jumps, strict)
-    times = {"build": time.perf_counter() - start}
+    times["build"] = time.perf_counter() - start
     for check in verify.KNOWN_CHECKS:
         start = time.perf_counter()
         verify.run_all(state, checks=[check])
@@ -56,6 +62,9 @@ def time_rung(depth: int, jumps: int, strict: bool) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "state.json")
         tiling.save_state(state, path)
+        start = time.perf_counter()
+        tiling.load_state(path)
+        times["load_state"] = time.perf_counter() - start
         for kind in RENDERS:
             argv = ["render", "--state", path, "--figure", kind, "--out", os.path.join(tmp, f"{kind}.svg")]
             with contextlib.redirect_stdout(io.StringIO()):
