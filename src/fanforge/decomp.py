@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import DepthInsufficient, UnknownCopy
+from .errors import DepthInsufficient
 from .exact import Address, locate
 from .spaceset import Region, SpaceModel, region_between
 
@@ -44,10 +44,7 @@ def collapse_E(model: SpaceModel, copy_id: int) -> Earring:
     operation is idempotent: rebuilding from the same copy yields an equal
     earring.
     """
-    try:
-        copy = model.state.copies[copy_id]
-    except IndexError as exc:
-        raise UnknownCopy(f"no copy with id {copy_id}") from exc
+    copy = model.state.copy_at(copy_id)
     loops = (Loop(m, *copy.jump_global(pos)) for m, pos in enumerate(copy.table.pos_of_index))
     return Earring(copy.key, tuple(loops))
 
@@ -88,10 +85,7 @@ def claim5_regions(model: SpaceModel, copy_id: int, level: int, loop_index: int)
     combined open set lies on the two chosen copies and the owner.
     """
     state = model.state
-    try:
-        owner = state.copies[copy_id]
-    except IndexError as exc:
-        raise UnknownCopy(f"no copy with id {copy_id}") from exc
+    owner = state.copy_at(copy_id)
     if level < 0:
         raise DepthInsufficient(f"level must be >= 0, got {level}")
     target = owner.stage + 1 + level
@@ -102,11 +96,10 @@ def claim5_regions(model: SpaceModel, copy_id: int, level: int, loop_index: int)
     pos = owner.jump_pos(loop_index)
     c_j, seg_lo, seg_hi = owner.jump_global(pos)
     column = locate(c_j, target)
-    # the stage-target rects over the column against the loop, as ints over the state's den
-    rects = [cid for cid in state.ids_at_address(column.bits) if state.copies[cid].stage == target]
+    # the rects over the column, all of stage target, against the loop, as ints over the state's den
     seg_bottom, seg_top = owner.height(pos), owner.height(pos + 1)
     above, below = [], []  # (rect bottom, id) and (minus rect top, id)
-    for cid in rects:
+    for cid in state.ids_at_address(column.bits):
         copy = state.copies[cid]
         bottom, top = copy.base, copy.base + copy.step * 2**state.n_jumps
         if bottom >= seg_top:

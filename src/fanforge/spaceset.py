@@ -19,7 +19,7 @@ from itertools import combinations
 from typing import NamedTuple
 
 from .debski import jump_table
-from .errors import DepthInsufficient, NotInCantor, NotOrdered, NotSpanning, UnknownCopy
+from .errors import DepthInsufficient, NotInCantor, NotOrdered, NotSpanning
 from .exact import (
     Address,
     addresses_of_length,
@@ -208,7 +208,8 @@ class SpaceModel:
     def classify(self, point: Point) -> str:
         """'Q', 'P', or 'not-in-Y' (the point lies on a copy off its midpoint).
 
-        Decided from the integer fibers (ConstructionState.fibers_at): a
+        Decided from the integer fibers of the copies whose heights reach
+        h, found on the column index (ConstructionState.fibers_through): a
         point is in Q when some copy jumps at c and h is that jump's
         midpoint, even when it lies on another copy too."""
         c, h = point
@@ -216,7 +217,7 @@ class SpaceModel:
             raise NotInCantor(f"{c} is not in the Cantor set")
         on = False
         scaled = h.numerator * self.state.den  # h = scaled / (den * h.denominator)
-        for cid, k, k_hi in self.state.fibers_at(c):
+        for cid, k, k_hi in self.state.fibers_through(c, h):
             copy = self.state.copies[cid]
             lo, hi = copy.height(k) * h.denominator, copy.height(k_hi) * h.denominator
             if k_hi > k and 2 * scaled == lo + hi:
@@ -287,10 +288,7 @@ def region_between(model: SpaceModel, lower_id: int, upper_id: int, column: Addr
     points, and no other Y-point lies on the region's frontier.
     """
     state = model.state
-    try:
-        lower, upper = state.copies[lower_id], state.copies[upper_id]
-    except IndexError as exc:
-        raise UnknownCopy(str(exc)) from exc
+    lower, upper = state.copy_at(lower_id), state.copy_at(upper_id)
     for copy in (lower, upper):
         if not copy.rect.address.is_prefix_of(column):
             raise NotSpanning(f"copy {copy.key} does not span column {column}")

@@ -47,6 +47,7 @@ from .errors import (
     StateSchemaError,
     TraceOutOfRange,
     TruncationTooCoarse,
+    UnknownCopy,
 )
 
 STATE_SCHEMA = "fanforge-state-v1"
@@ -95,11 +96,15 @@ class PlacedCopy:
     (base + step*k) / den, over its state's `den` (ConstructionState), and
     its column's left end is origin / 3^stage (`Address.origin`). A den
     that is not a multiple of den(a) and of den(h) * 2^N is refused. `fiber`,
-    `jump_global` and `midpoint_global` make a Fraction only for each value
-    they return.
+    `jump_global` and `midpoint_global` return shared exact values: each
+    plateau height (`exact_height`) and each jump midpoint is made a
+    Fraction once, on first use, and kept. They do not depend on `den`, so
+    a rescaled copy keeps them.
     """
 
-    __slots__ = ("stage", "index", "rect", "table", "den", "base", "step", "origin", "_pow3")
+    __slots__ = (
+        "stage", "index", "rect", "table", "den", "base", "step", "origin", "_pow3", "_heights", "_midpoints"
+    )
 
     def __init__(self, stage: int, index: int, rect: Rect, table: JumpTable, den: int):
         self.stage = stage
@@ -119,6 +124,8 @@ class PlacedCopy:
         self.base = a.numerator * a_unit
         self.step = h.numerator * h_unit
         self.origin = rect.address.origin
+        self._heights: list[Fraction | None] | None = None  # by value index, made on first use
+        self._midpoints: list[tuple[Fraction, Fraction] | None] | None = None  # by sorted position
 
     @property
     def key(self) -> str:
@@ -155,11 +162,21 @@ class PlacedCopy:
         """The height over `den` of the plateau with value index k."""
         return self.base + self.step * self.table.values[k]
 
+    def exact_height(self, k: int) -> Fraction:
+        """height(k) / den, the plateau of value index k, as a shared Fraction."""
+        heights = self._heights
+        if heights is None:
+            heights = self._heights = [None] * (self.table.n_jumps + 1)
+        value = heights[k]
+        if value is None:
+            value = heights[k] = Fraction(self.height(k), self.den)
+        return value
+
     def fiber(self, c: Fraction) -> tuple[str, Fraction, Fraction]:
         """('point', v, v) or ('segment', low, high) over the vertical at c."""
         lo, hi = self.fiber_span(c)
         kind = "segment" if hi > lo else "point"
-        return (kind, Fraction(self.height(lo), self.den), Fraction(self.height(hi), self.den))
+        return (kind, self.exact_height(lo), self.exact_height(hi))
 
     def jump_pos(self, index: int) -> int:
         """The sorted position of jump `index`; IndexOutOfRange outside [0, N)."""
@@ -167,23 +184,30 @@ class PlacedCopy:
             raise IndexOutOfRange(f"jump index {index} not in [0, {self.table.n_jumps})")
         return self.table.pos_of_index[index]
 
+    def _midpoint(self, pos: int) -> tuple[Fraction, Fraction]:
+        """The jump at sorted position pos as a shared global (location,
+        midpoint height); IndexOutOfRange outside [0, N)."""
+        if not 0 <= pos < self.table.n_jumps:
+            raise IndexOutOfRange(f"jump position {pos} not in [0, {self.table.n_jumps})")
+        midpoints = self._midpoints
+        if midpoints is None:
+            midpoints = self._midpoints = [None] * self.table.n_jumps
+        point = midpoints[pos]
+        if point is None:
+            t_den, values = self.table.den, self.table.values
+            point = midpoints[pos] = (
+                Fraction(self.origin * t_den + self.table.locations[pos], t_den * self._pow3),
+                Fraction(2 * self.base + self.step * (values[pos] + values[pos + 1]), 2 * self.den),
+            )
+        return point
+
     def jump_global(self, pos: int) -> tuple[Fraction, Fraction, Fraction]:
-        """Jump at sorted position pos as global (location, low, high), from ints."""
-        t_den = self.table.den
-        return (
-            Fraction(self.origin * t_den + self.table.locations[pos], t_den * self._pow3),
-            Fraction(self.height(pos), self.den),
-            Fraction(self.height(pos + 1), self.den),
-        )
+        """Jump at sorted position pos as global (location, low, high)."""
+        return (self._midpoint(pos)[0], self.exact_height(pos), self.exact_height(pos + 1))
 
     def midpoint_global(self, index: int) -> tuple[Fraction, Fraction]:
-        """The midpoint of jump `index` as global (location, height), from ints."""
-        t_den, values = self.table.den, self.table.values
-        pos = self.jump_pos(index)
-        return (
-            Fraction(self.origin * t_den + self.table.locations[pos], t_den * self._pow3),
-            Fraction(2 * self.base + self.step * (values[pos] + values[pos + 1]), 2 * self.den),
-        )
+        """The midpoint of jump `index` as global (location, height)."""
+        return self._midpoint(self.jump_pos(index))
 
     def midpoints_global(self) -> list[tuple[Fraction, Fraction]]:
         return [self.midpoint_global(m) for m in range(self.table.n_jumps)]
@@ -213,6 +237,10 @@ class ConstructionState:
     `den`, the state's one height scale, is the lcm over its rects of
     lcm(den a, den h * 2^N) (bottom a, height h). Every copy's integer form
     is over it (PlacedCopy), so any two heights compare as ints.
+
+    The point queries read a column index, built on the first of them and
+    dropped by `add_stage` (`fibers_through`); `ids_at_address` keeps id
+    order, which the column walks rely on.
     """
 
     def __init__(self, depth: int, n_jumps: int, strict: bool, stages: list[list[Rect]]):
@@ -224,6 +252,7 @@ class ConstructionState:
         self.stages: list[TilingStage] = []
         self.copies: list[PlacedCopy] = []
         self._by_address: dict[tuple[int, ...], list[int]] = {}
+        self._columns: dict[tuple[int, ...], tuple[list[int], list[int], list[int], list[int]]] | None = None
         for rects in stages:
             self.add_stage(rects)
 
@@ -232,6 +261,7 @@ class ConstructionState:
         where its rects widen `den`, every placed copy is scaled to it."""
         n = len(self.stages)
         scale = 2**self.n_jumps
+        self._columns = None
         dens = (d for r in rects for d in (r.bottom.denominator, r.height.denominator * scale))
         den = math.lcm(self.den, *set(dens))
         unit = den // self.den
@@ -251,6 +281,13 @@ class ConstructionState:
     @property
     def range_high(self) -> Fraction:
         return Fraction(self.depth + 1)
+
+    def copy_at(self, cid: int) -> PlacedCopy:
+        """The copy with id cid; UnknownCopy outside [0, len(copies)), so
+        a negative id never counts from the end."""
+        if not 0 <= cid < len(self.copies):
+            raise UnknownCopy(f"no copy with id {cid}")
+        return self.copies[cid]
 
     def ids_at_address(self, bits: tuple[int, ...]) -> list[int]:
         return self._by_address.get(bits, [])
@@ -276,6 +313,46 @@ class ConstructionState:
             if ids:
                 k, k_hi = self.copies[ids[0]].fiber_span(c)
                 yield from ((cid, k, k_hi) for cid in ids)
+
+    def _column_index(self) -> dict[tuple[int, ...], tuple[list[int], list[int], list[int], list[int]]]:
+        """Per address: its copy ids by increasing base (ties by id), their
+        bases, their tops height(N), and the running maximum of those tops."""
+        top = self.n_jumps
+        columns = {}
+        for bits, ids in self._by_address.items():
+            ranked = sorted(ids, key=lambda cid: self.copies[cid].base)
+            bases = [self.copies[cid].base for cid in ranked]
+            tops = [self.copies[cid].height(top) for cid in ranked]
+            columns[bits] = (ranked, bases, tops, list(itertools.accumulate(tops, max)))
+        self._columns = columns
+        return columns
+
+    def fibers_through(self, c: Fraction, h: Fraction) -> Iterator[tuple[int, int, int]]:
+        """(copy id, k, k_hi) as in `fibers_at`, for exactly the copies
+        spanning the Cantor point c whose heights reach h, that is
+        height(0) <= h <= height(N); a fiber at c meets h only on such a
+        copy. Per address, the copies with base <= h are a prefix of the
+        column index, found by bisection; it is walked from its end while
+        the running maximum of its tops still reaches h, since no copy
+        before that place does. So the answer is exact for any rects,
+        overlapping or listed out of height order."""
+        columns = self._columns if self._columns is not None else self._column_index()
+        scaled, q = h.numerator * self.den, h.denominator  # h = scaled / (den * q)
+        floor, ceiling = scaled // q, -(-scaled // q)  # base <= h iff base <= floor, top >= h iff top >= ceiling
+        bits = locate(c, self.depth).bits
+        for length in range(len(bits) + 1):
+            column = columns.get(bits[:length])
+            if column is None:
+                continue
+            ids, bases, tops, reach = column
+            j = bisect.bisect_right(bases, floor) - 1
+            if j < 0 or reach[j] < ceiling:
+                continue
+            k, k_hi = self.copies[ids[0]].fiber_span(c)
+            while j >= 0 and reach[j] >= ceiling:
+                if tops[j] >= ceiling:
+                    yield ids[j], k, k_hi
+                j -= 1
 
     def to_json_obj(self) -> dict:
         return {
@@ -593,9 +670,12 @@ def vertical_trace(
     Each spanning copy meets the line in one point as long as c is not one
     of its scaled jump locations (JumpHit otherwise; Cantor endpoints are
     always safe because jump images are never endpoints). The heights are
-    compared and sorted as ints over the state's `den`; a `Fraction` is
-    made only for each crossing returned.
+    compared and sorted as ints over the state's `den`, and each returned
+    height is the copy's shared `exact_height`. A negative `max_stage` is
+    refused (InvalidParameter) before any work.
     """
+    if max_stage is not None and max_stage < 0:
+        raise InvalidParameter(f"max stage must be >= 0, got {max_stage}")
     lo = state.range_low if lo is None else lo
     hi = state.range_high if hi is None else hi
     if lo > hi:
@@ -604,16 +684,16 @@ def vertical_trace(
         raise NotInCantor(f"{c} is not in the Cantor set")
     floor = -(-lo.numerator * state.den // lo.denominator)  # lo <= h/den iff floor <= h
     ceiling = hi.numerator * state.den // hi.denominator
-    out: list[tuple[int, int]] = []
+    out: list[tuple[int, int, int]] = []
     for cid, k, k_hi in state.fibers_at(c, max_stage):
         copy = state.copies[cid]
         if k_hi != k:
             raise JumpHit(f"column {c} is a jump location of copy {copy.key}")
         h = copy.height(k)
         if floor <= h <= ceiling:
-            out.append((h, cid))
+            out.append((h, cid, k))
     out.sort()
-    return [(Fraction(h, state.den), cid) for h, cid in out]
+    return [(state.copies[cid].exact_height(k), cid) for _, cid, k in out]
 
 
 def pointwise_below(state: ConstructionState, lower_id: int, upper_id: int, column: Address) -> bool:

@@ -512,17 +512,35 @@ def q_set_oracle(state) -> dict:
     return out
 
 
-def classify_oracle(state, point, q_set=None) -> str:
-    """'Q' when the point is a midpoint, else 'not-in-Y' when on a copy, else 'P'."""
-    c, _ = point
+def column_oracle(state, c: Fraction) -> tuple[set, list]:
+    """Over the vertical at the Cantor point c, from the Fraction fiber of
+    every copy whose rectangle spans it: the midpoint heights of the jumps
+    at c, and each fiber as (low, high). Basic intervals of one length are
+    disjoint, so a rectangle spans c exactly when its address is the prefix
+    of c's nested-thirds address of its length."""
     if not (0 <= c <= 1) or not cantor_member(c):
         raise NotInCantor(f"{c} is not in the Cantor set")
-    if point in (q_set_oracle(state) if q_set is None else q_set):
-        return "Q"
+    bits = locate_oracle(c, max(len(copy.rect.address) for copy in state.copies)).bits
+    midpoints, fibers = set(), []
     for copy in state.copies:
-        if copy.rect.left <= c <= copy.rect.right and classify_on_copy_oracle(copy, point) == "on":
-            return "not-in-Y"
-    return "P"
+        sigma = copy.rect.address.bits
+        if sigma == bits[: len(sigma)]:
+            kind, low, high = fiber_oracle(copy, c)
+            if kind == "segment":
+                midpoints.add((low + high) / 2)
+            fibers.append((low, high))
+    return midpoints, fibers
+
+
+def classify_oracle(state, point, column=None) -> str:
+    """'Q' when the point is a jump midpoint, else 'not-in-Y' when it lies on
+    a copy, else 'P'. `column`, column_oracle(state, c), saves rebuilding it
+    for each point over one vertical."""
+    c, h = point
+    midpoints, fibers = column_oracle(state, c) if column is None else column
+    if h in midpoints:
+        return "Q"
+    return "not-in-Y" if any(low <= h <= high for low, high in fibers) else "P"
 
 
 def fset_columns(model, band_lo: Fraction, band_hi: Fraction) -> list[Fraction]:

@@ -60,6 +60,12 @@ class TestCollapse:
         with pytest.raises(UnknownCopy):
             collapse_E(model_1_4, 999)
 
+    def test_negative_copy_id_refused(self, model_1_4):
+        # a negative id never counts from the end of the copy list
+        for cid in (-1, -len(model_1_4.state.copies)):
+            with pytest.raises(UnknownCopy, match=f"no copy with id {cid}"):
+                collapse_E(model_1_4, cid)
+
     def test_every_earring_matches_fraction_placement(self, model_2_16):
         for cid in range(len(model_2_16.state.copies)):
             assert collapse_E(model_2_16, cid) == collapse_oracle(model_2_16, cid), cid
@@ -112,6 +118,11 @@ class TestClaim5:
                 assert copy.rect.bottom >= above.rect.bottom
             if copy.rect.top <= seg_lo:
                 assert copy.rect.top <= below.rect.top
+
+    def test_negative_copy_id_refused(self, model_2_16):
+        for cid in (-1, -len(model_2_16.state.copies)):
+            with pytest.raises(UnknownCopy, match=f"no copy with id {cid}"):
+                claim5_regions(model_2_16, cid, 0, 0)
 
     def test_depth_insufficient(self, model_2_16):
         with pytest.raises(DepthInsufficient):

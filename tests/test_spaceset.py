@@ -6,9 +6,16 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from fanforge.debski import jump_table
-from fanforge.decomp import collapse_E
-from fanforge.errors import DepthInsufficient, InvalidParameter, NotOrdered, NotSpanning
-from fanforge.exact import Address, addresses_of_length, endpoint_zero
+from fanforge.decomp import claim5_regions, collapse_E
+from fanforge.errors import (
+    DepthInsufficient,
+    FanforgeError,
+    InvalidParameter,
+    NotOrdered,
+    NotSpanning,
+    UnknownCopy,
+)
+from fanforge.exact import Address, addresses_of_length, endpoint_one, endpoint_zero
 from fanforge.spaceset import (
     assemble,
     fan_midpoints,
@@ -20,24 +27,53 @@ from fanforge.spaceset import (
     vertex_neighborhood,
     xi_float,
 )
-from fanforge.tiling import ConstructionState, PlacedCopy, Rect, stage_zero, vertical_trace
+from fanforge.tiling import (
+    ConstructionState,
+    PlacedCopy,
+    Rect,
+    next_stage,
+    stage_one,
+    stage_zero,
+    state_from_json_obj,
+    vertical_trace,
+)
 
 from .oracles import (
     basic_interval_inside,
+    claim5_oracle,
     classify_oracle,
+    column_oracle,
     fiber_isolation_witnesses,
     fraction_table,
     fset_columns,
     jumps_global_oracle,
+    locate_oracle,
+    max_height_oracle,
     own_den,
     plateau_segments_oracle,
     plateaus_global_oracle,
     q_points,
     q_set_oracle,
     sample_points_oracle,
+    state_pieces_oracle,
     to_global_c,
     to_global_h,
+    trace_oracle,
 )
+
+ALL_STATES = [
+    "st_0_4", "st_1_4", "st_2_16", "st_3_16", "st_3_32", "st_3_16t", "st_4_16t", "st_4_32", "st_5_32t"
+]
+ORACLE_POINTS = 2_000  # about as many jump points per fixture are checked by the Fraction classify oracle
+
+
+def _outcome(query, *args):
+    """The query's result, or the type of the package error it raised."""
+    try:
+        return query(*args)
+    except FanforgeError as exc:
+        return type(exc)
+
 
 cantor_endpoints = st.tuples(st.lists(st.integers(0, 1), max_size=8), st.booleans()).map(
     lambda t: endpoint_zero(Address(tuple(t[0]))) + (F(1, 3 ** len(t[0])) if t[1] else 0)
@@ -172,14 +208,13 @@ class TestAssemble:
 
 
 class TestClassifyOracle:
-    """classify from the integer fibers against the Q set and per-copy
-    Fraction fibers."""
+    """classify on the column index against the Fraction fibers of the
+    copies spanning each vertical (column_oracle)."""
 
     @pytest.mark.parametrize("name", ["model_2_16", "model_4_16t"])
     def test_q_p_and_on_copy_points(self, name, request):
         model = request.getfixturevalue(name)
         state = model.state
-        q_set = q_set_oracle(state)
         rng = random.Random(11)
         columns = [endpoint_zero(s) for s in addresses_of_length(state.depth + 3)]
         points = []
@@ -195,8 +230,92 @@ class TestClassifyOracle:
             points.append((c, heights[k]))  # a crossing, or the range's bottom
             points.append((c, (heights[k] + heights[k + 1]) / 2))  # between crossings
         labels = [model.classify(p) for p in points]
-        assert labels == [classify_oracle(state, p, q_set) for p in points]
+        assert labels == [classify_oracle(state, p) for p in points]
         assert set(labels) == {"Q", "P", "not-in-Y"}
+
+    @pytest.mark.parametrize("name", ALL_STATES)
+    def test_column_index_matches_oracle_at_jumps_and_trace_gaps(self, name, request):
+        # every jump's midpoint, both ends and a point a third of the way up,
+        # over a stride of the jump columns that keeps the Fraction oracle
+        # near ORACLE_POINTS points (every column up to st_1_4), and the
+        # P-gap midpoints of four vertical traces
+        state = request.getfixturevalue(name)
+        model = assemble(state)
+        jumpers: dict[tuple, list] = {}  # (address, sorted position) -> the copies jumping there
+        for copy in state.copies:
+            for pos in range(state.n_jumps):
+                jumpers.setdefault((copy.rect.address.bits, pos), []).append(copy)
+        stride = -(-4 * len(state.copies) * state.n_jumps // ORACLE_POINTS)
+        points: dict[F, list[F]] = {}
+        for key in sorted(jumpers)[::stride]:
+            for copy in jumpers[key]:
+                c, low, high = copy.jump_global(key[1])
+                points.setdefault(c, []).extend((low, high, (low + high) / 2, low + (high - low) / 3))
+        sigmas = addresses_of_length(state.depth + 1)
+        ends = [c for sigma in sigmas for c in (endpoint_zero(sigma), endpoint_one(sigma))]
+        for c in ends[:: -(-len(ends) // 4)]:
+            heights = [state.range_low, *(h for h, _ in vertical_trace(state, c)), state.range_high]
+            points.setdefault(c, []).extend((lo + hi) / 2 for lo, hi in zip(heights, heights[1:]) if lo < hi)
+        seen = set()
+        for c, heights in points.items():
+            column = column_oracle(state, c)
+            labels = [model.classify((c, h)) for h in heights]
+            assert labels == [classify_oracle(state, (c, h), column) for h in heights], c
+            seen.update(labels)
+        assert seen == {"Q", "P", "not-in-Y"}
+
+    @pytest.mark.parametrize(
+        "rects, queries",
+        [
+            # overlapping at address 0: [1/4, 1/2] (id 2) has the larger base
+            # and the lower top, so the bisection's first candidate is id 2,
+            # and above its top the answer comes from [0, 1] (id 1) before it
+            (
+                [("0", "0", "1"), ("0", "1/4", "1/2")],
+                [
+                    ((F(1, 12), F(9, 16)), "Q", [0, 1]),  # id 1's midpoint, above id 2's top 31/64
+                    ((F(1, 12), F(3, 4)), "not-in-Y", [0, 1]),  # id 1's jump segment
+                    ((F(1, 3), F(15, 16)), "not-in-Y", [0, 1]),  # id 1's top plateau
+                    ((F(1, 12), F(25, 64)), "Q", [0, 2, 1]),  # id 2's midpoint, on id 1's segment
+                    ((F(1, 3), F(7, 8)), "P", [0, 1]),
+                    ((F(0), F(1, 4)), "not-in-Y", [0, 2, 1]),  # id 2's bottom plateau, at its base
+                ],
+            ),
+            # out of height order at address 1, with a tied base: by base
+            # the ids run 2, 3, 1, and the first candidate is id 1 above
+            # height 1/2 and id 3 below it
+            (
+                [("1", "1/2", "3/4"), ("1", "0", "1"), ("1", "0", "1/4")],
+                [
+                    ((F(3, 4), F(9, 16)), "Q", [0, 1, 2]),  # id 2's midpoint, below id 1's segment
+                    ((F(3, 4), F(3, 4)), "not-in-Y", [0, 2]),  # id 2's segment, above id 1's top 47/64
+                    ((F(3, 4), F(5, 8)), "not-in-Y", [0, 1, 2]),  # on the segments of ids 1 and 2
+                    ((F(2, 3), F(1, 8)), "P", [0, 3, 2]),
+                ],
+            ),
+        ],
+    )
+    def test_walk_passes_the_first_candidate(self, rects, queries):
+        stages = [
+            {"n": 0, "rects": [{"address": "", "a": "0", "b": "1"}]},
+            {"n": 1, "rects": [{"address": sigma, "a": a, "b": b} for sigma, a, b in rects]},
+        ]
+        doc = {"schema": "fanforge-state-v1", "depth": 1, "jumps": 4, "strict": False, "stages": stages}
+        state = state_from_json_obj(doc)
+        model = assemble(state)
+        assert state.ids_at_address((int(rects[0][0]),)) == list(range(1, len(rects) + 1))  # id order kept
+        for point, label, reached in queries:
+            assert model.classify(point) == label == classify_oracle(state, point), point
+            # exactly the copies spanning c whose heights [bottom, top crossing] hold h
+            c, h = point
+            assert [cid for cid, _, _ in state.fibers_through(c, h)] == reached, point
+            expected = {
+                cid
+                for cid, copy in enumerate(state.copies)
+                if copy.rect.address.bits == locate_oracle(c, 1).bits[: len(copy.rect.address)]
+                and copy.rect.bottom <= h <= max_height_oracle(copy)
+            }
+            assert set(reached) == expected, point
 
     def test_q_wins_on_a_touching_copy(self):
         # a tolerant stage-1 copy whose jump at c = 1/4 overlaps the stage-0
@@ -210,6 +329,58 @@ class TestClassifyOracle:
         labels = [model.classify(p) for p in points]
         assert labels == ["Q", "Q", "not-in-Y", "P", "P"]
         assert labels == [classify_oracle(state, p) for p in points]
+
+
+class TestQueriesAsTheStateGrows:
+    """The column index and the shared exact values, after add_stage widens
+    the state's den."""
+
+    def test_answers_equal_the_oracles_and_a_fresh_build(self, model_2_16):
+        state = ConstructionState(2, 16, True, [stage_zero(), stage_one(16)])
+        model = assemble(state)
+        columns = [c for sigma in addresses_of_length(3) for c in (endpoint_zero(sigma), endpoint_one(sigma))]
+
+        def answers(model):
+            state = model.state
+            traces = [vertical_trace(state, c) for c in columns]
+            points = {}  # column -> heights: every crossing and gap midpoint, and jump points
+            for c, trace in zip(columns, traces):
+                heights = [state.range_low, *(h for h, _ in trace), state.range_high]
+                points[c] = heights + [(lo + hi) / 2 for lo, hi in zip(heights, heights[1:])]
+            for copy in state.copies[::7]:
+                c, low, high = copy.jump_global(copy.jump_pos(copy.index % 16))
+                points.setdefault(c, []).extend((low, (low + high) / 2, low + (high - low) / 3))
+            labels = {c: [model.classify((c, h)) for h in heights] for c, heights in points.items()}
+            queries = [
+                (cid, level, loop)
+                for cid in range(13)
+                for level in range(len(state.stages) - 1 - state.copies[cid].stage)
+                for loop in (0, 15)
+            ]
+            claims = [_outcome(claim5_regions, model, *query) for query in queries]
+            return traces, points, labels, queries, claims
+
+        def assert_oracles(traces, points, labels, queries, claims):
+            pieces = state_pieces_oracle(state)
+            for c, trace in zip(columns, traces):
+                assert trace == trace_oracle(state, c, state.range_low, state.range_high, pieces), c
+            for c, heights in points.items():
+                column = column_oracle(state, c)
+                assert labels[c] == [classify_oracle(state, (c, h), column) for h in heights], c
+            assert claims == [_outcome(claim5_oracle, model, *query) for query in queries]
+
+        before = answers(model)
+        assert_oracles(*before)
+        den = state.den
+        state.add_stage(next_stage(state))
+        assert state.den > den and state.den % den == 0  # every placed copy was rescaled
+        grown = answers(model)
+        assert_oracles(*grown)
+        assert grown == answers(model_2_16)
+        # stage 2 shows: new crossings, its copies' midpoints in Q, and claims a level deeper
+        assert grown[0] != before[0] and grown[4][:2] == before[4] and len(grown[4]) > len(before[4])
+        stage_two = [copy.midpoint_global(copy.index % 16) for copy in state.copies[::7] if copy.stage == 2]
+        assert stage_two and {model.classify(point) for point in stage_two} == {"Q"}
 
 
 class TestRegionBetween:
@@ -236,6 +407,15 @@ class TestRegionBetween:
         assert region.contains((F(1, 3), F(7, 8)))
         assert not region.contains((F(1, 3), F(13, 16)))  # on the lower copy
         assert not region.contains((F(2, 3), F(7, 8)))  # outside the column
+
+    def test_negative_copy_id_refused(self, model_1_4):
+        # -len(copies) wrapped round to copy 0, which spans every column
+        column = Address.parse("0")
+        for cid in (-1, -len(model_1_4.state.copies)):
+            with pytest.raises(UnknownCopy, match=f"no copy with id {cid}"):
+                region_between(model_1_4, cid, 1, column)
+            with pytest.raises(UnknownCopy, match=f"no copy with id {cid}"):
+                region_between(model_1_4, 0, cid, column)
 
     def test_not_spanning(self, model_1_4):
         with pytest.raises(NotSpanning):

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from fanforge import build
 from fanforge.debski import jump_table
 from fanforge.errors import (
+    IndexOutOfRange,
     InvalidParameter,
     InvertedWindow,
     JumpHit,
@@ -133,6 +134,13 @@ class TestVerticalTrace:
             vertical_trace(st_1_4, F(0), lo=F(3))  # above the default top, 2
         assert vertical_trace(st_1_4, F(1, 3), F(13, 16), F(13, 16)) == [(F(13, 16), 0)]
 
+    def test_negative_max_stage_refused_before_any_work(self, st_1_4):
+        with pytest.raises(InvalidParameter, match="max stage must be >= 0, got -1"):
+            vertical_trace(st_1_4, F(1, 2), max_stage=-1)  # 1/2 is not even in C
+        with pytest.raises(InvalidParameter):
+            vertical_trace(st_1_4, F(0), max_stage=-1)
+        assert vertical_trace(st_1_4, F(0), max_stage=0) == [(F(0), 0)]
+
     @pytest.mark.parametrize("name", ["st_2_16", "st_4_16t"])
     def test_matches_piece_scan_oracle_at_every_endpoint(self, name, request):
         state = request.getfixturevalue(name)
@@ -169,6 +177,28 @@ class TestIntegerFiber:
         for m, (location, low, high) in enumerate(fraction_table(n_jumps).jumps):
             expected = (to_global_c(copy, location), to_global_h(copy, (low + high) / 2))
             assert copy.midpoint_global(m) == expected
+
+
+class TestSharedExactValues:
+    """PlacedCopy's heights and midpoints are made once and shared."""
+
+    def test_answers_share_one_fraction_per_value(self, st_2_16):
+        copy = st_2_16.copies[5]
+        c, low, high = copy.jump_global(3)
+        assert copy.jump_global(3)[1] is low and copy.exact_height(3) is low and copy.exact_height(4) is high
+        assert copy.fiber(c) == ("segment", low, high) and copy.fiber(c)[2] is high
+        m = copy.table.index_at[3]
+        assert copy.midpoint_global(m) is copy.midpoint_global(m) and copy.midpoint_global(m)[0] is c
+        trace = vertical_trace(st_2_16, F(0))  # every copy spanning 0 crosses it on its first plateau
+        assert len(trace) > 10 and all(h is st_2_16.copies[cid].exact_height(0) for h, cid in trace)
+
+    @pytest.mark.parametrize("pos", [-1, -16, 16])
+    def test_jump_position_outside_range_refused(self, st_2_16, pos):
+        copy = st_2_16.copies[7]
+        before = [copy.jump_global(p) for p in range(16)]
+        with pytest.raises(IndexOutOfRange, match=f"jump position {pos} not in"):
+            copy.jump_global(pos)
+        assert [copy.jump_global(p) for p in range(16)] == before == jumps_global_oracle(copy)
 
 
 class TestBuild:

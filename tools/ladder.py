@@ -1,12 +1,16 @@
-"""Time the package import, `build`, each `run_all` check, `load_state`
-and the tiling and fan renders in-process over the fixed ladder.
+"""Time the package import, `build`, each `run_all` check, `load_state`,
+a fixed query set and the tiling and fan renders in-process over the fixed
+ladder.
 
 The ladder is (2,16), (3,16), (4,32), tolerant (4,16), (5,48) and (6,96).
 Each measurement runs in a fresh interpreter that imports fanforge from one
 source tree, builds the state and runs every check of `verify.KNOWN_CHECKS`
 on its own `run_all` call, so a per-level check includes its own sweeps.
 Then it saves the state to a temporary directory, loads it back with
-`load_state`, and runs the `render` command there through `cli.main` for
+`load_state`, and answers a fixed, seed-free query set on the loaded state
+(`query_set`: `vertical_trace`, `SpaceModel.classify` and `claim5_regions`
+calls), so the `queries` time includes building whatever the first query
+builds. Then it runs the `render` command there through `cli.main` for
 the tiling and the fan figure, so a render time includes loading the state
 file and writing the SVG as the command does. The `import` entry is the
 fixed cost every command pays first: `import fanforge.cli, fanforge.verify`
@@ -16,7 +20,8 @@ The (6,96) rung, where the state's height scale is widest, takes most of
 the time and memory: its epsilon-connectivity samples 2.3 M points.
 Each rung is timed REPEATS times per tree, the trees alternating, and the
 JSON on stdout holds the first quartile, median and third quartile of each
-time per tree, so that a noisy rung shows its spread.
+time per tree, so that a noisy rung shows its spread. Every tree must give
+the same copy count and the same digest of the query answers.
 
     python tools/ladder.py --tree parent=../parent/src --tree change=src > BENCH.json
 
@@ -27,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -44,9 +50,67 @@ RENDERS = ("tiling", "fan")
 IMPORT = "import time; t = time.perf_counter(); import fanforge.cli, fanforge.verify; print(time.perf_counter() - t)"
 
 
+def query_set(state) -> list[tuple]:
+    """(kind, args) of the fixed queries on a state, read off the state
+    alone. A trace at the left end of every depth-(K+1) column; a classify
+    at its middle crossing and at the midpoint of the gap above it; and,
+    for about 64 copies spread over the ids, a classify at the midpoint of
+    one jump and a quarter of the way up it, and, where defined, the level-0
+    `claim5_regions` of that loop."""
+    from fanforge import decomp, errors, exact, spaceset, tiling
+
+    model = spaceset.assemble(state)
+    queries = []
+    for sigma in exact.addresses_of_length(state.depth + 1):
+        c = exact.endpoint_zero(sigma)
+        heights = [h for h, _ in tiling.vertical_trace(state, c)] + [state.range_high]
+        mid = (len(heights) - 1) // 2
+        gap = (heights[mid] + heights[mid + 1]) / 2
+        queries += [("trace", (c,)), ("classify", ((c, heights[mid]),)), ("classify", ((c, gap),))]
+    n = state.n_jumps
+    for cid in range(0, len(state.copies), -(-len(state.copies) // 64)):
+        copy = state.copies[cid]
+        c, low, high = copy.jump_global(copy.jump_pos(cid % n))
+        queries += [("classify", ((c, (low + high) / 2),)), ("classify", ((c, low + (high - low) / 4),))]
+        if copy.stage < state.depth:
+            try:
+                decomp.claim5_regions(model, cid, 0, cid % n)
+            except errors.FanforgeError:
+                continue
+            queries.append(("claim5", (cid, 0, cid % n)))
+    return queries
+
+
+def answer_text(kind: str, answer) -> str:
+    """A query answer as text; a claim 5 result without its model."""
+    if kind == "claim5":
+        fields = ("column", "above_copy_id", "below_copy_id", "distance_above", "distance_below")
+        regions = (answer.upper_region.boundary, answer.lower_region.boundary)
+        return " ".join(str(getattr(answer, f)) for f in fields) + f" {regions}"
+    return str(answer)
+
+
+def time_queries(state, queries: list[tuple]) -> tuple[float, str]:
+    """Seconds for the queries on a state that has answered none, and a
+    digest of the answers."""
+    from fanforge import decomp, spaceset, tiling
+
+    model = spaceset.assemble(state)
+    calls = {
+        "trace": lambda c: tiling.vertical_trace(state, c),
+        "classify": model.classify,
+        "claim5": lambda cid, level, loop: decomp.claim5_regions(model, cid, level, loop),
+    }
+    start = time.perf_counter()
+    answers = [calls[kind](*args) for kind, args in queries]
+    seconds = time.perf_counter() - start
+    text = "\n".join(answer_text(kind, a) for (kind, _), a in zip(queries, answers))
+    return seconds, hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
 def time_rung(depth: int, jumps: int, strict: bool) -> dict:
-    """Seconds for the import, the build, each check, the load and each
-    render, plus the copy count."""
+    """Seconds for the import, the build, each check, the load, the query
+    set and each render, plus the copy count and the answers' digest."""
     from fanforge import cli, tiling, verify
 
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
@@ -63,8 +127,9 @@ def time_rung(depth: int, jumps: int, strict: bool) -> dict:
         path = os.path.join(tmp, "state.json")
         tiling.save_state(state, path)
         start = time.perf_counter()
-        tiling.load_state(path)
+        loaded = tiling.load_state(path)
         times["load_state"] = time.perf_counter() - start
+        times["queries"], answers = time_queries(loaded, query_set(state))
         for kind in RENDERS:
             argv = ["render", "--state", path, "--figure", kind, "--out", os.path.join(tmp, f"{kind}.svg")]
             with contextlib.redirect_stdout(io.StringIO()):
@@ -73,7 +138,7 @@ def time_rung(depth: int, jumps: int, strict: bool) -> dict:
                 times[f"render {kind}"] = time.perf_counter() - start
             if code != 0:
                 raise SystemExit(f"render {kind} exited {code} at ({depth},{jumps})")
-    return {"copies": len(state.copies), "seconds": times}
+    return {"copies": len(state.copies), "answers": answers, "seconds": times}
 
 
 def spread(runs: list[dict]) -> dict:
@@ -110,15 +175,18 @@ def main() -> int:
             names = list(trees) if r % 2 == 0 else list(trees)[::-1]
             for name in names:
                 runs[name].append(measure(trees[name], rung))
-        copies = {run["copies"] for name in trees for run in runs[name]}
-        if len(copies) != 1:
-            raise SystemExit(f"trees disagree on the copy count at {rung}: {sorted(copies)}")
+        for key in ("copies", "answers"):
+            values = {run[key] for name in trees for run in runs[name]}
+            if len(values) != 1:
+                raise SystemExit(f"trees disagree on the {key} at {rung}: {sorted(values)}")
+        first = runs[next(iter(trees))][0]
         rungs.append(
             {
                 "depth": rung[0],
                 "jumps": rung[1],
                 "strict": rung[2],
-                "copies": copies.pop(),
+                "copies": first["copies"],
+                "answers": first["answers"],
                 "seconds": {name: spread(runs[name]) for name in trees},
             }
         )
