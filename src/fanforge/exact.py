@@ -133,10 +133,12 @@ def locate(q: Fraction, depth: int) -> Address:
     """The unique address of length `depth` whose basic interval contains q.
 
     At a shared endpoint the interval having q as its *left* endpoint wins.
+    This is the point queries' one Cantor test: NotInCantor for any q
+    outside C, those outside [0, 1] included.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    if not cantor_member(q):
+    if not (0 <= q <= 1) or not cantor_member(q):
         raise NotInCantor(f"{q} is not in the Cantor set")
     bits = []
     x, den = 3 * q.numerator, q.denominator  # (q - 0(bits)) * 3^(k+1) = x / den

@@ -19,7 +19,7 @@ from itertools import combinations
 from typing import NamedTuple
 
 from .debski import jump_table
-from .errors import DepthInsufficient, NotInCantor, NotOrdered, NotSpanning
+from .errors import DepthInsufficient, NotOrdered, NotSpanning
 from .exact import (
     Address,
     addresses_of_length,
@@ -27,7 +27,7 @@ from .exact import (
     endpoint_one,
     endpoint_zero,
 )
-from .tiling import ColumnSweep, ConstructionState, PlacedCopy, check_sampling, pointwise_below
+from .tiling import ColumnSweep, ConstructionState, PlacedCopy, check_sampling
 
 Point = tuple[Fraction, Fraction]
 
@@ -213,16 +213,15 @@ class SpaceModel:
         point is in Q when some copy jumps at c and h is that jump's
         midpoint, even when it lies on another copy too."""
         c, h = point
-        if not (0 <= c <= 1) or not cantor_member(c):
-            raise NotInCantor(f"{c} is not in the Cantor set")
         on = False
         scaled = h.numerator * self.state.den  # h = scaled / (den * h.denominator)
-        for cid, k, k_hi in self.state.fibers_through(c, h):
-            copy = self.state.copies[cid]
-            lo, hi = copy.height(k) * h.denominator, copy.height(k_hi) * h.denominator
-            if k_hi > k and 2 * scaled == lo + hi:
-                return "Q"
-            on = on or lo <= scaled <= hi
+        for _, k, k_hi, ids in self.state.fibers_through(c, h, h):
+            for cid in ids:
+                copy = self.state.copies[cid]
+                lo, hi = copy.height(k) * h.denominator, copy.height(k_hi) * h.denominator
+                if k_hi > k and 2 * scaled == lo + hi:
+                    return "Q"
+                on = on or lo <= scaled <= hi
         return "not-in-Y" if on else "P"
 
     def in_y(self, point: Point) -> bool:
@@ -283,6 +282,9 @@ class Region(NamedTuple):
 def region_between(model: SpaceModel, lower_id: int, upper_id: int, column: Address) -> Region:
     """The Y-points strictly between two copies over one column.
 
+    NotOrdered unless the lower copy starts below the upper one and the
+    column's sweep of the two finds no meeting (ColumnSweep.pair_gaps).
+
     The boundary within Y is exactly the midpoint images of the two copies
     over the column: every such midpoint is a two-sided limit of region
     points, and no other Y-point lies on the region's frontier.
@@ -292,7 +294,8 @@ def region_between(model: SpaceModel, lower_id: int, upper_id: int, column: Addr
     for copy in (lower, upper):
         if not copy.rect.address.is_prefix_of(column):
             raise NotSpanning(f"copy {copy.key} does not span column {column}")
-    if not pointwise_below(state, lower_id, upper_id, column):
+    col = ColumnSweep(state, column, len(column), [lower_id, upper_id])
+    if col.adjacent_order() != [0, 1] or col.pair_gaps([0, 1], 0) is None:
         raise NotOrdered(
             f"copy {lower.key} is not strictly below copy {upper.key} over {column}"
         )
@@ -305,38 +308,19 @@ def region_between(model: SpaceModel, lower_id: int, upper_id: int, column: Addr
     return Region("betweenCopies", column, (lower_id, upper_id), tuple(boundary), model)
 
 
-def _rational_at_most_tan(eps: Fraction) -> Fraction:
-    """An exact rational lower bound for tan(pi (eps - 1/2)).
-
-    eps = 1/2 maps to exactly 0; otherwise a float evaluation minus a guard
-    margin is floored onto a dyadic grid. Any rational at or below the true
-    value is sound (it only shrinks the neighborhood), so one-sided float
-    error is acceptable here.
-    """
-    if eps == Fraction(1, 2):
-        return Fraction(0)
-    approx = math.tan(math.pi * (float(eps) - 0.5))
-    guarded = approx - max(1e-9, abs(approx) * 1e-12)
-    scale = 2 ** 40
-    return Fraction(math.floor(guarded * scale), scale)
-
-
-def vertex_neighborhood(model: SpaceModel, eps: Fraction) -> Region:
+def vertex_neighborhood(model: SpaceModel, r: Fraction) -> Region:
     """A below-copies region realizing a small fan neighborhood of the vertex.
 
     Finds a finite cover of C by columns of copies lying entirely below the
-    rational bound r <= tan(pi (eps - 1/2)); per covered column the highest
-    qualifying copy is chosen. DepthInsufficient when no such cover exists
-    at the built depth.
+    exact height bound r; per covered column the highest qualifying copy is
+    chosen. The fan image of the region lies below xi(r). DepthInsufficient
+    when no such cover exists at the built depth.
     """
-    if not (0 < eps < 1):
-        raise ValueError("eps must lie in (0, 1)")
     state = model.state
-    r_bound = _rational_at_most_tan(eps)
-    bound = r_bound.numerator * state.den  # top / den < r_bound iff top * q < bound
+    bound = r.numerator * state.den  # top / den < r iff top * q < bound
     best: dict[tuple[int, ...], tuple[int, int]] = {}  # column -> (copy top * q, copy id)
     for cid, copy in enumerate(state.copies):
-        top = copy.height(state.n_jumps) * r_bound.denominator
+        top = copy.height(state.n_jumps) * r.denominator
         if top < bound:
             bits = copy.rect.address.bits
             if bits not in best or top > best[bits][0]:
@@ -350,7 +334,7 @@ def vertex_neighborhood(model: SpaceModel, eps: Fraction) -> Region:
             return
         if len(bits) >= state.depth:
             raise DepthInsufficient(
-                f"no copy below {r_bound} over column '{''.join(map(str, bits))}'"
+                f"no copy below {r} over column '{''.join(map(str, bits))}'"
                 f" at depth {state.depth}"
             )
         cover(bits + (0,))

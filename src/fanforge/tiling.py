@@ -31,7 +31,6 @@ from .exact import (
     ZERO,
     ONE,
     addresses_of_length,
-    cantor_member,
     endpoint_one,
     endpoint_zero,
     locate,
@@ -252,7 +251,7 @@ class ConstructionState:
         self.stages: list[TilingStage] = []
         self.copies: list[PlacedCopy] = []
         self._by_address: dict[tuple[int, ...], list[int]] = {}
-        self._columns: dict[tuple[int, ...], tuple[list[int], list[int], list[int], list[int]]] | None = None
+        self._columns: dict[tuple[int, ...], tuple[int, list[int], list[int], list[int], list[int]]] | None = None
         for rects in stages:
             self.add_stage(rects)
 
@@ -302,57 +301,53 @@ class ConstructionState:
                     out.append(cid)
         return out
 
-    def fibers_at(self, c: Fraction, max_stage: int | None = None) -> Iterator[tuple[int, int, int]]:
-        """(copy id, k, k_hi) per copy spanning the Cantor point c, by
-        increasing id, with (k, k_hi) as in PlacedCopy.fiber_span. The
-        copies of one column share their local coordinates, so each
-        column's fiber is found once."""
-        bits = locate(c, self.depth if max_stage is None else max_stage).bits
-        for length in range(len(bits) + 1):
-            ids = self.ids_at_address(bits[:length])
-            if ids:
-                k, k_hi = self.copies[ids[0]].fiber_span(c)
-                yield from ((cid, k, k_hi) for cid in ids)
-
-    def _column_index(self) -> dict[tuple[int, ...], tuple[list[int], list[int], list[int], list[int]]]:
-        """Per address: its copy ids by increasing base (ties by id), their
-        bases, their tops height(N), and the running maximum of those tops."""
+    def _column_index(self) -> dict[tuple[int, ...], tuple[int, list[int], list[int], list[int], list[int]]]:
+        """Per address: its lowest copy id, its copy ids by increasing base
+        (ties by id), their bases, their tops height(N), and the running
+        maximum of those tops."""
         top = self.n_jumps
         columns = {}
         for bits, ids in self._by_address.items():
             ranked = sorted(ids, key=lambda cid: self.copies[cid].base)
             bases = [self.copies[cid].base for cid in ranked]
             tops = [self.copies[cid].height(top) for cid in ranked]
-            columns[bits] = (ranked, bases, tops, list(itertools.accumulate(tops, max)))
+            columns[bits] = (ids[0], ranked, bases, tops, list(itertools.accumulate(tops, max)))
         self._columns = columns
         return columns
 
-    def fibers_through(self, c: Fraction, h: Fraction) -> Iterator[tuple[int, int, int]]:
-        """(copy id, k, k_hi) as in `fibers_at`, for exactly the copies
-        spanning the Cantor point c whose heights reach h, that is
-        height(0) <= h <= height(N); a fiber at c meets h only on such a
-        copy. Per address, the copies with base <= h are a prefix of the
-        column index, found by bisection; it is walked from its end while
-        the running maximum of its tops still reaches h, since no copy
-        before that place does. So the answer is exact for any rects,
-        overlapping or listed out of height order."""
+    def fibers_through(
+        self, c: Fraction, lo: Fraction, hi: Fraction, max_stage: int | None = None
+    ) -> Iterator[tuple[int, int, int, list[int]]]:
+        """(lowest id, k, k_hi, ids) per address on the path of the Cantor
+        point c that holds copies, shallowest first, up to length
+        `max_stage` (NotInCantor from `locate` for c outside C). (k, k_hi)
+        is the fiber at c of the address's copies, as in
+        PlacedCopy.fiber_span, found before any filter; ids are exactly the
+        copies whose heights meet the window, height(0) <= hi and
+        lo <= height(N), since a fiber at c meets it only on such a copy.
+        The copies with base <= hi are a prefix of the column index, found
+        by bisection; it is walked from its end while the running maximum
+        of its tops still reaches lo, since no copy before that place does.
+        So the answer is exact for any rects, overlapping or listed out of
+        height order."""
+        depth = self.depth if max_stage is None else min(max_stage, self.depth)
+        bits = locate(c, depth).bits
         columns = self._columns if self._columns is not None else self._column_index()
-        scaled, q = h.numerator * self.den, h.denominator  # h = scaled / (den * q)
-        floor, ceiling = scaled // q, -(-scaled // q)  # base <= h iff base <= floor, top >= h iff top >= ceiling
-        bits = locate(c, self.depth).bits
+        hi_floor = hi.numerator * self.den // hi.denominator  # base <= hi iff base <= hi_floor
+        lo_ceil = -(-lo.numerator * self.den // lo.denominator)  # top >= lo iff top >= lo_ceil
         for length in range(len(bits) + 1):
             column = columns.get(bits[:length])
             if column is None:
                 continue
-            ids, bases, tops, reach = column
-            j = bisect.bisect_right(bases, floor) - 1
-            if j < 0 or reach[j] < ceiling:
-                continue
-            k, k_hi = self.copies[ids[0]].fiber_span(c)
-            while j >= 0 and reach[j] >= ceiling:
-                if tops[j] >= ceiling:
-                    yield ids[j], k, k_hi
+            lowest, ids, bases, tops, reach = column
+            k, k_hi = self.copies[lowest].fiber_span(c)
+            reached = []
+            j = bisect.bisect_right(bases, hi_floor) - 1
+            while j >= 0 and reach[j] >= lo_ceil:
+                if tops[j] >= lo_ceil:
+                    reached.append(ids[j])
                 j -= 1
+            yield lowest, k, k_hi, reached
 
     def to_json_obj(self) -> dict:
         return {
@@ -394,8 +389,9 @@ class ColumnSweep:
     Per-copy lists are indexed by the copy's place in `ids`. By default
     `ids` lists every copy of stages <= n spanning the column, increasing
     (the length-s prefix holds the stage-s copies, numbered stage by
-    stage), so ties break as they would by copy id; a caller that asks
-    about a few copies passes their ids, each spanning the column.
+    stage), so ties break as they would by copy id. `region_between`
+    passes the ids of its two copies, each spanning the column, and reads
+    their order from `adjacent_order` and `pair_gaps`.
 
     Two ways through the column answer the same questions. `pair_gaps`
     merges each adjacent pair of a strict initial order once, and
@@ -665,14 +661,16 @@ def vertical_trace(
     hi: Fraction | None = None,
     max_stage: int | None = None,
 ) -> list[tuple[Fraction, int]]:
-    """Crossing heights of the vertical at c with all spanning copies.
+    """Crossing heights of the vertical at c with all spanning copies,
+    read from the column index (ConstructionState.fibers_through).
 
     Each spanning copy meets the line in one point as long as c is not one
-    of its scaled jump locations (JumpHit otherwise; Cantor endpoints are
-    always safe because jump images are never endpoints). The heights are
-    compared and sorted as ints over the state's `den`, and each returned
-    height is the copy's shared `exact_height`. A negative `max_stage` is
-    refused (InvalidParameter) before any work.
+    of its scaled jump locations (JumpHit otherwise, in the window or not;
+    Cantor endpoints are always safe because jump images are never
+    endpoints). The heights are compared and sorted as ints over the
+    state's `den`, and each returned height is the copy's shared
+    `exact_height`. A negative `max_stage` is refused (InvalidParameter)
+    before any work, then an inverted window, then a c outside C.
     """
     if max_stage is not None and max_stage < 0:
         raise InvalidParameter(f"max stage must be >= 0, got {max_stage}")
@@ -680,41 +678,18 @@ def vertical_trace(
     hi = state.range_high if hi is None else hi
     if lo > hi:
         raise InvertedWindow(f"height window [{lo}, {hi}] has lo > hi")
-    if not (0 <= c <= 1) or not cantor_member(c):
-        raise NotInCantor(f"{c} is not in the Cantor set")
-    floor = -(-lo.numerator * state.den // lo.denominator)  # lo <= h/den iff floor <= h
-    ceiling = hi.numerator * state.den // hi.denominator
+    lo_ceil = -(-lo.numerator * state.den // lo.denominator)  # lo <= h/den iff lo_ceil <= h
+    hi_floor = hi.numerator * state.den // hi.denominator
     out: list[tuple[int, int, int]] = []
-    for cid, k, k_hi in state.fibers_at(c, max_stage):
-        copy = state.copies[cid]
+    for lowest, k, k_hi, ids in state.fibers_through(c, lo, hi, max_stage):
         if k_hi != k:
-            raise JumpHit(f"column {c} is a jump location of copy {copy.key}")
-        h = copy.height(k)
-        if floor <= h <= ceiling:
-            out.append((h, cid, k))
+            raise JumpHit(f"column {c} is a jump location of copy {state.copies[lowest].key}")
+        for cid in ids:
+            h = state.copies[cid].height(k)
+            if lo_ceil <= h <= hi_floor:
+                out.append((h, cid, k))
     out.sort()
     return [(state.copies[cid].exact_height(k), cid) for _, cid, k in out]
-
-
-def pointwise_below(state: ConstructionState, lower_id: int, upper_id: int, column: Address) -> bool:
-    """True when the lower copy's upper envelope stays strictly below the
-    upper copy's lower envelope at every Cantor point of the column.
-
-    Both copies must span the column. Decided on the column's sweep of the
-    two: between breakpoints both envelopes are constant; at a breakpoint a
-    jumping copy's upper envelope is its jump top, its lower one the bottom.
-    """
-    col = ColumnSweep(state, column, len(column), [lower_id, upper_id])
-    low, up = col.first
-    if not low < up:
-        return False
-    for c in col.breakpoints:
-        moved = dict(col.events[c])
-        low = moved.get(0, low)  # the lower copy's jump top against the upper's bottom
-        if not low < up:
-            return False
-        up = moved.get(1, up)
-    return True
 
 
 def check_sampling(state: ConstructionState, grid_depth: int, fiber_count: int) -> None:

@@ -432,34 +432,40 @@ def disjointness_oracle(state) -> CheckRecord:
     return CheckRecord("disjointness", "all stages", "pass", None, metrics)
 
 
-def pointwise_below_oracle(a, b, left: Fraction, right: Fraction) -> bool:
-    """a's upper envelope strictly below b's lower envelope on [left, right],
-    by a walk over both copies' jump breakpoints in Fractions."""
-    events: dict[Fraction, list[tuple[str, int]]] = {}
-    for tag, copy in (("a", a), ("b", b)):
-        for pos in jump_positions_between_oracle(copy, left, right):
-            c = to_global_c(copy, table_of(copy).locations[pos])
-            events.setdefault(c, []).append((tag, pos))
-    cur_a = trace_at_oracle(a, left)
-    cur_b = trace_at_oracle(b, left)
-    if not cur_a < cur_b:
+@lru_cache(maxsize=None)
+def envelope_oracle(copy, column: Address) -> tuple[Fraction, Fraction, dict]:
+    """The copy over the column B(column) = [left, right] in Fractions: its
+    crossings at left and at right, and its jump top at each jump location
+    strictly inside. Cached, since a column's pairs share their copies."""
+    left = endpoint_zero_oracle(column.bits)
+    right = left + Fraction(1, 3 ** len(column))
+    t = table_of(copy)
+    tops = {
+        to_global_c(copy, t.locations[pos]): to_global_h(copy, t.values[pos + 1])
+        for pos in jump_positions_between_oracle(copy, left, right)
+    }
+    return trace_at_oracle(copy, left), trace_at_oracle(copy, right), tops
+
+
+def pointwise_below_oracle(a, b, column: Address) -> bool:
+    """a's upper envelope strictly below b's lower envelope on the column,
+    by a walk over both copies' jump breakpoints in Fractions: at each, a's
+    jump top against b's height before it. A copy is nondecreasing, so a
+    pair whose crossings at the left end are out of order, or whose a
+    crosses the right end below b's crossing at the left end, needs no
+    walk."""
+    a_left, a_right, a_tops = envelope_oracle(a, column)
+    b_left, _, b_tops = envelope_oracle(b, column)
+    if not a_left < b_left:
         return False
-    for c in sorted(events):
-        a_hi, b_lo = cur_a, cur_b
-        nxt_a, nxt_b = cur_a, cur_b
-        for tag, pos in events[c]:
-            copy = a if tag == "a" else b
-            top = to_global_h(copy, table_of(copy).values[pos + 1])
-            if tag == "a":
-                a_hi = top
-                nxt_a = top
-            else:
-                nxt_b = top
-        if not a_hi < b_lo:
-            return False
-        cur_a, cur_b = nxt_a, nxt_b
+    if a_right < b_left:
+        return True
+    cur_a, cur_b = a_left, b_left
+    for c in sorted(a_tops.keys() | b_tops.keys()):
+        cur_a = a_tops.get(c, cur_a)
         if not cur_a < cur_b:
             return False
+        cur_b = b_tops.get(c, cur_b)
     return True
 
 
@@ -494,7 +500,7 @@ def fiber_isolation_witnesses(model) -> list[tuple[QPoint, str]]:
         c = qp.point[0]
         _, low, high = table_of(owner).jumps[qp.jump_index]
         seg_lo, seg_hi = to_global_h(owner, low), to_global_h(owner, high)
-        for cid, _, _ in state.fibers_at(c):
+        for cid in state.chain_ids(locate_oracle(c, state.depth)):
             if cid == qp.copy_id:
                 continue
             kind, lo, hi = state.copies[cid].fiber(c)
@@ -569,7 +575,7 @@ def region_between_oracle(model, lower_id: int, upper_id: int, column) -> Region
     for copy in (lower, upper):
         if not copy.rect.address.is_prefix_of(column):
             raise NotSpanning(f"copy {copy.key} does not span column {column}")
-    if not pointwise_below_oracle(lower, upper, left, right):
+    if not pointwise_below_oracle(lower, upper, column):
         raise NotOrdered(f"copy {lower.key} is not strictly below copy {upper.key} over {column}")
     boundary = []
     for copy in (lower, upper):
@@ -669,7 +675,10 @@ def state_pieces_oracle(state):
 def trace_oracle(state, c: Fraction, lo: Fraction, hi: Fraction, pieces=None):
     """Fiber crossings by materializing and scanning every piece of every copy.
 
-    `pieces`, from state_pieces_oracle, saves rebuilding them per column.
+    `pieces`, from state_pieces_oracle, saves rebuilding them per column; a
+    prefix of it, the copies of stages <= m, gives the trace at max stage m.
+    JumpHit names the first copy in id order that jumps at c, in the window
+    or not.
     """
     out = []
     pieces = state_pieces_oracle(state) if pieces is None else pieces
@@ -687,7 +696,8 @@ def trace_oracle(state, c: Fraction, lo: Fraction, hi: Fraction, pieces=None):
                     break
         if hit is None:
             continue
-        assert hit[0] == "point", f"oracle trace hit a jump column at {c}"
+        if hit[0] == "segment":  # copies are in id order, so the first is the lowest stage's lowest id
+            raise JumpHit(f"column {c} is a jump location of copy {state.copies[cid].key}")
         if lo <= hit[1] <= hi:
             out.append((hit[1], cid))
     return sorted(out)

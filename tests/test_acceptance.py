@@ -11,7 +11,6 @@ from fanforge import assemble, build
 from fanforge.debski import jump_table
 from fanforge.exact import Address, addresses_of_length, endpoint_one, endpoint_zero
 from fanforge.spaceset import region_between, sample_points, stage_fan_diameters
-from fanforge.tiling import pointwise_below
 from fanforge.verify import (
     check_conditions_i_ii,
     check_null_sequence,
@@ -23,7 +22,13 @@ from fanforge.verify import (
 )
 from fanforge.decomp import claim5_regions, collapse_E
 
-from .oracles import band_oracle, coverage_gap_for_column, fiber_isolation_witnesses, q_points
+from .oracles import (
+    band_oracle,
+    coverage_gap_for_column,
+    fiber_isolation_witnesses,
+    pointwise_below_oracle,
+    q_points,
+)
 
 
 def report(number: int, ok: bool, detail: str) -> bool:
@@ -110,7 +115,7 @@ def test_criterion_08_region_boundaries(model_3_16):
             key=lambda cid: band_oracle(state.copies[cid], left, right),
         )
         for low, up in zip(ids, ids[1:]):
-            if pointwise_below(state, low, up, sigma):
+            if pointwise_below_oracle(state.copies[low], state.copies[up], sigma):
                 pairs.append((low, up, sigma))
         if len(pairs) >= 20:
             break

@@ -234,8 +234,10 @@ class TestClassify:
                 assert (model.classify((c, h)) != "P") == on
 
     def test_not_in_cantor(self, st_0_4):
-        with pytest.raises(NotInCantor):
-            assemble(st_0_4).classify((F(1, 2), F(0)))
+        # outside [0, 1] too, by locate's one Cantor test
+        for c in (F(-1, 10), F(11, 10), F(1, 2)):
+            with pytest.raises(NotInCantor, match=f"^{c} is not in the Cantor set$"):
+                assemble(st_0_4).classify((c, F(0)))
 
 
 class TestMidpoints:

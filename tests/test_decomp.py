@@ -13,6 +13,7 @@ from .oracles import (
     claim5_oracle,
     collapse_oracle,
     envelope_failures_oracle,
+    locate_oracle,
     plateaus_global_oracle,
     q_points,
 )
@@ -87,7 +88,7 @@ class TestEarringCheck:
         state = model_1_4.state
         for qp in q_points(model_1_4):
             c, h = qp.point
-            for cid, _, _ in state.fibers_at(c):
+            for cid in state.chain_ids(locate_oracle(c, state.depth)):
                 copy = state.copies[cid]
                 for lo, hi, v in plateaus_global_oracle(copy):
                     assert not (lo <= c <= hi and v == h)

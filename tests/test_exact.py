@@ -101,8 +101,10 @@ class TestLocate:
         assert locate(F(2, 9), 2) == Address.parse("01")
 
     def test_not_in_cantor(self):
-        with pytest.raises(NotInCantor):
-            locate(F(1, 2), 3)
+        # outside [0, 1] too: locate is the point queries' one Cantor test
+        for q in (F(-1, 10), F(11, 10), F(1, 2)):
+            with pytest.raises(NotInCantor, match=f"^{q} is not in the Cantor set$"):
+                locate(q, 3)
 
     @given(addresses, st.integers(0, 8))
     def test_deeper_locate_extends_shallower(self, sigma, depth):

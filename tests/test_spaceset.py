@@ -308,7 +308,7 @@ class TestClassifyOracle:
             assert model.classify(point) == label == classify_oracle(state, point), point
             # exactly the copies spanning c whose heights [bottom, top crossing] hold h
             c, h = point
-            assert [cid for cid, _, _ in state.fibers_through(c, h)] == reached, point
+            assert [cid for _, _, _, ids in state.fibers_through(c, h, h) for cid in ids] == reached, point
             expected = {
                 cid
                 for cid, copy in enumerate(state.copies)
@@ -445,8 +445,14 @@ class TestRegionBetween:
 
 
 class TestVertexNeighborhood:
+    """The fan heights eps in the names stand for height bounds r on the
+    2^-40 grid just below tan(pi (eps - 1/2)): 0 for eps = 1/2, R_FIFTH for
+    eps = 1/5."""
+
+    R_FIFTH = F(-1513347926919, 1099511627776)
+
     def test_half_uses_outer_copies(self, model_1_4):
-        region = vertex_neighborhood(model_1_4, F(1, 2))
+        region = vertex_neighborhood(model_1_4, F(0))
         supports = {model_1_4.state.copies[cid].key for cid in region.supports}
         # the highest copies below height 0 are the a = -1/2 outer rectangles
         assert supports == {"1:5", "1:9"}
@@ -457,21 +463,29 @@ class TestVertexNeighborhood:
         ) > 0
 
     def test_contains_points_below_cover(self, model_1_4):
-        region = vertex_neighborhood(model_1_4, F(1, 2))
+        region = vertex_neighborhood(model_1_4, F(0))
         assert region.contains((F(0), F(-2, 3)))
         assert not region.contains((F(0), F(1, 4)))
 
     def test_small_eps_needs_depth(self, model_1_4):
         with pytest.raises(DepthInsufficient):
-            vertex_neighborhood(model_1_4, F(1, 5))
+            vertex_neighborhood(model_1_4, self.R_FIFTH)
 
     def test_small_eps_fine_at_depth_two(self, model_2_16):
-        region = vertex_neighborhood(model_2_16, F(1, 5))
+        region = vertex_neighborhood(model_2_16, self.R_FIFTH)
         assert region.supports
 
-    def test_eps_domain(self, model_1_4):
-        with pytest.raises(ValueError):
-            vertex_neighborhood(model_1_4, F(2))
+    def test_bound_is_exact(self, model_1_4):
+        # the a = -1 outer copies reach -17/32 and the a = -1/2 ones -1/32: a
+        # copy whose top is r is not below r, and 2^-80 more takes it in
+        def keys(r):
+            return {model_1_4.state.copies[cid].key for cid in vertex_neighborhood(model_1_4, r).supports}
+
+        tiny = F(1, 2**80)
+        with pytest.raises(DepthInsufficient, match="^no copy below -17/32 over column '0' at depth 1$"):
+            vertex_neighborhood(model_1_4, F(-17, 32))
+        assert keys(F(-17, 32) + tiny) == keys(F(-1, 32)) == {"1:4", "1:8"}
+        assert keys(F(-1, 32) + tiny) == {"1:5", "1:9"}
 
 
 class TestSamplePoints:

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 from fractions import Fraction as F
@@ -13,18 +14,19 @@ from fanforge.errors import (
     InvertedWindow,
     JumpHit,
     NotInCantor,
+    NotOrdered,
     StateSchemaError,
     TraceOutOfRange,
     TruncationTooCoarse,
 )
 from fanforge.exact import Address, addresses_of_length, endpoint_one, endpoint_zero
+from fanforge.spaceset import assemble, region_between
 from fanforge.tiling import (
     ConstructionState,
     PlacedCopy,
     Rect,
     load_state,
     next_stage,
-    pointwise_below,
     save_state,
     stage_one,
     stage_zero,
@@ -120,8 +122,10 @@ class TestVerticalTrace:
         ]
 
     def test_not_in_cantor(self, st_1_4):
-        with pytest.raises(NotInCantor):
-            vertical_trace(st_1_4, F(1, 2))
+        # outside [0, 1] too, by locate's one Cantor test
+        for c in (F(-1, 10), F(11, 10), F(1, 2)):
+            with pytest.raises(NotInCantor, match=f"^{c} is not in the Cantor set$"):
+                vertical_trace(st_1_4, c)
 
     def test_jump_column_raises(self, st_1_4):
         with pytest.raises(JumpHit):
@@ -149,6 +153,46 @@ class TestVerticalTrace:
         for sigma in addresses_of_length(state.depth + 2):
             for c in (endpoint_zero(sigma), endpoint_one(sigma)):
                 assert vertical_trace(state, c) == trace_oracle(state, c, lo, hi, pieces), c
+
+    @pytest.mark.parametrize("name", ["st_2_16", "st_4_16t"])
+    def test_windows_and_max_stages_match_piece_scan_oracle(self, name, request):
+        # at the left end of every depth-K column and at a jump of one copy per
+        # stage, on windows cut from the crossing heights there, at every max
+        # stage: a jump at c raises JumpHit, naming the same copy, also when
+        # the window leaves that copy out
+        state = request.getfixturevalue(name)
+        pieces = state_pieces_oracle(state)
+        upto = list(itertools.accumulate(len(stage.copies) for stage in state.stages))
+        lo, hi = state.range_low, state.range_high
+        columns = []
+        for sigma in addresses_of_length(state.depth):
+            c = endpoint_zero(sigma)
+            cuts = sorted({h for h, _ in trace_oracle(state, c, lo, hi, pieces)})
+            mid = len(cuts) // 2
+            between = (cuts[mid] + cuts[mid + 1]) / 2
+            windows = [(cuts[mid], cuts[mid]), (cuts[mid], cuts[mid + 1]), (between, between), (cuts[0], cuts[mid])]
+            columns.append((c, None, windows))
+        for stage in state.stages:
+            c, seg_lo, seg_hi = jumps_global_oracle(stage.copies[-1])[0]
+            windows = [(seg_lo, seg_hi), (lo, (lo + seg_lo) / 2), ((seg_hi + hi) / 2, hi)]
+            columns.append((c, (seg_lo, seg_hi), windows))
+        outcomes, jump_outside = [], 0
+        for c, segment, windows in columns:
+            for max_stage in range(state.depth + 1):
+                for w_lo, w_hi in [(lo, hi), *windows]:
+                    where = (c, w_lo, w_hi, max_stage)
+                    try:
+                        expected = trace_oracle(state, c, w_lo, w_hi, pieces[: upto[max_stage]])
+                    except JumpHit as exc:
+                        expected = str(exc)
+                        with pytest.raises(JumpHit) as got:
+                            vertical_trace(state, c, w_lo, w_hi, max_stage)
+                        assert str(got.value) == expected, where
+                        jump_outside += w_hi < segment[0] or segment[1] < w_lo
+                    else:
+                        assert vertical_trace(state, c, w_lo, w_hi, max_stage) == expected, where
+                    outcomes.append(expected)
+        assert jump_outside and any(outcomes) and [] in outcomes
 
 
 class TestIntegerFiber:
@@ -283,48 +327,64 @@ class TestBuild:
     def test_betweenness_guarantee(self, st_2_16):
         # between consecutive inherited copies of a column, some stage-2 copy
         # sits strictly between them (pointwise over the whole column)
+        copies = st_2_16.copies
         for sigma in addresses_of_length(2):
             left, right = endpoint_zero(sigma), endpoint_one(sigma)
             inherited = sorted(
                 st_2_16.chain_ids(sigma, max_stage=1),
                 key=lambda cid: band_oracle(st_2_16.copies[cid], left, right),
             )
-            new_ids = [cid for cid in st_2_16.ids_at_address(sigma.bits) if st_2_16.copies[cid].stage == 2]
+            new_ids = [cid for cid in st_2_16.ids_at_address(sigma.bits) if copies[cid].stage == 2]
             for low, up in zip(inherited, inherited[1:]):
                 assert any(
-                    pointwise_below(st_2_16, low, mid, sigma)
-                    and pointwise_below(st_2_16, mid, up, sigma)
+                    pointwise_below_oracle(copies[low], copies[mid], sigma)
+                    and pointwise_below_oracle(copies[mid], copies[up], sigma)
                     for mid in new_ids
                 ), (sigma, low, up)
 
 
-class TestPointwiseBelow:
-    def test_stage_zero_below_first_split_copy(self, st_1_4):
-        # their trace bands touch at f(1/3) but the copies never meet pointwise
-        assert pointwise_below(st_1_4, 0, 2, Address.parse("0"))
+def _ordered(model, low: int, up: int, sigma: Address) -> bool:
+    """Whether region_between orders the pair: False where it raises NotOrdered."""
+    try:
+        region_between(model, low, up, sigma)
+    except NotOrdered:
+        return False
+    return True
 
-    def test_not_below_in_reverse(self, st_1_4):
-        assert not pointwise_below(st_1_4, 2, 0, Address.parse("0"))
+
+class TestPointwiseBelow:
+    """region_between decides the order of two copies by the column sweep's
+    meeting rule (ColumnSweep.adjacent_order and pair_gaps); it raises
+    NotOrdered exactly where the Fraction walk pointwise_below_oracle finds
+    the lower copy not strictly below the upper one somewhere on the column."""
+
+    def test_stage_zero_below_first_split_copy(self, model_1_4):
+        # their trace bands touch at f(1/3) but the copies never meet pointwise
+        assert _ordered(model_1_4, 0, 2, Address.parse("0"))
+
+    def test_not_below_in_reverse(self, model_1_4):
+        with pytest.raises(NotOrdered, match="^copy 1:1 is not strictly below copy 0:0 over 0$"):
+            region_between(model_1_4, 2, 0, Address.parse("0"))
 
     def test_simultaneous_jumps_compare_the_old_heights(self):
         # both copies jump at c = 1/4: the lower one's jump top 13/16 passes the
         # upper one's jump bottom 251/320, though not its new height 53/64
         rect = Rect(Address.parse("0"), F(1, 2), F(17, 20))
         state = ConstructionState(1, 4, False, [stage_zero(), [rect]])
-        assert not pointwise_below(state, 0, 1, Address.parse("0"))
-        assert not pointwise_below_oracle(state.copies[0], state.copies[1], F(0), F(1, 3))
+        assert not _ordered(assemble(state), 0, 1, Address.parse("0"))
+        assert not pointwise_below_oracle(state.copies[0], state.copies[1], Address.parse("0"))
 
     @pytest.mark.parametrize("name", ["st_2_16", "st_4_16t"])
     def test_matches_fraction_walk(self, name, request):
+        # every ordered pair of the copies spanning each column at levels 1..K
         state = request.getfixturevalue(name)
+        model = assemble(state)
         verdicts = set()
-        for sigma in addresses_of_length(2):
-            left, right = endpoint_zero(sigma), endpoint_one(sigma)
-            ids = state.chain_ids(sigma, max_stage=2)
-            for low in ids:
-                for up in ids:
-                    ours = pointwise_below(state, low, up, sigma)
-                    oracle = pointwise_below_oracle(state.copies[low], state.copies[up], left, right)
+        for level in range(1, state.depth + 1):
+            for sigma in addresses_of_length(level):
+                for low, up in itertools.product(state.chain_ids(sigma), repeat=2):
+                    ours = _ordered(model, low, up, sigma)
+                    oracle = pointwise_below_oracle(state.copies[low], state.copies[up], sigma)
                     assert ours == oracle, (str(sigma), low, up)
                     verdicts.add(ours)
         assert verdicts == {True, False}
