@@ -126,8 +126,21 @@ def cmd_render(args: argparse.Namespace) -> int:
     return 0
 
 
+def _signed_values(argv: list[str]) -> list[str]:
+    """argv with "--c -1/2" (and --lo, --hi) joined as "--c=-1/2": argparse
+    takes a value that starts with "-" for an option unless it is a plain
+    integer or decimal."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in ("--c", "--lo", "--hi") and arg[:1] == "-" and arg[1:2].isdigit():
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parser().parse_args(_signed_values(sys.argv[1:] if argv is None else argv))
     commands = {"build": cmd_build, "verify": cmd_verify, "trace": cmd_trace, "render": cmd_render}
     try:
         return commands[args.command](args)

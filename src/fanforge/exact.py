@@ -9,6 +9,7 @@ the two endpoint maps realize the usual base-3 coding.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from fractions import Fraction
 from typing import Iterator
@@ -22,19 +23,36 @@ ONE = Fraction(1)
 _RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]*[1-9][0-9]*))?")
 
 
-def rational_from_str(text: str) -> Fraction:
-    """Parse "p/q" or a bare integer: an optional "-", digits, and an
-    optional "/" with a positive denominator. Nothing else (no decimals,
-    exponents, signs on q, underscores or spaces) is a rational here."""
+def rational_pair(text: str) -> tuple[int, int]:
+    """Parse "p/q" or a bare integer into (p, q) in lowest terms, q > 0: an
+    optional "-", digits, and an optional "/" with a positive denominator.
+    Nothing else (no decimals, exponents, signs on q, underscores or spaces)
+    is a rational here."""
     match = _RATIONAL.fullmatch(text)
     if match is None:
         raise ValueError(f"not a rational: {text!r}")
-    return Fraction(int(match[1]), int(match[2] or 1))
+    return reduced(int(match[1]), int(match[2] or 1))
+
+
+def reduced(p: int, q: int) -> tuple[int, int]:
+    """p/q, q > 0, as the pair of its lowest terms."""
+    g = math.gcd(p, q)
+    return (p // g, q // g)
+
+
+def rational_from_str(text: str) -> Fraction:
+    """The rational of `rational_pair(text)`."""
+    return Fraction(*rational_pair(text))
 
 
 def rational_to_str(q: Fraction) -> str:
     """Serialize in lowest terms as "p/q" ("0/1" for zero)."""
     return f"{q.numerator}/{q.denominator}"
+
+
+def pair_to_str(pair: tuple[int, int]) -> str:
+    """Serialize a pair in lowest terms (`rational_pair`) as "p/q"."""
+    return "%d/%d" % pair
 
 
 class Address:
@@ -44,12 +62,14 @@ class Address:
     hash alike, when their bits are.
     """
 
-    __slots__ = ("bits",)
+    __slots__ = ("bits", "_text", "_origin")
 
     def __init__(self, bits: tuple[int, ...] = ()):
         if any(b not in (0, 1) for b in bits):
             raise ValueError(f"address bits must be 0/1: {bits!r}")
         self.bits = bits
+        self._text: str | None = None  # made on first use, as is _origin
+        self._origin: int | None = None
 
     def __eq__(self, other: object) -> bool:
         return self.bits == other.bits if isinstance(other, Address) else NotImplemented
@@ -61,21 +81,23 @@ class Address:
         return len(self.bits)
 
     def __str__(self) -> str:
-        return "".join(str(b) for b in self.bits)
+        if self._text is None:
+            self._text = "".join(map(str, self.bits))
+        return self._text
 
     @classmethod
     def parse(cls, text: str) -> "Address":
         if text and set(text) - {"0", "1"}:
             raise ValueError(f"address string must be bits: {text!r}")
-        return cls(tuple(int(ch) for ch in text))
+        return cls(tuple(map(int, text)))
 
     @property
     def origin(self) -> int:
-        """The left end of B(sigma) over 3^len(sigma), an int: 3^len * 0(sigma)."""
-        num = 0
-        for b in self.bits:
-            num = num * 3 + 2 * b
-        return num
+        """The left end of B(sigma) over 3^len(sigma), an int: 3^len * 0(sigma),
+        whose base-3 digits are 2 * sigma(k); computed once per address."""
+        if self._origin is None:
+            self._origin = int(str(self).replace("1", "2") or "0", 3)
+        return self._origin
 
     def is_prefix_of(self, other: "Address") -> bool:
         return self.bits == other.bits[: len(self.bits)]

@@ -110,9 +110,10 @@ def _tiling_lines(state: ConstructionState) -> Iterator[str]:
     yield HEAD
     yield canvas.rect(0.0, 0.0, 1.0, 1.0, "frame", 0.6)
     for stage in state.stages[1:]:
+        unit = 3**stage.n  # int / int is correctly rounded, as float(Fraction) is
         for rect in stage.rects:
-            corners = (float(rect.left), float(rect.bottom), float(rect.right), float(rect.top))
-            yield canvas.rect(*corners, "rect", STROKE_RECT)
+            (a, p), (b, q), origin = rect.a, rect.b, rect.address.origin
+            yield canvas.rect(origin / unit, a / p, (origin + 1) / unit, b / q, "rect", STROKE_RECT)
     for copy in state.copies:
         canvas.forget()
         yield f'<g class="copy" id="copy-{copy.stage}-{copy.index}">\n'

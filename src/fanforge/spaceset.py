@@ -299,13 +299,8 @@ def region_between(model: SpaceModel, lower_id: int, upper_id: int, column: Addr
         raise NotOrdered(
             f"copy {lower.key} is not strictly below copy {upper.key} over {column}"
         )
-    n, index_at = len(column), state.table.index_at
-    boundary = [
-        copy.midpoint_global(m)
-        for copy in (lower, upper)
-        for m in sorted(index_at[pos] for pos in copy.jumps_inside(column.origin, n))
-    ]
-    return Region("betweenCopies", column, (lower_id, upper_id), tuple(boundary), model)
+    boundary = (*lower.midpoints_global(col.jumps(0)), *upper.midpoints_global(col.jumps(1)))
+    return Region("betweenCopies", column, (lower_id, upper_id), boundary, model)
 
 
 def vertex_neighborhood(model: SpaceModel, r: Fraction) -> Region:

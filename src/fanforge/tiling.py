@@ -34,8 +34,9 @@ from .exact import (
     endpoint_one,
     endpoint_zero,
     locate,
-    rational_from_str,
-    rational_to_str,
+    pair_to_str,
+    rational_pair,
+    reduced,
 )
 from .errors import (
     IndexOutOfRange,
@@ -53,32 +54,53 @@ STATE_SCHEMA = "fanforge-state-v1"
 
 
 class Rect:
-    """B(sigma) x [a, b] with address length equal to its stage; its
-    height b - a is computed once, since both the state's scale and the
-    copy's integer form read it. Equality and hashing ignore the height."""
+    """B(sigma) x [a, b] with address length equal to its stage. Its bottom
+    `a`, top `b` and height `h` = b - a are int pairs (p, q) in lowest terms,
+    q > 0, so placing, saving and loading a rect does no Fraction arithmetic;
+    `bottom`, `top` and `height` are their Fractions, made when asked for.
+    Equality and hashing ignore the height. `Rect(address, bottom, top)`
+    takes Fractions, `from_pairs` the pairs."""
 
-    __slots__ = ("address", "bottom", "top", "height")
+    __slots__ = ("address", "a", "b", "h")
 
     def __init__(self, address: Address, bottom: Fraction, top: Fraction):
-        if not bottom < top:
-            raise ValueError(f"rect needs bottom < top, got [{bottom}, {top}]")
-        self.address, self.bottom, self.top, self.height = address, bottom, top, top - bottom
+        a, b = (bottom.numerator, bottom.denominator), (top.numerator, top.denominator)
+        self.address, self.a, self.b, self.h = address, a, b, self._height(a, b)
+
+    @classmethod
+    def from_pairs(cls, address: Address, a: tuple[int, int], b: tuple[int, int], h: tuple[int, int] | None = None):
+        """The rect over `address` from reduced pairs; h, when given, must be b - a."""
+        rect = cls.__new__(cls)
+        rect.address, rect.a, rect.b, rect.h = address, a, b, h or cls._height(a, b)
+        return rect
+
+    @staticmethod
+    def _height(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+        """b - a in lowest terms; ValueError unless a < b. With g = gcd(q, s)
+        it is num / (q*s/g), num = r*(q/g) - p*(s/g), where num has no factor
+        of q/g or s/g, so only gcd(num, g) cancels (as in Fraction's _sub)."""
+        (p, q), (r, s) = a, b
+        g = math.gcd(q, s)
+        q_g = q // g
+        num = r * q_g - p * (s // g)
+        if num <= 0:
+            raise ValueError(f"rect needs bottom < top, got [{Fraction(p, q)}, {Fraction(r, s)}]")
+        g = math.gcd(num, g)
+        return (num // g, q_g * (s // g))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Rect):
             return NotImplemented
-        return (self.address, self.bottom, self.top) == (other.address, other.bottom, other.top)
+        return (self.address, self.a, self.b) == (other.address, other.a, other.b)
 
     def __hash__(self) -> int:
         return hash((self.address, self.bottom, self.top))
 
-    @property
-    def left(self) -> Fraction:
-        return endpoint_zero(self.address)
-
-    @property
-    def right(self) -> Fraction:
-        return endpoint_one(self.address)
+    bottom = property(lambda self: Fraction(*self.a))
+    top = property(lambda self: Fraction(*self.b))
+    height = property(lambda self: Fraction(*self.h))
+    left = property(lambda self: endpoint_zero(self.address))
+    right = property(lambda self: endpoint_one(self.address))
 
 
 class PlacedCopy:
@@ -93,7 +115,8 @@ class PlacedCopy:
     The copy's integer form is its only placement: on a plateau of value
     k / 2^N (k as in `JumpTable.values`) its height a + h*k/2^N is
     (base + step*k) / den, over its state's `den` (ConstructionState), and
-    its column's left end is origin / 3^stage (`Address.origin`). A den
+    its column's left end is origin / 3^stage (`Address.origin`). base and
+    step come from the rect's pairs `a` and `h` by integer division; a den
     that is not a multiple of den(a) and of den(h) * 2^N is refused. `fiber`,
     `jump_global` and `midpoint_global` return shared exact values: each
     plateau height (`exact_height`) and each jump midpoint is made a
@@ -111,17 +134,17 @@ class PlacedCopy:
         self.rect = rect
         self.table = table
         self._pow3 = 3 ** stage
-        a, h = rect.bottom, rect.height
-        a_unit, a_rest = divmod(den, a.denominator)
-        h_unit, h_rest = divmod(den, h.denominator * 2**table.n_jumps)
+        (a, a_den), (h, h_den) = rect.a, rect.h
+        a_unit, a_rest = divmod(den, a_den)
+        h_unit, h_rest = divmod(den, h_den << table.n_jumps)
         if a_rest or h_rest:
             raise InvalidParameter(
                 f"copy {stage}:{index}: den {den} is not a multiple of both "
-                f"den({a}) and den({h}) * 2^{table.n_jumps}"
+                f"den({rect.bottom}) and den({rect.height}) * 2^{table.n_jumps}"
             )
         self.den = den
-        self.base = a.numerator * a_unit
-        self.step = h.numerator * h_unit
+        self.base = a * a_unit
+        self.step = h * h_unit
         self.origin = rect.address.origin
         self._heights: list[Fraction | None] | None = None  # by value index, made on first use
         self._midpoints: list[tuple[Fraction, Fraction] | None] | None = None  # by sorted position
@@ -208,8 +231,11 @@ class PlacedCopy:
         """The midpoint of jump `index` as global (location, height)."""
         return self._midpoint(self.jump_pos(index))
 
-    def midpoints_global(self) -> list[tuple[Fraction, Fraction]]:
-        return [self.midpoint_global(m) for m in range(self.table.n_jumps)]
+    def midpoints_global(self, positions: range | None = None) -> list[tuple[Fraction, Fraction]]:
+        """The midpoints of the jumps at the sorted positions `positions`, a
+        subrange of [0, N) (default: all of it), in jump-index order."""
+        order = self.table.pos_of_index if positions is None else sorted(positions, key=self.table.index_at.__getitem__)
+        return [self._midpoint(pos) for pos in order]
 
 
 class TilingStage:
@@ -259,10 +285,8 @@ class ConstructionState:
         """Append the next stage, placing, numbering and indexing its copies;
         where its rects widen `den`, every placed copy is scaled to it."""
         n = len(self.stages)
-        scale = 2**self.n_jumps
         self._columns = None
-        dens = (d for r in rects for d in (r.bottom.denominator, r.height.denominator * scale))
-        den = math.lcm(self.den, *set(dens))
+        den = math.lcm(self.den, *{r.a[1] for r in rects}, *{r.h[1] << self.n_jumps for r in rects})
         unit = den // self.den
         for copy in self.copies:
             copy.den, copy.base, copy.step = den, copy.base * unit, copy.step * unit
@@ -350,23 +374,14 @@ class ConstructionState:
             yield lowest, k, k_hi, reached
 
     def to_json_obj(self) -> dict:
+        text = cache(pair_to_str)  # the rects share most of their bounds
         return {
             "schema": STATE_SCHEMA,
             "depth": self.depth,
             "jumps": self.n_jumps,
             "strict": self.strict,
             "stages": [
-                {
-                    "n": st.n,
-                    "rects": [
-                        {
-                            "address": str(r.address),
-                            "a": rational_to_str(r.bottom),
-                            "b": rational_to_str(r.top),
-                        }
-                        for r in st.rects
-                    ],
-                }
+                {"n": st.n, "rects": [{"address": str(r.address), "a": text(r.a), "b": text(r.b)} for r in st.rects]}
                 for st in self.stages
             ],
         }
@@ -441,9 +456,10 @@ class ColumnSweep:
     def breakpoints(self) -> list[int]:
         return sorted(self.events)
 
-    def breaks(self, i: int) -> int:
-        """How many breakpoints the copy at place i has in the column."""
-        return len(self._inside[i][0])
+    def jumps(self, i: int) -> range:
+        """The sorted positions of the jumps of the copy at place i inside
+        the column (`jumps_inside`), one per breakpoint of the copy there."""
+        return self._inside[i][0]
 
     def adjacent_order(self) -> list[int] | None:
         """The places in `ids`, bottom to top by their crossings at the
@@ -634,8 +650,9 @@ def next_stage(state: ConstructionState) -> list[Rect]:
             if length <= 0:
                 continue  # tolerant mode: touching bands leave empty strips
             count = -(-length * (n + 1) // den)
-            ends = [Fraction(s_lo * count + k * length, den * count) for k in range(count + 1)]
-            rects.extend(Rect(sigma, lo, hi) for lo, hi in zip(ends, ends[1:]))
+            whole, height = den * count, reduced(length, den * count)  # each end is an int over whole
+            ends = [reduced(end, whole) for end in range(s_lo * count, s_hi * count + 1, length)]
+            rects.extend(Rect.from_pairs(sigma, lo, hi, height) for lo, hi in zip(ends, ends[1:]))
     return rects
 
 
@@ -740,9 +757,10 @@ def load_state(path: str) -> ConstructionState:
 def state_from_json_obj(doc: dict, location: str = "<state>") -> ConstructionState:
     """The state of a fanforge-state-v1 document. The stacked rects share
     most of their texts, so each distinct address and rational text is
-    parsed once per load, into caches dropped when it returns. A rect
-    object of three good texts takes one type test and three lookups; any
-    other rect is checked field by field, to say what is wrong."""
+    parsed once per load, a rational into one reduced pair that its rects
+    share, into caches dropped when it returns. A rect object of three good
+    texts takes one type test and three lookups; any other rect is checked
+    field by field, to say what is wrong."""
     if not isinstance(doc, dict):
         raise StateSchemaError("state document must be an object", location)
     schema = _require(doc, "schema", location, str)
@@ -757,7 +775,7 @@ def state_from_json_obj(doc: dict, location: str = "<state>") -> ConstructionSta
     if len(stages_doc) != depth + 1:
         raise StateSchemaError("stages must list exactly depth+1 entries", f"{location}.stages")
     address_of = cache(Address.parse)  # a text that does not parse raises, uncached
-    rational_of = cache(rational_from_str)
+    pair_of = cache(rational_pair)
     stages: list[list[Rect]] = []
     for si, st in enumerate(stages_doc):
         loc = f"{location}.stages[{si}]"
@@ -769,14 +787,14 @@ def state_from_json_obj(doc: dict, location: str = "<state>") -> ConstructionSta
             rect = None
             if type(rd) is dict:
                 try:
-                    rect = Rect(address_of(rd["address"]), rational_of(rd["a"]), rational_of(rd["b"]))
+                    rect = Rect.from_pairs(address_of(rd["address"]), pair_of(rd["a"]), pair_of(rd["b"]))
                 except (KeyError, TypeError, ValueError):
                     pass
             if rect is None:
                 rloc = f"{loc}.rects[{ri}]"
                 texts = [_require(rd, key, rloc, str) for key in ("address", "a", "b")]
                 try:
-                    rect = Rect(address_of(texts[0]), rational_of(texts[1]), rational_of(texts[2]))
+                    rect = Rect.from_pairs(address_of(texts[0]), pair_of(texts[1]), pair_of(texts[2]))
                 except ValueError as exc:
                     raise StateSchemaError(str(exc), rloc) from exc
             if len(rect.address) != n:

@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .catalog import KNOWN_CHECKS
 from .errors import InvalidParameter
-from .exact import addresses_of_length, rational_to_str
+from .exact import addresses_of_length, pair_to_str, rational_to_str
 from .tiling import ColumnSweep, ConstructionState, PlacedCopy, check_sampling
 
 if TYPE_CHECKING:
@@ -128,8 +128,8 @@ def check_conditions_i_ii(state: ConstructionState) -> list[CheckRecord]:
                 witness = {
                     "index": i,
                     "address": str(rect.address),
-                    "a": rational_to_str(rect.bottom),
-                    "b": rational_to_str(rect.top),
+                    "a": pair_to_str(rect.a),
+                    "b": pair_to_str(rect.b),
                 }
                 break
         max_height = Fraction(tallest * scale, den)
@@ -155,8 +155,8 @@ def check_partial_tiling(state: ConstructionState) -> list[CheckRecord]:
                     a, b = lower.rect, upper.rect
                     witness = {
                         "address": "".join(map(str, bits)),
-                        "first": [rational_to_str(a.bottom), rational_to_str(a.top)],
-                        "second": [rational_to_str(b.bottom), rational_to_str(b.top)],
+                        "first": [pair_to_str(a.a), pair_to_str(a.b)],
+                        "second": [pair_to_str(b.a), pair_to_str(b.b)],
                     }
                     break
             if witness:
@@ -244,7 +244,7 @@ def _pair_path(col: ColumnSweep, den: int, widest: int) -> tuple[int, int] | Non
         return None
     gaps, widest = pairs
     initial = (col.first[bottom] > lo) + 1  # the top edge gap is positive: first[top] < hi
-    return initial + gaps + col.breaks(bottom) + col.breaks(top), widest
+    return initial + gaps + len(col.jumps(bottom)) + len(col.jumps(top)), widest
 
 
 class LevelSweep(NamedTuple):
@@ -716,7 +716,8 @@ def _forest(d2: np.ndarray, a: np.ndarray, b: np.ndarray, label: np.ndarray) -> 
             if (up == label[comp]).all():
                 break
             label[comp] = up
-        chosen.append(link[np.unique(pick)])
+        pick = np.sort(pick)
+        chosen.append(link[pick[_starts(pick)]])  # each link once: np.unique would load numpy.ma
     while not (label[label] == label).all():
         label[:] = label[label]
     return np.concatenate(chosen)

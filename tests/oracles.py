@@ -15,7 +15,8 @@ Q-points and their fiber isolation from each copy's Fraction midpoints, and
 the disjointness record from the pairwise scan over every candidate pair,
 a copy's placement and its earring from its rectangle in Fractions, a
 Cantor point inside an open interval from a breadth-first search, and a
-state document's load from parsing every rect's texts afresh.
+state document's load from parsing every rect's texts afresh into
+Fractions, with its copies' integer forms and its text from those Fractions.
 They exist to compute and to cross-check expected values, not to be fast.
 """
 
@@ -23,6 +24,7 @@ import bisect
 import itertools
 import json
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -50,7 +52,6 @@ from fanforge.exact import (
     endpoint_one,
     endpoint_zero,
     locate,
-    rational_from_str,
     rational_to_str,
 )
 from fanforge.render import CANTOR_DEPTH, HEAD, HEIGHT, MARGIN, STROKE_COPY, STROKE_RECT, TAIL, WIDTH
@@ -221,8 +222,51 @@ def to_global_c(copy, u: Fraction) -> Fraction:
 
 
 def own_den(rect, n_jumps: int) -> int:
-    """The least den a copy in `rect` can be placed at: lcm(den a, den h * 2^N)."""
-    return math.lcm(rect.bottom.denominator, rect.height.denominator * 2**n_jumps)
+    """The least den a copy in `rect` can be placed at: lcm(den a, den h * 2^N),
+    with h = b - a in Fractions."""
+    return math.lcm(rect.bottom.denominator, (rect.top - rect.bottom).denominator * 2**n_jumps)
+
+
+def placement_oracle(state) -> list[tuple[int, int, int, int]]:
+    """(den, base, step, origin) per copy from its rect in Fractions: den is
+    the lcm of every rect's own_den, the bottom a is base / den and the
+    height h is step * 2^N / den, and origin / 3^stage is the column's left
+    end."""
+    den = math.lcm(*(own_den(copy.rect, state.n_jumps) for copy in state.copies))
+    out = []
+    for copy in state.copies:
+        a, b = copy.rect.bottom, copy.rect.top
+        base, step = a * den, (b - a) * den / 2**state.n_jumps
+        origin = endpoint_zero_oracle(copy.rect.address.bits) * 3**copy.stage
+        assert base.denominator == step.denominator == origin.denominator == 1
+        out.append((den, base.numerator, step.numerator, origin.numerator))
+    return out
+
+
+def state_json_oracle(state) -> str:
+    """The state document with each rect's bounds written from Fractions."""
+    stages = [
+        {
+            "n": stage.n,
+            "rects": [
+                {
+                    "address": "".join(map(str, r.address.bits)),
+                    "a": rational_to_str(r.bottom),
+                    "b": rational_to_str(r.top),
+                }
+                for r in stage.rects
+            ],
+        }
+        for stage in state.stages
+    ]
+    doc = {
+        "schema": STATE_SCHEMA,
+        "depth": state.depth,
+        "jumps": state.n_jumps,
+        "strict": state.strict,
+        "stages": stages,
+    }
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def to_global_h(copy, r: Fraction) -> Fraction:
@@ -507,6 +551,19 @@ def fiber_isolation_witnesses(model) -> list[tuple[QPoint, str]]:
             if hi >= seg_lo and lo <= seg_hi:
                 bad.append((qp, f"copy {state.copies[cid].key} meets segment on {c}"))
     return bad
+
+
+def region_boundary_oracle(state, lower_id: int, upper_id: int, column: Address) -> tuple:
+    """The midpoints, in Fractions, of each copy's jumps strictly inside the
+    column: the lower copy's, then the upper copy's, each in jump-index order."""
+    left, right = endpoint_zero(column), endpoint_one(column)
+    out = []
+    for cid in (lower_id, upper_id):
+        copy = state.copies[cid]
+        for c, low, high in table_of(copy).jumps:
+            if left < to_global_c(copy, c) < right:
+                out.append((to_global_c(copy, c), to_global_h(copy, (low + high) / 2)))
+    return tuple(out)
 
 
 def q_set_oracle(state) -> dict:
@@ -1218,8 +1275,17 @@ def sample_points_oracle(model, grid_depth: int, fiber_count: int) -> SampledClo
     return SampledCloud(xy + [fan_point(p) for p in p_samples], p_samples)
 
 
+def rational_oracle(text: str) -> Fraction:
+    """A "p/q" or bare integer text as a Fraction, by the state format's grammar."""
+    match = re.fullmatch(r"(-?[0-9]+)(?:/([0-9]*[1-9][0-9]*))?", text)
+    if match is None:
+        raise ValueError(f"not a rational: {text!r}")
+    return Fraction(int(match[1]), int(match[2] or 1))
+
+
 def state_from_json_obj_oracle(doc: dict, location: str = "<state>") -> ConstructionState:
-    """state_from_json_obj with every rect's texts checked and parsed afresh."""
+    """state_from_json_obj with every rect's texts checked and parsed afresh
+    into Fractions, and its bounds compared as Fractions."""
     if not isinstance(doc, dict):
         raise StateSchemaError("state document must be an object", location)
     schema = _require(doc, "schema", location, str)
@@ -1247,7 +1313,9 @@ def state_from_json_obj_oracle(doc: dict, location: str = "<state>") -> Construc
             b_text = _require(rd, "b", rloc, str)
             try:
                 address = Address.parse(address_text)
-                a, b = rational_from_str(a_text), rational_from_str(b_text)
+                a, b = rational_oracle(a_text), rational_oracle(b_text)
+                if not a < b:
+                    raise ValueError(f"rect needs bottom < top, got [{a}, {b}]")
                 rect = Rect(address, a, b)
             except ValueError as exc:
                 raise StateSchemaError(str(exc), rloc) from exc

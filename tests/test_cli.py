@@ -242,6 +242,19 @@ class TestTrace:
         assert "InvertedWindow" in stderr and "Traceback" not in stderr
         assert stdout == ""
 
+    @pytest.mark.parametrize(
+        "option, value, code",
+        [("--c", "-1/2", 2), ("--lo", "-1/2", 0), ("--lo", "-3", 0), ("--hi", "-1/32", 0), ("--hi", "-5/2", 2)],
+    )
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+    def test_negative_rational_value_reads_as_its_equals_form(self, state_file, capsys, option, value, code, json_flag):
+        args = ["trace", "--state", str(state_file), *json_flag]
+        if option != "--c":
+            args += ["--c", "0/1"]
+        spaced = run([*args, option, value], capsys)
+        assert spaced == run([*args, f"{option}={value}"], capsys)
+        assert spaced[0] == code and "expected one argument" not in spaced[2]
+
     def test_json_output(self, state_file, capsys):
         code, stdout, _ = run(
             ["trace", "--state", str(state_file), "--c", "0/1", "--json"], capsys
@@ -359,3 +372,9 @@ class TestCommandImports:
         _, after = modules_loaded([build, ["verify", "--state", state, "--checks", EXACT_CHECKS]])
         assert "fanforge.verify" in after
         assert after.isdisjoint({"fanforge.spaceset", "numpy", "dataclasses", "inspect"})
+
+    def test_default_verify_does_not_load_numpy_ma(self, tmp_path):
+        state = str(tmp_path / "state.json")
+        build = ["build", "--depth", "2", "--jumps", "16", "--out", state]
+        _, after = modules_loaded([build, ["verify", "--state", state]])
+        assert "numpy" in after and "numpy.ma" not in after

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction as F
@@ -54,6 +55,7 @@ from .oracles import (
     plateaus_global_oracle,
     q_points,
     q_set_oracle,
+    region_boundary_oracle,
     sample_points_oracle,
     state_pieces_oracle,
     to_global_c,
@@ -392,6 +394,23 @@ class TestRegionBetween:
         assert len(region.boundary) > 0
         column_left, column_right = F(0), F(1, 3)
         assert all(column_left <= c <= column_right for c, _ in region.boundary)
+
+    @pytest.mark.parametrize("name", ["model_1_4", "model_2_16"])
+    def test_boundary_matches_fraction_midpoints(self, name, request):
+        # every ordered pair of the copies spanning each column at levels 1..K
+        model = request.getfixturevalue(name)
+        state, regions = model.state, 0
+        for level in range(1, state.depth + 1):
+            for sigma in addresses_of_length(level):
+                for low, up in itertools.combinations(state.chain_ids(sigma), 2):
+                    for pair in ((low, up), (up, low)):
+                        try:
+                            region = region_between(model, *pair, sigma)
+                        except NotOrdered:
+                            continue
+                        assert region.boundary == region_boundary_oracle(state, *pair, sigma), (str(sigma), pair)
+                        regions += 1
+        assert regions > 0
 
     def test_boundary_min_distance_positive(self, model_1_4):
         region = region_between(model_1_4, 0, 1, Address.parse("0"))

@@ -42,9 +42,11 @@ from .oracles import (
     jumps_global_oracle,
     max_height_oracle,
     own_den,
+    placement_oracle,
     plateaus_global_oracle,
     pointwise_below_oracle,
     state_from_json_obj_oracle,
+    state_json_oracle,
     state_pieces_oracle,
     to_global_c,
     to_global_h,
@@ -270,7 +272,9 @@ class TestBuild:
         "args", [(1, 4, True), (2, 16, True), (3, 16, True), (4, 24, True), (4, 16, False), (5, 32, False)]
     )
     def test_matches_fraction_oracle(self, args):
-        assert build(*args).to_json() == build_oracle(*args).to_json()
+        state, oracle = build(*args), build_oracle(*args)
+        assert state.to_json() == state_json_oracle(oracle) == oracle.to_json()
+        assert [(c.den, c.base, c.step, c.origin) for c in state.copies] == placement_oracle(oracle)
 
     @pytest.mark.parametrize("args", [(2, 4), (3, 5), (3, 8)])
     def test_too_coarse_matches_fraction_oracle(self, args):
@@ -514,11 +518,14 @@ class TestStateScale:
 
 def load_outcome(loader, doc):
     """What loading `doc` gives: the state's JSON with each copy's integer
-    form, or the message and location of the StateSchemaError raised."""
+    form, or the message and location of the StateSchemaError raised. The
+    oracle loader's state is written and placed from Fractions."""
     try:
         state = loader(doc)
     except StateSchemaError as exc:
         return "error", str(exc), exc.location
+    if loader is state_from_json_obj_oracle:
+        return "state", state_json_oracle(state), placement_oracle(state)
     return "state", state.to_json(), [(c.den, c.base, c.step, c.origin) for c in state.copies]
 
 
@@ -580,7 +587,7 @@ class TestLoaderAgainstOracle:
         doc = json.loads(state.to_json())
         ours = load_outcome(state_from_json_obj, doc)
         assert ours == load_outcome(state_from_json_obj_oracle, doc)
-        assert ours[1] == state.to_json()
+        assert ours[1:] == (state.to_json(), [(c.den, c.base, c.step, c.origin) for c in state.copies])
 
     @given(st.data())
     def test_texts_moved_between_rects_load_as_the_oracle_loads_them(self, st_2_16, data):
@@ -657,4 +664,16 @@ def test_address_and_rect_keep_their_equality_and_hashing():
     same = Rect(Address((0,)), F(2, 4), F(1))
     assert rect == same and hash(rect) == hash(same) and len({rect, same}) == 1
     assert rect != Rect(Address.parse("1"), F(1, 2), F(1)) and rect != Rect(Address.parse("0"), F(1, 2), F(3, 2))
-    assert same.height == F(1, 2)
+    assert same.height == F(1, 2) and hash(rect) == hash((Address((0,)), F(1, 2), F(1)))
+    assert Rect.from_pairs(Address((0,)), (1, 2), (1, 1)) == rect
+    assert (rect.a, rect.b, rect.h) == ((1, 2), (1, 1), (1, 2))
+
+
+@pytest.mark.parametrize("bottom, top", [(F(1, 2), F(1, 2)), (F(3, 2), F(-1)), (F(0), F(-1, 3))])
+def test_rect_refuses_bottom_at_or_above_top_with_its_fraction_message(bottom, top):
+    message = f"rect needs bottom < top, got [{bottom}, {top}]"
+    pairs = [(q.numerator, q.denominator) for q in (bottom, top)]
+    for make in (lambda: Rect(Address(), bottom, top), lambda: Rect.from_pairs(Address(), *pairs)):
+        with pytest.raises(ValueError) as exc:
+            make()
+        assert str(exc.value) == message

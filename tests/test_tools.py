@@ -19,7 +19,7 @@ def test_ladder_times_the_build_and_each_check_of_a_rung():
     rung = load_tool("ladder").time_rung(2, 16, True)
     assert rung["copies"] == 78
     assert list(rung["seconds"]) == [
-        "import", "build", *KNOWN_CHECKS, "load_state", "queries", "render tiling", "render fan"
+        "import", "build", *KNOWN_CHECKS, "save_state", "load_state", "queries", "render tiling", "render fan"
     ]
     assert len(rung["answers"]) == 16 and int(rung["answers"], 16) >= 0
     assert all(isinstance(t, float) and t >= 0 for t in rung["seconds"].values())

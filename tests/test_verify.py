@@ -593,7 +593,7 @@ class TestCellDecomposition:
         # skips that empty gap, and counts the top one plus both edge gaps
         # after each of the 4 jumps
         col = ColumnSweep(st_0_4, Address(), 0)
-        assert col.first == [0] and col.breaks(0) == 4
+        assert col.first == [0] and len(col.jumps(0)) == 4
         assert verify._pair_path(col, st_0_4.den, 0) == _walk_totals(col, st_0_4.den) == (9, st_0_4.den)
         assert sweep_level(st_0_4, 0).records["condition-v"].metrics["gaps_checked"] == 9
 

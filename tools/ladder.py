@@ -1,16 +1,16 @@
-"""Time the package import, `build`, each `run_all` check, `load_state`,
-a fixed query set and the tiling and fan renders in-process over the fixed
-ladder.
+"""Time the package import, `build`, each `run_all` check, `save_state`,
+`load_state`, a fixed query set and the tiling and fan renders in-process
+over the fixed ladder.
 
 The ladder is (2,16), (3,16), (4,32), tolerant (4,16), (5,48) and (6,96).
 Each measurement runs in a fresh interpreter that imports fanforge from one
 source tree, builds the state and runs every check of `verify.KNOWN_CHECKS`
 on its own `run_all` call, so a per-level check includes its own sweeps.
-Then it saves the state to a temporary directory, loads it back with
-`load_state`, and answers a fixed, seed-free query set on the loaded state
-(`query_set`: `vertical_trace`, `SpaceModel.classify` and `claim5_regions`
-calls), so the `queries` time includes building whatever the first query
-builds. Then it runs the `render` command there through `cli.main` for
+Then it saves the state to a temporary directory with `save_state`,
+loads it back with `load_state`, and answers a fixed, seed-free query set
+on the loaded state (`query_set`: `vertical_trace`, `SpaceModel.classify`
+and `claim5_regions` calls), so the `queries` time includes building
+whatever the first query builds. Then it runs the `render` command there through `cli.main` for
 the tiling and the fan figure, so a render time includes loading the state
 file and writing the SVG as the command does. The `import` entry is the
 fixed cost every command pays first: `import fanforge.cli, fanforge.verify`
@@ -109,8 +109,9 @@ def time_queries(state, queries: list[tuple]) -> tuple[float, str]:
 
 
 def time_rung(depth: int, jumps: int, strict: bool) -> dict:
-    """Seconds for the import, the build, each check, the load, the query
-    set and each render, plus the copy count and the answers' digest."""
+    """Seconds for the import, the build, each check, the save, the load,
+    the query set and each render, plus the copy count and the answers'
+    digest."""
     from fanforge import cli, tiling, verify
 
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
@@ -125,7 +126,9 @@ def time_rung(depth: int, jumps: int, strict: bool) -> dict:
         times[check] = time.perf_counter() - start
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "state.json")
+        start = time.perf_counter()
         tiling.save_state(state, path)
+        times["save_state"] = time.perf_counter() - start
         start = time.perf_counter()
         loaded = tiling.load_state(path)
         times["load_state"] = time.perf_counter() - start
