@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
 from typing import NamedTuple
 
 from .debski import jump_table
@@ -131,11 +130,14 @@ def fan_midpoints(copy: PlacedCopy) -> list[tuple[float, float]]:
 
 
 def _diameter(points: list[tuple[float, float]]) -> float:
-    """The largest distance sqrt(dx*dx + dy*dy) between two of the points."""
+    """The largest distance sqrt(dx*dx + dy*dy) between two of the points,
+    which are finite, taken row by row."""
     best = 0.0
-    for (x0, y0), (x1, y1) in combinations(points, 2):
-        dx, dy = x0 - x1, y0 - y1
-        best = max(best, dx * dx + dy * dy)
+    for i, (x0, y0) in enumerate(points, 1):
+        for x1, y1 in points[i:]:
+            d = (x0 - x1) * (x0 - x1) + (y0 - y1) * (y0 - y1)
+            if d > best:
+                best = d
     return math.sqrt(best)
 
 
@@ -144,10 +146,20 @@ def copy_fan_diameter(copy: PlacedCopy) -> float:
 
     Piece endpoints suffice, and the plateau ends are all of them: each
     jump runs from one plateau's right end to the next one's left end.
+    Plateau j runs from column cs[j] to cs[j + 1] at fan height y: the
+    floats of its segment and height in `piece_floats(copy, 0)`, made here
+    without that function's other lists.
     """
-    pieces = piece_floats(copy, 0)
-    ys = [xi_float(v) for v in pieces.heights]
-    ends = [(fan_x(c, y), y) for y, ((lo, hi),) in zip(ys, pieces.segments) for c in (lo, hi)]
+    table = copy.table
+    t_den, den, base, step = table.den, copy.den, copy.base, copy.step
+    origin, unit = copy.origin * t_den, t_den * copy.pow3
+    cs = [(origin + x) / unit for x in (0, *table.locations, t_den)]
+    atan, pi = math.atan, math.pi
+    ends = []
+    for j, k in enumerate(table.values):
+        y = atan((base + step * k) / den) / pi + 0.5
+        ends.append(((y * (2 * cs[j] - 1) + 1) / 2, y))
+        ends.append(((y * (2 * cs[j + 1] - 1) + 1) / 2, y))
     return _diameter(ends)
 
 
@@ -157,11 +169,13 @@ def fan_diameter_bound(copy: PlacedCopy) -> float:
     At a fixed height the fan map is affine in c, so the image of the box
     [origin, origin + 1] / 3^s x [y0, y1], y0 and y1 the fan heights of the
     lowest and highest plateaus, is the convex trapezoid on the four mapped
-    corners, and it holds every plateau end.
+    corners, and it holds every plateau end. The corners are
+    (fan_x(c, y), y) for c in the column ends and y in (y0, y1), and the
+    bound is the largest of their six distances.
 
     The pad. With u = 2^-53, the corners and the plateau ends share the
     column ends, y0 and y1 bit for bit (the same int / int divisions and
-    xi_float calls). A plateau end's column lies between the column ends,
+    xi_float steps). A plateau end's column lies between the column ends,
     since rounding is monotone, and its fan height leaves [y0, y1] by under
     2^-51, twice xi_float's error if math.atan is within an ulp. fan_x errs
     by at most 3u/2. So each computed plateau end lies within 2^-49 of the
@@ -169,28 +183,44 @@ def fan_diameter_bound(copy: PlacedCopy) -> float:
     place, and each length is computed to within a factor 1 + 3u. Hence the
     computed diameter is at most bound * (1 + 7u) + 2^-47 < bound + 2^-46,
     fan points lying in the unit square. A pad of 2^-40 covers that.
+
+    The corners at one height differ in x alone, and (y0 - y1)^2 is the
+    same float either way round, so the six squared lengths are written
+    out with that square made once.
     """
-    ys = [xi_float(copy.height(k) / copy.den) for k in (0, copy.table.n_jumps)]
-    pow3 = 3**copy.stage
-    corners = [(fan_x(c / pow3, y), y) for c in (copy.origin, copy.origin + 1) for y in ys]
-    return _diameter(corners) + 2.0**-40
+    den, base, origin, pow3 = copy.den, copy.base, copy.origin, copy.pow3
+    y0 = math.atan(base / den) / math.pi + 0.5  # height(0) is base: values[0] = 0
+    y1 = math.atan((base + copy.step * copy.table.values[-1]) / den) / math.pi + 0.5
+    c0, c1 = origin / pow3, (origin + 1) / pow3
+    x00, x01 = (y0 * (2 * c0 - 1) + 1) / 2, (y1 * (2 * c0 - 1) + 1) / 2
+    x10, x11 = (y0 * (2 * c1 - 1) + 1) / 2, (y1 * (2 * c1 - 1) + 1) / 2
+    dy = (y0 - y1) * (y0 - y1)
+    return math.sqrt(max(
+        (x00 - x01) * (x00 - x01) + dy,
+        (x00 - x10) * (x00 - x10),
+        (x00 - x11) * (x00 - x11) + dy,
+        (x01 - x10) * (x01 - x10) + dy,
+        (x01 - x11) * (x01 - x11),
+        (x10 - x11) * (x10 - x11) + dy,
+    )) + 2.0**-40
 
 
 def stage_fan_diameters(state: ConstructionState) -> dict[int, float]:
     """Max fan-coordinate copy diameter per stage, by branch and bound.
 
-    Each stage's copies are visited by `fan_diameter_bound`, largest first.
-    A copy's diameter is computed only while its bound exceeds the stage's
-    best so far; once it does not, neither does any later copy's.
+    Each stage's copies are visited by `fan_diameter_bound`, largest first
+    (ties in id order). A copy's diameter is computed only while its bound
+    exceeds the stage's best so far; once it does not, neither does any
+    later copy's.
     """
     out: dict[int, float] = {}
     for stage in state.stages:
-        best = 0.0
-        bounded = sorted(((fan_diameter_bound(c), c) for c in stage.copies), key=lambda t: -t[0])
-        for bound, copy in bounded:
-            if bound <= best:
+        copies, best = stage.copies, 0.0
+        bounds = [fan_diameter_bound(c) for c in copies]
+        for i in sorted(range(len(copies)), key=bounds.__getitem__, reverse=True):
+            if bounds[i] <= best:
                 break
-            best = max(best, copy_fan_diameter(copy))
+            best = max(best, copy_fan_diameter(copies[i]))
         if best > 0.0:
             out[stage.n] = best
     return out

@@ -9,7 +9,9 @@ per-rectangle checks from Fraction bounds, the MST from a quadratic Prim
 (plain Python and vectorised), connectivity from a plain disjoint-set
 union, the SVG copy images and
 fan diameters from a walk over every piece in Fractions (each SVG
-coordinate formatted where it is written), and the stage
+coordinate formatted where it is written), a copy's padded diameter bound
+from its corners through `xi_float` and `fan_x` and a cloud's diameter
+from every pair of `itertools.combinations`, and the stage
 builder and the cloud's fiber gaps from per-copy Fraction traces, the
 Q-points and their fiber isolation from each copy's Fraction midpoints, and
 the disjointness record from the pairwise scan over every candidate pair,
@@ -55,7 +57,7 @@ from fanforge.exact import (
     rational_to_str,
 )
 from fanforge.render import CANTOR_DEPTH, HEAD, HEIGHT, MARGIN, STROKE_COPY, STROKE_RECT, TAIL, WIDTH
-from fanforge.spaceset import Region, VERTEX, fan_point
+from fanforge.spaceset import Region, VERTEX, fan_point, fan_x, xi_float
 from fanforge.tiling import (
     STATE_SCHEMA,
     ColumnSweep,
@@ -1068,8 +1070,21 @@ def _document(body: list[str]) -> str:
     return HEAD + "\n".join(body) + "\n" + TAIL
 
 
+_FAN_DIAMETERS: dict = {}
+
+
 def copy_fan_diameter_oracle(copy) -> float:
-    """Diameter over the fan images of every plateau and jump endpoint."""
+    """Diameter over the fan images of every plateau and jump endpoint.
+
+    The copy's rect and jump count fix it, so it is walked once per rect
+    and jump count and remembered."""
+    key = (copy.rect, copy.table.n_jumps)
+    if key not in _FAN_DIAMETERS:
+        _FAN_DIAMETERS[key] = _walk_fan_diameter(copy)
+    return _FAN_DIAMETERS[key]
+
+
+def _walk_fan_diameter(copy) -> float:
     pts = []
     for lo, hi, v in plateaus_global_oracle(copy):
         pts.append(fan_point((lo, v)))
@@ -1082,16 +1097,34 @@ def copy_fan_diameter_oracle(copy) -> float:
     return float(np.sqrt((diff**2).sum(axis=-1).max()))
 
 
-def stage_fan_diameters_oracle(state, diameters=None) -> dict[int, float]:
-    """Each stage's largest copy diameter, from every copy's diameter (walked
-    here unless `diameters` lists them by copy id)."""
-    if diameters is None:
-        diameters = [copy_fan_diameter_oracle(copy) for copy in state.copies]
+def stage_fan_diameters_oracle(state) -> dict[int, float]:
+    """Each stage's largest copy diameter, from every copy's diameter."""
     out: dict[int, float] = {}
-    for copy, d in zip(state.copies, diameters):
+    for copy in state.copies:
+        d = copy_fan_diameter_oracle(copy)
         if d > out.get(copy.stage, 0.0):
             out[copy.stage] = d
     return out
+
+
+def pair_diameter_oracle(points) -> float:
+    """The largest distance between two of the points, squared through
+    every pair of `itertools.combinations`, then one sqrt."""
+    best = 0.0
+    for (x0, y0), (x1, y1) in itertools.combinations(points, 2):
+        dx, dy = x0 - x1, y0 - y1
+        best = max(best, dx * dx + dy * dy)
+    return math.sqrt(best)
+
+
+def fan_diameter_bound_oracle(copy) -> float:
+    """The padded trapezoid bound on a copy's fan diameter from its four
+    corners, each made through `xi_float` and `fan_x`, and
+    `pair_diameter_oracle`."""
+    ys = [xi_float(copy.height(k) / copy.den) for k in (0, copy.table.n_jumps)]
+    pow3 = 3**copy.stage
+    corners = [(fan_x(c / pow3, y), y) for c in (copy.origin, copy.origin + 1) for y in ys]
+    return pair_diameter_oracle(corners) + 2.0**-40
 
 
 def plateau_segments_oracle(copy, lo: Fraction, hi: Fraction, depth: int):

@@ -474,6 +474,21 @@ class TestCopyGeometry:
             PlacedCopy(0, 0, rect, jump_table(2), den)
         assert PlacedCopy(0, 0, rect, jump_table(2), own_den(rect, 2)).fiber(F(0)) == ("point", bottom, bottom)
 
+    @pytest.mark.parametrize(
+        "name", ["st_0_4", "st_1_4", "st_2_16", "st_3_16", "st_3_32", "st_3_16t", "st_4_16t", "st_4_32", "st_5_32t"]
+    )
+    def test_built_and_loaded_copies_match_direct_construction(self, name, request, tmp_path):
+        # add_stage places each copy from its stage's shared units and rescales
+        # it as later stages widen den; a direct copy divides den itself
+        state = request.getfixturevalue(name)
+        save_state(state, tmp_path / "state.json")
+        for placed in (state, load_state(tmp_path / "state.json")):
+            for copy in placed.copies:
+                direct = PlacedCopy(copy.stage, copy.index, copy.rect, copy.table, copy.den)
+                assert (copy.den, copy.base, copy.step, copy.origin, copy.pow3) == (
+                    direct.den, direct.base, direct.step, direct.origin, direct.pow3
+                ), copy.key
+
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 40) | st.floats(allow_nan=False) | st.text(max_size=6),

@@ -18,6 +18,7 @@ def load_tool(name: str):
 def test_ladder_times_the_build_and_each_check_of_a_rung():
     rung = load_tool("ladder").time_rung(2, 16, True)
     assert rung["copies"] == 78
+    assert rung["diameters_measured"] == 6
     assert list(rung["seconds"]) == [
         "import", "build", *KNOWN_CHECKS, "save_state", "load_state", "queries", "render tiling", "render fan"
     ]
@@ -31,3 +32,12 @@ def test_spread_writes_the_quartiles_next_to_each_median():
         "build": {"q1": 0.2, "median": 0.3, "q3": 0.4},
         "coverage": {"q1": 0.4, "median": 0.6, "q3": 0.8},
     }
+
+
+def test_best_of_keeps_the_least_time_of_at_most_runs_calls():
+    ladder = load_tool("ladder")
+    runs = iter([(0.3, "a"), (0.1, "b"), (0.2, "c"), (0.05, "d")])
+    assert ladder.RUNS == 3 and ladder.best_of(lambda: next(runs)) == (0.1, "c")
+    # a step whose runs have taken the budget runs no more
+    slow = iter([(ladder.RUN_BUDGET, "x"), (0.0, "y")])
+    assert ladder.best_of(lambda: next(slow)) == (ladder.RUN_BUDGET, "x")

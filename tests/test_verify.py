@@ -18,6 +18,7 @@ from fanforge.exact import (
 from fanforge import spaceset
 from fanforge.errors import InvalidParameter
 from fanforge.spaceset import (
+    _diameter,
     copy_fan_diameter,
     fan_diameter_bound,
     fan_point,
@@ -65,11 +66,13 @@ from .oracles import (
     dense_prim_edges_oracle,
     diameter_oracle,
     disjointness_oracle,
+    fan_diameter_bound_oracle,
     fraction_table,
     jumps_global_oracle,
     max_height_oracle,
     mst_edges_oracle,
     own_den,
+    pair_diameter_oracle,
     partial_tiling_oracle,
     plateau_global_oracle,
     plateaus_global_oracle,
@@ -113,19 +116,6 @@ clouds = st.one_of(
         lambda c: [(x * 2.0 ** c[1], y * 2.0 ** c[1]) for x, y in c[0]]
     ),
 )
-
-
-@pytest.fixture(scope="module")
-def oracle_diameters():
-    """Each copy's oracle fan diameter, walked once per state fixture."""
-    cache: dict[str, list[float]] = {}
-
-    def diameters(name: str, state) -> list[float]:
-        if name not in cache:
-            cache[name] = [copy_fan_diameter_oracle(copy) for copy in state.copies]
-        return cache[name]
-
-    return diameters
 
 
 def _with_rects(state, stage_n, rects):
@@ -947,10 +937,10 @@ class TestNullSequence:
     @pytest.mark.parametrize(
         "fixture", ["st_1_4", "st_2_16", "st_3_16", "st_4_16t", "st_4_32", "st_3_32"]
     )
-    def test_diameters_equal_fraction_walk(self, request, fixture, oracle_diameters):
+    def test_diameters_equal_fraction_walk(self, request, fixture):
         state = request.getfixturevalue(fixture)
         profile = stage_fan_diameters(state)
-        oracle = stage_fan_diameters_oracle(state, oracle_diameters(fixture, state))
+        oracle = stage_fan_diameters_oracle(state)
         assert list(profile.items()) == list(oracle.items())
 
     def test_every_copy_diameter_equals_fraction_walk(self, st_2_16):
@@ -958,21 +948,57 @@ class TestNullSequence:
             assert copy_fan_diameter(copy) == copy_fan_diameter_oracle(copy)
 
     @pytest.mark.parametrize("fixture", ["st_2_16", "st_3_16", "st_4_16t", "st_4_32"])
-    def test_padded_bound_covers_every_copy(self, request, fixture, oracle_diameters):
+    def test_padded_bound_covers_every_copy(self, request, fixture):
         state = request.getfixturevalue(fixture)
-        for copy, diameter in zip(state.copies, oracle_diameters(fixture, state)):
-            assert fan_diameter_bound(copy) >= diameter, copy.key
+        for copy in state.copies:
+            assert fan_diameter_bound(copy) >= copy_fan_diameter_oracle(copy), copy.key
 
-    def test_few_exact_diameters_at_four_thirty_two(self, st_4_32, monkeypatch):
-        measured = []
+    @pytest.mark.parametrize("fixture,emptied", [(name, None) for name in ALL_STATES] + [("st_2_16", 1), ("st_2_16", 2)])
+    def test_bound_equals_corner_oracle_bit_for_bit(self, request, fixture, emptied):
+        state = request.getfixturevalue(fixture)
+        if emptied is not None:
+            stages = [stage.rects for stage in state.stages]
+            stages[emptied] = []
+            state = ConstructionState(state.depth, state.n_jumps, state.strict, stages)
+        bounds = [fan_diameter_bound(copy).hex() for copy in state.copies]
+        assert bounds == [fan_diameter_bound_oracle(copy).hex() for copy in state.copies]
+
+    @settings(max_examples=300, deadline=None)
+    @given(clouds)
+    @example([])
+    @example([(0.0, -0.0)])
+    @example([(0.0, 0.0), (-0.0, -0.0)])
+    @example([(-0.0, 0.5), (0.0, 0.5), (-0.0, 0.5), (0.25, -0.0)])
+    @example([(x * 2.0**400, y * 2.0**400) for x, y in NEAR_COINCIDENT])
+    @example([(x * 2.0**-400, y * 2.0**-400) for x, y in NEAR_COINCIDENT])
+    def test_row_diameter_equals_pair_oracle(self, coords):
+        assert _diameter(coords).hex() == pair_diameter_oracle(coords).hex()
+
+    @staticmethod
+    def measured(state, monkeypatch) -> list[str]:
+        """The copies whose exact diameter `stage_fan_diameters` takes."""
+        keys = []
 
         def counted(copy):
-            measured.append(copy.key)
+            keys.append(copy.key)
             return copy_fan_diameter(copy)
 
         monkeypatch.setattr(spaceset, "copy_fan_diameter", counted)
-        stage_fan_diameters(st_4_32)
-        assert 5 <= len(measured) <= 20  # at least one per stage, of 1,473 copies
+        stage_fan_diameters(state)
+        return keys
+
+    def test_few_exact_diameters_at_four_thirty_two(self, st_4_32, monkeypatch):
+        assert len(self.measured(st_4_32, monkeypatch)) == 9  # of 1,473 copies
+
+    @pytest.mark.parametrize(
+        "fixture,count",
+        [
+            ("st_0_4", 1), ("st_1_4", 3), ("st_2_16", 6), ("st_3_16", 8), ("st_3_32", 8),
+            ("st_3_16t", 8), ("st_4_16t", 9), ("st_5_32t", 10),
+        ],
+    )
+    def test_exact_diameter_count_per_fixture(self, request, fixture, count, monkeypatch):
+        assert len(self.measured(request.getfixturevalue(fixture), monkeypatch)) == count
 
 
 class TestRunAll:

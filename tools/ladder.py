@@ -4,24 +4,32 @@ over the fixed ladder.
 
 The ladder is (2,16), (3,16), (4,32), tolerant (4,16), (5,48) and (6,96).
 Each measurement runs in a fresh interpreter that imports fanforge from one
-source tree, builds the state and runs every check of `verify.KNOWN_CHECKS`
-on its own `run_all` call, so a per-level check includes its own sweeps.
-Then it saves the state to a temporary directory with `save_state`,
-loads it back with `load_state`, and answers a fixed, seed-free query set
-on the loaded state (`query_set`: `vertical_trace`, `SpaceModel.classify`
-and `claim5_regions` calls), so the `queries` time includes building
-whatever the first query builds. Then it runs the `render` command there through `cli.main` for
-the tiling and the fan figure, so a render time includes loading the state
-file and writing the SVG as the command does. The `import` entry is the
-fixed cost every command pays first: `import fanforge.cli, fanforge.verify`
-timed inside one more fresh interpreter. The renders come last so that the memory they leave behind
-cannot move the check times.
+source tree and builds the state. Inside it each step runs up to RUNS
+times, fewer once its runs have taken RUN_BUDGET seconds, and its time is
+the best of those runs, so that one slow phase of the host does not move a
+step. Every check of `verify.KNOWN_CHECKS` runs on its own `run_all` call,
+each time on a fresh placement of the built state's rects, so a per-level
+check includes its own sweeps and no check reads what another run left in
+the copies. Then it saves the state to a temporary directory with
+`save_state`, loads it back with `load_state`, and answers a fixed,
+seed-free query set on a freshly loaded state (`query_set`:
+`vertical_trace`, `SpaceModel.classify` and `claim5_regions` calls), so the
+`queries` time includes building whatever the first query builds. Then it
+runs the `render` command there through `cli.main` for the tiling and the
+fan figure, so a render time includes loading the state file and writing
+the SVG as the command does. The `import` entry is the fixed cost every
+command pays first: `import fanforge.cli, fanforge.verify` timed inside
+one more fresh interpreter per run. The renders come last so that the
+memory they leave behind cannot move the check times. Untimed, it counts
+`diameters_measured`: the exact copy diameters `stage_fan_diameters` takes
+(calls of `spaceset.copy_fan_diameter`) on the built state.
 The (6,96) rung, where the state's height scale is widest, takes most of
 the time and memory: its epsilon-connectivity samples 2.3 M points.
-Each rung is timed REPEATS times per tree, the trees alternating, and the
-JSON on stdout holds the first quartile, median and third quartile of each
-time per tree, so that a noisy rung shows its spread. Every tree must give
-the same copy count and the same digest of the query answers.
+Each rung is measured REPEATS times per tree, the trees alternating, and
+the JSON on stdout holds the first quartile, median and third quartile of
+each time per tree, so that a noisy rung shows its spread. Every tree must
+give the same copy count, the same digest of the query answers and the
+same `diameters_measured`.
 
     python tools/ladder.py --tree parent=../parent/src --tree change=src > BENCH.json
 
@@ -43,9 +51,12 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+from unittest import mock
 
 LADDER = [(2, 16, True), (3, 16, True), (4, 32, True), (4, 16, False), (5, 48, True), (6, 96, True)]
 REPEATS = 5
+RUNS = 3  # runs of a step inside one interpreter; its best is kept
+RUN_BUDGET = 5.0  # seconds; a step runs again only while its runs have taken less
 RENDERS = ("tiling", "fan")
 IMPORT = "import time; t = time.perf_counter(); import fanforge.cli, fanforge.verify; print(time.perf_counter() - t)"
 
@@ -108,40 +119,73 @@ def time_queries(state, queries: list[tuple]) -> tuple[float, str]:
     return seconds, hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
+def timed(fn, *args) -> tuple[float, object]:
+    """Seconds for fn(*args), and its result."""
+    start = time.perf_counter()
+    result = fn(*args)
+    return time.perf_counter() - start, result
+
+
+def best_of(run) -> tuple[float, object]:
+    """The least seconds of up to RUNS calls of `run`, which returns
+    (seconds, result), fewer once they have taken RUN_BUDGET seconds; and
+    the last call's result."""
+    times = []
+    while len(times) < RUNS and sum(times) < RUN_BUDGET:
+        seconds, result = run()
+        times.append(seconds)
+    return min(times), result
+
+
+def diameters_measured(state) -> int:
+    """The number of exact copy diameters `stage_fan_diameters` takes."""
+    from fanforge import spaceset
+
+    with mock.patch.object(spaceset, "copy_fan_diameter", wraps=spaceset.copy_fan_diameter) as counted:
+        spaceset.stage_fan_diameters(state)
+    return counted.call_count
+
+
 def time_rung(depth: int, jumps: int, strict: bool) -> dict:
-    """Seconds for the import, the build, each check, the save, the load,
-    the query set and each render, plus the copy count and the answers'
-    digest."""
+    """Best seconds for the import, the build, each check, the save, the
+    load, the query set and each render, plus the copy count, the answers'
+    digest and `diameters_measured`."""
     from fanforge import cli, tiling, verify
 
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
-    imported = subprocess.run([sys.executable, "-c", IMPORT], env=env, capture_output=True, text=True, check=True)
-    times = {"import": float(imported.stdout)}
-    start = time.perf_counter()
-    state = tiling.build(depth, jumps, strict)
-    times["build"] = time.perf_counter() - start
+
+    def imported() -> tuple[float, None]:
+        out = subprocess.run([sys.executable, "-c", IMPORT], env=env, capture_output=True, text=True, check=True)
+        return float(out.stdout), None
+
+    def placed() -> tiling.ConstructionState:
+        return tiling.ConstructionState(depth, jumps, strict, [stage.rects for stage in state.stages])
+
+    def rendered(kind: str, path: str, out: str) -> None:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["render", "--state", path, "--figure", kind, "--out", out])
+        if code != 0:
+            raise SystemExit(f"render {kind} exited {code} at ({depth},{jumps})")
+
+    times = {"import": best_of(imported)[0]}
+    times["build"], state = best_of(lambda: timed(tiling.build, depth, jumps, strict))
     for check in verify.KNOWN_CHECKS:
-        start = time.perf_counter()
-        verify.run_all(state, checks=[check])
-        times[check] = time.perf_counter() - start
+        times[check] = best_of(lambda: timed(lambda s: verify.run_all(s, checks=[check]), placed()))[0]
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "state.json")
-        start = time.perf_counter()
-        tiling.save_state(state, path)
-        times["save_state"] = time.perf_counter() - start
-        start = time.perf_counter()
-        loaded = tiling.load_state(path)
-        times["load_state"] = time.perf_counter() - start
-        times["queries"], answers = time_queries(loaded, query_set(state))
+        times["save_state"] = best_of(lambda: timed(tiling.save_state, state, path))[0]
+        times["load_state"] = best_of(lambda: timed(tiling.load_state, path))[0]
+        queries = query_set(state)
+        times["queries"], answers = best_of(lambda: time_queries(tiling.load_state(path), queries))
         for kind in RENDERS:
-            argv = ["render", "--state", path, "--figure", kind, "--out", os.path.join(tmp, f"{kind}.svg")]
-            with contextlib.redirect_stdout(io.StringIO()):
-                start = time.perf_counter()
-                code = cli.main(argv)
-                times[f"render {kind}"] = time.perf_counter() - start
-            if code != 0:
-                raise SystemExit(f"render {kind} exited {code} at ({depth},{jumps})")
-    return {"copies": len(state.copies), "answers": answers, "seconds": times}
+            out = os.path.join(tmp, f"{kind}.svg")
+            times[f"render {kind}"] = best_of(lambda: timed(rendered, kind, path, out))[0]
+    return {
+        "copies": len(state.copies),
+        "answers": answers,
+        "diameters_measured": diameters_measured(state),
+        "seconds": times,
+    }
 
 
 def spread(runs: list[dict]) -> dict:
@@ -178,7 +222,7 @@ def main() -> int:
             names = list(trees) if r % 2 == 0 else list(trees)[::-1]
             for name in names:
                 runs[name].append(measure(trees[name], rung))
-        for key in ("copies", "answers"):
+        for key in ("copies", "answers", "diameters_measured"):
             values = {run[key] for name in trees for run in runs[name]}
             if len(values) != 1:
                 raise SystemExit(f"trees disagree on the {key} at {rung}: {sorted(values)}")
@@ -190,6 +234,7 @@ def main() -> int:
                 "strict": rung[2],
                 "copies": first["copies"],
                 "answers": first["answers"],
+                "diameters_measured": first["diameters_measured"],
                 "seconds": {name: spread(runs[name]) for name in trees},
             }
         )
@@ -199,6 +244,8 @@ def main() -> int:
         "python": platform.python_version(),
         "machine": f"{platform.machine()}, {os.cpu_count()} CPUs",
         "repeats": REPEATS,
+        "runs": RUNS,
+        "run_budget_s": RUN_BUDGET,
         "trees": list(trees),
         "rungs": rungs,
     }
