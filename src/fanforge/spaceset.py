@@ -99,7 +99,7 @@ def piece_floats(copy: PlacedCopy, depth: int) -> PieceFloats:
     table = copy.table
     t_den, locations, values = table.den, table.locations, table.values
     den, base, step = copy.den, copy.base, copy.step
-    pow3, origin = 3**copy.stage, copy.origin
+    pow3, origin = copy.pow3, copy.origin
     jump_origin, jump_unit = origin * t_den, t_den * pow3  # locations are over T
     seg_den = t_den * 3**depth  # segment ends are over T * 3^depth
     seg_origin, seg_unit = origin * seg_den, seg_den * pow3
@@ -121,7 +121,7 @@ def fan_midpoints(copy: PlacedCopy) -> list[tuple[float, float]]:
     """
     table = copy.table
     t_den, locations, values = table.den, table.locations, table.values
-    origin, unit = copy.origin * t_den, t_den * 3**copy.stage
+    origin, unit = copy.origin * t_den, t_den * copy.pow3
     out = []
     for pos in table.pos_of_index:
         y = xi_float((2 * copy.base + copy.step * (values[pos] + values[pos + 1])) / (2 * copy.den))
@@ -146,20 +146,10 @@ def copy_fan_diameter(copy: PlacedCopy) -> float:
 
     Piece endpoints suffice, and the plateau ends are all of them: each
     jump runs from one plateau's right end to the next one's left end.
-    Plateau j runs from column cs[j] to cs[j + 1] at fan height y: the
-    floats of its segment and height in `piece_floats(copy, 0)`, made here
-    without that function's other lists.
     """
-    table = copy.table
-    t_den, den, base, step = table.den, copy.den, copy.base, copy.step
-    origin, unit = copy.origin * t_den, t_den * copy.pow3
-    cs = [(origin + x) / unit for x in (0, *table.locations, t_den)]
-    atan, pi = math.atan, math.pi
-    ends = []
-    for j, k in enumerate(table.values):
-        y = atan((base + step * k) / den) / pi + 0.5
-        ends.append(((y * (2 * cs[j] - 1) + 1) / 2, y))
-        ends.append(((y * (2 * cs[j + 1] - 1) + 1) / 2, y))
+    pieces = piece_floats(copy, 0)
+    ys = [xi_float(v) for v in pieces.heights]
+    ends = [(fan_x(c, y), y) for y, ((lo, hi),) in zip(ys, pieces.segments) for c in (lo, hi)]
     return _diameter(ends)
 
 
@@ -175,7 +165,7 @@ def fan_diameter_bound(copy: PlacedCopy) -> float:
 
     The pad. With u = 2^-53, the corners and the plateau ends share the
     column ends, y0 and y1 bit for bit (the same int / int divisions and
-    xi_float steps). A plateau end's column lies between the column ends,
+    xi_float calls). A plateau end's column lies between the column ends,
     since rounding is monotone, and its fan height leaves [y0, y1] by under
     2^-51, twice xi_float's error if math.atan is within an ulp. fan_x errs
     by at most 3u/2. So each computed plateau end lies within 2^-49 of the
@@ -188,12 +178,11 @@ def fan_diameter_bound(copy: PlacedCopy) -> float:
     same float either way round, so the six squared lengths are written
     out with that square made once.
     """
-    den, base, origin, pow3 = copy.den, copy.base, copy.origin, copy.pow3
-    y0 = math.atan(base / den) / math.pi + 0.5  # height(0) is base: values[0] = 0
-    y1 = math.atan((base + copy.step * copy.table.values[-1]) / den) / math.pi + 0.5
-    c0, c1 = origin / pow3, (origin + 1) / pow3
-    x00, x01 = (y0 * (2 * c0 - 1) + 1) / 2, (y1 * (2 * c0 - 1) + 1) / 2
-    x10, x11 = (y0 * (2 * c1 - 1) + 1) / 2, (y1 * (2 * c1 - 1) + 1) / 2
+    y0 = xi_float(copy.height(0) / copy.den)
+    y1 = xi_float(copy.height(copy.table.n_jumps) / copy.den)
+    c0, c1 = copy.origin / copy.pow3, (copy.origin + 1) / copy.pow3
+    x00, x01 = fan_x(c0, y0), fan_x(c0, y1)
+    x10, x11 = fan_x(c1, y0), fan_x(c1, y1)
     dy = (y0 - y1) * (y0 - y1)
     return math.sqrt(max(
         (x00 - x01) * (x00 - x01) + dy,

@@ -118,11 +118,9 @@ class PlacedCopy:
     its column's left end is origin / pow3, pow3 = 3^stage
     (`Address.origin`). base and step come from the rect's pairs `a` and `h`
     by integer division; a den that is not a multiple of den(a) and of
-    den(h) * 2^N is refused. `from_units` places a copy from those quotients
-    and pow3, made once per stage by `ConstructionState.add_stage`.
-    `fiber`, `jump_global` and `midpoint_global` return shared exact values:
-    each plateau height (`exact_height`) and each jump midpoint is made a
-    Fraction once, on first use, and kept. They do not depend on `den`, so
+    den(h) * 2^N is refused. `fiber`, `jump_global` and `midpoint_global`
+    return shared exact values: each plateau height (`exact_height`) and
+    each jump midpoint is made a Fraction once, on first use, and kept. They do not depend on `den`, so
     a rescaled copy keeps them.
     """
 
@@ -131,6 +129,11 @@ class PlacedCopy:
     )
 
     def __init__(self, stage: int, index: int, rect: Rect, table: JumpTable, den: int):
+        self.stage = stage
+        self.index = index
+        self.rect = rect
+        self.table = table
+        self.pow3 = 3**stage
         (a, a_den), (h, h_den) = rect.a, rect.h
         a_unit, a_rest = divmod(den, a_den)
         h_unit, h_rest = divmod(den, h_den << table.n_jumps)
@@ -139,29 +142,10 @@ class PlacedCopy:
                 f"copy {stage}:{index}: den {den} is not a multiple of both "
                 f"den({rect.bottom}) and den({rect.height}) * 2^{table.n_jumps}"
             )
-        self._place(stage, index, rect, table, den, 3**stage, a * a_unit, h * h_unit)
-
-    @classmethod
-    def from_units(
-        cls, stage: int, index: int, rect: Rect, table: JumpTable, den: int, pow3: int, a_unit: int, h_unit: int
-    ) -> PlacedCopy:
-        """The copy at `den` from pow3 = 3^stage, a_unit = den // den(a) and
-        h_unit = den // (den(h) * 2^N), which the caller has checked to be
-        exact quotients."""
-        copy = cls.__new__(cls)
-        copy._place(stage, index, rect, table, den, pow3, rect.a[0] * a_unit, rect.h[0] * h_unit)
-        return copy
-
-    def _place(self, stage: int, index: int, rect: Rect, table: JumpTable, den: int, pow3: int, base: int, step: int):
-        self.stage = stage
-        self.index = index
-        self.rect = rect
-        self.table = table
         self.den = den
-        self.base = base
-        self.step = step
+        self.base = a * a_unit
+        self.step = h * h_unit
         self.origin = rect.address.origin
-        self.pow3 = pow3
         self._heights: list[Fraction | None] | None = None  # by value index, made on first use
         self._midpoints: list[tuple[Fraction, Fraction] | None] | None = None  # by sorted position
 
@@ -302,22 +286,12 @@ class ConstructionState:
         where its rects widen `den`, every placed copy is scaled to it."""
         n = len(self.stages)
         self._columns = None
-        n_jumps, a_dens, h_dens = self.n_jumps, {r.a[1] for r in rects}, {r.h[1] for r in rects}
-        den = math.lcm(self.den, *a_dens, *(q << n_jumps for q in h_dens))
+        den = math.lcm(self.den, *{r.a[1] for r in rects}, *{r.h[1] << self.n_jumps for r in rects})
         unit = den // self.den
         for copy in self.copies:
             copy.den, copy.base, copy.step = den, copy.base * unit, copy.step * unit
         self.den = den
-        a_units = {q: den // q for q in a_dens}
-        h_units = {q: den // (q << n_jumps) for q in h_dens}
-        pow3 = 3**n
-        stage = TilingStage(
-            n,
-            [
-                PlacedCopy.from_units(n, i, r, self.table, den, pow3, a_units[r.a[1]], h_units[r.h[1]])
-                for i, r in enumerate(rects)
-            ],
-        )
+        stage = TilingStage(n, [PlacedCopy(n, i, r, self.table, den) for i, r in enumerate(rects)])
         self.stages.append(stage)
         for copy in stage.copies:
             self._by_address.setdefault(copy.rect.address.bits, []).append(len(self.copies))

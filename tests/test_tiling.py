@@ -478,8 +478,8 @@ class TestCopyGeometry:
         "name", ["st_0_4", "st_1_4", "st_2_16", "st_3_16", "st_3_32", "st_3_16t", "st_4_16t", "st_4_32", "st_5_32t"]
     )
     def test_built_and_loaded_copies_match_direct_construction(self, name, request, tmp_path):
-        # add_stage places each copy from its stage's shared units and rescales
-        # it as later stages widen den; a direct copy divides den itself
+        # add_stage places each copy at its stage's den and rescales it as later
+        # stages widen den; a direct copy divides the final den itself
         state = request.getfixturevalue(name)
         save_state(state, tmp_path / "state.json")
         for placed in (state, load_state(tmp_path / "state.json")):
