@@ -13,8 +13,8 @@ cells (ColumnSweep.gaps) is taken where copies meet or a check fails, and
 makes every witness. Floating point appears only in the fan-metric
 diagnostics (null-sequence diameters, epsilon connectivity), which are
 explicitly approximate; `spaceset` is imported by those two checks alone.
-numpy is imported only by the Euclidean MST, an exact grid algorithm, and
-the component count built on it.
+Epsilon connectivity decides each float link exactly on a grid of cliques,
+in the standard library alone; it never builds the spanning tree.
 """
 
 from __future__ import annotations
@@ -23,16 +23,14 @@ import bisect
 import itertools
 import json
 import math
+import struct
 from fractions import Fraction
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .catalog import KNOWN_CHECKS
 from .errors import InvalidParameter
 from .exact import addresses_of_length, pair_to_str, rational_to_str
 from .tiling import ColumnSweep, ConstructionState, PlacedCopy, check_sampling
-
-if TYPE_CHECKING:
-    import numpy as np
 
 REPORT_SCHEMA = "fanforge-report-v1"
 
@@ -474,308 +472,217 @@ def _disjointness(state: ConstructionState, meeting: set[tuple[int, int]]) -> Ch
 # fan-metric diagnostics (floating)
 
 
-def _distinct_rows(pts: np.ndarray) -> np.ndarray:
-    """The rows of np.unique(pts, axis=0), in its order, from one lexsort
-    and a mask over neighbouring rows; np.unique took about 4 times as long
-    on the (5,48) cloud."""
-    import numpy as np
-
-    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
-    keep = np.ones(len(pts), dtype=bool)
-    keep[1:] = (pts[1:] != pts[:-1]).any(axis=1)
-    return pts[keep]
-
-
-# The grid EMST. A round at radius r puts the points on cells of side
-# r*(1 + 2**-10); cell indices are computed once, at the first radius r0,
-# and round k's cells, of side r0*2**k*(1 + 2**-10), are those indices
-# shifted right by k. The points stay in the Morton order of their first
-# cells, so each round's cells are runs of that order. A computed squared
-# length at most r*r means the points are at most r*(1 + 2**-50) apart, and
-# an index computed for fewer than 2**30 cells per axis is within 2**-21 of
-# the true quotient, so such a pair lies in the same or adjacent cells. r*r
-# stays a normal float while r >= 2**-500, and no length overflows while
-# coordinates stay within 2**500.
-_CELL_PAD = 1 + 2.0**-10
-_MAX_CELLS = 2**30
-_MIN_RADIUS = 2.0**-500
+# Epsilon-connectivity on the threshold graph: two points link when the float
+# sqrt(dx*dx + dy*dy) of their coordinates is at most eps. Coordinates are
+# finite and at most 2**500 in size, so no squared length overflows.
 _MAX_COORD = 2.0**500
-_CHUNK = 32
-_SLICE = 1 << 16
-_HALF_STENCIL = ((0, 0), (0, 1), (1, -1), (1, 0), (1, 1))
+_TINY = 2.0**-480  # below this eps the grid's cells would be too fine: `_swept_components`
+_MARGIN = 2.0**-40  # relative slack of the cell stencil, far above a squared length's rounding
 
 
-def _starts(keys: np.ndarray) -> np.ndarray:
-    """Where each run of equal values of a sorted array begins."""
-    import numpy as np
-
-    new = np.ones(len(keys), dtype=bool)
-    new[1:] = keys[1:] != keys[:-1]
-    return np.flatnonzero(new)
-
-
-def _spread_bits(v: np.ndarray) -> np.ndarray:
-    """Each value below 2**31 with its bits moved to the even places: half
-    of a Morton code."""
-    for shift, mask in (
-        (16, 0x0000FFFF0000FFFF),
-        (8, 0x00FF00FF00FF00FF),
-        (4, 0x0F0F0F0F0F0F0F0F),
-        (2, 0x3333333333333333),
-        (1, 0x5555555555555555),
-    ):
-        v = (v | (v << shift)) & mask
-    return v
+def _checked(points: Sequence[tuple[float, float]]) -> Sequence[tuple[float, float]]:
+    """The cloud, once every coordinate is known finite and at most 2**500
+    in size; ValueError otherwise."""
+    if not all(abs(x) <= _MAX_COORD and abs(y) <= _MAX_COORD for x, y in points):
+        raise ValueError("cloud coordinates must be finite and at most 2**500 in size")
+    return points
 
 
-def _morton(cell: np.ndarray) -> np.ndarray:
-    """Morton codes of (column, row) cells, each index below 2**31."""
-    return _spread_bits(cell[:, 0]) | (_spread_bits(cell[:, 1]) << 1)
+def _limit(eps: float) -> float:
+    """The largest float T with math.sqrt(T) <= eps.
 
-
-def _first_grid(pts: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-    """The first round's radius r0, each point's cell at r0, and the order of
-    the points along the Morton curve of those cells.
-
-    r0 starts at span/m**0.75 and halves while the squared cell counts sum
-    above 8m, since before the first round every point is its own component
-    and that sum bounds the round's pairs. r0 stays at least span/2**30 and
-    2**-500 (see above), so points closer than that share cells, and the
-    first round compares all pairs among them.
+    sqrt is correctly rounded, so it never decreases, and for every float
+    d2 >= 0 the link test math.sqrt(d2) <= eps is d2 <= T, bit for bit.
+    For eps < 0 nothing links, not even a duplicate (-1.0). An infinite or
+    NaN eps links everything (inf), as in the single-linkage count
+    1 + #{MST edges > eps}, where no edge exceeds NaN.
     """
-    import numpy as np
-
-    m = len(pts)
-    low = pts.min(axis=0)
-    span = float((pts.max(axis=0) - low).max())
-    finest = max(span / _MAX_CELLS, _MIN_RADIUS)
-    r = max(span / m**0.75, finest)
-    while True:
-        cell = np.floor((pts - low) / (r * _CELL_PAD)).astype(np.int64)
-        code = _morton(cell)
-        order = np.argsort(code, kind="stable")
-        counts = np.diff(np.append(_starts(code[order]), m))
-        if r <= finest or int((counts * counts).sum()) <= 8 * m:
-            return r, cell[order], order
-        r = max(r / 2, finest)
+    if not eps < math.inf:
+        return math.inf
+    if eps < 0:
+        return -1.0
+    limit = eps * eps
+    while math.sqrt(limit) > eps:
+        limit = math.nextafter(limit, -math.inf)
+    while math.sqrt(up := math.nextafter(limit, math.inf)) <= eps:
+        limit = up
+    return limit
 
 
-def _pair_slices(len_a: np.ndarray, len_b: np.ndarray):
-    """Every (k, i, j) with i < len_a[k] and j < len_b[k], as index arrays
-    of at most _SLICE entries at a time."""
-    import numpy as np
-
-    counts = len_a * len_b
-    ends = np.cumsum(counts)
-    total = int(ends[-1]) if len(ends) else 0
-    for first in range(0, total, _SLICE):
-        t = np.arange(first, min(first + _SLICE, total))
-        k = np.searchsorted(ends, t, side="right")
-        offset = t - (ends[k] - counts[k])
-        yield k, offset // len_b[k], offset % len_b[k]
+def _root(parent: list[int], i: int) -> int:
+    """The union-find root of i, halving the path on the way."""
+    while parent[i] != i:
+        parent[i] = parent[parent[i]]
+        i = parent[i]
+    return i
 
 
-def _closest(
-    p: np.ndarray, start: np.ndarray, size: np.ndarray, ka: np.ndarray, kb: np.ndarray
-) -> np.ndarray:
-    """The least squared length between chunks ka[i] and kb[i], for each i.
+def _linked(first: list, second: list, limit: float) -> bool:
+    """Whether some point of `first` and some point of `second` link."""
+    for x, y in first:
+        for u, v in second:
+            dx, dy = x - u, y - v
+            if dx * dx + dy * dy <= limit:
+                return True
+    return False
 
-    Chunks are padded to a power-of-two width by repeating their last
-    point, which leaves each minimum as it is, and compared block by block.
+
+def _stencil(rho: float) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """(near, boundary) offsets (a, b) of the cells, a > 0 or a = 0 < b, for
+    cells of side eps/rho, each list from the closest offsets out.
+
+    Two points whose cells are (a, b) apart differ by less than |a| + 1
+    cells in x and more than |a| - 1, and likewise in y. If even the upper
+    bound is within eps the offset is near and every such pair links; if
+    even the lower bound is beyond eps no pair does and the offset is left
+    out; the rest are boundary offsets. A margin of 2^-40 on both sides
+    covers the rounding of a squared length and of the limit (under 2^-51),
+    since eps^2 is a normal float. With rho >= 1.5 > sqrt(2), points in the
+    same cell always link: each cell is a clique.
     """
-    import numpy as np
-
-    out = np.empty(len(ka))
-    widest = np.maximum(size[ka], size[kb])
-    width = 1
-    while width // 2 < _CHUNK:
-        group = np.flatnonzero((widest <= width) & (widest > width // 2))
-        step = max(1, _SLICE // (width * width))
-        cols = np.arange(width)
-        for first in range(0, len(group), step):
-            g = group[first : first + step]
-            a = p[start[ka[g], None] + np.minimum(cols, size[ka[g], None] - 1)]
-            b = p[start[kb[g], None] + np.minimum(cols, size[kb[g], None] - 1)]
-            dx = a[:, :, None, 0] - b[:, None, :, 0]
-            dy = a[:, :, None, 1] - b[:, None, :, 1]
-            out[g] = (dx * dx + dy * dy).reshape(len(g), -1).min(axis=1)
-        width *= 2
-    return out
+    r2 = rho * rho
+    reach = math.ceil(rho) + 1
+    near, boundary = [], []
+    for a in range(reach + 1):
+        for b in range(-reach if a else 1, reach + 1):
+            least = max(a - 1, 0) ** 2 + max(abs(b) - 1, 0) ** 2
+            if (a + 1) ** 2 + (abs(b) + 1) ** 2 <= r2 * (1 - _MARGIN):
+                near.append((least, a, b))
+            elif least < r2 * (1 + _MARGIN):
+                boundary.append((least, a, b))
+    return [(a, b) for _, a, b in sorted(near)], [(a, b) for _, a, b in sorted(boundary)]
 
 
-def _lightest_links(
-    pts: np.ndarray, label: np.ndarray, cell: np.ndarray, k: int, r: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Links (d2, a, b) between the components labelled a < b whose points
-    come within r of each other, holding each such pair's least squared
-    length d2.
+def _grid_components(points: Sequence[tuple[float, float]], eps: float, limit: float) -> int:
+    """Components of the threshold graph for eps >= _TINY, on a grid whose
+    cells are cliques (Bentley, Stanat & Williams, 1977).
 
-    The points, in Morton order, fall into round k's cells; a bucket is the
-    run of one component's points in one cell, cut into chunks of at most
-    _CHUNK points. Buckets of different components in the same or adjacent
-    cells are paired. Per pair of components, each slice of chunk pairs
-    first measures the chunk pairs whose bounding-box gap is least, then
-    only the chunk pairs whose gap is below the lightest pair found so far.
-    Slices of bucket pairs may repeat a pair of components with a heavier
-    link, which the forest drops. Once the links outnumber the points twice,
-    they are cut to a minimum spanning forest of themselves, which keeps
-    every link the tree can use.
+    The side s is the largest power of two at most eps/1.5, so a point's
+    cell is floor(x/s) exactly: x/s scales by a power of two, cannot
+    overflow (|x|/s < 2**983) and, where it underflows, misplaces only a
+    point within s*2**-1074 of a cell wall, inside the stencil's margin.
+    Cells are the union-find's nodes. A near offset joins two occupied
+    cells with no distance test; a boundary offset between cells of two
+    components looks for one linked pair and stops at the first. Offsets
+    run from the closest out, so most boundary pairs already share a
+    component.
     """
-    import numpy as np
-
-    m = len(pts)
-    rr = r * r
-    code = _morton(cell >> k)
-    cells = _starts(code)
-    cell_of = np.repeat(np.arange(len(cells)), np.diff(np.append(cells, m)))
-    key = cell_of * m + label
-    order = np.argsort(key, kind="stable")
-    p = pts[order]
-    bucket = _starts(key[order])
-    bucket_label = label[order[bucket]]
-    bucket_size = np.diff(np.append(bucket, m))
-    first_bucket = _starts(cell_of[order[bucket]])
-    cell_buckets = np.diff(np.append(first_bucket, len(bucket)))
-    chunks = (bucket_size + _CHUNK - 1) // _CHUNK
-    first_chunk = np.cumsum(chunks) - chunks
-    start = np.repeat(bucket, chunks) + _CHUNK * (np.arange(chunks.sum()) - np.repeat(first_chunk, chunks))
-    size = np.diff(np.append(start, m))
-    box_lo = np.minimum.reduceat(p, start)
-    box_hi = np.maximum.reduceat(p, start)
-
-    col, row = (cell[cells] >> k).T
-    ucode = code[cells]
-    found = [(np.zeros(0), np.zeros(0, np.int64), np.zeros(0, np.int64))]
-    for dx, dy in _HALF_STENCIL:
-        target = _spread_bits(col + dx) | (_spread_bits(np.maximum(row + dy, 0)) << 1)
-        at = np.minimum(np.searchsorted(ucode, target), len(ucode) - 1)
-        ca = np.flatnonzero((ucode[at] == target) & (row + dy >= 0))
-        cb = at[ca]
-        for kk, i, j in _pair_slices(cell_buckets[ca], cell_buckets[cb]):
-            ba = first_bucket[ca[kk]] + i
-            bb = first_bucket[cb[kk]] + j
-            keep = bucket_label[ba] != bucket_label[bb]
-            if (dx, dy) == (0, 0):
-                keep &= ba < bb
-            ba, bb = ba[keep], bb[keep]
-            la, lb = bucket_label[ba], bucket_label[bb]
-            pair_keys, pair_of = np.unique(np.minimum(la, lb) * m + np.maximum(la, lb), return_inverse=True)
-            best = np.full(len(pair_keys), np.nextafter(rr, np.inf))
-            for kc, ic, jc in _pair_slices(chunks[ba], chunks[bb]):
-                ka = first_chunk[ba[kc]] + ic
-                kb = first_chunk[bb[kc]] + jc
-                gap = np.maximum(0.0, np.maximum(box_lo[ka] - box_hi[kb], box_lo[kb] - box_hi[ka]))
-                gap2 = gap[:, 0] * gap[:, 0] + gap[:, 1] * gap[:, 1]
-                pair = pair_of[kc]
-                least = np.full(len(pair_keys), np.inf)
-                np.minimum.at(least, pair, gap2)
-                seed = gap2 == least[pair]
-                for stage in (seed, ~seed):
-                    live = np.flatnonzero(stage & (gap2 < best[pair]))
-                    np.minimum.at(best, pair[live], _closest(p, start, size, ka[live], kb[live]))
-            hit = best <= rr
-            found.append((best[hit], pair_keys[hit] // m, pair_keys[hit] % m))
-            if sum(len(f[0]) for f in found) > 2 * m:
-                d2, a, b = (np.concatenate(f) for f in zip(*found))
-                kept = _forest(d2, a, b, label.copy())
-                found = [(d2[kept], a[kept], b[kept])]
-    return tuple(np.concatenate(f) for f in zip(*found))
+    inv = math.ldexp(1.0, 1 - math.frexp(eps / 1.5)[1])  # 1/s
+    rho = eps * inv
+    near, boundary = _stencil(rho)
+    floor = math.floor
+    # an int key per cell, column * width + row: a row stays within
+    # floor(max |y| / s) + 1 of 0, so a row within reach of it never wraps
+    width = 2 * (floor(max(abs(y) for _, y in points) * inv) + math.ceil(rho) + 2)
+    keys = [floor(x * inv) * width + floor(y * inv) for x, y in points]
+    cells = list(set(keys))
+    index = dict(zip(cells, range(len(cells))))
+    parent = list(range(len(cells)))
+    members: list[list] = []
+    for offsets, test in ((near, False), (boundary, True)):
+        for a, b in offsets:
+            step = a * width + b
+            for i, j in [(i, index[c + step]) for i, c in enumerate(cells) if c + step in index]:
+                ri, rj = _root(parent, i), _root(parent, j)
+                if ri == rj:
+                    continue
+                if test:
+                    if not members:
+                        members = [[] for _ in cells]
+                        for point, key in zip(points, keys):
+                            members[index[key]].append(point)
+                    if not _linked(members[i], members[j], limit):
+                        continue
+                parent[rj] = ri
+    return sum(i == p for i, p in enumerate(parent))
 
 
-def _forest(d2: np.ndarray, a: np.ndarray, b: np.ndarray, label: np.ndarray) -> np.ndarray:
-    """Indices of the links of a minimum spanning forest over the components
-    that label names; label maps each point to its component's root point
-    and is updated in place to the joined components.
+def _swept_components(points: Sequence[tuple[float, float]], limit: float) -> int:
+    """Components of the threshold graph for eps < _TINY, by a sweep in x.
 
-    Borůvka (1926): each component joins along its lightest link until no
-    link joins two components. Links are ranked by d2, ties in one fixed
-    order, a strict total order, so the joins form a forest.
+    The limit is below 2**-958 there, so a pair whose x differ by more than
+    2**-479 cannot link: its squared length is at least the rounded square
+    of that difference. Duplicates always link, so only distinct points are
+    swept, sorted, each against the points after it up to that reach.
     """
-    import numpy as np
-
-    link = np.argsort(d2)
-    a, b = a[link], b[link]
-    chosen = [np.zeros(0, np.int64)]
-    while True:
-        a, b = label[a], label[b]
-        keep = a != b
-        link, a, b = link[keep], a[keep], b[keep]
-        if not len(link):
-            break
-        lightest = np.full(len(label), len(link))
-        np.minimum.at(lightest, a, np.arange(len(link)))
-        np.minimum.at(lightest, b, np.arange(len(link)))
-        comp = np.flatnonzero(lightest < len(link))
-        pick = lightest[comp]
-        partner = a[pick] + b[pick] - comp
-        label[comp] = partner
-        mutual = comp[(label[partner] == comp) & (comp < partner)]
-        label[mutual] = mutual
-        while True:  # pointer jumping: each pass halves every chain
-            up = label[label[comp]]
-            if (up == label[comp]).all():
+    pts = sorted({(x, y) for x, y in points})
+    parent = list(range(len(pts)))
+    for i, (x, y) in enumerate(pts):
+        for j in range(i + 1, len(pts)):
+            u, v = pts[j]
+            dx, dy = u - x, v - y
+            if dx > 2.0**-479:
                 break
-            label[comp] = up
-        pick = np.sort(pick)
-        chosen.append(link[pick[_starts(pick)]])  # each link once: np.unique would load numpy.ma
-    while not (label[label] == label).all():
-        label[:] = label[label]
-    return np.concatenate(chosen)
+            if dx * dx + dy * dy <= limit:
+                parent[_root(parent, j)] = _root(parent, i)
+    return sum(i == p for i, p in enumerate(parent))
 
 
-def minimum_spanning_edges(points: Sequence[tuple[float, float]]) -> np.ndarray:
-    """Edge lengths of the Euclidean minimum spanning tree, m-1 of them.
+def _components(points: Sequence[tuple[float, float]], eps: float) -> int:
+    """Number of components of a checked cloud where pairs within eps link."""
+    limit = _limit(eps)
+    if len(points) < 2 or limit < 0:
+        return len(points)
+    if limit == math.inf:
+        return 1
+    if eps < _TINY:
+        return _swept_components(points, limit)
+    return _grid_components(points, eps, limit)
 
-    Exact on a uniform grid, numpy only. Round k links the components whose
-    points come within r0*2**k, so the rounds follow Kruskal's (1956)
-    threshold order; each round keeps only the lightest pair between two
-    components and merges along those links by Borůvka (1926). Lengths are
-    sqrt(dx*dx + dy*dy) of a pair's coordinates, and a length that
-    underflows to 0 still links. Duplicates add zero-length edges.
-    Coordinates must be finite and at most 2**500 in size.
+
+def _bits(x: float) -> int:
+    return struct.unpack("<q", struct.pack("<d", x))[0]
+
+
+def _float(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<q", bits))[0]
+
+
+def _bottleneck(points: Sequence[tuple[float, float]]) -> tuple[float, int]:
+    """eps_star, the least eps at which a checked cloud is one component, and
+    the component count of the pass at eps_star (1; 0 for an empty cloud).
+
+    eps_star is the longest edge of the Euclidean MST, sqrt(dx*dx + dy*dy)
+    of its pair. Every spanning tree has an edge at point 0, so eps_star is
+    at least point 0's nearest-neighbour distance; if the cloud is connected
+    at that distance, the two bounds meet. In a fan cloud point 0 is the
+    vertex, and one pass decides. Otherwise the search brackets eps_star
+    between that distance and sqrt(w*w + h*h) of the bounding box (w by h),
+    within which every pair lies, and bisects on the bit patterns of the
+    floats between them: at most 63 more passes.
     """
-    import numpy as np
-
-    pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    if not (np.abs(pts) <= _MAX_COORD).all():
-        raise ValueError("MST coordinates must be finite and at most 2**500 in size")
-    uniq = _distinct_rows(pts)
-    duplicates = np.zeros(len(pts) - len(uniq))
-    m = len(uniq)
-    if m < 2:
-        return duplicates
-    r, cell, order = _first_grid(uniq)
-    uniq = uniq[order]
-    label = np.arange(m)
-    tree: list[np.ndarray] = []
-    joined = k = 0
-    while joined < m - 1:
-        d2, a, b = _lightest_links(uniq, label, cell, k, r * 2**k)
-        chosen = _forest(d2, a, b, label)
-        tree.append(np.sqrt(d2[chosen]))
-        joined += len(chosen)
-        k += 1
-    return np.concatenate(tree + [duplicates])
+    if len(points) < 2:
+        return 0.0, len(points)
+    x0, y0 = points[0]
+    lo = math.sqrt(min((x - x0) * (x - x0) + (y - y0) * (y - y0) for x, y in itertools.islice(points, 1, None)))
+    count = _components(points, lo)
+    if count == 1:
+        return lo, count
+    w = max(points)[0] - min(points)[0]
+    h = max(y for _, y in points) - min(y for _, y in points)
+    hi = math.sqrt(w * w + h * h)
+    count = _components(points, hi)
+    lo_bits, hi_bits = _bits(lo), _bits(hi)
+    while hi_bits - lo_bits > 1:
+        mid = (lo_bits + hi_bits) // 2
+        mid_count = _components(points, _float(mid))
+        if mid_count == 1:
+            hi_bits, count = mid, mid_count
+        else:
+            lo_bits = mid
+    return _float(hi_bits), count
 
 
 def mst_max_edge(points: Sequence[tuple[float, float]]) -> float:
     """Largest Euclidean MST edge: the connectivity threshold of the cloud."""
-    edges = minimum_spanning_edges(points)
-    return float(edges.max()) if len(edges) else 0.0
-
-
-def _components(mst_edges: np.ndarray, eps: float) -> int:
-    """Single linkage (Gower & Ross, 1969): each MST edge longer than eps splits once."""
-    import numpy as np
-
-    return 1 + int(np.count_nonzero(mst_edges > eps))
+    return _bottleneck(_checked(points))[0]
 
 
 def epsilon_connectivity(points: Sequence[tuple[float, float]], eps: float) -> int:
     """Number of epsilon-chain components (pairs within eps are linked)."""
     if len(points) == 0:
         raise ValueError("epsilon_connectivity needs a nonempty cloud")
-    return _components(minimum_spanning_edges(points), eps)
+    return _components(_checked(points), eps)
 
 
 def check_null_sequence(state: ConstructionState) -> CheckRecord:
@@ -810,18 +717,18 @@ def check_epsilon_connectivity(
 ) -> list[CheckRecord]:
     """Connectivity analogue: one component at the MST threshold, more below.
 
-    One MST serves every count. By the single-linkage identity
-    `components_at_star` is always 1, so the independent cross-check against
-    all-pairs union-find lives in the oracle tests.
+    `components_at_star` is the count of the pass that proves eps_star
+    (`_bottleneck`), which is 1 by the definition of eps_star; the count at
+    eps_star/2 and each requested eps take one pass each. The independent
+    cross-check against a dense Prim and all-pairs union-find lives in the
+    oracle tests.
     """
     from .spaceset import assemble, sample_points
 
     model = assemble(state)
     gd = state.depth if grid_depth is None else grid_depth
-    cloud = sample_points(model, gd, fiber_count)
-    coords = cloud.coordinates()
-    mst = minimum_spanning_edges(coords)
-    eps_star = float(mst.max()) if len(mst) else 0.0
+    coords = sample_points(model, gd, fiber_count).coordinates()  # in [0, 1]^2: no need of _checked
+    eps_star, at_star = _bottleneck(coords)
     if eps_star == 0.0:
         return [
             CheckRecord(
@@ -832,8 +739,7 @@ def check_epsilon_connectivity(
                 {"reason": "degenerate cloud", "cloud_size": len(coords)},
             )
         ]
-    at_star = _components(mst, eps_star)
-    at_half = _components(mst, eps_star / 2)
+    at_half = _components(coords, eps_star / 2)
     ok = at_star == 1 and at_half >= 2
     records = [
         CheckRecord(
@@ -856,7 +762,7 @@ def check_epsilon_connectivity(
                 f"grid_depth={gd} eps={eps:g}",
                 "pass",
                 None,
-                {"components": _components(mst, eps)},
+                {"components": _components(coords, eps)},
             )
         )
     return records

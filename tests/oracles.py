@@ -5,9 +5,9 @@ sequences come from a list-scan enumeration, the truncated set's Fraction
 table from those jumps alone, fibers from materializing every
 piece of every copy, unions from sorting, column gaps from a Fraction cell
 sweep and from a walk that re-finds each crossing by bisection, the
-per-rectangle checks from Fraction bounds, the MST from a quadratic Prim
-(plain Python and vectorised), connectivity from a plain disjoint-set
-union, the SVG copy images and
+per-rectangle checks from Fraction bounds, the MST from a vectorised
+quadratic Prim, connectivity from a plain disjoint-set union over all
+pairs, the SVG copy images and
 fan diameters from a walk over every piece in Fractions (each SVG
 coordinate formatted where it is written), a copy's padded diameter bound
 from its corners through `xi_float` and `fan_x` and a cloud's diameter
@@ -931,8 +931,8 @@ def sweep_level_oracle(state, n: int) -> tuple[dict, set]:
 def dense_prim_edges_oracle(points) -> np.ndarray:
     """Vectorised dense Prim over the complete graph, lengths in Prim order.
 
-    The same length expression, sqrt(dx^2 + dy^2), as the package's MST, so
-    the two agree bit for bit wherever they pick the same edges.
+    The same length expression, sqrt(dx^2 + dy^2), as the package's link
+    test, so its longest edge is the package's eps_star bit for bit.
     """
     pts = np.asarray(points, dtype=float)
     m = len(pts)
@@ -952,31 +952,6 @@ def dense_prim_edges_oracle(points) -> np.ndarray:
         in_tree[nxt] = True
         cur = nxt
     return np.sqrt(edges)
-
-
-def mst_edges_oracle(points) -> list[float]:
-    """Quadratic Prim over the full graph, plain Python floats."""
-    m = len(points)
-    if m <= 1:
-        return []
-    in_tree = [False] * m
-    best = [math.inf] * m
-    in_tree[0] = True
-    cur = 0
-    edges = []
-    for _ in range(m - 1):
-        cx, cy = points[cur]
-        for i in range(m):
-            if not in_tree[i]:
-                d = math.hypot(points[i][0] - cx, points[i][1] - cy)
-                if d < best[i]:
-                    best[i] = d
-        nxt = min((i for i in range(m) if not in_tree[i]), key=lambda i: best[i])
-        edges.append(best[nxt])
-        in_tree[nxt] = True
-        best[nxt] = math.inf
-        cur = nxt
-    return edges
 
 
 class DSU:

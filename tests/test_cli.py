@@ -337,18 +337,18 @@ def packages_loaded(commands):
 
 
 class TestArrayImports:
-    def test_only_the_mst_loads_numpy_and_no_command_loads_another_package(self, tmp_path):
+    def test_no_command_loads_a_package_outside_the_standard_library(self, tmp_path):
         state = str(tmp_path / "state.json")
-        quiet = [
+        commands = [
             ["build", "--depth", "2", "--jumps", "16", "--out", state],
             ["verify", "--state", state, "--checks", EXACT_CHECKS],
+            ["verify", "--state", state],
             *(
                 ["render", "--state", state, "--figure", kind, "--out", str(tmp_path / f"{kind}.svg")]
                 for kind in ("tiling", "fan", "earring")
             ),
         ]
-        assert packages_loaded(quiet) == []
-        assert packages_loaded([["verify", "--state", state]]) == ["numpy"]
+        assert packages_loaded(commands) == []
 
 
 class TestCommandImports:
@@ -374,7 +374,9 @@ class TestCommandImports:
         assert after.isdisjoint({"fanforge.spaceset", "numpy", "dataclasses", "inspect"})
 
     def test_default_verify_does_not_load_numpy_ma(self, tmp_path):
+        # nor numpy itself: epsilon-connectivity runs on the standard library
         state = str(tmp_path / "state.json")
         build = ["build", "--depth", "2", "--jumps", "16", "--out", state]
         _, after = modules_loaded([build, ["verify", "--state", state]])
-        assert "numpy" in after and "numpy.ma" not in after
+        assert "fanforge.spaceset" in after
+        assert after.isdisjoint({"numpy", "numpy.ma", "dataclasses", "inspect"})

@@ -24,13 +24,15 @@ def test_ladder_times_the_build_and_each_check_of_a_rung():
     ]
     assert len(rung["answers"]) == 16 and int(rung["answers"], 16) >= 0
     assert all(isinstance(t, float) and t >= 0 for t in rung["seconds"].values())
+    peaks = list(rung["peak_mb"].values())
+    assert list(rung["peak_mb"]) == list(rung["seconds"]) and 0 < peaks[0] and peaks == sorted(peaks)
 
 
 def test_spread_writes_the_quartiles_next_to_each_median():
     runs = [{"seconds": {"build": t, "coverage": 2 * t}} for t in (0.5, 0.1, 0.4, 0.2, 0.3)]
     assert load_tool("ladder").spread(runs) == {
-        "build": {"q1": 0.2, "median": 0.3, "q3": 0.4},
-        "coverage": {"q1": 0.4, "median": 0.6, "q3": 0.8},
+        "build": {"best": 0.1, "q1": 0.2, "median": 0.3, "q3": 0.4},
+        "coverage": {"best": 0.2, "q1": 0.4, "median": 0.6, "q3": 0.8},
     }
 
 

@@ -1,11 +1,14 @@
 import json
 import math
+import os
 import random
 import re
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 from unittest import mock
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -36,14 +39,12 @@ from fanforge import verify
 from fanforge.verify import (
     _candidate_ranks,
     _disjointness,
-    _distinct_rows,
     _problems,
     check_conditions_i_ii,
     check_null_sequence,
     check_partial_tiling,
     copies_intersect,
     epsilon_connectivity,
-    minimum_spanning_edges,
     mst_max_edge,
     run_all,
     sweep_level,
@@ -70,7 +71,6 @@ from .oracles import (
     fraction_table,
     jumps_global_oracle,
     max_height_oracle,
-    mst_edges_oracle,
     own_den,
     pair_diameter_oracle,
     partial_tiling_oracle,
@@ -773,6 +773,18 @@ class TestMaxGap:
         assert values[2] >= values[3]
 
 
+def prim_max_edge(coords) -> float:
+    """The dense Prim's longest edge; 0.0 for fewer than two points."""
+    return float(max(dense_prim_edges_oracle(coords), default=0.0))
+
+
+def two_clusters(seed: int) -> list[tuple[float, float]]:
+    """Two random clusters 0.3 apart, point 0 inside the first: point 0's
+    nearest neighbour is far closer than the gap the tree has to cross."""
+    rng = random.Random(seed)
+    return [(rng.random() * 0.2 + 0.5 * (i % 2), rng.random() * 0.2) for i in range(300)]
+
+
 class TestEpsilonConnectivity:
     def test_trivial_extremes(self, model_1_4):
         cloud = sample_points(model_1_4, 1, 1)
@@ -787,25 +799,29 @@ class TestEpsilonConnectivity:
             assert epsilon_connectivity(coords, eps) == components_oracle(coords, eps)
 
     def test_mst_matches_prim_oracle(self, model_1_4):
+        # single linkage: at each tree edge eps, one component per longer edge, plus one
         coords = sample_points(model_1_4, 1, 1).coordinates()[:80]
-        ours = sorted(minimum_spanning_edges(coords))
-        brute = sorted(mst_edges_oracle(coords))
-        assert ours == pytest.approx(brute)
+        edges = dense_prim_edges_oracle(coords)
+        assert mst_max_edge(coords) == prim_max_edge(coords)
+        for eps in sorted(set(edges)):
+            assert epsilon_connectivity(coords, eps) == 1 + int((edges > eps).sum())
 
     @pytest.mark.parametrize("model_name", ["model_1_4", "model_2_16", "model_3_16"])
     def test_mst_equals_dense_prim_oracle(self, model_name, request):
+        # point 0 is the fan's vertex, and one pass at its nearest distance proves eps_star
         model = request.getfixturevalue(model_name)
         coords = sample_points(model, model.state.depth, 3).coordinates()
-        ours = minimum_spanning_edges(coords)
-        assert len(ours) == len(coords) - 1
-        assert sorted(ours) == sorted(dense_prim_edges_oracle(coords))
+        with mock.patch.object(verify, "_components", wraps=verify._components) as passes:
+            eps_star = mst_max_edge(coords)
+        assert eps_star == prim_max_edge(coords)
+        assert passes.call_count == 1
 
     @pytest.mark.parametrize("model_name", ["model_1_4", "model_2_16"])
     def test_components_match_oracle_at_every_mst_edge(self, model_name, request):
         # eps equal to an edge length is the `<=` boundary: that edge links
         model = request.getfixturevalue(model_name)
         coords = sample_points(model, model.state.depth, 1).coordinates()[:150]
-        for eps in sorted(set(minimum_spanning_edges(coords))):
+        for eps in sorted(set(dense_prim_edges_oracle(coords))):
             assert epsilon_connectivity(coords, eps) == components_oracle(coords, eps)
 
     @settings(max_examples=150, deadline=None)
@@ -813,79 +829,89 @@ class TestEpsilonConnectivity:
     @example([(x * 2.0**400, y * 2.0**400) for x, y in NEAR_COINCIDENT])
     @example([(x * 2.0**-400, y * 2.0**-400) for x, y in NEAR_COINCIDENT])
     def test_degenerate_clouds_match_oracles(self, coords):
-        ours = minimum_spanning_edges(coords)
-        assert sorted(ours) == sorted(dense_prim_edges_oracle(coords))
-        for eps in (sorted(set(ours)) + [0.0]) if coords else []:
+        edges = dense_prim_edges_oracle(coords)
+        assert mst_max_edge(coords) == prim_max_edge(coords)
+        for eps in (sorted(set(edges)) + [0.0]) if coords else []:
             assert epsilon_connectivity(coords, eps) == components_oracle(coords, eps)
 
-    @settings(max_examples=100, deadline=None)
-    @given(clouds, st.randoms(use_true_random=False))
-    def test_distinct_rows_equal_np_unique_bytes(self, coords, rng):
-        doubled = coords + [rng.choice(coords) for _ in coords] if coords else []
-        pts = np.asarray(doubled, dtype=float).reshape(-1, 2)
-        assert _distinct_rows(pts).tobytes() == np.unique(pts, axis=0).tobytes()
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_search_runs_where_point_zero_is_not_the_bottleneck(self, seed):
+        coords = two_clusters(seed)
+        with mock.patch.object(verify, "_components", wraps=verify._components) as passes:
+            eps_star = mst_max_edge(coords)
+        assert eps_star == prim_max_edge(coords)
+        # the failed certificate, the bounding box, then one bisection step per pass
+        assert 3 <= passes.call_count <= 65
+        assert epsilon_connectivity(coords, eps_star) == 1
+        assert epsilon_connectivity(coords, math.nextafter(eps_star, 0.0)) == 2
 
-    def test_distinct_rows_of_a_sampled_cloud_with_duplicates(self, model_2_16):
-        coords = sample_points(model_2_16, 2, 3).coordinates()
-        pts = np.asarray(coords + coords[::7] + coords[:50], dtype=float)
-        assert len(_distinct_rows(pts)) == len(set(coords)) < len(pts)
-        assert _distinct_rows(pts).tobytes() == np.unique(pts, axis=0).tobytes()
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.floats(min_value=0.0, allow_infinity=False),
+        st.floats(min_value=0.0, allow_infinity=False),
+        st.integers(-3, 3),
+    )
+    def test_squared_limit_decides_as_the_sqrt(self, eps, d2, steps):
+        limit = verify._limit(eps)
+        near = eps * eps if eps * eps < math.inf else d2
+        for _ in range(abs(steps)):  # a few floats around eps*eps, where the two tests could part
+            near = math.nextafter(near, math.copysign(math.inf, steps))
+        for x in (d2, abs(near), limit, math.nextafter(limit, math.inf)):
+            assert (math.sqrt(x) <= eps) == (x <= limit)
 
     def test_point_far_below_the_first_radius_stays_connected(self):
-        # 1e-17 from another point: the two share a cell in every round
+        # 1e-17 from another point: that pair links at 1e-17, the cloud at 1.0
         coords = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1e-17, 0.0)]
-        edges = minimum_spanning_edges(coords)
-        assert len(edges) == 3
-        assert sorted(edges) == sorted(dense_prim_edges_oracle(coords))
+        assert mst_max_edge(coords) == prim_max_edge(coords) == 1.0
         assert epsilon_connectivity(coords, 1.0) == 1
+        assert epsilon_connectivity(coords, 1e-17) == 3
 
     def test_squared_length_underflowing_to_zero_links(self):
-        # the squared length 1e-340 underflows to 0, which is still at most r*r
+        # the squared length 1e-340 underflows to 0, which is still at most eps*eps
         coords = [(0.0, 0.0), (1e-170, 0.0), (1.0, 0.0), (0.0, 1.0)]
-        edges = minimum_spanning_edges(coords)
-        assert sorted(edges) == [0.0, 1.0, 1.0]
+        assert sorted(dense_prim_edges_oracle(coords)) == [0.0, 1.0, 1.0]
+        assert mst_max_edge(coords) == 1.0
         assert epsilon_connectivity(coords, 0.0) == 3
 
     def test_near_coincident_points_of_the_five_forty_eight_cloud(self):
-        # cut from the (5,48) cloud: Qhull merged one of these points and
-        # joined it to a facet vertex that is not its nearest point, which
-        # gave a middle edge of 3.433883e-06
+        # cut from the (5,48) cloud: Qhull once merged one of these points
+        # and joined it to a facet vertex that is not its nearest point,
+        # which gave a middle edge of 3.433883e-06
         coords = [
             (0.8726788313428189, 0.7499999935914562),
             (0.8726836571035077, 0.7499969248542638),
             (0.87268518317917, 0.7499999959630501),
             (0.8726851851851847, 0.7499999999999991),
         ]
-        edges = sorted(minimum_spanning_edges(coords))
-        assert edges == sorted(dense_prim_edges_oracle(coords))
+        edges = sorted(dense_prim_edges_oracle(coords))
         assert f"{edges[1]:.6e}" == "3.429375e-06"
+        assert mst_max_edge(coords) == edges[2]
+        assert epsilon_connectivity(coords, edges[1]) == 2
+        assert epsilon_connectivity(coords, math.nextafter(edges[1], 0.0)) == 3
 
-    @pytest.mark.parametrize("slice_size, chunk", [(1, 1), (7, 3)])
-    def test_tiny_slices_and_chunks_give_the_same_tree(self, model_2_16, monkeypatch, slice_size, chunk):
-        # every candidate expansion runs over many slices, and buckets over many chunks
-        monkeypatch.setattr(verify, "_SLICE", slice_size)
-        monkeypatch.setattr(verify, "_CHUNK", chunk)
-        coords = sample_points(model_2_16, 2, 3).coordinates()
-        assert sorted(minimum_spanning_edges(coords)) == sorted(dense_prim_edges_oracle(coords))
-
-    def test_dense_cluster_links_are_cut_to_a_forest(self):
-        # 400 points within 1e-12 share one first-round cell, whose 79,800
-        # links exceed twice the points and are cut to a spanning forest
+    def test_dense_cell_and_one_far_point(self):
+        # 20,000 points in a 1e-12 square: the tree's longest edge is the far
+        # point's nearest distance, found by at most 65 passes of the search
         rng = random.Random(5)
-        coords = [(0.5 + rng.random() * 1e-12, 0.5 + rng.random() * 1e-12) for _ in range(400)]
+        coords = [(0.5 + rng.random() * 1e-12, 0.5 + rng.random() * 1e-12) for _ in range(20000)]
+        nearest = min(math.sqrt((1.0 - x) * (1.0 - x) + (1.0 - y) * (1.0 - y)) for x, y in coords)
         coords.append((1.0, 1.0))
-        with mock.patch.object(verify, "_forest", wraps=verify._forest) as forest:
-            edges = minimum_spanning_edges(coords)
-        assert any(len(call.args[0]) > 2 * len(coords) for call in forest.call_args_list)
-        assert sorted(edges) == sorted(dense_prim_edges_oracle(coords))
+        with mock.patch.object(verify, "_components", wraps=verify._components) as passes:
+            assert mst_max_edge(coords) == nearest
+        assert passes.call_count <= 65
+        assert epsilon_connectivity(coords, nearest) == 1
+        assert epsilon_connectivity(coords, math.nextafter(nearest, 0.0)) == 2
 
     def test_coordinates_beyond_two_to_the_five_hundred_refused(self):
-        for bad in (math.inf, math.nan, 2.0**501):
-            with pytest.raises(ValueError):
-                minimum_spanning_edges([(0.0, 0.0), (bad, 1.0)])
+        for bad in (math.inf, -math.inf, math.nan, 2.0**501):
+            for cloud in ([(0.0, 0.0), (bad, 1.0)], [(0.0, 0.0), (1.0, bad)]):
+                with pytest.raises(ValueError):
+                    mst_max_edge(cloud)
+                with pytest.raises(ValueError):
+                    epsilon_connectivity(cloud, 1.0)
 
     def test_empty_cloud_rejected(self):
-        assert len(minimum_spanning_edges([])) == 0
+        assert mst_max_edge([]) == 0.0
         with pytest.raises(ValueError):
             epsilon_connectivity([], 1.0)
 
@@ -894,6 +920,20 @@ class TestEpsilonConnectivity:
         eps_star = mst_max_edge(coords)
         assert epsilon_connectivity(coords, eps_star) == 1
         assert epsilon_connectivity(coords, eps_star / 2) >= 2
+
+    def test_default_run_all_loads_no_numpy(self):
+        script = (
+            "import sys\n"
+            "from fanforge import build, run_all\n"
+            "assert run_all(build(2, 16)).passed\n"
+            "print('numpy' in sys.modules)\n"
+        )
+        src = str(Path(verify.__file__).parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False"]
 
 
 class TestNullSequence:

@@ -26,8 +26,13 @@ memory they leave behind cannot move the check times. Untimed, it counts
 The (6,96) rung, where the state's height scale is widest, takes most of
 the time and memory: its epsilon-connectivity samples 2.3 M points.
 Each rung is measured REPEATS times per tree, the trees alternating, and
-the JSON on stdout holds the first quartile, median and third quartile of
-each time per tree, so that a noisy rung shows its spread. Every tree must
+the JSON on stdout holds the best, first quartile, median and third
+quartile of each time per tree, so that a noisy rung shows its spread and
+a slow phase of the host, which moves the quartiles of whichever tree it
+meets, can be told from a change, which moves the best too. It also holds
+each step's median `peak_mb`, the process's peak RSS right after the step:
+a step shows there only where it needs more memory than every step before
+it, as epsilon-connectivity does among the checks. Every tree must
 give the same copy count, the same digest of the query answers and the
 same `diameters_measured`.
 
@@ -45,6 +50,7 @@ import io
 import json
 import os
 import platform
+import resource
 import statistics
 import subprocess
 import sys
@@ -148,8 +154,8 @@ def diameters_measured(state) -> int:
 
 def time_rung(depth: int, jumps: int, strict: bool) -> dict:
     """Best seconds for the import, the build, each check, the save, the
-    load, the query set and each render, plus the copy count, the answers'
-    digest and `diameters_measured`."""
+    load, the query set and each render, the peak RSS after each of them,
+    plus the copy count, the answers' digest and `diameters_measured`."""
     from fanforge import cli, tiling, verify
 
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
@@ -167,35 +173,51 @@ def time_rung(depth: int, jumps: int, strict: bool) -> dict:
         if code != 0:
             raise SystemExit(f"render {kind} exited {code} at ({depth},{jumps})")
 
-    times = {"import": best_of(imported)[0]}
-    times["build"], state = best_of(lambda: timed(tiling.build, depth, jumps, strict))
+    times: dict[str, float] = {}
+    peak_mb: dict[str, float] = {}
+
+    def step(key: str, run):
+        """best_of(run) as the time of `key`, and the process's peak RSS after it."""
+        times[key], result = best_of(run)
+        peak_mb[key] = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
+        return result
+
+    step("import", imported)
+    state = step("build", lambda: timed(tiling.build, depth, jumps, strict))
     for check in verify.KNOWN_CHECKS:
-        times[check] = best_of(lambda: timed(lambda s: verify.run_all(s, checks=[check]), placed()))[0]
+        step(check, lambda: timed(lambda s: verify.run_all(s, checks=[check]), placed()))
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "state.json")
-        times["save_state"] = best_of(lambda: timed(tiling.save_state, state, path))[0]
-        times["load_state"] = best_of(lambda: timed(tiling.load_state, path))[0]
+        step("save_state", lambda: timed(tiling.save_state, state, path))
+        step("load_state", lambda: timed(tiling.load_state, path))
         queries = query_set(state)
-        times["queries"], answers = best_of(lambda: time_queries(tiling.load_state(path), queries))
+        answers = step("queries", lambda: time_queries(tiling.load_state(path), queries))
         for kind in RENDERS:
             out = os.path.join(tmp, f"{kind}.svg")
-            times[f"render {kind}"] = best_of(lambda: timed(rendered, kind, path, out))[0]
+            step(f"render {kind}", lambda: timed(rendered, kind, path, out))
     return {
         "copies": len(state.copies),
         "answers": answers,
         "diameters_measured": diameters_measured(state),
         "seconds": times,
+        "peak_mb": peak_mb,
     }
 
 
 def spread(runs: list[dict]) -> dict:
-    """Each time's first quartile, median and third quartile over the runs."""
+    """Each time's least value, first quartile, median and third quartile
+    over the runs."""
     out = {}
     for key in runs[0]["seconds"]:
         times = [run["seconds"][key] for run in runs]
         q1, median, q3 = statistics.quantiles(times, n=4, method="inclusive")
-        out[key] = {"q1": round(q1, 6), "median": round(median, 6), "q3": round(q3, 6)}
+        out[key] = {"best": round(min(times), 6), "q1": round(q1, 6), "median": round(median, 6), "q3": round(q3, 6)}
     return out
+
+
+def peaks(runs: list[dict]) -> dict:
+    """Each step's median peak RSS over the runs, in MB."""
+    return {key: round(statistics.median(run["peak_mb"][key] for run in runs), 1) for key in runs[0]["peak_mb"]}
 
 
 def measure(src: str, rung: tuple[int, int, bool]) -> dict:
@@ -236,6 +258,7 @@ def main() -> int:
                 "answers": first["answers"],
                 "diameters_measured": first["diameters_measured"],
                 "seconds": {name: spread(runs[name]) for name in trees},
+                "peak_mb": {name: peaks(runs[name]) for name in trees},
             }
         )
         print(f"({rung[0]},{rung[1]}{'' if rung[2] else ' tolerant'}) done", file=sys.stderr)
