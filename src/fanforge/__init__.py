@@ -32,9 +32,9 @@ _HOMES = {
     "save_state": "tiling",
     "stage_one": "tiling",
     "stage_zero": "tiling",
-    "vertical_trace": "tiling",
-    "epsilon_connectivity": "verify",
-    "mst_max_edge": "verify",
+    "vertical_trace": "query",
+    "epsilon_connectivity": "connectivity",
+    "mst_max_edge": "connectivity",
     "run_all": "verify",
 }
 

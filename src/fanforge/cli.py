@@ -3,7 +3,8 @@
 The single state file (fanforge-state-v1 JSON) is the only contract between
 commands. Rationals cross the boundary as "p/q" strings in both directions;
 no floating point is accepted as input anywhere. Each command imports only
-what it runs: `verify` and `render` load inside their commands.
+what it runs: `verify`, `trace` and `render` load their modules inside
+their commands.
 """
 
 from __future__ import annotations
@@ -86,11 +87,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
+    from .query import vertical_trace
+
     state = tiling.load_state(args.state)
     c = rational_from_str(args.c)
     lo = rational_from_str(args.lo) if args.lo else None
     hi = rational_from_str(args.hi) if args.hi else None
-    crossings = tiling.vertical_trace(state, c, lo, hi)
+    crossings = vertical_trace(state, c, lo, hi)
     lo = state.range_low if lo is None else lo
     hi = state.range_high if hi is None else hi
     rows = []

@@ -55,8 +55,9 @@ class DepthInsufficient(FanforgeError):
 
 class InvalidParameter(FanforgeError):
     """A run parameter is outside its domain: a number that is NaN, infinite
-    or negative, a check selector whose level is misplaced or malformed, or
-    a copy's den that its rectangle's heights do not divide."""
+    or negative, a check selector whose level is misplaced or malformed, a
+    copy's den that its rectangle's heights do not divide, or a jump count
+    whose reports could not be written."""
 
 
 class InvertedWindow(FanforgeError):

@@ -55,7 +55,10 @@ class PieceFloats(NamedTuple):
 
     Plateau j lies at height heights[j] and is drawn as the c-segments
     segments[j]; the jump at sorted position j is the vertical at jumps[j]
-    from heights[j] to heights[j + 1].
+    from heights[j] to heights[j + 1]. A jump location is a point of C and
+    no endpoint, so it lies inside a basic interval of every depth: jumps[j]
+    is the right end of segments[j]'s last segment and the left end of
+    segments[j + 1]'s first, float for float.
     """
 
     heights: list[float]
@@ -218,6 +221,16 @@ def stage_fan_diameters(state: ConstructionState) -> dict[int, float]:
 VERTEX = (0.5, 0.0)
 
 
+def _fibers_through(state: ConstructionState, c: Fraction, lo: Fraction, hi: Fraction):
+    """`query.fibers_through`. The first call loads `query` and puts its
+    function in this name's place, so a command that only samples or draws
+    never compiles the point queries, and later queries pay no import."""
+    global _fibers_through
+    from .query import fibers_through as _fibers_through
+
+    return _fibers_through(state, c, lo, hi)
+
+
 class SpaceModel:
     """A construction state with its derived countable point class."""
 
@@ -228,13 +241,13 @@ class SpaceModel:
         """'Q', 'P', or 'not-in-Y' (the point lies on a copy off its midpoint).
 
         Decided from the integer fibers of the copies whose heights reach
-        h, found on the column index (ConstructionState.fibers_through): a
-        point is in Q when some copy jumps at c and h is that jump's
-        midpoint, even when it lies on another copy too."""
+        h, found on the column index (`query.fibers_through`): a point is
+        in Q when some copy jumps at c and h is that jump's midpoint, even
+        when it lies on another copy too."""
         c, h = point
         on = False
         scaled = h.numerator * self.state.den  # h = scaled / (den * h.denominator)
-        for _, k, k_hi, ids in self.state.fibers_through(c, h, h):
+        for _, k, k_hi, ids in _fibers_through(self.state, c, h, h):
             for cid in ids:
                 copy = self.state.copies[cid]
                 lo, hi = copy.height(k) * h.denominator, copy.height(k_hi) * h.denominator

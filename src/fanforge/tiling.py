@@ -21,6 +21,7 @@ import bisect
 import itertools
 import json
 import math
+import sys
 from fractions import Fraction
 from functools import cache, cached_property
 from typing import Iterator
@@ -33,7 +34,6 @@ from .exact import (
     addresses_of_length,
     endpoint_one,
     endpoint_zero,
-    locate,
     pair_to_str,
     rational_pair,
     reduced,
@@ -41,9 +41,6 @@ from .exact import (
 from .errors import (
     IndexOutOfRange,
     InvalidParameter,
-    InvertedWindow,
-    JumpHit,
-    NotInCantor,
     StateSchemaError,
     TraceOutOfRange,
     TruncationTooCoarse,
@@ -263,9 +260,9 @@ class ConstructionState:
     lcm(den a, den h * 2^N) (bottom a, height h). Every copy's integer form
     is over it (PlacedCopy), so any two heights compare as ints.
 
-    The point queries read a column index, built on the first of them and
-    dropped by `add_stage` (`fibers_through`); `ids_at_address` keeps id
-    order, which the column walks rely on.
+    `query_index` holds the column index of the point queries (`query`),
+    built on the first of them and dropped by `add_stage`;
+    `ids_at_address` keeps id order, which the column walks rely on.
     """
 
     def __init__(self, depth: int, n_jumps: int, strict: bool, stages: list[list[Rect]]):
@@ -277,7 +274,7 @@ class ConstructionState:
         self.stages: list[TilingStage] = []
         self.copies: list[PlacedCopy] = []
         self._by_address: dict[tuple[int, ...], list[int]] = {}
-        self._columns: dict[tuple[int, ...], tuple[int, list[int], list[int], list[int], list[int]]] | None = None
+        self.query_index: dict | None = None
         for rects in stages:
             self.add_stage(rects)
 
@@ -285,7 +282,7 @@ class ConstructionState:
         """Append the next stage, placing, numbering and indexing its copies;
         where its rects widen `den`, every placed copy is scaled to it."""
         n = len(self.stages)
-        self._columns = None
+        self.query_index = None
         den = math.lcm(self.den, *{r.a[1] for r in rects}, *{r.h[1] << self.n_jumps for r in rects})
         unit = den // self.den
         for copy in self.copies:
@@ -324,54 +321,6 @@ class ConstructionState:
                 if max_stage is None or self.copies[cid].stage <= max_stage:
                     out.append(cid)
         return out
-
-    def _column_index(self) -> dict[tuple[int, ...], tuple[int, list[int], list[int], list[int], list[int]]]:
-        """Per address: its lowest copy id, its copy ids by increasing base
-        (ties by id), their bases, their tops height(N), and the running
-        maximum of those tops."""
-        top = self.n_jumps
-        columns = {}
-        for bits, ids in self._by_address.items():
-            ranked = sorted(ids, key=lambda cid: self.copies[cid].base)
-            bases = [self.copies[cid].base for cid in ranked]
-            tops = [self.copies[cid].height(top) for cid in ranked]
-            columns[bits] = (ids[0], ranked, bases, tops, list(itertools.accumulate(tops, max)))
-        self._columns = columns
-        return columns
-
-    def fibers_through(
-        self, c: Fraction, lo: Fraction, hi: Fraction, max_stage: int | None = None
-    ) -> Iterator[tuple[int, int, int, list[int]]]:
-        """(lowest id, k, k_hi, ids) per address on the path of the Cantor
-        point c that holds copies, shallowest first, up to length
-        `max_stage` (NotInCantor from `locate` for c outside C). (k, k_hi)
-        is the fiber at c of the address's copies, as in
-        PlacedCopy.fiber_span, found before any filter; ids are exactly the
-        copies whose heights meet the window, height(0) <= hi and
-        lo <= height(N), since a fiber at c meets it only on such a copy.
-        The copies with base <= hi are a prefix of the column index, found
-        by bisection; it is walked from its end while the running maximum
-        of its tops still reaches lo, since no copy before that place does.
-        So the answer is exact for any rects, overlapping or listed out of
-        height order."""
-        depth = self.depth if max_stage is None else min(max_stage, self.depth)
-        bits = locate(c, depth).bits
-        columns = self._columns if self._columns is not None else self._column_index()
-        hi_floor = hi.numerator * self.den // hi.denominator  # base <= hi iff base <= hi_floor
-        lo_ceil = -(-lo.numerator * self.den // lo.denominator)  # top >= lo iff top >= lo_ceil
-        for length in range(len(bits) + 1):
-            column = columns.get(bits[:length])
-            if column is None:
-                continue
-            lowest, ids, bases, tops, reach = column
-            k, k_hi = self.copies[lowest].fiber_span(c)
-            reached = []
-            j = bisect.bisect_right(bases, hi_floor) - 1
-            while j >= 0 and reach[j] >= lo_ceil:
-                if tops[j] >= lo_ceil:
-                    reached.append(ids[j])
-                j -= 1
-            yield lowest, k, k_hi, reached
 
     def to_json_obj(self) -> dict:
         text = cache(pair_to_str)  # the rects share most of their bounds
@@ -656,57 +605,43 @@ def next_stage(state: ConstructionState) -> list[Rect]:
     return rects
 
 
+def _too_many_jumps(n_jumps: int) -> str | None:
+    """Why a state of n_jumps jumps could not be reported, or None.
+
+    A report writes rationals over 2^N, the jump table's denominator (the
+    coverage check's column gap at depth 0 is 1/2^N), as decimal text,
+    which the interpreter refuses beyond `sys.get_int_max_str_digits()`
+    digits (4300 by default; 0, or no such function, means no limit). So
+    N is refused unless 2^N < 10^digits, before any table is made."""
+    digits = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if not digits or n_jumps <= 3 * digits:  # 2^N <= 8^digits < 10^digits
+        return None
+    limit = (10**digits).bit_length() - 1
+    if n_jumps <= limit:
+        return None
+    return (
+        f"{n_jumps} jumps exceed the limit of {limit}: 2^N would have more than "
+        f"{digits} decimal digits, the interpreter's int-to-str limit"
+    )
+
+
 def build(depth: int, n_jumps: int, strict: bool = True) -> ConstructionState:
-    """Build stages 0..depth; deterministic in (depth, n_jumps, strict)."""
+    """Build stages 0..depth; deterministic in (depth, n_jumps, strict).
+    A jump count whose reports could not be written (`_too_many_jumps`) is
+    refused with InvalidParameter."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
     floor = 2 if depth >= 1 else 1
     if n_jumps < floor:
         raise ValueError(f"depth {depth} needs at least {floor} jumps")
+    if reason := _too_many_jumps(n_jumps):
+        raise InvalidParameter(reason)
     state = ConstructionState(depth, n_jumps, strict, [stage_zero()])
     if depth >= 1:
         state.add_stage(stage_one(n_jumps))
     while len(state.stages) <= depth:
         state.add_stage(next_stage(state))
     return state
-
-
-def vertical_trace(
-    state: ConstructionState,
-    c: Fraction,
-    lo: Fraction | None = None,
-    hi: Fraction | None = None,
-    max_stage: int | None = None,
-) -> list[tuple[Fraction, int]]:
-    """Crossing heights of the vertical at c with all spanning copies,
-    read from the column index (ConstructionState.fibers_through).
-
-    Each spanning copy meets the line in one point as long as c is not one
-    of its scaled jump locations (JumpHit otherwise, in the window or not;
-    Cantor endpoints are always safe because jump images are never
-    endpoints). The heights are compared and sorted as ints over the
-    state's `den`, and each returned height is the copy's shared
-    `exact_height`. A negative `max_stage` is refused (InvalidParameter)
-    before any work, then an inverted window, then a c outside C.
-    """
-    if max_stage is not None and max_stage < 0:
-        raise InvalidParameter(f"max stage must be >= 0, got {max_stage}")
-    lo = state.range_low if lo is None else lo
-    hi = state.range_high if hi is None else hi
-    if lo > hi:
-        raise InvertedWindow(f"height window [{lo}, {hi}] has lo > hi")
-    lo_ceil = -(-lo.numerator * state.den // lo.denominator)  # lo <= h/den iff lo_ceil <= h
-    hi_floor = hi.numerator * state.den // hi.denominator
-    out: list[tuple[int, int, int]] = []
-    for lowest, k, k_hi, ids in state.fibers_through(c, lo, hi, max_stage):
-        if k_hi != k:
-            raise JumpHit(f"column {c} is a jump location of copy {state.copies[lowest].key}")
-        for cid in ids:
-            h = state.copies[cid].height(k)
-            if lo_ceil <= h <= hi_floor:
-                out.append((h, cid, k))
-    out.sort()
-    return [(state.copies[cid].exact_height(k), cid) for _, cid, k in out]
 
 
 def check_sampling(state: ConstructionState, grid_depth: int, fiber_count: int) -> None:
@@ -772,6 +707,8 @@ def state_from_json_obj(doc: dict, location: str = "<state>") -> ConstructionSta
     stages_doc = _require(doc, "stages", location, list)
     if depth < 0 or n_jumps < 1:
         raise StateSchemaError(f"needs depth >= 0 and jumps >= 1, got {depth}, {n_jumps}", location)
+    if reason := _too_many_jumps(n_jumps):
+        raise StateSchemaError(reason, f"{location}.jumps")
     if len(stages_doc) != depth + 1:
         raise StateSchemaError("stages must list exactly depth+1 entries", f"{location}.stages")
     address_of = cache(Address.parse)  # a text that does not parse raises, uncached
@@ -802,3 +739,14 @@ def state_from_json_obj(doc: dict, location: str = "<state>") -> ConstructionSta
             rects.append(rect)
         stages.append(rects)
     return ConstructionState(depth, n_jumps, strict, stages)
+
+
+def __getattr__(name: str):
+    """`vertical_trace`, which lives in `query`, still reads as this
+    module's (PEP 562); the first read binds it here."""
+    if name == "vertical_trace":
+        from .query import vertical_trace
+
+        globals()[name] = vertical_trace
+        return vertical_trace
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

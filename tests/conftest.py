@@ -1,6 +1,19 @@
+import sys
+
 import pytest
 
 from fanforge import assemble, build
+
+
+@pytest.fixture
+def int_text_limit():
+    """Sets the interpreter's int-to-str digit limit for one test, then puts
+    the old one back; skipped where the interpreter has no such limit."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no int-to-str digit limit")
+    old = sys.get_int_max_str_digits()
+    yield sys.set_int_max_str_digits
+    sys.set_int_max_str_digits(old)
 
 
 @pytest.fixture(scope="session")

@@ -58,6 +58,7 @@ from fanforge.exact import (
 )
 from fanforge.render import CANTOR_DEPTH, HEAD, HEIGHT, MARGIN, STROKE_COPY, STROKE_RECT, TAIL, WIDTH
 from fanforge.spaceset import Region, VERTEX, fan_point, fan_x, xi_float
+from fanforge.query import vertical_trace
 from fanforge.tiling import (
     STATE_SCHEMA,
     ColumnSweep,
@@ -67,7 +68,6 @@ from fanforge.tiling import (
     _require,
     stage_one,
     stage_zero,
-    vertical_trace,
 )
 from fanforge.verify import CheckRecord, _coverage_gap, _problems, copies_intersect
 
@@ -1102,14 +1102,23 @@ def fan_diameter_bound_oracle(copy) -> float:
     return pair_diameter_oracle(corners) + 2.0**-40
 
 
+@lru_cache(maxsize=None)
+def basic_intervals_oracle(depth: int) -> tuple[tuple[Fraction, Fraction], ...]:
+    """The depth-`depth` basic intervals of C, (endpoint_zero, endpoint_one)
+    per address, left to right."""
+    return tuple((endpoint_zero(sigma), endpoint_one(sigma)) for sigma in addresses_of_length(depth))
+
+
 def plateau_segments_oracle(copy, lo: Fraction, hi: Fraction, depth: int):
     """The plateau [lo, hi] clipped to every depth-`depth` basic interval of the
     copy's local Cantor set, in global Fractions, left to right."""
     local_lo, local_hi = local_c(copy, lo), local_c(copy, hi)
     out = []
-    for sigma in addresses_of_length(depth):
-        a = max(endpoint_zero(sigma), local_lo)
-        b = min(endpoint_one(sigma), local_hi)
+    for left, right in basic_intervals_oracle(depth):
+        if left >= local_hi:
+            break  # so is every later interval
+        a = max(left, local_lo)
+        b = min(right, local_hi)
         if a < b:
             out.append((to_global_c(copy, a), to_global_c(copy, b)))
     return out

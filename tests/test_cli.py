@@ -62,6 +62,14 @@ class TestBuild:
         assert code == 2
         assert stderr.startswith("error: ") and str(out) in stderr
 
+    def test_jump_count_whose_reports_cannot_be_written_exits_2(self, tmp_path, capsys, int_text_limit):
+        # its coverage report would hold 2^14285, past the default 4,300-digit int-to-str limit
+        int_text_limit(4300)
+        out = tmp_path / "s.json"
+        code, _, stderr = run(["build", "--depth", "0", "--jumps", "14285", "--out", str(out)], capsys)
+        assert code == 2 and not out.exists()
+        assert stderr.startswith("error: InvalidParameter: 14285 jumps exceed the limit of 14284")
+
 
 @pytest.fixture(scope="module")
 def state_file(tmp_path_factory):
@@ -173,6 +181,17 @@ class TestVerify:
         assert proc.returncode == 2
         assert "StateSchemaError" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    def test_state_whose_reports_cannot_be_written_exits_2(self, tmp_path, capsys, int_text_limit):
+        int_text_limit(4300)
+        doc = {"schema": "fanforge-state-v1", "depth": 0, "jumps": 100000, "strict": True,
+               "stages": [{"n": 0, "rects": [{"address": "", "a": "0", "b": "1"}]}]}
+        path = tmp_path / "many-jumps.json"
+        path.write_text(json.dumps(doc))
+        code, stdout, stderr = run(["verify", "--state", str(path), "--checks", "coverage"], capsys)
+        assert code == 2 and stdout == ""
+        assert "StateSchemaError: 100000 jumps exceed the limit of 14284" in stderr
+        assert f"(at {path}.jumps)" in stderr
 
     @pytest.mark.parametrize("kind", ["missing", "directory"])
     def test_unreadable_state_exits_2_without_traceback(self, tmp_path, kind):
@@ -357,26 +376,39 @@ class TestCommandImports:
         build = ["build", "--depth", "2", "--jumps", "16", "--out", state]
         _, after = modules_loaded([build])
         assert after.isdisjoint({"fanforge.verify", "fanforge.spaceset", "fanforge.render", "fanforge.decomp"})
-        assert after.isdisjoint({"dataclasses", "inspect"})
-        renders = [
-            ["render", "--state", state, "--figure", kind, "--out", str(tmp_path / f"{kind}.svg")]
-            for kind in ("tiling", "fan", "earring")
-        ]
-        _, after = modules_loaded(renders)
+        assert after.isdisjoint({"fanforge.query", "fanforge.connectivity", "dataclasses", "inspect"})
+
+        def render(kind):
+            return ["render", "--state", state, "--figure", kind, "--out", str(tmp_path / f"{kind}.svg")]
+
+        # the tiling and fan figures read the float boundary alone: no earring, no point query
+        _, after = modules_loaded([render("tiling"), render("fan")])
         assert "fanforge.render" in after
-        assert after.isdisjoint({"fanforge.verify", "numpy", "dataclasses", "inspect"})
+        assert after.isdisjoint({"fanforge.decomp", "fanforge.query", "fanforge.verify", "numpy"})
+        assert after.isdisjoint({"dataclasses", "inspect"})
+        _, after = modules_loaded([render("earring")])
+        assert "fanforge.decomp" in after
+        assert after.isdisjoint({"fanforge.query", "fanforge.verify", "numpy", "dataclasses", "inspect"})
 
     def test_exact_verify_loads_neither_spaceset_nor_numpy(self, tmp_path):
         state = str(tmp_path / "state.json")
         build = ["build", "--depth", "2", "--jumps", "16", "--out", state]
         _, after = modules_loaded([build, ["verify", "--state", state, "--checks", EXACT_CHECKS]])
         assert "fanforge.verify" in after
-        assert after.isdisjoint({"fanforge.spaceset", "numpy", "dataclasses", "inspect"})
+        assert after.isdisjoint({"fanforge.spaceset", "fanforge.connectivity", "fanforge.query", "numpy"})
+        assert after.isdisjoint({"dataclasses", "inspect"})
+
+    def test_trace_loads_the_query_module_alone(self, tmp_path):
+        state = str(tmp_path / "state.json")
+        build = ["build", "--depth", "2", "--jumps", "16", "--out", state]
+        _, after = modules_loaded([build, ["trace", "--state", state, "--c", "0"]])
+        assert "fanforge.query" in after
+        assert after.isdisjoint({"fanforge.verify", "fanforge.spaceset", "fanforge.render", "fanforge.decomp"})
 
     def test_default_verify_does_not_load_numpy_ma(self, tmp_path):
         # nor numpy itself: epsilon-connectivity runs on the standard library
         state = str(tmp_path / "state.json")
         build = ["build", "--depth", "2", "--jumps", "16", "--out", state]
         _, after = modules_loaded([build, ["verify", "--state", state]])
-        assert "fanforge.spaceset" in after
+        assert {"fanforge.spaceset", "fanforge.connectivity"} <= after
         assert after.isdisjoint({"numpy", "numpy.ma", "dataclasses", "inspect"})

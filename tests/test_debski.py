@@ -8,7 +8,8 @@ from fanforge import assemble, build
 from fanforge.debski import jump_points, jump_table, min_jumps_for_depth
 from fanforge.exact import Address, addresses_of_length, cantor_member, endpoint_zero
 from fanforge.errors import IndexOutOfRange, JumpHit, NotInCantor
-from fanforge.tiling import ConstructionState, stage_zero, vertical_trace
+from fanforge.query import vertical_trace
+from fanforge.tiling import ConstructionState, stage_zero
 
 from .oracles import classify_on_copy_oracle, f_value_oracle, fraction_table, jump_points_oracle
 

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import xml.etree.ElementTree as ET
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -13,6 +14,7 @@ from fanforge.render import (
     HEIGHT,
     MARGIN,
     WIDTH,
+    _Axis,
     _Canvas,
     figure_filename,
     figure_lines,
@@ -166,7 +168,9 @@ class TestByteContract:
 
 class TestAxisText:
     """Each axis formats a float once and hands back the text the direct
-    format of the canvas map gives, for the first and every later lookup."""
+    format of the canvas map gives, for the first and every later lookup,
+    and after the tiling figure clears its x texts at a new column. `text`
+    formats afresh and gives the same text."""
 
     FAN, TILING_3 = (-0.05, 1.05, -0.05, 1.05), (-0.05, 1.05, -3.25, 4.25)
 
@@ -177,7 +181,23 @@ class TestAxisText:
         canvas, direct = _Canvas(*bounds), CanvasOracle(*bounds)
         for _ in range(2):  # uncached, then cached
             for v in values:
-                assert canvas.x[v] == direct.x(v)
-                assert canvas.y[v] == direct.y(v)
-        canvas.forget()
+                assert canvas.x[v] == canvas.x.text(v) == direct.x(v)
+                assert canvas.y[v] == canvas.y.text(v) == direct.y(v)
+        canvas.x.clear()
         assert [canvas.x[v] for v in values] == [direct.x(v) for v in values]
+        # the fan figure's copies format x by the %.12f of the line template
+        x0, sx = canvas.x.origin, canvas.x.scale
+        assert ["%.12f" % (MARGIN + (v - x0) * sx) for v in values] == [direct.x(v) for v in values]
+
+    def test_tiling_x_texts_last_one_column(self, st_2_16):
+        # the x texts are dropped exactly when the (stage, origin) of the copies changes
+        columns = [(copy.stage, copy.origin) for copy in st_2_16.copies]
+        cleared = []
+
+        def clear(axis):
+            cleared.append(len(axis))
+            dict.clear(axis)
+
+        with mock.patch.object(_Axis, "clear", clear):
+            render_figure(st_2_16, "tiling")
+        assert len(cleared) == 1 + sum(a != b for a, b in zip(columns, columns[1:]))

@@ -28,6 +28,7 @@ from fanforge.spaceset import (
     vertex_neighborhood,
     xi_float,
 )
+from fanforge.query import fibers_through, vertical_trace
 from fanforge.tiling import (
     ConstructionState,
     PlacedCopy,
@@ -36,7 +37,6 @@ from fanforge.tiling import (
     stage_one,
     stage_zero,
     state_from_json_obj,
-    vertical_trace,
 )
 
 from .oracles import (
@@ -162,6 +162,9 @@ class TestPieceFloats:
             [(float(a), float(b)) for a, b in plateau_segments_oracle(copy, lo, hi, depth)]
             for lo, hi, _ in plateaus_global_oracle(copy)
         ]
+        # a jump meets the plateaus it joins: the fan figure reuses their end texts for it
+        segments = pieces.segments
+        assert all(segments[j][-1][1] == c == segments[j + 1][0][0] for j, c in enumerate(pieces.jumps))
 
     @given(
         bottom=st.builds(F, big, st.integers(1, 2**80)),
@@ -310,7 +313,7 @@ class TestClassifyOracle:
             assert model.classify(point) == label == classify_oracle(state, point), point
             # exactly the copies spanning c whose heights [bottom, top crossing] hold h
             c, h = point
-            assert [cid for _, _, _, ids in state.fibers_through(c, h, h) for cid in ids] == reached, point
+            assert [cid for _, _, _, ids in fibers_through(state, c, h, h) for cid in ids] == reached, point
             expected = {
                 cid
                 for cid, copy in enumerate(state.copies)

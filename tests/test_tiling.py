@@ -3,10 +3,12 @@ import json
 import math
 from fractions import Fraction as F
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, strategies as st
 
-from fanforge import build
+from fanforge import build, tiling
 from fanforge.debski import jump_table
 from fanforge.errors import (
     IndexOutOfRange,
@@ -21,6 +23,7 @@ from fanforge.errors import (
 )
 from fanforge.exact import Address, addresses_of_length, endpoint_one, endpoint_zero
 from fanforge.spaceset import assemble, region_between
+from fanforge.query import vertical_trace
 from fanforge.tiling import (
     ConstructionState,
     PlacedCopy,
@@ -31,7 +34,6 @@ from fanforge.tiling import (
     stage_one,
     stage_zero,
     state_from_json_obj,
-    vertical_trace,
 )
 
 from .oracles import (
@@ -263,6 +265,20 @@ class TestBuild:
         assert exc.value.stage == 2
         assert exc.value.suggested_jumps == 6
         assert exc.value.column  # offending column is reported
+
+    def test_jump_count_whose_reports_cannot_be_written_is_refused(self, int_text_limit):
+        # 2^14284 has 4,300 decimal digits, the default int-to-str limit, and 2^14285 has 4,301
+        int_text_limit(4300)
+        assert len(str(2**14284)) == 4300 and tiling._too_many_jumps(14284) is None
+        with mock.patch.object(tiling, "jump_table", side_effect=AssertionError("table made")):
+            for n_jumps in (14285, 10**9):
+                with pytest.raises(InvalidParameter, match="exceed the limit of 14284: .* 4300 decimal digits"):
+                    build(0, n_jumps)
+            int_text_limit(640)  # the least limit the interpreter takes
+            with pytest.raises(InvalidParameter, match="limit of 2126"):
+                build(2, 2127)
+        int_text_limit(0)  # no limit
+        assert tiling._too_many_jumps(10**9) is None
 
     def test_tolerant_build_succeeds_below_threshold(self):
         state = build(2, 4, strict=False)
@@ -588,6 +604,15 @@ class TestStateSerialization:
                  "stages": [{"n": 0, "rects": [{"address": "", "a": "0/1"}]}]}
             )
         assert "rects[0]" in str(exc.value)
+
+    def test_jump_count_whose_reports_cannot_be_written_is_refused(self, int_text_limit):
+        int_text_limit(4300)
+        doc = {"schema": "fanforge-state-v1", "depth": 0, "jumps": 100000, "strict": True,
+               "stages": [{"n": 0, "rects": [{"address": "", "a": "0", "b": "1"}]}]}
+        with mock.patch.object(tiling, "jump_table", side_effect=AssertionError("table made")):
+            with pytest.raises(StateSchemaError, match="limit of 14284") as exc:
+                state_from_json_obj(doc, "s.json")
+        assert exc.value.location == "s.json.jumps"
 
 
 class TestLoaderAgainstOracle:

@@ -28,14 +28,15 @@ from fanforge.spaceset import (
     sample_points,
     stage_fan_diameters,
 )
+from fanforge.query import vertical_trace
 from fanforge.tiling import (
     ColumnSweep,
     ConstructionState,
     PlacedCopy,
     Rect,
-    vertical_trace,
 )
-from fanforge import verify
+from fanforge import connectivity, query, tiling, verify
+from fanforge.connectivity import epsilon_connectivity, mst_max_edge
 from fanforge.verify import (
     _candidate_ranks,
     _disjointness,
@@ -44,8 +45,6 @@ from fanforge.verify import (
     check_null_sequence,
     check_partial_tiling,
     copies_intersect,
-    epsilon_connectivity,
-    mst_max_edge,
     run_all,
     sweep_level,
 )
@@ -811,7 +810,7 @@ class TestEpsilonConnectivity:
         # point 0 is the fan's vertex, and one pass at its nearest distance proves eps_star
         model = request.getfixturevalue(model_name)
         coords = sample_points(model, model.state.depth, 3).coordinates()
-        with mock.patch.object(verify, "_components", wraps=verify._components) as passes:
+        with mock.patch.object(connectivity, "_components", wraps=connectivity._components) as passes:
             eps_star = mst_max_edge(coords)
         assert eps_star == prim_max_edge(coords)
         assert passes.call_count == 1
@@ -837,7 +836,7 @@ class TestEpsilonConnectivity:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_search_runs_where_point_zero_is_not_the_bottleneck(self, seed):
         coords = two_clusters(seed)
-        with mock.patch.object(verify, "_components", wraps=verify._components) as passes:
+        with mock.patch.object(connectivity, "_components", wraps=connectivity._components) as passes:
             eps_star = mst_max_edge(coords)
         assert eps_star == prim_max_edge(coords)
         # the failed certificate, the bounding box, then one bisection step per pass
@@ -852,7 +851,7 @@ class TestEpsilonConnectivity:
         st.integers(-3, 3),
     )
     def test_squared_limit_decides_as_the_sqrt(self, eps, d2, steps):
-        limit = verify._limit(eps)
+        limit = connectivity._limit(eps)
         near = eps * eps if eps * eps < math.inf else d2
         for _ in range(abs(steps)):  # a few floats around eps*eps, where the two tests could part
             near = math.nextafter(near, math.copysign(math.inf, steps))
@@ -896,7 +895,7 @@ class TestEpsilonConnectivity:
         coords = [(0.5 + rng.random() * 1e-12, 0.5 + rng.random() * 1e-12) for _ in range(20000)]
         nearest = min(math.sqrt((1.0 - x) * (1.0 - x) + (1.0 - y) * (1.0 - y)) for x, y in coords)
         coords.append((1.0, 1.0))
-        with mock.patch.object(verify, "_components", wraps=verify._components) as passes:
+        with mock.patch.object(connectivity, "_components", wraps=connectivity._components) as passes:
             assert mst_max_edge(coords) == nearest
         assert passes.call_count <= 65
         assert epsilon_connectivity(coords, nearest) == 1
@@ -920,6 +919,15 @@ class TestEpsilonConnectivity:
         eps_star = mst_max_edge(coords)
         assert epsilon_connectivity(coords, eps_star) == 1
         assert epsilon_connectivity(coords, eps_star / 2) >= 2
+
+    def test_moved_names_still_read_from_their_old_modules(self):
+        # perfbench replays verify.mst_max_edge, verify.epsilon_connectivity and tiling.vertical_trace
+        assert verify.mst_max_edge is connectivity.mst_max_edge
+        assert verify.epsilon_connectivity is connectivity.epsilon_connectivity
+        assert tiling.vertical_trace is query.vertical_trace
+        for module in (verify, tiling):
+            with pytest.raises(AttributeError):
+                module.no_such_name
 
     def test_default_run_all_loads_no_numpy(self):
         script = (
