@@ -22,10 +22,8 @@ _HOMES = {
     "endpoint_zero": "exact",
     "locate": "exact",
     "assemble": "spaceset",
-    "fan_point": "spaceset",
     "region_between": "spaceset",
     "sample_points": "spaceset",
-    "vertex_neighborhood": "spaceset",
     "ConstructionState": "tiling",
     "build": "tiling",
     "load_state": "tiling",

@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, NamedTuple
 
-from .exact import addresses_length_lex, endpoint_zero, locate
+from .exact import addresses_length_lex, endpoint_zero
 
 
 def _quarter_points() -> Iterator[Fraction]:
@@ -51,7 +51,6 @@ def jump_points(n_jumps: int) -> list[Fraction]:
     return list(_jump_points_cached(n_jumps))
 
 
-@lru_cache(maxsize=None)
 def min_jumps_for_depth(depth: int) -> int:
     """The jump count a depth-`depth` build needs. From depth 2 on it is the
     smallest N such that every depth-`depth` basic interval holds one of the
@@ -63,11 +62,7 @@ def min_jumps_for_depth(depth: int) -> int:
         return 1
     if depth == 1:
         return 2
-    missing = set(itertools.product((0, 1), repeat=depth))
-    for count, v in enumerate(_quarter_points(), 1):
-        missing.discard(locate(v, depth).bits)
-        if not missing:
-            return count
+    return 3 * 2 ** (depth - 1)
 
 
 class JumpTable(NamedTuple):

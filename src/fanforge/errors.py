@@ -34,10 +34,15 @@ class TruncationTooCoarse(FanforgeError):
         self.column = column
         self.stage = stage
         self.suggested_jumps = suggested_jumps
+        try:
+            count = str(suggested_jumps)
+        except ValueError:  # past the int-to-str limit: m * 2^e, m odd
+            e = (suggested_jumps & -suggested_jumps).bit_length() - 1
+            count = f"{suggested_jumps >> e} * 2^{e}"
         msg = f"truncation too coarse at stage {stage}, column '{column}'"
         if detail:
             msg += f": {detail}"
-        msg += f" (suggested jump count: >= {suggested_jumps})"
+        msg += f" (suggested jump count: >= {count})"
         super().__init__(msg)
 
 

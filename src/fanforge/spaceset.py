@@ -18,14 +18,8 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .debski import jump_table
-from .errors import DepthInsufficient, NotOrdered, NotSpanning
-from .exact import (
-    Address,
-    addresses_of_length,
-    cantor_member,
-    endpoint_one,
-    endpoint_zero,
-)
+from .errors import NotOrdered, NotSpanning
+from .exact import Address, addresses_of_length
 from .tiling import ColumnSweep, ConstructionState, PlacedCopy, check_sampling
 
 Point = tuple[Fraction, Fraction]
@@ -41,13 +35,6 @@ def fan_x(c: float, y: float) -> float:
     """The fan map's first coordinate (y(2c - 1) + 1) / 2 of the float point
     (c, y); the map keeps y and collapses the slice y = 0 to the vertex."""
     return (y * (2 * c - 1) + 1) / 2
-
-
-def fan_point(point: tuple[Fraction | float, Fraction | float]) -> tuple[float, float]:
-    """The fan map after xi: the rendered/fan position of a model point."""
-    c, r = point
-    y = xi_float(r)
-    return (fan_x(float(c), y), y)
 
 
 class PieceFloats(NamedTuple):
@@ -120,7 +107,7 @@ def fan_midpoints(copy: PlacedCopy) -> list[tuple[float, float]]:
     As in `piece_floats`, they come from ints: the jump at sorted position
     j lies at column (origin*T + loc_j) / (T * 3^s) and its midpoint at
     height (2*base + step*(k_j + k_{j+1})) / (2*den), so each image is
-    fan_point of the exact midpoint (PlacedCopy.midpoint_global).
+    the fan map after xi of the exact midpoint (PlacedCopy.midpoint_global).
     """
     table = copy.table
     t_den, locations, values = table.den, table.locations, table.values
@@ -256,59 +243,20 @@ class SpaceModel:
                 on = on or lo <= scaled <= hi
         return "not-in-Y" if on else "P"
 
-    def in_y(self, point: Point) -> bool:
-        return self.classify(point) != "not-in-Y"
-
 
 def assemble(state: ConstructionState) -> SpaceModel:
-    """Derive the countable class and membership predicates from a state."""
+    """The model of a state, which classifies points (`SpaceModel.classify`)."""
     return SpaceModel(state)
 
 
 class Region(NamedTuple):
-    """A basis region with its finite exact boundary point set.
+    """The open set of Y-points strictly between two vertically ordered
+    copies (`supports`, lower first) over one column, with its finite exact
+    boundary point set."""
 
-    kind 'betweenCopies': the open set of Y-points strictly between two
-    vertically ordered copies over one column. kind 'belowCopies': Y-points
-    below a finite family of copies whose columns cover C. Equality ignores
-    the model.
-    """
-
-    kind: str
-    column: Address | None
+    column: Address
     supports: tuple[int, ...]
     boundary: tuple[Point, ...]
-    model: SpaceModel
-
-    def __eq__(self, other: object) -> bool:
-        return self[:4] == other[:4] if isinstance(other, Region) else NotImplemented
-
-    def __ne__(self, other: object) -> bool:
-        return not self == other
-
-    def contains(self, point: Point) -> bool:
-        c, h = point
-        if not (0 <= c <= 1) or not cantor_member(c):
-            return False
-        if self.kind == "betweenCopies":
-            if not (endpoint_zero(self.column) <= c <= endpoint_one(self.column)):
-                return False
-            lower = self.model.state.copies[self.supports[0]]
-            upper = self.model.state.copies[self.supports[1]]
-            below_top = lower.fiber(c)[2]
-            above_bot = upper.fiber(c)[1]
-            if not below_top < h < above_bot:
-                return False
-            return self.model.in_y(point)
-        if self.kind == "belowCopies":
-            for cid in self.supports:
-                copy = self.model.state.copies[cid]
-                if copy.rect.left <= c <= copy.rect.right:
-                    if not h < copy.fiber(c)[1]:
-                        return False
-                    return self.model.in_y(point)
-            return False
-        raise ValueError(f"unknown region kind {self.kind}")
 
 
 def region_between(model: SpaceModel, lower_id: int, upper_id: int, column: Address) -> Region:
@@ -332,46 +280,7 @@ def region_between(model: SpaceModel, lower_id: int, upper_id: int, column: Addr
             f"copy {lower.key} is not strictly below copy {upper.key} over {column}"
         )
     boundary = (*lower.midpoints_global(col.jumps(0)), *upper.midpoints_global(col.jumps(1)))
-    return Region("betweenCopies", column, (lower_id, upper_id), boundary, model)
-
-
-def vertex_neighborhood(model: SpaceModel, r: Fraction) -> Region:
-    """A below-copies region realizing a small fan neighborhood of the vertex.
-
-    Finds a finite cover of C by columns of copies lying entirely below the
-    exact height bound r; per covered column the highest qualifying copy is
-    chosen. The fan image of the region lies below xi(r). DepthInsufficient
-    when no such cover exists at the built depth.
-    """
-    state = model.state
-    bound = r.numerator * state.den  # top / den < r iff top * q < bound
-    best: dict[tuple[int, ...], tuple[int, int]] = {}  # column -> (copy top * q, copy id)
-    for cid, copy in enumerate(state.copies):
-        top = copy.height(state.n_jumps) * r.denominator
-        if top < bound:
-            bits = copy.rect.address.bits
-            if bits not in best or top > best[bits][0]:
-                best[bits] = (top, cid)
-
-    chosen: list[int] = []
-
-    def cover(bits: tuple[int, ...]) -> None:
-        if bits in best:
-            chosen.append(best[bits][1])
-            return
-        if len(bits) >= state.depth:
-            raise DepthInsufficient(
-                f"no copy below {r} over column '{''.join(map(str, bits))}'"
-                f" at depth {state.depth}"
-            )
-        cover(bits + (0,))
-        cover(bits + (1,))
-
-    cover(())
-    boundary: list[Point] = []
-    for cid in chosen:
-        boundary.extend(state.copies[cid].midpoints_global())
-    return Region("belowCopies", None, tuple(chosen), tuple(boundary), model)
+    return Region(column, (lower_id, upper_id), boundary)
 
 
 class PointCloud:

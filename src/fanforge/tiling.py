@@ -606,18 +606,12 @@ def next_stage(state: ConstructionState) -> list[Rect]:
 
 
 def _too_many_jumps(n_jumps: int) -> str | None:
-    """Why a state of n_jumps jumps could not be reported, or None.
-
-    A report writes rationals over 2^N, the jump table's denominator (the
-    coverage check's column gap at depth 0 is 1/2^N), as decimal text,
-    which the interpreter refuses beyond `sys.get_int_max_str_digits()`
-    digits (4300 by default; 0, or no such function, means no limit). So
-    N is refused unless 2^N < 10^digits, before any table is made."""
+    """Why a state of n_jumps jumps could not be reported, or None, from N
+    alone, before any table is made: its `den` is a multiple of 2^N, so N
+    is refused unless 2^N < 10^digits (`_too_wide`)."""
     digits = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
-    if not digits or n_jumps <= 3 * digits:  # 2^N <= 8^digits < 10^digits
-        return None
     limit = (10**digits).bit_length() - 1
-    if n_jumps <= limit:
+    if not digits or n_jumps <= limit:
         return None
     return (
         f"{n_jumps} jumps exceed the limit of {limit}: 2^N would have more than "
@@ -625,10 +619,24 @@ def _too_many_jumps(n_jumps: int) -> str | None:
     )
 
 
+def _too_wide(state: ConstructionState) -> str | None:
+    """Why the state's reports could not be written, or None. `verify`,
+    `trace` and the state file write rationals in [-(2K+1), 2K+1] over
+    divisors of `den`, so ints below (2K+1) * den, and the interpreter
+    writes an int only below 10^digits (no limit where digits is 0)."""
+    digits = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if not digits or (2 * state.depth + 1) * state.den < 10**digits:
+        return None
+    return (
+        f"{state.n_jumps} jumps at depth {state.depth} put heights over a {state.den.bit_length()}-bit "
+        f"denominator: reports would write ints of more than {digits} decimal digits, the int-to-str limit"
+    )
+
+
 def build(depth: int, n_jumps: int, strict: bool = True) -> ConstructionState:
     """Build stages 0..depth; deterministic in (depth, n_jumps, strict).
-    A jump count whose reports could not be written (`_too_many_jumps`) is
-    refused with InvalidParameter."""
+    A state whose reports could not be written (`_too_many_jumps`, then
+    `_too_wide` at each stage) is refused with InvalidParameter."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
     floor = 2 if depth >= 1 else 1
@@ -637,11 +645,12 @@ def build(depth: int, n_jumps: int, strict: bool = True) -> ConstructionState:
     if reason := _too_many_jumps(n_jumps):
         raise InvalidParameter(reason)
     state = ConstructionState(depth, n_jumps, strict, [stage_zero()])
-    if depth >= 1:
-        state.add_stage(stage_one(n_jumps))
-    while len(state.stages) <= depth:
-        state.add_stage(next_stage(state))
-    return state
+    while True:
+        if reason := _too_wide(state):
+            raise InvalidParameter(reason)
+        if len(state.stages) > depth:
+            return state
+        state.add_stage(stage_one(n_jumps) if len(state.stages) == 1 else next_stage(state))
 
 
 def check_sampling(state: ConstructionState, grid_depth: int, fiber_count: int) -> None:
@@ -738,7 +747,10 @@ def state_from_json_obj(doc: dict, location: str = "<state>") -> ConstructionSta
                 raise StateSchemaError(f"address length {len(rect.address)} at stage {n}", f"{loc}.rects[{ri}]")
             rects.append(rect)
         stages.append(rects)
-    return ConstructionState(depth, n_jumps, strict, stages)
+    state = ConstructionState(depth, n_jumps, strict, stages)
+    if reason := _too_wide(state):
+        raise StateSchemaError(reason, f"{location}.jumps")
+    return state
 
 
 def __getattr__(name: str):

@@ -57,7 +57,7 @@ from fanforge.exact import (
     rational_to_str,
 )
 from fanforge.render import CANTOR_DEPTH, HEAD, HEIGHT, MARGIN, STROKE_COPY, STROKE_RECT, TAIL, WIDTH
-from fanforge.spaceset import Region, VERTEX, fan_point, fan_x, xi_float
+from fanforge.spaceset import Region, VERTEX, fan_x, xi_float
 from fanforge.query import vertical_trace
 from fanforge.tiling import (
     STATE_SCHEMA,
@@ -70,6 +70,14 @@ from fanforge.tiling import (
     stage_zero,
 )
 from fanforge.verify import CheckRecord, _coverage_gap, _problems, copies_intersect
+
+
+def fan_point(point: tuple[Fraction | float, Fraction | float]) -> tuple[float, float]:
+    """The fan map after xi of one point, through `xi_float` and `fan_x`:
+    the reference that the cloud's and the figures' int forms equal."""
+    c, r = point
+    y = xi_float(r)
+    return (fan_x(float(c), y), y)
 
 
 def cantor_member_oracle(q: Fraction, depth: int = 300) -> bool:
@@ -642,7 +650,7 @@ def region_between_oracle(model, lower_id: int, upper_id: int, column) -> Region
             c = to_global_c(copy, location)
             if left <= c <= right:
                 boundary.append((c, to_global_h(copy, (low + high) / 2)))
-    return Region("betweenCopies", column, (lower_id, upper_id), tuple(boundary), model)
+    return Region(column, (lower_id, upper_id), tuple(boundary))
 
 
 def envelope_failures_oracle(state, column, trio) -> list[str]:

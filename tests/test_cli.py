@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -16,15 +17,27 @@ def run(argv, capsys):
     return code, captured.out, captured.err
 
 
-def verify_in_subprocess(state_path):
-    """`python -m fanforge verify --state PATH` in a fresh interpreter."""
+def cli_in_subprocess(argv, env=None, timeout=None, address_space=None):
+    """`python -m fanforge ARGV` in a fresh interpreter, with `env` added to
+    the environment and, if given, its address space capped in bytes."""
     src = str(Path(fanforge.__file__).parents[1])
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+
     return subprocess.run(
-        [sys.executable, "-m", "fanforge", "verify", "--state", str(state_path)],
+        [sys.executable, "-m", "fanforge", *argv],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": src},
+        env={**os.environ, "PYTHONPATH": src, **(env or {})},
+        timeout=timeout,
+        preexec_fn=cap if address_space else None,
     )
+
+
+def verify_in_subprocess(state_path):
+    """`python -m fanforge verify --state PATH` in a fresh interpreter."""
+    return cli_in_subprocess(["verify", "--state", str(state_path)])
 
 
 class TestBuild:
@@ -55,6 +68,35 @@ class TestBuild:
         assert code == 2
         assert "TruncationTooCoarse" in stderr
         assert "suggested jump count: >= 12" in stderr
+
+    def test_too_coarse_at_a_huge_depth_is_refused_at_once(self, tmp_path):
+        # refused at stage 2; the suggestion 3 * 2^99999 is neither searched
+        # for over 2^100000 columns nor written past the int-to-str limit
+        out = tmp_path / "x.json"
+        argv = ["build", "--depth", "100000", "--jumps", "3", "--out", str(out)]
+        proc = cli_in_subprocess(argv, timeout=60, address_space=512 * 2**20)
+        assert proc.returncode == 2 and not out.exists()
+        assert proc.stderr.startswith("error: TruncationTooCoarse: truncation too coarse at stage 2")
+        assert proc.stderr.endswith("(suggested jump count: >= 3 * 2^99999)\n")
+
+    def test_state_whose_reports_cannot_be_written_is_never_built(self, tmp_path):
+        # at 640 digits 2^N alone allows N <= 2126, but depth 1 puts heights over
+        # a den of about 2^(2N): N = 1064 gives 2,130 bits, and its coverage report
+        # would not be written; N = 1061, the most that depth 1 takes, runs through
+        env = {"PYTHONINTMAXSTRDIGITS": "640"}
+        out = tmp_path / "s.json"
+        proc = cli_in_subprocess(["build", "--depth", "1", "--jumps", "1064", "--out", str(out)], env)
+        assert proc.returncode == 2 and not out.exists()
+        assert proc.stderr.startswith("error: InvalidParameter: 1064 jumps at depth 1 put heights over a 2130-bit")
+        commands = [
+            ["build", "--depth", "1", "--jumps", "1061", "--out", str(out)],
+            ["verify", "--state", str(out)],
+            *(["trace", "--state", str(out), "--c", c] for c in ("1/3", "1")),
+            ["render", "--state", str(out), "--figure", "earring", "--out", str(tmp_path / "e.svg")],
+        ]
+        for argv in commands:
+            proc = cli_in_subprocess(argv, env)
+            assert (proc.returncode, proc.stderr) == (0, ""), argv
 
     def test_out_in_missing_directory_exits_2(self, tmp_path, capsys):
         out = tmp_path / "missing" / "s.json"

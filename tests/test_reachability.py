@@ -10,19 +10,18 @@ underscore.
 """
 
 import ast
+import importlib
 from pathlib import Path
+
+import fanforge
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "fanforge"
 
-# Library API that no command, benchmark step or tool calls yet, each kept
-# for the reason given. `SpaceModel.in_y` and `PlacedCopy.midpoints_global`
-# are reached from the first two alone.
-ALLOWED = {
-    "spaceset.vertex_neighborhood": "the fan neighbourhood of the vertex behind the rational-curve claim",
-    "spaceset.Region.contains": "membership in a basis region, the point query on that neighbourhood",
-    "spaceset.fan_point": "the fan map of one exact point, exported; the cloud inlines it on ints",
-}
+# Library API that no command, benchmark step or tool calls, each kept for
+# the reason given, as "module.name": "reason". Nothing is kept so: every
+# public definition is reached.
+ALLOWED: dict[str, str] = {}
 
 
 def _definitions(tree: ast.Module):
@@ -69,6 +68,14 @@ def test_every_public_definition_is_reached():
 def test_allowed_names_exist_and_are_unreached():
     missing = set(ALLOWED) - set(unreached())
     assert not missing, f"reached or gone, drop from ALLOWED: {sorted(missing)}"
+
+
+def test_every_package_name_resolves_to_its_home_module():
+    # `fanforge._HOMES` maps each name of `__all__` to the module that defines it
+    for name in fanforge.__all__:
+        home = f"fanforge.{fanforge._HOMES[name]}"
+        value = getattr(fanforge, name)
+        assert value is getattr(importlib.import_module(home), name) and value.__module__ == home, name
 
 
 def unreached_oracles() -> list[str]:

@@ -9,7 +9,6 @@ from hypothesis import example, given, strategies as st
 from fanforge.debski import jump_table
 from fanforge.decomp import claim5_regions, collapse_E
 from fanforge.errors import (
-    DepthInsufficient,
     FanforgeError,
     InvalidParameter,
     NotOrdered,
@@ -20,12 +19,10 @@ from fanforge.exact import Address, addresses_of_length, endpoint_one, endpoint_
 from fanforge.spaceset import (
     assemble,
     fan_midpoints,
-    fan_point,
     fan_x,
     piece_floats,
     region_between,
     sample_points,
-    vertex_neighborhood,
     xi_float,
 )
 from fanforge.query import fibers_through, vertical_trace
@@ -44,6 +41,7 @@ from .oracles import (
     claim5_oracle,
     classify_oracle,
     column_oracle,
+    fan_point,
     fiber_isolation_witnesses,
     fraction_table,
     fset_columns,
@@ -423,12 +421,22 @@ class TestRegionBetween:
         )
         assert best > 0
 
+    @staticmethod
+    def in_region(model, region, point):
+        """The point is a Y-point over the region's column strictly between
+        its lower support's top and its upper support's bottom."""
+        c, h = point
+        if not endpoint_zero(region.column) <= c <= endpoint_one(region.column):
+            return False
+        lower, upper = (model.state.copies[cid] for cid in region.supports)
+        return lower.fiber(c)[2] < h < upper.fiber(c)[1] and model.classify(point) != "not-in-Y"
+
     def test_probe_point_between_stage0_and_lower_split_copy(self, model_1_4):
         # 7/8 lies strictly between the two copies' envelopes at c = 1/3
         region = region_between(model_1_4, 0, 2, Address.parse("0"))
-        assert region.contains((F(1, 3), F(7, 8)))
-        assert not region.contains((F(1, 3), F(13, 16)))  # on the lower copy
-        assert not region.contains((F(2, 3), F(7, 8)))  # outside the column
+        assert self.in_region(model_1_4, region, (F(1, 3), F(7, 8)))
+        assert not self.in_region(model_1_4, region, (F(1, 3), F(13, 16)))  # on the lower copy
+        assert not self.in_region(model_1_4, region, (F(2, 3), F(7, 8)))  # outside the column
 
     def test_negative_copy_id_refused(self, model_1_4):
         # -len(copies) wrapped round to copy 0, which spans every column
@@ -462,52 +470,8 @@ class TestRegionBetween:
             else:
                 side = basic_interval_inside(c, c + eps)
             near = endpoint_zero(side)
-            assert region.contains((near, mid))
-            assert not region.contains(point)  # the midpoint itself sits on a copy
-
-
-class TestVertexNeighborhood:
-    """The fan heights eps in the names stand for height bounds r on the
-    2^-40 grid just below tan(pi (eps - 1/2)): 0 for eps = 1/2, R_FIFTH for
-    eps = 1/5."""
-
-    R_FIFTH = F(-1513347926919, 1099511627776)
-
-    def test_half_uses_outer_copies(self, model_1_4):
-        region = vertex_neighborhood(model_1_4, F(0))
-        supports = {model_1_4.state.copies[cid].key for cid in region.supports}
-        # the highest copies below height 0 are the a = -1/2 outer rectangles
-        assert supports == {"1:5", "1:9"}
-        assert len(region.boundary) == 8
-        pts = [fan_point(p) for p in region.boundary]
-        assert min(
-            math.dist(p, q) for i, p in enumerate(pts) for q in pts[i + 1:]
-        ) > 0
-
-    def test_contains_points_below_cover(self, model_1_4):
-        region = vertex_neighborhood(model_1_4, F(0))
-        assert region.contains((F(0), F(-2, 3)))
-        assert not region.contains((F(0), F(1, 4)))
-
-    def test_small_eps_needs_depth(self, model_1_4):
-        with pytest.raises(DepthInsufficient):
-            vertex_neighborhood(model_1_4, self.R_FIFTH)
-
-    def test_small_eps_fine_at_depth_two(self, model_2_16):
-        region = vertex_neighborhood(model_2_16, self.R_FIFTH)
-        assert region.supports
-
-    def test_bound_is_exact(self, model_1_4):
-        # the a = -1 outer copies reach -17/32 and the a = -1/2 ones -1/32: a
-        # copy whose top is r is not below r, and 2^-80 more takes it in
-        def keys(r):
-            return {model_1_4.state.copies[cid].key for cid in vertex_neighborhood(model_1_4, r).supports}
-
-        tiny = F(1, 2**80)
-        with pytest.raises(DepthInsufficient, match="^no copy below -17/32 over column '0' at depth 1$"):
-            vertex_neighborhood(model_1_4, F(-17, 32))
-        assert keys(F(-17, 32) + tiny) == keys(F(-1, 32)) == {"1:4", "1:8"}
-        assert keys(F(-1, 32) + tiny) == {"1:5", "1:9"}
+            assert self.in_region(model_1_4, region, (near, mid))
+            assert not self.in_region(model_1_4, region, point)  # the midpoint itself sits on a copy
 
 
 class TestSamplePoints:

@@ -280,6 +280,17 @@ class TestBuild:
         int_text_limit(0)  # no limit
         assert tiling._too_many_jumps(10**9) is None
 
+    def test_state_whose_den_is_too_wide_is_refused(self, int_text_limit):
+        # a report's ints stay below (2K+1) * den; at depth 1 den is about 2^(2N),
+        # so at 640 digits 3 * den reaches 10^640 from N = 1062, far below 2^N's 2126
+        int_text_limit(640)
+        assert 3 * build(1, 1061).den < 10**640
+        with pytest.raises(InvalidParameter, match="^1062 jumps at depth 1 put heights over a 2126-bit denominator"):
+            build(1, 1062)
+        with mock.patch.object(tiling, "next_stage", side_effect=AssertionError("stage 2 built")):
+            with pytest.raises(InvalidParameter, match="at depth 3"):  # refused at stage 1
+                build(3, 1062)
+
     def test_tolerant_build_succeeds_below_threshold(self):
         state = build(2, 4, strict=False)
         assert state.depth == 2 and not state.strict
@@ -612,6 +623,13 @@ class TestStateSerialization:
         with mock.patch.object(tiling, "jump_table", side_effect=AssertionError("table made")):
             with pytest.raises(StateSchemaError, match="limit of 14284") as exc:
                 state_from_json_obj(doc, "s.json")
+        assert exc.value.location == "s.json.jumps"
+
+    def test_state_whose_den_is_too_wide_is_refused(self, int_text_limit):
+        doc = json.loads(build(1, 1062).to_json())
+        int_text_limit(640)
+        with pytest.raises(StateSchemaError, match="^1062 jumps at depth 1 put heights over a 2126-bit") as exc:
+            state_from_json_obj(doc, "s.json")
         assert exc.value.location == "s.json.jumps"
 
 

@@ -24,7 +24,6 @@ from fanforge.spaceset import (
     _diameter,
     copy_fan_diameter,
     fan_diameter_bound,
-    fan_point,
     sample_points,
     stage_fan_diameters,
 )
@@ -67,6 +66,7 @@ from .oracles import (
     diameter_oracle,
     disjointness_oracle,
     fan_diameter_bound_oracle,
+    fan_point,
     fraction_table,
     jumps_global_oracle,
     max_height_oracle,
