@@ -73,7 +73,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     state = tiling.load_state(args.state)
     report = verify.run_all(
         state,
-        checks=args.checks.split(",") if args.checks else None,
+        checks=args.checks and args.checks.split(","),  # None runs all; "" selects none
         grid_depth=args.grid_depth,
         fiber_count=args.fibers,
         epsilons=args.epsilon,

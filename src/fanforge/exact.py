@@ -163,14 +163,12 @@ def locate(q: Fraction, depth: int) -> Address:
     if not (0 <= q <= 1) or not cantor_member(q):
         raise NotInCantor(f"{q} is not in the Cantor set")
     bits = []
-    x, den = 3 * q.numerator, q.denominator  # (q - 0(bits)) * 3^(k+1) = x / den
-    for k in range(depth):
+    x, den = 3 * q.numerator, q.denominator  # (q - 0(bits)) * 3^(len(bits)+1) = x / den
+    for _ in range(depth):
         if x >= 2 * den:
             bits.append(1)
             x -= 2 * den
-        elif x <= den:
+        else:  # x <= den, as q is in C
             bits.append(0)
-        else:  # unreachable for members of C
-            raise NotInCantor(f"{q} fell into a middle gap at depth {k + 1}")
         x *= 3
     return Address(tuple(bits))

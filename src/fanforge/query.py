@@ -15,7 +15,7 @@ import itertools
 from fractions import Fraction
 from typing import Iterator
 
-from .errors import InvalidParameter, InvertedWindow, JumpHit
+from .errors import InvertedWindow, JumpHit
 from .exact import locate
 from .tiling import ConstructionState
 
@@ -38,22 +38,21 @@ def _column_index(
 
 
 def fibers_through(
-    state: ConstructionState, c: Fraction, lo: Fraction, hi: Fraction, max_stage: int | None = None
+    state: ConstructionState, c: Fraction, lo: Fraction, hi: Fraction
 ) -> Iterator[tuple[int, int, int, list[int]]]:
     """(lowest id, k, k_hi, ids) per address on the path of the Cantor
-    point c that holds copies, shallowest first, up to length
-    `max_stage` (NotInCantor from `locate` for c outside C). (k, k_hi)
-    is the fiber at c of the address's copies, as in
-    PlacedCopy.fiber_span, found before any filter; ids are exactly the
-    copies whose heights meet the window, height(0) <= hi and
-    lo <= height(N), since a fiber at c meets it only on such a copy.
+    point c that holds copies, shallowest first (NotInCantor from
+    `locate` for c outside C). (k, k_hi) is the fiber at c of the
+    address's copies, as in PlacedCopy.fiber_span, found before any
+    filter; ids are exactly the copies whose heights meet the window,
+    height(0) <= hi and lo <= height(N), since a fiber at c meets it only
+    on such a copy.
     The copies with base <= hi are a prefix of the column index, found
     by bisection; it is walked from its end while the running maximum
     of its tops still reaches lo, since no copy before that place does.
     So the answer is exact for any rects, overlapping or listed out of
     height order."""
-    depth = state.depth if max_stage is None else min(max_stage, state.depth)
-    bits = locate(c, depth).bits
+    bits = locate(c, state.depth).bits
     columns = state.query_index if state.query_index is not None else _column_index(state)
     hi_floor = hi.numerator * state.den // hi.denominator  # base <= hi iff base <= hi_floor
     lo_ceil = -(-lo.numerator * state.den // lo.denominator)  # top >= lo iff top >= lo_ceil
@@ -77,7 +76,6 @@ def vertical_trace(
     c: Fraction,
     lo: Fraction | None = None,
     hi: Fraction | None = None,
-    max_stage: int | None = None,
 ) -> list[tuple[Fraction, int]]:
     """Crossing heights of the vertical at c with all spanning copies,
     read from the column index (`fibers_through`).
@@ -87,11 +85,8 @@ def vertical_trace(
     Cantor endpoints are always safe because jump images are never
     endpoints). The heights are compared and sorted as ints over the
     state's `den`, and each returned height is the copy's shared
-    `exact_height`. A negative `max_stage` is refused (InvalidParameter)
-    before any work, then an inverted window, then a c outside C.
+    `exact_height`. An inverted window is refused before a c outside C.
     """
-    if max_stage is not None and max_stage < 0:
-        raise InvalidParameter(f"max stage must be >= 0, got {max_stage}")
     lo = state.range_low if lo is None else lo
     hi = state.range_high if hi is None else hi
     if lo > hi:
@@ -99,7 +94,7 @@ def vertical_trace(
     lo_ceil = -(-lo.numerator * state.den // lo.denominator)  # lo <= h/den iff lo_ceil <= h
     hi_floor = hi.numerator * state.den // hi.denominator
     out: list[tuple[int, int, int]] = []
-    for lowest, k, k_hi, ids in fibers_through(state, c, lo, hi, max_stage):
+    for lowest, k, k_hi, ids in fibers_through(state, c, lo, hi):
         if k_hi != k:
             raise JumpHit(f"column {c} is a jump location of copy {state.copies[lowest].key}")
         for cid in ids:

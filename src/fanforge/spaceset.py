@@ -41,15 +41,14 @@ class PieceFloats(NamedTuple):
     """One copy's piece endpoints at the float boundary.
 
     Plateau j lies at height heights[j] and is drawn as the c-segments
-    segments[j]; the jump at sorted position j is the vertical at jumps[j]
-    from heights[j] to heights[j + 1]. A jump location is a point of C and
-    no endpoint, so it lies inside a basic interval of every depth: jumps[j]
-    is the right end of segments[j]'s last segment and the left end of
+    segments[j]; the jump at sorted position j is the vertical from
+    heights[j] to heights[j + 1]. A jump location is a point of C and no
+    endpoint, so it lies inside a basic interval of every depth: it is the
+    right end of segments[j]'s last segment and the left end of
     segments[j + 1]'s first, float for float.
     """
 
     heights: list[float]
-    jumps: list[float]
     segments: list[list[tuple[float, float]]]
 
 
@@ -75,9 +74,8 @@ def _cantor_segments(n_jumps: int, depth: int) -> tuple[tuple[tuple[int, int], .
 
 
 def piece_floats(copy: PlacedCopy, depth: int) -> PieceFloats:
-    """The copy's plateau heights, jump locations and depth-`depth` plateau
-    segments as floats, each the correctly rounded value of its exact
-    coordinate.
+    """The copy's plateau heights and depth-`depth` plateau segments as
+    floats, each the correctly rounded value of its exact coordinate.
 
     They are made from ints, never from Fractions, through the copy's
     integer form (PlacedCopy): a local u = x / d lands at
@@ -87,15 +85,13 @@ def piece_floats(copy: PlacedCopy, depth: int) -> PieceFloats:
     stands for.
     """
     table = copy.table
-    t_den, locations, values = table.den, table.locations, table.values
+    t_den, values = table.den, table.values
     den, base, step = copy.den, copy.base, copy.step
     pow3, origin = copy.pow3, copy.origin
-    jump_origin, jump_unit = origin * t_den, t_den * pow3  # locations are over T
     seg_den = t_den * 3**depth  # segment ends are over T * 3^depth
     seg_origin, seg_unit = origin * seg_den, seg_den * pow3
     return PieceFloats(
         [(base + step * k) / den for k in values],
-        [(jump_origin + x) / jump_unit for x in locations],
         [[((seg_origin + x) / seg_unit, (seg_origin + y) / seg_unit) for x, y in segs]
          for segs in _cantor_segments(table.n_jumps, depth)],
     )
@@ -292,9 +288,6 @@ class PointCloud:
 
     def __init__(self, xy: list[tuple[float, float]]):
         self.xy = xy
-
-    def __len__(self) -> int:
-        return len(self.xy)
 
     def coordinates(self) -> list[tuple[float, float]]:
         return self.xy

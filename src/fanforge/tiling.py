@@ -32,8 +32,6 @@ from .exact import (
     ZERO,
     ONE,
     addresses_of_length,
-    endpoint_one,
-    endpoint_zero,
     pair_to_str,
     rational_pair,
     reduced,
@@ -96,8 +94,6 @@ class Rect:
     bottom = property(lambda self: Fraction(*self.a))
     top = property(lambda self: Fraction(*self.b))
     height = property(lambda self: Fraction(*self.h))
-    left = property(lambda self: endpoint_zero(self.address))
-    right = property(lambda self: endpoint_one(self.address))
 
 
 class PlacedCopy:

@@ -374,7 +374,8 @@ def copies_intersect(a: PlacedCopy, b: PlacedCopy) -> dict | None:
     before the pairwise predicates run. Everything is compared as ints:
     columns over T * 3^s (s the deeper stage), heights over the `den` the
     two copies share, their state's; `Fraction`s are made only for the
-    witness.
+    witness. Jumps that meet at a column need no test of their own: the
+    plateau at the higher low end ends there and lies on the other jump.
     """
     t_den, values = a.table.den, a.table.values
     stage = max(a.stage, b.stage)
@@ -409,9 +410,6 @@ def copies_intersect(a: PlacedCopy, b: PlacedCopy) -> dict | None:
         for blo, bhi, bv in plats_b:
             if blo <= jc <= bhi and jlo <= bv <= jhi:
                 return {"kind": "jump-plateau", "c": c_str(jc), "value": h_str(bv)}
-        for kc, klo, khi in jumps_b:
-            if jc == kc and max(jlo, klo) <= min(jhi, khi):
-                return {"kind": "jump-jump", "c": c_str(jc)}
     return None
 
 
@@ -514,10 +512,10 @@ def run_all(
     of the per-level checks (coverage, condition-v, max-gap), n a
     non-negative integer; levels above the built depth produce skipped
     records. Each level is swept once, for all of its checks and, at level
-    K, for disjointness too. A level on any other check, a level that is
-    not such an integer, an epsilon that is NaN, infinite or negative, a
-    grid depth below the state's depth and a negative fiber count raise
-    InvalidParameter before any check runs.
+    K, for disjointness too. An empty selection, a level on any other
+    check, a level that is not such an integer, an epsilon that is NaN,
+    infinite or negative, a grid depth below the state's depth and a
+    negative fiber count raise InvalidParameter before any check runs.
     """
     report = VerificationReport({"depth": state.depth, "jumps": state.n_jumps, "strict": state.strict})
     selected: list[tuple[str, int | None]] = []
@@ -530,6 +528,8 @@ def run_all(
         if eq and not (level.isascii() and level.isdigit()):
             raise InvalidParameter(f"check selector {item!r}: the level must be an integer >= 0")
         selected.append((name, int(level) if eq else None))
+    if not selected:
+        raise InvalidParameter("no check selected")
     for eps in epsilons:
         if not (math.isfinite(eps) and eps >= 0):
             raise InvalidParameter(f"epsilon must be finite and >= 0, got {eps}")

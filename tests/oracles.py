@@ -118,6 +118,10 @@ def endpoint_zero_oracle(bits) -> Fraction:
     return sum((Fraction(2 * b, 3 ** (k + 1)) for k, b in enumerate(bits)), Fraction(0))
 
 
+def endpoint_one_oracle(bits) -> Fraction:
+    return endpoint_zero_oracle(bits) + Fraction(1, 3 ** len(bits))
+
+
 def child(sigma: Address, bit: int) -> Address:
     return Address(sigma.bits + (bit,))
 
@@ -228,7 +232,7 @@ def copy_pieces_oracle(copy, count: int):
 
 def to_global_c(copy, u: Fraction) -> Fraction:
     """The copy's placement of the local column u: 0(sigma) + u / 3^stage."""
-    return copy.rect.left + u / 3**copy.stage
+    return endpoint_zero_oracle(copy.rect.address.bits) + u / 3**copy.stage
 
 
 def own_den(rect, n_jumps: int) -> int:
@@ -290,7 +294,7 @@ def max_height_oracle(copy) -> Fraction:
 
 
 def local_c(copy, c: Fraction) -> Fraction:
-    return (c - copy.rect.left) * 3**copy.stage
+    return (c - endpoint_zero_oracle(copy.rect.address.bits)) * 3**copy.stage
 
 
 def local_h(copy, h: Fraction) -> Fraction:
@@ -355,8 +359,9 @@ def pieces_in_window_oracle(copy, c_lo, c_hi, h_lo, h_hi):
     """(plateaus, jumps) of the copy meeting the closed window, in Fractions."""
     t = table_of(copy)
     n = t.n_jumps
-    l_clo = local_c(copy, max(c_lo, copy.rect.left))
-    l_chi = local_c(copy, min(c_hi, copy.rect.right))
+    bits = copy.rect.address.bits
+    l_clo = local_c(copy, max(c_lo, endpoint_zero_oracle(bits)))
+    l_chi = local_c(copy, min(c_hi, endpoint_one_oracle(bits)))
     l_hlo, l_hhi = local_h(copy, h_lo), local_h(copy, h_hi)
     if l_clo > l_chi or l_hlo > l_hhi:
         return ([], [])
@@ -381,7 +386,7 @@ def pieces_in_window_oracle(copy, c_lo, c_hi, h_lo, h_hi):
 def copies_intersect_oracle(a, b) -> dict | None:
     """The pairwise disjointness test in Fractions; witness or None."""
     deep = a if a.stage >= b.stage else b
-    c_lo, c_hi = deep.rect.left, deep.rect.right
+    c_lo, c_hi = endpoint_zero_oracle(deep.rect.address.bits), endpoint_one_oracle(deep.rect.address.bits)
     h_lo = max(a.rect.bottom, b.rect.bottom)
     h_hi = min(max_height_oracle(a), max_height_oracle(b))
     if h_lo > h_hi:
@@ -1138,8 +1143,8 @@ def render_tiling_oracle(state) -> str:
     for stage in state.stages[1:]:
         for r in stage.rects:
             body.append(
-                canvas.rect(float(r.left), float(r.bottom), float(r.right), float(r.top),
-                            "rect", STROKE_RECT)
+                canvas.rect(float(endpoint_zero_oracle(r.address.bits)), float(r.bottom),
+                            float(endpoint_one_oracle(r.address.bits)), float(r.top), "rect", STROKE_RECT)
             )
     for copy in state.copies:
         body.append(f'<g class="copy" id="copy-{copy.stage}-{copy.index}">')

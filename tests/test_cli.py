@@ -160,6 +160,12 @@ class TestVerify:
         assert f"InvalidParameter: check selector {selector!r}" in stderr
         assert "Traceback" not in stderr and stdout == ""
 
+    def test_empty_check_list_exits_2(self, state_file, capsys):
+        code, stdout, stderr = run(["verify", "--state", str(state_file), "--checks", ""], capsys)
+        assert code == 2
+        assert "InvalidParameter: no check selected" in stderr
+        assert "Traceback" not in stderr and stdout == ""
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
     def test_meaningless_epsilon_exits_2_before_any_check(self, state_file, capsys, value):
         code, stdout, stderr = run(["verify", "--state", str(state_file), "--epsilon", value], capsys)

@@ -129,6 +129,15 @@ class TestClaim5:
         with pytest.raises(DepthInsufficient):
             claim5_regions(model_2_16, 0, 5, 0)
 
+    @pytest.mark.parametrize("bottom,missing", [(F(2), "below"), (F(-2), "above")])
+    def test_no_rect_on_one_side_of_the_loop(self, bottom, missing):
+        # every stage-1 rect lies on one side of the stage-0 copy
+        rects = [Rect(Address.parse(bits), bottom, bottom + 1) for bits in ("0", "1")]
+        model = assemble(ConstructionState(1, 4, False, [stage_zero(), rects]))
+        with pytest.raises(DepthInsufficient, match=f"lacks stage-1 rects {missing} it"):
+            claim5_regions(model, 0, 0, 0)
+        assert _outcome(claim5_oracle, model, 0, 0, 0) is DepthInsufficient
+
     @pytest.mark.parametrize("level", [-1, -5])
     def test_negative_level_refused(self, model_2_16, level):
         with pytest.raises(DepthInsufficient, match="level must be >= 0"):

@@ -96,6 +96,10 @@ class TestLocate:
         assert locate(F(1, 4), 2) == Address.parse("01")
         assert locate(F(0), 5) == Address.parse("00000")
 
+    def test_negative_depth_refused(self):
+        with pytest.raises(ValueError, match="depth must be >= 0"):
+            locate(F(0), -1)
+
     def test_shared_endpoint_prefers_left_endpoint_interval(self):
         # 2/9 is both the right end of B(00) and the left end of B(01)
         assert locate(F(2, 9), 2) == Address.parse("01")

@@ -155,14 +155,14 @@ class TestPieceFloats:
         pieces = piece_floats(copy, depth)
         table = fraction_table(n_jumps)
         assert pieces.heights == [float(to_global_h(copy, v)) for v in table.values]
-        assert pieces.jumps == [float(to_global_c(copy, x)) for x in table.locations]
         assert pieces.segments == [
             [(float(a), float(b)) for a, b in plateau_segments_oracle(copy, lo, hi, depth)]
             for lo, hi, _ in plateaus_global_oracle(copy)
         ]
-        # a jump meets the plateaus it joins: the fan figure reuses their end texts for it
+        # a jump meets the plateaus it joins at its location: the figures reuse their end texts for it
         segments = pieces.segments
-        assert all(segments[j][-1][1] == c == segments[j + 1][0][0] for j, c in enumerate(pieces.jumps))
+        for j, x in enumerate(table.locations):
+            assert segments[j][-1][1] == float(to_global_c(copy, x)) == segments[j + 1][0][0]
 
     @given(
         bottom=st.builds(F, big, st.integers(1, 2**80)),
@@ -482,9 +482,9 @@ class TestSamplePoints:
     def test_cloud_size_formula(self, model_1_4):
         cloud = sample_points(model_1_4, 1, 1)
         # 4 fibers at grid depth 1, one sample each, plus vertex and q points
-        assert len(cloud) == 1 + 52 + 4 * 1
+        assert len(cloud.coordinates()) == 1 + 52 + 4 * 1
         cloud3 = sample_points(model_1_4, 2, 3)
-        assert len(cloud3) == 1 + 52 + 8 * 3
+        assert len(cloud3.coordinates()) == 1 + 52 + 8 * 3
 
     def test_largest_gap_midpoint_of_column_one_third(self, model_1_4):
         # the biggest trace gap at c = 1/3 runs from -1/32 up to 13/16
@@ -521,7 +521,7 @@ class TestSamplePoints:
 
         monkeypatch.setattr(PlacedCopy, "midpoint_global", refuse)
         cloud = sample_points(model_2_16, 2, 3)
-        assert len(cloud.coordinates()) == len(cloud) == 1 + 78 * 16 + 8 * 3
+        assert len(cloud.coordinates()) == 1 + 78 * 16 + 8 * 3
 
     def test_grid_depth_must_cover_state(self, model_2_16):
         with pytest.raises(InvalidParameter, match="grid depth 1 is below the construction depth 2"):
@@ -531,7 +531,7 @@ class TestSamplePoints:
         # a slice gaps[:-2] would silently keep all but two gaps per fiber
         with pytest.raises(InvalidParameter, match="-2"):
             sample_points(model_1_4, 1, -2)
-        assert len(sample_points(model_1_4, 1, 0)) == 1 + 13 * 4
+        assert len(sample_points(model_1_4, 1, 0).coordinates()) == 1 + 13 * 4
 
 
 class TestFiberIsolation:

@@ -142,13 +142,6 @@ class TestVerticalTrace:
             vertical_trace(st_1_4, F(0), lo=F(3))  # above the default top, 2
         assert vertical_trace(st_1_4, F(1, 3), F(13, 16), F(13, 16)) == [(F(13, 16), 0)]
 
-    def test_negative_max_stage_refused_before_any_work(self, st_1_4):
-        with pytest.raises(InvalidParameter, match="max stage must be >= 0, got -1"):
-            vertical_trace(st_1_4, F(1, 2), max_stage=-1)  # 1/2 is not even in C
-        with pytest.raises(InvalidParameter):
-            vertical_trace(st_1_4, F(0), max_stage=-1)
-        assert vertical_trace(st_1_4, F(0), max_stage=0) == [(F(0), 0)]
-
     @pytest.mark.parametrize("name", ["st_2_16", "st_4_16t"])
     def test_matches_piece_scan_oracle_at_every_endpoint(self, name, request):
         state = request.getfixturevalue(name)
@@ -161,12 +154,11 @@ class TestVerticalTrace:
     @pytest.mark.parametrize("name", ["st_2_16", "st_4_16t"])
     def test_windows_and_max_stages_match_piece_scan_oracle(self, name, request):
         # at the left end of every depth-K column and at a jump of one copy per
-        # stage, on windows cut from the crossing heights there, at every max
+        # stage, on windows cut from the crossing heights there, over every
         # stage: a jump at c raises JumpHit, naming the same copy, also when
         # the window leaves that copy out
         state = request.getfixturevalue(name)
         pieces = state_pieces_oracle(state)
-        upto = list(itertools.accumulate(len(stage.copies) for stage in state.stages))
         lo, hi = state.range_low, state.range_high
         columns = []
         for sigma in addresses_of_length(state.depth):
@@ -182,20 +174,19 @@ class TestVerticalTrace:
             columns.append((c, (seg_lo, seg_hi), windows))
         outcomes, jump_outside = [], 0
         for c, segment, windows in columns:
-            for max_stage in range(state.depth + 1):
-                for w_lo, w_hi in [(lo, hi), *windows]:
-                    where = (c, w_lo, w_hi, max_stage)
-                    try:
-                        expected = trace_oracle(state, c, w_lo, w_hi, pieces[: upto[max_stage]])
-                    except JumpHit as exc:
-                        expected = str(exc)
-                        with pytest.raises(JumpHit) as got:
-                            vertical_trace(state, c, w_lo, w_hi, max_stage)
-                        assert str(got.value) == expected, where
-                        jump_outside += w_hi < segment[0] or segment[1] < w_lo
-                    else:
-                        assert vertical_trace(state, c, w_lo, w_hi, max_stage) == expected, where
-                    outcomes.append(expected)
+            for w_lo, w_hi in [(lo, hi), *windows]:
+                where = (c, w_lo, w_hi)
+                try:
+                    expected = trace_oracle(state, c, w_lo, w_hi, pieces)
+                except JumpHit as exc:
+                    expected = str(exc)
+                    with pytest.raises(JumpHit) as got:
+                        vertical_trace(state, c, w_lo, w_hi)
+                    assert str(got.value) == expected, where
+                    jump_outside += w_hi < segment[0] or segment[1] < w_lo
+                else:
+                    assert vertical_trace(state, c, w_lo, w_hi) == expected, where
+                outcomes.append(expected)
         assert jump_outside and any(outcomes) and [] in outcomes
 
 
@@ -346,7 +337,7 @@ class TestBuild:
     def test_strip_rect_interiors_avoid_inherited_copies(self, st_2_16):
         inherited = [c for c in st_2_16.copies if c.stage < 2]
         for rect in st_2_16.stages[2].rects:
-            left, right = rect.left, rect.right
+            left, right = endpoint_zero(rect.address), endpoint_one(rect.address)
             for copy in inherited:
                 for lo, hi, v in plateaus_global_oracle(copy):
                     if max(lo, left) <= min(hi, right):
@@ -485,7 +476,7 @@ class TestCopyGeometry:
             b = a + 1
         rect = Rect(Address(tuple(bits)), a, b)
         copy = PlacedCopy(len(bits), 0, rect, jump_table(n_jumps), own_den(rect, n_jumps) * widen)
-        assert F(copy.origin, 3**copy.stage) == copy.rect.left
+        assert F(copy.origin, 3**copy.stage) == to_global_c(copy, F(0))
         for v in fraction_table(n_jumps).values:
             k = v * 2**n_jumps
             assert k.denominator == 1

@@ -12,6 +12,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from fanforge.debski import jump_table
 from fanforge.exact import (
     Address,
     addresses_of_length,
@@ -346,6 +347,52 @@ class TestDisjointness:
         assert witness == copies_intersect_oracle(st_1_4.copies[0], thin)
         assert (witness["kind"], witness["c"]) == ("jump-plateau", "1/4")
 
+    def test_copies_over_disjoint_columns_are_never_scanned(self, st_2_16, monkeypatch):
+        # heights overlap but the columns do not: no piece is made
+        def refuse(*args):
+            raise AssertionError("pieces scanned")
+
+        copies = st_2_16.copies
+        a, b = next(
+            (a, b)
+            for a in copies
+            for b in copies
+            if not a.rect.address.is_prefix_of(b.rect.address)
+            and not b.rect.address.is_prefix_of(a.rect.address)
+            and max(a.rect.bottom, b.rect.bottom) <= min(max_height_oracle(a), max_height_oracle(b))
+        )
+        assert copies_intersect_oracle(a, b) is None
+        monkeypatch.setattr(verify, "_pieces_in_window", refuse)
+        assert copies_intersect(a, b) is None
+
+    @given(
+        bits=st.lists(st.integers(0, 1), max_size=3),
+        deeper=st.lists(st.integers(0, 1), max_size=2),
+        bottoms=st.tuples(*[st.builds(F, st.integers(-16, 16), st.sampled_from([1, 4, 16]))] * 2),
+        heights=st.tuples(*[st.builds(F, st.integers(1, 16), st.sampled_from([1, 4, 16]))] * 2),
+        n_jumps=st.sampled_from([2, 4, 6]),
+    )
+    @example(bits=[], deeper=[], bottoms=(F(13), F(16)), heights=(F(13), F(12)), n_jumps=2)  # plateau-jump
+    @example(bits=[], deeper=[], bottoms=(F(-4), F(3, 2)), heights=(F(16), F(1, 4)), n_jumps=4)  # jump-plateau
+    def test_meeting_jumps_show_a_plateau_witness(self, bits, deeper, bottoms, heights, n_jumps):
+        # two jumps at one column that meet: the plateau at the higher low end
+        # ends there and meets the other jump, so a witness is always found
+        # before any jump-jump test would run
+        table = jump_table(n_jumps)
+        rects = [Rect(Address(tuple(bits)), bottoms[0], bottoms[0] + heights[0]),
+                 Rect(Address(tuple(bits + deeper)), bottoms[1], bottoms[1] + heights[1])]
+        den = math.lcm(*(own_den(rect, n_jumps) for rect in rects))
+        a, b = (PlacedCopy(len(r.address), i, r, table, den) for i, r in enumerate(rects))
+        witness = copies_intersect(a, b)
+        assert witness == copies_intersect_oracle(a, b)
+        meeting = [
+            jc
+            for jc, jlo, jhi in jumps_global_oracle(a)
+            for kc, klo, khi in jumps_global_oracle(b)
+            if jc == kc and max(jlo, klo) <= min(jhi, khi)
+        ]
+        assert witness is not None or not meeting
+
     def test_self_intersection_detected(self, st_1_4):
         witness = copies_intersect(st_1_4.copies[0], st_1_4.copies[0])
         assert witness is not None
@@ -500,7 +547,8 @@ class TestDisjointness:
             on_count = sum(
                 1
                 for c in copies
-                if c.rect.left <= lo <= c.rect.right and classify_on_copy_oracle(c, (lo, v)) == "on"
+                if endpoint_zero(c.rect.address) <= lo <= endpoint_one(c.rect.address)
+                and classify_on_copy_oracle(c, (lo, v)) == "on"
             )
             assert on_count == 1
 
@@ -691,7 +739,7 @@ class TestCellDecomposition:
         rng = random.Random(3)
         for k in rng.sample(range(len(cuts) - 1), 12):
             c = endpoint_zero(basic_interval_inside(cuts[k], cuts[k + 1]))
-            trace = [None, *vertical_trace(st_2_16, c, F(-2), F(3), max_stage=2), None]
+            trace = [None, *vertical_trace(st_2_16, c, F(-2), F(3)), None]
             assert len(trace) == len(col.ids) + 2
             assert set(zip(trace, trace[1:])) <= reported
 
@@ -791,6 +839,11 @@ class TestEpsilonConnectivity:
         diam = diameter_oracle(coords)
         assert epsilon_connectivity(coords, diam * 1.001) == 1
         assert epsilon_connectivity(coords, 1e-15) == len(coords)
+        # eps < 0 links nothing, not even a duplicate; an infinite or NaN eps
+        # links everything, as no MST edge exceeds it
+        doubled = [*coords, coords[0]]
+        assert epsilon_connectivity(doubled, -1.0) == len(doubled)
+        assert epsilon_connectivity(coords, math.inf) == epsilon_connectivity(coords, math.nan) == 1
 
     def test_matches_union_find_oracle(self, model_1_4):
         coords = sample_points(model_1_4, 1, 1).coordinates()
@@ -1070,6 +1123,11 @@ class TestRunAll:
         report = run_all(st_1_4, checks=["coverage=5"])
         assert [r.status for r in report.records] == ["skipped"]
         assert report.passed  # skipped entries do not fail the run
+
+    def test_empty_selection_refused(self, st_1_4):
+        # no check would run, so the report would pass vacuously
+        with pytest.raises(InvalidParameter, match="no check selected"):
+            run_all(st_1_4, checks=[])
 
     def test_unknown_check_rejected(self, st_1_4):
         with pytest.raises(ValueError):
