@@ -1,9 +1,10 @@
 """Deterministic SVG emission of the construction's figures.
 
-Exact rational geometry becomes floats only at the float boundary
-(`spaceset.piece_floats`, `xi_float`, `fan_x`): each
+Exact rational geometry becomes floats only at the float boundary, the
+module `floats` (`piece_floats`, `xi_float`, `fan_x`): each
 coordinate is the correctly rounded value of its exact rational, and arctan
-is `math.atan`.
+is `math.atan`. The tiling and fan figures load `floats` alone; only the
+earring figure loads `spaceset` (`assemble`) and `decomp`.
 Floats are written at a fixed precision of twelve digits and elements in a
 fixed order (stage, then index, then piece position), so equal inputs
 produce byte identical documents.
@@ -27,7 +28,7 @@ from typing import TYPE_CHECKING, Iterator
 from .catalog import FIGURE_KINDS
 from .errors import UnknownFigure
 from .exact import addresses_of_length, endpoint_one, endpoint_zero
-from .spaceset import fan_x, piece_floats, stage_fan_diameters, xi_float
+from .floats import fan_x, piece_floats, stage_fan_diameters, xi_float
 from .tiling import ConstructionState, PlacedCopy
 
 if TYPE_CHECKING:

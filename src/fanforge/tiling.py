@@ -308,15 +308,10 @@ class ConstructionState:
     def ids_at_address(self, bits: tuple[int, ...]) -> list[int]:
         return self._by_address.get(bits, [])
 
-    def chain_ids(self, sigma: Address, max_stage: int | None = None) -> list[int]:
-        """Ids of copies whose column contains B(sigma), optionally staged."""
-        out: list[int] = []
-        top = len(sigma) if max_stage is None else min(max_stage, len(sigma))
-        for length in range(top + 1):
-            for cid in self.ids_at_address(sigma.bits[:length]):
-                if max_stage is None or self.copies[cid].stage <= max_stage:
-                    out.append(cid)
-        return out
+    def chain_ids(self, sigma: Address) -> list[int]:
+        """Ids of copies whose column contains B(sigma), increasing."""
+        bits = sigma.bits
+        return [cid for length in range(len(bits) + 1) for cid in self.ids_at_address(bits[:length])]
 
     def to_json_obj(self) -> dict:
         text = cache(pair_to_str)  # the rects share most of their bounds
@@ -336,7 +331,7 @@ class ConstructionState:
 
 
 class ColumnSweep:
-    """One depth-n column against the copies of stages <= n, in integers.
+    """One depth-n column, n = len(sigma), against its copies, in integers.
 
     Every such copy spans the whole column, so it crosses each vertical in
     one height, except at its own jumps strictly inside the column (the
@@ -347,7 +342,7 @@ class ColumnSweep:
     column's left and right ends. Breakpoints are ints over T * 3^n, T the
     jump table's denominator, and are found only when first asked for.
     Per-copy lists are indexed by the copy's place in `ids`. By default
-    `ids` lists every copy of stages <= n spanning the column, increasing
+    `ids` lists every copy whose address is a prefix of sigma, increasing
     (the length-s prefix holds the stage-s copies, numbered stage by
     stage), so ties break as they would by copy id. `region_between`
     passes the ids of its two copies, each spanning the column, and reads
@@ -361,12 +356,12 @@ class ColumnSweep:
     copies meet, and the cross-check of the other.
     """
 
-    def __init__(self, state: ConstructionState, sigma: Address, n: int, ids: list[int] | None = None):
+    def __init__(self, state: ConstructionState, sigma: Address, ids: list[int] | None = None):
         t_den, values = state.table.den, state.table.values
         scale = 2**state.n_jumps
-        self.n = n
+        self.n = n = len(sigma)
         self.table = state.table
-        self.ids = state.chain_ids(sigma, max_stage=n) if ids is None else ids
+        self.ids = state.chain_ids(sigma) if ids is None else ids
         origin = sigma.origin  # the column's left end is origin / 3^n
         self.stages: list[int] = []
         self.bottoms: list[int] = []
@@ -569,7 +564,7 @@ def next_stage(state: ConstructionState) -> list[Rect]:
     n, den = len(state.stages), state.den
     rects: list[Rect] = []
     for sigma in addresses_of_length(n):
-        col = ColumnSweep(state, sigma, n)
+        col = ColumnSweep(state, sigma)
         for x, y in zip(col.first, col.last):
             if not ((1 - n) * den <= x <= y <= n * den):
                 raise TraceOutOfRange(

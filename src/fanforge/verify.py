@@ -12,9 +12,10 @@ from its adjacent pairs alone (ColumnSweep.pair_gaps); the walk over its
 cells (ColumnSweep.gaps) is taken where copies meet or a check fails, and
 makes every witness. Floating point appears only in the fan-metric
 diagnostics (null-sequence diameters, epsilon connectivity), which are
-explicitly approximate; `spaceset` is imported by those two checks alone,
-and epsilon connectivity lives in `connectivity`, which `run_all` imports
-only to run it.
+explicitly approximate. Null-sequence imports the float boundary
+(`floats`) inside the check, and epsilon connectivity lives in
+`connectivity`, which `run_all` imports only to run it and which alone
+loads `spaceset`.
 """
 
 from __future__ import annotations
@@ -276,7 +277,7 @@ def sweep_level(state: ConstructionState, n: int) -> LevelSweep:
     coverage_witness = v_witness = None
     meeting: set[tuple[int, int]] = set()
     for sigma in addresses_of_length(n):
-        col = ColumnSweep(state, sigma, n)
+        col = ColumnSweep(state, sigma)
         if coverage_witness is None:
             gap = _coverage_gap(col, den)
             worst = max(worst, gap)
@@ -479,7 +480,7 @@ def check_null_sequence(state: ConstructionState) -> CheckRecord:
         return CheckRecord(
             "null-sequence", "stages", "skipped", None, {"reason": "needs depth >= 2"}
         )
-    from .spaceset import stage_fan_diameters
+    from .floats import stage_fan_diameters
 
     profile = stage_fan_diameters(state)
     first, last = profile.get(1, 0.0), profile.get(state.depth, 0.0)

@@ -29,7 +29,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -56,8 +56,9 @@ from fanforge.exact import (
     locate,
     rational_to_str,
 )
+from fanforge.floats import fan_x, xi_float
 from fanforge.render import CANTOR_DEPTH, HEAD, HEIGHT, MARGIN, STROKE_COPY, STROKE_RECT, TAIL, WIDTH
-from fanforge.spaceset import Region, VERTEX, fan_x, xi_float
+from fanforge.spaceset import Region, VERTEX
 from fanforge.query import vertical_trace
 from fanforge.tiling import (
     STATE_SCHEMA,
@@ -114,7 +115,8 @@ def locate_oracle(q: Fraction, depth: int) -> Address:
     return Address(tuple(bits))
 
 
-def endpoint_zero_oracle(bits) -> Fraction:
+@cache  # the same Fraction sum, made once per address
+def endpoint_zero_oracle(bits: tuple[int, ...]) -> Fraction:
     return sum((Fraction(2 * b, 3 ** (k + 1)) for k, b in enumerate(bits)), Fraction(0))
 
 
@@ -633,9 +635,9 @@ def fset_columns(model, band_lo: Fraction, band_hi: Fraction) -> list[Fraction]:
     return sorted(set(out))
 
 
-def coverage_gap_for_column(state, n: int, sigma) -> tuple[Fraction, int]:
-    """(uncovered measure within [-n, n+1], number of contributing copies)."""
-    col = ColumnSweep(state, sigma, n)
+def coverage_gap_for_column(state, sigma) -> tuple[Fraction, int]:
+    """(uncovered measure within [-n, n+1], n = len(sigma), number of contributing copies)."""
+    col = ColumnSweep(state, sigma)
     return Fraction(_coverage_gap(col, state.den), state.den), len(col.ids)
 
 
@@ -806,7 +808,7 @@ class CellDecomposition:
         self.state = state
         left, right = endpoint_zero(sigma), endpoint_one(sigma)
         self.left = left
-        self.ids = state.chain_ids(sigma, max_stage=max_stage)
+        self.ids = [cid for cid in state.chain_ids(sigma) if state.copies[cid].stage <= max_stage]
         self.events: dict[Fraction, list[tuple[int, int]]] = {}
         for cid in self.ids:
             copy = state.copies[cid]
@@ -899,7 +901,7 @@ def sweep_level_oracle(state, n: int) -> tuple[dict, set]:
     meeting: set = set()
     den = state.den
     for sigma in addresses_of_length(n):
-        col = ColumnSweep(state, sigma, n)
+        col = ColumnSweep(state, sigma)
         if coverage_witness is None:
             gap = Fraction(_coverage_gap(col, den), den)
             worst = max(worst, gap)

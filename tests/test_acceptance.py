@@ -10,7 +10,8 @@ from fractions import Fraction as F
 from fanforge import assemble, build
 from fanforge.debski import jump_table
 from fanforge.exact import Address, addresses_of_length, endpoint_one, endpoint_zero
-from fanforge.spaceset import region_between, sample_points, stage_fan_diameters
+from fanforge.floats import stage_fan_diameters
+from fanforge.spaceset import region_between, sample_points
 from fanforge.verify import (
     check_conditions_i_ii,
     check_null_sequence,
@@ -66,7 +67,7 @@ def test_criterion_03_disjointness(st_4_32):
 
 def test_criterion_04_coverage(st_4_32, st_0_4):
     ok = all(sweep_level(st_4_32, n).records["coverage"].status == "pass" for n in range(5))
-    gap0, count0 = coverage_gap_for_column(st_0_4, 0, Address())
+    gap0, count0 = coverage_gap_for_column(st_0_4, Address())
     ok = ok and gap0 == F(1, 16) and count0 == 1
     detail = f"(K=4, N=32) gaps within budget for n<=4; (n=0, N=4) gap = {gap0}"
     assert report(4, ok, detail)

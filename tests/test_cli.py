@@ -55,6 +55,16 @@ class TestBuild:
         assert code == 0
         assert "copies: 1" in stdout
 
+    @pytest.mark.parametrize(
+        "depth,jumps,message",
+        [("-1", "4", "depth must be >= 0"), ("1", "1", "depth 1 needs at least 2 jumps")],
+    )
+    def test_depth_and_jump_count_refused(self, tmp_path, capsys, depth, jumps, message):
+        out = tmp_path / "x.json"
+        code, _, stderr = run(["build", "--depth", depth, "--jumps", jumps, "--out", str(out)], capsys)
+        assert (code, stderr) == (2, f"error: {message}\n")
+        assert not out.exists()
+
     def test_rebuild_identical_bytes(self, tmp_path, capsys):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         run(["build", "--depth", "2", "--jumps", "8", "--out", str(a)], capsys)
@@ -432,6 +442,7 @@ class TestCommandImports:
         # the tiling and fan figures read the float boundary alone: no earring, no point query
         _, after = modules_loaded([render("tiling"), render("fan")])
         assert "fanforge.render" in after
+        assert "fanforge.floats" in after and "fanforge.spaceset" not in after
         assert after.isdisjoint({"fanforge.decomp", "fanforge.query", "fanforge.verify", "numpy"})
         assert after.isdisjoint({"dataclasses", "inspect"})
         _, after = modules_loaded([render("earring")])
@@ -445,6 +456,13 @@ class TestCommandImports:
         assert "fanforge.verify" in after
         assert after.isdisjoint({"fanforge.spaceset", "fanforge.connectivity", "fanforge.query", "numpy"})
         assert after.isdisjoint({"dataclasses", "inspect"})
+
+    def test_null_sequence_loads_the_float_boundary_alone(self, tmp_path):
+        state = str(tmp_path / "state.json")
+        build = ["build", "--depth", "2", "--jumps", "16", "--out", state]
+        _, after = modules_loaded([build, ["verify", "--state", state, "--checks", "null-sequence"]])
+        assert "fanforge.floats" in after
+        assert after.isdisjoint({"fanforge.spaceset", "fanforge.connectivity", "fanforge.query"})
 
     def test_trace_loads_the_query_module_alone(self, tmp_path):
         state = str(tmp_path / "state.json")

@@ -166,6 +166,12 @@ class TestSerialization:
         with pytest.raises(ValueError):
             Address.parse("012")
 
+    def test_address_bits_must_be_zero_or_one(self):
+        with pytest.raises(ValueError, match="address bits must be 0/1"):
+            Address((2,))
+        with pytest.raises(ValueError, match="address bits must be 0/1"):
+            Address((0, -1))
+
 
 class TestHelpers:
     def test_length_lex_enumeration(self):

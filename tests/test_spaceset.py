@@ -16,15 +16,9 @@ from fanforge.errors import (
     UnknownCopy,
 )
 from fanforge.exact import Address, addresses_of_length, endpoint_one, endpoint_zero
-from fanforge.spaceset import (
-    assemble,
-    fan_midpoints,
-    fan_x,
-    piece_floats,
-    region_between,
-    sample_points,
-    xi_float,
-)
+from fanforge import floats, spaceset
+from fanforge.floats import fan_midpoints, fan_x, piece_floats, xi_float
+from fanforge.spaceset import assemble, region_between, sample_points
 from fanforge.query import fibers_through, vertical_trace
 from fanforge.tiling import (
     ConstructionState,
@@ -125,6 +119,18 @@ class TestNablaMap:
         x, y = fan_point((F(1), F(0)))
         assert y == pytest.approx(0.5)
         assert x == pytest.approx(0.75)
+
+
+FLOAT_BOUNDARY = (
+    "xi_float", "fan_x", "PieceFloats", "_cantor_segments", "piece_floats",
+    "fan_midpoints", "_diameter", "copy_fan_diameter", "fan_diameter_bound", "stage_fan_diameters",
+)
+
+
+def test_float_boundary_has_one_home():
+    for name in FLOAT_BOUNDARY:
+        assert getattr(floats, name).__module__ == "fanforge.floats", name
+        assert not hasattr(spaceset, name), name
 
 
 class TestPieceFloats:

@@ -245,6 +245,16 @@ class TestBuild:
         assert len(st_0_4.copies) == 1
         assert len(st_1_4.copies) == 13
 
+    def test_negative_depth_refused(self):
+        with pytest.raises(ValueError, match="depth must be >= 0"):
+            build(-1, 4)
+
+    @pytest.mark.parametrize("depth,floor", [(0, 1), (1, 2), (2, 2)])
+    def test_jump_count_below_the_floor_refused(self, depth, floor):
+        # at depth 1 stage_one refuses one jump too; the build refuses it first
+        with pytest.raises(ValueError, match=f"depth {depth} needs at least {floor} jumps"):
+            build(depth, floor - 1)
+
     def test_determinism_byte_identical(self):
         a = build(2, 8).to_json()
         b = build(2, 8).to_json()
@@ -310,6 +320,11 @@ class TestBuild:
         with pytest.raises(TraceOutOfRange, match="at stage 2, column 00: 5/2, "):
             next_stage(state)
 
+    def test_rect_is_not_equal_to_another_type(self):
+        rect = Rect(Address((0,)), F(3, 2), F(2))
+        assert rect.__eq__((rect.address, rect.a, rect.b)) is NotImplemented
+        assert rect != object() and not rect == "0"
+
     def test_equal_bands_overlap_at_the_later_copy(self):
         # two equal stage-1 rects above the stage-0 copy: a tolerant build
         # refuses their coinciding bands and names the later copy
@@ -353,7 +368,7 @@ class TestBuild:
         for sigma in addresses_of_length(2):
             left, right = endpoint_zero(sigma), endpoint_one(sigma)
             inherited = sorted(
-                st_2_16.chain_ids(sigma, max_stage=1),
+                [cid for cid in st_2_16.chain_ids(sigma) if copies[cid].stage <= 1],
                 key=lambda cid: band_oracle(st_2_16.copies[cid], left, right),
             )
             new_ids = [cid for cid in st_2_16.ids_at_address(sigma.bits) if copies[cid].stage == 2]

@@ -19,15 +19,10 @@ from fanforge.exact import (
     endpoint_one,
     endpoint_zero,
 )
-from fanforge import spaceset
+from fanforge import floats
 from fanforge.errors import InvalidParameter
-from fanforge.spaceset import (
-    _diameter,
-    copy_fan_diameter,
-    fan_diameter_bound,
-    sample_points,
-    stage_fan_diameters,
-)
+from fanforge.floats import _diameter, copy_fan_diameter, fan_diameter_bound, stage_fan_diameters
+from fanforge.spaceset import sample_points
 from fanforge.query import vertical_trace
 from fanforge.tiling import (
     ColumnSweep,
@@ -193,11 +188,11 @@ def _assert_pair_path_matches_walk(state):
     fallbacks = 0
     for n in range(state.depth + 1):
         for sigma in addresses_of_length(n):
-            fast = verify._pair_path(ColumnSweep(state, sigma, n), state.den, 0)
+            fast = verify._pair_path(ColumnSweep(state, sigma), state.den, 0)
             if fast is None:
                 fallbacks += 1
             else:
-                assert fast == _walk_totals(ColumnSweep(state, sigma, n), state.den), (n, str(sigma))
+                assert fast == _walk_totals(ColumnSweep(state, sigma), state.den), (n, str(sigma))
     return fallbacks
 
 
@@ -221,7 +216,7 @@ def _assert_precheck_is_problem_free(state):
         expected = []
         lo, hi = -n * state.den, (n + 1) * state.den
         for sigma in addresses_of_length(n):
-            col = ColumnSweep(state, sigma, n)
+            col = ColumnSweep(state, sigma)
             for lower, upper in _gap_pairs(col):
                 length = (hi if upper is None else upper[0]) - (lo if lower is None else lower[0])
                 if length <= 0:
@@ -530,7 +525,7 @@ class TestDisjointness:
         rects = [Rect(Address.parse("1"), F(13, 16), F(21, 16)), Rect(Address.parse("1"), F(13, 16), F(29, 16))]
         bare = ConstructionState(1, 4, False, [st_1_4.stages[0].rects, []])
         state = _with_rects(bare, 1, rects)
-        col = ColumnSweep(state, Address.parse("1"), 1)
+        col = ColumnSweep(state, Address.parse("1"))
         assert len(set(col.first)) == 1
         meeting = sweep_level(state, 1).meeting
         assert meeting == _accepted_pairs(state) == {(0, 1), (0, 2), (1, 2)}
@@ -555,7 +550,7 @@ class TestDisjointness:
 
 class TestCoverage:
     def test_gap_at_depth_zero_is_exactly_the_truncation_defect(self, st_0_4):
-        gap, count = coverage_gap_for_column(st_0_4, 0, Address())
+        gap, count = coverage_gap_for_column(st_0_4, Address())
         assert (gap, count) == (F(1, 16), 1)
         assert sweep_level(st_0_4, 0).records["coverage"].status == "pass"
 
@@ -565,12 +560,12 @@ class TestCoverage:
 
     def test_gap_matches_band_union_oracle(self, st_2_16):
         sigma = Address.parse("01")
-        ids = st_2_16.chain_ids(sigma, max_stage=2)
+        ids = st_2_16.chain_ids(sigma)
         left = endpoint_zero(sigma)
         right = left + F(1, 9)
         bands = [band_oracle(st_2_16.copies[cid], left, right) for cid in ids]
         oracle_gap = band_union_gap_oracle(bands, F(-2), F(3))
-        assert coverage_gap_for_column(st_2_16, 2, sigma)[0] == oracle_gap
+        assert coverage_gap_for_column(st_2_16, sigma)[0] == oracle_gap
 
     def test_skipped_beyond_depth(self, st_1_4):
         assert run_all(st_1_4, checks=["coverage=2"]).records[0].status == "skipped"
@@ -583,7 +578,7 @@ class TestCoverage:
         bands = [band_oracle(bad.copies[cid], left, right) for cid in bad.chain_ids(rect.address)]
         assert any(x < prev_y for (_, prev_y), (x, _) in zip(sorted(bands), sorted(bands)[1:]))
         oracle_gap = band_union_gap_oracle(bands, F(-2), F(3))
-        assert coverage_gap_for_column(bad, 2, rect.address) == (oracle_gap, len(bands))
+        assert coverage_gap_for_column(bad, rect.address) == (oracle_gap, len(bands))
 
 
 class TestCellDecomposition:
@@ -592,7 +587,7 @@ class TestCellDecomposition:
         state = request.getfixturevalue(name)
         for n in range(state.depth + 1):
             for sigma in addresses_of_length(n):
-                col = ColumnSweep(state, sigma, n)
+                col = ColumnSweep(state, sigma)
                 ours = [tuple(_fraction_crossing(state, col, x) for x in pair) for pair in _gap_pairs(col)]
                 oracle = []
                 CellDecomposition(state, sigma, n).sweep(lambda *pair: oracle.append(pair))
@@ -603,7 +598,7 @@ class TestCellDecomposition:
         state = request.getfixturevalue(name)
         for n in range(state.depth + 1):
             for sigma in addresses_of_length(n):
-                col = ColumnSweep(state, sigma, n)
+                col = ColumnSweep(state, sigma)
                 meeting = set()
                 assert _gap_pairs(col) == list(column_gaps_oracle(col, meeting)), (n, str(sigma))
                 assert col.meeting == meeting, (n, str(sigma))
@@ -629,7 +624,7 @@ class TestCellDecomposition:
         # at n = 0 the range starts at 0, where stage 0 starts: the walk
         # skips that empty gap, and counts the top one plus both edge gaps
         # after each of the 4 jumps
-        col = ColumnSweep(st_0_4, Address(), 0)
+        col = ColumnSweep(st_0_4, Address())
         assert col.first == [0] and len(col.jumps(0)) == 4
         assert verify._pair_path(col, st_0_4.den, 0) == _walk_totals(col, st_0_4.den) == (9, st_0_4.den)
         assert sweep_level(st_0_4, 0).records["condition-v"].metrics["gaps_checked"] == 9
@@ -637,7 +632,7 @@ class TestCellDecomposition:
     def test_a_tie_in_the_initial_order_falls_back(self, st_1_4):
         rects = [Rect(Address.parse("1"), F(13, 16), F(21, 16)), Rect(Address.parse("1"), F(13, 16), F(29, 16))]
         state = _with_rects(ConstructionState(1, 4, False, [st_1_4.stages[0].rects, []]), 1, rects)
-        col = ColumnSweep(state, Address.parse("1"), 1)
+        col = ColumnSweep(state, Address.parse("1"))
         assert col.adjacent_order() is None
         assert verify._pair_path(col, state.den, 0) is None
         assert sweep_level(state, 1).meeting == {(0, 1), (0, 2), (1, 2)}
@@ -648,7 +643,7 @@ class TestCellDecomposition:
         # below it, jumps up to 13/16: strictly ordered at the left end
         bare = ConstructionState(1, 4, True, [st_1_4.stages[0].rects, []])
         state = _with_rects(bare, 1, [Rect(Address.parse("0"), F(13, 32), F(29, 32))])
-        col = ColumnSweep(state, Address.parse("0"), 1)
+        col = ColumnSweep(state, Address.parse("0"))
         order = col.adjacent_order()
         assert [col.ids[i] for i in order] == [0, 1]
         assert col.pair_gaps(order, 0) is None
@@ -661,7 +656,7 @@ class TestCellDecomposition:
         # copy starting below it reaches 15/16 at its last jump and stays
         # level with it: a meeting with no breakpoint of the upper copy
         state = ConstructionState(2, 4, False, [st_1_4.stages[0].rects, [], [Rect(Address.parse("11"), F(0), F(1))]])
-        col = ColumnSweep(state, Address.parse("11"), 2)
+        col = ColumnSweep(state, Address.parse("11"))
         order = col.adjacent_order()
         assert [col.ids[i] for i in order] == [1, 0] and col.last[1] == col.first[0]
         assert col.pair_gaps(order, 0) is None
@@ -672,7 +667,7 @@ class TestCellDecomposition:
         # stage 0 ends at 1 = the range top at n = 0: the top edge gap after
         # its last jump has zero length, and the walk does not count it
         state = ConstructionState(0, 4, True, [[Rect(Address(), F(0), F(16, 15))]])
-        col = ColumnSweep(state, Address(), 0)
+        col = ColumnSweep(state, Address())
         assert col.last == [state.den]
         assert verify._pair_path(col, state.den, 0) is None
         assert _walk_totals(col, state.den)[0] == 8
@@ -685,7 +680,7 @@ class TestCellDecomposition:
         state = request.getfixturevalue(name)
         n = state.depth
         for sigma in addresses_of_length(n):
-            col = ColumnSweep(state, sigma, n)
+            col = ColumnSweep(state, sigma)
             widest = max(upper[0] - lower[0] for lower, upper in _gap_pairs(col) if lower and upper)
             order = col.adjacent_order()
             gaps, _ = col.pair_gaps(order, 0)
@@ -696,7 +691,7 @@ class TestCellDecomposition:
         # over column 11 stage 0 stays at 15/16 and a stage-2 copy above it
         # rises from 1 to 1 + 15/64: the gap is widest after its last jump
         state = ConstructionState(2, 4, True, [st_1_4.stages[0].rects, [], [Rect(Address.parse("11"), F(1), F(5, 4))]])
-        col = ColumnSweep(state, Address.parse("11"), 2)
+        col = ColumnSweep(state, Address.parse("11"))
         order = col.adjacent_order()
         widest = col.last[1] - col.first[0]
         assert max(upper[0] - lower[0] for lower, upper in _gap_pairs(col) if lower and upper) == widest
@@ -710,7 +705,7 @@ class TestCellDecomposition:
         k = max(i for i, r in enumerate(rects) if str(r.address) == "00")
         merged = Rect(rects[k].address, rects[k - 1].bottom, F(3))
         bad = _with_rects(st_2_16, 2, rects[: k - 1] + [merged] + rects[k + 1 :])
-        col = ColumnSweep(bad, Address.parse("00"), 2)
+        col = ColumnSweep(bad, Address.parse("00"))
         assert col.pair_gaps(col.adjacent_order(), 0) is not None
         assert verify._pair_path(col, bad.den, 0) is None
         record = sweep_level(bad, 2).records["condition-v"]
@@ -722,7 +717,7 @@ class TestCellDecomposition:
 
     def test_an_empty_column_falls_back(self):
         empty = ConstructionState(0, 4, True, [[]])
-        col = ColumnSweep(empty, Address(), 0)
+        col = ColumnSweep(empty, Address())
         assert col.ids == [] and verify._pair_path(col, empty.den, 0) is None
         record = sweep_level(empty, 0).records["condition-v"]
         assert record.witness["problems"] == ["no crossings in column"]
@@ -732,7 +727,7 @@ class TestCellDecomposition:
     def test_cells_match_vertical_trace_at_interior_points(self, st_2_16):
         # every gap of the trace inside a cell was reported: the sweep is exhaustive
         sigma = Address.parse("10")
-        col = ColumnSweep(st_2_16, sigma, 2)
+        col = ColumnSweep(st_2_16, sigma)
         reported = {tuple(_fraction_crossing(st_2_16, col, x) for x in pair) for pair in _gap_pairs(col)}
         c_den = math.lcm(*(q.denominator for q in fraction_table(16).locations)) * 9
         cuts = [endpoint_zero(sigma), *(F(b, c_den) for b in col.breakpoints), endpoint_one(sigma)]
@@ -744,9 +739,9 @@ class TestCellDecomposition:
             assert set(zip(trace, trace[1:])) <= reported
 
     def test_breakpoints_are_spanning_jump_locations(self, st_1_4):
-        col = ColumnSweep(st_1_4, Address.parse("0"), 1)
+        col = ColumnSweep(st_1_4, Address.parse("0"))
         jump_locs = set()
-        for cid in st_1_4.chain_ids(Address.parse("0"), max_stage=1):
+        for cid in st_1_4.chain_ids(Address.parse("0")):
             for c, _, _ in jumps_global_oracle(st_1_4.copies[cid]):
                 if F(0) < c < F(1, 3):
                     jump_locs.add(c)
@@ -1084,7 +1079,7 @@ class TestNullSequence:
             keys.append(copy.key)
             return copy_fan_diameter(copy)
 
-        monkeypatch.setattr(spaceset, "copy_fan_diameter", counted)
+        monkeypatch.setattr(floats, "copy_fan_diameter", counted)
         stage_fan_diameters(state)
         return keys
 

@@ -22,7 +22,8 @@ command pays first: `import fanforge.cli, fanforge.verify` timed inside
 one more fresh interpreter per run. The renders come last so that the
 memory they leave behind cannot move the check times. Untimed, it counts
 `diameters_measured`: the exact copy diameters `stage_fan_diameters` takes
-(calls of `spaceset.copy_fan_diameter`) on the built state.
+(calls of `floats.copy_fan_diameter`) on the built state, so each tree
+must have the `floats` module.
 The (6,96) rung, where the state's height scale is widest, takes most of
 the time and memory: its epsilon-connectivity samples 2.3 M points.
 Each rung is measured REPEATS times per tree, the trees alternating, and
@@ -145,10 +146,10 @@ def best_of(run) -> tuple[float, object]:
 
 def diameters_measured(state) -> int:
     """The number of exact copy diameters `stage_fan_diameters` takes."""
-    from fanforge import spaceset
+    from fanforge import floats
 
-    with mock.patch.object(spaceset, "copy_fan_diameter", wraps=spaceset.copy_fan_diameter) as counted:
-        spaceset.stage_fan_diameters(state)
+    with mock.patch.object(floats, "copy_fan_diameter", wraps=floats.copy_fan_diameter) as counted:
+        floats.stage_fan_diameters(state)
     return counted.call_count
 
 
