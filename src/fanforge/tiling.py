@@ -34,7 +34,6 @@ from .exact import (
     addresses_of_length,
     pair_to_str,
     rational_pair,
-    reduced,
 )
 from .errors import (
     IndexOutOfRange,
@@ -54,7 +53,8 @@ class Rect:
     q > 0, so placing, saving and loading a rect does no Fraction arithmetic;
     `bottom`, `top` and `height` are their Fractions, made when asked for.
     Equality and hashing ignore the height. `Rect(address, bottom, top)`
-    takes Fractions, `from_pairs` the pairs."""
+    takes Fractions, `from_pairs` the pairs; `next_stage` sets the four
+    fields of its rects itself, from pairs it has reduced."""
 
     __slots__ = ("address", "a", "b", "h")
 
@@ -63,10 +63,10 @@ class Rect:
         self.address, self.a, self.b, self.h = address, a, b, self._height(a, b)
 
     @classmethod
-    def from_pairs(cls, address: Address, a: tuple[int, int], b: tuple[int, int], h: tuple[int, int] | None = None):
-        """The rect over `address` from reduced pairs; h, when given, must be b - a."""
+    def from_pairs(cls, address: Address, a: tuple[int, int], b: tuple[int, int]):
+        """The rect over `address` from reduced pairs."""
         rect = cls.__new__(cls)
-        rect.address, rect.a, rect.b, rect.h = address, a, b, h or cls._height(a, b)
+        rect.address, rect.a, rect.b, rect.h = address, a, b, cls._height(a, b)
         return rect
 
     @staticmethod
@@ -224,11 +224,10 @@ class PlacedCopy:
         """The midpoint of jump `index` as global (location, height)."""
         return self._midpoint(self.jump_pos(index))
 
-    def midpoints_global(self, positions: range | None = None) -> list[tuple[Fraction, Fraction]]:
+    def midpoints_global(self, positions: range) -> list[tuple[Fraction, Fraction]]:
         """The midpoints of the jumps at the sorted positions `positions`, a
-        subrange of [0, N) (default: all of it), in jump-index order."""
-        order = self.table.pos_of_index if positions is None else sorted(positions, key=self.table.index_at.__getitem__)
-        return [self._midpoint(pos) for pos in order]
+        subrange of [0, N), in jump-index order."""
+        return [self._midpoint(pos) for pos in sorted(positions, key=self.table.index_at.__getitem__)]
 
 
 class TilingStage:
@@ -248,9 +247,11 @@ class ConstructionState:
     """Stages 0..K with all placed copies; a pure function of (K, N, strict).
 
     `stages` lists each stage's `TilingStage` of placed copies, stage 0
-    first; the constructor takes each stage's rects. Copy ids number the
-    copies stage by stage. The builder grows one state a stage at a time
-    through `add_stage`, where a state's copies are placed.
+    first; the constructor takes each stage's rects, whose addresses must
+    be as long as their stage number. Copy ids number the copies stage by
+    stage. The builder grows one state a stage at a time through
+    `add_stage`, where a state's copies are placed. `to_json` writes the
+    state document.
 
     `den`, the state's one height scale, is the lcm over its rects of
     lcm(den a, den h * 2^N) (bottom a, height h). Every copy's integer form
@@ -275,9 +276,15 @@ class ConstructionState:
             self.add_stage(rects)
 
     def add_stage(self, rects: list[Rect]) -> None:
-        """Append the next stage, placing, numbering and indexing its copies;
-        where its rects widen `den`, every placed copy is scaled to it."""
+        """Append the next stage n, placing, numbering and indexing its
+        copies; InvalidParameter, with the state unchanged, for a rect whose
+        address is not n long. Where its rects widen `den`, every placed copy
+        is scaled to it."""
         n = len(self.stages)
+        for i, rect in enumerate(rects):
+            if len(rect.address.bits) != n:
+                address = rect.address
+                raise InvalidParameter(f"rect {i} of stage {n} has address '{address}' of length {len(address.bits)}")
         self.query_index = None
         den = math.lcm(self.den, *{r.a[1] for r in rects}, *{r.h[1] << self.n_jumps for r in rects})
         unit = den // self.den
@@ -313,21 +320,23 @@ class ConstructionState:
         bits = sigma.bits
         return [cid for length in range(len(bits) + 1) for cid in self.ids_at_address(bits[:length])]
 
-    def to_json_obj(self) -> dict:
-        text = cache(pair_to_str)  # the rects share most of their bounds
-        return {
-            "schema": STATE_SCHEMA,
-            "depth": self.depth,
-            "jumps": self.n_jumps,
-            "strict": self.strict,
-            "stages": [
-                {"n": st.n, "rects": [{"address": str(r.address), "a": text(r.a), "b": text(r.b)} for r in st.rects]}
-                for st in self.stages
-            ],
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), sort_keys=True, separators=(",", ":")) + "\n"
+        """The state document, written in one pass: the bytes of
+        `json.dumps(doc, sort_keys=True, separators=(",", ":"))` and a
+        newline. Keys are written in sorted order, and no value needs
+        escaping: addresses are 0/1 words and bounds "p/q" texts. Each
+        rect is one template filled from its bounds' texts, made once per
+        distinct pair (the rects share most of their bounds)."""
+        text = cache(pair_to_str)
+        rect = '{"a":"%s","address":"%s","b":"%s"}'
+        stages = ",".join(
+            '{"n":%d,"rects":[%s]}'
+            % (st.n, ",".join([rect % (text(c.rect.a), c.rect.address, text(c.rect.b)) for c in st.copies]))
+            for st in self.stages
+        )
+        return '{"depth":%d,"jumps":%d,"schema":"%s","stages":[%s],"strict":%s}\n' % (
+            self.depth, self.n_jumps, STATE_SCHEMA, stages, json.dumps(self.strict)
+        )
 
 
 class ColumnSweep:
@@ -559,9 +568,12 @@ def next_stage(state: ConstructionState) -> list[Rect]:
     crossing to its right-end crossing (ColumnSweep's `first` and
     `last`, ints over the state's `den`). Strips are subdivided
     uniformly into ceil(length * (n+1)) pieces, which pins every new
-    height at most 1/(n+1).
+    height at most 1/(n+1). A strip of `count` pieces has its ends as
+    ints over den * count, each reduced by one gcd, and one height pair,
+    which its rects share.
     """
     n, den = len(state.stages), state.den
+    gcd, new = math.gcd, Rect.__new__
     rects: list[Rect] = []
     for sigma in addresses_of_length(n):
         col = ColumnSweep(state, sigma)
@@ -590,9 +602,14 @@ def next_stage(state: ConstructionState) -> list[Rect]:
             if length <= 0:
                 continue  # tolerant mode: touching bands leave empty strips
             count = -(-length * (n + 1) // den)
-            whole, height = den * count, reduced(length, den * count)  # each end is an int over whole
-            ends = [reduced(end, whole) for end in range(s_lo * count, s_hi * count + 1, length)]
-            rects.extend(Rect.from_pairs(sigma, lo, hi, height) for lo, hi in zip(ends, ends[1:]))
+            whole = den * count  # each end is an int over whole, each height length / whole
+            g = gcd(length, whole)
+            height = (length // g, whole // g)
+            ends = [(e // (g := gcd(e, whole)), whole // g) for e in range(s_lo * count, s_hi * count + 1, length)]
+            for lo, hi in zip(ends, ends[1:]):
+                rect = new(Rect)
+                rect.address, rect.a, rect.b, rect.h = sigma, lo, hi, height
+                rects.append(rect)
     return rects
 
 
@@ -734,8 +751,8 @@ def state_from_json_obj(doc: dict, location: str = "<state>") -> ConstructionSta
                     rect = Rect.from_pairs(address_of(texts[0]), pair_of(texts[1]), pair_of(texts[2]))
                 except ValueError as exc:
                     raise StateSchemaError(str(exc), rloc) from exc
-            if len(rect.address) != n:
-                raise StateSchemaError(f"address length {len(rect.address)} at stage {n}", f"{loc}.rects[{ri}]")
+            if len(rect.address.bits) != n:
+                raise StateSchemaError(f"address length {len(rect.address.bits)} at stage {n}", f"{loc}.rects[{ri}]")
             rects.append(rect)
         stages.append(rects)
     state = ConstructionState(depth, n_jumps, strict, stages)

@@ -110,9 +110,10 @@ def _verdict(
 
 
 def check_conditions_i_ii(state: ConstructionState) -> list[CheckRecord]:
-    """Addresses of length n and heights in (0, 1/(n+1)], exactly, per stage,
-    on the copies' integer forms (a height is step * 2^N / den); a Fraction
-    is made only for `max_height`, the tallest copy up to the witness."""
+    """Heights in (0, 1/(n+1)], exactly, per stage, on the copies' integer
+    forms (a height is step * 2^N / den); a Fraction is made only for
+    `max_height`, the tallest copy up to the witness. Addresses of length n
+    need no check: `ConstructionState.add_stage` refuses any other."""
     scale, den = 2**state.n_jumps, state.den
     records = []
     for stage in state.stages:
@@ -121,7 +122,7 @@ def check_conditions_i_ii(state: ConstructionState) -> list[CheckRecord]:
         limit = den // (scale * (stage.n + 1))  # step * 2^N / den <= 1/(n+1) iff step <= limit
         for i, copy in enumerate(stage.copies):
             tallest = max(tallest, copy.step)
-            if len(copy.rect.address) != stage.n or not 0 < copy.step <= limit:
+            if not 0 < copy.step <= limit:
                 rect = copy.rect
                 witness = {
                     "index": i,

@@ -386,7 +386,10 @@ def pieces_in_window_oracle(copy, c_lo, c_hi, h_lo, h_hi):
 
 
 def copies_intersect_oracle(a, b) -> dict | None:
-    """The pairwise disjointness test in Fractions; witness or None."""
+    """The pairwise disjointness test in Fractions; witness or None. As in
+    `copies_intersect`, two jumps that meet need no test of their own: the
+    plateau at the higher low end ends at their column and lies on the
+    other jump."""
     deep = a if a.stage >= b.stage else b
     c_lo, c_hi = endpoint_zero_oracle(deep.rect.address.bits), endpoint_one_oracle(deep.rect.address.bits)
     h_lo = max(a.rect.bottom, b.rect.bottom)
@@ -411,14 +414,12 @@ def copies_intersect_oracle(a, b) -> dict | None:
         for blo, bhi, bv in plats_b:
             if blo <= jc <= bhi and jlo <= bv <= jhi:
                 return {"kind": "jump-plateau", "c": rational_to_str(jc), "value": rational_to_str(bv)}
-        for kc, klo, khi in jumps_b:
-            if jc == kc and max(jlo, klo) <= min(jhi, khi):
-                return {"kind": "jump-jump", "c": rational_to_str(jc)}
     return None
 
 
 def conditions_i_ii_oracle(state) -> list[CheckRecord]:
-    """`verify.check_conditions_i_ii` on the rectangles' Fraction bounds."""
+    """`verify.check_conditions_i_ii` on the rectangles' Fraction bounds;
+    a state's addresses are as long as their stage (`add_stage`)."""
     records = []
     for stage in state.stages:
         bound = Fraction(1, stage.n + 1)
@@ -426,7 +427,7 @@ def conditions_i_ii_oracle(state) -> list[CheckRecord]:
         tallest = Fraction(0)
         for i, rect in enumerate(stage.rects):
             tallest = max(tallest, rect.height)
-            if len(rect.address) != stage.n or not (0 < rect.height <= bound):
+            if not (0 < rect.height <= bound):
                 witness = {
                     "index": i,
                     "address": str(rect.address),

@@ -93,7 +93,7 @@ def test_criterion_06_debski_identities():
     mass_ok = total == 1 - F(1, 2**n_jumps) == F(table.values[-1], 2**n_jumps)
     mids_ok = all(
         mid == lo + F(1, 2 ** (n + 2))
-        for n, ((_, mid), (lo, _)) in enumerate(zip(identity.midpoints_global(), intervals))
+        for n, ((_, mid), (lo, _)) in enumerate(zip(identity.midpoints_global(range(n_jumps)), intervals))
     )
     ok = widths_ok and mass_ok and mids_ok
     assert report(6, ok, f"N=32 jump widths, total mass {total}, midpoint heights exact")
@@ -124,8 +124,8 @@ def test_criterion_08_region_boundaries(model_3_16):
     ok = len(pairs) == 20
     for low, up, sigma in pairs:
         region = region_between(model_3_16, low, up, sigma)
-        allowed = set(state.copies[low].midpoints_global()) | set(
-            state.copies[up].midpoints_global()
+        allowed = set(state.copies[low].midpoints_global(range(16))) | set(
+            state.copies[up].midpoints_global(range(16))
         )
         pts = list(region.boundary)
         distinct = len(set(pts)) == len(pts) > 0

@@ -243,14 +243,14 @@ class TestClassify:
 
 class TestMidpoints:
     def test_single(self):
-        assert identity_copy(1).midpoints_global() == [(F(1, 4), F(1, 4))]
+        assert identity_copy(1).midpoints_global(range(1)) == [(F(1, 4), F(1, 4))]
 
     def test_four_jump_first_midpoint(self):
-        assert identity_copy(4).midpoints_global()[0] == (F(1, 4), F(9, 16))
+        assert identity_copy(4).midpoints_global(range(4))[0] == (F(1, 4), F(9, 16))
 
     def test_midpoint_heights_and_distinctness(self):
         copy = identity_copy(16)
-        pts = copy.midpoints_global()
+        pts = copy.midpoints_global(range(16))
         assert len(set(pts)) == 16
         for n, (d, mid) in enumerate(pts):
             c, lo, hi = copy.jump_global(copy.jump_pos(n))
@@ -276,7 +276,7 @@ class TestGraphClosure:
         for j, value in enumerate(t.values):
             for x in (bounds[j], bounds[j + 1]):
                 closure_points_at.setdefault(F(x, t.den), set()).add(F(value, 2**8))
-        for n, (d, mid) in enumerate(copy.midpoints_global()):
+        for n, (d, mid) in enumerate(copy.midpoints_global(range(8))):
             _, lo, hi = copy.jump_global(copy.jump_pos(n))
             # plateau heights at the jump column are exactly the segment ends
             assert closure_points_at[d] == {lo, hi}

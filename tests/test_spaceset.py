@@ -180,7 +180,7 @@ class TestPieceFloats:
     def test_fan_midpoints_are_fan_point_of_each_exact_midpoint(self, bottom, height, bits, n_jumps):
         rect = Rect(Address(tuple(bits)), bottom, bottom + height)
         copy = PlacedCopy(len(bits), 0, rect, jump_table(n_jumps), own_den(rect, n_jumps))
-        assert fan_midpoints(copy) == [fan_point(p) for p in copy.midpoints_global()]
+        assert fan_midpoints(copy) == [fan_point(p) for p in copy.midpoints_global(range(n_jumps))]
 
 
 class TestAssemble:
@@ -396,7 +396,7 @@ class TestRegionBetween:
     def test_boundary_is_midpoints_of_supports(self, model_1_4):
         region = region_between(model_1_4, 0, 1, Address.parse("0"))
         copies = model_1_4.state.copies
-        allowed = set(copies[0].midpoints_global()) | set(copies[1].midpoints_global())
+        allowed = set(copies[0].midpoints_global(range(4))) | set(copies[1].midpoints_global(range(4)))
         assert set(region.boundary) <= allowed
         assert len(region.boundary) > 0
         column_left, column_right = F(0), F(1, 3)

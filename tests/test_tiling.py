@@ -6,7 +6,7 @@ from fractions import Fraction as F
 from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from fanforge import build, tiling
 from fanforge.debski import jump_table
@@ -54,6 +54,10 @@ from .oracles import (
     to_global_h,
     trace_oracle,
 )
+
+ALL_STATES = [
+    "st_0_4", "st_1_4", "st_2_16", "st_3_16", "st_3_32", "st_3_16t", "st_4_16t", "st_4_32", "st_5_32t"
+]
 
 
 class TestStageZero:
@@ -302,7 +306,7 @@ class TestBuild:
     def test_matches_fraction_oracle(self, args):
         state, oracle = build(*args), build_oracle(*args)
         assert state.to_json() == state_json_oracle(oracle) == oracle.to_json()
-        assert [(c.den, c.base, c.step, c.origin) for c in state.copies] == placement_oracle(oracle)
+        assert placement(state) == placement_oracle(oracle)
 
     @pytest.mark.parametrize("args", [(2, 4), (3, 5), (3, 8)])
     def test_too_coarse_matches_fraction_oracle(self, args):
@@ -507,9 +511,7 @@ class TestCopyGeometry:
             PlacedCopy(0, 0, rect, jump_table(2), den)
         assert PlacedCopy(0, 0, rect, jump_table(2), own_den(rect, 2)).fiber(F(0)) == ("point", bottom, bottom)
 
-    @pytest.mark.parametrize(
-        "name", ["st_0_4", "st_1_4", "st_2_16", "st_3_16", "st_3_32", "st_3_16t", "st_4_16t", "st_4_32", "st_5_32t"]
-    )
+    @pytest.mark.parametrize("name", ALL_STATES)
     def test_built_and_loaded_copies_match_direct_construction(self, name, request, tmp_path):
         # add_stage places each copy at its stage's den and rescales it as later
         # stages widen den; a direct copy divides the final den itself
@@ -564,6 +566,81 @@ class TestStateScale:
         assert forms[0] == forms[1]
 
 
+def placement(state):
+    """Each copy's integer form, as `placement_oracle` lists it."""
+    return [(c.den, c.base, c.step, c.origin) for c in state.copies]
+
+
+class TestStatePipeline:
+    """`to_json` writes the document in one pass, `next_stage` makes its
+    rects from pairs it reduces itself, and `add_stage` refuses a rect whose
+    address is not as long as its stage; the oracles write each rect from
+    its Fractions and place each copy from its rect."""
+
+    @pytest.mark.parametrize("name", ALL_STATES)
+    def test_text_matches_the_oracle_on_every_fixture(self, name, request):
+        state = request.getfixturevalue(name)
+        assert state.to_json() == state_json_oracle(state)
+
+    @settings(max_examples=30, deadline=None)
+    @given(depth=st.integers(0, 3), n_jumps=st.integers(2, 24), strict=st.booleans())
+    def test_text_and_placement_match_the_oracles_on_small_builds(self, depth, n_jumps, strict):
+        try:
+            state = build(depth, n_jumps, strict)
+        except TruncationTooCoarse:
+            assume(False)
+        assert state.to_json() == state_json_oracle(state)
+        assert placement(state) == placement_oracle(state)
+
+    @pytest.mark.parametrize("name", ALL_STATES)
+    def test_load_then_save_reproduces_the_file(self, name, request, tmp_path):
+        first, second = str(tmp_path / "first.json"), str(tmp_path / "second.json")
+        save_state(request.getfixturevalue(name), first)
+        save_state(load_state(first), second)
+        with open(first, "rb") as a, open(second, "rb") as b:
+            assert a.read() == b.read()
+
+    @pytest.mark.parametrize("name", ALL_STATES)
+    def test_placement_matches_the_oracle_after_build_load_and_each_stage(self, name, request, tmp_path):
+        # every stage after the first widens den, so each add_stage rescales
+        # the copies placed before it
+        state = request.getfixturevalue(name)
+        save_state(state, str(tmp_path / "s.json"))
+        for placed in (state, load_state(str(tmp_path / "s.json"))):
+            assert placement(placed) == placement_oracle(placed)
+        grown, dens = ConstructionState(state.depth, state.n_jumps, state.strict, []), []
+        for stage in state.stages:
+            grown.add_stage(stage.rects)
+            dens.append(grown.den)
+            assert placement(grown) == placement_oracle(grown)
+        assert all(low < high for low, high in zip(dens, dens[1:]))
+
+    def test_stage_that_keeps_den_places_as_the_oracle(self):
+        # bottom -3 and height 2 need no den beyond stage 0's 2^N
+        state = ConstructionState(1, 16, False, [stage_zero()])
+        state.add_stage([Rect(Address((0,)), F(-3), F(-1))])
+        assert state.den == 2**16 and [c.den for c in state.copies] == [2**16] * 2
+        assert placement(state) == placement_oracle(state)
+
+    @pytest.mark.parametrize("at, bits, length", [(0, (0,), 1), (1, (), 0), (1, (0, 1), 2)])
+    def test_address_not_as_long_as_its_stage_is_refused(self, at, bits, length):
+        rects = [stage_zero(), stage_one(16)]
+        rects[at] = [*rects[at][:1], Rect(Address(bits), F(0), F(1, 4))]
+        text = "".join(map(str, bits))
+        with pytest.raises(InvalidParameter, match=f"^rect 1 of stage {at} has address '{text}' of length {length}$"):
+            ConstructionState(1, 16, True, rects)
+
+    def test_stage_repeated_at_the_next_depth_is_refused_and_the_state_kept(self):
+        s0, s1 = stage_zero(), stage_one(16)
+        with pytest.raises(InvalidParameter, match="^rect 0 of stage 2 has address '0' of length 1$"):
+            ConstructionState(2, 16, True, [s0, s1, s1])
+        state = ConstructionState(2, 16, True, [s0, s1])
+        before = (state.den, placement(state), len(state.stages))
+        with pytest.raises(InvalidParameter):
+            state.add_stage([*next_stage(state), s1[0]])
+        assert (state.den, placement(state), len(state.stages)) == before
+
+
 def load_outcome(loader, doc):
     """What loading `doc` gives: the state's JSON with each copy's integer
     form, or the message and location of the StateSchemaError raised. The
@@ -574,7 +651,7 @@ def load_outcome(loader, doc):
         return "error", str(exc), exc.location
     if loader is state_from_json_obj_oracle:
         return "state", state_json_oracle(state), placement_oracle(state)
-    return "state", state.to_json(), [(c.den, c.base, c.step, c.origin) for c in state.copies]
+    return "state", state.to_json(), placement(state)
 
 
 class TestStateSerialization:
@@ -643,15 +720,13 @@ class TestLoaderAgainstOracle:
     """The loader parses each distinct text once; the oracle parses every
     rect afresh. They load and refuse the same documents alike."""
 
-    @pytest.mark.parametrize(
-        "name", ["st_0_4", "st_1_4", "st_2_16", "st_3_16", "st_3_32", "st_3_16t", "st_4_16t", "st_4_32", "st_5_32t"]
-    )
+    @pytest.mark.parametrize("name", ALL_STATES)
     def test_every_fixture_loads_as_the_oracle_loads_it(self, name, request):
         state = request.getfixturevalue(name)
         doc = json.loads(state.to_json())
         ours = load_outcome(state_from_json_obj, doc)
         assert ours == load_outcome(state_from_json_obj_oracle, doc)
-        assert ours[1:] == (state.to_json(), [(c.den, c.base, c.step, c.origin) for c in state.copies])
+        assert ours[1:] == (state.to_json(), placement(state))
 
     @given(st.data())
     def test_texts_moved_between_rects_load_as_the_oracle_loads_them(self, st_2_16, data):

@@ -371,8 +371,8 @@ class TestDisjointness:
     @example(bits=[], deeper=[], bottoms=(F(-4), F(3, 2)), heights=(F(16), F(1, 4)), n_jumps=4)  # jump-plateau
     def test_meeting_jumps_show_a_plateau_witness(self, bits, deeper, bottoms, heights, n_jumps):
         # two jumps at one column that meet: the plateau at the higher low end
-        # ends there and meets the other jump, so a witness is always found
-        # before any jump-jump test would run
+        # ends there and meets the other jump, so a plateau test always finds
+        # a witness and neither test needs one of jump against jump
         table = jump_table(n_jumps)
         rects = [Rect(Address(tuple(bits)), bottoms[0], bottoms[0] + heights[0]),
                  Rect(Address(tuple(bits + deeper)), bottoms[1], bottoms[1] + heights[1])]
