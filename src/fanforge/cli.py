@@ -2,7 +2,9 @@
 
 The single state file (fanforge-state-v1 JSON) is the only contract between
 commands. Rationals cross the boundary as "p/q" strings in both directions;
-no floating point is accepted as input anywhere. Each command imports only
+no floating point is accepted as input anywhere. `verify` takes the state,
+the check selection and the report path alone: the epsilon-connectivity
+cloud and thresholds are fixed in `connectivity`. Each command imports only
 what it runs: `verify`, `trace` and `render` load their modules inside
 their commands.
 """
@@ -40,9 +42,6 @@ def _parser() -> argparse.ArgumentParser:
         f"({', '.join(KNOWN_CHECKS)})",
     )
     p_verify.add_argument("--out", help="write the JSON report here")
-    p_verify.add_argument("--grid-depth", type=int, dest="grid_depth")
-    p_verify.add_argument("--fibers", type=int, default=3)
-    p_verify.add_argument("--epsilon", action="append", type=float, default=[])
 
     p_trace = sub.add_parser("trace", help="crossing heights of one vertical line")
     p_trace.add_argument("--state", required=True)
@@ -71,13 +70,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     from . import verify
 
     state = tiling.load_state(args.state)
-    report = verify.run_all(
-        state,
-        checks=args.checks and args.checks.split(","),  # None runs all; "" selects none
-        grid_depth=args.grid_depth,
-        fiber_count=args.fibers,
-        epsilons=args.epsilon,
-    )
+    # None runs all; "" selects none
+    report = verify.run_all(state, checks=args.checks and args.checks.split(","))
     sys.stdout.write(report.to_text())
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

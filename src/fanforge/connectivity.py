@@ -5,7 +5,8 @@ Two points of the cloud link when the float sqrt(dx*dx + dy*dy) of their
 coordinates is at most eps. Each link is decided exactly on a grid of
 cliques, in the standard library alone; the spanning tree is never built.
 `verify.run_all` imports this module only when it runs the
-`epsilon-connectivity` check.
+`epsilon-connectivity` check, whose cloud and thresholds are fixed here
+and take no run parameter.
 """
 
 from __future__ import annotations
@@ -229,60 +230,32 @@ def epsilon_connectivity(points: Sequence[tuple[float, float]], eps: float) -> i
     return _components(_checked(points), eps)
 
 
-def check_epsilon_connectivity(
-    state: ConstructionState,
-    grid_depth: int | None = None,
-    fiber_count: int = 3,
-    epsilons: Sequence[float] = (),
-) -> list[CheckRecord]:
+def check_epsilon_connectivity(state: ConstructionState) -> CheckRecord:
     """Connectivity analogue: one component at the MST threshold, more below.
 
+    The cloud is sampled at the state's depth with 3 samples per fiber.
     `components_at_star` is the count of the pass that proves eps_star
     (`_bottleneck`), which is 1 by the definition of eps_star; the count at
-    eps_star/2 and each requested eps take one pass each. The independent
-    cross-check against a dense Prim and all-pairs union-find lives in the
-    oracle tests.
+    eps_star/2 takes one more pass. eps_star is positive: the cloud holds
+    the vertex (1/2, 0) and copy 0's Q-points, whose heights lie in
+    (1/2, 3/4). The independent cross-check against a dense Prim and
+    all-pairs union-find lives in the oracle tests.
     """
     from .spaceset import assemble, sample_points
 
-    model = assemble(state)
-    gd = state.depth if grid_depth is None else grid_depth
-    coords = sample_points(model, gd, fiber_count).coordinates()  # in [0, 1]^2: no need of _checked
+    coords = sample_points(assemble(state), state.depth, 3).coordinates()  # in [0, 1]^2: no need of _checked
     eps_star, at_star = _bottleneck(coords)
-    if eps_star == 0.0:
-        return [
-            CheckRecord(
-                "epsilon-connectivity",
-                f"grid_depth={gd}",
-                "skipped",
-                None,
-                {"reason": "degenerate cloud", "cloud_size": len(coords)},
-            )
-        ]
     at_half = _components(coords, eps_star / 2)
     ok = at_star == 1 and at_half >= 2
-    records = [
-        CheckRecord(
-            "epsilon-connectivity",
-            f"grid_depth={gd}",
-            "pass" if ok else "fail",
-            None if ok else {"components_at_star": at_star, "components_at_half": at_half},
-            {
-                "cloud_size": len(coords),
-                "eps_star": f"{eps_star:.9f}",
-                "components_at_star": at_star,
-                "components_at_half": at_half,
-            },
-        )
-    ]
-    for eps in epsilons:
-        records.append(
-            CheckRecord(
-                "epsilon-connectivity",
-                f"grid_depth={gd} eps={eps:g}",
-                "pass",
-                None,
-                {"components": _components(coords, eps)},
-            )
-        )
-    return records
+    return CheckRecord(
+        "epsilon-connectivity",
+        f"grid_depth={state.depth}",
+        "pass" if ok else "fail",
+        None if ok else {"components_at_star": at_star, "components_at_half": at_half},
+        {
+            "cloud_size": len(coords),
+            "eps_star": f"{eps_star:.9f}",
+            "components_at_star": at_star,
+            "components_at_half": at_half,
+        },
+    )

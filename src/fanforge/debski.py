@@ -33,11 +33,6 @@ def _quarter_points() -> Iterator[Fraction]:
             yield v
 
 
-@lru_cache(maxsize=None)
-def _jump_points_cached(n_jumps: int) -> tuple[Fraction, ...]:
-    return tuple(itertools.islice(_quarter_points(), n_jumps))
-
-
 def jump_points(n_jumps: int) -> list[Fraction]:
     """First `n_jumps` members of the canonical dense non-endpoint sequence.
 
@@ -48,7 +43,7 @@ def jump_points(n_jumps: int) -> list[Fraction]:
     """
     if n_jumps < 1:
         raise ValueError("n_jumps must be >= 1")
-    return list(_jump_points_cached(n_jumps))
+    return list(itertools.islice(_quarter_points(), n_jumps))
 
 
 def min_jumps_for_depth(depth: int) -> int:

@@ -59,10 +59,11 @@ class DepthInsufficient(FanforgeError):
 
 
 class InvalidParameter(FanforgeError):
-    """A run parameter is outside its domain: a number that is NaN, infinite
-    or negative, a check selector whose level is misplaced or malformed, a
-    copy's den that its rectangle's heights do not divide, or a jump count
-    whose reports could not be written."""
+    """A run parameter is outside its domain: a cloud's grid depth below the
+    state's depth or a negative fiber count, an empty check selection or a
+    selector whose level is misplaced or malformed, a copy's den that its
+    rectangle's heights do not divide, a rect whose address is not as long
+    as its stage, or a jump count whose reports could not be written."""
 
 
 class InvertedWindow(FanforgeError):

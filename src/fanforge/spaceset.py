@@ -14,9 +14,9 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import floats
-from .errors import NotOrdered, NotSpanning
+from .errors import InvalidParameter, NotOrdered, NotSpanning
 from .exact import Address, addresses_of_length
-from .tiling import ColumnSweep, ConstructionState, check_sampling
+from .tiling import ColumnSweep, ConstructionState
 
 Point = tuple[Fraction, Fraction]
 
@@ -122,10 +122,14 @@ def sample_points(model: SpaceModel, grid_depth: int, fiber_count: int) -> Point
     right end in `last`. All choices are exact, so the cloud is deterministic.
     As in `floats.fan_midpoints`, a sample's fiber (origin or origin + 1) / 3^depth
     and its gap midpoint (lo + hi) / (2 * den) are int / int divisions,
-    float() of the exact point. Parameters are refused as in `check_sampling`.
+    float() of the exact point. A grid depth below the state's depth or a
+    negative fiber count raises InvalidParameter.
     """
     state = model.state
-    check_sampling(state, grid_depth, fiber_count)
+    if grid_depth < state.depth:
+        raise InvalidParameter(f"grid depth {grid_depth} is below the construction depth {state.depth}")
+    if fiber_count < 0:
+        raise InvalidParameter(f"fiber count must be >= 0, got {fiber_count}")
     xy = [VERTEX]
     for copy in state.copies:
         xy += floats.fan_midpoints(copy)

@@ -661,16 +661,6 @@ def build(depth: int, n_jumps: int, strict: bool = True) -> ConstructionState:
         state.add_stage(stage_one(n_jumps) if len(state.stages) == 1 else next_stage(state))
 
 
-def check_sampling(state: ConstructionState, grid_depth: int, fiber_count: int) -> None:
-    """InvalidParameter for a grid depth below the state's depth or a negative
-    fiber count: the cloud's parameters, refused by `verify` before any check
-    runs and by `spaceset.sample_points`."""
-    if grid_depth < state.depth:
-        raise InvalidParameter(f"grid depth {grid_depth} is below the construction depth {state.depth}")
-    if fiber_count < 0:
-        raise InvalidParameter(f"fiber count must be >= 0, got {fiber_count}")
-
-
 def save_state(state: ConstructionState, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(state.to_json())

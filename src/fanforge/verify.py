@@ -23,14 +23,13 @@ from __future__ import annotations
 import bisect
 import itertools
 import json
-import math
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .catalog import KNOWN_CHECKS
 from .errors import InvalidParameter
 from .exact import addresses_of_length, pair_to_str, rational_to_str
-from .tiling import ColumnSweep, ConstructionState, PlacedCopy, check_sampling
+from .tiling import ColumnSweep, ConstructionState, PlacedCopy
 
 REPORT_SCHEMA = "fanforge-report-v1"
 
@@ -501,13 +500,7 @@ def check_null_sequence(state: ConstructionState) -> CheckRecord:
 LEVELLED_CHECKS = ("coverage", "condition-v", "max-gap")
 
 
-def run_all(
-    state: ConstructionState,
-    checks: Sequence[str] | None = None,
-    grid_depth: int | None = None,
-    fiber_count: int = 3,
-    epsilons: Sequence[float] = (),
-) -> VerificationReport:
+def run_all(state: ConstructionState, checks: Sequence[str] | None = None) -> VerificationReport:
     """Run the selected checks (all by default) into one report.
 
     A selector is either a check name or "name=<n>" to pin the stage level
@@ -515,9 +508,8 @@ def run_all(
     non-negative integer; levels above the built depth produce skipped
     records. Each level is swept once, for all of its checks and, at level
     K, for disjointness too. An empty selection, a level on any other
-    check, a level that is not such an integer, an epsilon that is NaN,
-    infinite or negative, a grid depth below the state's depth and a
-    negative fiber count raise InvalidParameter before any check runs.
+    check and a level that is not such an integer raise InvalidParameter
+    before any check runs.
     """
     report = VerificationReport({"depth": state.depth, "jumps": state.n_jumps, "strict": state.strict})
     selected: list[tuple[str, int | None]] = []
@@ -532,10 +524,6 @@ def run_all(
         selected.append((name, int(level) if eq else None))
     if not selected:
         raise InvalidParameter("no check selected")
-    for eps in epsilons:
-        if not (math.isfinite(eps) and eps >= 0):
-            raise InvalidParameter(f"epsilon must be finite and >= 0, got {eps}")
-    check_sampling(state, state.depth if grid_depth is None else grid_depth, fiber_count)
     sweeps: dict[int, LevelSweep] = {}
 
     def swept(n: int) -> LevelSweep:
@@ -562,7 +550,7 @@ def run_all(
         elif name == "epsilon-connectivity":
             from .connectivity import check_epsilon_connectivity
 
-            report.records.extend(check_epsilon_connectivity(state, grid_depth, fiber_count, epsilons))
+            report.add(check_epsilon_connectivity(state))
     return report
 
 

@@ -196,12 +196,7 @@ def test_criterion_12_pipeline_determinism(tmp_path):
         fan = base / "fan.svg"
         til = base / "tiling.svg"
         assert main(["build", "--depth", "2", "--jumps", "16", "--out", str(state)]) == 0
-        assert (
-            main(
-                ["verify", "--state", str(state), "--out", str(reportfile), "--grid-depth", "3"]
-            )
-            == 0
-        )
+        assert main(["verify", "--state", str(state), "--out", str(reportfile)]) == 0
         assert main(["render", "--state", str(state), "--figure", "fan", "--out", str(fan)]) == 0
         assert main(["render", "--state", str(state), "--figure", "tiling", "--out", str(til)]) == 0
         outputs.append(

@@ -134,8 +134,7 @@ class TestVerify:
     def test_full_suite_exit_zero(self, state_file, tmp_path, capsys):
         report = tmp_path / "report.json"
         code, stdout, _ = run(
-            ["verify", "--state", str(state_file), "--out", str(report), "--grid-depth", "3"],
-            capsys,
+            ["verify", "--state", str(state_file), "--out", str(report)], capsys
         )
         assert code == 0
         assert "result: PASS" in stdout
@@ -176,25 +175,23 @@ class TestVerify:
         assert "InvalidParameter: no check selected" in stderr
         assert "Traceback" not in stderr and stdout == ""
 
+    # The epsilon-connectivity cloud and thresholds take no run parameter:
+    # verify refuses each former sampling flag as an unrecognized argument.
+    def refused_flag(self, state_file, flag, value):
+        proc = cli_in_subprocess(["verify", "--state", str(state_file), flag, value])
+        assert proc.returncode == 2
+        assert f"unrecognized arguments: {flag} {value}" in proc.stderr
+        assert "Traceback" not in proc.stderr and proc.stdout == ""
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
-    def test_meaningless_epsilon_exits_2_before_any_check(self, state_file, capsys, value):
-        code, stdout, stderr = run(["verify", "--state", str(state_file), "--epsilon", value], capsys)
-        assert code == 2
-        assert "InvalidParameter" in stderr and "epsilon" in stderr
-        assert stdout == ""
+    def test_meaningless_epsilon_exits_2_before_any_check(self, state_file, value):
+        self.refused_flag(state_file, "--epsilon", value)
 
-    def test_negative_fibers_exits_2(self, state_file, capsys):
-        argv = ["verify", "--state", str(state_file), "--checks", "epsilon-connectivity", "--fibers", "-2"]
-        code, _, stderr = run(argv, capsys)
-        assert code == 2
-        assert "InvalidParameter" in stderr and "-2" in stderr
+    def test_negative_fibers_exits_2(self, state_file):
+        self.refused_flag(state_file, "--fibers", "-2")
 
-    def test_grid_depth_below_state_depth_exits_2(self, state_file, capsys):
-        argv = ["verify", "--state", str(state_file), "--grid-depth", "1"]
-        code, stdout, stderr = run(argv, capsys)
-        assert code == 2
-        assert "InvalidParameter: grid depth 1 is below the construction depth 2" in stderr
-        assert "Traceback" not in stderr and stdout == ""
+    def test_grid_depth_below_state_depth_exits_2(self, state_file):
+        self.refused_flag(state_file, "--grid-depth", "1")
 
     def test_corrupt_state_schema_error(self, tmp_path, capsys):
         bad = tmp_path / "corrupt.json"

@@ -122,6 +122,8 @@ GOLDEN_2_16 = {
     "fan": "dbc75b498198bf630b2017921f84f614c9bcbd8c424720349ed0ac4bcc289f66",
     "earring": "99ef6129a83db73eb7e7e8c8667e252eb111442c397be222bab23751b5ce47fd",
 }
+# SHA-256 of the default CLI `verify --out` report at (2,16).
+GOLDEN_REPORT_2_16 = "8f6500784e09ca401bf4e61ad045dd9747b5b3598ce6e67f150ea140991c2c0a"
 
 
 class TestByteContract:
@@ -154,6 +156,12 @@ class TestByteContract:
             doc = render_figure(state, kind)
             assert out.read_bytes() == doc.encode()
             assert doc == oracle(state), kind
+
+    def test_default_verify_report_digest(self, st_2_16, tmp_path):
+        save_state(st_2_16, tmp_path / "state.json")
+        out = tmp_path / "report.json"
+        assert main(["verify", "--state", str(tmp_path / "state.json"), "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_REPORT_2_16
 
     def test_every_line_ends_its_element(self, st_2_16):
         for kind in GOLDEN_2_16:

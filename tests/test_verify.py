@@ -22,7 +22,7 @@ from fanforge.exact import (
 from fanforge import floats
 from fanforge.errors import InvalidParameter
 from fanforge.floats import _diameter, copy_fan_diameter, fan_diameter_bound, stage_fan_diameters
-from fanforge.spaceset import sample_points
+from fanforge.spaceset import assemble, sample_points
 from fanforge.query import vertical_trace
 from fanforge.tiling import (
     ColumnSweep,
@@ -968,6 +968,23 @@ class TestEpsilonConnectivity:
         assert epsilon_connectivity(coords, eps_star) == 1
         assert epsilon_connectivity(coords, eps_star / 2) >= 2
 
+    @pytest.mark.parametrize("name", ["st_1_4", "st_2_16"])
+    def test_check_samples_at_state_depth_with_three_per_fiber(self, name, request):
+        state = request.getfixturevalue(name)
+        record = connectivity.check_epsilon_connectivity(state)  # one record, whatever the state
+        coords = sample_points(assemble(state), state.depth, 3).coordinates()
+        eps_star = mst_max_edge(coords)
+        assert eps_star > 0.0  # the vertex and copy 0's Q-points are distinct
+        assert (record.name, record.scope, record.status, record.witness) == (
+            "epsilon-connectivity", f"grid_depth={state.depth}", "pass", None
+        )
+        assert record.metrics == {
+            "cloud_size": len(coords),
+            "eps_star": f"{eps_star:.9f}",
+            "components_at_star": 1,
+            "components_at_half": epsilon_connectivity(coords, eps_star / 2),
+        }
+
     def test_moved_names_still_read_from_their_old_modules(self):
         # perfbench replays verify.mst_max_edge, verify.epsilon_connectivity and tiling.vertical_trace
         assert verify.mst_max_edge is connectivity.mst_max_edge
@@ -1099,7 +1116,7 @@ class TestNullSequence:
 
 class TestRunAll:
     def test_full_suite_passes_and_serializes(self, st_2_16):
-        report = run_all(st_2_16, grid_depth=3, fiber_count=2)
+        report = run_all(st_2_16)
         assert report.passed
         doc = json.loads(report.to_json())
         assert doc["schema"] == "fanforge-report-v1"
@@ -1141,20 +1158,6 @@ class TestRunAll:
         monkeypatch.setattr(verify, "check_conditions_i_ii", refuse)
         with pytest.raises(InvalidParameter, match=re.escape(repr(selector))):
             run_all(st_1_4, checks=["conditions-i-ii", selector])
-
-    @pytest.mark.parametrize(
-        "grid_depth,fibers,text",
-        [(0, 3, "grid depth 0"), (None, -1, "fiber count")],
-        ids=["grid-depth", "fibers"],
-    )
-    def test_bad_sampling_refused_before_any_check(self, st_1_4, grid_depth, fibers, text, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("a check ran")
-
-        monkeypatch.setattr(verify, "check_conditions_i_ii", refuse)
-        with pytest.raises(InvalidParameter, match=text):
-            checks = ["conditions-i-ii", "epsilon-connectivity"]
-            run_all(st_1_4, checks=checks, grid_depth=grid_depth, fiber_count=fibers)
 
     def test_level_selector_on_each_levelled_check(self, st_1_4):
         report = run_all(st_1_4, checks=["coverage=0", "condition-v=1", "max-gap=2"])
